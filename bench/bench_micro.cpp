@@ -24,6 +24,10 @@ class LearningBenchProtocol : public OptimizedDvProtocol {
   using OptimizedDvProtocol::OptimizedDvProtocol;
   void run_learning(const InfoBySender& infos) { pre_decision_update(infos); }
   void install_state(ProtocolState state) { state_ = std::move(state); }
+  [[nodiscard]] std::shared_ptr<InfoPayload> build_info(
+      const View& view) const {
+    return make_info(view);
+  }
 };
 
 ProcessSet random_subset(Rng& rng, std::uint32_t n, std::uint32_t size) {
@@ -131,6 +135,37 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LearningAndResolutionPass)->Arg(1)->Arg(4)->Arg(16);
+
+void BM_InfoPayloadBuild(benchmark::State& state) {
+  // The step-1 payload and its encoded size, for a 33-member view at a
+  // process holding n Last_Formed entries: the view's members last formed
+  // the view itself, everyone else still holds the n-member W0. Only the
+  // view's entries are sent, so neither the time nor info_bytes may grow
+  // with n.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const ProcessSet core = ProcessSet::range(n);
+  const View view{ViewId(2), ProcessSet::range(33)};
+
+  sim::Simulator sim;
+  DvConfig config;
+  config.core = core;
+  auto protocol =
+      std::make_unique<LearningBenchProtocol>(sim, ProcessId(0), config);
+  auto* bench_protocol = protocol.get();
+  sim.add_node(std::move(protocol));
+  ProtocolState proto_state = ProtocolState::initial(core, ProcessId(0));
+  proto_state.apply_form(Session{view.members, 1});
+  bench_protocol->install_state(std::move(proto_state));
+
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto info = bench_protocol->build_info(view);
+    bytes = info->encoded_size();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["info_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_InfoPayloadBuild)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_StateEncode(benchmark::State& state) {
   const auto ambiguous = static_cast<std::size_t>(state.range(0));

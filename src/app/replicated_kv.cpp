@@ -54,7 +54,9 @@ KvStore::KvStore(Cluster& cluster) : cluster_(cluster) {
 
 Replica& KvStore::replica(ProcessId p) {
   auto it = replicas_.find(p);
-  ensure(it != replicas_.end(), "no replica for " + dynvote::to_string(p));
+  if (it == replicas_.end()) {
+    invariant_failed("no replica for " + dynvote::to_string(p));
+  }
   return *it->second;
 }
 

@@ -48,7 +48,9 @@ ReplicatedLog::ReplicatedLog(Cluster& cluster) : cluster_(cluster) {
 
 LogReplica& ReplicatedLog::replica(ProcessId p) {
   auto it = replicas_.find(p);
-  ensure(it != replicas_.end(), "no log replica for " + dynvote::to_string(p));
+  if (it == replicas_.end()) {
+    invariant_failed("no log replica for " + dynvote::to_string(p));
+  }
   return *it->second;
 }
 

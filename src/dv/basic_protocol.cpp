@@ -145,16 +145,29 @@ QuorumCalculus BasicDvProtocol::make_calculus() const {
 }
 
 void BasicDvProtocol::begin_session(const View& view) {
-  (void)view;
+  send_phase(0, make_info(view));
+}
+
+std::shared_ptr<InfoPayload> BasicDvProtocol::make_info(
+    const View& view) const {
   auto info = std::make_shared<InfoPayload>();
   info->session_number = state_.session_number;
   info->has_history = state_.has_history;
   info->last_primary = state_.last_primary;
   info->ambiguous.reserve(state_.ambiguous.size());
   for (const auto& a : state_.ambiguous) info->ambiguous.push_back(a.session);
-  if (sends_last_formed()) info->last_formed = state_.last_formed;
+  if (sends_last_formed()) {
+    // Only the view's members receive this info, and each reads only its
+    // own entry (see InfoPayload::last_formed).
+    for (ProcessId member : view.members) {
+      const auto it = state_.last_formed.find(member);
+      if (it != state_.last_formed.end()) {
+        info->last_formed.emplace_hint(info->last_formed.end(), *it);
+      }
+    }
+  }
   if (config_.dynamic_participants) info->participants = state_.participants;
-  send_phase(0, std::move(info));
+  return info;
 }
 
 void BasicDvProtocol::on_phase_complete(int phase,

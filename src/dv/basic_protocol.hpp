@@ -130,6 +130,9 @@ class BasicDvProtocol : public SessionProtocolBase {
   void on_phase_complete(int phase, const PhaseMessages& messages) override;
   void handle_recover() override;
 
+  /// The step-1 message this process sends in `view`.
+  [[nodiscard]] std::shared_ptr<InfoPayload> make_info(const View& view) const;
+
   /// Optimized protocol: include Last_Formed in step-1 messages.
   [[nodiscard]] virtual bool sends_last_formed() const { return false; }
 

@@ -41,8 +41,13 @@ class InfoPayload final : public PhasedPayload {
   bool has_history = true;
   std::optional<Session> last_primary;
   std::vector<Session> ambiguous;  // (M, N) pairs; knowledge arrays are local
-  std::map<ProcessId, Session> last_formed;  // optimized protocol only
-  ParticipantTracker participants;           // section 6 only
+  /// Optimized protocol only: the sender's Last_Formed, restricted to the
+  /// members of the view the info is sent in. The restriction loses
+  /// nothing: a receiver p reads only Last_Formed_q(p)
+  /// (OptimizedDvProtocol::pre_decision_update looks up its own id), and
+  /// view-gated delivery means p is a member of the sender's view.
+  std::map<ProcessId, Session> last_formed;
+  ParticipantTracker participants;  // section 6 only
 
   [[nodiscard]] int phase() const noexcept override { return 0; }
   [[nodiscard]] std::string type_name() const override { return "dv.info"; }

@@ -55,8 +55,7 @@ ProbeKind probe_kind_from_string(std::string_view name) {
         ProbeKind::kBatch, ProbeKind::kRunQueue, ProbeKind::kHandoff}) {
     if (to_string(kind) == name) return kind;
   }
-  ensure(false, "unknown probe kind " + std::string(name));
-  return ProbeKind::kLinkPush;
+  invariant_failed("unknown probe kind " + std::string(name));
 }
 
 ProbeRing::ProbeRing(std::size_t min_capacity) {
@@ -358,10 +357,12 @@ JsonValue runtime_probes_json(const RuntimeProbeMeta& meta,
 
 RuntimeProbeDoc load_runtime_probes(const std::string& text) {
   const JsonValue json = JsonValue::parse(text);
-  ensure(json.at("schema_version").as_int() == kRuntimeProbeSchemaVersion,
-         "runtime probe document schema version mismatch (have " +
-             std::to_string(json.at("schema_version").as_int()) + ", want " +
-             std::to_string(kRuntimeProbeSchemaVersion) + ")");
+  const std::int64_t version = json.at("schema_version").as_int();
+  if (version != kRuntimeProbeSchemaVersion) {
+    invariant_failed("runtime probe document schema version mismatch (have " +
+                     std::to_string(version) + ", want " +
+                     std::to_string(kRuntimeProbeSchemaVersion) + ")");
+  }
   RuntimeProbeDoc doc;
   doc.meta.protocol = json.at("protocol").as_string();
   doc.meta.n = static_cast<std::uint32_t>(json.at("n").as_uint());

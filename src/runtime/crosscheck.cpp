@@ -187,9 +187,10 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
                               std::uint64_t seed, std::size_t steps,
                               bool probes,
                               const std::vector<std::uint32_t>& pool_workers) {
-  ensure(deterministic_outcome(kind),
-         std::string("cross-check does not cover protocol kind ") +
-             dynvote::to_string(kind));
+  if (!deterministic_outcome(kind)) {
+    invariant_failed(std::string("cross-check does not cover protocol kind ") +
+                     dynvote::to_string(kind));
+  }
   const std::vector<ScenarioStep> script = make_scenario(n, seed, steps);
 
   CrossCheckResult result;

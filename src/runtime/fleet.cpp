@@ -45,13 +45,18 @@ RuntimeFleet::RuntimeFleet(FleetOptions options)
 
 RuntimeFleet::~RuntimeFleet() { stop(); }
 
-ProtocolNode& RuntimeFleet::protocol(ProcessId p) {
+std::size_t RuntimeFleet::slot_of(ProcessId p) const {
+  // The transport lists ids in config_.core order, which is ascending.
   const auto& ids = transport_->processes();
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] == p) return *nodes_[i];
+  const auto it = std::lower_bound(ids.begin(), ids.end(), p);
+  if (it == ids.end() || *it != p) {
+    invariant_failed("unknown fleet process " + to_string(p));
   }
-  ensure(false, "unknown fleet process " + to_string(p));
-  return *nodes_.front();
+  return static_cast<std::size_t>(it - ids.begin());
+}
+
+ProtocolNode& RuntimeFleet::protocol(ProcessId p) {
+  return *nodes_[slot_of(p)];
 }
 
 void RuntimeFleet::start() {
@@ -88,11 +93,6 @@ void RuntimeFleet::recover(ProcessId p) {
 }
 
 void RuntimeFleet::announce_views() {
-  const auto& ids = transport_->processes();
-  auto slot_of = [&](ProcessId p) {
-    return static_cast<std::size_t>(
-        std::find(ids.begin(), ids.end(), p) - ids.begin());
-  };
   for (const ProcessSet& component : transport_->live_components()) {
     bool changed = false;
     for (ProcessId p : component) {

@@ -115,6 +115,8 @@ class RuntimeFleet {
   [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
 
  private:
+  /// Index of `p` in processes() and nodes_.
+  [[nodiscard]] std::size_t slot_of(ProcessId p) const;
   /// MembershipOracle::on_topology_changed, verbatim: announce a fresh
   /// view (ids from next_view_id_, starting 1) for every live component
   /// whose membership differs from some member's latest view.

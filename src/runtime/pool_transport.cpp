@@ -107,8 +107,9 @@ std::size_t PoolTransport::index_of(ProcessId p) const {
   const auto it = std::lower_bound(
       lookup_.begin(), lookup_.end(), p,
       [](const auto& entry, ProcessId id) { return entry.first < id; });
-  ensure(it != lookup_.end() && it->first == p,
-         "unknown runtime process " + to_string(p));
+  if (it == lookup_.end() || it->first != p) {
+    invariant_failed("unknown runtime process " + to_string(p));
+  }
   return it->second;
 }
 
@@ -238,8 +239,9 @@ void PoolTransport::set_node(sim::Node* node) {
 void PoolTransport::start() {
   ensure(!running_ && !joined_, "one lifecycle per transport");
   for (auto& s : slots_) {
-    ensure(s->node != nullptr,
-           "process " + to_string(s->id) + " has no node attached");
+    if (s->node == nullptr) {
+      invariant_failed("process " + to_string(s->id) + " has no node attached");
+    }
   }
   running_ = true;
   for (auto& w : workers_) {

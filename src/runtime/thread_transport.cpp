@@ -73,8 +73,7 @@ std::size_t ThreadTransport::index_of(ProcessId p) const {
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     if (ids_[i] == p) return i;
   }
-  ensure(false, "unknown runtime process " + to_string(p));
-  return 0;
+  invariant_failed("unknown runtime process " + to_string(p));
 }
 
 ThreadTransport::Proc& ThreadTransport::proc(ProcessId p) {
@@ -190,8 +189,9 @@ void ThreadTransport::set_node(sim::Node* node) {
 void ThreadTransport::start() {
   ensure(!running_ && !joined_, "one lifecycle per transport");
   for (auto& p : procs_) {
-    ensure(p->node != nullptr,
-           "process " + to_string(p->id) + " has no node attached");
+    if (p->node == nullptr) {
+      invariant_failed("process " + to_string(p->id) + " has no node attached");
+    }
   }
   running_ = true;
   for (auto& p : procs_) {

@@ -26,7 +26,7 @@ void Simulator::add_node(std::unique_ptr<Node> node) {
 
 Node& Simulator::node(ProcessId p) {
   auto it = nodes_.find(p);
-  ensure(it != nodes_.end(), "unknown node " + to_string(p));
+  if (it == nodes_.end()) invariant_failed("unknown node " + to_string(p));
   return *it->second;
 }
 

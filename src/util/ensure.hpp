@@ -9,6 +9,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dynvote {
 
@@ -20,14 +21,26 @@ class InvariantViolation : public std::logic_error {
   explicit InvariantViolation(const std::string& what) : std::logic_error(what) {}
 };
 
+/// Throws InvariantViolation annotated with the call site. Call it on the
+/// failing branch where the message has to be formatted, so that passing
+/// checks never build a string.
+[[noreturn, gnu::cold, gnu::noinline]] inline void invariant_failed(
+    std::string_view message,
+    std::source_location loc = std::source_location::current()) {
+  std::string what(loc.file_name());
+  what += ':';
+  what += std::to_string(loc.line());
+  what += ": ";
+  what += message;
+  throw InvariantViolation(what);
+}
+
 /// Checks `condition`; throws InvariantViolation annotated with the call
 /// site otherwise. Used for preconditions and internal invariants alike.
-inline void ensure(bool condition, const std::string& message,
+/// The message is a literal: a check that passes allocates nothing.
+inline void ensure(bool condition, const char* message,
                    std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw InvariantViolation(std::string(loc.file_name()) + ":" +
-                             std::to_string(loc.line()) + ": " + message);
-  }
+  if (!condition) [[unlikely]] invariant_failed(message, loc);
 }
 
 }  // namespace dynvote

@@ -319,8 +319,10 @@ std::optional<ProcessId> ProcessSet::max_member() const {
 
 std::size_t ProcessSet::index_of(ProcessId p) const {
   auto it = std::lower_bound(members_.begin(), members_.end(), p);
-  ensure(it != members_.end() && *it == p,
-         "index_of: " + dynvote::to_string(p) + " not in " + to_string());
+  if (it == members_.end() || *it != p) {
+    invariant_failed("index_of: " + dynvote::to_string(p) + " not in " +
+                     to_string());
+  }
   return static_cast<std::size_t>(it - members_.begin());
 }
 

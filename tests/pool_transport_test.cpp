@@ -71,6 +71,31 @@ TEST(RuntimePool, FormsOnePrimaryOnStartAndSurvivesVerbs) {
   fleet.stop();
 }
 
+// Expects `lookup` to throw an InvariantViolation whose text has `needle`.
+template <typename Lookup>
+void expect_lookup_names(Lookup lookup, const std::string& needle) {
+  try {
+    lookup();
+    FAIL() << "lookup did not throw";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RuntimePool, LookupsFindEveryIdAndNameAnUnknownOne) {
+  PoolTransport transport(make_ids(3), /*workers=*/1);
+  expect_lookup_names([&] { (void)transport.storage(ProcessId(9)); },
+                      "unknown runtime process p9");
+
+  RuntimeFleet fleet(pool_options(/*n=*/5, /*workers=*/1));
+  for (const ProcessId p : fleet.processes()) {
+    EXPECT_EQ(fleet.protocol(p).id(), p);
+  }
+  expect_lookup_names([&] { (void)fleet.protocol(ProcessId(5)); },
+                      "unknown fleet process p5");
+}
+
 // ---------------------------------------------------------- determinism
 
 // The tentpole contract, at worker counts the default cross-check does

@@ -2,9 +2,11 @@
 // rules (paper section 5, figures 2-3).
 #include <gtest/gtest.h>
 
+#include "dv/messages.hpp"
 #include "dv/optimized_protocol.hpp"
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
+#include "sim/network.hpp"
 
 namespace dynvote {
 namespace {
@@ -42,6 +44,90 @@ TEST(OptimizedProtocol, LastFormedGossipPropagatesOnForm) {
   for (std::uint32_t q = 0; q < 5; ++q) {
     EXPECT_EQ(state.last_formed.at(ProcessId(q)), formed);
   }
+}
+
+// Calls `check(info, sender_view, sender)` for every dv.info the cluster
+// sends, at send time; drops nothing.
+template <typename Check>
+void observe_infos(Cluster& cluster, Check check) {
+  cluster.sim().network().set_drop_filter([&cluster, check](
+                                              const sim::Envelope& env) {
+    const auto* info = dynamic_cast<const InfoPayload*>(env.payload.get());
+    if (info != nullptr) {
+      check(*info, cluster.protocol(env.from).current_view()->members,
+            opt(cluster, env.from.value()));
+    }
+    return false;
+  });
+}
+
+TEST(OptimizedProtocol, InfoCarriesExactlyTheLastFormedEntriesTheViewReads) {
+  ClusterOptions options = optimized_options();
+  options.n = 16;
+  Cluster cluster(options);
+  std::size_t infos = 0;
+  std::size_t restricted = 0;
+  observe_infos(cluster, [&](const InfoPayload& info, const ProcessSet& view,
+                             const OptimizedDvProtocol& sender) {
+    ++infos;
+    const auto& full = sender.state().last_formed;
+    if (info.last_formed.size() < full.size()) ++restricted;
+    for (const auto& [q, session] : info.last_formed) {
+      EXPECT_TRUE(view.contains(q)) << to_string(q) << " outside the view";
+    }
+    // Every entry a receiver reads, Last_Formed_sender(r), survived.
+    for (ProcessId r : view) {
+      const auto want = full.find(r);
+      const auto got = info.last_formed.find(r);
+      ASSERT_EQ(got != info.last_formed.end(), want != full.end());
+      if (got != info.last_formed.end()) {
+        EXPECT_EQ(got->second, want->second);
+      }
+    }
+  });
+  cluster.start();
+  cluster.partition({ProcessSet::range(9),
+                     ProcessSet::of({9, 10, 11, 12, 13, 14, 15})});
+  cluster.settle();
+  EXPECT_EQ(cluster.live_primary()->members, ProcessSet::range(9));
+  cluster.merge();
+  cluster.settle();
+  EXPECT_EQ(cluster.live_primary()->members, ProcessSet::range(16));
+  EXPECT_GT(infos, 0u);
+  EXPECT_GT(restricted, 0u);  // the 9/7 views dropped entries
+  EXPECT_TRUE(cluster.checker().check_all().empty());
+}
+
+TEST(OptimizedProtocol, InfoSizeIsBoundedByTheViewNotByN) {
+  // n = 64: every process holds 64 Last_Formed entries after start. An
+  // info sent in a 9-member view carries at most 9 of them.
+  ClusterOptions options = optimized_options();
+  options.n = 64;
+  Cluster cluster(options);
+  const ProcessSet nine = ProcessSet::range(9);
+  std::size_t checked = 0;
+  observe_infos(cluster, [&](const InfoPayload& info, const ProcessSet& view,
+                             const OptimizedDvProtocol& sender) {
+    if (view != nine) return;
+    ++checked;
+    EXPECT_LE(info.last_formed.size(), nine.size());
+    // The same info carrying the sender's whole map, for scale.
+    InfoPayload full;
+    full.session_number = info.session_number;
+    full.has_history = info.has_history;
+    full.last_primary = info.last_primary;
+    full.ambiguous = info.ambiguous;
+    full.last_formed = sender.state().last_formed;
+    full.participants = info.participants;
+    ASSERT_EQ(full.last_formed.size(), 64u);
+    EXPECT_LT(info.encoded_size() * 4, full.encoded_size());
+  });
+  cluster.start();
+  ProcessSet rest;
+  for (std::uint32_t i = 9; i < 64; ++i) rest.insert(ProcessId(i));
+  cluster.partition({nine, rest});
+  cluster.settle();
+  EXPECT_EQ(checked, 9u * 9u);  // 9 senders, one envelope per member
 }
 
 TEST(OptimizedProtocol, AdoptionWhenFormedSessionWasMissed) {

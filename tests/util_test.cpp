@@ -31,15 +31,27 @@ TEST(Ids, ToStringFormats) {
   EXPECT_EQ(to_string(ViewId(12)), "v12");
 }
 
+std::string at_line(int line, const std::string& message) {
+  return std::string(__FILE__) + ":" + std::to_string(line) + ": " + message;
+}
+
 TEST(Ensure, ThrowsWithLocationOnFailure) {
   EXPECT_NO_THROW(ensure(true, "fine"));
+  const int line = __LINE__ + 2;
   try {
     ensure(false, "broken invariant");
     FAIL() << "ensure did not throw";
   } catch (const InvariantViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("broken invariant"),
-              std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("util_test.cpp"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()), at_line(line, "broken invariant"));
+  }
+}
+
+TEST(Ensure, FormattedMessageKeepsCallSiteAndFullText) {
+  const int line = __LINE__ + 2;
+  try {
+    invariant_failed("unknown node " + to_string(ProcessId(42)) + " (of 3)");
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(std::string(e.what()), at_line(line, "unknown node p42 (of 3)"));
   }
 }
 
@@ -103,7 +115,13 @@ TEST(ProcessSet, MaxMemberAndIndexOf) {
   EXPECT_EQ(ProcessSet{}.max_member(), std::nullopt);
   EXPECT_EQ(s.index_of(ProcessId(1)), 0u);
   EXPECT_EQ(s.index_of(ProcessId(7)), 2u);
-  EXPECT_THROW((void)s.index_of(ProcessId(2)), InvariantViolation);
+  try {
+    (void)s.index_of(ProcessId(2));
+    FAIL() << "index_of did not throw";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("index_of: p2 not in {p1,p4,p7}"),
+              std::string::npos);
+  }
 }
 
 TEST(ProcessSet, ToStringRendersSorted) {
