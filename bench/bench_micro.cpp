@@ -3,9 +3,11 @@
 // requirements are small and it is simple to implement"; these benches
 // quantify the local-computation side: Sub_Quorum evaluation, set
 // algebra, state serialization, the optimized protocol's learning pass,
-// and a whole simulated session end to end.
+// a whole simulated session end to end, and the app layer's state
+// transfer when a primary forms.
 #include <benchmark/benchmark.h>
 
+#include "app/replicated_kv.hpp"
 #include "dv/optimized_protocol.hpp"
 #include "dv/state.hpp"
 #include "harness/cluster.hpp"
@@ -257,6 +259,47 @@ BENCHMARK(BM_FullSimulatedSession)
     ->Args({15, static_cast<int>(ProtocolKind::kBasic)})
     ->Args({15, static_cast<int>(ProtocolKind::kOptimized)})
     ->Args({31, static_cast<int>(ProtocolKind::kOptimized)});
+
+void BM_KvSyncPrimary(benchmark::State& state) {
+  // State transfer among the m members of a new primary
+  // (app::sync_states): 256 keys at every member, and every member one
+  // write behind — member i missed the latest write to key i, which all
+  // the others hold. items_processed is the number of entries one sync
+  // adopts, exactly one per member.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kKeys = 256;
+  const ProcessSet written_in =
+      ProcessSet::range(static_cast<std::uint32_t>(m));
+  std::vector<app::KvState> before(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      const SessionNumber written_by = k == i ? 1 : 2;
+      before[i].data.emplace(
+          "key-" + std::to_string(k),
+          app::VersionedValue{"value-" + std::to_string(written_by),
+                              app::Version{written_by, k + 1, ProcessId(0)},
+                              written_in});
+    }
+    before[i].next_sequence = kKeys + 1;
+  }
+  std::vector<app::KvState> replicas;
+  std::vector<app::KvState*> pointers(m);
+  for (auto _ : state) {
+    state.PauseTiming();
+    replicas = before;
+    for (std::size_t i = 0; i < m; ++i) pointers[i] = &replicas[i];
+    state.ResumeTiming();
+    app::sync_states(pointers);
+  }
+  std::size_t adopted = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (const auto& [key, value] : replicas[i].data) {
+      adopted += value.version != before[i].data.at(key).version ? 1 : 0;
+    }
+  }
+  state.counters["items_processed"] = static_cast<double>(adopted);
+}
+BENCHMARK(BM_KvSyncPrimary)->Arg(8)->Arg(64);
 
 }  // namespace
 }  // namespace dynvote

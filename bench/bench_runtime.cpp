@@ -167,6 +167,9 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
   options.runtime.probes = probes;
   options.backend = backend;
   options.workers = workers;
+  // Timed phase: production persistence. The WAL replay audit re-runs
+  // recovery after every persist; it stays on in the cross-check phase.
+  options.config.persistence.cross_check = false;
   RuntimeFleet fleet(options);
   FormationClock clock(n);
   ProcessSet majority;
@@ -296,6 +299,7 @@ ScaleRow measure_scaling(std::uint32_t n, int cycles) {
   options.n = n;
   options.backend = RuntimeBackend::kPool;
   options.workers = 0;  // hardware_concurrency, clamped to [1, n]
+  options.config.persistence.cross_check = false;  // timed: no WAL audit
   RuntimeFleet fleet(options);
   FormationClock clock(n);
   for (std::uint32_t i = 0; i < n; ++i) {

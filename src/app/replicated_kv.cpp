@@ -11,40 +11,79 @@ std::string Version::to_string() const {
          std::to_string(sequence) + "@" + dynvote::to_string(writer) + ")";
 }
 
-Replica::Replica(PrimaryComponentService service) : service_(service) {
-  service_.set_listener(this);
-  primary_ = service_.primary();
-}
-
 std::optional<Version> Replica::write(const std::string& key,
                                       std::string value) {
   if (!service_.in_primary()) return std::nullopt;
   const Session& session = *service_.primary();
-  const Version version{session.number, next_sequence_++, process()};
-  data_[key] = VersionedValue{std::move(value), version, session.members};
+  const Version version{session.number, state_.next_sequence++, process()};
+  state_.data[key] = VersionedValue{std::move(value), version, session.members};
   return version;
 }
 
 std::optional<std::string> Replica::read(const std::string& key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
+  auto it = state_.data.find(key);
+  if (it == state_.data.end()) return std::nullopt;
   return it->second.value;
 }
 
-void Replica::sync_from(const Replica& donor) {
-  for (const auto& [key, theirs] : donor.data_) {
-    auto mine = data_.find(key);
-    if (mine == data_.end() || mine->second.version < theirs.version) {
-      data_[key] = theirs;
+void sync_states(std::span<KvState* const> members) {
+  if (members.size() < 2) return;
+  // One lockstep walk: `into` adopts every entry of `from` it lacks or
+  // holds at a lower version. Returns one beyond `from`'s largest stamp.
+  const auto pull = [](KvState& into, const KvState& from) {
+    std::uint64_t past = 0;
+    auto it = into.data.begin();
+    for (const auto& [key, theirs] : from.data) {
+      past = std::max(past, theirs.version.sequence + 1);
+      while (it != into.data.end() && it->first < key) ++it;
+      if (it == into.data.end() || it->first != key) {
+        into.data.emplace_hint(it, key, theirs);
+      } else if (it->second.version < theirs.version) {
+        it->second = theirs;
+      }
     }
-    // Later writes at this replica must supersede everything adopted.
-    next_sequence_ = std::max(next_sequence_, theirs.version.sequence + 1);
+    return past;
+  };
+  // The first member pulls from every other in order, ending with the
+  // per-key maximum (a tie keeps the lower index); each other member then
+  // pulls from it. Its remaining all-pairs pulls would only have raised its
+  // sequence past the untouched data of the members after it.
+  KvState& first = *members[0];
+  std::vector<std::uint64_t> past(members.size(), 0);
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    past[i] = pull(first, *members[i]);
   }
+  std::uint64_t later = 0;  // one beyond every stamp of members after i
+  for (std::size_t i = members.size() - 1; i > 0; --i) {
+    KvState& member = *members[i];
+    member.next_sequence =
+        std::max({member.next_sequence, pull(member, first), later});
+    later = std::max(later, past[i]);
+  }
+  first.next_sequence = std::max(first.next_sequence, later);
 }
 
-void Replica::on_primary_formed(const Session& session) { primary_ = session; }
-
-void Replica::on_primary_lost() { primary_.reset(); }
+void find_stamp_conflicts(std::span<const Replica* const> replicas,
+                          std::vector<Divergence>& out) {
+  for (std::size_t a = 0; a < replicas.size(); ++a) {
+    for (std::size_t b = a + 1; b < replicas.size(); ++b) {
+      const auto& theirs = replicas[b]->state().data;
+      for (const auto& [key, va] : replicas[a]->state().data) {
+        const auto it = theirs.find(key);
+        if (it == theirs.end()) continue;
+        const auto& vb = it->second;
+        if (va.version == vb.version && va.value != vb.value) {
+          out.push_back({key, replicas[a]->process(), replicas[b]->process(),
+                         "version " + va.version.to_string() +
+                             " maps to '" + va.value + "' (written in " +
+                             va.written_in.to_string() + ") and '" + vb.value +
+                             "' (written in " + vb.written_in.to_string() +
+                             ")"});
+        }
+      }
+    }
+  }
+}
 
 KvStore::KvStore(Cluster& cluster) : cluster_(cluster) {
   for (ProcessId p : cluster_.all_processes()) {
@@ -75,42 +114,21 @@ void KvStore::sync_primary() {
   // Collect the members of the (unique) live primary; with a split brain
   // there may be several — synchronize within each separately, exactly
   // as a real deployment would (each side believes it is *the* primary).
-  std::map<Session, std::vector<Replica*>> groups;
+  std::map<Session, std::vector<KvState*>> groups;
   for (auto& [p, replica] : replicas_) {
-    if (!cluster_.sim().network().alive(p)) continue;
-    if (!replica->in_primary()) continue;
-    groups[*replica->service_.primary()].push_back(replica.get());
+    if (!cluster_.sim().network().alive(p) || !replica->in_primary()) continue;
+    groups[*replica->service_.primary()].push_back(&replica->state_);
   }
-  for (auto& [session, members] : groups) {
-    for (Replica* a : members) {
-      for (Replica* b : members) {
-        if (a != b) a->sync_from(*b);
-      }
-    }
-  }
+  for (auto& [session, members] : groups) sync_states(members);
 }
 
 std::vector<Divergence> KvStore::audit() const {
   std::vector<Divergence> out;
 
   // (a) Same version stamp, different values, at any two replicas.
-  for (auto a = replicas_.begin(); a != replicas_.end(); ++a) {
-    for (auto b = std::next(a); b != replicas_.end(); ++b) {
-      for (const auto& [key, va] : a->second->data()) {
-        const auto it = b->second->data().find(key);
-        if (it == b->second->data().end()) continue;
-        const auto& vb = it->second;
-        if (va.version == vb.version && va.value != vb.value) {
-          out.push_back({key, a->first, b->first,
-                         "version " + va.version.to_string() +
-                             " maps to '" + va.value + "' (written in " +
-                             va.written_in.to_string() + ") and '" + vb.value +
-                             "' (written in " + vb.written_in.to_string() +
-                             ")"});
-        }
-      }
-    }
-  }
+  std::vector<const Replica*> all;
+  for (const auto& [p, replica] : replicas_) all.push_back(replica.get());
+  find_stamp_conflicts(all, out);
 
   // (b) A write acknowledged while a disjoint primary component was live.
   const ConsistencyChecker& checker = cluster_.checker();

@@ -27,11 +27,14 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dv/service.hpp"
 #include "harness/cluster.hpp"
+
+namespace dynvote::shard { class ShardedKv; }
 
 namespace dynvote::app {
 
@@ -60,36 +63,37 @@ struct VersionedValue {
   ProcessSet written_in;
 };
 
+/// A replica's transferable state: its data and its next write sequence.
+struct KvState {
+  std::map<std::string, VersionedValue> data;
+  std::uint64_t next_sequence = 1;
+};
+
+/// State transfer among one primary component's members, in ascending
+/// process order: data and sequences end exactly as if each had pulled from
+/// every other in turn (each key at its maximum version), in O(m·k).
+void sync_states(std::span<KvState* const> members);
+
 /// One replica, bound to one process's PrimaryComponentService.
-class Replica : public PrimaryListener {
+class Replica {
  public:
-  explicit Replica(PrimaryComponentService service);
+  explicit Replica(PrimaryComponentService service) : service_(service) {}
 
   /// Accepts the write iff this process is currently in the primary
   /// component. Returns the version on success.
   std::optional<Version> write(const std::string& key, std::string value);
 
   [[nodiscard]] std::optional<std::string> read(const std::string& key) const;
-  [[nodiscard]] const std::map<std::string, VersionedValue>& data() const {
-    return data_;
-  }
+  [[nodiscard]] const KvState& state() const noexcept { return state_; }
 
   [[nodiscard]] bool in_primary() const { return service_.in_primary(); }
   [[nodiscard]] ProcessId process() const { return service_.process(); }
 
-  /// State transfer: pulls any higher-versioned entries from `donor`.
-  void sync_from(const Replica& donor);
-
-  // PrimaryListener:
-  void on_primary_formed(const Session& session) override;
-  void on_primary_lost() override;
-
  private:
   friend class KvStore;
+  friend class shard::ShardedKv;
   PrimaryComponentService service_;
-  std::map<std::string, VersionedValue> data_;
-  std::uint64_t next_sequence_ = 1;
-  std::optional<Session> primary_;
+  KvState state_;
 };
 
 /// A divergence found by the audit: one key, two replicas, two values
@@ -100,6 +104,11 @@ struct Divergence {
   ProcessId replica_b;
   std::string detail;
 };
+
+/// Appends to `out` every key two of `replicas` hold at the same version
+/// with different values: two primaries minted the same stamp.
+void find_stamp_conflicts(std::span<const Replica* const> replicas,
+                          std::vector<Divergence>& out);
 
 /// The whole replicated store: one Replica per cluster process, plus the
 /// synchronization and audit drivers. Owns the replicas; the cluster

@@ -1,6 +1,7 @@
 #include "app/replicated_log.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/ensure.hpp"
 
@@ -8,11 +9,6 @@ namespace dynvote::app {
 
 std::string LogPosition::to_string() const {
   return "(" + std::to_string(epoch) + ":" + std::to_string(index) + ")";
-}
-
-LogReplica::LogReplica(PrimaryComponentService service) : service_(service) {
-  service_.set_listener(this);
-  primary_ = service_.primary();
 }
 
 void LogReplica::store(LogEntry entry) {
@@ -24,21 +20,26 @@ void LogReplica::store(LogEntry entry) {
   entries_.insert(it, std::move(entry));
 }
 
-void LogReplica::sync_from(const LogReplica& donor) {
-  for (const LogEntry& theirs : donor.entries_) {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), theirs.position,
-        [](const LogEntry& e, const LogPosition& p) { return e.position < p; });
-    if (it != entries_.end() && it->position == theirs.position) continue;
-    entries_.insert(it, theirs);
-  }
+void sync_logs(std::span<std::vector<LogEntry>* const> members) {
+  if (members.empty()) return;
+  // std::set_union takes a position held by both ranges from the first.
+  // The first member gathers every position, each from the lowest index
+  // holding it; every other member then fills its gaps from the first.
+  std::vector<LogEntry> merged;
+  const auto pull = [&merged](std::vector<LogEntry>& into,
+                              const std::vector<LogEntry>& from) {
+    std::set_union(std::make_move_iterator(into.begin()),
+                   std::make_move_iterator(into.end()), from.begin(),
+                   from.end(), std::back_inserter(merged),
+                   [](const LogEntry& a, const LogEntry& b) {
+                     return a.position < b.position;
+                   });
+    into.swap(merged);
+    merged.clear();
+  };
+  for (std::vector<LogEntry>* log : members.subspan(1)) pull(*members[0], *log);
+  for (std::vector<LogEntry>* log : members.subspan(1)) pull(*log, *members[0]);
 }
-
-void LogReplica::on_primary_formed(const Session& session) {
-  primary_ = session;
-}
-
-void LogReplica::on_primary_lost() { primary_.reset(); }
 
 ReplicatedLog::ReplicatedLog(Cluster& cluster) : cluster_(cluster) {
   for (ProcessId p : cluster_.all_processes()) {
@@ -69,19 +70,12 @@ std::optional<LogPosition> ReplicatedLog::append(ProcessId p,
 }
 
 void ReplicatedLog::sync_primary() {
-  std::map<Session, std::vector<LogReplica*>> groups;
+  std::map<Session, std::vector<std::vector<LogEntry>*>> groups;
   for (auto& [p, replica] : replicas_) {
-    if (!cluster_.sim().network().alive(p)) continue;
-    if (!replica->in_primary()) continue;
-    groups[*replica->service_.primary()].push_back(replica.get());
+    if (!cluster_.sim().network().alive(p) || !replica->in_primary()) continue;
+    groups[*replica->service_.primary()].push_back(&replica->entries_);
   }
-  for (auto& [session, members] : groups) {
-    for (LogReplica* a : members) {
-      for (LogReplica* b : members) {
-        if (a != b) a->sync_from(*b);
-      }
-    }
-  }
+  for (auto& [session, members] : groups) sync_logs(members);
 }
 
 std::vector<LogDivergence> ReplicatedLog::audit() const {

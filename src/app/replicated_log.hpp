@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,10 +58,15 @@ struct LogEntry {
   friend bool operator==(const LogEntry&, const LogEntry&) = default;
 };
 
+/// State transfer among one primary component's logs, in ascending process
+/// order: each keeps its own entries (a clash is the audit's business) and
+/// fills each missing position from the lowest-index holder, in O(m·k).
+void sync_logs(std::span<std::vector<LogEntry>* const> members);
+
 /// One process's log replica.
-class LogReplica : public PrimaryListener {
+class LogReplica {
  public:
-  explicit LogReplica(PrimaryComponentService service);
+  explicit LogReplica(PrimaryComponentService service) : service_(service) {}
 
   [[nodiscard]] const std::vector<LogEntry>& entries() const noexcept {
     return entries_;
@@ -68,15 +74,6 @@ class LogReplica : public PrimaryListener {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool in_primary() const { return service_.in_primary(); }
   [[nodiscard]] ProcessId process() const { return service_.process(); }
-
-  /// State transfer: adopt from `donor` every entry this replica lacks,
-  /// keeping positions sorted. Positions already present are kept
-  /// (divergence at a shared position is the audit's business).
-  void sync_from(const LogReplica& donor);
-
-  // PrimaryListener:
-  void on_primary_formed(const Session& session) override;
-  void on_primary_lost() override;
 
  private:
   friend class ReplicatedLog;
@@ -86,7 +83,6 @@ class LogReplica : public PrimaryListener {
 
   PrimaryComponentService service_;
   std::vector<LogEntry> entries_;  // sorted by position
-  std::optional<Session> primary_;
 };
 
 struct LogDivergence {

@@ -49,37 +49,20 @@ app::Replica& ShardedKv::replica(std::uint32_t group, std::uint32_t index) {
 
 void ShardedKv::sync_primaries() {
   for (auto& group : replicas_) {
-    // All-pairs inside the (small) primary membership: after one round
-    // every member holds the per-key maximum version.
-    for (auto& target : group) {
-      if (!target->in_primary()) continue;
-      for (const auto& donor : group) {
-        if (donor.get() == target.get() || !donor->in_primary()) continue;
-        target->sync_from(*donor);
-      }
+    std::vector<app::KvState*> members;
+    for (auto& replica : group) {
+      if (replica->in_primary()) members.push_back(&replica->state_);
     }
+    app::sync_states(members);
   }
 }
 
 std::vector<app::Divergence> ShardedKv::audit() const {
   std::vector<app::Divergence> out;
   for (const auto& group : replicas_) {
-    for (std::size_t a = 0; a < group.size(); ++a) {
-      for (std::size_t b = a + 1; b < group.size(); ++b) {
-        for (const auto& [key, mine] : group[a]->data()) {
-          const auto& theirs_map = group[b]->data();
-          const auto it = theirs_map.find(key);
-          if (it == theirs_map.end()) continue;
-          if (mine.version == it->second.version &&
-              mine.value != it->second.value) {
-            out.push_back(app::Divergence{
-                key, group[a]->process(), group[b]->process(),
-                "same version " + mine.version.to_string() +
-                    " with different values (split-brain stamp)"});
-          }
-        }
-      }
-    }
+    std::vector<const app::Replica*> members;
+    for (const auto& replica : group) members.push_back(replica.get());
+    app::find_stamp_conflicts(members, out);
   }
   return out;
 }

@@ -1,0 +1,68 @@
+// Reference state transfer for the differential tests: the all-pairs
+// loops that app::sync_states and app::sync_logs replaced. Each member,
+// in list order, pulls from every other member in list order, so later
+// members see the earlier ones' already-merged state. Quadratic, and
+// kept only to check that the linear merges produce identical state.
+#pragma once
+
+#include <algorithm>
+#include <vector>
+
+#include "app/replicated_kv.hpp"
+#include "app/replicated_log.hpp"
+
+namespace dynvote::app::reference {
+
+template <typename T>
+std::vector<T*> pointers(std::vector<T>& items) {
+  std::vector<T*> out;
+  for (T& item : items) out.push_back(&item);
+  return out;
+}
+
+/// Byte-for-byte equality of two replicas' data: keys, values, version
+/// stamps and the memberships the writes were accepted in.
+inline bool same_data(const KvState& a, const KvState& b) {
+  return std::equal(a.data.begin(), a.data.end(), b.data.begin(),
+                    b.data.end(), [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             x.second.value == y.second.value &&
+                             x.second.version == y.second.version &&
+                             x.second.written_in == y.second.written_in;
+                    });
+}
+
+inline void all_pairs_sync(const std::vector<KvState*>& members) {
+  for (KvState* a : members) {
+    for (const KvState* b : members) {
+      if (a == b) continue;
+      for (const auto& [key, theirs] : b->data) {
+        auto mine = a->data.find(key);
+        if (mine == a->data.end() || mine->second.version < theirs.version) {
+          a->data[key] = theirs;
+        }
+        a->next_sequence =
+            std::max(a->next_sequence, theirs.version.sequence + 1);
+      }
+    }
+  }
+}
+
+inline void all_pairs_sync(const std::vector<std::vector<LogEntry>*>& members) {
+  for (std::vector<LogEntry>* a : members) {
+    for (const std::vector<LogEntry>* b : members) {
+      if (a == b) continue;
+      for (const LogEntry& theirs : *b) {
+        const auto it = std::lower_bound(
+            a->begin(), a->end(), theirs.position,
+            [](const LogEntry& e, const LogPosition& p) {
+              return e.position < p;
+            });
+        if (it != a->end() && it->position == theirs.position) continue;
+        a->insert(it, theirs);
+      }
+    }
+  }
+}
+
+}  // namespace dynvote::app::reference

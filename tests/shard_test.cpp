@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "app_sync_reference.hpp"
 #include "harness/sweep.hpp"
 #include "shard/shard_map.hpp"
 #include "shard/sharded_fleet.hpp"
@@ -241,6 +242,46 @@ TEST(ShardedKv, WritesToPrimarylessShardsAreRejectedNotMisrouted) {
   fleet.settle();
   EXPECT_EQ(fleet.groups_with_live_primary(), fleet.num_groups());
   EXPECT_TRUE(kv.write("anything", "x").has_value());
+}
+
+TEST(ShardedKv, StateTransferMatchesAllPairsOverInPrimaryReplicas) {
+  // Each group syncs its in_primary() replicas in index order; a replica
+  // cut off from its group's primary keeps its state untouched.
+  ShardedFleet fleet(small_fleet_options());
+  ShardedKv kv(fleet);
+  fleet.start();
+  for (int i = 0; i < 30; ++i) kv.write("k" + std::to_string(i), "before");
+  fleet.partition_fleet({{0}, {1, 2, 3, 4, 5}});
+  fleet.settle();
+  for (int i = 0; i < 30; i += 2) kv.write("k" + std::to_string(i), "during");
+
+  std::vector<std::vector<app::KvState>> expected(fleet.num_groups());
+  std::size_t excluded = 0;
+  for (std::uint32_t g = 0; g < fleet.num_groups(); ++g) {
+    std::vector<app::KvState*> members;
+    expected[g].reserve(fleet.group_size());
+    for (std::uint32_t i = 0; i < fleet.group_size(); ++i) {
+      expected[g].push_back(kv.replica(g, i).state());
+      if (kv.replica(g, i).in_primary()) {
+        members.push_back(&expected[g].back());
+      } else {
+        ++excluded;
+      }
+    }
+    app::reference::all_pairs_sync(members);
+  }
+  EXPECT_GT(excluded, 0u);
+
+  kv.sync_primaries();
+  for (std::uint32_t g = 0; g < fleet.num_groups(); ++g) {
+    for (std::uint32_t i = 0; i < fleet.group_size(); ++i) {
+      const app::KvState& actual = kv.replica(g, i).state();
+      EXPECT_EQ(actual.next_sequence, expected[g][i].next_sequence)
+          << "group " << g << " replica " << i;
+      EXPECT_TRUE(app::reference::same_data(actual, expected[g][i]))
+          << "group " << g << " replica " << i;
+    }
+  }
 }
 
 // ---- sweep-pool determinism over fleets ------------------------------------

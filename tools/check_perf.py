@@ -13,7 +13,13 @@ the freshly generated one in lockstep:
     ("wall", "ms", "time", "per_sec", "speedup", "ns", "cpu", "rate")
     are allowed to drift: a run only fails when it is more than
     --tolerance slower than baseline (improvements always pass and are
-    reported);
+    reported). "Slower" depends on the key: durations ("wall", "ms",
+    "ns", "cpu", ...) regress upward, while rates (keys containing
+    "per_sec", "speedup" or "rate", and google-benchmark's
+    "iterations", which grow as a benchmark gets faster) regress
+    downward, so a rate fails only when it drops below
+    baseline * (1 - tolerance). The nearest enclosing timing key
+    decides, e.g. {"events_per_sec": {"p50": x}} is a rate;
   * every other leaf — counts, availability fractions, violation tallies,
     protocol names, determinism flags — must match exactly: benches are
     seeded and deterministic, so any drift there is a behavior change,
@@ -68,6 +74,11 @@ from pathlib import Path
 TIMING_MARKERS = ("wall", "_ms", "ms_", "_us", "us_", "_ns", "ns_", "time",
                   "per_sec", "speedup", "cpu", "rate", "iterations")
 
+# Timing keys measured as work per time: higher is better, so these
+# regress downward. google-benchmark sizes "iterations" to a fixed run
+# time, so it grows as the code gets faster.
+RATE_MARKERS = ("per_sec", "speedup", "rate", "iterations")
+
 # Baseline-only annotation written by --update / auto-record; never
 # emitted by the benches themselves, so it is stripped before comparing.
 FINGERPRINT_KEY = "host_fingerprint"
@@ -111,8 +122,11 @@ REL_EPSILON = 1e-9  # exact-float comparison slack (serialization round-trip)
 
 
 def is_timing_key(key: str) -> bool:
-    lowered = key.lower()
-    return any(marker in lowered for marker in TIMING_MARKERS)
+    return any(marker in key.lower() for marker in TIMING_MARKERS)
+
+
+def is_rate_key(key: str) -> bool:
+    return any(marker in key.lower() for marker in RATE_MARKERS)
 
 
 class Report:
@@ -127,7 +141,8 @@ class Report:
 
 
 def compare(baseline, current, path: str, timing: bool, tolerance: float,
-            report: Report, skip_timing: bool = False) -> None:
+            report: Report, skip_timing: bool = False,
+            rate: bool = False) -> None:
     if type(baseline) is not type(current) and not (
             isinstance(baseline, (int, float))
             and isinstance(current, (int, float))):
@@ -166,7 +181,8 @@ def compare(baseline, current, path: str, timing: bool, tolerance: float,
                 continue
             compare(baseline[key], current[key], f"{path}.{key}",
                     timing or is_timing_key(key), tolerance, report,
-                    skip_timing)
+                    skip_timing,
+                    is_rate_key(key) if is_timing_key(key) else rate)
         for key in current:
             if key not in baseline and key not in SKIP_KEYS:
                 report.mismatches.append(
@@ -180,7 +196,7 @@ def compare(baseline, current, path: str, timing: bool, tolerance: float,
             return
         for i, (b, c) in enumerate(zip(baseline, current)):
             compare(b, c, f"{path}[{i}]", timing, tolerance, report,
-                    skip_timing)
+                    skip_timing, rate)
         return
     if isinstance(baseline, bool) or isinstance(current, bool):
         if baseline != current:
@@ -193,15 +209,19 @@ def compare(baseline, current, path: str, timing: bool, tolerance: float,
                 # wall-clock is not comparable. Budget gates (handled at
                 # the dict level) are the only timing contract here.
                 return
-            if baseline > 0 and current > baseline * (1.0 + tolerance):
+            if baseline <= 0:
+                return
+            grew = current > baseline * (1.0 + tolerance)
+            fell = current < baseline * (1.0 - tolerance)
+            # A rate regresses by falling, a duration by growing.
+            slower, faster = (fell, grew) if rate else (grew, fell)
+            change = (f"{path}: {baseline:g} -> {current:g} "
+                      f"({(current / baseline - 1) * 100:+.0f}%, ")
+            if slower:
                 report.regressions.append(
-                    f"{path}: {baseline:g} -> {current:g} "
-                    f"(+{(current / baseline - 1) * 100:.0f}%, "
-                    f"band +{tolerance * 100:.0f}%)")
-            elif baseline > 0 and current < baseline * (1.0 - tolerance):
-                report.improvements.append(
-                    f"{path}: {baseline:g} -> {current:g} "
-                    f"({(1 - current / baseline) * 100:.0f}% faster)")
+                    change + f"band {tolerance * 100:.0f}%)")
+            elif faster:
+                report.improvements.append(change + "faster)")
             return
         if baseline != current:
             scale = max(abs(baseline), abs(current), 1.0)
