@@ -46,7 +46,7 @@ enum class ProtocolKind {
 [[nodiscard]] bool is_consistent_protocol(ProtocolKind kind) noexcept;
 
 /// Constructs a protocol node of the given kind over any Transport
-/// (the simulator's or the thread runtime's). The DvConfig is
+/// (the simulator's or the pool runtime's). The DvConfig is
 /// interpreted by each variant as documented on its class; the static
 /// baseline uses only `core`.
 [[nodiscard]] std::unique_ptr<ProtocolNode> make_protocol(

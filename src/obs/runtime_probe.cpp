@@ -7,10 +7,13 @@
 
 namespace dynvote::obs {
 
+std::string lane_name(std::uint32_t thread) {
+  if (thread == kControllerLane) return "ctl";
+  return "w" + std::to_string(thread);
+}
+
 std::string_view to_string(ProbeKind kind) {
   switch (kind) {
-    case ProbeKind::kLinkPush:
-      return "push";
     case ProbeKind::kLinkPushFailed:
       return "push_failed";
     case ProbeKind::kLinkPop:
@@ -47,7 +50,7 @@ std::string_view to_string(ProbeKind kind) {
 
 ProbeKind probe_kind_from_string(std::string_view name) {
   for (const ProbeKind kind :
-       {ProbeKind::kLinkPush, ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
+       {ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
         ProbeKind::kControlPush, ProbeKind::kControlPop, ProbeKind::kParked,
         ProbeKind::kTimerSlop, ProbeKind::kWakeup, ProbeKind::kTimerSchedule,
         ProbeKind::kTimerFire, ProbeKind::kHandlerMessage,
@@ -207,10 +210,6 @@ void aggregate_probe_metrics(const std::vector<ThreadProbeLog>& logs,
     }
     for (const ProbeEntry& e : logs[i].entries) {
       switch (e.kind) {
-        case ProbeKind::kLinkPush:
-          r.counter("rt.probe.push").increment();
-          r.histogram("rt.probe.queue_depth").observe(e.value);
-          break;
         case ProbeKind::kLinkPushFailed:
           r.counter("rt.probe.push_failed").increment();
           r.histogram("rt.probe.backpressure_ns").observe(e.value);
@@ -368,8 +367,12 @@ RuntimeProbeDoc load_runtime_probes(const std::string& text) {
   doc.meta.n = static_cast<std::uint32_t>(json.at("n").as_uint());
   doc.meta.wheel_tick_us = json.at("wheel_tick_us").as_uint();
   const JsonValue* workers = json.find("workers");
-  doc.meta.workers =
-      workers == nullptr ? 0 : static_cast<std::uint32_t>(workers->as_uint());
+  if (workers == nullptr || workers->as_uint() == 0) {
+    invariant_failed(std::string("runtime probe document needs \"workers\" "
+                                 ">= 1 (one lane per pool worker), have ") +
+                     (workers == nullptr ? "none" : "0"));
+  }
+  doc.meta.workers = static_cast<std::uint32_t>(workers->as_uint());
   for (const JsonValue& lane : json.at("threads").as_array()) {
     ThreadProbeLog log;
     log.thread = static_cast<std::uint32_t>(lane.at("thread").as_uint());
@@ -401,11 +404,6 @@ RuntimeProbeDoc load_runtime_probes(const std::string& text) {
 // -- Chrome export ------------------------------------------------------------
 
 namespace {
-
-std::string lane_name(std::uint32_t thread, std::uint32_t workers) {
-  if (thread == kControllerLane) return "ctl";
-  return (workers > 0 ? "w" : "p") + std::to_string(thread);
-}
 
 JsonValue chrome_slice(const std::string& name, std::uint64_t tid,
                        std::uint64_t t_ns, std::uint64_t dur_ns) {
@@ -443,21 +441,18 @@ JsonValue runtime_probe_chrome_json(const RuntimeProbeDoc& doc) {
   process_meta.set("ph", JsonValue("M"));
   process_meta.set("pid", JsonValue(std::uint64_t{1}));
   JsonValue process_args = JsonValue::object();
-  std::string run_name =
-      "dynvote-runtime " + doc.meta.protocol + " n=" + std::to_string(doc.meta.n);
-  if (doc.meta.workers > 0) {
-    run_name += " pool W=" + std::to_string(doc.meta.workers);
-  }
-  process_args.set("name", JsonValue(run_name));
+  process_args.set("name", JsonValue("dynvote-runtime " + doc.meta.protocol +
+                                     " n=" + std::to_string(doc.meta.n) +
+                                     " pool W=" +
+                                     std::to_string(doc.meta.workers)));
   process_meta.set("args", std::move(process_args));
   events.push_back(std::move(process_meta));
 
-  // Pool runs map one tid per worker; handler entries carry the handling
-  // process in `link`, so each slice is named for its process — adjacent
-  // slices on a worker lane get per-process colors in the viewer.
-  const bool pool = doc.meta.workers > 0;
-  auto handler_name = [&](const char* base, const ProbeEntry& e) {
-    if (pool && e.link != kNoLane && e.link != kControllerLane) {
+  // One tid per worker; handler entries carry the handling process in
+  // `link`, so each slice is named for its process — adjacent slices on
+  // a worker lane get per-process colors in the viewer.
+  auto handler_name = [](const char* base, const ProbeEntry& e) {
+    if (e.link != kNoLane && e.link != kControllerLane) {
       return std::string(base) + " p" + std::to_string(e.link);
     }
     return std::string(base);
@@ -470,7 +465,7 @@ JsonValue runtime_probe_chrome_json(const RuntimeProbeDoc& doc) {
     thread_meta.set("pid", JsonValue(std::uint64_t{1}));
     thread_meta.set("tid", JsonValue(std::uint64_t{log.thread}));
     JsonValue args = JsonValue::object();
-    args.set("name", JsonValue(lane_name(log.thread, doc.meta.workers)));
+    args.set("name", JsonValue(lane_name(log.thread)));
     thread_meta.set("args", std::move(args));
     events.push_back(std::move(thread_meta));
 

@@ -1,15 +1,16 @@
-// Wall-clock probe rings for the thread-per-process runtime backend.
+// Wall-clock probe rings for the runtime backend.
 //
 // The DES observability spine (TraceSink -> MetricsHub -> FlightRecorder)
-// speaks simulated time; the runtime backend (runtime/thread_transport.hpp)
-// runs on real threads, where the interesting questions are wall-clock
-// ones: how long did a message sit in its SPSC ring, how long was a
-// thread parked, how late did a timer fire, where did a reconfiguration's
-// microseconds actually go. ProbeRing answers them without perturbing the
-// system under test:
+// speaks simulated time; the runtime backend (runtime/pool_transport.hpp)
+// runs on real worker threads, where the interesting questions are
+// wall-clock ones: how long did a message sit in its SPSC ring, how long
+// was a worker parked, how late did a timer fire, where did a
+// reconfiguration's microseconds actually go. ProbeRing answers them
+// without perturbing the system under test:
 //
-//  * one ring per thread, written only by its owning thread — lock-free
-//    by construction, no atomics on the record path;
+//  * one ring per lane — each pool worker, plus the controller — written
+//    only by its owning thread: lock-free by construction, no atomics
+//    on the record path;
 //  * zero allocation after construction: fixed-size POD entries in a
 //    preallocated ring, overwritten in place oldest-first (the
 //    FlightRecorder discipline, flattened to PODs);
@@ -44,20 +45,25 @@ namespace dynvote::obs {
 
 /// Version stamped into runtime_probes_json(); bump on any incompatible
 /// change to the probe-document shape. v2: pool-scheduler kinds
-/// (batch / run_queue / handoff), `workers` in the meta (0 = one lane
-/// per process, >0 = per-worker lanes with handler entries stamping the
-/// handling process in `link`).
-inline constexpr int kRuntimeProbeSchemaVersion = 2;
+/// (batch / run_queue / handoff), `workers` in the meta. v3: one lane
+/// layout — lanes are always workers (`workers` >= 1), handler entries
+/// stamp the handling process in `link`, and the per-process `push`
+/// kind is gone (a cross-worker push records `handoff`).
+inline constexpr int kRuntimeProbeSchemaVersion = 3;
 
 /// `link` value for "the controller lane" (pushes from / pops of the
 /// control queue) and for entries with no peer at all (parks, timers).
 inline constexpr std::uint16_t kControllerLane = 0xFFFF;
 inline constexpr std::uint16_t kNoLane = 0xFFFE;
 
+/// Display name of a probe lane: "w<i>" for worker i, "ctl" for the
+/// controller.
+[[nodiscard]] std::string lane_name(std::uint32_t thread);
+
 enum class ProbeKind : std::uint8_t {
-  kLinkPush,        // data-link push; value = producer-side depth after push
-  kLinkPushFailed,  // backpressure episode; t = first failed push,
-                    // value = stall duration ns until the push landed
+  kLinkPushFailed,  // spill or control backpressure; t = first failed
+                    // push, value = control stall ns (0 for a spill),
+                    // link = destination worker
   kLinkPop,         // data-link pop; value = queue wait ns (pop - send)
   kControlPush,     // control-queue push (controller ring); value = depth
   kControlPop,      // control-queue pop; value = queue wait ns
@@ -141,8 +147,8 @@ class ProbeRing {
   std::uint64_t next_ = 0;
 };
 
-/// One lane's snapshot: a process thread (thread = its index) or the
-/// controller (thread = kControllerLane).
+/// One lane's snapshot: a worker (thread = its index) or the controller
+/// (thread = kControllerLane).
 struct ThreadProbeLog {
   std::uint32_t thread = 0;
   std::uint64_t dropped = 0;
@@ -206,10 +212,9 @@ struct RuntimeProbeMeta {
   std::string protocol;
   std::uint32_t n = 0;
   std::uint64_t wheel_tick_us = 0;
-  /// 0: thread-per-process backend, one lane per process. >0: pool
-  /// backend with this many workers — lanes are workers, and handler
+  /// Pool workers, one lane each (>= 1; the loader rejects 0). Handler
   /// entries carry the handling process's index in `link`.
-  std::uint32_t workers = 0;
+  std::uint32_t workers = 1;
 };
 
 /// The schema-versioned document `dvtrace runtime` consumes:
@@ -222,7 +227,8 @@ struct RuntimeProbeMeta {
 
 /// Parsed form of runtime_probes_json (metrics kept as raw JSON — the
 /// consumers only re-render it). Throws JsonError on malformed input and
-/// InvariantViolation on a schema-version mismatch.
+/// InvariantViolation on a schema-version mismatch or a `workers` field
+/// that is missing or 0.
 struct RuntimeProbeDoc {
   RuntimeProbeMeta meta;
   std::vector<ThreadProbeLog> threads;
@@ -233,8 +239,9 @@ struct RuntimeProbeDoc {
 [[nodiscard]] RuntimeProbeDoc load_runtime_probes(const std::string& text);
 
 /// Chrome trace-event JSON of a probe document: one tid per lane
-/// (thread_name metadata), "X" slices for handlers / parks / slop,
-/// instants for backpressure episodes and timer fires, and one async
+/// (thread_name metadata), "X" slices for parks / slop and for handlers
+/// (each named for its handling process), instants for backpressure
+/// episodes, handoffs and timer fires, and one async
 /// "b"/"e" span per reconfiguration window. Loads in chrome://tracing
 /// and Perfetto; `dvtrace runtime --chrome` validates it with the same
 /// checker as export-chrome before writing.

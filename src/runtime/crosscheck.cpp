@@ -152,6 +152,26 @@ std::vector<ScenarioStep> make_scenario(std::uint32_t n, std::uint64_t seed,
 
 namespace {
 
+/// Applies one verb to a Cluster or a RuntimeFleet, which share the
+/// verb surface.
+template <typename Fleet>
+void apply(Fleet& fleet, const ScenarioStep& step) {
+  switch (step.kind) {
+    case ScenarioStep::Kind::kPartition:
+      fleet.partition(step.groups);
+      break;
+    case ScenarioStep::Kind::kMerge:
+      fleet.merge();
+      break;
+    case ScenarioStep::Kind::kCrash:
+      fleet.crash(step.p);
+      break;
+    case ScenarioStep::Kind::kRecover:
+      fleet.recover(step.p);
+      break;
+  }
+}
+
 /// One wall-clock execution of the script; returns its transcript and
 /// folds its per-step C1 checks into `c1_clean`.
 std::string run_fleet(FleetOptions options,
@@ -161,20 +181,7 @@ std::string run_fleet(FleetOptions options,
   fleet.start();
   c1_clean &= RuntimeFleet::distinct_primaries(fleet.probe()) <= 1;
   for (const ScenarioStep& step : script) {
-    switch (step.kind) {
-      case ScenarioStep::Kind::kPartition:
-        fleet.partition(step.groups);
-        break;
-      case ScenarioStep::Kind::kMerge:
-        fleet.merge();
-        break;
-      case ScenarioStep::Kind::kCrash:
-        fleet.crash(step.p);
-        break;
-      case ScenarioStep::Kind::kRecover:
-        fleet.recover(step.p);
-        break;
-    }
+    apply(fleet, step);
     c1_clean &= RuntimeFleet::distinct_primaries(fleet.probe()) <= 1;
   }
   fleet.stop();
@@ -182,6 +189,24 @@ std::string run_fleet(FleetOptions options,
 }
 
 }  // namespace
+
+std::string des_summary(ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
+                        const std::vector<ScenarioStep>& script,
+                        bool& c1_clean) {
+  ClusterOptions options;
+  options.kind = kind;
+  options.n = n;
+  options.sim.seed = seed;
+  Cluster cluster(options);
+  cluster.start();
+  c1_clean &= cluster_distinct_primaries(cluster) <= 1;
+  for (const ScenarioStep& step : script) {
+    apply(cluster, step);
+    cluster.settle();
+    c1_clean &= cluster_distinct_primaries(cluster) <= 1;
+  }
+  return cluster_summary(cluster);
+}
 
 CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
                               std::uint64_t seed, std::size_t steps,
@@ -196,58 +221,23 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
   CrossCheckResult result;
   result.seed = seed;
   result.c1_clean = true;
-
-  {  // DES run
-    ClusterOptions options;
-    options.kind = kind;
-    options.n = n;
-    options.sim.seed = seed;
-    Cluster cluster(options);
-    cluster.start();
-    result.c1_clean &= cluster_distinct_primaries(cluster) <= 1;
-    for (const ScenarioStep& step : script) {
-      switch (step.kind) {
-        case ScenarioStep::Kind::kPartition:
-          cluster.partition(step.groups);
-          break;
-        case ScenarioStep::Kind::kMerge:
-          cluster.merge();
-          break;
-        case ScenarioStep::Kind::kCrash:
-          cluster.crash(step.p);
-          break;
-        case ScenarioStep::Kind::kRecover:
-          cluster.recover(step.p);
-          break;
-      }
-      cluster.settle();
-      result.c1_clean &= cluster_distinct_primaries(cluster) <= 1;
-    }
-    result.sim_summary = cluster_summary(cluster);
-    result.sim_digest = fnv1a64(result.sim_summary);
-  }
-
-  {  // thread-per-process run, same script
-    FleetOptions options;
-    options.kind = kind;
-    options.n = n;
-    options.runtime.probes = probes;
-    result.runtime_summary = run_fleet(std::move(options), script,
-                                       result.c1_clean);
-    result.runtime_digest = fnv1a64(result.runtime_summary);
-  }
-
-  bool all_equal = result.sim_digest == result.runtime_digest &&
-                   result.sim_summary == result.runtime_summary;
+  result.sim_summary = des_summary(kind, n, seed, script, result.c1_clean);
+  result.sim_digest = fnv1a64(result.sim_summary);
 
   // Pool runs, same script, once per worker count: the M:N scheduler
-  // must reproduce the exact transcript at ANY W.
-  for (const std::uint32_t workers : pool_workers) {
+  // must reproduce the exact transcript at ANY W. W = n, one process per
+  // worker thread, always runs.
+  std::vector<std::uint32_t> worker_counts = pool_workers;
+  if (std::find(worker_counts.begin(), worker_counts.end(), n) ==
+      worker_counts.end()) {
+    worker_counts.push_back(n);
+  }
+  bool all_equal = true;
+  for (const std::uint32_t workers : worker_counts) {
     FleetOptions options;
     options.kind = kind;
     options.n = n;
     options.runtime.probes = probes;
-    options.backend = RuntimeBackend::kPool;
     options.workers = workers;
     const std::string summary = run_fleet(std::move(options), script,
                                           result.c1_clean);

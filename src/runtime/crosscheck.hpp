@@ -1,22 +1,22 @@
-// Cross-check harness: the DES as oracle for the wall-clock runtimes.
+// Cross-check harness: the DES as oracle for the wall-clock runtime.
 //
 // The argument that makes the comparison sound: the session protocols
 // wait for *all* view members in every phase, so a session's outcome
 // depends only on the view and the per-phase message sets — never on
-// arrival order within a phase. Both backends drive the identical
+// arrival order within a phase. The DES and the pool drive the identical
 // topology script through the identical view-announcement algorithm
 // (MembershipOracle in the DES, its verbatim mirror in RuntimeFleet)
 // and run each step to a fixed point (settle / quiesce) with no message
 // loss, so they install the same view sequence at every process and
 // therefore form the same primaries with the same session numbers,
 // memberships, and round counts. run_scenario() makes that equality
-// executable: one seeded script, both backends, digest comparison plus
-// per-step C1 checks.
+// executable: one seeded script, the DES and the pool at several worker
+// counts, digest comparison plus per-step C1 checks.
 //
 // Scope: the deterministic-outcome argument covers the quiescent
 // protocols (kBasic, kOptimized, and the other all-member-wait
 // variants). It does NOT cover kCentralized (coordinator election's
-// tie-breaks are timing-dependent across backends) — the harness
+// tie-breaks are timing-dependent across transports) — the harness
 // rejects kinds outside the allow-list rather than report spurious
 // divergence.
 #pragma once
@@ -48,7 +48,16 @@ struct ScenarioStep {
                                                       std::uint64_t seed,
                                                       std::size_t steps);
 
-/// One pool-backend execution of the scenario at a given worker count.
+/// Runs `script` on the DES (message delays seeded by `seed`) and
+/// returns its outcome transcript in RuntimeFleet::outcome_summary()'s
+/// format, folding the per-step C1 checks into `c1_clean`. Every fleet
+/// that replays the same script must reproduce it byte for byte.
+[[nodiscard]] std::string des_summary(ProtocolKind kind, std::uint32_t n,
+                                      std::uint64_t seed,
+                                      const std::vector<ScenarioStep>& script,
+                                      bool& c1_clean);
+
+/// One pool execution of the scenario at a given worker count.
 struct PoolCheck {
   std::uint32_t workers = 0;
   std::uint64_t digest = 0;
@@ -57,32 +66,29 @@ struct PoolCheck {
 struct CrossCheckResult {
   std::uint64_t seed = 0;
   std::uint64_t sim_digest = 0;
-  std::uint64_t runtime_digest = 0;
-  /// Pool-backend digests, one per requested worker count. Determinism
-  /// demands byte-identity at ANY W, so these must all equal the two
-  /// digests above.
+  /// Pool digests, one per worker count run. Determinism demands
+  /// byte-identity at ANY W, so these must all equal sim_digest.
   std::vector<PoolCheck> pool;
-  /// True only when every backend agrees: DES == thread-per-process ==
-  /// pool at every requested worker count (summaries, not just hashes).
+  /// True only when every run agrees: DES == pool at every worker count
+  /// (summaries, not just hashes).
   bool digests_equal = false;
   /// C1 held (<= 1 distinct live primary session) at every quiescent
   /// point of every execution.
   bool c1_clean = false;
-  /// Full transcripts, for diagnostics when digests diverge.
+  /// The DES transcript, for diagnostics when digests diverge.
   std::string sim_summary;
-  std::string runtime_summary;
   /// First divergent pool transcript (empty when all pool runs agree).
   std::string pool_divergent_summary;
 };
 
-/// Runs the seed's scenario on every backend — the DES, the
-/// thread-per-process runtime, and the pool runtime once per entry of
-/// `pool_workers` — and compares outcomes. Throws InvariantViolation
-/// for protocol kinds outside the deterministic-outcome allow-list.
-/// `probes` turns wall-clock probe rings on in the runtime fleets —
-/// outcomes must be identical either way, which is how the
-/// digest-neutrality of the probe layer is asserted (probes-on digest
-/// == probes-off digest == DES digest).
+/// Runs the seed's scenario on the DES and on the pool runtime once per
+/// entry of `pool_workers`, plus once at W = n (one process per worker
+/// thread) unless the list already has it, and compares outcomes.
+/// Throws InvariantViolation for protocol kinds outside the
+/// deterministic-outcome allow-list. `probes` turns wall-clock probe
+/// rings on in the runtime fleets — outcomes must be identical either
+/// way, which is how the digest-neutrality of the probe layer is
+/// asserted (probes-on digest == probes-off digest == DES digest).
 [[nodiscard]] CrossCheckResult run_scenario(
     ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
     std::size_t steps = 10, bool probes = false,

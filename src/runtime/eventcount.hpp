@@ -1,12 +1,11 @@
-// RuntimeEventcount: the park/notify primitive of the runtime backends.
+// RuntimeEventcount: the park/notify primitive of the pool runtime.
 //
-// Both runtime transports (thread-per-process and the M:N pool) put an
-// idle event loop to sleep with the same eventcount pattern: producers
-// bump a sequence word *after* pushing work and notify; the consumer
-// reads the word *before* scanning its queues and parks on the old
-// value, so a wakeup can be missed only if the scan already saw the
-// work. This header extracts that pattern from the transports so both
-// share one audited implementation.
+// Each pool worker (runtime/pool_transport.hpp) puts its idle event
+// loop to sleep with the eventcount pattern: producers bump a sequence
+// word *after* pushing work and notify; the consumer reads the word
+// *before* scanning its queues and parks on the old value, so a wakeup
+// can be missed only if the scan already saw the work. This header
+// keeps that pattern out of the transport, in one audited place.
 //
 // Two park flavors:
 //

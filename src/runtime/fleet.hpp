@@ -1,6 +1,6 @@
 // RuntimeFleet: one real-thread system running one protocol variant.
 //
-// The runtime analogue of harness::Cluster: wires a ThreadTransport to
+// The runtime analogue of harness::Cluster: wires a PoolTransport to
 // one protocol node per process, plays the membership oracle's role
 // (the oracle itself is simulator-scheduled, so the fleet re-implements
 // its exact view-announcement algorithm over the transport's live
@@ -25,18 +25,17 @@
 
 #include "dv/service.hpp"
 #include "runtime/pool_transport.hpp"
-#include "runtime/runtime_transport.hpp"
-#include "runtime/thread_transport.hpp"
 #include "util/ids.hpp"
 #include "util/process_set.hpp"
 
 namespace dynvote::runtime {
 
-/// Which wall-clock execution engine backs the fleet.
-enum class RuntimeBackend : std::uint8_t {
-  kThreadPerProcess,  // ThreadTransport: one OS thread per process
-  kPool,              // PoolTransport: N processes over W workers
-};
+// These three names exist only for benchmark/adapter.cpp, which still
+// spells the backend choice out: `RuntimeTransport`, the single-value
+// `RuntimeBackend`, and `FleetOptions::backend` (read by no code). They
+// go with the next change to benchmark/.
+using RuntimeTransport = PoolTransport;
+enum class RuntimeBackend : std::uint8_t { kPool };
 
 struct FleetOptions {
   ProtocolKind kind = ProtocolKind::kOptimized;
@@ -44,9 +43,9 @@ struct FleetOptions {
   std::uint32_t n = 5;
   DvConfig config;
   RuntimeOptions runtime;
-  RuntimeBackend backend = RuntimeBackend::kThreadPerProcess;
-  /// Pool worker count (kPool only); 0 = hardware_concurrency, always
-  /// clamped to [1, n].
+  RuntimeBackend backend = RuntimeBackend::kPool;
+  /// Pool worker count; 0 = hardware_concurrency, always clamped to
+  /// [1, n]. n gives every process its own worker thread.
   std::uint32_t workers = 0;
 };
 
@@ -68,11 +67,11 @@ class RuntimeFleet {
   RuntimeFleet(const RuntimeFleet&) = delete;
   RuntimeFleet& operator=(const RuntimeFleet&) = delete;
 
-  /// Spawns the process threads, connects everyone, announces the first
+  /// Spawns the worker threads, connects everyone, announces the first
   /// view, and waits for the initial sessions to settle.
   void start();
 
-  /// Stops and joins all process threads. Idempotent; the destructor
+  /// Stops and joins all worker threads. Idempotent; the destructor
   /// calls it. After stop() the outcome accessors are available.
   void stop();
 
@@ -85,12 +84,11 @@ class RuntimeFleet {
   /// Snapshot of every process's protocol state, in id order.
   [[nodiscard]] std::vector<ProcessProbe> probe();
 
-  /// Snapshot of every probe ring: one lane per execution thread (the
-  /// backend decides — process threads or pool workers; copied on the
-  /// owning thread via run_on + quiesce) plus the controller lane
-  /// (thread = obs::kControllerLane). Empty when the fleet was built
-  /// without runtime.probes.
-  [[nodiscard]] std::vector<obs::ThreadProbeLog> probe_logs();
+  /// Every probe ring: one lane per worker plus the controller (see
+  /// PoolTransport::snapshot_probe_logs); empty without runtime.probes.
+  [[nodiscard]] std::vector<obs::ThreadProbeLog> probe_logs() {
+    return transport_.snapshot_probe_logs();
+  }
 
   /// Distinct primary sessions among live probed processes. C1 (total
   /// order on primaries) requires <= 1 at any quiescent point.
@@ -107,9 +105,9 @@ class RuntimeFleet {
   /// FNV-1a 64 of outcome_summary().
   [[nodiscard]] std::uint64_t outcome_digest();
 
-  [[nodiscard]] RuntimeTransport& transport() noexcept { return *transport_; }
+  [[nodiscard]] PoolTransport& transport() noexcept { return transport_; }
   [[nodiscard]] const std::vector<ProcessId>& processes() const noexcept {
-    return transport_->processes();
+    return transport_.processes();
   }
   [[nodiscard]] ProtocolNode& protocol(ProcessId p);
   [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
@@ -124,7 +122,7 @@ class RuntimeFleet {
 
   FleetOptions options_;
   DvConfig config_;
-  std::unique_ptr<RuntimeTransport> transport_;
+  PoolTransport transport_;
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;  // id order
   /// latest_scheduled_ mirror: the members of the last view announced to
   /// each process (persists across crashes, exactly like the oracle).

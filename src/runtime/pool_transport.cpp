@@ -15,13 +15,24 @@ namespace {
 /// drains its control ring eventually).
 constexpr auto kBackpressureTimeout = std::chrono::seconds(30);
 constexpr auto kQuiesceTimeout = std::chrono::seconds(60);
+/// Floor on each cross-worker ring's capacity, in messages; the ring
+/// grows with the shard size above it. The spill deques make this a
+/// performance knob, not a correctness bound.
+constexpr std::size_t kMinLinkCapacity = 256;
+/// Floor on each controller->worker control queue's capacity.
+constexpr std::size_t kMinControlCapacity = 128;
+/// Per-process logger threshold.
+constexpr LogLevel kLogLevel = LogLevel::kWarn;
+/// Per-process trace-ring capacity. Bounded so long benches don't grow
+/// trace memory without limit; far above any cross-check scenario's
+/// event count, so digests are unaffected.
+constexpr std::size_t kTraceCapacity = 65536;
 }  // namespace
 
-PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w,
-                          const RuntimeOptions& options)
+PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w)
     : id(pid), index(idx), worker(w) {
-  trace.set_capacity(options.trace_capacity);
-  logger.set_level(options.log_level);
+  trace.set_capacity(kTraceCapacity);
+  logger.set_level(kLogLevel);
 }
 
 PoolTransport::Worker::Worker(std::uint32_t idx, std::uint32_t num_workers,
@@ -56,8 +67,8 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
       std::min<std::size_t>(w, ids_.size()));  // extra workers would idle
 
   for (std::size_t i = 0; i < ids_.size(); ++i) {
-    slots_.push_back(std::make_unique<Slot>(
-        ids_[i], i, static_cast<std::uint32_t>(i % w), options_));
+    slots_.push_back(
+        std::make_unique<Slot>(ids_[i], i, static_cast<std::uint32_t>(i % w)));
     slots_.back()->component = next_component_++;
   }
 
@@ -66,7 +77,7 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
   // two back-to-back bursts fit without making the controller spin.
   const std::size_t per_worker = (ids_.size() + w - 1) / w;
   const std::size_t control_capacity =
-      std::max(options_.control_capacity, 2 * per_worker + 8);
+      std::max(kMinControlCapacity, 2 * per_worker + 8);
   for (std::uint32_t wi = 0; wi < w; ++wi) {
     workers_.push_back(
         std::make_unique<Worker>(wi, w, options_, control_capacity));
@@ -76,10 +87,9 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
   }
 
   // A cross-worker ring aggregates every process pair between its two
-  // workers, so scale its capacity with the shard size; the spill
-  // deques make this a performance knob, not a correctness bound.
+  // workers, so scale its capacity with the shard size.
   const std::size_t ring_capacity =
-      std::max(options_.link_capacity, 4 * per_worker);
+      std::max(kMinLinkCapacity, 4 * per_worker);
   rings_.reserve(static_cast<std::size_t>(w) * w);
   for (std::uint32_t src = 0; src < w; ++src) {
     for (std::uint32_t dst = 0; dst < w; ++dst) {

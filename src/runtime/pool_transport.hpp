@@ -1,11 +1,10 @@
-// PoolTransport: the M:N real-time backend — N protocol processes
+// PoolTransport: the real-time backend — N protocol processes
 // multiplexed over a fixed pool of W worker event loops.
 //
-// ThreadTransport (one OS thread per process) is the semantically
-// simplest wall-clock backend, but a thread per process caps fleets at
-// n≈32 runnable threads. This backend keeps the exact same
-// sim::Transport seam and sim::Network-mirroring semantics while
-// scheduling processes cooperatively:
+// Implements sim::Transport over actual concurrency with real monotonic
+// time (microseconds since transport start). W = n runs one process per
+// worker thread; W < n schedules processes cooperatively, which is what
+// carries four-digit fleets in wall-clock time:
 //
 //  * each worker owns a static shard of processes (index mod W — no
 //    migration, so every per-process structure stays single-threaded),
@@ -20,6 +19,19 @@
 //  * inbound rings are drained in batches (SpscQueue::pop_bulk), so a
 //    burst costs one acquire refresh + one cursor publish + one wakeup
 //    instead of a pair of fences per message.
+//
+// Semantics mirror sim::Network so the DES remains a valid oracle:
+//
+//  * connectivity is component-based: connected(a,b) iff both alive and
+//    in the same component; set_components / merge_all / crash /
+//    recover reshape components exactly like Network's versions (a
+//    recovering process comes back as a fresh singleton);
+//  * every pair carries a link epoch, bumped on each disconnection; a
+//    message is stamped with the epoch at send and dropped at delivery
+//    if the link's epoch moved — a partition loses in-flight traffic
+//    (paper section 3);
+//  * Lamport clocks advance exactly as in Network (send ticks the
+//    sender, delivery merges).
 //
 // Backpressure without deadlock: a full cross-worker ring never blocks
 // the sender (two workers spinning on each other's full rings would
@@ -43,14 +55,16 @@
 // Determinism: for the protocols whose phase structure waits on ALL
 // view members (the cross-check allow-list), per-process outcome
 // transcripts are arrival-order independent, so outcome digests are
-// byte-identical at ANY worker count — and equal to ThreadTransport's
-// and the DES oracle's. runtime/crosscheck.hpp enforces all of this on
-// every seeded scenario.
+// byte-identical at ANY worker count and equal to the DES oracle's.
+// runtime/crosscheck.hpp enforces this on every seeded scenario.
 //
-// Threading contract: identical to ThreadTransport — Transport surface
-// from owning-worker handler context only, controller surface from the
-// single controlling thread, per-process observability state reachable
-// only via run_on + quiesce or after the join.
+// Threading contract: the Transport surface is called only from the
+// worker that owns the acting process (the sim::Node handlers run
+// there); the controller surface (lifecycle, topology, post_view,
+// run_on, quiesce, probe snapshots) only from the single controlling
+// thread. Per-process observability state (trace/metrics/storage/
+// logger) is unsynchronized; the controller may touch it only through
+// run_on + quiesce, or after stop_and_join.
 #pragma once
 
 #include <atomic>
@@ -66,9 +80,7 @@
 #include "obs/runtime_probe.hpp"
 #include "obs/trace.hpp"
 #include "runtime/eventcount.hpp"
-#include "runtime/runtime_transport.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/thread_transport.hpp"  // RuntimeOptions
 #include "runtime/timer_wheel.hpp"
 #include "sim/node.hpp"
 #include "sim/stable_storage.hpp"
@@ -79,7 +91,26 @@
 
 namespace dynvote::runtime {
 
-class PoolTransport final : public RuntimeTransport {
+/// The runtime's caller-settable knobs. Ring, control-queue and trace
+/// capacities and the log level are fixed in pool_transport.cpp: the
+/// pool sizes its queues from the shard size.
+struct RuntimeOptions {
+  /// Timer-wheel slot granularity, microseconds.
+  SimTime wheel_tick_us = 1024;
+  /// Wall-clock probe rings (obs/runtime_probe.hpp). Off by default;
+  /// when off no ring exists and every record site is a single branch
+  /// on a null pointer.
+  bool probes = false;
+  /// Per-lane probe-ring capacity (entries, rounded up to a power of
+  /// two); older entries are overwritten in place. The default (256KB
+  /// per lane) retains several bench runs' worth of events; keeping it
+  /// modest also keeps the probes-on fleet construction cost inside
+  /// the <5% overhead budget under sanitizer builds, where large
+  /// allocations carry per-byte poisoning cost.
+  std::size_t probe_capacity = 1 << 13;
+};
+
+class PoolTransport final : public sim::Transport {
  public:
   /// `workers` = 0 picks hardware_concurrency; the count is always
   /// clamped to [1, n] (more workers than processes would idle).
@@ -110,42 +141,66 @@ class PoolTransport final : public RuntimeTransport {
 
   // -- controller surface ---------------------------------------------------
 
-  void set_node(sim::Node* node) override;
-  void start() override;
-  void stop_and_join() override;
-  [[nodiscard]] bool running() const noexcept override { return running_; }
+  /// Attaches the node that runs on `node->id()`'s worker. All nodes
+  /// must be attached before start(); borrowed, must outlive stop.
+  void set_node(sim::Node* node);
 
-  void set_components(const std::vector<ProcessSet>& groups) override;
-  void merge_all() override;
-  void crash(ProcessId p) override;
-  void recover(ProcessId p) override;
-  [[nodiscard]] bool alive(ProcessId p) const override;
-  [[nodiscard]] std::vector<ProcessSet> live_components() const override;
+  /// Spawns the worker threads. One lifecycle per transport.
+  void start();
 
-  void post_view(const View& view) override;
-  void run_on(ProcessId p, sim::TimerAction fn) override;
-  void quiesce() override;
+  /// Signals every worker to finish its remaining work and exit, then
+  /// joins them. Safe to call twice; the destructor calls it.
+  void stop_and_join();
 
-  [[nodiscard]] const std::vector<ProcessId>& processes()
-      const noexcept override {
+  [[nodiscard]] bool running() const noexcept { return running_; }
+
+  /// Topology mirrors of sim::Network (call at quiescence only).
+  void set_components(const std::vector<ProcessSet>& groups);
+  void merge_all();
+  /// Runs node->crash() on p's worker and disconnects p (epoch bumps
+  /// lose its in-flight traffic), keeping its component assignment —
+  /// exactly Simulator::crash + Network::set_alive(p, false).
+  void crash(ProcessId p);
+  /// Runs node->recover() on p's worker and reconnects p as a fresh
+  /// singleton component — Network::set_alive(p, true).
+  void recover(ProcessId p);
+  [[nodiscard]] bool alive(ProcessId p) const;
+  /// Components with dead members filtered out, sorted by smallest
+  /// member — the shape MembershipOracle consumes.
+  [[nodiscard]] std::vector<ProcessSet> live_components() const;
+
+  /// Enqueues deliver_view(view) on every member's worker (the runtime
+  /// analogue of the oracle's per-member scheduled delivery).
+  void post_view(const View& view);
+
+  /// Runs `fn` on p's worker (state probes; effects are visible to the
+  /// controller after the next quiesce()).
+  void run_on(ProcessId p, sim::TimerAction fn);
+
+  /// Blocks until no message, control item or handler is in flight
+  /// anywhere — the real-time analogue of the simulator's settle().
+  void quiesce();
+
+  [[nodiscard]] const std::vector<ProcessId>& processes() const noexcept {
     return ids_;
   }
 
   // -- probe surface --------------------------------------------------------
 
-  [[nodiscard]] bool probes_enabled() const noexcept override {
-    return options_.probes;
-  }
-  /// One lane per worker.
-  [[nodiscard]] std::size_t lanes() const noexcept override {
-    return workers_.size();
-  }
-  [[nodiscard]] std::uint32_t lane_of(ProcessId p) const override {
+  /// Probe lanes excluding the controller: one per worker.
+  [[nodiscard]] std::size_t lanes() const noexcept { return workers_.size(); }
+  /// The probe lane that records p's handlers: p's worker.
+  [[nodiscard]] std::uint32_t lane_of(ProcessId p) const {
     return slot(p).worker;
   }
-  [[nodiscard]] std::vector<obs::ThreadProbeLog> snapshot_probe_logs()
-      override;
-  [[nodiscard]] std::uint64_t now_ns() const override {
+  /// Snapshot of every probe ring: one log per worker (thread = worker
+  /// index, copied on the owning worker via run_on + quiesce while
+  /// running) plus the controller lane (thread = obs::kControllerLane).
+  /// Empty when probes are off.
+  [[nodiscard]] std::vector<obs::ThreadProbeLog> snapshot_probe_logs();
+  /// Nanoseconds since transport start — the probe timestamp clock,
+  /// 1000x finer than now() on the same epoch.
+  [[nodiscard]] std::uint64_t now_ns() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_time_)
@@ -185,8 +240,7 @@ class PoolTransport final : public RuntimeTransport {
     std::uint32_t component = 0;
     bool ctl_alive = true;
 
-    Slot(ProcessId pid, std::size_t idx, std::uint32_t w,
-         const RuntimeOptions& options);
+    Slot(ProcessId pid, std::size_t idx, std::uint32_t w);
   };
 
   /// One event loop. Fields below `thread` are worker-owned unless
@@ -194,6 +248,9 @@ class PoolTransport final : public RuntimeTransport {
   struct Worker {
     std::uint32_t index = 0;
     std::thread thread;
+    /// The worker's futex word: producers bump-and-notify after
+    /// pushing, the loop re-reads it before parking
+    /// (runtime/eventcount.hpp; no mutex anywhere on the message path).
     RuntimeEventcount work;
     TimerWheel wheel;
     std::unique_ptr<obs::ProbeRing> probe;
@@ -238,6 +295,8 @@ class PoolTransport final : public RuntimeTransport {
     return *rings_[src * workers_.size() + dst];
   }
 
+  /// pair_state_[a*n+b]: (epoch << 1) | connected. Controller writes
+  /// (release), workers read (acquire).
   [[nodiscard]] std::atomic<std::uint64_t>& pair_state(std::size_t a,
                                                        std::size_t b) {
     return pair_state_[a * ids_.size() + b];
@@ -246,6 +305,8 @@ class PoolTransport final : public RuntimeTransport {
       std::size_t a, std::size_t b) const {
     return pair_state_[a * ids_.size() + b];
   }
+  /// Recomputes connectivity from components + liveness, bumping the
+  /// epoch of every pair that transitions connected -> disconnected.
   void refresh_connectivity();
 
   void post_control(ProcessId p, ControlItem item);
@@ -260,12 +321,13 @@ class PoolTransport final : public RuntimeTransport {
 
   RuntimeOptions options_;
   std::vector<ProcessId> ids_;
-  /// (id, index) sorted by id — O(log n) lookup on the send path (the
-  /// thread backend's linear scan is fine at n≤32; at n=1024 it is not).
+  /// (id, index) sorted by id — O(log n) lookup on the send path.
   std::vector<std::pair<ProcessId, std::size_t>> lookup_;
   std::vector<std::unique_ptr<Slot>> slots_;    // stable addresses, id order
   std::vector<std::unique_ptr<Worker>> workers_;  // stable addresses
   std::vector<std::unique_ptr<SpscQueue<PoolItem>>> rings_;  // W×W
+  /// Controller thread's probe ring (control-queue pushes); null when
+  /// probes are off.
   std::unique_ptr<obs::ProbeRing> controller_probe_;
   std::vector<std::atomic<std::uint64_t>> pair_state_;
   std::atomic<std::int64_t> inflight_{0};

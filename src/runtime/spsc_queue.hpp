@@ -1,9 +1,9 @@
 // SpscQueue: a bounded lock-free single-producer single-consumer ring.
 //
-// The runtime backend (runtime/thread_transport.hpp) connects every
-// ordered process pair with one of these, so a link is exactly one
-// producer thread (the sender) and one consumer thread (the receiver)
-// — the only shape that admits a wait-free ring with plain
+// The pool runtime (runtime/pool_transport.hpp) connects every ordered
+// pair of workers with one of these, so a ring has exactly one producer
+// thread (the sending worker) and one consumer thread (the receiving
+// worker) — the only shape that admits a wait-free ring with plain
 // acquire/release pairs and no CAS loops.
 //
 // Layout follows the classic Lamport ring with two refinements:

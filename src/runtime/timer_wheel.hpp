@@ -1,8 +1,9 @@
-// TimerWheel: a hashed timer wheel for one runtime process.
+// TimerWheel: a hashed timer wheel for one runtime worker.
 //
-// Each process thread owns exactly one wheel; it is deliberately
-// single-threaded (no atomics) — cross-thread wakeups are the
-// transport's job, the wheel only answers "what is due by time t?".
+// Each pool worker owns exactly one wheel, shared by the processes it
+// runs; it is deliberately single-threaded (no atomics) — cross-thread
+// wakeups are the transport's job, the wheel only answers "what is due
+// by time t?".
 //
 // Structure: 256 slots of `tick_us` each; a timer at absolute deadline
 // d hashes to slot (d / tick) % 256 and *keeps its absolute deadline*,

@@ -31,7 +31,7 @@ class Simulator;
 class Node {
  public:
   /// A node lives on a Transport (sim/transport.hpp): the simulator's
-  /// event queue or the thread-per-process runtime backend.
+  /// event queue or the pool runtime's worker threads.
   Node(Transport& transport, ProcessId id);
 
   /// Convenience for simulator-driven code and tests: equivalent to

@@ -9,8 +9,8 @@
 //  * sim::SimTransport — the discrete-event simulator (sim/network.hpp
 //    behind sim/event_queue.hpp): virtual time, deterministic, the
 //    correctness oracle;
-//  * runtime::ThreadTransport — one OS thread per process connected by
-//    bounded lock-free SPSC rings, real monotonic time, a per-process
+//  * runtime::PoolTransport — n processes on W worker threads connected
+//    by bounded lock-free SPSC rings, real monotonic time, a per-worker
 //    timer wheel (src/runtime/).
 //
 // The protocol state machines (dv/, baselines/) are written once against
@@ -20,7 +20,7 @@
 // Threading contract: every method takes the acting ProcessId (or an
 // Envelope naming it). A call on behalf of process p may only be made
 // from p's execution context — the event-loop thread in the simulator
-// (trivially single-threaded) or p's own thread in the runtime backend.
+// (trivially single-threaded) or the worker that owns p in the runtime.
 // Implementations rely on this to keep per-process state unsynchronized.
 #pragma once
 

@@ -1,10 +1,10 @@
-// Tests for the M:N pool backend (src/runtime/pool_transport.*): worker
+// Tests for the M:N pool runtime (src/runtime/pool_transport.*): worker
 // clamping, primary formation and fault verbs through RuntimeFleet, the
 // determinism contract (byte-identical outcome transcripts at ANY
-// worker count, equal to the thread backend and the DES oracle), the
-// same-worker fast path vs cross-worker handoff split visible in the
-// probe lanes, and a churn stress meant for the TSan pass
-// (tools/run_experiments.sh wires the Runtime* prefixes in).
+// worker count, equal to the DES oracle), the same-worker fast path vs
+// cross-worker handoff split visible in the probe lanes, the spill path
+// under a full cross-worker ring, and a churn stress meant for the TSan
+// pass (tools/run_experiments.sh wires the Runtime* prefixes in).
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,7 +30,6 @@ FleetOptions pool_options(std::uint32_t n, std::uint32_t workers,
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = n;
-  options.backend = RuntimeBackend::kPool;
   options.workers = workers;
   options.runtime.probes = probes;
   return options;
@@ -118,79 +117,78 @@ TEST(RuntimePool, ByteIdenticalDigestsAtAnyWorkerCount) {
   }
 }
 
-// Probe instrumentation must not perturb pool scheduling decisions:
-// probes on or off, every worker count lands on the same digest.
-TEST(RuntimePool, ProbesAreDigestNeutral) {
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    const CrossCheckResult off = run_scenario(
-        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/false, {1, 2});
-    const CrossCheckResult on = run_scenario(
-        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/true, {1, 2});
-    EXPECT_TRUE(on.digests_equal) << "seed " << seed;
-    ASSERT_EQ(on.pool.size(), off.pool.size());
-    for (std::size_t i = 0; i < on.pool.size(); ++i) {
-      EXPECT_EQ(on.pool[i].digest, off.pool[i].digest)
-          << "seed " << seed << " W=" << on.pool[i].workers;
-    }
-  }
-}
-
 // --------------------------------------------------------------- probes
 
+// One probe lane per worker plus the controller, at W = 2 and at W = n
+// (one process per worker thread, so every message between processes
+// is a cross-worker handoff).
 TEST(RuntimePool, ProbeLogsHaveOneLanePerWorker) {
-  RuntimeFleet fleet(pool_options(/*n=*/4, /*workers=*/2, /*probes=*/true));
-  // Static sharding: global index mod W.
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fleet.transport().lane_of(ProcessId(i)), i % 2);
-  }
-  fleet.start();
-  ProcessSet left;
-  ProcessSet right;
-  for (std::uint32_t i = 0; i < 2; ++i) left.insert(ProcessId(i));
-  for (std::uint32_t i = 2; i < 4; ++i) right.insert(ProcessId(i));
-  fleet.partition({left, right});
-  fleet.merge();
-  const std::vector<obs::ThreadProbeLog> logs = fleet.probe_logs();
-  fleet.stop();
+  constexpr std::uint32_t kN = 4;
+  for (const std::uint32_t workers : {2u, kN}) {
+    RuntimeFleet fleet(pool_options(kN, workers, /*probes=*/true));
+    // Static sharding: global index mod W.
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(fleet.transport().lane_of(ProcessId(i)), i % workers);
+    }
+    fleet.start();
+    ProcessSet left;
+    ProcessSet right;
+    for (std::uint32_t i = 0; i < 2; ++i) left.insert(ProcessId(i));
+    for (std::uint32_t i = 2; i < kN; ++i) right.insert(ProcessId(i));
+    fleet.partition({left, right});
+    fleet.merge();
+    const std::vector<obs::ThreadProbeLog> logs = fleet.probe_logs();
+    fleet.stop();
 
-  ASSERT_EQ(logs.size(), 3u);  // 2 worker lanes + controller
-  EXPECT_EQ(logs[0].thread, 0u);
-  EXPECT_EQ(logs[1].thread, 1u);
-  EXPECT_EQ(logs.back().thread, obs::kControllerLane);
-  std::uint64_t batches = 0;
-  std::uint64_t run_queue = 0;
-  std::uint64_t handoffs = 0;
-  std::uint64_t handlers = 0;
-  for (const obs::ThreadProbeLog& lane : logs) {
-    for (const obs::ProbeEntry& e : lane.entries) {
-      switch (e.kind) {
-        case obs::ProbeKind::kBatch:
-          ++batches;
-          EXPECT_GT(e.value, 0u);  // batch size
-          break;
-        case obs::ProbeKind::kRunQueue:
-          ++run_queue;
-          break;
-        case obs::ProbeKind::kHandoff:
-          ++handoffs;
-          break;
-        case obs::ProbeKind::kHandlerMessage:
-          ++handlers;
-          // The handling process's global index rides in `link` so the
-          // Chrome export can color slices per process.
-          EXPECT_LT(e.link, 4u);
-          break;
-        default:
-          break;
+    ASSERT_EQ(logs.size(), workers + 1u);  // worker lanes + controller
+    for (std::uint32_t i = 0; i < workers; ++i) {
+      EXPECT_EQ(logs[i].thread, i);
+    }
+    EXPECT_EQ(logs.back().thread, obs::kControllerLane);
+    std::uint64_t batches = 0;
+    std::uint64_t run_queue = 0;
+    std::uint64_t handoffs = 0;
+    std::uint64_t pops = 0;
+    std::uint64_t handlers = 0;
+    bool saw_eid = false;
+    for (const obs::ThreadProbeLog& lane : logs) {
+      for (const obs::ProbeEntry& e : lane.entries) {
+        saw_eid |= e.eid != 0;
+        switch (e.kind) {
+          case obs::ProbeKind::kBatch:
+            ++batches;
+            EXPECT_GT(e.value, 0u);  // batch size
+            break;
+          case obs::ProbeKind::kRunQueue:
+            ++run_queue;
+            break;
+          case obs::ProbeKind::kHandoff:
+            ++handoffs;
+            break;
+          case obs::ProbeKind::kLinkPop:
+            ++pops;
+            break;
+          case obs::ProbeKind::kHandlerMessage:
+            ++handlers;
+            // The handling process's global index rides in `link` so
+            // the Chrome export can color slices per process.
+            EXPECT_LT(e.link, kN);
+            break;
+          default:
+            break;
+        }
       }
     }
+    EXPECT_GT(batches, 0u) << "W=" << workers;
+    EXPECT_GT(handoffs, 0u) << "W=" << workers;
+    EXPECT_GT(pops, 0u) << "W=" << workers;
+    EXPECT_GT(handlers, 0u) << "W=" << workers;
+    EXPECT_TRUE(saw_eid) << "W=" << workers;  // entries join the causal trace
+    if (workers < kN) {
+      // p0<->p2 share worker 0: same-worker traffic rides the fast path.
+      EXPECT_GT(run_queue, 0u);
+    }
   }
-  // With 4 processes on 2 workers there is both same-worker traffic
-  // (p0<->p2 share worker 0) and cross-worker traffic (p0<->p1).
-  EXPECT_GT(batches, 0u);
-  EXPECT_GT(run_queue, 0u);
-  EXPECT_GT(handoffs, 0u);
-  EXPECT_GT(handlers, 0u);
 }
 
 // W=1 pins every process to one worker: the whole run must ride the
@@ -216,6 +214,46 @@ TEST(RuntimePool, SingleWorkerRunsEntirelyOnFastPath) {
   EXPECT_GT(run_queue, 0u);
   EXPECT_EQ(handoffs, 0u);
   EXPECT_EQ(batches, 0u);
+}
+
+// The spill path is the pool's only backpressure mechanism: a send that
+// finds its cross-worker ring full queues the item in a per-destination
+// deque instead of blocking. At n = 64 on two workers, a view change
+// makes each worker's 32 processes address the other worker's 32 in one
+// burst, far past the ring's capacity. The outcome must still be
+// byte-identical to W = 1, where no cross-worker ring exists.
+TEST(RuntimePool, SpillKeepsTranscriptIdentical) {
+  constexpr std::uint32_t kN = 64;
+  ProcessSet majority;
+  ProcessSet minority;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    (i <= kN / 2 ? majority : minority).insert(ProcessId(i));
+  }
+  std::vector<std::string> summaries;
+  std::uint64_t spills = 0;
+  for (const std::uint32_t workers : {2u, 1u}) {
+    FleetOptions options = pool_options(kN, workers, /*probes=*/true);
+    // Room for every entry of both verbs, so no spill record is
+    // overwritten before the snapshot.
+    options.runtime.probe_capacity = 1 << 16;
+    RuntimeFleet fleet(options);
+    fleet.start();
+    fleet.partition({majority, minority});
+    fleet.merge();
+    const std::vector<obs::ThreadProbeLog> logs = fleet.probe_logs();
+    fleet.stop();
+    summaries.push_back(fleet.outcome_summary());
+    if (workers != 2) continue;
+    for (const obs::ThreadProbeLog& lane : logs) {
+      if (lane.thread == obs::kControllerLane) continue;  // control stalls
+      for (const obs::ProbeEntry& e : lane.entries) {
+        spills += e.kind == obs::ProbeKind::kLinkPushFailed ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(spills, 0u);
+  ASSERT_EQ(summaries.size(), 2u);
+  EXPECT_EQ(summaries[0], summaries[1]);
 }
 
 // --------------------------------------------------------------- stress

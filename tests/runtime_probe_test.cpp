@@ -1,4 +1,4 @@
-// Tests for the wall-clock probe layer of the thread runtime
+// Tests for the wall-clock probe layer of the pool runtime
 // (src/obs/runtime_probe.*): the single-writer ring, the phase
 // attribution of reconfiguration windows, the JSON document and its
 // Chrome export, the per-lane metric aggregation, and the integration
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,7 @@ TEST(RuntimeProbe, RingRoundsCapacityUpToPowerOfTwo) {
 TEST(RuntimeProbe, RingOverwritesOldestFirstAndCountsDrops) {
   ProbeRing ring(16);
   for (std::uint64_t i = 0; i < 40; ++i) {
-    ring.record(ProbeKind::kLinkPush, /*t_ns=*/i, /*value=*/i * 10,
+    ring.record(ProbeKind::kHandoff, /*t_ns=*/i, /*value=*/i * 10,
                 /*link=*/static_cast<std::uint16_t>(i & 0xF), /*eid=*/i);
   }
   EXPECT_EQ(ring.recorded(), 40u);
@@ -57,7 +58,7 @@ TEST(RuntimeProbe, RingOverwritesOldestFirstAndCountsDrops) {
 
 TEST(RuntimeProbe, KindStringsRoundTrip) {
   for (const ProbeKind kind :
-       {ProbeKind::kLinkPush, ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
+       {ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
         ProbeKind::kControlPush, ProbeKind::kControlPop, ProbeKind::kParked,
         ProbeKind::kTimerSlop, ProbeKind::kWakeup, ProbeKind::kTimerSchedule,
         ProbeKind::kTimerFire, ProbeKind::kHandlerMessage,
@@ -145,7 +146,7 @@ RuntimeProbeDoc sample_doc() {
   lane0.thread = 0;
   lane0.dropped = 3;
   lane0.entries = {
-      entry(ProbeKind::kLinkPush, 100, 2),
+      entry(ProbeKind::kHandoff, 100, 2),
       entry(ProbeKind::kLinkPushFailed, 150, 900),
       entry(ProbeKind::kHandlerMessage, 1200, 400),
       entry(ProbeKind::kParked, 1600, 2000),
@@ -167,7 +168,7 @@ RuntimeProbeDoc sample_doc() {
   window.phases = attribute_window(lane0.entries, 100, 4000);
 
   RuntimeProbeDoc doc;
-  doc.meta = {"dv-optimized", 4, 1024};
+  doc.meta = {"dv-optimized", 4, 1024, /*workers=*/1};
   doc.threads = {lane0, ctl};
   doc.reconfigs = {window};
   return doc;
@@ -185,6 +186,7 @@ TEST(RuntimeProbe, ProbeDocumentJsonRoundTrips) {
   EXPECT_EQ(loaded.meta.protocol, doc.meta.protocol);
   EXPECT_EQ(loaded.meta.n, doc.meta.n);
   EXPECT_EQ(loaded.meta.wheel_tick_us, doc.meta.wheel_tick_us);
+  EXPECT_EQ(loaded.meta.workers, doc.meta.workers);
   ASSERT_EQ(loaded.threads.size(), doc.threads.size());
   for (std::size_t i = 0; i < doc.threads.size(); ++i) {
     EXPECT_EQ(loaded.threads[i].thread, doc.threads[i].thread);
@@ -196,18 +198,40 @@ TEST(RuntimeProbe, ProbeDocumentJsonRoundTrips) {
   EXPECT_EQ(loaded.reconfigs[0].phases, doc.reconfigs[0].phases);
 }
 
+// Expects load_runtime_probes(text) to throw an InvariantViolation whose
+// text has `needle`.
+void expect_rejected(const std::string& text, const std::string& needle) {
+  try {
+    (void)load_runtime_probes(text);
+    FAIL() << "document was accepted";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RuntimeProbe, LoaderRejectsSchemaMismatch) {
   const RuntimeProbeDoc doc = sample_doc();
-  std::string text =
+  const std::string text =
       runtime_probes_json(doc.meta, doc.threads, doc.reconfigs).dump();
   // JsonValue::set appends (at() reads the first match), so patch the
   // serialized text to fake a future schema version.
-  const std::string needle =
+  const auto patched = [&text](const std::string& from,
+                               const std::string& to) {
+    std::string out = text;
+    const std::size_t pos = out.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) out.replace(pos, from.size(), to);
+    return out;
+  };
+  const std::string version =
       "\"schema_version\":" + std::to_string(kRuntimeProbeSchemaVersion);
-  const std::size_t pos = text.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, needle.size(), "\"schema_version\":999");
-  EXPECT_THROW((void)load_runtime_probes(text), InvariantViolation);
+  expect_rejected(patched(version, "\"schema_version\":999"),
+                  "schema version");
+  // Every v3 lane is a worker: a document with no worker lanes (the
+  // retired one-lane-per-process layout) is refused, naming the field.
+  expect_rejected(patched("\"workers\":1", "\"workers\":0"), "\"workers\"");
+  expect_rejected(patched("\"workers\":1,", ""), "\"workers\"");
 }
 
 TEST(RuntimeProbe, ChromeExportIsWellFormed) {
@@ -241,12 +265,60 @@ TEST(RuntimeProbe, ChromeExportIsWellFormed) {
   EXPECT_TRUE(saw_instant);         // backpressure / timer fire
 }
 
+// The one lane naming that the Chrome export and dvtrace share.
+TEST(RuntimeProbe, LaneNamesAreWorkersAndController) {
+  EXPECT_EQ(lane_name(0), "w0");
+  EXPECT_EQ(lane_name(13), "w13");
+  EXPECT_EQ(lane_name(kControllerLane), "ctl");
+}
+
+// Several processes share a worker lane, so every handler slice is
+// named for the process it ran (carried in `link`); a handler entry
+// with no process keeps the bare kind name.
+TEST(RuntimeProbe, ChromeExportLabelsHandlerSlicesWithTheirProcess) {
+  RuntimeProbeDoc doc = sample_doc();
+  doc.meta.workers = 2;
+  ThreadProbeLog lane1;
+  lane1.thread = 1;
+  lane1.entries = {
+      entry(ProbeKind::kHandlerMessage, 200, 50),
+      entry(ProbeKind::kHandlerControl, 300, 50),
+      entry(ProbeKind::kHandlerTimer, 400, 50),
+      entry(ProbeKind::kHandlerMessage, 500, 50),
+  };
+  lane1.entries[0].link = 3;
+  lane1.entries[1].link = 1;
+  lane1.entries[2].link = 2;
+  doc.threads.insert(doc.threads.begin() + 1, lane1);
+
+  const JsonValue chrome = runtime_probe_chrome_json(doc);
+  std::string process_name;
+  std::map<std::uint64_t, std::string> lane_names;
+  std::vector<std::string> lane1_slices;
+  for (const JsonValue& e : chrome.at("traceEvents").as_array()) {
+    const std::string& name = e.at("name").as_string();
+    if (name == "process_name") {
+      process_name = e.at("args").at("name").as_string();
+    } else if (name == "thread_name") {
+      lane_names[e.at("tid").as_uint()] = e.at("args").at("name").as_string();
+    } else if (e.at("ph").as_string() == "X" && e.at("tid").as_uint() == 1) {
+      lane1_slices.push_back(name);
+    }
+  }
+  EXPECT_EQ(process_name, "dynvote-runtime dv-optimized n=4 pool W=2");
+  EXPECT_EQ(lane_names,
+            (std::map<std::uint64_t, std::string>{
+                {0, "w0"}, {1, "w1"}, {kControllerLane, "ctl"}}));
+  EXPECT_EQ(lane1_slices, (std::vector<std::string>{"h:msg p3", "h:ctl p1",
+                                                    "h:timer p2", "h:msg"}));
+}
+
 TEST(RuntimeProbe, AggregatesPerLaneMetricsIntoHub) {
   const RuntimeProbeDoc doc = sample_doc();
   MetricsHub hub(doc.threads.size());
   aggregate_probe_metrics(doc.threads, hub);
   MetricsRegistry& lane0 = hub.group(0);
-  EXPECT_EQ(lane0.counter_value("rt.probe.push"), 1u);
+  EXPECT_EQ(lane0.counter_value("rt.probe.handoffs"), 1u);
   EXPECT_EQ(lane0.counter_value("rt.probe.push_failed"), 1u);
   EXPECT_EQ(lane0.counter_value("rt.probe.parks"), 1u);
   EXPECT_EQ(lane0.counter_value("rt.probe.wakeups"), 1u);
@@ -257,7 +329,7 @@ TEST(RuntimeProbe, AggregatesPerLaneMetricsIntoHub) {
   MetricsRegistry& ctl = hub.group(1);
   EXPECT_EQ(ctl.counter_value("rt.probe.control_push"), 1u);
   // Rollup across lanes works unchanged on probe instruments.
-  EXPECT_EQ(hub.rollup().counter_value("rt.probe.push"), 1u);
+  EXPECT_EQ(hub.rollup().counter_value("rt.probe.handoffs"), 1u);
 }
 
 // Exported histograms carry the explicit unit metadata (telemetry
@@ -277,42 +349,6 @@ TEST(RuntimeProbe, ExportedHistogramsCarryUnitMetadata) {
 
 // ------------------------------------------------------------ integration
 
-TEST(RuntimeProbe, FleetProbeLogsCaptureChurn) {
-  FleetOptions options;
-  options.kind = ProtocolKind::kOptimized;
-  options.n = 4;
-  options.runtime.probes = true;
-  RuntimeFleet fleet(options);
-  fleet.start();
-  ProcessSet left;
-  ProcessSet right;
-  for (std::uint32_t i = 0; i < 2; ++i) left.insert(ProcessId(i));
-  for (std::uint32_t i = 2; i < 4; ++i) right.insert(ProcessId(i));
-  fleet.partition({left, right});
-  fleet.merge();
-  const std::vector<ThreadProbeLog> logs = fleet.probe_logs();
-  fleet.stop();
-
-  ASSERT_EQ(logs.size(), 5u);  // 4 process lanes + controller
-  EXPECT_EQ(logs.back().thread, kControllerLane);
-  std::uint64_t pushes = 0;
-  std::uint64_t pops = 0;
-  std::uint64_t handlers = 0;
-  bool saw_eid = false;
-  for (const ThreadProbeLog& lane : logs) {
-    for (const ProbeEntry& e : lane.entries) {
-      pushes += e.kind == ProbeKind::kLinkPush ? 1 : 0;
-      pops += e.kind == ProbeKind::kLinkPop ? 1 : 0;
-      handlers += e.kind == ProbeKind::kHandlerMessage ? 1 : 0;
-      saw_eid |= e.eid != 0;
-    }
-  }
-  EXPECT_GT(pushes, 0u);
-  EXPECT_GT(pops, 0u);
-  EXPECT_GT(handlers, 0u);
-  EXPECT_TRUE(saw_eid);  // entries join back into the causal trace
-}
-
 TEST(RuntimeProbe, FleetWithoutProbesReturnsNoLogs) {
   FleetOptions options;
   options.n = 3;
@@ -323,30 +359,38 @@ TEST(RuntimeProbe, FleetWithoutProbesReturnsNoLogs) {
 }
 
 // The digest-neutrality contract: the probed runtime makes exactly the
-// protocol decisions the unprobed one (and the DES) makes.
+// protocol decisions the unprobed one (and the DES) makes, at every
+// worker count — probes must not perturb pool scheduling decisions.
 TEST(RuntimeProbe, ProbesAreDigestNeutral) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const runtime::CrossCheckResult off =
-        runtime::run_scenario(ProtocolKind::kOptimized, 4, seed);
+    const runtime::CrossCheckResult off = runtime::run_scenario(
+        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/false, {1, 2});
     const runtime::CrossCheckResult on = runtime::run_scenario(
-        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/true);
+        ProtocolKind::kOptimized, 4, seed, 10, /*probes=*/true, {1, 2});
     EXPECT_TRUE(on.digests_equal) << "seed " << seed;
-    EXPECT_EQ(on.runtime_digest, off.runtime_digest) << "seed " << seed;
+    ASSERT_EQ(on.pool.size(), 3u);  // W = 1, 2 and n
+    ASSERT_EQ(on.pool.size(), off.pool.size());
+    for (std::size_t i = 0; i < on.pool.size(); ++i) {
+      EXPECT_EQ(on.pool[i].digest, off.pool[i].digest)
+          << "seed " << seed << " W=" << on.pool[i].workers;
+    }
   }
 }
 
 // ---------------------------------------------------------- eventcount
 
-// Wakeup stress across >= 4 threads, meant for the TSan pass: heavy
+// Wakeup stress across 4 worker threads, meant for the TSan pass: heavy
 // topology churn forces the park/notify edge constantly. Every verb
 // runs to quiescence, so merely completing proves no wakeup was lost
 // (a lost wakeup leaves a thread parked with work pending and the
 // quiesce barrier never closes); the probe rings then bound the
-// observed notify-to-running latency.
+// observed notify-to-running latency. The worker count is pinned so
+// the stress keeps its 4 threads on a 1-core host.
 TEST(RuntimeEventcount, ChurnHasNoLostWakeupsAndBoundedLatency) {
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = 4;
+  options.workers = 4;
   options.runtime.probes = true;
   RuntimeFleet fleet(options);
   fleet.start();

@@ -1,13 +1,14 @@
-// Tests for the real-thread runtime backend (src/runtime/): the SPSC
-// ring and timer wheel in isolation (including cross-thread stress cases
-// meant to run under TSan — tools/run_experiments.sh wires the Runtime*
+// Tests for the pool runtime (src/runtime/): the SPSC ring and
+// timer wheel in isolation (including cross-thread stress cases meant
+// to run under TSan — tools/run_experiments.sh wires the Runtime*
 // prefixes into its TSan pass), the fleet lifecycle, and the
-// DES-as-oracle cross-check that pins both backends to identical
-// outcome digests seed by seed.
+// DES-as-oracle cross-check that pins the pool at every worker count
+// to the DES's outcome digests seed by seed.
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "runtime/crosscheck.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/thread_transport.hpp"
 #include "runtime/timer_wheel.hpp"
 #include "util/rng.hpp"
 
@@ -150,7 +150,7 @@ TEST(RuntimeSpsc, PopBulkKeepsFifoAcrossWrapsAndRespectsMax) {
   EXPECT_FALSE(queue.empty());
 }
 
-// Cross-thread bulk drain, as both transports use it: the consumer pulls
+// Cross-thread bulk drain, as the pool uses it: the consumer pulls
 // whole bursts while the producer spins on a tiny ring. Under TSan this
 // exercises pop_bulk's single cursor publish; in any build the sequence
 // check catches lost, duplicated or reordered items.
@@ -375,29 +375,34 @@ TEST(RuntimeFleet, StopIsIdempotentAndSummariesAreStable) {
 
 // -------------------------------------------------------------- cross-check
 
-// The tentpole acceptance gate: the same seeded scenario, run through
-// the DES, through one thread per process, and through the M:N pool at
-// every requested worker count, must produce identical outcome
-// transcripts (views installed, sessions formed with numbers / members
-// / rounds, final states) — on every one of eight seeds, for both
-// paper protocols.
+// The acceptance gate: the same seeded scenario, run through the DES
+// and through the M:N pool at every requested worker count, must
+// produce identical outcome transcripts (views installed, sessions
+// formed with numbers / members / rounds, final states) — on every one
+// of eight seeds, for both paper protocols, with probes off and on.
 TEST(RuntimeCrossCheck, DigestsMatchOnEightSeeds) {
   for (const ProtocolKind kind :
        {ProtocolKind::kBasic, ProtocolKind::kOptimized}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const CrossCheckResult result = run_scenario(kind, /*n=*/5, seed);
-      EXPECT_TRUE(result.digests_equal)
-          << to_string(kind) << " seed " << seed << "\n--- DES ---\n"
-          << result.sim_summary << "--- runtime ---\n"
-          << result.runtime_summary << "--- pool (divergent) ---\n"
-          << result.pool_divergent_summary;
-      EXPECT_TRUE(result.c1_clean) << to_string(kind) << " seed " << seed;
-      // The default harness runs the pool at W ∈ {1, 2, 4}; every run
-      // must land on the DES digest exactly.
-      ASSERT_EQ(result.pool.size(), 3u);
-      for (const PoolCheck& check : result.pool) {
-        EXPECT_EQ(check.digest, result.sim_digest)
-            << to_string(kind) << " seed " << seed << " W=" << check.workers;
+    for (const bool probes : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const CrossCheckResult result =
+            run_scenario(kind, /*n=*/5, seed, /*steps=*/10, probes);
+        const std::string where = std::string(to_string(kind)) + " seed " +
+                                  std::to_string(seed) +
+                                  (probes ? " probes on" : " probes off");
+        EXPECT_TRUE(result.digests_equal)
+            << where << "\n--- DES ---\n"
+            << result.sim_summary << "--- pool (divergent) ---\n"
+            << result.pool_divergent_summary;
+        EXPECT_TRUE(result.c1_clean) << where;
+        // The default harness runs the pool at W ∈ {1, 2, 4, n}; every
+        // run must land on the DES digest exactly.
+        ASSERT_EQ(result.pool.size(), 4u);
+        EXPECT_EQ(result.pool.back().workers, 5u);
+        for (const PoolCheck& check : result.pool) {
+          EXPECT_EQ(check.digest, result.sim_digest)
+              << where << " W=" << check.workers;
+        }
       }
     }
   }

@@ -13,8 +13,9 @@
 //                                            flight-recorder root causes,
 //                                            time series, post-mortems
 //   dvtrace runtime <runtime_probes.json>    wall-clock probe report: per-lane
-//                                            summary, reconfiguration phase
-//                                            breakdown, merged cross-thread
+//                                            summary, per-worker scheduler
+//                                            table, reconfiguration phase
+//                                            breakdown, merged cross-lane
 //                                            drill-down of the slowest window,
 //                                            optional Chrome trace export
 //
@@ -29,14 +30,10 @@
 // check in run_experiments.sh).
 //
 // `runtime` takes the probe document bench_runtime exports (also not a
-// trace): the wall-clock probe rings of a runtime backend — one lane
-// per process thread (thread-per-process) or one lane per worker (the
-// M:N pool, meta.workers > 0; the report adds a per-worker scheduler
-// table with batch-size histograms, run-queue depths, and handoff
-// counts). `--top K` bounds the slowest-window drill-down and
-// `--chrome FILE` writes a validated Chrome trace-event export of the
-// whole document (one tid per lane, async span per reconfiguration,
-// pool handler slices labeled with their handling process).
+// trace): one lane per pool worker plus the controller. `--top K` bounds
+// the slowest-window drill-down and `--chrome FILE` writes a validated
+// Chrome trace-event export (one tid per lane, handler slices named for
+// their process, an async span per reconfiguration).
 //
 // Exit codes: 0 success, 1 a check failed (Theorem-1 bound exceeded, no
 // causal root, Chrome JSON invalid, missing expected post-mortem),
@@ -484,31 +481,21 @@ bool validate_chrome(const JsonValue& doc, std::string& error) {
 
 // -- runtime probe report ------------------------------------------------------
 
+using dynvote::obs::lane_name;
 using dynvote::obs::ProbeEntry;
 using dynvote::obs::ProbeKind;
 using dynvote::obs::ReconfigWindow;
 using dynvote::obs::RuntimeProbeDoc;
 
-/// Lane naming follows the backend: "p<i>" process threads on the
-/// thread-per-process backend, "w<i>" workers on the M:N pool
-/// (meta.workers > 0), "ctl" for the controller either way.
-std::string lane_name(std::uint32_t thread, std::uint32_t workers) {
-  if (thread == dynvote::obs::kControllerLane) return "ctl";
-  return (workers > 0 ? "w" : "p") + std::to_string(thread);
-}
-
 /// One merged-timeline line. `value` is kind-specific: a queue depth
 /// for pushes and run-queue entries, a batch size for batches, a
 /// nanosecond duration for everything else (see ProbeKind).
-std::string describe_probe(std::uint32_t thread, const ProbeEntry& e,
-                           std::uint32_t workers) {
+std::string describe_probe(std::uint32_t thread, const ProbeEntry& e) {
   std::string out =
       "[" +
       dynvote::format_double(static_cast<double>(e.t_ns) / 1000.0, 1) +
-      "us] " + lane_name(thread, workers) + " " +
-      std::string(to_string(e.kind));
+      "us] " + lane_name(thread) + " " + std::string(to_string(e.kind));
   switch (e.kind) {
-    case ProbeKind::kLinkPush:
     case ProbeKind::kControlPush:
     case ProbeKind::kRunQueue:
     case ProbeKind::kHandoff:
@@ -529,15 +516,15 @@ std::string describe_probe(std::uint32_t thread, const ProbeEntry& e,
   if (e.link == dynvote::obs::kControllerLane) {
     out += " link=ctl";
   } else if (e.link != dynvote::obs::kNoLane) {
-    // On the pool, handler entries link the HANDLING PROCESS (several
-    // share a worker lane); transfer entries link the peer lane.
+    // Handler entries link the HANDLING PROCESS (several share a worker
+    // lane); transfer entries link the peer lane.
     out += " link=" + std::to_string(e.link);
   }
   if (e.eid != 0) out += " <- #" + std::to_string(e.eid);
   return out;
 }
 
-/// Pool-only per-worker table: how well the M:N scheduler batches (the
+/// Per-worker scheduler table: how well the M:N scheduler batches (the
 /// cross-ring batch-size distribution, as a compact power-of-two
 /// histogram), how deep the same-worker run queue gets, and how many
 /// cross-worker handoffs each worker pushed.
@@ -580,7 +567,7 @@ void print_pool_lanes(const RuntimeProbeDoc& doc) {
                    std::to_string(buckets[b]);
     }
     pool.add_row(
-        {lane_name(lane.thread, doc.meta.workers),
+        {lane_name(lane.thread),
          std::to_string(static_cast<std::uint64_t>(batch.count())),
          batch.empty() ? "-" : dynvote::format_double(batch.percentile(0.5), 0),
          batch.empty() ? "-" : dynvote::format_double(batch.max(), 0),
@@ -601,15 +588,9 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
     total_events += lane.entries.size();
     total_dropped += lane.dropped;
   }
-  const std::uint32_t workers = doc.meta.workers;
   std::cout << "runtime probes: protocol=" << doc.meta.protocol
-            << " n=" << doc.meta.n;
-  if (workers > 0) {
-    std::cout << " backend=pool workers=" << workers;
-  } else {
-    std::cout << " backend=thread-per-process";
-  }
-  std::cout << " wheel_tick=" << doc.meta.wheel_tick_us
+            << " n=" << doc.meta.n << " workers=" << doc.meta.workers
+            << " wheel_tick=" << doc.meta.wheel_tick_us
             << "us lanes=" << doc.threads.size()
             << " events=" << total_events;
   if (total_dropped != 0) {
@@ -632,7 +613,7 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
     dynvote::Summary wakeups;
     for (const ProbeEntry& e : lane.entries) {
       switch (e.kind) {
-        case ProbeKind::kLinkPush:
+        case ProbeKind::kHandoff:
         case ProbeKind::kControlPush:
           ++pushes;
           break;
@@ -660,7 +641,7 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
       }
     }
     lanes.add_row(
-        {lane_name(lane.thread, workers), std::to_string(lane.entries.size()),
+        {lane_name(lane.thread), std::to_string(lane.entries.size()),
          std::to_string(lane.dropped), std::to_string(pushes),
          std::to_string(pops), std::to_string(failed), std::to_string(parks),
          dynvote::format_double(static_cast<double>(park_ns) / 1e6, 1),
@@ -671,9 +652,9 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
   }
   std::cout << lanes.to_string() << "\n";
 
-  // Pool documents get the scheduler's own table: batching quality,
-  // run-queue depths, handoff counts per worker.
-  if (workers > 0) print_pool_lanes(doc);
+  // The scheduler's own table: batching quality, run-queue depths,
+  // handoff counts per worker.
+  print_pool_lanes(doc);
 
   // Phase breakdown per reconfiguration window, attributed on the
   // critical (last-forming) lane by the bench.
@@ -691,7 +672,7 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
   for (std::size_t i = 0; i < doc.reconfigs.size(); ++i) {
     const ReconfigWindow& w = doc.reconfigs[i];
     reconfigs.add_row(
-        {std::to_string(i), w.verb, lane_name(w.critical_thread, workers),
+        {std::to_string(i), w.verb, lane_name(w.critical_thread),
          dynvote::format_double(static_cast<double>(w.phases.wall_ns) / 1000.0,
                                 1),
          pct(w.phases.queued_ns, w.phases.wall_ns),
@@ -727,12 +708,12 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
               << slowest->verb << " wall="
               << dynvote::format_double(
                      static_cast<double>(slowest->phases.wall_ns) / 1000.0, 1)
-              << "us critical=" << lane_name(slowest->critical_thread, workers)
+              << "us critical=" << lane_name(slowest->critical_thread)
               << ", merged timeline (first " << shown << " of "
               << merged.size() << " events):\n";
     for (std::size_t i = 0; i < shown; ++i) {
       std::cout << "  "
-                << describe_probe(merged[i].first, merged[i].second, workers)
+                << describe_probe(merged[i].first, merged[i].second)
                 << "\n";
     }
   }

@@ -22,7 +22,7 @@
 # Set DYNVOTE_SKIP_SANITIZERS=1 to skip the sanitizer passes: the
 # ASan/UBSan tier-1 run (build-asan/) plus quick-mode bench_shards and
 # bench_runtime, and the TSan run of the sweep-pool, persistence and
-# thread-runtime suites (build-tsan/ — TSan cannot share a tree with
+# pool-runtime suites (build-tsan/ — TSan cannot share a tree with
 # ASan, the runtimes conflict).
 set -e
 cd "$(dirname "$0")/.."
@@ -117,28 +117,27 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
   echo "== bench_shards under ASan/UBSan (quick mode)"
   env -u DYNVOTE_JSON_DIR DYNVOTE_SHARDS_QUICK=1 build-asan/bench/bench_shards
 
-  # The thread-runtime bench under ASan/UBSan, in quick mode (widths
-  # {4,8}, 3 cycles). Its phase 0 re-runs the DES-vs-runtime cross-check
-  # on 8 seeds — each seed both probes-off and probes-on, asserting the
-  # probe layer is digest-neutral — and its phase 3 gates the probe
-  # overhead at < 5% with outcome-digest equality, so a divergence or an
-  # overhead blowout under sanitizers fails the script here; JSON export
-  # is disabled so the quick payload cannot clobber the real
-  # results/BENCH_runtime.json.
+  # The pool-runtime bench under ASan/UBSan, in quick mode (widths
+  # {4,8}, 3 cycles). Its phase 0 re-runs the DES-vs-pool cross-check at
+  # W ∈ {1,2,4,n} on 8 seeds — each seed both probes-off and probes-on,
+  # asserting the probe layer is digest-neutral — and its phase 3 gates
+  # the probe overhead at < 5% with outcome-digest equality, so a
+  # divergence or an overhead blowout under sanitizers fails the script
+  # here; JSON export is disabled so the quick payload cannot clobber
+  # the real results/BENCH_runtime.json.
   echo "== bench_runtime under ASan/UBSan (quick mode)"
   env -u DYNVOTE_JSON_DIR DYNVOTE_RUNTIME_QUICK=1 build-asan/bench/bench_runtime
 
   # ThreadSanitizer over the code that actually runs multithreaded: the
   # sweep pool plus the persistence suite, whose WAL layer the sweep
   # workers exercise concurrently, the multi-group shard sweep
-  # (SweepShards.*), which runs whole fleets on the pool, and the
-  # thread-per-process runtime backend (RuntimeSpsc/Wheel/Fleet plus the
-  # DES cross-check, which drives real thread fleets; RuntimeProbe and
-  # RuntimeEventcount add the wall-clock probe rings and the eventcount
-  # wakeup stress across 4+ threads; RuntimePool runs the M:N pool
-  # scheduler — SPSC rings, spill deques, quiesce status words — at
-  # W∈{1,2,4} including a churn stress that must stay byte-identical
-  # across worker counts). TSan needs its own build tree.
+  # (SweepShards.*), which runs whole fleets on the pool, and every
+  # Runtime* suite of the pool runtime: the SPSC rings and timer wheel,
+  # the fleet and the DES cross-check at W ∈ {1,2,4,n}, the wall-clock
+  # probe rings, the eventcount wakeup stress on 4 workers, and the
+  # scheduler itself — spill deques under a full cross-worker ring,
+  # quiesce status words, and a churn stress that must stay
+  # byte-identical across worker counts. TSan needs its own build tree.
   echo "== sweep-pool + persistence + runtime tests under TSan (build-tsan/)"
   if [ -f build-tsan/CMakeCache.txt ]; then
     cmake -B build-tsan -DDYNVOTE_SANITIZE=thread
@@ -147,7 +146,7 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
   fi
   cmake --build build-tsan
   ctest --test-dir build-tsan --output-on-failure \
-    -R '^(Sweep\.|SweepDeterminism\.|SweepShards\.|SweepTelemetry\.|StateDelta\.|Checkpoint\.|WalPersistence\.|ProtocolPersistence\.|Seeds/PersistenceChurnProperty\.|RuntimeSpsc\.|RuntimeWheel\.|RuntimeFleet\.|RuntimeCrossCheck\.|RuntimeProbe\.|RuntimeEventcount\.|RuntimePool\.)'
+    -R '^(Sweep\.|SweepDeterminism\.|SweepShards\.|SweepTelemetry\.|StateDelta\.|Checkpoint\.|WalPersistence\.|ProtocolPersistence\.|Seeds/PersistenceChurnProperty\.|Runtime[A-Za-z]*\.)'
 fi
 
 echo "== check_perf (results/ vs results/baselines/)"
