@@ -125,7 +125,7 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
   for (std::uint32_t q = 0; q < n; ++q) {
     payloads[q].session_number = 0;
     payloads[q].last_primary = Session{core, 0};
-    for (ProcessId r : core) payloads[q].last_formed.emplace(r, Session{core, 0});
+    payloads[q].last_formed.assign(Session{core, 0});
     infos.emplace(ProcessId(q), &payloads[q]);
   }
 

@@ -37,8 +37,9 @@
 //
 //   (4) Fleet-width scaling: n ∈ {64, 256, 1024} processes carved into
 //       groups of 32 that all re-form on every verb (alternating
-//       aligned / shifted-by-16 carves). Reports reconfiguration p50/p99
-//       and formed-quorums/sec.
+//       aligned / shifted-by-16 carves). Reports the set-up wall time
+//       (fleet construction, start and the majority cascade),
+//       reconfiguration p50/p99 and formed-quorums/sec.
 //
 // The paper's claim C5 in real time: [17]-style three-phase recovery
 // needs 5 communication rounds per formation where the paper's
@@ -258,6 +259,7 @@ struct ScaleRow {
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
   double formed_per_sec = 0;
+  double setup_ms = 0;
 };
 
 /// Fleet-width scaling: n up to 1024 processes over W workers.
@@ -278,6 +280,7 @@ struct ScaleRow {
 /// churn loop's wall time.
 ScaleRow measure_scaling(std::uint32_t n, int cycles) {
   constexpr std::uint32_t kGroup = 32;
+  const auto setup0 = std::chrono::steady_clock::now();
   FleetOptions options;
   options.kind = ProtocolKind::kOptimized;
   options.n = n;
@@ -324,6 +327,9 @@ ScaleRow measure_scaling(std::uint32_t n, int cycles) {
     fleet.partition(carve(0, quorum));
   }
   row.groups = 1 + (n - quorum + kGroup - 1) / kGroup;
+  row.setup_ms = std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - setup0)
+                     .count();
 
   // (b) Timed churn: alternate the quorum between {0..q-1} and {1..q}.
   // Each is a majority (all but one member) of the session the other
@@ -624,16 +630,19 @@ int main() {
   std::printf("\nfleet-width scaling (groups of 32, %d alternating-carve "
               "cycles)\n",
               scale_cycles);
-  Table scale_table({"n", "workers", "groups", "samples", "reconfig p50 us",
-                     "reconfig p99 us", "formed quorums/s"});
+  Table scale_table({"n", "workers", "groups", "samples", "setup ms",
+                     "reconfig p50 us", "reconfig p99 us",
+                     "formed quorums/s"});
   std::vector<ScaleRow> scale_rows;
   for (const std::uint32_t n : scale_widths) {
     const ScaleRow row = measure_scaling(n, scale_cycles);
     char rate[64];
     std::snprintf(rate, sizeof rate, "%.1f", row.formed_per_sec);
+    char setup[64];
+    std::snprintf(setup, sizeof setup, "%.1f", row.setup_ms);
     scale_table.add_row({std::to_string(row.n), std::to_string(row.workers),
                          std::to_string(row.groups),
-                         std::to_string(row.samples),
+                         std::to_string(row.samples), setup,
                          std::to_string(row.p50_us),
                          std::to_string(row.p99_us), rate});
     scale_rows.push_back(row);
@@ -709,6 +718,9 @@ int main() {
     json_row.set("pool_threads", JsonValue(std::uint64_t{row.workers}));
     json_row.set("groups", JsonValue(std::uint64_t{row.groups}));
     json_row.set("samples", JsonValue(std::uint64_t{row.samples}));
+    // Banded against the baseline (no budget): construction, start and
+    // the cascade re-form sessions of up to n members.
+    json_row.set("setup_ms", JsonValue(row.setup_ms));
     json_row.set("p50_us", JsonValue(row.p50_us));
     json_row.set("p50_us_budget", JsonValue(std::uint64_t{30000000}));
     json_row.set("p99_us", JsonValue(row.p99_us));

@@ -159,12 +159,7 @@ std::shared_ptr<InfoPayload> BasicDvProtocol::make_info(
   if (sends_last_formed()) {
     // Only the view's members receive this info, and each reads only its
     // own entry (see InfoPayload::last_formed).
-    for (ProcessId member : view.members) {
-      const auto it = state_.last_formed.find(member);
-      if (it != state_.last_formed.end()) {
-        info->last_formed.emplace_hint(info->last_formed.end(), *it);
-      }
-    }
+    info->last_formed = state_.last_formed.restricted_to(view.members);
   }
   if (config_.dynamic_participants) info->participants = state_.participants;
   return info;

@@ -8,11 +8,7 @@ void InfoPayload::encode(Encoder& enc) const {
   encode_optional_session(enc, last_primary);
   enc.put_varint(ambiguous.size());
   for (const Session& s : ambiguous) s.encode(enc);
-  enc.put_varint(last_formed.size());
-  for (const auto& [q, session] : last_formed) {
-    enc.put_process_id(q);
-    session.encode(enc);
-  }
+  last_formed.encode(enc);
   participants.encode(enc);
 }
 

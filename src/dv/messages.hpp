@@ -13,11 +13,11 @@
 // codec) so the communication benchmarks report honest byte counts.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "dv/last_formed.hpp"
 #include "dv/session.hpp"
 #include "quorum/participants.hpp"
 #include "sim/message.hpp"
@@ -45,8 +45,10 @@ class InfoPayload final : public PhasedPayload {
   /// members of the view the info is sent in. The restriction loses
   /// nothing: a receiver p reads only Last_Formed_q(p)
   /// (OptimizedDvProtocol::pre_decision_update looks up its own id), and
-  /// view-gated delivery means p is a member of the sender's view.
-  std::map<ProcessId, Session> last_formed;
+  /// view-gated delivery means p is a member of the sender's view. Each
+  /// session the entries reference is encoded once, however many
+  /// members last formed it.
+  LastFormed last_formed;
   ParticipantTracker participants;  // section 6 only
 
   [[nodiscard]] int phase() const noexcept override { return 0; }

@@ -25,21 +25,20 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
     // Last_Formed entries it cannot have either.)
     if (!info->has_history) continue;
 
-    const auto lf_it = info->last_formed.find(id());
-    const bool has_entry = lf_it != info->last_formed.end();
+    const Session* formed = info->last_formed.find(id());
 
     for (AmbiguousSession& amb : state_.ambiguous) {
       if (!amb.session.members.contains(q)) continue;
-      if (has_entry && lf_it->second.number == amb.session.number) {
+      if (formed != nullptr && formed->number == amb.session.number) {
         // Last_Formed_q(p).N = S.N  =>  q formed S.
-        ensure(lf_it->second.members == amb.session.members,
+        ensure(formed->members == amb.session.members,
                "formed session number collision (Lemma 10 violated)");
         if (amb.knowledge_about(q) != FormedKnowledge::kFormed) {
           amb.set_knowledge(q, FormedKnowledge::kFormed);
           wal_.stage(StateDelta::learned(amb.session.number, q,
                                          FormedKnowledge::kFormed));
         }
-      } else if (!has_entry || lf_it->second.number < amb.session.number) {
+      } else if (formed == nullptr || formed->number < amb.session.number) {
         // Last_Formed_q(p).N < S.N  =>  q did not form S. (No entry at
         // all means q never formed any session containing us.)
         if (amb.knowledge_about(q) != FormedKnowledge::kNotFormed) {

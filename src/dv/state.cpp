@@ -12,7 +12,7 @@ ProtocolState ProtocolState::initial(const ProcessSet& core, ProcessId self) {
   if (core.contains(self)) {
     state.session_number = 0;
     state.last_primary = Session{core, 0};
-    for (ProcessId q : core) state.last_formed.emplace(q, *state.last_primary);
+    state.last_formed.assign(*state.last_primary);
   } else {
     state.session_number = 0;
     state.last_primary = std::nullopt;  // (∞, -1)
@@ -62,7 +62,7 @@ void ProtocolState::record_attempt(const Session& session, ProcessId self) {
 void ProtocolState::apply_form(const Session& session) {
   last_primary = session;
   ambiguous.clear();
-  for (ProcessId q : session.members) last_formed[q] = session;
+  last_formed.assign(session);
   participants.admit_on_form(session.members);
 }
 
@@ -70,7 +70,7 @@ void ProtocolState::adopt_formed(const Session& session) {
   ensure(session.number > last_primary_number(),
          "adopting a session older than Last_Primary");
   last_primary = session;
-  for (ProcessId q : session.members) last_formed[q] = session;
+  last_formed.assign(session);
   // Resolution rule 2: every ambiguous session with a number <= the
   // formed one is superseded ("p behaves as if it also formed F").
   std::erase_if(ambiguous, [&](const AmbiguousSession& a) {
@@ -80,8 +80,9 @@ void ProtocolState::adopt_formed(const Session& session) {
 
 namespace {
 // Bump when the persistent layout changes; decode rejects other versions
-// instead of misreading old disks.
-constexpr std::uint8_t kStateFormatVersion = 1;
+// instead of misreading old disks. Version 2: Last_Formed stores each
+// session once (LastFormed::encode) instead of one copy per entry.
+constexpr std::uint8_t kStateFormatVersion = 2;
 }  // namespace
 
 void ProtocolState::encode(Encoder& enc) const {
@@ -90,11 +91,7 @@ void ProtocolState::encode(Encoder& enc) const {
   encode_optional_session(enc, last_primary);
   enc.put_varint(ambiguous.size());
   for (const auto& a : ambiguous) a.encode(enc);
-  enc.put_varint(last_formed.size());
-  for (const auto& [q, session] : last_formed) {
-    enc.put_process_id(q);
-    session.encode(enc);
-  }
+  last_formed.encode(enc);
   participants.encode(enc);
   enc.put_bool(has_history);
 }
@@ -116,14 +113,7 @@ ProtocolState ProtocolState::decode(Decoder& dec) {
   for (std::uint64_t i = 0; i < n_ambiguous; ++i) {
     state.ambiguous.push_back(AmbiguousSession::decode(dec));
   }
-  const std::uint64_t n_formed = dec.get_varint();
-  if (n_formed > dec.remaining()) {
-    throw CodecError("last-formed count prefix too large");
-  }
-  for (std::uint64_t i = 0; i < n_formed; ++i) {
-    ProcessId q = dec.get_process_id();
-    state.last_formed.emplace(q, Session::decode(dec));
-  }
+  state.last_formed = LastFormed::decode(dec);
   state.participants = ParticipantTracker::decode(dec);
   state.has_history = dec.get_bool();
   return state;
@@ -308,7 +298,7 @@ StateDelta StateDelta::decode(Decoder& dec) {
 
 namespace {
 // Leading byte of a checkpoint record. Deliberately far from the
-// ProtocolState format version (1): recovery dispatches on the first
+// ProtocolState format version (2): recovery dispatches on the first
 // byte to also read legacy raw snapshots (and snapshot-mode writes).
 constexpr std::uint8_t kCheckpointMagic = 0xC5;
 }  // namespace
@@ -342,7 +332,7 @@ std::string ProtocolState::to_string() const {
     if (i != 0) out += " ";
     out += ambiguous[i].to_string();
   }
-  out += "] " + participants.to_string();
+  out += "] lf=" + last_formed.to_string() + " " + participants.to_string();
   if (!has_history) out += " (no-history)";
   return out;
 }

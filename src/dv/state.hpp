@@ -7,11 +7,11 @@
 // new session.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "dv/last_formed.hpp"
 #include "dv/session.hpp"
 #include "quorum/participants.hpp"
 #include "util/codec.hpp"
@@ -34,8 +34,9 @@ struct ProtocolState {
   std::vector<AmbiguousSession> ambiguous;
 
   /// Last_Formed(q): the last session this process formed that q was a
-  /// member of (optimized protocol, paper 5.1).
-  std::map<ProcessId, Session> last_formed;
+  /// member of (optimized protocol, paper 5.1). Each distinct session is
+  /// stored once (dv/last_formed.hpp).
+  LastFormed last_formed;
 
   /// W / A participant sets (paper section 6). Maintained by every
   /// protocol variant; only consulted when dynamic participants are

@@ -3,12 +3,13 @@
 // The paper (section 4.4) puts stable storage on the critical path of
 // every protocol step — each process must write its state change before
 // responding to the message that caused it. Snapshot-per-persist makes
-// that write O(state) (the whole Last_Formed map, every ambiguous
-// record) even when the step changed one field. WalPersistence instead
-// appends one batch of small StateDelta records per persist — O(delta)
-// bytes — and compacts the log into a fresh versioned checkpoint when it
-// outgrows the last checkpoint by a configurable factor, so steady-state
-// write cost stays near-constant in n.
+// that write O(state) (all n Last_Formed entries with their session
+// table, every ambiguous record) even when the step changed one field.
+// WalPersistence instead appends one batch of small StateDelta records
+// per persist — O(delta) bytes — and compacts the log into a fresh
+// versioned checkpoint when it outgrows the last checkpoint by a
+// configurable factor, so steady-state write cost stays near-constant
+// in n.
 //
 // Layout (two interned keys of sim::StableStorage):
 //   <prefix>       the checkpoint: either a versioned CheckpointRecord

@@ -140,6 +140,19 @@ TEST(Checkpoint, RoundTripsAndReadsLegacySnapshots) {
   EXPECT_EQ(old.covers_lsn, 0u);
 }
 
+TEST(Checkpoint, ConstructionCheckpointGrowsLinearlyInN) {
+  // Every process writes this checkpoint at construction. With one copy
+  // of the n-member start session per Last_Formed entry it grew with
+  // n^2 (19x from n = 256 to n = 1024); stored once, it grows with n.
+  auto checkpoint_bytes = [](std::uint32_t n) {
+    Encoder enc;
+    encode_checkpoint(
+        enc, ProtocolState::initial(ProcessSet::range(n), ProcessId(0)), 0);
+    return static_cast<double>(enc.size());
+  };
+  EXPECT_LT(checkpoint_bytes(1024), 8 * checkpoint_bytes(256));
+}
+
 // Options tuned so the tests cross the compaction threshold quickly.
 PersistenceOptions tight_compaction() {
   PersistenceOptions options;
@@ -232,6 +245,35 @@ TEST(WalPersistence, CrossCheckCatchesAMutationNobodyStaged) {
 
   state.session_number = 9;  // mutated... and never staged
   EXPECT_THROW(wal.commit(state), InvariantViolation);
+}
+
+TEST(WalPersistence, CrossCheckShowsALastFormedDivergence) {
+  // When replay and live state differ only in Last_Formed, the failure
+  // text must show two different lines, not two identical ones.
+  sim::StableStorage storage;
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {});
+  ProtocolState state = sample_state();
+  wal.checkpoint(state);
+
+  state.last_formed.assign(Session{ProcessSet::of({0, 1}), 3});  // unstaged
+  try {
+    wal.commit(state);
+    FAIL() << "cross-check accepted an unstaged Last_Formed change";
+  } catch (const InvariantViolation& e) {
+    const std::string what = e.what();
+    auto line_after = [&what](const std::string& label) {
+      const std::size_t at = what.find(label);
+      EXPECT_NE(at, std::string::npos) << what;
+      if (at == std::string::npos) return std::string();
+      const std::size_t from = at + label.size();
+      return what.substr(from, what.find('\n', from) - from);
+    };
+    const std::string replayed = line_after("replayed: ");
+    const std::string live = line_after("live:     ");
+    EXPECT_NE(replayed, live);
+    EXPECT_NE(live.find("({p0,p1},3)"), std::string::npos) << live;
+    EXPECT_EQ(replayed.find("({p0,p1},3)"), std::string::npos) << replayed;
+  }
 }
 
 TEST(WalPersistence, EmptyCommitWritesNothing) {

@@ -42,7 +42,8 @@ TEST(OptimizedProtocol, LastFormedGossipPropagatesOnForm) {
   const auto& state = opt(cluster, 0).state();
   const Session formed = *state.last_primary;
   for (std::uint32_t q = 0; q < 5; ++q) {
-    EXPECT_EQ(state.last_formed.at(ProcessId(q)), formed);
+    ASSERT_NE(state.last_formed.find(ProcessId(q)), nullptr);
+    EXPECT_EQ(*state.last_formed.find(ProcessId(q)), formed);
   }
 }
 
@@ -70,18 +71,19 @@ TEST(OptimizedProtocol, InfoCarriesExactlyTheLastFormedEntriesTheViewReads) {
   observe_infos(cluster, [&](const InfoPayload& info, const ProcessSet& view,
                              const OptimizedDvProtocol& sender) {
     ++infos;
-    const auto& full = sender.state().last_formed;
+    const LastFormed& full = sender.state().last_formed;
     if (info.last_formed.size() < full.size()) ++restricted;
-    for (const auto& [q, session] : info.last_formed) {
-      EXPECT_TRUE(view.contains(q)) << to_string(q) << " outside the view";
+    for (const LastFormed::Entry& e : info.last_formed) {
+      EXPECT_TRUE(view.contains(e.id))
+          << to_string(e.id) << " outside the view";
     }
     // Every entry a receiver reads, Last_Formed_sender(r), survived.
     for (ProcessId r : view) {
-      const auto want = full.find(r);
-      const auto got = info.last_formed.find(r);
-      ASSERT_EQ(got != info.last_formed.end(), want != full.end());
-      if (got != info.last_formed.end()) {
-        EXPECT_EQ(got->second, want->second);
+      const Session* want = full.find(r);
+      const Session* got = info.last_formed.find(r);
+      ASSERT_EQ(got != nullptr, want != nullptr);
+      if (got != nullptr) {
+        EXPECT_EQ(*got, *want);
       }
     }
   });
@@ -99,28 +101,26 @@ TEST(OptimizedProtocol, InfoCarriesExactlyTheLastFormedEntriesTheViewReads) {
 }
 
 TEST(OptimizedProtocol, InfoSizeIsBoundedByTheViewNotByN) {
-  // n = 64: every process holds 64 Last_Formed entries after start. An
-  // info sent in a 9-member view carries at most 9 of them.
+  // n = 64: every process holds 64 Last_Formed entries after start, all
+  // naming the 64-member start session. An info sent in a 9-member view
+  // carries at most 9 of the entries, and the session itself once.
   ClusterOptions options = optimized_options();
   options.n = 64;
   Cluster cluster(options);
   const ProcessSet nine = ProcessSet::range(9);
   std::size_t checked = 0;
   observe_infos(cluster, [&](const InfoPayload& info, const ProcessSet& view,
-                             const OptimizedDvProtocol& sender) {
+                             const OptimizedDvProtocol&) {
     if (view != nine) return;
     ++checked;
     EXPECT_LE(info.last_formed.size(), nine.size());
-    // The same info carrying the sender's whole map, for scale.
-    InfoPayload full;
-    full.session_number = info.session_number;
-    full.has_history = info.has_history;
-    full.last_primary = info.last_primary;
-    full.ambiguous = info.ambiguous;
-    full.last_formed = sender.state().last_formed;
-    full.participants = info.participants;
-    ASSERT_EQ(full.last_formed.size(), 64u);
-    EXPECT_LT(info.encoded_size() * 4, full.encoded_size());
+    // The start session is in the info twice: as Last_Primary and once
+    // in the Last_Formed table, not once per entry.
+    ASSERT_TRUE(info.last_primary.has_value());
+    ASSERT_EQ(info.last_primary->members.size(), 64u);
+    Encoder start_session;
+    info.last_primary->encode(start_session);
+    EXPECT_LT(info.encoded_size(), 3 * start_session.size());
   });
   cluster.start();
   ProcessSet rest;

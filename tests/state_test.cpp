@@ -124,10 +124,10 @@ TEST(ProtocolState, ApplyFormClearsAmbiguityAndUpdatesLastFormed) {
   state.apply_form(formed);
   EXPECT_EQ(state.last_primary, formed);
   EXPECT_TRUE(state.ambiguous.empty());
-  EXPECT_EQ(state.last_formed.at(ProcessId(1)), formed);
-  EXPECT_EQ(state.last_formed.at(ProcessId(2)), formed);
+  EXPECT_EQ(*state.last_formed.find(ProcessId(1)), formed);
+  EXPECT_EQ(*state.last_formed.find(ProcessId(2)), formed);
   // Members not in the formed session keep their old entry.
-  EXPECT_EQ(state.last_formed.at(ProcessId(4)).number, 0);
+  EXPECT_EQ(state.last_formed.find(ProcessId(4))->number, 0);
 }
 
 TEST(ProtocolState, AdoptFormedSupersedesOlderAmbiguity) {
@@ -140,7 +140,7 @@ TEST(ProtocolState, AdoptFormedSupersedesOlderAmbiguity) {
   EXPECT_EQ(state.last_primary, adopted);
   ASSERT_EQ(state.ambiguous.size(), 1u);  // only the number-3 attempt remains
   EXPECT_EQ(state.ambiguous[0].session.number, 3);
-  EXPECT_EQ(state.last_formed.at(ProcessId(3)), adopted);
+  EXPECT_EQ(*state.last_formed.find(ProcessId(3)), adopted);
 }
 
 TEST(ProtocolState, AdoptOlderThanLastPrimaryRejected) {
