@@ -271,13 +271,10 @@ struct Repl {
     } else if (command == "trace") {
       std::size_t k = 12;
       in >> k;
-      const auto& entries = live().trace().entries();
-      const std::size_t from = entries.size() > k ? entries.size() - k : 0;
-      for (std::size_t i = from; i < entries.size(); ++i) {
-        std::printf("  [%7llu] %s %s\n",
-                    static_cast<unsigned long long>(entries[i].time),
-                    to_string(entries[i].process).c_str(),
-                    entries[i].text.c_str());
+      const auto& events = live().trace().events();
+      const std::size_t from = events.size() > k ? events.size() - k : 0;
+      for (std::size_t i = from; i < events.size(); ++i) {
+        std::printf("  %s\n", obs::describe(events[i]).c_str());
       }
     } else if (command == "quit" || command == "exit") {
       return false;

@@ -233,7 +233,6 @@ void BasicDvProtocol::record_and_send_attempt(int phase) {
   record_ambiguity_level();
   persist();
   notify_attempt(session);
-  log(LogLevel::kDebug, "attempts " + session.to_string());
 
   auto attempt = std::make_shared<AttemptPayload>(phase);
   attempt->session_number = state_.session_number;

@@ -84,7 +84,6 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
   }
   if (to_adopt) {
     const Session adopted = to_adopt->session;  // copy before mutating list
-    log(LogLevel::kDebug, "resolution: adopting formed " + adopted.to_string());
     // Close the lifetime span of every record the adoption resolves: the
     // adopted session itself plus everything it supersedes (adopt_formed
     // erases all records with number <= adopted.number).

@@ -22,7 +22,14 @@ void SessionProtocolBase::on_view(const View& view) {
   session_view_ = view;
   current_phase_ = -1;
   rounds_used_ = 0;
-  collected_.assign(static_cast<std::size_t>(max_phases_), PhaseMessages{});
+  collected_.resize(static_cast<std::size_t>(max_phases_));
+  for (PhaseSlots& slots : collected_) {
+    slots.messages.clear();
+    for (ProcessId member : view.members) {
+      slots.messages.emplace_back(member, nullptr);
+    }
+    slots.filled = 0;
+  }
   notify_view_installed(view);
   begin_session(view);
 }
@@ -30,16 +37,19 @@ void SessionProtocolBase::on_view(const View& view) {
 void SessionProtocolBase::on_message(ProcessId from,
                                      const sim::PayloadPtr& payload) {
   if (!session_active_) return;  // session already ended within this view
-  auto phased = std::dynamic_pointer_cast<const PhasedPayload>(payload);
+  const auto* phased = dynamic_cast<const PhasedPayload*>(payload.get());
   ensure(phased != nullptr, "non-phased payload delivered to protocol");
   const int phase = phased->phase();
   ensure(phase >= 0 && phase < max_phases_, "phase out of range");
-  ensure(session_view_->members.contains(from), "message from non-member");
+  const ProcessSet& members = session_view_->members;
+  ensure(members.contains(from), "message from non-member");
   // FIFO channels + view gating mean no duplicates; a phase ahead of ours
   // simply waits in its bucket.
-  auto [it, inserted] =
-      collected_[static_cast<std::size_t>(phase)].emplace(from, std::move(phased));
-  ensure(inserted, "duplicate phase message");
+  PhaseSlots& slots = collected_[static_cast<std::size_t>(phase)];
+  auto& slot = slots.messages[members.index_of(from)].second;
+  ensure(slot == nullptr, "duplicate phase message");
+  slot = std::shared_ptr<const PhasedPayload>(payload, phased);
+  ++slots.filled;
   try_complete_phase();
 }
 
@@ -48,10 +58,11 @@ void SessionProtocolBase::try_complete_phase() {
   in_completion_ = true;
   while (session_active_ && current_phase_ >= 0 &&
          current_phase_ < max_phases_ &&
-         collected_[static_cast<std::size_t>(current_phase_)].size() ==
+         collected_[static_cast<std::size_t>(current_phase_)].filled ==
              session_view_->members.size()) {
     const int phase = current_phase_;
-    on_phase_complete(phase, collected_[static_cast<std::size_t>(phase)]);
+    on_phase_complete(phase,
+                      collected_[static_cast<std::size_t>(phase)].messages);
     if (current_phase_ == phase) break;  // derived didn't advance: done
   }
   in_completion_ = false;
@@ -77,7 +88,6 @@ void SessionProtocolBase::mark_primary(const Session& session) {
 void SessionProtocolBase::abort_session(const std::string& reason) {
   ensure(session_active_, "abort_session outside an active session");
   session_active_ = false;
-  log(LogLevel::kDebug, "session aborted: " + reason);
   notify_rejected(*session_view_, reason);
 }
 

@@ -14,7 +14,8 @@
 //     waits to receive the phase message from *all* members;
 //   * a phase message from a fast member can overtake a slow member's
 //     earlier-phase message (channels are FIFO per pair, not globally),
-//     so arrivals are bucketed per phase.
+//     so arrivals are bucketed per phase, into one slot per view member
+//     laid out when the view is installed.
 //
 // Concrete protocols implement begin_session (send the phase-0 message)
 // and on_phase_complete (decide: advance, form, or abort).
@@ -23,10 +24,11 @@
 // broadcast-phase shape and implements ProtocolNode directly.
 #pragma once
 
-#include <map>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dv/messages.hpp"
@@ -38,8 +40,11 @@ namespace dynvote {
 
 class SessionProtocolBase : public ProtocolNode {
  public:
-  /// Collected messages of one phase: sender -> payload.
-  using PhaseMessages = std::map<ProcessId, std::shared_ptr<const PhasedPayload>>;
+  /// Collected messages of one phase: (sender, payload) in view-member
+  /// (id) order. Handed to on_phase_complete only once every slot is
+  /// filled.
+  using PhaseMessages =
+      std::vector<std::pair<ProcessId, std::shared_ptr<const PhasedPayload>>>;
 
  protected:
   SessionProtocolBase(sim::Transport& transport, ProcessId id, int max_phases);
@@ -86,6 +91,12 @@ class SessionProtocolBase : public ProtocolNode {
   [[nodiscard]] bool session_active() const noexcept { return session_active_; }
 
  private:
+  /// One phase's slots; index i holds the message of members()[i].
+  struct PhaseSlots {
+    PhaseMessages messages;
+    std::size_t filled = 0;
+  };
+
   void try_complete_phase();
 
   int max_phases_;
@@ -94,7 +105,7 @@ class SessionProtocolBase : public ProtocolNode {
   int current_phase_ = -1;
   int rounds_used_ = 0;
   bool in_completion_ = false;
-  std::vector<PhaseMessages> collected_;
+  std::vector<PhaseSlots> collected_;
 };
 
 }  // namespace dynvote

@@ -57,7 +57,6 @@ class ProtocolNode : public sim::Node {
   void enter_primary(const Session& session, int rounds) {
     primary_ = session;
     ++formed_count_;
-    log(LogLevel::kInfo, "FORMED primary " + session.to_string());
     obs::TraceEvent event;
     event.time = now();
     event.kind = obs::TraceEventKind::kSessionFormed;

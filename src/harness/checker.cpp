@@ -11,9 +11,8 @@ ConsistencyChecker::ConsistencyChecker(const ProcessSet& core,
     : core_(core), seed_initial_(seed_initial) {
   if (seed_initial_ && !core_.empty()) {
     const Session f0{core_, 0};
-    formers_[f0] = core_;
+    formed_.insert(f0);
     formed_order_.push_back(f0);
-    attempters_[f0] = core_;
     for (ProcessId p : core_) participation_[p].push_back(f0);
   }
 }
@@ -27,7 +26,6 @@ void ConsistencyChecker::note_participation(ProcessId p,
 void ConsistencyChecker::on_attempt(SimTime /*time*/, ProcessId p,
                                     const Session& session) {
   ++attempt_events_;
-  attempters_[session].insert(p);
   note_participation(p, session);
 }
 
@@ -35,9 +33,7 @@ void ConsistencyChecker::on_formed(SimTime time, ProcessId p,
                                    const Session& session, int rounds) {
   ++form_events_;
   rounds_.add(rounds);
-  auto [it, inserted] = formers_.try_emplace(session);
-  it->second.insert(p);
-  if (inserted) formed_order_.push_back(session);
+  if (formed_.insert(session).second) formed_order_.push_back(session);
   note_participation(p, session);
   // The process enters a live primary; close a dangling interval first
   // (defensive — protocols report loss before re-forming).

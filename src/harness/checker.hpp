@@ -21,6 +21,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -111,9 +112,8 @@ class ConsistencyChecker final : public ProtocolObserver {
   ProcessSet core_;
   bool seed_initial_;
 
-  std::map<Session, ProcessSet> formers_;     // formed session -> who formed it
-  std::vector<Session> formed_order_;         // insertion order, deduped
-  std::map<Session, ProcessSet> attempters_;  // attempted session -> who
+  std::set<Session> formed_;           // dedupes formed_order_
+  std::vector<Session> formed_order_;  // insertion order
   std::map<ProcessId, std::vector<Session>> participation_;  // per process
 
   std::vector<Interval> intervals_;

@@ -25,7 +25,6 @@ Cluster::Cluster(ClusterOptions options)
   sim_.trace().set_capacity(options_.trace_capacity);
   sim_.trace().set_messages_enabled(options_.trace_messages);
   observers_.add(checker_.get());
-  observers_.add(&trace_);
   observers_.add(metrics_observer_.get());
   for (ProcessId p : config_.core) add_process(p);
   // The oracle must subscribe after nodes exist but before any topology

@@ -60,7 +60,9 @@ class Cluster {
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] MembershipOracle& oracle() noexcept { return *oracle_; }
   [[nodiscard]] ConsistencyChecker& checker() noexcept { return *checker_; }
-  [[nodiscard]] TraceRecorder& trace() noexcept { return trace_; }
+  /// The structured trace, sim().trace(); obs::describe renders an
+  /// event as one narrative line.
+  [[nodiscard]] obs::TraceSink& trace() noexcept { return sim_.trace(); }
   [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
   [[nodiscard]] const ProcessSet& core() const noexcept { return config_.core; }
 
@@ -125,7 +127,6 @@ class Cluster {
   ClusterOptions options_;
   sim::Simulator sim_;
   std::unique_ptr<ConsistencyChecker> checker_;
-  TraceRecorder trace_;
   std::unique_ptr<MetricsObserver> metrics_observer_;
   MultiObserver observers_;
   std::unique_ptr<MembershipOracle> oracle_;

@@ -1,7 +1,5 @@
 #include "harness/events.hpp"
 
-#include <sstream>
-
 namespace dynvote {
 
 void MultiObserver::add(ProtocolObserver* observer) {
@@ -31,46 +29,6 @@ void MultiObserver::on_session_rejected(SimTime time, ProcessId p,
                                         const View& view,
                                         const std::string& reason) {
   for (auto* o : observers_) o->on_session_rejected(time, p, view, reason);
-}
-
-void TraceRecorder::add(SimTime time, ProcessId p, std::string text) {
-  entries_.push_back(Entry{time, p, std::move(text)});
-}
-
-void TraceRecorder::on_view_installed(SimTime time, ProcessId p,
-                                      const View& view) {
-  add(time, p, "installs view " + dynvote::to_string(view));
-}
-
-void TraceRecorder::on_attempt(SimTime time, ProcessId p,
-                               const Session& session) {
-  add(time, p, "ATTEMPTS " + session.to_string());
-}
-
-void TraceRecorder::on_formed(SimTime time, ProcessId p, const Session& session,
-                              int rounds) {
-  add(time, p,
-      "FORMS " + session.to_string() + " after " + std::to_string(rounds) +
-          " rounds");
-}
-
-void TraceRecorder::on_primary_lost(SimTime time, ProcessId p) {
-  add(time, p, "leaves the primary component");
-}
-
-void TraceRecorder::on_session_rejected(SimTime time, ProcessId p,
-                                        const View& view,
-                                        const std::string& reason) {
-  add(time, p, "rejects view " + dynvote::to_string(view) + ": " + reason);
-}
-
-std::string TraceRecorder::to_string() const {
-  std::ostringstream out;
-  for (const Entry& entry : entries_) {
-    out << "[" << entry.time << "us] " << dynvote::to_string(entry.process)
-        << " " << entry.text << "\n";
-  }
-  return out.str();
 }
 
 MetricsObserver::MetricsObserver(obs::MetricsRegistry& registry)

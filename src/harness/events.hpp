@@ -1,4 +1,4 @@
-// Observer plumbing: fan-out, human-readable traces, metrics bridge.
+// Observer plumbing: fan-out and the metrics bridge.
 #pragma once
 
 #include <set>
@@ -11,8 +11,7 @@
 namespace dynvote {
 
 /// Forwards protocol events to any number of observers (the cluster
-/// always installs the consistency checker; benches add trace recorders
-/// or metric collectors alongside).
+/// installs the consistency checker and the metrics bridge).
 class MultiObserver final : public ProtocolObserver {
  public:
   /// Borrowed; callers keep the observers alive for the run.
@@ -28,39 +27,6 @@ class MultiObserver final : public ProtocolObserver {
 
  private:
   std::vector<ProtocolObserver*> observers_;
-};
-
-/// Records every protocol event as a timestamped line — the narrative
-/// output of the scenario benches (experiments E1/E2) and a debugging
-/// aid everywhere else.
-class TraceRecorder final : public ProtocolObserver {
- public:
-  struct Entry {
-    SimTime time;
-    ProcessId process;
-    std::string text;
-  };
-
-  void on_view_installed(SimTime time, ProcessId p, const View& view) override;
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
-
-  [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
-    return entries_;
-  }
-  void clear() { entries_.clear(); }
-
-  /// Renders all entries, one per line.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  void add(SimTime time, ProcessId p, std::string text);
-
-  std::vector<Entry> entries_;
 };
 
 /// Bridges protocol events into a MetricsRegistry: session counters plus

@@ -3,9 +3,9 @@
 // Monte-Carlo experiments (bench_availability, bench_scale, the random
 // schedules of bench_ambiguous_growth) run many fully independent
 // simulations — one per (seed, config) cell — and then aggregate. Each
-// Simulator is self-contained (own EventQueue, Network, Logger, RNG,
-// trace sink), so the cells can run on a thread pool without sharing
-// anything.
+// Simulator is self-contained (own EventQueue, Network, RNG, trace
+// sink, metrics registry), so the cells can run on a thread pool without
+// sharing anything.
 //
 // The determinism contract survives parallelism by construction:
 //   1. each job computes exactly what the serial loop computed for the

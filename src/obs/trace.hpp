@@ -1,16 +1,15 @@
 // Structured, deterministic event tracing with causal links.
 //
-// The TraceSink is the machine-readable counterpart of the narrative
-// TraceRecorder in harness/events.hpp: instead of prose it records flat
+// The TraceSink is the one record of protocol events. It keeps flat
 // TraceEvent structs — message send/drop/deliver with cause, session
 // attempt/form/abort with the eligibility verdict, topology changes,
 // crashes and recoveries, ambiguous-record high-water marks, and the
 // optimized protocol's ambiguity resolutions/adoptions. The harness
 // replays these events through the consistency checker
 // (harness/trace_replay.hpp) to re-verify C1 and the Theorem-1 ambiguity
-// bound from an exported trace alone, and obs/spans.hpp folds the stream
+// bound from an exported trace alone, obs/spans.hpp folds the stream
 // into causal spans (session lifecycles, ambiguity lifetimes, primary
-// tenures).
+// tenures), and describe() renders each event as one narrative line.
 //
 // Causality: the sink assigns every recorded event a monotonically
 // increasing event id (eid, starting at 1), producers stamp each event
@@ -116,6 +115,11 @@ struct TraceEvent {
 /// Inverse of to_json(TraceEvent). Throws JsonError when a required
 /// field (t, k, a, e) is missing.
 [[nodiscard]] TraceEvent trace_event_from_json(const JsonValue& value);
+
+/// One narrative line, e.g. "[120us] #7 formed p0 session 1 {p0,p1,p2}
+/// after 2 rounds (L=9) <- #5": what `dvtrace timeline`, the examples
+/// and scenario_cli's `trace` command print.
+[[nodiscard]] std::string describe(const TraceEvent& e);
 
 /// Run-level context exported alongside the events so a trace file is
 /// self-describing: replay needs the core set, Min_Quorum, and whether

@@ -21,8 +21,6 @@ constexpr auto kQuiesceTimeout = std::chrono::seconds(60);
 constexpr std::size_t kMinLinkCapacity = 256;
 /// Floor on each controller->worker control queue's capacity.
 constexpr std::size_t kMinControlCapacity = 128;
-/// Per-process logger threshold.
-constexpr LogLevel kLogLevel = LogLevel::kWarn;
 /// Per-process trace-ring capacity. Bounded so long benches don't grow
 /// trace memory without limit; far above any cross-check scenario's
 /// event count, so digests are unaffected.
@@ -30,9 +28,14 @@ constexpr std::size_t kTraceCapacity = 65536;
 }  // namespace
 
 PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w)
-    : id(pid), index(idx), worker(w) {
+    : id(pid),
+      index(idx),
+      worker(w),
+      sent(metrics.counter("rt.sent")),
+      delivered(metrics.counter("rt.delivered")),
+      dropped_unroutable(metrics.counter("rt.dropped_unroutable")),
+      dropped_link_epoch(metrics.counter("rt.dropped_link_epoch")) {
   trace.set_capacity(kTraceCapacity);
-  logger.set_level(kLogLevel);
 }
 
 PoolTransport::Worker::Worker(std::uint32_t idx, std::uint32_t num_workers,
@@ -142,11 +145,11 @@ void PoolTransport::send(sim::Envelope env) {
   if ((st & 1) == 0) {
     // Not connected at send time: silently lost, like Network's
     // unroutable/filtered drop.
-    from.metrics.counter("rt.dropped_unroutable").increment();
+    from.dropped_unroutable.increment();
     return;
   }
   env.lamport = ++from.lamport;
-  from.metrics.counter("rt.sent").increment();
+  from.sent.increment();
 
   Worker& me = *workers_[from.worker];  // we are executing on this thread
   obs::ProbeRing* const probe = me.probe.get();
@@ -228,12 +231,6 @@ std::uint64_t PoolTransport::lamport_tick(ProcessId p) {
 
 std::uint64_t PoolTransport::last_topology_eid(ProcessId p) const {
   return slot(p).last_topo_eid;
-}
-
-void PoolTransport::log(ProcessId p, LogLevel level,
-                        const std::string& message) {
-  Slot& s = slot(p);
-  s.logger.log(now(), level, to_string(p), message);
 }
 
 // -- controller surface -----------------------------------------------------
@@ -668,11 +665,11 @@ void PoolTransport::handle_message(Worker& me, PoolItem& item,
   if ((st & 1) == 0 || (st >> 1) != item.epoch) {
     // The link was cut (or cut and re-formed) while the message was in
     // flight: partition semantics say it is lost.
-    to.metrics.counter("rt.dropped_link_epoch").increment();
+    to.dropped_link_epoch.increment();
     return;
   }
   to.lamport = std::max(to.lamport, item.env.lamport) + 1;
-  to.metrics.counter("rt.delivered").increment();
+  to.delivered.increment();
   obs::ProbeRing* const probe = me.probe.get();
   if (probe) {
     const std::uint64_t t = now_ns();

@@ -62,8 +62,8 @@
 // worker that owns the acting process (the sim::Node handlers run
 // there); the controller surface (lifecycle, topology, post_view,
 // run_on, quiesce, probe snapshots) only from the single controlling
-// thread. Per-process observability state (trace/metrics/storage/
-// logger) is unsynchronized; the controller may touch it only through
+// thread. Per-process observability state (trace/metrics/storage) is
+// unsynchronized; the controller may touch it only through
 // run_on + quiesce, or after stop_and_join.
 #pragma once
 
@@ -86,14 +86,13 @@
 #include "sim/stable_storage.hpp"
 #include "sim/transport.hpp"
 #include "util/ids.hpp"
-#include "util/log.hpp"
 #include "util/process_set.hpp"
 
 namespace dynvote::runtime {
 
 /// The runtime's caller-settable knobs. Ring, control-queue and trace
-/// capacities and the log level are fixed in pool_transport.cpp: the
-/// pool sizes its queues from the shard size.
+/// capacities are fixed in pool_transport.cpp: the pool sizes its queues
+/// from the shard size.
 struct RuntimeOptions {
   /// Timer-wheel slot granularity, microseconds.
   SimTime wheel_tick_us = 1024;
@@ -137,7 +136,6 @@ class PoolTransport final : public sim::Transport {
   [[nodiscard]] obs::MetricsRegistry& metrics(ProcessId p) override;
   std::uint64_t lamport_tick(ProcessId p) override;
   [[nodiscard]] std::uint64_t last_topology_eid(ProcessId p) const override;
-  void log(ProcessId p, LogLevel level, const std::string& message) override;
 
   // -- controller surface ---------------------------------------------------
 
@@ -232,8 +230,14 @@ class PoolTransport final : public sim::Transport {
     sim::Node* node = nullptr;
     obs::TraceSink trace;
     obs::MetricsRegistry metrics;
+    /// The rt.* counters of `metrics`, resolved once because the send
+    /// and delivery paths bump them per message (map nodes are stable,
+    /// and MetricsRegistry::reset zeroes them in place).
+    obs::Counter& sent;
+    obs::Counter& delivered;
+    obs::Counter& dropped_unroutable;
+    obs::Counter& dropped_link_epoch;
     sim::StableStorage storage;
-    Logger logger;
     std::uint64_t lamport = 0;        // worker-owned
     std::uint64_t last_topo_eid = 0;  // worker-owned
     /// Controller-side bookkeeping (controller thread only).

@@ -6,20 +6,29 @@
 
 namespace dynvote::sim {
 
-// The SBO budget is chosen so one heap entry is exactly two cache
-// lines; a capacity bump that silently fattens every scheduled event
-// must fail here, not in a profile.
+// A capacity bump that silently fattens every slab slot must fail
+// here, not in a profile.
 static_assert(sizeof(EventQueue::Action) == 112,
               "Action = 88-byte SBO + 3 dispatch pointers");
 static_assert(alignof(EventQueue::Action) == alignof(std::max_align_t),
               "SBO storage must hold max-aligned captures");
 
 EventToken EventQueue::schedule_at(SimTime t, Action action) {
-  static_assert(sizeof(Entry) == 128, "one event entry = two cache lines");
+  static_assert(sizeof(Key) == 24, "a sift moves 24-byte keys");
   ensure(t >= now_, "scheduling into the past");
   ensure(static_cast<bool>(action), "scheduling an empty action");
-  EventToken token = next_token_++;
-  heap_.push_back(Entry{t, token, std::move(action)});
+  std::uint32_t slot = 0;
+  if (free_.empty()) {
+    ensure(slab_.size() < kDead, "event slab full");
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(std::move(action));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(action);
+  }
+  const EventToken token = next_token_++;
+  heap_.push_back(Key{t, token, slot});
   std::push_heap(heap_.begin(), heap_.end(), After{});
   ++live_;
   return token;
@@ -30,12 +39,14 @@ EventToken EventQueue::schedule_after(SimTime delay, Action action) {
 }
 
 bool EventQueue::cancel(EventToken token) {
-  // Linear scan, as before the heap rewrite: cancellation is a cold path
-  // (timers being superseded), and tombstoning in place keeps the heap
-  // intact — the entry is discarded when it reaches the top.
-  for (Entry& entry : heap_) {
-    if (entry.token == token && entry.action) {
-      entry.action.reset();
+  // Cancellation is a cold path (timers being superseded): marking the
+  // key dead keeps the heap intact, and the key is discarded when it
+  // reaches the top. The slot is freed at once.
+  for (Key& key : heap_) {
+    if (key.token == token && key.slot != kDead) {
+      slab_[key.slot].reset();
+      free_.push_back(key.slot);
+      key.slot = kDead;
       --live_;
       return true;
     }
@@ -44,7 +55,7 @@ bool EventQueue::cancel(EventToken token) {
 }
 
 void EventQueue::skim_tombstones() {
-  while (!heap_.empty() && !heap_.front().action) {
+  while (!heap_.empty() && heap_.front().slot == kDead) {
     std::pop_heap(heap_.begin(), heap_.end(), After{});
     heap_.pop_back();
   }
@@ -54,12 +65,16 @@ bool EventQueue::run_next() {
   skim_tombstones();
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), After{});
-  Entry entry = std::move(heap_.back());
+  const Key key = heap_.back();
   heap_.pop_back();
-  now_ = entry.time;
+  // Out of the slab before it runs: the action may schedule events that
+  // reallocate the slab or reuse this slot.
+  Action action = std::move(slab_[key.slot]);
+  free_.push_back(key.slot);
+  now_ = key.time;
   --live_;
   ++executed_;
-  entry.action();
+  action();
   return true;
 }
 

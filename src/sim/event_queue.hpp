@@ -4,13 +4,17 @@
 // at a SimTime; ties are broken by insertion sequence so executions are
 // fully deterministic (same seed => same trace, byte for byte).
 //
-// Storage is a flat binary min-heap over (time, seq) rather than a
-// red-black tree: push/pop touch a contiguous vector (no per-event node
-// allocation, cache-friendly sift paths), and the callback type keeps
-// captures up to ~100 bytes inline so the common scheduling path —
-// including the network's delivery closure with its full Envelope —
-// allocates nothing. Cancellation tombstones the entry in place; dead
-// entries are discarded lazily when they surface at the heap top.
+// Storage is split in two. A flat binary min-heap orders 24-byte keys
+// (time, token, slot), and the actions live in a slab indexed by slot,
+// with a free list of vacated slots. A heap sift moves keys only, never
+// the 112-byte callables (whose move is an indirect call): each action
+// moves once into its slot when scheduled and once out of it just
+// before it runs. The callback type keeps captures up to 88 bytes
+// inline, so the common scheduling path — including the network's
+// delivery closure with its full Envelope — allocates nothing once the
+// slab has grown. cancel() scans the keys linearly, frees the slot and
+// marks the key dead; dead keys are discarded lazily when they surface
+// at the heap top.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +33,9 @@ class EventQueue {
  public:
   /// Inline capacity (the 88-byte InlineFunction default) covers the
   /// network's delivery closure (an Envelope plus a pointer and an
-  /// epoch, 64 bytes) with headroom while keeping one heap entry at
-  /// exactly two cache lines; larger captures fall back to one heap
-  /// box, never silently truncate. Same type as sim::TimerAction, so
-  /// Transport::schedule_timer forwards into the queue move-only.
+  /// epoch, 64 bytes) with headroom; larger captures fall back to one
+  /// heap box, never silently truncate. Same type as sim::TimerAction,
+  /// so Transport::schedule_timer forwards into the queue move-only.
   using Action = InlineFunction<void()>;
 
   /// How a bounded run ended: the queue ran dry, or the event budget was
@@ -56,7 +59,8 @@ class EventQueue {
   EventToken schedule_after(SimTime delay, Action action);
 
   /// Cancels a pending event. Returns false if it already ran or was
-  /// cancelled (cancelling twice is harmless).
+  /// cancelled (cancelling twice is harmless). O(pending): a scan over
+  /// the heap keys, which is fine for the cold timer-superseding path.
   bool cancel(EventToken token);
 
   /// Runs the earliest pending event, advancing the clock to it.
@@ -81,28 +85,33 @@ class EventQueue {
   [[nodiscard]] std::size_t executed() const noexcept { return executed_; }
 
  private:
-  struct Entry {
+  /// Heap key of one pending event; `slot` indexes slab_, or is kDead
+  /// once the event was cancelled (its slot is already free).
+  struct Key {
     SimTime time = 0;
     EventToken token = 0;
-    Action action;  // empty == cancelled (tombstone)
+    std::uint32_t slot = 0;
   };
+  static constexpr std::uint32_t kDead = UINT32_MAX;
 
-  /// std::push_heap/pop_heap build a max-heap; order entries so the
+  /// std::push_heap/pop_heap build a max-heap; order keys so the
   /// earliest (time, token) surfaces at the top.
   struct After {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       return b.time < a.time || (b.time == a.time && b.token < a.token);
     }
   };
 
-  /// Discards tombstones sitting at the heap top.
+  /// Discards dead keys sitting at the heap top.
   void skim_tombstones();
 
   SimTime now_ = 0;
   EventToken next_token_ = 1;
   std::size_t executed_ = 0;
-  std::size_t live_ = 0;  // heap entries that are not tombstones
-  std::vector<Entry> heap_;
+  std::size_t live_ = 0;  // heap keys that are not dead
+  std::vector<Key> heap_;
+  std::vector<Action> slab_;         // empty where the slot is free
+  std::vector<std::uint32_t> free_;  // vacated slab slots, reused LIFO
 };
 
 }  // namespace dynvote::sim

@@ -7,12 +7,10 @@
 
 namespace dynvote::sim {
 
-Network::Network(EventQueue& queue, Rng rng, Logger& logger,
-                 LatencyModel latency, obs::TraceSink& trace,
-                 obs::MetricsRegistry& metrics)
+Network::Network(EventQueue& queue, Rng rng, LatencyModel latency,
+                 obs::TraceSink& trace, obs::MetricsRegistry& metrics)
     : queue_(queue),
       rng_(rng),
-      logger_(logger),
       latency_(latency),
       trace_(trace),
       metrics_(metrics),
@@ -97,11 +95,6 @@ void Network::set_components(const std::vector<ProcessSet>& groups) {
   }
   bump_epochs_for_disconnections(before);
   prune_stale_fifo_tails();
-  logger_.log(queue_.now(), LogLevel::kDebug, "net", [&] {
-    std::string s = "components:";
-    for (const auto& c : live_components()) s += " " + c.to_string();
-    return s;
-  }());
   record_topology(/*cause=*/0);
   notify_topology_changed();
 }
@@ -124,8 +117,6 @@ void Network::set_alive(ProcessId p, bool alive) {
   }
   bump_epochs_for_disconnections(before);
   prune_stale_fifo_tails();
-  logger_.log(queue_.now(), LogLevel::kDebug, "net",
-              to_string(p) + (alive ? " recovered" : " crashed"));
   obs::TraceEvent event;
   event.time = queue_.now();
   event.kind = alive ? obs::TraceEventKind::kProcessRecover
@@ -306,9 +297,6 @@ void Network::send(Envelope env) {
   if (drop_filter_ && drop_filter_(env)) {
     bytes_rejected_.add(size);
     count_drop(env, obs::DropCause::kFilter);
-    logger_.log(queue_.now(), LogLevel::kDebug, "net",
-                "filter dropped " + env.payload->type_name() + " " +
-                    to_string(env.from) + "->" + to_string(env.to));
     return;
   }
   if (!connected(env.from, env.to)) {

@@ -32,7 +32,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/message.hpp"
 #include "util/ids.hpp"
-#include "util/log.hpp"
 #include "util/process_set.hpp"
 #include "util/rng.hpp"
 
@@ -69,7 +68,7 @@ class Network {
   /// crash, recovery). The membership oracle subscribes to this.
   using TopologyObserver = std::function<void()>;
 
-  Network(EventQueue& queue, Rng rng, Logger& logger, LatencyModel latency,
+  Network(EventQueue& queue, Rng rng, LatencyModel latency,
           obs::TraceSink& trace, obs::MetricsRegistry& metrics);
 
   /// Registers a process. All processes start alive, each in its own
@@ -219,7 +218,6 @@ class Network {
 
   EventQueue& queue_;
   Rng rng_;
-  Logger& logger_;
   LatencyModel latency_;
   obs::TraceSink& trace_;
   obs::MetricsRegistry& metrics_;

@@ -33,7 +33,6 @@ void Node::deliver_view(const View& view) {
   }
   buffered_ = std::move(keep);
 
-  log(LogLevel::kDebug, "installs view " + to_string(view));
   on_view(view);
   for (auto& env : ready) {
     if (!alive_) break;
@@ -57,14 +56,12 @@ void Node::crash() {
   alive_ = false;
   view_.reset();
   buffered_.clear();
-  log(LogLevel::kDebug, "crashed");
   on_crash();
 }
 
 void Node::recover() {
   if (alive_) return;
   alive_ = true;
-  log(LogLevel::kDebug, "recovering");
   on_recover();
 }
 
@@ -100,10 +97,6 @@ std::uint64_t Node::lamport_tick() { return transport_.lamport_tick(id_); }
 
 std::uint64_t Node::last_topology_eid() const {
   return transport_.last_topology_eid(id_);
-}
-
-void Node::log(LogLevel level, const std::string& message) const {
-  transport_.log(id_, level, message);
 }
 
 }  // namespace dynvote::sim

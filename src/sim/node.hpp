@@ -22,7 +22,6 @@
 #include "sim/message.hpp"
 #include "sim/transport.hpp"
 #include "util/ids.hpp"
-#include "util/log.hpp"
 
 namespace dynvote::sim {
 
@@ -107,8 +106,6 @@ class Node {
   /// Trace-event id of the topology change that last reshaped this
   /// process's component (0 = none); the causal parent of view installs.
   [[nodiscard]] std::uint64_t last_topology_eid() const;
-
-  void log(LogLevel level, const std::string& message) const;
 
  private:
   Transport& transport_;

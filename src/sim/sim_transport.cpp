@@ -37,9 +37,4 @@ std::uint64_t SimTransport::last_topology_eid(ProcessId p) const {
   return sim_.network().last_topology_eid(p);
 }
 
-void SimTransport::log(ProcessId p, LogLevel level,
-                       const std::string& message) {
-  sim_.logger().log(sim_.now(), level, to_string(p), message);
-}
-
 }  // namespace dynvote::sim

@@ -2,7 +2,7 @@
 //
 // A thin adapter over the Simulator's existing parts — Network for
 // sends and Lamport clocks, EventQueue for timers, the shared TraceSink
-// / MetricsRegistry / Logger / per-process StableStorage map. Owned by
+// / MetricsRegistry / per-process StableStorage map. Owned by
 // the Simulator itself (sim.transport()); protocol nodes hold only the
 // Transport& and never see the Simulator.
 #pragma once
@@ -27,7 +27,6 @@ class SimTransport final : public Transport {
   [[nodiscard]] obs::MetricsRegistry& metrics(ProcessId p) override;
   std::uint64_t lamport_tick(ProcessId p) override;
   [[nodiscard]] std::uint64_t last_topology_eid(ProcessId p) const override;
-  void log(ProcessId p, LogLevel level, const std::string& message) override;
 
  private:
   Simulator& sim_;

@@ -6,7 +6,7 @@ namespace dynvote::sim {
 
 Simulator::Simulator(SimulatorOptions options)
     : rng_(options.seed),
-      network_(queue_, Rng(options.seed ^ 0x9E3779B97F4A7C15ULL), logger_,
+      network_(queue_, Rng(options.seed ^ 0x9E3779B97F4A7C15ULL),
                options.latency, trace_, metrics_) {
   trace_.bind_metrics(metrics_);
 }
@@ -54,15 +54,7 @@ void Simulator::crash_and_destroy_disk(ProcessId p) {
 }
 
 std::size_t Simulator::run_to_quiescence(std::size_t max_events) {
-  const EventQueue::DrainResult result = queue_.drain(max_events);
-  if (result.status == EventQueue::DrainStatus::kEventLimit) {
-    logger_.log(queue_.now(), LogLevel::kWarn, "sim",
-                "run_to_quiescence stopped at the " +
-                    std::to_string(max_events) + "-event budget with " +
-                    std::to_string(queue_.pending()) +
-                    " events still pending (runaway schedule?)");
-  }
-  return result.executed;
+  return queue_.run_all(max_events);
 }
 
 std::size_t Simulator::run_until(SimTime t) { return queue_.run_until(t); }

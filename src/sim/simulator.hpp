@@ -1,7 +1,7 @@
 // Simulator: the composition root for one simulated execution.
 //
 // Owns virtual time, the network, per-process stable storage, the random
-// stream, the logger, and the registered nodes. Scenario scripts and the
+// stream, and the registered nodes. Scenario scripts and the
 // availability harness drive executions exclusively through this class.
 #pragma once
 
@@ -17,7 +17,6 @@
 #include "sim/sim_transport.hpp"
 #include "sim/stable_storage.hpp"
 #include "util/ids.hpp"
-#include "util/log.hpp"
 #include "util/process_set.hpp"
 #include "util/rng.hpp"
 
@@ -34,7 +33,6 @@ class Simulator {
 
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
   [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }
-  [[nodiscard]] Logger& logger() noexcept { return logger_; }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] Network& network() noexcept { return network_; }
 
@@ -81,9 +79,9 @@ class Simulator {
   // -- execution ---------------------------------------------------------------
 
   /// Runs every pending event (bounded by max_events as a runaway guard).
-  /// Returns number of events executed. A tripped event budget logs a
-  /// warning and leaves the queue non-empty — callers that must fail
-  /// loudly check queue().empty() afterwards (Cluster::settle does).
+  /// Returns number of events executed. A tripped event budget leaves
+  /// the queue non-empty — callers that must fail loudly check
+  /// queue().empty() afterwards (Cluster::settle does).
   std::size_t run_to_quiescence(
       std::size_t max_events = EventQueue::kDefaultMaxEvents);
 
@@ -94,7 +92,6 @@ class Simulator {
   std::size_t advance(SimTime delta) { return run_until(now() + delta); }
 
  private:
-  Logger logger_;
   Rng rng_;
   EventQueue queue_;
   obs::TraceSink trace_;

@@ -3,7 +3,7 @@
 //
 // Every protocol node talks to the world through exactly this surface:
 // point-to-point sends, a clock, per-process timers, stable storage, and
-// the observability sinks (trace, metrics, logger, Lamport clock). Two
+// the observability sinks (trace, metrics, Lamport clock). Two
 // implementations exist:
 //
 //  * sim::SimTransport — the discrete-event simulator (sim/network.hpp
@@ -30,7 +30,6 @@
 #include "sim/message.hpp"
 #include "util/ids.hpp"
 #include "util/inline_function.hpp"
-#include "util/log.hpp"
 
 namespace dynvote::obs {
 class MetricsRegistry;
@@ -90,10 +89,6 @@ class Transport {
   /// Trace-event id of the topology change that last reshaped p's
   /// component (0 = none); the causal parent of view installs.
   [[nodiscard]] virtual std::uint64_t last_topology_eid(ProcessId p) const = 0;
-
-  /// Structured log line attributed to p.
-  virtual void log(ProcessId p, LogLevel level,
-                   const std::string& message) = 0;
 };
 
 }  // namespace dynvote::sim

@@ -8,12 +8,11 @@
 // that, so the common scheduling path performs no allocation at all.
 //
 // The default capacity is 88 bytes: with the three dispatch pointers
-// that makes sizeof(InlineFunction) == 112, and an EventQueue entry
-// (time + token + action) exactly two cache lines (128 bytes). The
-// largest hot closure — the network's delivery capture of {Network*,
-// Envelope, epoch} — is 64 bytes and stays inline; anything bigger
-// (the membership oracle's view closure, cold path) takes the box.
-// tests/perf_structures_test.cpp pins these sizes.
+// that makes sizeof(InlineFunction) == 112, one EventQueue slab slot.
+// The largest hot closure — the network's delivery capture of
+// {Network*, Envelope, epoch} — is 64 bytes and stays inline; anything
+// bigger (the membership oracle's view closure, cold path) takes the
+// box. tests/perf_structures_test.cpp pins these sizes.
 #pragma once
 
 #include <cstddef>

@@ -166,14 +166,19 @@ TEST(Trace, RecordsProtocolNarrative) {
   options.n = 3;
   Cluster cluster(options);
   cluster.start();
-  const auto& entries = cluster.trace().entries();
-  ASSERT_FALSE(entries.empty());
-  bool saw_form = false;
-  for (const auto& entry : entries) {
-    saw_form |= entry.text.find("FORMS") != std::string::npos;
+  // Each member forms session 1 of {p0,p1,p2} in two rounds, and each
+  // formation renders as exactly one "after N rounds" line.
+  ProcessSet formers;
+  for (const obs::TraceEvent& event : cluster.trace().events()) {
+    const std::string line = obs::describe(event);
+    if (line.find(" rounds") == std::string::npos) continue;
+    EXPECT_EQ(event.kind, obs::TraceEventKind::kSessionFormed) << line;
+    const std::string tail = " formed p" + std::to_string(event.a.value()) +
+                             " session 1 {p0,p1,p2} after 2 rounds";
+    EXPECT_NE(line.find(tail), std::string::npos) << line;
+    EXPECT_TRUE(formers.insert(event.a)) << line;
   }
-  EXPECT_TRUE(saw_form);
-  EXPECT_FALSE(cluster.trace().to_string().empty());
+  EXPECT_EQ(formers, ProcessSet::range(3));
 }
 
 TEST(Cluster, LivePrimaryNulloptWhenNoneOrAmbiguous) {

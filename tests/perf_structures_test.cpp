@@ -325,10 +325,11 @@ TEST(ProcessSetProperty, DegenerateQuorumPredicatesAreNotVacuouslyTrue) {
 // InlineFunction: the cache-line budget of the event-queue hot path.
 
 TEST(InlineFunctionSize, EventQueueEntryIsExactlyTwoCacheLines) {
-  // The SBO capacity is chosen so time (8) + token (8) + action (112)
-  // pack one event entry into exactly two cache lines. Any change to
-  // kInlineFunctionDefaultCapacity or the dispatch-pointer layout that
-  // breaks this budget must be a conscious decision, not drift.
+  // The 88-byte SBO capacity plus three dispatch pointers make the
+  // 112-byte Action that fills one EventQueue slab slot (the heap itself
+  // orders 24-byte keys). Any change to kInlineFunctionDefaultCapacity
+  // or the dispatch-pointer layout that changes this size must be a
+  // conscious decision, not drift.
   EXPECT_EQ(kInlineFunctionDefaultCapacity, 88u);
   EXPECT_EQ(sizeof(InlineFunction<void()>),
             kInlineFunctionDefaultCapacity + 3 * sizeof(void (*)()));
@@ -343,8 +344,9 @@ TEST(InlineFunctionSize, EventQueueEntryIsExactlyTwoCacheLines) {
 TEST(InlineFunctionSize, DeliverySizedCaptureFitsAndOversizedBoxWorks) {
   // The hot delivery closure (~64 bytes of capture) must fit the SBO;
   // an oversized capture must still work through the heap box, and both
-  // must survive the relocate path (EventQueue moves entries on heap
-  // sift). Behavior check — allocation counting would be brittle here.
+  // must survive the relocate path (EventQueue moves an action into its
+  // slab slot and out again to run it). Behavior check — allocation
+  // counting would be brittle here.
   struct Delivery {
     unsigned char payload[64];
   };

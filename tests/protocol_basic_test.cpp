@@ -306,5 +306,61 @@ TEST(BasicProtocol, AttemptRecordedWhenFormIsCut) {
   expect_consistent(cluster);
 }
 
+// ---- SessionProtocolBase's phase-message guards -----------------------------
+
+class StrayPayload final : public sim::MessagePayload {
+ public:
+  [[nodiscard]] std::string type_name() const override { return "stray"; }
+  [[nodiscard]] std::size_t encoded_size() const override { return 1; }
+};
+
+/// Installs the view {p0,p1,p2} at p0 without running the simulation, so
+/// p0's session waits in phase 0 for all three infos, then hands `sends`
+/// to p0 in that view. Returns the InvariantViolation text, or "".
+std::string deliver_to_waiting_session(
+    const std::vector<std::pair<ProcessId, sim::PayloadPtr>>& sends) {
+  ClusterOptions options = basic_options();
+  options.n = 3;
+  Cluster cluster(options);
+  ProtocolNode& node = cluster.protocol(ProcessId(0));
+  const View view{ViewId(1), ProcessSet::range(3)};
+  node.deliver_view(view);
+  try {
+    for (const auto& [from, payload] : sends) {
+      node.deliver_message(sim::Envelope{from, ProcessId(0), view.id, payload});
+    }
+  } catch (const InvariantViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PhaseMessageGuard, RejectsANonPhasedPayload) {
+  const std::string what = deliver_to_waiting_session(
+      {{ProcessId(1), std::make_shared<StrayPayload>()}});
+  EXPECT_NE(what.find("non-phased payload"), std::string::npos) << what;
+}
+
+TEST(PhaseMessageGuard, RejectsAPhasePastTheLast) {
+  // The basic protocol has two phases: info (0) and attempt (1).
+  const std::string what = deliver_to_waiting_session(
+      {{ProcessId(1), std::make_shared<AttemptPayload>(2)}});
+  EXPECT_NE(what.find("phase out of range"), std::string::npos) << what;
+}
+
+TEST(PhaseMessageGuard, RejectsASenderOutsideTheSessionView) {
+  const std::string what = deliver_to_waiting_session(
+      {{ProcessId(7), std::make_shared<InfoPayload>()}});
+  EXPECT_NE(what.find("message from non-member"), std::string::npos) << what;
+}
+
+TEST(PhaseMessageGuard, RejectsASecondMessageFromOneSenderInOnePhase) {
+  const auto info = std::make_shared<InfoPayload>();
+  EXPECT_EQ(deliver_to_waiting_session({{ProcessId(1), info}}), "");
+  const std::string what =
+      deliver_to_waiting_session({{ProcessId(1), info}, {ProcessId(1), info}});
+  EXPECT_NE(what.find("duplicate phase message"), std::string::npos) << what;
+}
+
 }  // namespace
 }  // namespace dynvote

@@ -94,6 +94,64 @@ TEST(EventQueue, RunAllHonorsEventLimit) {
   EXPECT_FALSE(q.empty());
 }
 
+// -- the action slab: slots are vacated when an event runs or is
+// cancelled and handed to the next schedule_at.
+
+TEST(EventQueue, ActionMayGrowTheSlabWhileItRuns) {
+  EventQueue q;
+  std::vector<int> ran;
+  // The captured string sits in the action's inline storage (a const
+  // capture would not be nothrow-movable and would be boxed instead);
+  // were the action run in place, the slab growth below would free it.
+  std::string tag(64, 'x');
+  bool tag_intact = false;
+  q.schedule_at(1, [&q, &ran, &tag_intact, tag] {
+    for (int i = 0; i < 1000; ++i) {
+      q.schedule_at(2, [&ran, i] { ran.push_back(i); });
+    }
+    tag_intact = tag == std::string(64, 'x');
+  });
+  q.run_all();
+  EXPECT_TRUE(tag_intact);
+  ASSERT_EQ(ran.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(ran[static_cast<std::size_t>(i)], i);
+}
+
+TEST(EventQueue, CancelAfterSlotReuseLeavesTheNewOccupant) {
+  EventQueue q;
+  int old_ran = 0;
+  int new_ran = 0;
+  // A token that ran: its slot now holds a later event.
+  const EventToken ran = q.schedule_at(1, [&] { ++old_ran; });
+  q.run_next();
+  q.schedule_at(2, [&] { ++new_ran; });
+  EXPECT_FALSE(q.cancel(ran));
+  // A token that was cancelled: its dead key is still in the heap while
+  // its slot holds a later event.
+  const EventToken cancelled = q.schedule_at(3, [&] { ++old_ran; });
+  EXPECT_TRUE(q.cancel(cancelled));
+  q.schedule_at(3, [&] { ++new_ran; });
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(q.pending(), 2u);
+  q.run_all();
+  EXPECT_EQ(old_ran, 1);
+  EXPECT_EQ(new_ran, 2);
+}
+
+TEST(EventQueue, EqualTimeEventsStayFifoAcrossSlotReuse) {
+  EventQueue q;
+  std::vector<EventToken> tokens;
+  for (int i = 0; i < 8; ++i) tokens.push_back(q.schedule_at(5, [] {}));
+  // Free every other slot, so reuse hands slots back out of index order.
+  for (std::size_t i = 0; i < tokens.size(); i += 2) q.cancel(tokens[i]);
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) {
+    q.schedule_at(10, [&order, i] { order.push_back(i); });
+  }
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(StableStorage, PutGetErase) {
   StableStorage storage;
   EXPECT_EQ(storage.get("k"), std::nullopt);
