@@ -8,28 +8,6 @@
 
 namespace dynvote {
 
-namespace {
-
-JsonValue process_set_to_json(const ProcessSet& set) {
-  JsonValue arr = JsonValue::array();
-  arr.reserve(set.size());
-  for (const ProcessId p : set) {
-    arr.push_back(JsonValue(static_cast<std::uint64_t>(p.value())));
-  }
-  return arr;
-}
-
-ProcessSet process_set_from_json(const JsonValue& value) {
-  std::vector<ProcessId> members;
-  members.reserve(value.as_array().size());
-  for (const JsonValue& entry : value.as_array()) {
-    members.emplace_back(static_cast<std::uint32_t>(entry.as_uint()));
-  }
-  return ProcessSet(std::move(members));
-}
-
-}  // namespace
-
 TraceCheckResult check_trace(const TraceMetaAndEvents& trace,
                              TruncationPolicy truncation) {
   TraceCheckResult result;
@@ -98,7 +76,7 @@ JsonValue trace_to_json(const obs::TraceMeta& meta,
   meta_json.set("min_quorum",
                 JsonValue(static_cast<std::uint64_t>(meta.min_quorum)));
   meta_json.set("seed", JsonValue(meta.seed));
-  meta_json.set("core", process_set_to_json(meta.core));
+  meta_json.set("core", obs::process_set_to_json(meta.core));
   meta_json.set("ambiguity_bound",
                 JsonValue(static_cast<std::uint64_t>(meta.ambiguity_bound)));
   // Sharded-fleet shape; omitted when zero so single-group traces (the
@@ -240,7 +218,7 @@ TraceMetaAndEvents load_trace_json(std::string_view text) {
   out.meta.n = static_cast<std::uint32_t>(meta.at("n").as_uint());
   out.meta.min_quorum = static_cast<std::size_t>(meta.at("min_quorum").as_uint());
   out.meta.seed = meta.at("seed").as_uint();
-  out.meta.core = process_set_from_json(meta.at("core"));
+  out.meta.core = obs::process_set_from_json(meta.at("core"));
   out.meta.ambiguity_bound =
       static_cast<std::size_t>(meta.at("ambiguity_bound").as_uint());
   if (const JsonValue* ow = meta.find("overwritten")) {

@@ -16,12 +16,15 @@
 // Causal ordering of views versus protocol messages (the section 3.1
 // requirement) is realized by the Node layer's view-tagged delivery.
 //
+// Which views to announce is ViewAnnouncer's rule (membership/view.hpp),
+// shared with the pool runtime; the oracle adds the DES-specific parts:
+// the per-member detection delay and the superseded-view suppression.
+//
 // For liveness testing, inject_view() lets tests deliver arbitrary
 // (inaccurate) views; the protocol must stay correct regardless.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "membership/view.hpp"
 #include "sim/simulator.hpp"
@@ -52,7 +55,7 @@ class MembershipOracle {
 
   /// Number of views generated so far.
   [[nodiscard]] std::uint64_t views_generated() const noexcept {
-    return next_view_id_ - 1;
+    return announcer_.views_generated();
   }
 
  private:
@@ -62,11 +65,10 @@ class MembershipOracle {
   sim::Simulator& sim_;
   MembershipOptions options_;
   Rng rng_;
-  std::uint64_t next_view_id_ = 1;
-  /// Newest view scheduled for each process; an older scheduled delivery
-  /// that fires after a newer view was announced is suppressed (the
-  /// member "skips" the superseded view).
-  std::map<ProcessId, View> latest_scheduled_;
+  /// Its latest(p) is the newest view scheduled for p; an older scheduled
+  /// delivery that fires after a newer view was announced is suppressed
+  /// (the member "skips" the superseded view).
+  ViewAnnouncer announcer_;
 };
 
 }  // namespace dynvote

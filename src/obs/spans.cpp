@@ -220,18 +220,6 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
   return report;
 }
 
-namespace {
-
-JsonValue members_json(const ProcessSet& set) {
-  JsonValue arr = JsonValue::array();
-  for (const ProcessId p : set) {
-    arr.push_back(JsonValue(static_cast<std::uint64_t>(p.value())));
-  }
-  return arr;
-}
-
-}  // namespace
-
 JsonValue spans_to_json(const SpanReport& report) {
   JsonValue sessions = JsonValue::array();
   for (const SessionSpan& span : report.sessions) {
@@ -244,7 +232,7 @@ JsonValue spans_to_json(const SpanReport& report) {
     if (span.close_eid != 0) s.set("close_eid", JsonValue(span.close_eid));
     s.set("view", JsonValue(span.view_id));
     if (span.number >= 0) s.set("n", JsonValue(span.number));
-    s.set("m", members_json(span.members));
+    s.set("m", process_set_to_json(span.members));
     if (span.rounds != 0) s.set("rounds", JsonValue(span.rounds));
     s.set("outcome", JsonValue(span.outcome));
     if (!span.reason.empty()) s.set("reason", JsonValue(span.reason));
@@ -256,7 +244,7 @@ JsonValue spans_to_json(const SpanReport& report) {
     JsonValue s = JsonValue::object();
     s.set("p", JsonValue(static_cast<std::uint64_t>(span.process.value())));
     s.set("n", JsonValue(span.number));
-    s.set("m", members_json(span.members));
+    s.set("m", process_set_to_json(span.members));
     s.set("start", JsonValue(span.start));
     s.set("end", JsonValue(span.end));
     s.set("open_eid", JsonValue(span.open_eid));
@@ -271,7 +259,7 @@ JsonValue spans_to_json(const SpanReport& report) {
     JsonValue s = JsonValue::object();
     s.set("p", JsonValue(static_cast<std::uint64_t>(span.process.value())));
     s.set("n", JsonValue(span.number));
-    s.set("m", members_json(span.members));
+    s.set("m", process_set_to_json(span.members));
     s.set("start", JsonValue(span.start));
     s.set("end", JsonValue(span.end));
     s.set("open_eid", JsonValue(span.open_eid));

@@ -64,8 +64,6 @@ TraceEventKind trace_event_kind_from_string(std::string_view s) {
   throw JsonError("trace: unknown event kind '" + std::string(s) + "'");
 }
 
-namespace {
-
 JsonValue process_set_to_json(const ProcessSet& set) {
   JsonValue arr = JsonValue::array();
   arr.reserve(set.size());
@@ -83,8 +81,6 @@ ProcessSet process_set_from_json(const JsonValue& value) {
   }
   return ProcessSet(std::move(members));
 }
-
-}  // namespace
 
 JsonValue to_json(const TraceEvent& event) {
   JsonValue e = JsonValue::object();

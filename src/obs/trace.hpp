@@ -116,6 +116,13 @@ struct TraceEvent {
 /// field (t, k, a, e) is missing.
 [[nodiscard]] TraceEvent trace_event_from_json(const JsonValue& value);
 
+/// A process set as a JSON array of ids in ascending order — the `m`
+/// field above, trace.json's `core` and the spans export's members.
+[[nodiscard]] JsonValue process_set_to_json(const ProcessSet& set);
+
+/// Inverse of process_set_to_json.
+[[nodiscard]] ProcessSet process_set_from_json(const JsonValue& value);
+
 /// One narrative line, e.g. "[120us] #7 formed p0 session 1 {p0,p1,p2}
 /// after 2 rounds (L=9) <- #5": what `dvtrace timeline`, the examples
 /// and scenario_cli's `trace` command print.

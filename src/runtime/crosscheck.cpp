@@ -25,36 +25,6 @@ bool deterministic_outcome(ProtocolKind kind) {
   }
 }
 
-/// The canonical transcript of a DES run, in the exact format of
-/// RuntimeFleet::outcome_summary(): the simulator records all processes
-/// into one sink, so filter per process (order within one process is
-/// preserved) and append each node's final state.
-std::string cluster_summary(Cluster& cluster) {
-  std::string out;
-  for (ProcessId p : cluster.all_processes()) {
-    out += to_string(p) + ":";
-    for (const obs::TraceEvent& event : cluster.sim().trace().events()) {
-      if (event.a != p) continue;
-      switch (event.kind) {
-        case obs::TraceEventKind::kViewInstalled:
-          out += " V" + std::to_string(event.number) + "=" +
-                 to_string(event.members);
-          break;
-        case obs::TraceEventKind::kSessionFormed:
-          out += " F" + std::to_string(event.number) + "r" +
-                 std::to_string(event.value) + "=" + to_string(event.members);
-          break;
-        default:
-          break;
-      }
-    }
-    const ProtocolNode& node = cluster.protocol(p);
-    out += " | primary=" + to_string(node.primary_session()) +
-           " formed=" + std::to_string(node.formed_count()) + "\n";
-  }
-  return out;
-}
-
 /// C1 at a quiescent point of the DES: distinct primary sessions among
 /// live processes (the same predicate RuntimeFleet::distinct_primaries
 /// applies to a probe snapshot).
@@ -205,7 +175,14 @@ std::string des_summary(ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
     cluster.settle();
     c1_clean &= cluster_distinct_primaries(cluster) <= 1;
   }
-  return cluster_summary(cluster);
+  // The simulator records every process into one sink;
+  // append_outcome_line keeps each process's own events, in order.
+  std::string out;
+  for (ProcessId p : cluster.all_processes()) {
+    append_outcome_line(out, p, cluster.sim().trace().events(),
+                        cluster.protocol(p));
+  }
+  return out;
 }
 
 CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,

@@ -4,14 +4,15 @@
 // wait for *all* view members in every phase, so a session's outcome
 // depends only on the view and the per-phase message sets — never on
 // arrival order within a phase. The DES and the pool drive the identical
-// topology script through the identical view-announcement algorithm
-// (MembershipOracle in the DES, its verbatim mirror in RuntimeFleet)
-// and run each step to a fixed point (settle / quiesce) with no message
-// loss, so they install the same view sequence at every process and
-// therefore form the same primaries with the same session numbers,
-// memberships, and round counts. run_scenario() makes that equality
-// executable: one seeded script, the DES and the pool at several worker
-// counts, digest comparison plus per-step C1 checks.
+// topology script through one view-announcement rule (ViewAnnouncer,
+// membership/view.hpp, behind MembershipOracle in the DES and
+// RuntimeFleet in the pool) and run each step to a fixed point (settle /
+// quiesce) with no message loss, so they install the same view sequence
+// at every process and therefore form the same primaries with the same
+// session numbers, memberships, and round counts. run_scenario() makes
+// that equality executable: one seeded script, the DES and the pool at
+// several worker counts, transcripts written by one function
+// (append_outcome_line), digest comparison plus per-step C1 checks.
 //
 // Scope: the deterministic-outcome argument covers the quiescent
 // protocols (kBasic, kOptimized, and the other all-member-wait
@@ -49,9 +50,10 @@ struct ScenarioStep {
                                                       std::size_t steps);
 
 /// Runs `script` on the DES (message delays seeded by `seed`) and
-/// returns its outcome transcript in RuntimeFleet::outcome_summary()'s
-/// format, folding the per-step C1 checks into `c1_clean`. Every fleet
-/// that replays the same script must reproduce it byte for byte.
+/// returns its outcome transcript, written like
+/// RuntimeFleet::outcome_summary() by append_outcome_line, folding the
+/// per-step C1 checks into `c1_clean`. Every fleet that replays the same
+/// script must reproduce it byte for byte.
 [[nodiscard]] std::string des_summary(ProtocolKind kind, std::uint32_t n,
                                       std::uint64_t seed,
                                       const std::vector<ScenarioStep>& script,

@@ -39,8 +39,6 @@ RuntimeFleet::RuntimeFleet(FleetOptions options)
       transport_({config_.core.begin(), config_.core.end()}, options_.workers,
                  options_.runtime) {
   const std::vector<ProcessId>& ids = transport_.processes();
-  latest_members_.resize(ids.size());
-  has_view_.resize(ids.size(), false);
   nodes_.reserve(ids.size());
   for (ProcessId p : ids) {
     nodes_.push_back(make_protocol(options_.kind, transport_, p, config_));
@@ -75,47 +73,29 @@ void RuntimeFleet::stop() { transport_.stop_and_join(); }
 
 void RuntimeFleet::partition(const std::vector<ProcessSet>& groups) {
   transport_.set_components(groups);
-  announce_views();
-  transport_.quiesce();
+  finish_verb();
 }
 
 void RuntimeFleet::merge() {
   transport_.merge_all();
-  announce_views();
-  transport_.quiesce();
+  finish_verb();
 }
 
 void RuntimeFleet::crash(ProcessId p) {
   transport_.crash(p);
-  announce_views();
-  transport_.quiesce();
+  finish_verb();
 }
 
 void RuntimeFleet::recover(ProcessId p) {
   transport_.recover(p);
-  announce_views();
-  transport_.quiesce();
+  finish_verb();
 }
 
-void RuntimeFleet::announce_views() {
-  for (const ProcessSet& component : transport_.live_components()) {
-    bool changed = false;
-    for (ProcessId p : component) {
-      const std::size_t slot = slot_of(p);
-      if (!has_view_[slot] || latest_members_[slot] != component) {
-        changed = true;
-        break;
-      }
-    }
-    if (!changed) continue;
-    View view{ViewId(next_view_id_++), component};
-    for (ProcessId p : component) {
-      const std::size_t slot = slot_of(p);
-      latest_members_[slot] = component;
-      has_view_[slot] = true;
-    }
+void RuntimeFleet::finish_verb() {
+  for (const View& view : views_.announce(transport_.live_components())) {
     transport_.post_view(view);
   }
+  transport_.quiesce();
 }
 
 std::vector<ProcessProbe> RuntimeFleet::probe() {
@@ -149,30 +129,37 @@ std::size_t RuntimeFleet::distinct_primaries(
   return sessions.size();
 }
 
+void append_outcome_line(std::string& out, ProcessId p,
+                         const std::deque<obs::TraceEvent>& events,
+                         const ProtocolNode& node) {
+  out += to_string(p) + ":";
+  for (const obs::TraceEvent& event : events) {
+    if (event.a != p) continue;
+    switch (event.kind) {
+      case obs::TraceEventKind::kViewInstalled:
+        out += " V" + std::to_string(event.number) + "=" +
+               to_string(event.members);
+        break;
+      case obs::TraceEventKind::kSessionFormed:
+        out += " F" + std::to_string(event.number) + "r" +
+               std::to_string(event.value) + "=" + to_string(event.members);
+        break;
+      default:
+        break;
+    }
+  }
+  out += " | primary=" + to_string(node.primary_session()) +
+         " formed=" + std::to_string(node.formed_count()) + "\n";
+}
+
 std::string RuntimeFleet::outcome_summary() {
   ensure(!transport_.running(),
          "outcome_summary requires a stopped fleet (stop() first)");
   std::string out;
   const auto& ids = transport_.processes();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    out += to_string(ids[i]) + ":";
-    for (const obs::TraceEvent& event : transport_.trace(ids[i]).events()) {
-      switch (event.kind) {
-        case obs::TraceEventKind::kViewInstalled:
-          out += " V" + std::to_string(event.number) + "=" +
-                 to_string(event.members);
-          break;
-        case obs::TraceEventKind::kSessionFormed:
-          out += " F" + std::to_string(event.number) + "r" +
-                 std::to_string(event.value) + "=" + to_string(event.members);
-          break;
-        default:
-          break;
-      }
-    }
-    const ProtocolNode& node = *nodes_[i];
-    out += " | primary=" + to_string(node.primary_session()) +
-           " formed=" + std::to_string(node.formed_count()) + "\n";
+    append_outcome_line(out, ids[i], transport_.trace(ids[i]).events(),
+                        *nodes_[i]);
   }
   return out;
 }

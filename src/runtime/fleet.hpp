@@ -1,15 +1,14 @@
 // RuntimeFleet: one real-thread system running one protocol variant.
 //
 // The runtime analogue of harness::Cluster: wires a PoolTransport to
-// one protocol node per process, plays the membership oracle's role
-// (the oracle itself is simulator-scheduled, so the fleet re-implements
-// its exact view-announcement algorithm over the transport's live
-// components — same view-id sequence, same changed-component filter),
-// and exposes the same fault-injection verbs. Between verbs the fleet
-// quiesces the transport, which makes the execution step-deterministic:
-// every topology step runs to a fixed point before the next, exactly
-// like Cluster::settle() — that is what lets the DES act as the oracle
-// for this backend (runtime/crosscheck.hpp).
+// one protocol node per process, announces views through the same
+// ViewAnnouncer (membership/view.hpp) the DES oracle uses, and exposes
+// the same fault-injection verbs. Between verbs the fleet quiesces the
+// transport, which makes the execution step-deterministic: every
+// topology step runs to a fixed point before the next, exactly like
+// Cluster::settle() — that is what lets the DES act as the oracle for
+// this backend (runtime/crosscheck.hpp). append_outcome_line() writes
+// the transcripts of both sides.
 //
 // Thread-safety: all methods are controller-thread only. probe() reads
 // node state from the owning threads (via run_on + quiesce), so it is
@@ -18,12 +17,15 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dv/service.hpp"
+#include "membership/view.hpp"
+#include "obs/trace.hpp"
 #include "runtime/pool_transport.hpp"
 #include "util/ids.hpp"
 #include "util/process_set.hpp"
@@ -115,22 +117,25 @@ class RuntimeFleet {
  private:
   /// Index of `p` in processes() and nodes_.
   [[nodiscard]] std::size_t slot_of(ProcessId p) const;
-  /// MembershipOracle::on_topology_changed, verbatim: announce a fresh
-  /// view (ids from next_view_id_, starting 1) for every live component
-  /// whose membership differs from some member's latest view.
-  void announce_views();
+  /// Ends a verb: posts the views its topology change calls for, then
+  /// runs the transport to quiescence.
+  void finish_verb();
 
   FleetOptions options_;
   DvConfig config_;
   PoolTransport transport_;
   std::vector<std::unique_ptr<ProtocolNode>> nodes_;  // id order
-  /// latest_scheduled_ mirror: the members of the last view announced to
-  /// each process (persists across crashes, exactly like the oracle).
-  std::vector<ProcessSet> latest_members_;
-  std::vector<bool> has_view_;
-  std::uint64_t next_view_id_ = 1;
+  ViewAnnouncer views_;
   bool started_ = false;
 };
+
+/// Appends `p`'s line of the outcome transcript to `out`: every view
+/// install and session formation among the `events` whose actor is `p`,
+/// in order, then `node`'s final primary and formation count. Both sides
+/// of the DES cross-check write their transcripts with it.
+void append_outcome_line(std::string& out, ProcessId p,
+                         const std::deque<obs::TraceEvent>& events,
+                         const ProtocolNode& node);
 
 /// FNV-1a 64-bit — tiny, deterministic, dependency-free; collisions are
 /// irrelevant here (the cross-check compares summaries on mismatch).

@@ -33,8 +33,7 @@ PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w)
       worker(w),
       sent(metrics.counter("rt.sent")),
       delivered(metrics.counter("rt.delivered")),
-      dropped_unroutable(metrics.counter("rt.dropped_unroutable")),
-      dropped_link_epoch(metrics.counter("rt.dropped_link_epoch")) {
+      dropped_unroutable(metrics.counter("rt.dropped_unroutable")) {
   trace.set_capacity(kTraceCapacity);
 }
 
@@ -52,7 +51,6 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
                              std::uint32_t workers, RuntimeOptions options)
     : options_(options),
       ids_(processes),
-      pair_state_(processes.size() * processes.size()),
       start_time_(std::chrono::steady_clock::now()) {
   ensure(!ids_.empty(), "runtime transport needs at least one process");
   lookup_.reserve(ids_.size());
@@ -72,7 +70,9 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     slots_.push_back(
         std::make_unique<Slot>(ids_[i], i, static_cast<std::uint32_t>(i % w)));
-    slots_.back()->component = next_component_++;
+    // Everyone starts alive in a singleton component, like Network.
+    slots_.back()->connectivity.store(next_component_++,
+                                      std::memory_order_relaxed);
   }
 
   // A view announcement lands one control item per member, so a worker
@@ -111,7 +111,6 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
       });
     }
   }
-  refresh_connectivity();  // self-links up, everything else down
 }
 
 PoolTransport::~PoolTransport() { stop_and_join(); }
@@ -140,11 +139,13 @@ void PoolTransport::send(sim::Envelope env) {
   Slot& from = *slots_[index_of(env.from)];
   const std::size_t ti = index_of(env.to);
   Slot& to = *slots_[ti];
-  const std::uint64_t st =
-      pair_state(from.index, ti).load(std::memory_order_acquire);
-  if ((st & 1) == 0) {
+  const std::uint32_t component =
+      from.connectivity.load(std::memory_order_acquire);
+  if (component == 0 ||
+      to.connectivity.load(std::memory_order_acquire) != component) {
     // Not connected at send time: silently lost, like Network's
-    // unroutable/filtered drop.
+    // unroutable/filtered drop. Topology verbs run only at quiescence,
+    // so a message that passes this check is never cut in flight.
     from.dropped_unroutable.increment();
     return;
   }
@@ -154,7 +155,7 @@ void PoolTransport::send(sim::Envelope env) {
   Worker& me = *workers_[from.worker];  // we are executing on this thread
   obs::ProbeRing* const probe = me.probe.get();
   const std::uint64_t sent_ns = probe ? now_ns() : 0;
-  PoolItem item{std::move(env), st >> 1, sent_ns};
+  PoolItem item{std::move(env), sent_ns};
 
   if (to.worker == from.worker) {
     // Same-worker fast path: a plain deque append, zero atomics. The
@@ -270,6 +271,7 @@ void PoolTransport::stop_and_join() {
 }
 
 void PoolTransport::set_components(const std::vector<ProcessSet>& groups) {
+  if (running_) quiesce();
   ProcessSet seen;
   for (const ProcessSet& group : groups) {
     ensure(!group.empty(), "empty component");
@@ -278,9 +280,13 @@ void PoolTransport::set_components(const std::vector<ProcessSet>& groups) {
       seen.insert(p);
     }
     const std::uint32_t component = next_component_++;
-    for (ProcessId p : group) slot(p).component = component;
+    for (ProcessId p : group) {
+      // Crashed members stay at 0.
+      if (alive(p)) {
+        slot(p).connectivity.store(component, std::memory_order_release);
+      }
+    }
   }
-  refresh_connectivity();
 }
 
 void PoolTransport::merge_all() {
@@ -290,36 +296,40 @@ void PoolTransport::merge_all() {
 }
 
 void PoolTransport::crash(ProcessId p) {
-  Slot& s = slot(p);
-  if (!s.ctl_alive) return;
+  if (!alive(p)) return;
+  if (running_) quiesce();
   post_control(p, ControlItem{ControlItem::Kind::kCrash, p, {}, {}});
-  s.ctl_alive = false;  // keeps its component, like Network::set_alive
-  refresh_connectivity();
+  slot(p).connectivity.store(0, std::memory_order_release);
 }
 
 void PoolTransport::recover(ProcessId p) {
-  Slot& s = slot(p);
-  if (s.ctl_alive) return;
+  if (alive(p)) return;
+  if (running_) quiesce();
   post_control(p, ControlItem{ControlItem::Kind::kRecover, p, {}, {}});
-  s.ctl_alive = true;
-  s.component = next_component_++;  // fresh singleton component
-  refresh_connectivity();
+  // A fresh singleton component.
+  slot(p).connectivity.store(next_component_++, std::memory_order_release);
 }
 
-bool PoolTransport::alive(ProcessId p) const { return slot(p).ctl_alive; }
+bool PoolTransport::alive(ProcessId p) const {
+  // The controller is the only writer: a relaxed read sees its own
+  // latest store.
+  return slot(p).connectivity.load(std::memory_order_relaxed) != 0;
+}
 
 std::vector<ProcessSet> PoolTransport::live_components() const {
   std::map<std::uint32_t, ProcessSet> by_component;
   for (const auto& s : slots_) {
-    if (s->ctl_alive) by_component[s->component].insert(s->id);
+    const std::uint32_t component =
+        s->connectivity.load(std::memory_order_relaxed);
+    if (component != 0) by_component[component].insert(s->id);
   }
   std::vector<ProcessSet> components;
   components.reserve(by_component.size());
   for (auto& [component, members] : by_component) {
     components.push_back(std::move(members));
   }
-  // Network::live_components orders by smallest member; the oracle's
-  // view-id assignment depends on this order, so the mirror must too.
+  // Network::live_components orders by smallest member; ViewAnnouncer
+  // assigns view ids in this order, so both backends must list alike.
   std::sort(components.begin(), components.end(),
             [](const ProcessSet& a, const ProcessSet& b) {
               return *a.begin() < *b.begin();
@@ -395,29 +405,6 @@ void PoolTransport::quiesce() {
 }
 
 // -- internals --------------------------------------------------------------
-
-void PoolTransport::refresh_connectivity() {
-  const std::size_t n = ids_.size();
-  for (std::size_t a = 0; a < n; ++a) {
-    const Slot& sa = *slots_[a];
-    for (std::size_t b = 0; b < n; ++b) {
-      const Slot& sb = *slots_[b];
-      const bool want =
-          sa.ctl_alive && sb.ctl_alive && sa.component == sb.component;
-      std::atomic<std::uint64_t>& state = pair_state(a, b);
-      // The controller is the only writer: a relaxed read sees its own
-      // latest store.
-      const std::uint64_t current = state.load(std::memory_order_relaxed);
-      if ((current & 1) != 0 && !want) {
-        // Disconnection bumps the epoch: in-flight traffic on this link
-        // is lost even if the pair later reconnects.
-        state.store(((current >> 1) + 1) << 1, std::memory_order_release);
-      } else if ((current & 1) == 0 && want) {
-        state.store(current | 1, std::memory_order_release);
-      }
-    }
-  }
-}
 
 void PoolTransport::post_control(ProcessId p, ControlItem item) {
   Worker& target = *workers_[slot(p).worker];
@@ -658,16 +645,8 @@ void PoolTransport::handle_control(Worker& me, ControlItem& item) {
 
 void PoolTransport::handle_message(Worker& me, PoolItem& item,
                                    std::uint16_t source_lane) {
-  const std::size_t si = index_of(item.env.from);
   const std::size_t ti = index_of(item.env.to);
   Slot& to = *slots_[ti];
-  const std::uint64_t st = pair_state(si, ti).load(std::memory_order_acquire);
-  if ((st & 1) == 0 || (st >> 1) != item.epoch) {
-    // The link was cut (or cut and re-formed) while the message was in
-    // flight: partition semantics say it is lost.
-    to.dropped_link_epoch.increment();
-    return;
-  }
   to.lamport = std::max(to.lamport, item.env.lamport) + 1;
   to.delivered.increment();
   obs::ProbeRing* const probe = me.probe.get();

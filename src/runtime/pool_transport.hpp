@@ -26,10 +26,13 @@
 //    in the same component; set_components / merge_all / crash /
 //    recover reshape components exactly like Network's versions (a
 //    recovering process comes back as a fresh singleton);
-//  * every pair carries a link epoch, bumped on each disconnection; a
-//    message is stamped with the epoch at send and dropped at delivery
-//    if the link's epoch moved — a partition loses in-flight traffic
-//    (paper section 3);
+//  * each process has one connectivity word: its component while
+//    alive, 0 while crashed. A send is dropped as unroutable unless the
+//    sender's and receiver's words are equal and nonzero — the pool's
+//    whole partition rule (paper section 3);
+//  * the topology verbs quiesce first, so a topology change never meets
+//    a message in flight. Network's link epochs, which drop traffic a
+//    partition cut mid-flight, have no case to cover here;
 //  * Lamport clocks advance exactly as in Network (send ticks the
 //    sender, delivery merges).
 //
@@ -152,19 +155,22 @@ class PoolTransport final : public sim::Transport {
 
   [[nodiscard]] bool running() const noexcept { return running_; }
 
-  /// Topology mirrors of sim::Network (call at quiescence only).
+  /// Topology mirrors of sim::Network. Each one first quiesces a running
+  /// transport, so no message is in flight when connectivity changes.
+  /// Crashed processes may be listed; they stay crashed, and their
+  /// assignment is dropped (recover() makes a fresh singleton anyway).
   void set_components(const std::vector<ProcessSet>& groups);
   void merge_all();
-  /// Runs node->crash() on p's worker and disconnects p (epoch bumps
-  /// lose its in-flight traffic), keeping its component assignment —
-  /// exactly Simulator::crash + Network::set_alive(p, false).
+  /// Runs node->crash() on p's worker and disconnects p — exactly
+  /// Simulator::crash + Network::set_alive(p, false). Its component is
+  /// not kept: no one can observe it before recover() replaces it.
   void crash(ProcessId p);
   /// Runs node->recover() on p's worker and reconnects p as a fresh
   /// singleton component — Network::set_alive(p, true).
   void recover(ProcessId p);
   [[nodiscard]] bool alive(ProcessId p) const;
   /// Components with dead members filtered out, sorted by smallest
-  /// member — the shape MembershipOracle consumes.
+  /// member — the shape ViewAnnouncer::announce consumes.
   [[nodiscard]] std::vector<ProcessSet> live_components() const;
 
   /// Enqueues deliver_view(view) on every member's worker (the runtime
@@ -217,15 +223,14 @@ class PoolTransport final : public sim::Transport {
 
   struct PoolItem {
     sim::Envelope env;
-    std::uint64_t epoch = 0;    // link epoch at send
     std::uint64_t sent_ns = 0;  // enqueue timestamp, 0 unless probes are on
   };
 
   /// One protocol process: everything single-threaded on its worker
-  /// except the controller-side bookkeeping at the bottom.
+  /// except the connectivity word at the bottom.
   struct Slot {
     ProcessId id;
-    std::size_t index = 0;     // global index (pair_state row)
+    std::size_t index = 0;     // global index (position in processes())
     std::uint32_t worker = 0;  // static shard assignment (index % W)
     sim::Node* node = nullptr;
     obs::TraceSink trace;
@@ -236,13 +241,12 @@ class PoolTransport final : public sim::Transport {
     obs::Counter& sent;
     obs::Counter& delivered;
     obs::Counter& dropped_unroutable;
-    obs::Counter& dropped_link_epoch;
     sim::StableStorage storage;
     std::uint64_t lamport = 0;        // worker-owned
     std::uint64_t last_topo_eid = 0;  // worker-owned
-    /// Controller-side bookkeeping (controller thread only).
-    std::uint32_t component = 0;
-    bool ctl_alive = true;
+    /// The component while alive, 0 while crashed. The controller is the
+    /// only writer (release); senders read both ends' words (acquire).
+    std::atomic<std::uint32_t> connectivity{0};
 
     Slot(ProcessId pid, std::size_t idx, std::uint32_t w);
   };
@@ -299,20 +303,6 @@ class PoolTransport final : public sim::Transport {
     return *rings_[src * workers_.size() + dst];
   }
 
-  /// pair_state_[a*n+b]: (epoch << 1) | connected. Controller writes
-  /// (release), workers read (acquire).
-  [[nodiscard]] std::atomic<std::uint64_t>& pair_state(std::size_t a,
-                                                       std::size_t b) {
-    return pair_state_[a * ids_.size() + b];
-  }
-  [[nodiscard]] const std::atomic<std::uint64_t>& pair_state(
-      std::size_t a, std::size_t b) const {
-    return pair_state_[a * ids_.size() + b];
-  }
-  /// Recomputes connectivity from components + liveness, bumping the
-  /// epoch of every pair that transitions connected -> disconnected.
-  void refresh_connectivity();
-
   void post_control(ProcessId p, ControlItem item);
   void bump_work(Worker& target);
 
@@ -333,7 +323,6 @@ class PoolTransport final : public sim::Transport {
   /// Controller thread's probe ring (control-queue pushes); null when
   /// probes are off.
   std::unique_ptr<obs::ProbeRing> controller_probe_;
-  std::vector<std::atomic<std::uint64_t>> pair_state_;
   std::atomic<std::int64_t> inflight_{0};
   std::atomic<bool> stop_{false};
   bool running_ = false;

@@ -83,7 +83,8 @@ class Network {
 
   /// Reassigns every listed process to the component given by its group.
   /// Processes not mentioned keep their component. Crashed processes may
-  /// be mentioned; their assignment takes effect when they recover.
+  /// be mentioned, but their assignment is never observed: recovery
+  /// (set_alive(p, true)) always puts p in a fresh singleton component.
   void set_components(const std::vector<ProcessSet>& groups);
 
   /// Puts all live processes into one component.

@@ -3,9 +3,11 @@
 // determinism contract (byte-identical outcome transcripts at ANY
 // worker count, equal to the DES oracle), the same-worker fast path vs
 // cross-worker handoff split visible in the probe lanes, the spill path
-// under a full cross-worker ring, and a churn stress meant for the TSan
-// pass (tools/run_experiments.sh wires the Runtime* prefixes in).
+// under a full cross-worker ring, the partition rule and in-flight drain
+// of a bare transport, and a churn stress meant for the TSan pass
+// (tools/run_experiments.sh wires the Runtime* prefixes in).
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,8 @@
 #include "runtime/crosscheck.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/pool_transport.hpp"
+#include "sim/message.hpp"
+#include "sim/node.hpp"
 
 namespace dynvote::runtime {
 namespace {
@@ -254,6 +258,122 @@ TEST(RuntimePool, SpillKeepsTranscriptIdentical) {
   EXPECT_GT(spills, 0u);
   ASSERT_EQ(summaries.size(), 2u);
   EXPECT_EQ(summaries[0], summaries[1]);
+}
+
+// ------------------------------------------------------ partition rule
+
+struct Ping final : sim::MessagePayload {
+  [[nodiscard]] std::string type_name() const override { return "ping"; }
+  [[nodiscard]] std::size_t encoded_size() const override { return 0; }
+};
+
+/// The smallest protocol: sends pings on request and counts the messages
+/// its handler sees (written on its worker; read after stop_and_join).
+class CountingNode final : public sim::Node {
+ public:
+  using sim::Node::Node;
+
+  void ping(ProcessId to, int times = 1) {
+    const sim::PayloadPtr payload = std::make_shared<const Ping>();
+    for (int i = 0; i < times; ++i) send(to, payload);
+  }
+
+  std::uint64_t handled = 0;
+
+ protected:
+  void on_view(const View&) override {}
+  void on_message(ProcessId, const sim::PayloadPtr&) override { ++handled; }
+};
+
+/// A bare PoolTransport at W = 2 over p0..p3 — p0 and p2 on worker 0, p1
+/// and p3 on worker 1 — split {p0,p1} | {p2,p3}, each side in its view.
+class BarePool {
+ public:
+  BarePool() : transport_(make_ids(4), /*workers=*/2) {
+    for (const ProcessId p : transport_.processes()) {
+      nodes_.push_back(std::make_unique<CountingNode>(transport_, p));
+      transport_.set_node(nodes_.back().get());
+    }
+    transport_.start();
+    transport_.set_components({ProcessSet::of({0, 1}), ProcessSet::of({2, 3})});
+    transport_.post_view(View{ViewId(1), ProcessSet::of({0, 1})});
+    transport_.post_view(View{ViewId(2), ProcessSet::of({2, 3})});
+    transport_.quiesce();
+  }
+  ~BarePool() { transport_.stop_and_join(); }
+
+  BarePool(const BarePool&) = delete;
+  BarePool& operator=(const BarePool&) = delete;
+
+  PoolTransport& transport() { return transport_; }
+  CountingNode& node(std::uint32_t p) { return *nodes_.at(p); }
+
+  /// p's rt.* counter `name`, read on p's worker.
+  std::uint64_t counter(std::uint32_t p, const std::string& name) {
+    std::uint64_t value = 0;
+    transport_.run_on(ProcessId(p), [this, p, &name, &value] {
+      value = transport_.metrics(ProcessId(p)).counter_value(name);
+    });
+    transport_.quiesce();
+    return value;
+  }
+
+  /// Runs node(from).ping(to, times) on from's worker, to quiescence.
+  void ping(std::uint32_t from, std::uint32_t to, int times = 1) {
+    transport_.run_on(ProcessId(from), [this, from, to, times] {
+      node(from).ping(ProcessId(to), times);
+    });
+    transport_.quiesce();
+  }
+
+ private:
+  PoolTransport transport_;
+  std::vector<std::unique_ptr<CountingNode>> nodes_;  // id order
+};
+
+// The send-time check is the pool's whole partition rule: a send is
+// dropped unless both ends are alive in the same component.
+TEST(RuntimePool, SendAcrossAPartitionOrToACrashedProcessIsDropped) {
+  BarePool pool;
+  pool.ping(0, 2);  // across the partition (same worker: the fast path)
+  EXPECT_EQ(pool.counter(0, "rt.dropped_unroutable"), 1u);
+  EXPECT_EQ(pool.counter(2, "rt.delivered"), 0u);
+
+  pool.ping(0, 1);  // inside p0's component, across workers
+  EXPECT_EQ(pool.counter(1, "rt.delivered"), 1u);
+  EXPECT_EQ(pool.counter(0, "rt.dropped_unroutable"), 1u);
+
+  pool.transport().crash(ProcessId(1));
+  pool.ping(0, 1);  // p0 still holds the view {p0,p1}
+  EXPECT_EQ(pool.counter(0, "rt.dropped_unroutable"), 2u);
+  EXPECT_EQ(pool.counter(0, "rt.sent"), 1u);
+
+  PoolTransport& transport = pool.transport();
+  transport.stop_and_join();
+  EXPECT_EQ(transport.metrics(ProcessId(1)).counter_value("rt.delivered"), 1u);
+  EXPECT_EQ(pool.node(1).handled, 1u);
+  EXPECT_EQ(pool.node(2).handled, 0u);
+}
+
+// A topology verb quiesces first: traffic already queued when it is
+// called is delivered under the old connectivity, never cut in flight.
+TEST(RuntimePool, TopologyVerbDrainsInFlightTrafficFirst) {
+  constexpr int kMessages = 1000;
+  BarePool pool;
+  PoolTransport& transport = pool.transport();
+  ASSERT_NE(transport.lane_of(ProcessId(0)), transport.lane_of(ProcessId(1)));
+  transport.run_on(ProcessId(0),
+                   [&pool] { pool.node(0).ping(ProcessId(1), kMessages); });
+  // No quiesce() in between: the verb must drain the sends itself.
+  transport.set_components({ProcessSet::of({0}), ProcessSet::of({1})});
+  transport.stop_and_join();
+
+  const obs::MetricsRegistry& sender = transport.metrics(ProcessId(0));
+  const obs::MetricsRegistry& receiver = transport.metrics(ProcessId(1));
+  EXPECT_EQ(receiver.counter_value("rt.delivered"),
+            static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(sender.counter_value("rt.dropped_unroutable"), 0u);
+  EXPECT_EQ(pool.node(1).handled, static_cast<std::uint64_t>(kMessages));
 }
 
 // --------------------------------------------------------------- stress
