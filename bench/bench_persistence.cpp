@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/availability.hpp"
 #include "harness/bench_report.hpp"
 #include "harness/cluster.hpp"
 #include "harness/schedule.hpp"
@@ -76,27 +77,7 @@ CellResult run_cell(std::uint32_t n, std::uint64_t seed,
   for (ProcessId p : cluster.all_processes()) {
     result.construction_bytes += sim.storage(p).bytes_written();
   }
-  for (const ScheduleEvent& event : schedule) {
-    sim.queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const ProcessSet& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  enqueue_schedule(cluster, schedule);
   cluster.merge();
   cluster.settle();
 

@@ -104,7 +104,8 @@ struct Repl {
     return it->second;
   }
 
-  /// Parses "0,1,2 | 3,4" into disjoint groups.
+  /// Parses "0,1,2 | 3,4" into disjoint groups; nullopt if a token is not
+  /// a process id below kProcessIdLimit.
   static std::optional<std::vector<ProcessSet>> parse_groups(
       const std::string& text) {
     std::vector<ProcessSet> groups;
@@ -118,6 +119,7 @@ struct Repl {
         try {
           std::size_t pos = 0;
           const unsigned long value = std::stoul(token, &pos);
+          if (value >= kProcessIdLimit) return std::nullopt;
           group.insert(ProcessId(static_cast<std::uint32_t>(value)));
         } catch (const std::exception&) {
           return std::nullopt;
@@ -150,12 +152,16 @@ struct Repl {
     std::string command;
     if (!(in >> command)) return true;  // blank
 
-    auto need_u32 = [&](std::uint32_t& out) {
+    // Reads an unsigned value below `limit`; false if the token is
+    // missing, malformed or out of range.
+    auto need_below = [&](std::uint32_t& out, std::uint32_t limit) {
       unsigned long v;
-      if (!(in >> v)) return false;
+      if (!(in >> v) || v >= limit) return false;
       out = static_cast<std::uint32_t>(v);
       return true;
     };
+    static const std::string id_range =
+        " (process ids are below " + std::to_string(kProcessIdLimit) + ")";
 
     if (command == "protocol") {
       std::string name;
@@ -168,10 +174,10 @@ struct Repl {
       options.kind = *kind;
     } else if (command == "n") {
       std::uint32_t n;
-      if (need_u32(n)) options.n = n;
+      if (need_below(n, kProcessIdLimit + 1)) options.n = n;
     } else if (command == "minquorum") {
       std::uint32_t k;
-      if (need_u32(k)) options.config.min_quorum = k;
+      if (need_below(k, kProcessIdLimit + 1)) options.config.min_quorum = k;
     } else if (command == "dynamic") {
       options.config.dynamic_participants = true;
     } else if (command == "seed") {
@@ -199,8 +205,8 @@ struct Repl {
     } else if (command == "crash" || command == "recover" ||
                command == "destroy-disk" || command == "join") {
       std::uint32_t p;
-      if (!need_u32(p)) {
-        fail("missing process id");
+      if (!need_below(p, kProcessIdLimit)) {
+        fail("missing or bad process id" + id_range);
         return true;
       }
       if (command == "crash") live().crash(ProcessId(p));
@@ -218,8 +224,8 @@ struct Repl {
       std::uint32_t p;
       int count = -1;
       in >> type;
-      if (!need_u32(p)) {
-        fail("drop needs: <type> <process> [count]");
+      if (!need_below(p, kProcessIdLimit)) {
+        fail("drop needs: <type> <process> [count]" + id_range);
         return true;
       }
       in >> count;
@@ -231,8 +237,8 @@ struct Repl {
     } else if (command == "write") {
       std::uint32_t p;
       std::string key, value;
-      if (!need_u32(p) || !(in >> key >> value)) {
-        fail("write needs: <process> <key> <value>");
+      if (!need_below(p, kProcessIdLimit) || !(in >> key >> value)) {
+        fail("write needs: <process> <key> <value>" + id_range);
         return true;
       }
       live();
@@ -244,8 +250,8 @@ struct Repl {
     } else if (command == "read") {
       std::uint32_t p;
       std::string key;
-      if (!need_u32(p) || !(in >> key)) {
-        fail("read needs: <process> <key>");
+      if (!need_below(p, kProcessIdLimit) || !(in >> key)) {
+        fail("read needs: <process> <key>" + id_range);
         return true;
       }
       live();

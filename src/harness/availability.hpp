@@ -29,6 +29,12 @@ struct AvailabilityResult {
   std::size_t max_ambiguous = 0;  // high-water ambiguous sessions (dv family)
 };
 
+/// Queues every event of `schedule` on `cluster`'s simulator at its time,
+/// in schedule order; the events fire as the cluster runs. The queued
+/// actions reference `schedule`'s events, so it must outlive the run.
+void enqueue_schedule(Cluster& cluster,
+                      const std::vector<ScheduleEvent>& schedule);
+
 /// Runs `kind` against `schedule`. `base` supplies n / Min_Quorum /
 /// latency / membership options; its `kind` field is overridden.
 [[nodiscard]] AvailabilityResult run_schedule(

@@ -73,11 +73,26 @@ JsonValue process_set_to_json(const ProcessSet& set) {
   return arr;
 }
 
+namespace {
+
+/// A process id field; an id outside [0, kProcessIdLimit) makes the
+/// record malformed rather than wrapping to some other process.
+ProcessId process_id_from_json(const JsonValue& value) {
+  const std::uint64_t raw = value.as_uint();
+  if (raw >= kProcessIdLimit) {
+    throw JsonError("trace: process id " + std::to_string(raw) +
+                    " is not below 2^20");
+  }
+  return ProcessId(static_cast<std::uint32_t>(raw));
+}
+
+}  // namespace
+
 ProcessSet process_set_from_json(const JsonValue& value) {
   std::vector<ProcessId> members;
   members.reserve(value.as_array().size());
   for (const JsonValue& entry : value.as_array()) {
-    members.emplace_back(static_cast<std::uint32_t>(entry.as_uint()));
+    members.push_back(process_id_from_json(entry));
   }
   return ProcessSet(std::move(members));
 }
@@ -119,12 +134,10 @@ TraceEvent trace_event_from_json(const JsonValue& value) {
         has_k = true;
         break;
       case 'a':
-        event.a = ProcessId(static_cast<std::uint32_t>(field.as_uint()));
+        event.a = process_id_from_json(field);
         has_a = true;
         break;
-      case 'b':
-        event.b = ProcessId(static_cast<std::uint32_t>(field.as_uint()));
-        break;
+      case 'b': event.b = process_id_from_json(field); break;
       case 'n': event.number = field.as_int(); break;
       case 'v': event.value = field.as_uint(); break;
       case 'm': event.members = process_set_from_json(field); break;

@@ -113,14 +113,15 @@ struct TraceEvent {
 [[nodiscard]] JsonValue to_json(const TraceEvent& event);
 
 /// Inverse of to_json(TraceEvent). Throws JsonError when a required
-/// field (t, k, a, e) is missing.
+/// field (t, k, a, e) is missing or a process id is >= kProcessIdLimit.
 [[nodiscard]] TraceEvent trace_event_from_json(const JsonValue& value);
 
 /// A process set as a JSON array of ids in ascending order — the `m`
 /// field above, trace.json's `core` and the spans export's members.
 [[nodiscard]] JsonValue process_set_to_json(const ProcessSet& set);
 
-/// Inverse of process_set_to_json.
+/// Inverse of process_set_to_json; throws JsonError on an id >=
+/// kProcessIdLimit.
 [[nodiscard]] ProcessSet process_set_from_json(const JsonValue& value);
 
 /// One narrative line, e.g. "[120us] #7 formed p0 session 1 {p0,p1,p2}

@@ -40,16 +40,12 @@ std::size_t Network::directed_index(std::uint32_t slot_from,
 
 void Network::add_process(ProcessId p) {
   ensure(!known(p), "process added twice");
-  processes_.insert(p);
+  processes_.insert(p);  // rejects an id >= kProcessIdLimit
   const auto slot = static_cast<std::uint32_t>(entries_.size());
-  if (p.value() < kDenseDirectLimit) {
-    if (p.value() >= slot_direct_.size()) {
-      slot_direct_.resize(p.value() + 1, kNoSlot);
-    }
-    slot_direct_[p.value()] = slot;
-  } else {
-    slot_big_.emplace(p.value(), slot);
+  if (p.value() >= slot_direct_.size()) {
+    slot_direct_.resize(p.value() + 1, kNoSlot);
   }
+  slot_direct_[p.value()] = slot;
   entries_.emplace_back();
   // Append pair entries for every pair whose larger slot is the new one.
   // Fresh entries start at epoch 0 / no tail, exactly the state an

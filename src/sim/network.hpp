@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -164,11 +163,11 @@ class Network {
   // Routing state is indexed by COMPACT slot, not by raw ProcessId value:
   // add_process assigns each process the next dense slot (registration
   // order), entries_[slot] holds per-process state, and flat triangular
-  // arrays hold per-pair state. Raw ids resolve to slots through a small
-  // direct-lookup vector (raw < kDenseDirectLimit) or a hash map above
-  // it, so registering a sparse four-digit-plus id costs one mapping
-  // entry instead of max-raw-id-sized arrays (the pair tables would grow
-  // quadratically in the largest raw id otherwise).
+  // arrays hold per-pair state, sized by the number of processes rather
+  // than the largest raw id (they would grow quadratically in it
+  // otherwise). Raw ids resolve to slots through one direct-lookup
+  // vector with an entry per raw id up to the largest registered one:
+  // 8 KiB for a 2,048-process fleet, 4 MiB at kProcessIdLimit.
   //
   // The pair index tri(a,b) = max(a,b)·(max(a,b)−1)/2 + min(a,b) over
   // SLOTS depends only on the pair, never on capacity, and a new process
@@ -176,19 +175,12 @@ class Network {
   // pair entries — existing indices (and in-flight epoch captures)
   // survive growth untouched.
 
-  /// Raw ids below this bound resolve through the direct-lookup vector;
-  /// larger (sparse) ids go through the hash map.
-  static constexpr std::uint32_t kDenseDirectLimit = 4096;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   /// Compact slot of `p`, or kNoSlot if never registered.
   [[nodiscard]] std::uint32_t slot_of(ProcessId p) const {
     const std::uint32_t raw = p.value();
-    if (raw < kDenseDirectLimit) {
-      return raw < slot_direct_.size() ? slot_direct_[raw] : kNoSlot;
-    }
-    const auto it = slot_big_.find(raw);
-    return it == slot_big_.end() ? kNoSlot : it->second;
+    return raw < slot_direct_.size() ? slot_direct_[raw] : kNoSlot;
   }
 
   [[nodiscard]] bool known(ProcessId p) const {
@@ -223,8 +215,7 @@ class Network {
   obs::TraceSink& trace_;
   obs::MetricsRegistry& metrics_;
   ProcessSet processes_;
-  std::vector<std::uint32_t> slot_direct_;  // raw id -> slot, raw < limit
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_big_;
+  std::vector<std::uint32_t> slot_direct_;  // raw id -> slot
   std::vector<ProcessEntry> entries_;  // indexed by compact slot
   std::vector<std::uint64_t> link_epochs_;  // indexed by tri_index
   // FIFO tails, indexed by directed_index. Stored as tail+1 so 0 means

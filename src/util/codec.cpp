@@ -107,7 +107,7 @@ std::string Decoder::get_string() {
 
 ProcessId Decoder::get_process_id() {
   std::uint64_t v = get_varint();
-  if (v > 0xFFFFFFFFULL) throw CodecError("process id out of range");
+  if (v >= kProcessIdLimit) throw CodecError("process id out of range");
   return ProcessId(static_cast<std::uint32_t>(v));
 }
 

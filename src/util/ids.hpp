@@ -29,6 +29,12 @@ class ProcessId {
   std::uint32_t value_ = 0;
 };
 
+/// Process ids lie in [0, kProcessIdLimit). An id only ranks a process in
+/// the linear order, and a run names a fixed core plus the section-6
+/// joiners, so 2^20 ids leave room for any fleet. ProcessSet (whose
+/// bitset spans the highest member) and the codec reject larger ids.
+inline constexpr std::uint32_t kProcessIdLimit = 1u << 20;
+
 /// A membership-view identifier. Views are produced by the membership
 /// oracle with globally increasing ids; protocol messages carry the view
 /// id they were sent in so stale traffic can be discarded (paper 3.1).

@@ -2,73 +2,25 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "util/ensure.hpp"
 
 namespace dynvote {
-
-namespace detail {
-
-namespace {
-
-std::size_t intersect_popcount_scalar(const std::uint64_t* a1,
-                                      const std::uint64_t* b1, std::size_t n1,
-                                      const std::uint64_t* a2,
-                                      const std::uint64_t* b2, std::size_t n2) {
-  std::size_t c0 = 0;
-  std::size_t c1 = 0;
-  std::size_t c2 = 0;
-  std::size_t c3 = 0;
-  const auto run = [&](const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t n) {
-    std::size_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-      c0 += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-      c1 += static_cast<std::size_t>(std::popcount(a[w + 1] & b[w + 1]));
-      c2 += static_cast<std::size_t>(std::popcount(a[w + 2] & b[w + 2]));
-      c3 += static_cast<std::size_t>(std::popcount(a[w + 3] & b[w + 3]));
-    }
-    for (; w < n; ++w) {
-      c0 += static_cast<std::size_t>(std::popcount(a[w] & b[w]));
-    }
-  };
-  run(a1, b1, n1);
-  run(a2, b2, n2);
-  return (c0 + c1) + (c2 + c3);
-}
-
-}  // namespace
-
-// Constant-initialized to the scalar kernel so the pointer is valid even
-// during other translation units' static initialization; upgraded to the
-// AVX2 kernel (when compiled in and the CPU supports it) by the dynamic
-// initializer below.
-constinit IntersectPopcountFn intersect_popcount = &intersect_popcount_scalar;
-
-#if defined(DYNVOTE_SIMD_AVX2)
-std::size_t intersect_popcount_avx2(const std::uint64_t* a1,
-                                    const std::uint64_t* b1, std::size_t n1,
-                                    const std::uint64_t* a2,
-                                    const std::uint64_t* b2, std::size_t n2);
-
-namespace {
-struct SimdDispatch {
-  SimdDispatch() {
-    if (__builtin_cpu_supports("avx2")) {
-      intersect_popcount = &intersect_popcount_avx2;
-    }
-  }
-} simd_dispatch;
-}  // namespace
-#endif
-
-}  // namespace detail
 
 namespace {
 
 void normalize(std::vector<ProcessId>& ids) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
+
+/// Throws InvariantViolation unless `v` is a legal process id.
+void check_id(std::uint32_t v) {
+  if (v >= kProcessIdLimit) [[unlikely]] {
+    invariant_failed("ProcessSet: process id " + std::to_string(v) +
+                     " is not below kProcessIdLimit (2^20)");
+  }
 }
 
 /// Appends the ids encoded in `word` (offset by `base`) to `out`,
@@ -87,12 +39,12 @@ void append_word_members(std::uint64_t word, std::uint32_t base,
 void ProcessSet::rebuild_bits() {
   bits_.fill(0);
   ext_bits_.clear();
-  // members_ is sorted, so one comparison against the back decides the
-  // representation.
-  huge_ = !members_.empty() && members_.back().value() >= kDynamicIdLimit;
-  if (huge_) return;
-  if (!members_.empty() && members_.back().value() >= kSmallIdLimit) {
-    ext_bits_.resize(((members_.back().value() - kSmallIdLimit) >> 6) + 1, 0);
+  if (members_.empty()) return;
+  // members_ is sorted, so the back decides legality and the width.
+  const std::uint32_t top = members_.back().value();
+  check_id(top);
+  if (top >= kSmallIdLimit) {
+    ext_bits_.resize(((top - kSmallIdLimit) >> 6) + 1, 0);
   }
   for (const ProcessId p : members_) {
     const std::uint32_t v = p.value();
@@ -125,13 +77,6 @@ void ProcessSet::rebuild_members_from_bits() {
   }
 }
 
-ProcessSet ProcessSet::from_sorted(std::vector<ProcessId> ids) {
-  ProcessSet out;
-  out.members_ = std::move(ids);
-  out.rebuild_bits();
-  return out;
-}
-
 ProcessSet::ProcessSet(std::initializer_list<ProcessId> ids) : members_(ids) {
   normalize(members_);
   rebuild_bits();
@@ -143,10 +88,12 @@ ProcessSet::ProcessSet(std::vector<ProcessId> ids) : members_(std::move(ids)) {
 }
 
 ProcessSet ProcessSet::range(std::uint32_t n) {
-  std::vector<ProcessId> ids;
-  ids.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) ids.emplace_back(i);
-  return from_sorted(std::move(ids));
+  if (n != 0) check_id(n - 1);
+  ProcessSet out;
+  out.members_.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) out.members_.emplace_back(i);
+  out.rebuild_bits();
+  return out;
 }
 
 ProcessSet ProcessSet::of(std::initializer_list<std::uint32_t> raw) {
@@ -156,29 +103,18 @@ ProcessSet ProcessSet::of(std::initializer_list<std::uint32_t> raw) {
   return ProcessSet(std::move(ids));
 }
 
-bool ProcessSet::contains_slow(ProcessId p) const {
-  return std::binary_search(members_.begin(), members_.end(), p);
-}
-
 bool ProcessSet::insert(ProcessId p) {
+  const std::uint32_t v = p.value();
+  check_id(v);
   auto it = std::lower_bound(members_.begin(), members_.end(), p);
   if (it != members_.end() && *it == p) return false;
   members_.insert(it, p);
-  const std::uint32_t v = p.value();
-  if (v >= kDynamicIdLimit) {
-    if (!huge_) {
-      bits_.fill(0);
-      ext_bits_.clear();
-    }
-    huge_ = true;
-  } else if (!huge_) {
-    if (v < kSmallIdLimit) {
-      bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    } else {
-      const std::size_t w = (v - kSmallIdLimit) >> 6;
-      if (w >= ext_bits_.size()) ext_bits_.resize(w + 1, 0);
-      ext_bits_[w] |= std::uint64_t{1} << (v & 63);
-    }
+  if (v < kSmallIdLimit) {
+    bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
+  } else {
+    const std::size_t w = (v - kSmallIdLimit) >> 6;
+    if (w >= ext_bits_.size()) ext_bits_.resize(w + 1, 0);
+    ext_bits_[w] |= std::uint64_t{1} << (v & 63);
   }
   return true;
 }
@@ -188,128 +124,60 @@ bool ProcessSet::erase(ProcessId p) {
   if (it == members_.end() || *it != p) return false;
   members_.erase(it);
   const std::uint32_t v = p.value();
-  if (!huge_) {
-    if (v < kSmallIdLimit) {
-      bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-    } else {
-      ext_bits_[(v - kSmallIdLimit) >> 6] &= ~(std::uint64_t{1} << (v & 63));
-      trim_ext_bits();
-    }
-  } else if (members_.empty() || members_.back().value() < kDynamicIdLimit) {
-    // Removing the last huge id drops the set back onto the word-wise
-    // fast path.
-    rebuild_bits();
+  if (v < kSmallIdLimit) {
+    bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+  } else {
+    ext_bits_[(v - kSmallIdLimit) >> 6] &= ~(std::uint64_t{1} << (v & 63));
+    trim_ext_bits();
   }
   return true;
 }
 
 ProcessSet ProcessSet::set_union(const ProcessSet& other) const {
-  if (!huge_ && !other.huge_) {
-    ProcessSet result;
-    for (std::size_t w = 0; w < kWords; ++w) {
-      result.bits_[w] = bits_[w] | other.bits_[w];
-    }
-    const ProcessSet& wide =
-        ext_bits_.size() >= other.ext_bits_.size() ? *this : other;
-    const ProcessSet& narrow =
-        ext_bits_.size() >= other.ext_bits_.size() ? other : *this;
-    result.ext_bits_ = wide.ext_bits_;
-    for (std::size_t w = 0; w < narrow.ext_bits_.size(); ++w) {
-      result.ext_bits_[w] |= narrow.ext_bits_[w];
-    }
-    result.rebuild_members_from_bits();
-    return result;
+  ProcessSet result;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    result.bits_[w] = bits_[w] | other.bits_[w];
   }
-  std::vector<ProcessId> out;
-  out.reserve(members_.size() + other.members_.size());
-  std::set_union(members_.begin(), members_.end(), other.members_.begin(),
-                 other.members_.end(), std::back_inserter(out));
-  return from_sorted(std::move(out));
+  const ProcessSet& wide =
+      ext_bits_.size() >= other.ext_bits_.size() ? *this : other;
+  const ProcessSet& narrow =
+      ext_bits_.size() >= other.ext_bits_.size() ? other : *this;
+  result.ext_bits_ = wide.ext_bits_;
+  for (std::size_t w = 0; w < narrow.ext_bits_.size(); ++w) {
+    result.ext_bits_[w] |= narrow.ext_bits_[w];
+  }
+  result.rebuild_members_from_bits();
+  return result;
 }
 
 ProcessSet ProcessSet::set_intersection(const ProcessSet& other) const {
-  if (!huge_ && !other.huge_) {
-    ProcessSet result;
-    for (std::size_t w = 0; w < kWords; ++w) {
-      result.bits_[w] = bits_[w] & other.bits_[w];
-    }
-    const std::size_t common =
-        std::min(ext_bits_.size(), other.ext_bits_.size());
-    result.ext_bits_.resize(common);
-    for (std::size_t w = 0; w < common; ++w) {
-      result.ext_bits_[w] = ext_bits_[w] & other.ext_bits_[w];
-    }
-    result.trim_ext_bits();
-    result.rebuild_members_from_bits();
-    return result;
+  ProcessSet result;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    result.bits_[w] = bits_[w] & other.bits_[w];
   }
-  std::vector<ProcessId> out;
-  out.reserve(std::min(members_.size(), other.members_.size()));
-  std::set_intersection(members_.begin(), members_.end(), other.members_.begin(),
-                        other.members_.end(), std::back_inserter(out));
-  return from_sorted(std::move(out));
+  const std::size_t common = std::min(ext_bits_.size(), other.ext_bits_.size());
+  result.ext_bits_.resize(common);
+  for (std::size_t w = 0; w < common; ++w) {
+    result.ext_bits_[w] = ext_bits_[w] & other.ext_bits_[w];
+  }
+  result.trim_ext_bits();
+  result.rebuild_members_from_bits();
+  return result;
 }
 
 ProcessSet ProcessSet::set_difference(const ProcessSet& other) const {
-  if (!huge_ && !other.huge_) {
-    ProcessSet result;
-    for (std::size_t w = 0; w < kWords; ++w) {
-      result.bits_[w] = bits_[w] & ~other.bits_[w];
-    }
-    result.ext_bits_ = ext_bits_;
-    const std::size_t common =
-        std::min(ext_bits_.size(), other.ext_bits_.size());
-    for (std::size_t w = 0; w < common; ++w) {
-      result.ext_bits_[w] &= ~other.ext_bits_[w];
-    }
-    result.trim_ext_bits();
-    result.rebuild_members_from_bits();
-    return result;
+  ProcessSet result;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    result.bits_[w] = bits_[w] & ~other.bits_[w];
   }
-  std::vector<ProcessId> out;
-  out.reserve(members_.size());
-  std::set_difference(members_.begin(), members_.end(), other.members_.begin(),
-                      other.members_.end(), std::back_inserter(out));
-  return from_sorted(std::move(out));
-}
-
-std::size_t ProcessSet::intersection_size_slow(const ProcessSet& other) const {
-  std::size_t count = 0;
-  auto a = members_.begin();
-  auto b = other.members_.begin();
-  while (a != members_.end() && b != other.members_.end()) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      ++count;
-      ++a;
-      ++b;
-    }
+  result.ext_bits_ = ext_bits_;
+  const std::size_t common = std::min(ext_bits_.size(), other.ext_bits_.size());
+  for (std::size_t w = 0; w < common; ++w) {
+    result.ext_bits_[w] &= ~other.ext_bits_[w];
   }
-  return count;
-}
-
-bool ProcessSet::intersects_slow(const ProcessSet& other) const {
-  auto a = members_.begin();
-  auto b = other.members_.begin();
-  while (a != members_.end() && b != other.members_.end()) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ProcessSet::is_subset_of_slow(const ProcessSet& other) const {
-  if (members_.size() > other.members_.size()) return false;
-  return std::includes(other.members_.begin(), other.members_.end(),
-                       members_.begin(), members_.end());
+  result.trim_ext_bits();
+  result.rebuild_members_from_bits();
+  return result;
 }
 
 std::optional<ProcessId> ProcessSet::max_member() const {

@@ -2,19 +2,18 @@
 // the quorum calculus needs (intersection sizes, majorities, maxima under
 // the linear order).
 //
-// Representation is hybrid. The sorted flat vector is always maintained —
-// it gives deterministic iteration, lexicographic ordering, and the
-// index_of positions the optimized protocol's knowledge arrays key on.
-// A bitset shadows the vector: ids below kSmallIdLimit live in a 256-bit
-// inline array (no heap traffic for every scenario the single-group
-// harness generates), and ids in [kSmallIdLimit, kDynamicIdLimit) live in
-// a dynamically sized extension word vector, so the set predicates the
-// Sub_Quorum hot path hammers — contains / intersection_size /
-// is_subset_of / majority tests — run as AND+popcount word ops at any
-// four-digit fleet size, including MIXED pairs where one operand spills
-// past the inline limit and the other does not. Only sets holding an id
-// >= kDynamicIdLimit (2^20 — far past any simulated fleet) fall back to
-// the O(n) sorted-vector merge walks.
+// The sorted flat vector of members gives deterministic iteration,
+// lexicographic ordering, and the index_of positions the optimized
+// protocol's knowledge arrays key on. A bitset shadows the vector in two
+// tiers: ids below kSmallIdLimit live in a 256-bit inline array (no heap
+// traffic for every scenario the single-group harness generates), and
+// ids in [kSmallIdLimit, kProcessIdLimit) live in a dynamically sized
+// extension word vector. The set predicates the Sub_Quorum hot path
+// hammers — contains / intersection_size / is_subset_of / majority
+// tests — therefore run as AND+popcount word ops for every legal id,
+// including pairs where one operand spills past the inline limit and the
+// other does not. An id at or past kProcessIdLimit (2^20) is rejected
+// with InvariantViolation.
 #pragma once
 
 #include <array>
@@ -30,24 +29,6 @@
 
 namespace dynvote {
 
-namespace detail {
-
-/// Sum of popcount(a[i] & b[i]) over two word ranges (the inline words
-/// and the extension words of a ProcessSet pair). Dispatched once at
-/// startup: an AVX2 nibble-LUT kernel where the CPU supports it, a
-/// multi-accumulator scalar walk otherwise. Scalar popcount is
-/// single-port throughput-bound, so wide walks (four-digit fleets) need
-/// the vector kernel to stay near the small-set latency.
-using IntersectPopcountFn = std::size_t (*)(const std::uint64_t* a1,
-                                            const std::uint64_t* b1,
-                                            std::size_t n1,
-                                            const std::uint64_t* a2,
-                                            const std::uint64_t* b2,
-                                            std::size_t n2);
-extern IntersectPopcountFn intersect_popcount;
-
-}  // namespace detail
-
 /// An immutable-by-convention, sorted, duplicate-free set of ProcessIds.
 ///
 /// This is the "membership" type used everywhere: views, quorums, session
@@ -60,16 +41,11 @@ class ProcessSet {
   /// word per 64 ids, no heap allocation).
   static constexpr std::uint32_t kSmallIdLimit = 256;
 
-  /// Ids below this bound are tracked word-wise (inline words below
-  /// kSmallIdLimit, heap extension words above it). A set holding an id
-  /// at or past this limit would need a pathologically wide bitset
-  /// (the width is max_id / 64 words), so it degrades to the
-  /// sorted-vector merge walks instead.
-  static constexpr std::uint32_t kDynamicIdLimit = 1u << 20;
-
   ProcessSet() = default;
 
-  /// Builds a set from any list of ids; duplicates are collapsed.
+  /// Builds a set from any list of ids; duplicates are collapsed. The
+  /// constructors, range(), of() and insert() throw InvariantViolation on
+  /// an id >= kProcessIdLimit.
   ProcessSet(std::initializer_list<ProcessId> ids);
   explicit ProcessSet(std::vector<ProcessId> ids);
 
@@ -80,7 +56,6 @@ class ProcessSet {
   [[nodiscard]] static ProcessSet of(std::initializer_list<std::uint32_t> raw);
 
   [[nodiscard]] bool contains(ProcessId p) const {
-    if (huge_) return contains_slow(p);
     const std::uint32_t v = p.value();
     if (v < kSmallIdLimit) return (bits_[v >> 6] >> (v & 63)) & 1;
     const std::size_t w = (v - kSmallIdLimit) >> 6;
@@ -105,15 +80,9 @@ class ProcessSet {
   // extension words; a pure-inline pair never touches the heap vectors.
 
   [[nodiscard]] std::size_t intersection_size(const ProcessSet& other) const {
-    if (huge_ || other.huge_) return intersection_size_slow(other);
     const std::size_t common =
         ext_bits_.size() < other.ext_bits_.size() ? ext_bits_.size()
                                                   : other.ext_bits_.size();
-    if (common >= kSimdWordThreshold) {
-      return detail::intersect_popcount(bits_.data(), other.bits_.data(),
-                                        kWords, ext_bits_.data(),
-                                        other.ext_bits_.data(), common);
-    }
     // Four independent accumulators: popcount has multi-cycle latency, so
     // a single `count +=` chain serializes the walk and a 1024-id set
     // pays ~4x the 256-id latency instead of ~4x the throughput cost.
@@ -142,7 +111,6 @@ class ProcessSet {
   }
 
   [[nodiscard]] bool intersects(const ProcessSet& other) const {
-    if (huge_ || other.huge_) return intersects_slow(other);
     std::uint64_t any0 = (bits_[0] & other.bits_[0]) | (bits_[1] & other.bits_[1]);
     std::uint64_t any1 = (bits_[2] & other.bits_[2]) | (bits_[3] & other.bits_[3]);
     const std::size_t common =
@@ -160,7 +128,6 @@ class ProcessSet {
   }
 
   [[nodiscard]] bool is_subset_of(const ProcessSet& other) const {
-    if (huge_ || other.huge_) return is_subset_of_slow(other);
     // Extension words are trimmed (no trailing zeros), so a wider
     // extension means a member beyond anything `other` can hold.
     if (ext_bits_.size() > other.ext_bits_.size()) return false;
@@ -220,31 +187,18 @@ class ProcessSet {
   /// Renders as "{p0,p1,p4}".
   [[nodiscard]] std::string to_string() const;
 
-  /// True iff the word-wise fast path covers this set (every member id
-  /// < kDynamicIdLimit). Exposed for the property tests that pin the
-  /// bitset and vector paths to each other.
-  [[nodiscard]] bool uses_bitset() const noexcept { return !huge_; }
-
   /// True iff the set fits the inline words alone (every member id
   /// < kSmallIdLimit): no heap storage behind the bitset. Erasing the
   /// last id >= kSmallIdLimit restores this state.
   [[nodiscard]] bool uses_inline_bits() const noexcept {
-    return !huge_ && ext_bits_.empty();
+    return ext_bits_.empty();
   }
 
  private:
   static constexpr std::size_t kWords = kSmallIdLimit / 64;
 
-  /// Extension width (in words) at which intersection_size hands the
-  /// whole walk to the dispatched detail::intersect_popcount kernel.
-  /// Below it, the inline multi-accumulator walk wins: the indirect call
-  /// plus the vector horizontal reduction cost about as much as the
-  /// scalar walk saves until the set spans several thousand ids
-  /// (measured crossover ~32 words on AVX2 hardware).
-  static constexpr std::size_t kSimdWordThreshold = 32;
-
-  /// Recomputes huge_, bits_ and ext_bits_ from members_ (after bulk
-  /// mutation).
+  /// Recomputes bits_ and ext_bits_ from members_ (after bulk mutation);
+  /// throws if the highest member is not a legal id.
   void rebuild_bits();
   /// Drops trailing all-zero extension words so ext_bits_.size() encodes
   /// the highest occupied word (the is_subset_of width shortcut and
@@ -252,23 +206,13 @@ class ProcessSet {
   void trim_ext_bits();
   /// Rebuilds members_ (ascending) from bits_ + ext_bits_.
   void rebuild_members_from_bits();
-  // Sorted-vector fallbacks for sets with ids >= kDynamicIdLimit.
-  [[nodiscard]] bool contains_slow(ProcessId p) const;
-  [[nodiscard]] std::size_t intersection_size_slow(const ProcessSet& other) const;
-  [[nodiscard]] bool intersects_slow(const ProcessSet& other) const;
-  [[nodiscard]] bool is_subset_of_slow(const ProcessSet& other) const;
-  /// Builds a set from an already sorted, duplicate-free vector.
-  [[nodiscard]] static ProcessSet from_sorted(std::vector<ProcessId> ids);
 
   std::vector<ProcessId> members_;
-  // Shadow bitset of members_, valid iff !huge_. bits_ holds ids below
-  // kSmallIdLimit; ext_bits_[w] holds ids [kSmallIdLimit + 64w,
-  // kSmallIdLimit + 64(w+1)), trimmed of trailing zero words. Both are
-  // all-zero/empty when huge_ so value semantics (copies, moves) never
-  // expose stale words.
+  // Shadow bitset of members_. bits_ holds ids below kSmallIdLimit;
+  // ext_bits_[w] holds ids [kSmallIdLimit + 64w, kSmallIdLimit + 64(w+1)),
+  // trimmed of trailing zero words.
   std::array<std::uint64_t, kWords> bits_{};
   std::vector<std::uint64_t> ext_bits_;
-  bool huge_ = false;
 };
 
 [[nodiscard]] inline std::string to_string(const ProcessSet& s) {

@@ -118,10 +118,18 @@ TEST(Codec, ThrowsOnVarintOverflow) {
 }
 
 TEST(Codec, ThrowsOnProcessIdOutOfRange) {
+  // Past 32 bits, and the first id past the process-id range.
+  for (const std::uint64_t raw :
+       {std::uint64_t{0x1'0000'0000ULL}, std::uint64_t{kProcessIdLimit}}) {
+    Encoder enc;
+    enc.put_varint(raw);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(dec.get_process_id(), CodecError) << raw;
+  }
   Encoder enc;
-  enc.put_varint(0x1'0000'0000ULL);  // > 32-bit
+  enc.put_varint(kProcessIdLimit - 1);
   Decoder dec(enc.bytes());
-  EXPECT_THROW(dec.get_process_id(), CodecError);
+  EXPECT_EQ(dec.get_process_id(), ProcessId(kProcessIdLimit - 1));
 }
 
 TEST(Codec, RemainingTracksPosition) {

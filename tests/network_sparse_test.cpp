@@ -5,12 +5,12 @@
 // *ordering*, never on raw id magnitude — so an order-preserving
 // bijection of the id space must leave every observable (deliveries,
 // drops, FIFO tails, components, virtual time) byte-identical. The
-// sparse id set below deliberately straddles every representation
-// boundary: the slot_direct_/slot_big_ split at 4096 and the
-// ProcessSet inline/ext/huge tiers at 256 and 2^20. This guards the
-// bug class PR 3 fixed for loopback (tri_index computed from raw ids
-// indexing one past the pair tables) at the scale where raw-id-sized
-// tables would be quadratically wrong.
+// sparse id set below straddles ProcessSet's inline/extension boundary
+// at 256 and reaches the largest legal id, 2^20 - 1, where the raw-id
+// lookup vector is widest. This guards the bug class of a loopback
+// tri_index computed from raw ids (indexing one past the pair tables)
+// at the scale where raw-id-sized pair tables would be quadratically
+// wrong.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -170,10 +170,10 @@ Observation run_script(const std::vector<std::uint32_t>& raw_ids) {
   return obs;
 }
 
-// Strictly increasing, straddling the direct-lookup/hash-map split at
-// 4096 and the ProcessSet inline (<256) / ext (<2^20) / huge tiers.
+// Strictly increasing: both sides of ProcessSet's inline limit (256), an
+// adjacent pair, and the largest legal id.
 const std::vector<std::uint32_t> kSparseIds = {
-    3, 255, 4095, 4096, 70001, (std::uint32_t{1} << 20) + 7};
+    3, 255, 4095, 4096, 70001, kProcessIdLimit - 1};
 const std::vector<std::uint32_t> kDenseIds = {0, 1, 2, 3, 4, 5};
 
 TEST(NetworkSparseIds, SparseAndDenseIdSpacesObserveIdenticalExecutions) {
@@ -208,12 +208,11 @@ TEST(NetworkSparseIds, ScriptExercisesEveryDropAndDeliveryPath) {
 }
 
 TEST(NetworkSparseIds, LoopbackFromTheLargestSparseIdDeliversToSelf) {
-  // The PR-3 loopback regression at sparse scale: tri_index(s, s) for
-  // the largest slot indexes one past the pair tables, so a self-send
-  // must never consult them — now with a raw id far past the dense
-  // limit.
+  // The loopback regression at sparse scale: tri_index(s, s) for the
+  // largest slot indexes one past the pair tables, so a self-send must
+  // never consult them — here from the largest legal raw id.
   Simulator sim{SimulatorOptions{.seed = 7, .latency = {}}};
-  const ProcessId big{(std::uint32_t{1} << 20) + 999};
+  const ProcessId big{kProcessIdLimit - 1};
   const ProcessId small{17};
   auto* small_node = new RecordingNode(sim, small);
   auto* big_node = new RecordingNode(sim, big);

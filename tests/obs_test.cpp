@@ -247,6 +247,29 @@ TEST(TraceReplayTest, CleanRunReverifiesC1AndAmbiguityBound) {
   EXPECT_LE(verdict.max_ambiguous, verdict.ambiguity_bound);
 }
 
+TEST(TraceReplayTest, LoaderRejectsProcessIdsOutsideTheIdRange) {
+  // An id past [0, 2^20) makes the trace malformed instead of wrapping to
+  // another process (4294967299 as a uint32_t would read as p3).
+  const std::string exported = run_and_export(42);
+  // The export with the first digit run after `anchor` replaced by `raw`.
+  const auto with_id = [&](const std::string& anchor, const std::string& raw) {
+    std::string text = exported;
+    const std::size_t at = text.find(anchor);
+    EXPECT_NE(at, std::string::npos) << anchor;
+    const std::size_t from = at + anchor.size();
+    const std::size_t to = text.find_first_not_of("0123456789", from);
+    return text.replace(from, to - from, raw);
+  };
+  const std::string view_a = "\"k\":\"view\",\"a\":";
+  EXPECT_NO_THROW((void)load_trace_json(with_id(view_a, "1048575")));
+  for (const std::string raw : {"4294967299", "1048576"}) {
+    EXPECT_THROW((void)load_trace_json(with_id(view_a, raw)), JsonError);
+    EXPECT_THROW((void)load_trace_json(with_id("\"b\":", raw)), JsonError);
+    EXPECT_THROW((void)load_trace_json(with_id("\"m\":[", raw)), JsonError);
+    EXPECT_THROW((void)load_trace_json(with_id("\"core\":[", raw)), JsonError);
+  }
+}
+
 TEST(TraceReplayTest, DetectsSplitBrainOfNaiveProtocolFromTraceAlone) {
   // The E1 scenario: the naive protocol ends with two live primaries.
   ClusterOptions options;

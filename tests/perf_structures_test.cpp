@@ -24,6 +24,7 @@
 #include "harness/sweep.hpp"
 #include "harness/trace_replay.hpp"
 #include "sim/event_queue.hpp"
+#include "util/ensure.hpp"
 #include "util/inline_function.hpp"
 #include "util/process_set.hpp"
 #include "util/rng.hpp"
@@ -44,8 +45,7 @@ ProcessSet from_model(const Model& m) {
 
 /// Random model set. `max_id` above ProcessSet::kSmallIdLimit produces
 /// sets that straddle the inline boundary (dynamic extension words);
-/// above kDynamicIdLimit they straddle the word-wise limit entirely,
-/// forcing the sorted-vector fallback.
+/// `max_id` = kProcessIdLimit reaches the widest legal bitset.
 Model random_model(Rng& rng, std::uint32_t max_id) {
   Model m;
   const std::uint64_t count = rng.next_below(12);
@@ -94,12 +94,7 @@ void expect_matches_model(const ProcessSet& s, const Model& m) {
   const bool all_small = std::all_of(m.begin(), m.end(), [](std::uint32_t id) {
     return id < ProcessSet::kSmallIdLimit;
   });
-  const bool all_dynamic =
-      std::all_of(m.begin(), m.end(), [](std::uint32_t id) {
-        return id < ProcessSet::kDynamicIdLimit;
-      });
   EXPECT_EQ(s.uses_inline_bits(), all_small);
-  EXPECT_EQ(s.uses_bitset(), all_dynamic);
   if (m.empty()) {
     EXPECT_FALSE(s.max_member().has_value());
   } else {
@@ -111,15 +106,12 @@ void expect_matches_model(const ProcessSet& s, const Model& m) {
 TEST(ProcessSetProperty, PredicatesAgreeWithModelAcrossTheBitsetBoundary) {
   Rng rng(20260805);
   // max_id 40: pure-inline pairs. 320: pairs straddling kSmallIdLimit
-  // (mixed inline/extension widths, still word-wise). 2000: four-digit
-  // ids across multiple extension words. 5000: wide enough (> 32
-  // extension words on both operands) that intersection_size dispatches
-  // to the detail::intersect_popcount kernel — on AVX2 hardware this
-  // round pins the vector kernel to the model. kDynamicIdLimit + 300:
-  // pairs where one or both sets hold a huge id and take the merge-walk
-  // fallback, including mixed fast/slow operand pairs.
-  for (const std::uint32_t max_id :
-       {40u, 320u, 2000u, 5000u, ProcessSet::kDynamicIdLimit + 300u}) {
+  // (mixed inline/extension widths). 2000: four-digit ids across
+  // multiple extension words. 5000: the four-accumulator walk over more
+  // than 32 extension words on both operands. kProcessIdLimit: ids up to
+  // 2^20 - 1, the widest legal bitset (16,380 extension words); the
+  // max_id probe below is the first illegal id, which no set contains.
+  for (const std::uint32_t max_id : {40u, 320u, 2000u, 5000u, kProcessIdLimit}) {
     for (int round = 0; round < 500; ++round) {
       const Model ma = random_model(rng, max_id);
       const Model mb = random_model(rng, max_id);
@@ -154,11 +146,10 @@ TEST(ProcessSetProperty, InsertEraseMaintainTheBitsetIncrementally) {
   Model m;
   ProcessSet s;
   for (int step = 0; step < 3000; ++step) {
-    // Cross both representation boundaries in both directions: inserting
-    // an id >= kSmallIdLimit must grow the extension words, inserting an
-    // id >= kDynamicIdLimit must drop the set to the merge-walk
-    // representation, and erasing the last id past each boundary must
-    // restore the faster representation.
+    // Cross the inline boundary in both directions and reach the top of
+    // the id range: inserting an id >= kSmallIdLimit must grow the
+    // extension words (up to the widest legal bitset), and erasing the
+    // last id past the boundary must trim them back to the inline words.
     std::uint32_t id;
     const std::uint64_t tier = rng.next_below(8);
     if (tier < 5) {
@@ -166,8 +157,7 @@ TEST(ProcessSetProperty, InsertEraseMaintainTheBitsetIncrementally) {
     } else if (tier < 7) {
       id = static_cast<std::uint32_t>(256 + rng.next_below(1200));
     } else {
-      id = ProcessSet::kDynamicIdLimit - 2 +
-           static_cast<std::uint32_t>(rng.next_below(4));
+      id = kProcessIdLimit - 4 + static_cast<std::uint32_t>(rng.next_below(4));
     }
     if (rng.next_bool(0.6)) {
       EXPECT_EQ(s.insert(ProcessId(id)), m.insert(id).second);
@@ -179,15 +169,13 @@ TEST(ProcessSetProperty, InsertEraseMaintainTheBitsetIncrementally) {
 }
 
 TEST(ProcessSetProperty, MixedWidthPairsKeepTheWordWiseFastPath) {
-  // Regression for the mixed-representation degradation: one operand
-  // holding a single id >= kSmallIdLimit used to force BOTH operands of
-  // every predicate onto the O(n) merge walk. Both operands must stay on
-  // the bitset, and the predicates must agree with first principles.
+  // One operand holds an id >= kSmallIdLimit (extension words), the
+  // other only inline ids: the walks cover the common extension prefix,
+  // and the predicates must agree with first principles in both
+  // argument orders.
   ProcessSet small = ProcessSet::of({1, 3, 200});
   ProcessSet wide = ProcessSet::of({1, 3, 200, 1000});
-  EXPECT_TRUE(small.uses_bitset());
   EXPECT_TRUE(small.uses_inline_bits());
-  EXPECT_TRUE(wide.uses_bitset());
   EXPECT_FALSE(wide.uses_inline_bits());
 
   EXPECT_EQ(small.intersection_size(wide), 3u);
@@ -200,14 +188,13 @@ TEST(ProcessSetProperty, MixedWidthPairsKeepTheWordWiseFastPath) {
 }
 
 TEST(ProcessSetProperty, ErasingTheLastBigIdRestoresTheInlinePath) {
-  // The satellite regression pinning uses_bitset()/uses_inline_bits()
-  // across the 256 boundary: insert big id -> erase it -> fast path
-  // restored, with no stale extension words left behind.
+  // Pins uses_inline_bits() across the 256 boundary: insert big id ->
+  // erase it -> inline path restored, with no stale extension words left
+  // behind.
   ProcessSet s = ProcessSet::of({0, 5, 255});
   EXPECT_TRUE(s.uses_inline_bits());
   EXPECT_TRUE(s.insert(ProcessId(256)));
   EXPECT_FALSE(s.uses_inline_bits());
-  EXPECT_TRUE(s.uses_bitset());
   EXPECT_TRUE(s.insert(ProcessId(4096)));
   EXPECT_TRUE(s.erase(ProcessId(4096)));
   EXPECT_FALSE(s.uses_inline_bits()) << "p256 still holds an extension word";
@@ -215,94 +202,44 @@ TEST(ProcessSetProperty, ErasingTheLastBigIdRestoresTheInlinePath) {
   EXPECT_TRUE(s.uses_inline_bits()) << "last big id erased";
   EXPECT_EQ(s, ProcessSet::of({0, 5, 255}));
 
-  // Same round trip across the kDynamicIdLimit boundary.
-  EXPECT_TRUE(s.insert(ProcessId(ProcessSet::kDynamicIdLimit)));
-  EXPECT_FALSE(s.uses_bitset());
-  EXPECT_TRUE(s.erase(ProcessId(ProcessSet::kDynamicIdLimit)));
-  EXPECT_TRUE(s.uses_bitset());
+  // Same round trip with the largest legal id: the widest extension
+  // trims back to nothing.
+  EXPECT_TRUE(s.insert(ProcessId(kProcessIdLimit - 1)));
+  EXPECT_FALSE(s.uses_inline_bits());
+  EXPECT_TRUE(s.erase(ProcessId(kProcessIdLimit - 1)));
   EXPECT_TRUE(s.uses_inline_bits());
   EXPECT_EQ(s, ProcessSet::of({0, 5, 255}));
 }
 
-TEST(ProcessSetProperty, MixedRepresentationPairsAgreeAtTheMergeWalkBoundary) {
-  // The >= 2^20 mirror of MixedWidthPairsKeepTheWordWiseFastPath: one
-  // operand holds a huge id (sorted-vector merge-walk representation),
-  // the other stays on the bitset. Every predicate must agree with first
-  // principles in both argument orders, and the representations must be
-  // what the tier design says they are.
-  const std::uint32_t huge_id = ProcessSet::kDynamicIdLimit + 7;
-  ProcessSet bitset_side = ProcessSet::of({1, 3, 200, 1000});
-  ProcessSet huge_side = ProcessSet::of({1, 3, 200, 1000});
-  huge_side.insert(ProcessId(huge_id));
-  EXPECT_TRUE(bitset_side.uses_bitset());
-  EXPECT_FALSE(huge_side.uses_bitset());
+TEST(ProcessSetProperty, IdsStopBelowTheProcessIdLimit) {
+  // [0, 2^20) is the one legal id range: the constructors, of(),
+  // range() and insert() reject 2^20, and 2^20 - 1 lands on the
+  // extension words like any other id.
+  const std::uint32_t top = kProcessIdLimit - 1;
+  ProcessSet s = ProcessSet::of({1, 300});
+  EXPECT_THROW(s.insert(ProcessId(kProcessIdLimit)), InvariantViolation);
+  EXPECT_EQ(s, ProcessSet::of({1, 300})) << "a rejected insert changes nothing";
+  EXPECT_THROW(ProcessSet::of({1, kProcessIdLimit}), InvariantViolation);
+  EXPECT_THROW(ProcessSet::range(kProcessIdLimit + 1), InvariantViolation);
+  EXPECT_THROW(ProcessSet(std::vector<ProcessId>{ProcessId(kProcessIdLimit)}),
+               InvariantViolation);
 
-  EXPECT_EQ(bitset_side.intersection_size(huge_side), 4u);
-  EXPECT_EQ(huge_side.intersection_size(bitset_side), 4u);
-  EXPECT_TRUE(bitset_side.is_subset_of(huge_side));
-  EXPECT_FALSE(huge_side.is_subset_of(bitset_side));
-  EXPECT_TRUE(bitset_side.intersects(huge_side));
-  EXPECT_TRUE(huge_side.contains(ProcessId(huge_id)));
-  EXPECT_FALSE(bitset_side.contains(ProcessId(huge_id)));
-  EXPECT_TRUE(huge_side.contains_majority_of(bitset_side));
-  // {huge} alone intersects nothing below the boundary.
-  ProcessSet lone_huge;
-  lone_huge.insert(ProcessId(huge_id));
-  EXPECT_FALSE(lone_huge.intersects(bitset_side));
-  EXPECT_FALSE(lone_huge.contains_majority_of(bitset_side));
-  EXPECT_TRUE(lone_huge.is_subset_of(huge_side));
-
-  // Set algebra across mixed representations lands on the model answer.
-  const ProcessSet both = bitset_side.set_union(huge_side);
-  EXPECT_EQ(both.size(), 5u);
-  EXPECT_FALSE(both.uses_bitset());
-  EXPECT_EQ(bitset_side.set_intersection(huge_side), bitset_side);
-  EXPECT_EQ(huge_side.set_difference(bitset_side), lone_huge);
-  // Dropping the huge id from a union restores the bitset tier.
-  ProcessSet back = both;
-  EXPECT_TRUE(back.erase(ProcessId(huge_id)));
-  EXPECT_TRUE(back.uses_bitset());
-  EXPECT_EQ(back, bitset_side);
-}
-
-TEST(ProcessSetProperty, HugeTierWorkloadAgreesWithModel) {
-  // Pure merge-walk property run: both operands routinely carry ids far
-  // beyond kDynamicIdLimit (up to 4x), interleaved with small ids so the
-  // merge walk constantly crosses the boundary inside one operand.
-  Rng rng(20260809);
-  const std::uint32_t max_id = ProcessSet::kDynamicIdLimit * 4;
-  for (int round = 0; round < 300; ++round) {
-    Model ma = random_model(rng, max_id);
-    Model mb = random_model(rng, max_id);
-    // Force genuine boundary straddles: give each side one id on each
-    // side of the limit half the time.
-    if (rng.next_bool(0.5)) {
-      ma.insert(ProcessSet::kDynamicIdLimit +
-                static_cast<std::uint32_t>(rng.next_below(64)));
-      ma.insert(static_cast<std::uint32_t>(rng.next_below(64)));
-    }
-    if (rng.next_bool(0.5)) {
-      mb.insert(ProcessSet::kDynamicIdLimit - 1 -
-                static_cast<std::uint32_t>(rng.next_below(64)));
-      mb.insert(ProcessSet::kDynamicIdLimit +
-                static_cast<std::uint32_t>(rng.next_below(64)));
-    }
-    const ProcessSet a = from_model(ma);
-    const ProcessSet b = from_model(mb);
-    expect_matches_model(a, ma);
-    expect_matches_model(b, mb);
-    EXPECT_EQ(a.intersection_size(b), model_intersection(ma, mb).size());
-    EXPECT_EQ(a.intersects(b), !model_intersection(ma, mb).empty());
-    EXPECT_EQ(a.is_subset_of(b),
-              std::includes(mb.begin(), mb.end(), ma.begin(), ma.end()));
-    EXPECT_EQ(a.contains_majority_of(b),
-              2 * model_intersection(ma, mb).size() > mb.size());
-    EXPECT_EQ(a.contains_exact_half_of(b),
-              !mb.empty() && 2 * model_intersection(ma, mb).size() == mb.size());
-    expect_matches_model(a.set_union(b), model_union(ma, mb));
-    expect_matches_model(a.set_intersection(b), model_intersection(ma, mb));
-    expect_matches_model(a.set_difference(b), model_difference(ma, mb));
-  }
+  EXPECT_TRUE(s.insert(ProcessId(top)));
+  EXPECT_TRUE(s.contains(ProcessId(top)));
+  EXPECT_FALSE(s.contains(ProcessId(kProcessIdLimit)));
+  EXPECT_EQ(s.max_member(), ProcessId(top));
+  EXPECT_EQ(s, ProcessSet::of({1, 300, top}));
+  EXPECT_EQ(s, ProcessSet(std::vector<ProcessId>{ProcessId(top), ProcessId(1),
+                                                 ProcessId(300)}));
+  const ProcessSet all = ProcessSet::range(kProcessIdLimit);
+  EXPECT_EQ(all.size(), kProcessIdLimit);
+  EXPECT_EQ(all.max_member(), ProcessId(top));
+  EXPECT_TRUE(s.is_subset_of(all));
+  EXPECT_EQ(all.intersection_size(s), 3u);
+  EXPECT_TRUE(ProcessSet::of({top}).intersects(s));
+  EXPECT_FALSE(s.contains_majority_of(all));
+  EXPECT_EQ(all.set_difference(s).size(), kProcessIdLimit - 3);
+  EXPECT_EQ(s.set_intersection(ProcessSet::of({0, top})), ProcessSet::of({top}));
 }
 
 TEST(ProcessSetProperty, DegenerateQuorumPredicatesAreNotVacuouslyTrue) {

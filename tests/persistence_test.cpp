@@ -11,6 +11,7 @@
 #include "dv/basic_protocol.hpp"
 #include "dv/state.hpp"
 #include "dv/wal.hpp"
+#include "harness/availability.hpp"
 #include "harness/cluster.hpp"
 #include "harness/schedule.hpp"
 #include "sim/stable_storage.hpp"
@@ -433,27 +434,7 @@ TEST_P(PersistenceChurnProperty, WalSurvivesCrashesAndKeepsC1) {
   Cluster cluster(
       cluster_options(ProtocolKind::kOptimized, 8, GetParam()));
   sim::Simulator& sim = cluster.sim();
-  for (const ScheduleEvent& event : schedule) {
-    sim.queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const ProcessSet& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  enqueue_schedule(cluster, schedule);
   cluster.merge();
   cluster.settle();
   EXPECT_TRUE(cluster.checker().check_all().empty());

@@ -74,27 +74,7 @@ TEST_P(RandomScheduleProperty, InvariantsHoldAndHealedSystemRecovers) {
     cluster.protocol(p).set_observer(&fanout);
   }
 
-  for (const ScheduleEvent& event : schedule) {
-    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const auto& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  enqueue_schedule(cluster, schedule);
   cluster.merge();
   cluster.settle();
 
@@ -196,27 +176,7 @@ class LossyScheduleProperty
           return drop_rng.next_bool(0.12);
         });
 
-    for (const ScheduleEvent& event : schedule) {
-      cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-        switch (event.kind) {
-          case ScheduleEvent::Kind::kPartition:
-            cluster.partition(event.groups);
-            break;
-          case ScheduleEvent::Kind::kMerge: {
-            ProcessSet merged;
-            for (const auto& g : event.groups) merged = merged.set_union(g);
-            cluster.partition({merged});
-            break;
-          }
-          case ScheduleEvent::Kind::kCrash:
-            cluster.crash(event.process);
-            break;
-          case ScheduleEvent::Kind::kRecover:
-            cluster.recover(event.process);
-            break;
-        }
-      });
-    }
+    enqueue_schedule(cluster, schedule);
     cluster.merge();
     cluster.settle();
     return cluster.checker().check_basic().size();
@@ -341,27 +301,7 @@ TEST_P(KvChurnProperty, StoreNeverDivergesUnderConsistentProtocol) {
   Cluster cluster(options);
   app::KvStore store(cluster);
 
-  for (const ScheduleEvent& event : schedule) {
-    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const auto& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
-  }
+  enqueue_schedule(cluster, schedule);
   // Periodic writes from every process, racing the failures.
   int counter = 0;
   for (SimTime t = 30'000; t < schedule_options.duration; t += 60'000) {
