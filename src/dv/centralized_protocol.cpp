@@ -72,7 +72,7 @@ void CentralizedDvProtocol::on_view(const View& view) {
 }
 
 void CentralizedDvProtocol::on_message(ProcessId from,
-                                       const sim::PayloadPtr& payload) {
+                                       sim::PayloadPtr payload) {
   if (!session_active_) return;
   const auto* msg = dynamic_cast<const CentralizedPayload*>(payload.get());
   ensure(msg != nullptr, "unexpected payload type");

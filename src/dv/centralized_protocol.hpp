@@ -70,7 +70,7 @@ class CentralizedDvProtocol : public ProtocolNode {
 
  protected:
   void on_view(const View& view) override;
-  void on_message(ProcessId from, const sim::PayloadPtr& payload) override;
+  void on_message(ProcessId from, sim::PayloadPtr payload) override;
   void on_crash() override;
   void on_recover() override;
 

@@ -1,5 +1,7 @@
 #include "dv/protocol_base.hpp"
 
+#include <utility>
+
 #include "sim/simulator.hpp"
 #include "util/ensure.hpp"
 
@@ -35,7 +37,7 @@ void SessionProtocolBase::on_view(const View& view) {
 }
 
 void SessionProtocolBase::on_message(ProcessId from,
-                                     const sim::PayloadPtr& payload) {
+                                     sim::PayloadPtr payload) {
   if (!session_active_) return;  // session already ended within this view
   const auto* phased = dynamic_cast<const PhasedPayload*>(payload.get());
   ensure(phased != nullptr, "non-phased payload delivered to protocol");
@@ -48,7 +50,8 @@ void SessionProtocolBase::on_message(ProcessId from,
   PhaseSlots& slots = collected_[static_cast<std::size_t>(phase)];
   auto& slot = slots.messages[members.index_of(from)].second;
   ensure(slot == nullptr, "duplicate phase message");
-  slot = std::shared_ptr<const PhasedPayload>(payload, phased);
+  // Aliasing move: the slot takes over the envelope's reference.
+  slot = std::shared_ptr<const PhasedPayload>(std::move(payload), phased);
   ++slots.filled;
   try_complete_phase();
 }

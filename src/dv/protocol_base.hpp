@@ -52,7 +52,7 @@ class SessionProtocolBase : public ProtocolNode {
 
   // -- Node hooks (final: the lifecycle is owned here) ----------------------
   void on_view(const View& view) final;
-  void on_message(ProcessId from, const sim::PayloadPtr& payload) final;
+  void on_message(ProcessId from, sim::PayloadPtr payload) final;
   void on_crash() final;
   void on_recover() final;
 

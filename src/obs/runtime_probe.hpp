@@ -3,7 +3,7 @@
 // The DES observability spine (TraceSink -> MetricsHub -> FlightRecorder)
 // speaks simulated time; the runtime backend (runtime/pool_transport.hpp)
 // runs on real worker threads, where the interesting questions are
-// wall-clock ones: how long did a message sit in its SPSC ring, how long
+// wall-clock ones: how long did a message sit in its SPSC link, how long
 // was a worker parked, how late did a timer fire, where did a
 // reconfiguration's microseconds actually go. ProbeRing answers them
 // without perturbing the system under test:
@@ -61,11 +61,11 @@ inline constexpr std::uint16_t kNoLane = 0xFFFE;
 [[nodiscard]] std::string lane_name(std::uint32_t thread);
 
 enum class ProbeKind : std::uint8_t {
-  kLinkPushFailed,  // spill or control backpressure; t = first failed
-                    // push, value = control stall ns (0 for a spill),
-                    // link = destination worker
+  kLinkPushFailed,  // a push onto a full link; the pool's links and
+                    // control queues are unbounded, so nothing records
+                    // it (kept for the document schema and its readers)
   kLinkPop,         // data-link pop; value = queue wait ns (pop - send)
-  kControlPush,     // control-queue push (controller ring); value = depth
+  kControlPush,     // control-queue push (controller lane); value = depth
   kControlPop,      // control-queue pop; value = queue wait ns
   kParked,          // t = park start, value = parked ns (for timer-bounded
                     // naps: only the portion before the deadline)
@@ -81,7 +81,7 @@ enum class ProbeKind : std::uint8_t {
                     // link = source lane (sender / source worker)
   kRunQueue,        // local run-queue sample; value = depth after a
                     // same-worker fast-path enqueue
-  kHandoff,         // cross-worker push; value = ring depth after push,
+  kHandoff,         // cross-worker push; value = link depth after push,
                     // link = destination worker
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "util/ensure.hpp"
@@ -10,17 +9,7 @@
 namespace dynvote::runtime {
 
 namespace {
-/// How long the controller spins on a full control ring before the run
-/// is declared wedged (workers never block, so a live worker always
-/// drains its control ring eventually).
-constexpr auto kBackpressureTimeout = std::chrono::seconds(30);
 constexpr auto kQuiesceTimeout = std::chrono::seconds(60);
-/// Floor on each cross-worker ring's capacity, in messages; the ring
-/// grows with the shard size above it. The spill deques make this a
-/// performance knob, not a correctness bound.
-constexpr std::size_t kMinLinkCapacity = 256;
-/// Floor on each controller->worker control queue's capacity.
-constexpr std::size_t kMinControlCapacity = 128;
 /// Per-process trace-ring capacity. Bounded so long benches don't grow
 /// trace memory without limit; far above any cross-check scenario's
 /// event count, so digests are unaffected.
@@ -38,10 +27,9 @@ PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w)
 }
 
 PoolTransport::Worker::Worker(std::uint32_t idx, std::uint32_t num_workers,
-                              const RuntimeOptions& options,
-                              std::size_t control_capacity)
-    : index(idx), wheel(options.wheel_tick_us), spill(num_workers) {
-  control = std::make_unique<SpscQueue<ControlItem>>(control_capacity);
+                              const RuntimeOptions& options)
+    : index(idx), wheel(options.wheel_tick_us), marked(num_workers, 0) {
+  wake.reserve(num_workers);
   if (options.probes) {
     probe = std::make_unique<obs::ProbeRing>(options.probe_capacity);
   }
@@ -53,13 +41,15 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
       ids_(processes),
       start_time_(std::chrono::steady_clock::now()) {
   ensure(!ids_.empty(), "runtime transport needs at least one process");
-  lookup_.reserve(ids_.size());
   for (std::size_t i = 0; i < ids_.size(); ++i) {
-    lookup_.emplace_back(ids_[i], i);
-  }
-  std::sort(lookup_.begin(), lookup_.end());
-  for (std::size_t i = 1; i < lookup_.size(); ++i) {
-    ensure(lookup_[i - 1].first != lookup_[i].first, "duplicate process id");
+    const std::uint32_t raw = ids_[i].value();
+    if (raw >= kProcessIdLimit) {
+      invariant_failed("runtime process " + to_string(ids_[i]) +
+                       " is not below kProcessIdLimit (2^20)");
+    }
+    if (raw >= slot_direct_.size()) slot_direct_.resize(raw + 1, kNoSlot);
+    ensure(slot_direct_[raw] == kNoSlot, "duplicate process id");
+    slot_direct_[raw] = static_cast<std::uint32_t>(i);
   }
 
   std::uint32_t w = workers;
@@ -75,30 +65,13 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
                                       std::memory_order_relaxed);
   }
 
-  // A view announcement lands one control item per member, so a worker
-  // can see its whole shard addressed in one burst; size the ring so
-  // two back-to-back bursts fit without making the controller spin.
-  const std::size_t per_worker = (ids_.size() + w - 1) / w;
-  const std::size_t control_capacity =
-      std::max(kMinControlCapacity, 2 * per_worker + 8);
   for (std::uint32_t wi = 0; wi < w; ++wi) {
-    workers_.push_back(
-        std::make_unique<Worker>(wi, w, options_, control_capacity));
+    workers_.push_back(std::make_unique<Worker>(wi, w, options_));
   }
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     workers_[i % w]->owned.push_back(i);
   }
-
-  // A cross-worker ring aggregates every process pair between its two
-  // workers, so scale its capacity with the shard size.
-  const std::size_t ring_capacity =
-      std::max(kMinLinkCapacity, 4 * per_worker);
-  rings_.reserve(static_cast<std::size_t>(w) * w);
-  for (std::uint32_t src = 0; src < w; ++src) {
-    for (std::uint32_t dst = 0; dst < w; ++dst) {
-      rings_.push_back(std::make_unique<SpscQueue<PoolItem>>(ring_capacity));
-    }
-  }
+  links_ = std::make_unique<SpscQueue<PoolItem>[]>(std::size_t{w} * w);
 
   if (options_.probes) {
     controller_probe_ =
@@ -116,13 +89,13 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
 PoolTransport::~PoolTransport() { stop_and_join(); }
 
 std::size_t PoolTransport::index_of(ProcessId p) const {
-  const auto it = std::lower_bound(
-      lookup_.begin(), lookup_.end(), p,
-      [](const auto& entry, ProcessId id) { return entry.first < id; });
-  if (it == lookup_.end() || it->first != p) {
+  const std::uint32_t raw = p.value();
+  const std::uint32_t index =
+      raw < slot_direct_.size() ? slot_direct_[raw] : kNoSlot;
+  if (index == kNoSlot) [[unlikely]] {
     invariant_failed("unknown runtime process " + to_string(p));
   }
-  return it->second;
+  return index;
 }
 
 PoolTransport::Slot& PoolTransport::slot(ProcessId p) {
@@ -170,27 +143,19 @@ void PoolTransport::send(sim::Envelope env) {
     return;
   }
 
-  Worker& dest = *workers_[to.worker];
   inflight_.fetch_add(1, std::memory_order_acq_rel);
-  SpscQueue<PoolItem>& link = ring(from.worker, to.worker);
-  if (me.spill[to.worker].empty() && link.try_push(std::move(item))) {
-    if (probe) {
-      probe->record(obs::ProbeKind::kHandoff, now_ns(), link.producer_size(),
-                    static_cast<std::uint16_t>(to.worker),
-                    from.trace.last_eid());
-    }
-    bump_work(dest);
-  } else {
-    // Full ring (or order-preservation behind earlier spilled items):
-    // never block — spill and let the loop retry the flush. This is the
-    // no-deadlock guarantee for mutually backpressured workers.
-    me.spill[to.worker].push_back(std::move(item));
-    ++me.spilled;
-    if (probe) {
-      probe->record(obs::ProbeKind::kLinkPushFailed, now_ns(), 0,
-                    static_cast<std::uint16_t>(to.worker),
-                    from.trace.last_eid());
-    }
+  SpscQueue<PoolItem>& out = link(from.worker, to.worker);
+  out.push(std::move(item));
+  if (probe) {
+    probe->record(obs::ProbeKind::kHandoff, now_ns(), out.producer_size(),
+                  static_cast<std::uint16_t>(to.worker),
+                  from.trace.last_eid());
+  }
+  // The wakeup waits for the handler to return (wake_marked), so a
+  // broadcast bumps each destination worker once.
+  if (me.marked[to.worker] == 0) {
+    me.marked[to.worker] = 1;
+    me.wake.push_back(to.worker);
   }
 }
 
@@ -410,24 +375,10 @@ void PoolTransport::post_control(ProcessId p, ControlItem item) {
   Worker& target = *workers_[slot(p).worker];
   if (controller_probe_) item.sent_ns = now_ns();
   inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (!target.control->try_push(std::move(item))) {
-    const std::uint64_t stall_start = controller_probe_ ? now_ns() : 0;
-    const auto give_up = std::chrono::steady_clock::now() + kBackpressureTimeout;
-    do {
-      bump_work(target);
-      std::this_thread::yield();
-      ensure(std::chrono::steady_clock::now() < give_up,
-             "runtime control backpressure timeout");
-    } while (!target.control->try_push(std::move(item)));
-    if (controller_probe_) {
-      controller_probe_->record(obs::ProbeKind::kLinkPushFailed, stall_start,
-                                now_ns() - stall_start,
-                                static_cast<std::uint16_t>(target.index), 0);
-    }
-  }
+  target.control.push(std::move(item));
   if (controller_probe_) {
     controller_probe_->record(obs::ProbeKind::kControlPush, now_ns(),
-                              target.control->producer_size(),
+                              target.control.producer_size(),
                               static_cast<std::uint16_t>(target.index), 0);
   }
   bump_work(target);
@@ -440,25 +391,12 @@ void PoolTransport::bump_work(Worker& target) {
   target.work.notify();
 }
 
-bool PoolTransport::flush_spills(Worker& me) {
-  if (me.spilled == 0) return false;
-  bool moved = false;
-  for (std::uint32_t dst = 0; dst < workers_.size(); ++dst) {
-    std::deque<PoolItem>& queue = me.spill[dst];
-    if (queue.empty()) continue;
-    SpscQueue<PoolItem>& link = ring(me.index, dst);
-    bool pushed_any = false;
-    while (!queue.empty() && link.try_push(std::move(queue.front()))) {
-      queue.pop_front();
-      --me.spilled;
-      pushed_any = true;
-    }
-    if (pushed_any) {
-      bump_work(*workers_[dst]);
-      moved = true;
-    }
+void PoolTransport::wake_marked(Worker& me) {
+  for (const std::uint32_t dst : me.wake) {
+    me.marked[dst] = 0;
+    bump_work(*workers_[dst]);
   }
-  return moved;
+  me.wake.clear();
 }
 
 void PoolTransport::worker_main(Worker& me) {
@@ -477,7 +415,7 @@ void PoolTransport::worker_main(Worker& me) {
     // this read also bumps the word, so the wait below cannot miss it.
     const std::uint32_t seq = me.work.prepare();
     bool did_work = false;
-    while (me.control->try_pop(control)) {
+    while (me.control.try_pop(control)) {
       if (probe) {
         const std::uint64_t t = now_ns();
         probe->record(obs::ProbeKind::kControlPop, t,
@@ -491,23 +429,24 @@ void PoolTransport::worker_main(Worker& me) {
       } else {
         handle_control(me, control);
       }
+      wake_marked(me);
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
       note_progress();
       did_work = true;
     }
-    if (flush_spills(me)) did_work = true;
     for (std::uint32_t src = 0; src < num_workers; ++src) {
       if (src == me.index) continue;
-      SpscQueue<PoolItem>& link = ring(src, me.index);
+      SpscQueue<PoolItem>& in = link(src, me.index);
       // Batched drain: the whole burst costs one acquire refresh and
       // one cursor publish instead of a pair per message.
-      while (link.pop_bulk(me.batch, link.capacity()) > 0) {
+      while (in.pop_bulk(me.batch, SpscQueue<PoolItem>::kSegmentItems) > 0) {
         if (probe) {
           probe->record(obs::ProbeKind::kBatch, now_ns(), me.batch.size(),
                         static_cast<std::uint16_t>(src), 0);
         }
         for (PoolItem& item : me.batch) {
           handle_message(me, item, static_cast<std::uint16_t>(src));
+          wake_marked(me);
           inflight_.fetch_sub(1, std::memory_order_acq_rel);
           note_progress();
         }
@@ -522,6 +461,7 @@ void PoolTransport::worker_main(Worker& me) {
       PoolItem item = std::move(me.local.front());
       me.local.pop_front();
       handle_message(me, item, static_cast<std::uint16_t>(me.index));
+      wake_marked(me);
       note_progress();
       did_work = true;
     }
@@ -532,49 +472,31 @@ void PoolTransport::worker_main(Worker& me) {
         // per-timer slop, this records the batch's execution time.
         probe->record(obs::ProbeKind::kHandlerTimer, t, now_ns() - t,
                       obs::kNoLane, 0);
+        wake_marked(me);
         note_progress();
         did_work = true;
       }
     } else if (me.wheel.advance(now()) > 0) {
+      wake_marked(me);
       note_progress();
       did_work = true;
     }
     if (did_work) continue;
-    if (stop_.load(std::memory_order_acquire)) {
-      if (me.spilled > 0) {
-        // Shutdown with undeliverable spill (the fleet quiesces before
-        // stopping, so only a hard stop gets here): drop the items but
-        // release their inflight counts so nothing wedges.
-        inflight_.fetch_sub(static_cast<std::int64_t>(me.spilled),
-                            std::memory_order_acq_rel);
-        me.spilled = 0;
-      }
-      break;
-    }
+    if (stop_.load(std::memory_order_acquire)) break;
 
     // Nothing to do: publish idle (odd -> even) for the quiesce
     // double-read, park, then mark busy again (even -> odd) on wake.
     me.status.fetch_add(1, std::memory_order_release);
-    const auto deadline = me.wheel.next_deadline();
-    std::optional<SimTime> limit;
-    if (deadline) limit = *deadline;
-    if (me.spilled > 0) {
-      // Pending spill: ring drains are not notified back to producers,
-      // so retry the flush within one nap slice at most.
-      const SimTime retry = now() + RuntimeEventcount::kMaxNapSliceUs;
-      limit = limit ? std::min(*limit, retry) : retry;
-    }
-    if (limit) {
-      if (*limit > now()) {
+    if (const auto deadline = me.wheel.next_deadline()) {
+      if (*deadline > now()) {
         const std::uint64_t nap_start = probe ? now_ns() : 0;
-        me.work.wait_until(seq, *limit, [this] { return now(); });
+        me.work.wait_until(seq, *deadline, [this] { return now(); });
         if (probe) {
           // Split the nap at the timer deadline: time before it is
           // parked, time past it is slop the timer's consumer will
-          // observe. Spill-bounded naps have no deadline to miss.
+          // observe.
           const std::uint64_t wake_ns = now_ns();
-          const std::uint64_t deadline_ns =
-              deadline ? *deadline * 1000 : ~std::uint64_t{0};
+          const std::uint64_t deadline_ns = *deadline * 1000;
           if (wake_ns > deadline_ns) {
             if (deadline_ns > nap_start) {
               probe->record(obs::ProbeKind::kParked, nap_start,

@@ -9,16 +9,18 @@
 //  * each worker owns a static shard of processes (index mod W — no
 //    migration, so every per-process structure stays single-threaded),
 //    one merged timer wheel, and one probe lane;
-//  * cross-worker messages travel over W×W SPSC rings (one per ordered
+//  * cross-worker messages travel over W×W SPSC links (one per ordered
 //    worker pair — SPSC holds because a process never leaves its
 //    worker, and per-process-pair FIFO is preserved because all p→q
-//    traffic shares the single worker(p)→worker(q) ring);
+//    traffic shares the single worker(p)→worker(q) link);
 //  * same-worker messages short-circuit to a plain deque run queue:
-//    zero atomics on the hot path — no ring cursors, no inflight
-//    counter, no eventcount bump;
-//  * inbound rings are drained in batches (SpscQueue::pop_bulk), so a
-//    burst costs one acquire refresh + one cursor publish + one wakeup
-//    instead of a pair of fences per message.
+//    zero atomics on the hot path — no link cursors, no inflight
+//    counter, no wakeup;
+//  * inbound links are drained in batches (SpscQueue::pop_bulk), so a
+//    burst costs one acquire refresh + one cursor publish instead of a
+//    pair of fences per message;
+//  * a process id indexes a dense table straight to its slot (ids are
+//    below kProcessIdLimit), so routing a message costs array loads.
 //
 // Semantics mirror sim::Network so the DES remains a valid oracle:
 //
@@ -36,13 +38,16 @@
 //  * Lamport clocks advance exactly as in Network (send ticks the
 //    sender, delivery merges).
 //
-// Backpressure without deadlock: a full cross-worker ring never blocks
-// the sender (two workers spinning on each other's full rings would
-// deadlock). Instead the item goes to a per-destination spill deque,
-// flushed FIFO at the top of every loop iteration; once a destination
-// has spilled items, new sends to it append behind them, preserving
-// order. A worker with pending spill parks bounded (it must retry the
-// flush; ring drains are not notified back to the producer).
+// No backpressure: links and control queues are unbounded segment
+// chains (runtime/spsc_queue.hpp), so a send or a control post never
+// finds its queue full, never blocks and never retries; two workers
+// flooding each other cannot deadlock.
+//
+// One wakeup per destination worker per handler: a cross-worker send
+// only marks its destination worker, and the loop bumps each marked
+// worker once when the message handler, control item or timer-wheel
+// advance returns. The handler finishes before its worker can park, so
+// the deferred bump delays a wakeup by at most the handler's length.
 //
 // Quiescence: cross-worker and control items are counted in a global
 // inflight counter (++ before push, -- after the handler). Local-queue
@@ -51,7 +56,7 @@
 // may hold or produce local work, incremented to even only after a scan
 // found nothing. The controller's quiesce() is a double-read: statuses
 // all even, inflight zero, statuses unchanged. Any work that existed at
-// the first read either shows in inflight (ring/control items) or
+// the first read either shows in inflight (link/control items) or
 // forces its worker odd / onto a new status value (local items) before
 // the second read.
 //
@@ -93,9 +98,9 @@
 
 namespace dynvote::runtime {
 
-/// The runtime's caller-settable knobs. Ring, control-queue and trace
-/// capacities are fixed in pool_transport.cpp: the pool sizes its queues
-/// from the shard size.
+/// The runtime's caller-settable knobs. Links and control queues are
+/// unbounded segment chains with nothing to size; the per-process trace
+/// capacity is fixed in pool_transport.cpp.
 struct RuntimeOptions {
   /// Timer-wheel slot granularity, microseconds.
   SimTime wheel_tick_us = 1024;
@@ -115,7 +120,8 @@ struct RuntimeOptions {
 class PoolTransport final : public sim::Transport {
  public:
   /// `workers` = 0 picks hardware_concurrency; the count is always
-  /// clamped to [1, n] (more workers than processes would idle).
+  /// clamped to [1, n] (more workers than processes would idle). Every
+  /// id must be distinct and below kProcessIdLimit.
   PoolTransport(const std::vector<ProcessId>& processes,
                 std::uint32_t workers, RuntimeOptions options = {});
   ~PoolTransport() override;
@@ -257,8 +263,9 @@ class PoolTransport final : public sim::Transport {
     std::uint32_t index = 0;
     std::thread thread;
     /// The worker's futex word: producers bump-and-notify after
-    /// pushing, the loop re-reads it before parking
-    /// (runtime/eventcount.hpp; no mutex anywhere on the message path).
+    /// pushing (senders once per handler, see `wake`), the loop re-reads
+    /// it before parking (runtime/eventcount.hpp; no mutex anywhere on
+    /// the message path).
     RuntimeEventcount work;
     TimerWheel wheel;
     std::unique_ptr<obs::ProbeRing> probe;
@@ -276,13 +283,14 @@ class PoolTransport final : public sim::Transport {
     /// grinding through an O(n^2)-message formation on few cores is
     /// progress, a handler spinning forever is not.
     std::atomic<std::uint64_t> progress{0};
-    std::unique_ptr<SpscQueue<ControlItem>> control;
+    SpscQueue<ControlItem> control;
     /// Same-worker fast path: plain FIFO, zero atomics.
     std::deque<PoolItem> local;
-    /// Per-destination-worker overflow for full cross rings (the
-    /// no-deadlock guarantee: senders never block).
-    std::vector<std::deque<PoolItem>> spill;
-    std::size_t spilled = 0;  // total items across spill deques
+    /// Destination workers this worker's current handler pushed to, each
+    /// listed once (`marked` is indexed by worker); wake_marked() bumps
+    /// them when the handler returns.
+    std::vector<std::uint32_t> wake;
+    std::vector<std::uint8_t> marked;
     /// pop_bulk scratch, reused so the steady-state drain allocates
     /// nothing.
     std::vector<PoolItem> batch;
@@ -290,36 +298,39 @@ class PoolTransport final : public sim::Transport {
     std::vector<std::size_t> owned;
 
     Worker(std::uint32_t idx, std::uint32_t num_workers,
-           const RuntimeOptions& options, std::size_t control_capacity);
+           const RuntimeOptions& options);
   };
 
   [[nodiscard]] Slot& slot(ProcessId p);
   [[nodiscard]] const Slot& slot(ProcessId p) const;
   [[nodiscard]] std::size_t index_of(ProcessId p) const;
 
-  /// The worker(src)→worker(dst) data ring.
-  [[nodiscard]] SpscQueue<PoolItem>& ring(std::uint32_t src,
+  /// The worker(src)→worker(dst) data link.
+  [[nodiscard]] SpscQueue<PoolItem>& link(std::uint32_t src,
                                           std::uint32_t dst) {
-    return *rings_[src * workers_.size() + dst];
+    return links_[src * workers_.size() + dst];
   }
 
   void post_control(ProcessId p, ControlItem item);
   void bump_work(Worker& target);
+  /// Bumps every worker `me`'s last handler pushed to, once each.
+  void wake_marked(Worker& me);
 
   void worker_main(Worker& me);
-  /// Pushes as much pending spill as the rings accept; true if any
-  /// item moved.
-  bool flush_spills(Worker& me);
   void handle_control(Worker& me, ControlItem& item);
   void handle_message(Worker& me, PoolItem& item, std::uint16_t source_lane);
 
+  /// index_of's "no such process" entry.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
   RuntimeOptions options_;
   std::vector<ProcessId> ids_;
-  /// (id, index) sorted by id — O(log n) lookup on the send path.
-  std::vector<std::pair<ProcessId, std::size_t>> lookup_;
+  /// Raw id -> global index (kNoSlot for an id not in the fleet); sized
+  /// to the largest id + 1, at most 4 MiB under kProcessIdLimit.
+  std::vector<std::uint32_t> slot_direct_;
   std::vector<std::unique_ptr<Slot>> slots_;    // stable addresses, id order
   std::vector<std::unique_ptr<Worker>> workers_;  // stable addresses
-  std::vector<std::unique_ptr<SpscQueue<PoolItem>>> rings_;  // W×W
+  std::unique_ptr<SpscQueue<PoolItem>[]> links_;  // W×W
   /// Controller thread's probe ring (control-queue pushes); null when
   /// probes are off.
   std::unique_ptr<obs::ProbeRing> controller_probe_;

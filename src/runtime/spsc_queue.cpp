@@ -4,9 +4,9 @@
 
 namespace dynvote::runtime {
 
-// Compile-time smoke check: the ring instantiates for trivially movable
-// payloads (the runtime's link items are aggregates of ints, shared_ptrs
-// and ProcessSets — all nothrow-movable).
+// Compile-time smoke check: the queue instantiates in full for a plain
+// item type (the runtime's link items are aggregates of ints,
+// shared_ptrs, ProcessSets and closures — all nothrow-movable).
 template class SpscQueue<std::uint64_t>;
 
 }  // namespace dynvote::runtime

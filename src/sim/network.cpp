@@ -267,6 +267,8 @@ void Network::count_drop(const Envelope& env, obs::DropCause cause) {
       lost_in_flight_.increment();
       break;
   }
+  // Per-message events are built only when the sink keeps them.
+  if (!trace_.messages_enabled()) return;
   obs::TraceEvent event;
   event.time = queue_.now();
   event.kind = obs::TraceEventKind::kMessageDrop;
@@ -303,14 +305,17 @@ void Network::send(Envelope env) {
   // Only traffic actually admitted to a channel counts as sent bytes; the
   // communication benches must not bill filtered or unroutable messages.
   bytes_sent_.add(size);
-  obs::TraceEvent send_event;
-  send_event.time = queue_.now();
-  send_event.kind = obs::TraceEventKind::kMessageSend;
-  send_event.a = env.from;
-  send_event.b = env.to;
-  send_event.detail = env.payload->type_name();
-  send_event.lamport = env.lamport;
-  env.send_eid = trace_.record(std::move(send_event));
+  if (trace_.messages_enabled()) {
+    // Off, send_eid stays 0: what record() returns for a skipped event.
+    obs::TraceEvent send_event;
+    send_event.time = queue_.now();
+    send_event.kind = obs::TraceEventKind::kMessageSend;
+    send_event.a = env.from;
+    send_event.b = env.to;
+    send_event.detail = env.payload->type_name();
+    send_event.lamport = env.lamport;
+    env.send_eid = trace_.record(std::move(send_event));
+  }
 
   const std::uint64_t epoch = link_epoch(env.from, env.to);
   SimTime when;
@@ -346,15 +351,17 @@ void Network::deliver(Envelope env, std::uint64_t epoch_at_send) {
   // Lamport receive rule: the receiver's clock jumps past everything the
   // sender had seen at send time.
   receiver.lamport = std::max(receiver.lamport, env.lamport) + 1;
-  obs::TraceEvent event;
-  event.time = queue_.now();
-  event.kind = obs::TraceEventKind::kMessageDeliver;
-  event.a = env.from;
-  event.b = env.to;
-  event.detail = env.payload->type_name();
-  event.lamport = receiver.lamport;
-  event.cause = env.send_eid;
-  trace_.record(std::move(event));
+  if (trace_.messages_enabled()) {
+    obs::TraceEvent event;
+    event.time = queue_.now();
+    event.kind = obs::TraceEventKind::kMessageDeliver;
+    event.a = env.from;
+    event.b = env.to;
+    event.detail = env.payload->type_name();
+    event.lamport = receiver.lamport;
+    event.cause = env.send_eid;
+    trace_.record(std::move(event));
+  }
   receiver.handler(std::move(env));
 }
 

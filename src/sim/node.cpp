@@ -1,6 +1,7 @@
 #include "sim/node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/simulator.hpp"
 #include "util/ensure.hpp"
@@ -37,7 +38,7 @@ void Node::deliver_view(const View& view) {
   for (auto& env : ready) {
     if (!alive_) break;
     if (!view_ || view_->id != env.view) break;  // protocol moved on
-    on_message(env.from, env.payload);
+    on_message(env.from, std::move(env.payload));
   }
 }
 
@@ -48,7 +49,7 @@ void Node::deliver_message(Envelope env) {
     return;
   }
   if (env.view < view_->id) return;  // stale: sender was in an older view
-  on_message(env.from, env.payload);
+  on_message(env.from, std::move(env.payload));
 }
 
 void Node::crash() {

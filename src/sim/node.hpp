@@ -70,8 +70,10 @@ class Node {
   /// process.
   virtual void on_view(const View& view) = 0;
 
-  /// A protocol message arrived, sent by `from` in the current view.
-  virtual void on_message(ProcessId from, const PayloadPtr& payload) = 0;
+  /// A protocol message arrived, sent by `from` in the current view. The
+  /// envelope's reference is handed over, so a protocol that keeps the
+  /// payload moves it instead of bumping its refcount.
+  virtual void on_message(ProcessId from, PayloadPtr payload) = 0;
 
   virtual void on_crash() {}
   virtual void on_recover() {}

@@ -10,7 +10,7 @@
 //    behind sim/event_queue.hpp): virtual time, deterministic, the
 //    correctness oracle;
 //  * runtime::PoolTransport — n processes on W worker threads connected
-//    by bounded lock-free SPSC rings, real monotonic time, a per-worker
+//    by unbounded lock-free SPSC links, real monotonic time, a per-worker
 //    timer wheel (src/runtime/).
 //
 // The protocol state machines (dv/, baselines/) are written once against

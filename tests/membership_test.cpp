@@ -20,7 +20,7 @@ class ViewWatcher : public sim::Node {
 
  protected:
   void on_view(const View& view) override { views.push_back(view); }
-  void on_message(ProcessId, const sim::PayloadPtr&) override {}
+  void on_message(ProcessId, sim::PayloadPtr) override {}
 };
 
 class MembershipTest : public ::testing::Test {

@@ -51,7 +51,7 @@ class RecordingNode : public Node {
 
  protected:
   void on_view(const View&) override {}
-  void on_message(ProcessId from, const PayloadPtr& payload) override {
+  void on_message(ProcessId from, PayloadPtr payload) override {
     received.emplace_back(from, payload->type_name());
   }
 };

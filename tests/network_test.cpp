@@ -38,7 +38,7 @@ class RecordingNode : public Node {
 
  protected:
   void on_view(const View& view) override { views.push_back(view); }
-  void on_message(ProcessId from, const PayloadPtr& payload) override {
+  void on_message(ProcessId from, PayloadPtr payload) override {
     received.emplace_back(from, payload->type_name());
   }
 };

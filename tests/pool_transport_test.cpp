@@ -2,13 +2,18 @@
 // clamping, primary formation and fault verbs through RuntimeFleet, the
 // determinism contract (byte-identical outcome transcripts at ANY
 // worker count, equal to the DES oracle), the same-worker fast path vs
-// cross-worker handoff split visible in the probe lanes, the spill path
-// under a full cross-worker ring, the partition rule and in-flight drain
-// of a bare transport, and a churn stress meant for the TSan pass
-// (tools/run_experiments.sh wires the Runtime* prefixes in).
+// cross-worker handoff split visible in the probe lanes, a burst that
+// spans several link segments, the partition rule, in-flight drain and
+// per-handler wakeups of a bare transport, and a churn stress meant for
+// the TSan pass (tools/run_experiments.sh wires the Runtime* prefixes
+// in).
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,6 +95,30 @@ TEST(RuntimePool, LookupsFindEveryIdAndNameAnUnknownOne) {
   PoolTransport transport(make_ids(3), /*workers=*/1);
   expect_lookup_names([&] { (void)transport.storage(ProcessId(9)); },
                       "unknown runtime process p9");
+
+  // A sparse fleet reaching the top of the id range: the dense table
+  // resolves every member and names every gap.
+  const std::vector<ProcessId> sparse = {ProcessId(0), ProcessId(7),
+                                         ProcessId(4095),
+                                         ProcessId(kProcessIdLimit - 1)};
+  PoolTransport wide(sparse, /*workers=*/2);
+  std::vector<const sim::StableStorage*> storages;
+  for (std::uint32_t i = 0; i < sparse.size(); ++i) {
+    EXPECT_EQ(wide.lane_of(sparse[i]), i % 2);
+    storages.push_back(&wide.storage(sparse[i]));
+  }
+  std::sort(storages.begin(), storages.end());
+  EXPECT_EQ(std::unique(storages.begin(), storages.end()), storages.end());
+  expect_lookup_names([&] { (void)wide.storage(ProcessId(8)); },
+                      "unknown runtime process p8");
+  expect_lookup_names([&] { (void)wide.storage(ProcessId(5000)); },
+                      "unknown runtime process p5000");
+  expect_lookup_names(
+      [] { PoolTransport dup({ProcessId(0), ProcessId(7), ProcessId(0)}, 1); },
+      "duplicate process id");
+  expect_lookup_names(
+      [] { PoolTransport past({ProcessId(0), ProcessId(kProcessIdLimit)}, 1); },
+      "kProcessIdLimit");
 
   RuntimeFleet fleet(pool_options(/*n=*/5, /*workers=*/1));
   for (const ProcessId p : fleet.processes()) {
@@ -220,13 +249,14 @@ TEST(RuntimePool, SingleWorkerRunsEntirelyOnFastPath) {
   EXPECT_EQ(batches, 0u);
 }
 
-// The spill path is the pool's only backpressure mechanism: a send that
-// finds its cross-worker ring full queues the item in a per-destination
-// deque instead of blocking. At n = 64 on two workers, a view change
-// makes each worker's 32 processes address the other worker's 32 in one
-// burst, far past the ring's capacity. The outcome must still be
-// byte-identical to W = 1, where no cross-worker ring exists.
-TEST(RuntimePool, SpillKeepsTranscriptIdentical) {
+// A link is a chain of segments, so a burst larger than one segment
+// queues behind the sender without any overflow path. At n = 64 on two
+// workers, a view change makes each worker's 32 processes address the
+// other worker's 32 in one burst of about 1,024 messages per link, and
+// the kHandoff probe (the link's length right after each push) shows a
+// link holding more than one segment. The outcome must still be
+// byte-identical to W = 1, where no cross-worker link exists.
+TEST(RuntimePool, MultiSegmentBurstKeepsTranscriptIdentical) {
   constexpr std::uint32_t kN = 64;
   ProcessSet majority;
   ProcessSet minority;
@@ -234,10 +264,10 @@ TEST(RuntimePool, SpillKeepsTranscriptIdentical) {
     (i <= kN / 2 ? majority : minority).insert(ProcessId(i));
   }
   std::vector<std::string> summaries;
-  std::uint64_t spills = 0;
+  std::uint64_t deepest = 0;
   for (const std::uint32_t workers : {2u, 1u}) {
     FleetOptions options = pool_options(kN, workers, /*probes=*/true);
-    // Room for every entry of both verbs, so no spill record is
+    // Room for every entry of both verbs, so no handoff record is
     // overwritten before the snapshot.
     options.runtime.probe_capacity = 1 << 16;
     RuntimeFleet fleet(options);
@@ -247,15 +277,16 @@ TEST(RuntimePool, SpillKeepsTranscriptIdentical) {
     const std::vector<obs::ThreadProbeLog> logs = fleet.probe_logs();
     fleet.stop();
     summaries.push_back(fleet.outcome_summary());
-    if (workers != 2) continue;
     for (const obs::ThreadProbeLog& lane : logs) {
-      if (lane.thread == obs::kControllerLane) continue;  // control stalls
       for (const obs::ProbeEntry& e : lane.entries) {
-        spills += e.kind == obs::ProbeKind::kLinkPushFailed ? 1 : 0;
+        EXPECT_NE(e.kind, obs::ProbeKind::kLinkPushFailed);  // never full
+        if (e.kind == obs::ProbeKind::kHandoff) {
+          deepest = std::max(deepest, e.value);
+        }
       }
     }
   }
-  EXPECT_GT(spills, 0u);
+  EXPECT_GT(deepest, SpscQueue<int>::kSegmentItems);
   ASSERT_EQ(summaries.size(), 2u);
   EXPECT_EQ(summaries[0], summaries[1]);
 }
@@ -282,7 +313,7 @@ class CountingNode final : public sim::Node {
 
  protected:
   void on_view(const View&) override {}
-  void on_message(ProcessId, const sim::PayloadPtr&) override { ++handled; }
+  void on_message(ProcessId, sim::PayloadPtr) override { ++handled; }
 };
 
 /// A bare PoolTransport at W = 2 over p0..p3 — p0 and p2 on worker 0, p1
@@ -376,11 +407,101 @@ TEST(RuntimePool, TopologyVerbDrainsInFlightTrafficFirst) {
   EXPECT_EQ(pool.node(1).handled, static_cast<std::uint64_t>(kMessages));
 }
 
+// -------------------------------------------------------------- wakeups
+
+struct Relay final : sim::MessagePayload {
+  [[nodiscard]] std::string type_name() const override { return "relay"; }
+  [[nodiscard]] std::size_t encoded_size() const override { return 0; }
+};
+
+/// Pings every other member of its view on request, after a timer, or
+/// on receiving a Relay; counts the pings it receives (written on its
+/// worker, read by the controller after quiesce()).
+class FanOutNode final : public sim::Node {
+ public:
+  using sim::Node::Node;
+
+  void fan_out() {
+    const sim::PayloadPtr payload = std::make_shared<const Ping>();
+    for (const ProcessId p : current_view()->members) {
+      if (p != id()) send(p, payload);
+    }
+  }
+  void fan_out_after(SimTime delay, std::atomic<bool>& fired) {
+    schedule_timer(delay, [this, &fired] {
+      fan_out();
+      fired.store(true, std::memory_order_release);
+    });
+  }
+  void relay_to(ProcessId to) { send(to, std::make_shared<const Relay>()); }
+
+  std::uint64_t pings = 0;
+
+ protected:
+  void on_view(const View&) override {}
+  void on_message(ProcessId, sim::PayloadPtr payload) override {
+    if (dynamic_cast<const Relay*>(payload.get()) != nullptr) {
+      fan_out();
+    } else {
+      ++pings;
+    }
+  }
+};
+
+// A cross-worker send only marks its destination worker; the bump comes
+// when the handler returns. Each of the three handler kinds — a run_on
+// closure, a timer callback and a message handler — sends from a parked
+// fleet to processes on the other three workers, and nothing else wakes
+// those workers: a path that skipped its wake would leave messages in a
+// parked worker's link and quiesce() would time out.
+TEST(RuntimePool, EveryHandlerKindWakesTheWorkersItSentTo) {
+  constexpr std::uint32_t kN = 4;
+  PoolTransport transport(make_ids(kN), /*workers=*/kN);
+  std::vector<std::unique_ptr<FanOutNode>> nodes;
+  for (const ProcessId p : transport.processes()) {
+    nodes.push_back(std::make_unique<FanOutNode>(transport, p));
+    transport.set_node(nodes.back().get());
+  }
+  transport.start();
+  transport.merge_all();
+  transport.post_view(View{ViewId(1), ProcessSet::of({0, 1, 2, 3})});
+  transport.quiesce();  // every worker parked, none holding a timer
+  const auto pings = [&nodes] {
+    std::vector<std::uint64_t> out;
+    for (const auto& node : nodes) out.push_back(node->pings);
+    return out;
+  };
+
+  // A run_on closure on p0's worker.
+  transport.run_on(ProcessId(0), [&nodes] { nodes[0]->fan_out(); });
+  transport.quiesce();
+  EXPECT_EQ(pings(), (std::vector<std::uint64_t>{0, 1, 1, 1}));
+
+  // A timer callback on p0's worker.
+  std::atomic<bool> fired{false};
+  transport.run_on(ProcessId(0), [&nodes, &fired] {
+    nodes[0]->fan_out_after(/*delay=*/1000, fired);
+  });
+  transport.quiesce();
+  while (!fired.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  transport.quiesce();
+  EXPECT_EQ(pings(), (std::vector<std::uint64_t>{0, 2, 2, 2}));
+
+  // A message handler on p1's worker, reached from p0.
+  transport.run_on(ProcessId(0),
+                   [&nodes] { nodes[0]->relay_to(ProcessId(1)); });
+  transport.quiesce();
+  EXPECT_EQ(pings(), (std::vector<std::uint64_t>{1, 2, 3, 3}));
+  transport.stop_and_join();
+}
+
 // --------------------------------------------------------------- stress
 
 // Heavy churn at several worker counts, for the TSan pass: every verb
-// runs to quiescence, so completing at all proves no lost wakeup and no
-// stuck spill; identical transcripts across W prove the scheduler left
+// runs to quiescence, so completing at all proves no lost wakeup;
+// identical transcripts across W prove the scheduler left
 // no fingerprint on the protocol.
 TEST(RuntimePool, StressChurnIsDigestStableAcrossWorkerCounts) {
   std::vector<std::string> summaries;

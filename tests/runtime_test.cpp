@@ -1,9 +1,10 @@
-// Tests for the pool runtime (src/runtime/): the SPSC ring and
+// Tests for the pool runtime (src/runtime/): the SPSC queue and
 // timer wheel in isolation (including cross-thread stress cases meant
 // to run under TSan — tools/run_experiments.sh wires the Runtime*
 // prefixes into its TSan pass), the fleet lifecycle, and the
 // DES-as-oracle cross-check that pins the pool at every worker count
 // to the DES's outcome digests seed by seed.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -23,30 +24,28 @@
 namespace dynvote::runtime {
 namespace {
 
-// ---------------------------------------------------------------- SPSC ring
+// --------------------------------------------------------------- SPSC queue
 
-TEST(RuntimeSpsc, RoundsCapacityUpToPowerOfTwo) {
-  EXPECT_EQ(SpscQueue<int>(0).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscQueue<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscQueue<int>(256).capacity(), 256u);
-  EXPECT_EQ(SpscQueue<int>(257).capacity(), 512u);
-}
+constexpr std::size_t kSegment = SpscQueue<std::uint64_t>::kSegmentItems;
 
-TEST(RuntimeSpsc, FifoAcrossManyWraps) {
-  SpscQueue<std::uint64_t> queue(4);
+// Irregular bursts of up to three segments' worth of pushes and pops:
+// the queue crosses segment boundaries at every alignment, holds
+// several segments at once, and recycles them as it drains.
+TEST(RuntimeSpsc, FifoAcrossManySegmentBoundaries) {
+  SpscQueue<std::uint64_t> queue;
   std::uint64_t next_push = 0;
   std::uint64_t next_pop = 0;
-  // Irregular push/pop bursts force every wrap alignment.
+  std::uint64_t deepest = 0;
   Rng rng(7);
-  for (int round = 0; round < 10000; ++round) {
-    std::uint64_t pushes = rng.next_below(5);
-    while (pushes-- > 0 && queue.try_push(std::uint64_t(next_push))) {
-      ++next_push;
+  for (int round = 0; round < 2000; ++round) {
+    for (std::uint64_t pushes = rng.next_below(3 * kSegment); pushes > 0;
+         --pushes) {
+      queue.push(std::uint64_t(next_push++));
     }
-    std::uint64_t pops = rng.next_below(5);
+    deepest = std::max(deepest, next_push - next_pop);
     std::uint64_t out = 0;
-    while (pops-- > 0 && queue.try_pop(out)) {
+    for (std::uint64_t pops = rng.next_below(3 * kSegment);
+         pops > 0 && queue.try_pop(out); --pops) {
       ASSERT_EQ(out, next_pop);
       ++next_pop;
     }
@@ -57,32 +56,80 @@ TEST(RuntimeSpsc, FifoAcrossManyWraps) {
     ++next_pop;
   }
   EXPECT_EQ(next_pop, next_push);
-  EXPECT_TRUE(queue.empty());
+  EXPECT_GT(next_push, 100 * kSegment);  // many boundaries crossed
+  EXPECT_GT(deepest, 4 * kSegment);      // several segments held at once
+  EXPECT_EQ(queue.producer_size(), 0u);
 }
 
-TEST(RuntimeSpsc, FullRingRejectsWithoutConsumingTheValue) {
-  SpscQueue<std::unique_ptr<int>> queue(2);
-  ASSERT_TRUE(queue.try_push(std::make_unique<int>(1)));
-  ASSERT_TRUE(queue.try_push(std::make_unique<int>(2)));
-  auto retained = std::make_unique<int>(3);
-  ASSERT_FALSE(queue.try_push(std::move(retained)));
-  // A failed push must leave the value intact for the caller's retry.
-  ASSERT_NE(retained, nullptr);
-  EXPECT_EQ(*retained, 3);
-  std::unique_ptr<int> out;
-  ASSERT_TRUE(queue.try_pop(out));
-  EXPECT_EQ(*out, 1);
-  ASSERT_TRUE(queue.try_push(std::move(retained)));
-  EXPECT_EQ(retained, nullptr);
+TEST(RuntimeSpsc, PopBulkHonoursMaxAcrossASegmentBoundary) {
+  SpscQueue<std::uint64_t> queue;
+  for (std::uint64_t i = 0; i < kSegment + 10; ++i) queue.push(std::uint64_t(i));
+  EXPECT_EQ(queue.producer_size(), kSegment + 10);
+  std::vector<std::uint64_t> drained;
+  // Stop five short of the boundary, then take a batch that straddles it.
+  EXPECT_EQ(queue.pop_bulk(drained, kSegment - 5), kSegment - 5);
+  EXPECT_EQ(queue.pop_bulk(drained, 10), 10u);
+  ASSERT_EQ(drained.size(), kSegment + 5);
+  for (std::uint64_t i = 0; i < drained.size(); ++i) ASSERT_EQ(drained[i], i);
+  // max = 0 is a no-op even with items queued; a larger max takes only
+  // what is there.
+  EXPECT_EQ(queue.pop_bulk(drained, 0), 0u);
+  EXPECT_EQ(queue.producer_size(), 5u);
+  EXPECT_EQ(queue.pop_bulk(drained, 100), 5u);
+  EXPECT_EQ(queue.producer_size(), 0u);
+  EXPECT_EQ(queue.pop_bulk(drained, 100), 0u);
+
+  // Random batches with random limits, appended in FIFO order.
+  drained.clear();
+  std::uint64_t next_push = 0;
+  std::uint64_t next_pop = 0;
+  Rng rng(11);
+  for (int round = 0; round < 2000; ++round) {
+    for (std::uint64_t pushes = rng.next_below(2 * kSegment); pushes > 0;
+         --pushes) {
+      queue.push(std::uint64_t(next_push++));
+    }
+    const std::size_t max = rng.next_below(2 * kSegment);
+    const std::size_t before = drained.size();
+    const std::size_t got = queue.pop_bulk(drained, max);
+    // Never past `max` or the queue's length, and never nothing when
+    // both allow an item (a batch may stop at the producer position the
+    // consumer last cached).
+    ASSERT_LE(got, std::min<std::uint64_t>(max, next_push - next_pop));
+    ASSERT_EQ(got == 0, max == 0 || next_push == next_pop);
+    ASSERT_EQ(drained.size(), before + got);
+    for (std::size_t i = before; i < drained.size(); ++i) {
+      ASSERT_EQ(drained[i], next_pop);
+      ++next_pop;
+    }
+  }
+}
+
+// Items still queued when the queue dies are destroyed with it, across
+// segments (ASan's leak check and the use count both see a miss).
+TEST(RuntimeSpsc, DestroysItemsLeftInTheQueue) {
+  const auto token = std::make_shared<int>(1);
+  {
+    SpscQueue<std::shared_ptr<int>> queue;
+    for (std::size_t i = 0; i < 3 * kSegment; ++i) {
+      queue.push(std::shared_ptr<int>(token));
+    }
+    std::shared_ptr<int> out;
+    for (std::size_t i = 0; i < kSegment + 1; ++i) ASSERT_TRUE(queue.try_pop(out));
+    out.reset();
+    EXPECT_EQ(token.use_count(), static_cast<long>(2 * kSegment));
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // The cross-thread contract, exactly as the transport uses it: one
-// producer spinning on a small ring, one consumer draining. Run under
-// TSan this exercises the acquire/release protocol; in any build the
-// checksum catches lost, duplicated or reordered items.
+// producer pushing without pause, one consumer draining. Run under TSan
+// this exercises the acquire/release protocol, the segment hand-over
+// and the spare exchange; in any build the checksum catches lost,
+// duplicated or reordered items.
 TEST(RuntimeSpsc, TwoThreadStressKeepsOrderAndCount) {
   constexpr std::uint64_t kItems = 100000;
-  SpscQueue<std::uint64_t> queue(8);  // tiny ring maximizes contention
+  SpscQueue<std::uint64_t> queue;
   std::atomic<bool> done{false};
   std::uint64_t received = 0;
   std::uint64_t checksum = 0;
@@ -108,8 +155,11 @@ TEST(RuntimeSpsc, TwoThreadStressKeepsOrderAndCount) {
   });
   std::uint64_t expected_checksum = 0;
   for (std::uint64_t i = 0; i < kItems; ++i) {
-    while (!queue.try_push(std::uint64_t(i))) std::this_thread::yield();
+    queue.push(std::uint64_t(i));
     expected_checksum += i * 2654435761u;
+    // Occasional pauses let the consumer catch up, so segments are
+    // recycled through the spare as well as freshly allocated.
+    if (i % 1000 == 0) std::this_thread::yield();
   }
   done.store(true, std::memory_order_release);
   consumer.join();
@@ -117,46 +167,14 @@ TEST(RuntimeSpsc, TwoThreadStressKeepsOrderAndCount) {
   EXPECT_EQ(checksum, expected_checksum);
 }
 
-TEST(RuntimeSpsc, PopBulkKeepsFifoAcrossWrapsAndRespectsMax) {
-  SpscQueue<std::uint64_t> queue(4);
-  std::vector<std::uint64_t> drained;
-  std::uint64_t next_push = 0;
-  std::uint64_t next_pop = 0;
-  Rng rng(11);
-  for (int round = 0; round < 10000; ++round) {
-    std::uint64_t pushes = rng.next_below(5);
-    while (pushes-- > 0 && queue.try_push(std::uint64_t(next_push))) {
-      ++next_push;
-    }
-    const std::size_t max = rng.next_below(5);
-    const std::size_t before = drained.size();
-    const std::size_t got = queue.pop_bulk(drained, max);
-    ASSERT_LE(got, max);
-    ASSERT_EQ(drained.size(), before + got);
-    // Appended in FIFO order, regardless of wrap alignment.
-    for (std::size_t i = before; i < drained.size(); ++i) {
-      ASSERT_EQ(drained[i], next_pop);
-      ++next_pop;
-    }
-  }
-  while (queue.pop_bulk(drained, 64) > 0) {
-  }
-  EXPECT_EQ(drained.size(), next_push);
-  for (std::uint64_t i = 0; i < next_push; ++i) ASSERT_EQ(drained[i], i);
-  EXPECT_TRUE(queue.empty());
-  // max = 0 is a no-op even with items queued.
-  ASSERT_TRUE(queue.try_push(7u));
-  EXPECT_EQ(queue.pop_bulk(drained, 0), 0u);
-  EXPECT_FALSE(queue.empty());
-}
-
 // Cross-thread bulk drain, as the pool uses it: the consumer pulls
-// whole bursts while the producer spins on a tiny ring. Under TSan this
-// exercises pop_bulk's single cursor publish; in any build the sequence
-// check catches lost, duplicated or reordered items.
+// whole bursts, at most one segment's worth per call, while the
+// producer pushes. Under TSan this exercises pop_bulk's single cursor
+// publish across segment boundaries; in any build the sequence check
+// catches lost, duplicated or reordered items.
 TEST(RuntimeSpsc, PopBulkTwoThreadStressKeepsOrderAndCount) {
   constexpr std::uint64_t kItems = 100000;
-  SpscQueue<std::uint64_t> queue(8);
+  SpscQueue<std::uint64_t> queue;
   std::atomic<bool> done{false};
   std::uint64_t received = 0;
   std::uint64_t checksum = 0;
@@ -164,14 +182,14 @@ TEST(RuntimeSpsc, PopBulkTwoThreadStressKeepsOrderAndCount) {
     std::vector<std::uint64_t> batch;
     for (;;) {
       batch.clear();
-      if (queue.pop_bulk(batch, queue.capacity()) > 0) {
+      if (queue.pop_bulk(batch, kSegment) > 0) {
         for (const std::uint64_t item : batch) {
           ASSERT_EQ(item, received);
           ++received;
           checksum += item * 2654435761u;
         }
       } else if (done.load(std::memory_order_acquire)) {
-        if (queue.pop_bulk(batch, queue.capacity()) == 0) break;
+        if (queue.pop_bulk(batch, kSegment) == 0) break;
         for (const std::uint64_t item : batch) {
           ASSERT_EQ(item, received);
           ++received;
@@ -184,8 +202,9 @@ TEST(RuntimeSpsc, PopBulkTwoThreadStressKeepsOrderAndCount) {
   });
   std::uint64_t expected_checksum = 0;
   for (std::uint64_t i = 0; i < kItems; ++i) {
-    while (!queue.try_push(std::uint64_t(i))) std::this_thread::yield();
+    queue.push(std::uint64_t(i));
     expected_checksum += i * 2654435761u;
+    if (i % 1000 == 0) std::this_thread::yield();
   }
   done.store(true, std::memory_order_release);
   consumer.join();

@@ -132,12 +132,13 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
   # sweep pool plus the persistence suite, whose WAL layer the sweep
   # workers exercise concurrently, the multi-group shard sweep
   # (SweepShards.*), which runs whole fleets on the pool, and every
-  # Runtime* suite of the pool runtime: the SPSC rings and timer wheel,
-  # the fleet and the DES cross-check at W ∈ {1,2,4,n}, the wall-clock
-  # probe rings, the eventcount wakeup stress on 4 workers, and the
-  # scheduler itself — spill deques under a full cross-worker ring,
-  # quiesce status words, and a churn stress that must stay
-  # byte-identical across worker counts. TSan needs its own build tree.
+  # Runtime* suite of the pool runtime: the segment-chained SPSC links
+  # and timer wheel, the fleet and the DES cross-check at W ∈ {1,2,4,n},
+  # the wall-clock probe rings, the eventcount wakeup stress on 4
+  # workers, and the scheduler itself — a burst spanning several link
+  # segments, the per-handler wakeups from a parked fleet, quiesce
+  # status words, and a churn stress that must stay byte-identical
+  # across worker counts. TSan needs its own build tree.
   echo "== sweep-pool + persistence + runtime tests under TSan (build-tsan/)"
   if [ -f build-tsan/CMakeCache.txt ]; then
     cmake -B build-tsan -DDYNVOTE_SANITIZE=thread
