@@ -126,7 +126,7 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
     payloads[q].session_number = 0;
     payloads[q].last_primary = Session{core, 0};
     payloads[q].last_formed.assign(Session{core, 0});
-    infos.emplace(ProcessId(q), &payloads[q]);
+    infos.emplace_back(ProcessId(q), &payloads[q]);
   }
 
   for (auto _ : state) {

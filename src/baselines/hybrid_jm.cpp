@@ -43,7 +43,7 @@ Eligibility HybridJmProtocol::decide(const QuorumCalculus& /*calc*/,
                          attempt.to_string()};
     }
   }
-  return {true, "hybrid rule satisfied"};
+  return {true, {}};
 }
 
 Session HybridJmProtocol::make_formed_record(const Session& actual) const {

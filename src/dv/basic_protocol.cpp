@@ -1,7 +1,7 @@
 #include "dv/basic_protocol.hpp"
 
 #include <algorithm>
-#include <set>
+#include <typeinfo>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,10 +18,12 @@ constexpr const char* kStateKey = "dv.state";
 
 InfoBySender as_infos(const SessionProtocolBase::PhaseMessages& messages) {
   InfoBySender infos;
+  infos.reserve(messages.size());
   for (const auto& [from, payload] : messages) {
-    const auto* info = dynamic_cast<const InfoPayload*>(payload.get());
-    ensure(info != nullptr, "phase-0 message is not an InfoPayload");
-    infos.emplace(from, info);
+    const PhasedPayload& message = *payload;
+    ensure(typeid(message) == typeid(InfoPayload),
+           "phase-0 message is not an InfoPayload");
+    infos.emplace_back(from, static_cast<const InfoPayload*>(&message));
   }
   return infos;
 }
@@ -29,6 +31,7 @@ InfoBySender as_infos(const SessionProtocolBase::PhaseMessages& messages) {
 StepAggregates aggregate_step1(const InfoBySender& infos) {
   StepAggregates agg;
   agg.max_session = kNoSessionNumber;
+  const Session* max_primary = nullptr;
   for (const auto& [from, info] : infos) {
     agg.max_session = std::max(agg.max_session, info->session_number);
     if (info->last_primary) {
@@ -36,23 +39,32 @@ StepAggregates aggregate_step1(const InfoBySender& infos) {
       // numbers (paper Lemma 10), but a deliberately broken baseline can
       // report two different sessions with one number; break the tie on
       // membership so all members still agree.
-      if (!agg.max_primary ||
-          info->last_primary->number > agg.max_primary->number ||
-          (info->last_primary->number == agg.max_primary->number &&
-           info->last_primary->members < agg.max_primary->members)) {
-        agg.max_primary = info->last_primary;
+      const Session& primary = *info->last_primary;
+      if (max_primary == nullptr || primary.number > max_primary->number ||
+          (primary.number == max_primary->number &&
+           primary.members < max_primary->members)) {
+        max_primary = &primary;
       }
     }
   }
+  if (max_primary != nullptr) agg.max_primary = *max_primary;
   const SessionNumber floor =
-      agg.max_primary ? agg.max_primary->number : kNoSessionNumber;
-  std::set<Session> distinct;
+      max_primary != nullptr ? max_primary->number : kNoSessionNumber;
+  // Sort pointers into the infos, then copy each distinct attempt once,
+  // in ascending Session order.
+  std::vector<const Session*> attempts;
   for (const auto& [from, info] : infos) {
     for (const Session& attempt : info->ambiguous) {
-      if (attempt.number > floor) distinct.insert(attempt);
+      if (attempt.number > floor) attempts.push_back(&attempt);
     }
   }
-  agg.max_ambiguous.assign(distinct.begin(), distinct.end());
+  std::sort(attempts.begin(), attempts.end(),
+            [](const Session* a, const Session* b) { return *a < *b; });
+  for (const Session* attempt : attempts) {
+    if (agg.max_ambiguous.empty() || agg.max_ambiguous.back() != *attempt) {
+      agg.max_ambiguous.push_back(*attempt);
+    }
+  }
   return agg;
 }
 
@@ -81,7 +93,7 @@ Eligibility evaluate_eligibility(const QuorumCalculus& calc,
               "not a sub-quorum of ambiguous attempt " + attempt.to_string()};
     }
   }
-  return {true, "sub-quorum of Max_Primary and all ambiguous attempts"};
+  return {true, {}};
 }
 
 BasicDvProtocol::BasicDvProtocol(sim::Transport& transport, ProcessId id,
@@ -242,9 +254,11 @@ void BasicDvProtocol::record_and_send_attempt(int phase) {
 void BasicDvProtocol::run_form_step(const PhaseMessages& messages) {
   // Sanity: all members attempted the same session (paper Lemma 4).
   for (const auto& [from, payload] : messages) {
-    const auto* attempt = dynamic_cast<const AttemptPayload*>(payload.get());
-    ensure(attempt != nullptr, "form-step message is not an AttemptPayload");
-    ensure(attempt->session_number == state_.session_number,
+    const PhasedPayload& message = *payload;
+    ensure(typeid(message) == typeid(AttemptPayload),
+           "form-step message is not an AttemptPayload");
+    ensure(static_cast<const AttemptPayload&>(message).session_number ==
+               state_.session_number,
            "attempt session number mismatch (Lemma 4 violated)");
   }
   const Session actual{session_view().members, state_.session_number};

@@ -16,10 +16,10 @@
 // detached before forming will still hold S against future quorums.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dv/protocol_base.hpp"
@@ -78,8 +78,10 @@ struct StepAggregates {
   std::vector<Session> max_ambiguous;
 };
 
-/// Step-1 messages keyed by sender.
-using InfoBySender = std::map<ProcessId, const InfoPayload*>;
+/// Step-1 messages as (sender, info), in ascending sender order. The
+/// pointers borrow the caller's payloads (the phase slots); nothing is
+/// copied.
+using InfoBySender = std::vector<std::pair<ProcessId, const InfoPayload*>>;
 
 /// Computes Max_Session, Max_Primary and Max_Ambiguous_Sessions from the
 /// step-1 messages. Deterministic: every member computes identical
@@ -88,7 +90,9 @@ using InfoBySender = std::map<ProcessId, const InfoPayload*>;
 
 struct Eligibility {
   bool eligible = false;
-  std::string reason;  // human-readable, used in traces and reject events
+  /// Why the view was rejected: human-readable, carried by traces and
+  /// reject events. Empty when the verdict is eligible.
+  std::string reason;
 };
 
 /// The attempt-step decision (paper figure 1 step 2, extended with the

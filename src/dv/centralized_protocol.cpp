@@ -101,7 +101,8 @@ void CentralizedDvProtocol::on_message(ProcessId from,
 void CentralizedDvProtocol::run_coordinator_decision() {
   const ProcessSet& M = current_view()->members;
   InfoBySender infos;
-  for (const auto& [p, info] : collected_infos_) infos.emplace(p, &info);
+  infos.reserve(collected_infos_.size());
+  for (const auto& [p, info] : collected_infos_) infos.emplace_back(p, &info);
 
   if (config_.dynamic_participants) {
     std::vector<const ParticipantTracker*> peers;

@@ -73,6 +73,7 @@ void LastFormed::assign(const Session& s) {
 
 LastFormed LastFormed::restricted_to(const ProcessSet& view) const {
   LastFormed out;
+  out.entries_.reserve(std::min(view.size(), entries_.size()));
   auto from = entries_.begin();
   for (ProcessId q : view) {
     from = std::lower_bound(from, entries_.end(), q, id_less);

@@ -31,6 +31,7 @@ namespace dynvote {
 class PhasedPayload : public sim::MessagePayload {
  public:
   [[nodiscard]] virtual int phase() const noexcept = 0;
+  [[nodiscard]] bool phased() const noexcept final { return true; }
 };
 
 /// Phase-0 state exchange ("Send your Session_Number, Last_Primary, and

@@ -39,8 +39,8 @@ void SessionProtocolBase::on_view(const View& view) {
 void SessionProtocolBase::on_message(ProcessId from,
                                      sim::PayloadPtr payload) {
   if (!session_active_) return;  // session already ended within this view
-  const auto* phased = dynamic_cast<const PhasedPayload*>(payload.get());
-  ensure(phased != nullptr, "non-phased payload delivered to protocol");
+  ensure(payload->phased(), "non-phased payload delivered to protocol");
+  const auto* phased = static_cast<const PhasedPayload*>(payload.get());
   const int phase = phased->phase();
   ensure(phase >= 0 && phase < max_phases_, "phase out of range");
   const ProcessSet& members = session_view_->members;

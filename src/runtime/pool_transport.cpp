@@ -143,7 +143,6 @@ void PoolTransport::send(sim::Envelope env) {
     return;
   }
 
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
   SpscQueue<PoolItem>& out = link(from.worker, to.worker);
   out.push(std::move(item));
   if (probe) {
@@ -333,18 +332,21 @@ void PoolTransport::quiesce() {
     if (moved) give_up = std::chrono::steady_clock::now() + kQuiesceTimeout;
   };
   if (!running_) {
-    while (inflight_.load(std::memory_order_acquire) != 0) {
+    while (!queues_drained()) {
       ensure(std::chrono::steady_clock::now() < give_up,
              "runtime quiesce timeout (a handler is stuck?)");
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
     return;
   }
-  // Double-read over the worker status words. Local run-queue items are
-  // not in inflight_, but they only exist while their worker's status is
-  // odd — so "all even, inflight zero, statuses unchanged" is a global
-  // fixed point: any work present at the first read is either counted
-  // (rings/control) or has moved a status word before the second.
+  // Double-read over the worker status words. A worker pops and handles
+  // items only while its status is odd, and publishes even (release)
+  // only after a scan of its control queue, links and local run queue
+  // found nothing. So "all even, every queue drained, statuses
+  // unchanged" is a global fixed point: between the two reads no worker
+  // ran, so the queues could not change under the drained checks, and a
+  // status seen even means its worker's local queue was empty and its
+  // pushes are visible.
   std::vector<std::uint64_t> first(workers_.size());
   while (true) {
     observe_progress();
@@ -355,7 +357,7 @@ void PoolTransport::quiesce() {
       first[i] = workers_[i]->status.load(std::memory_order_acquire);
       all_even = all_even && (first[i] % 2 == 0);
     }
-    if (!all_even || inflight_.load(std::memory_order_acquire) != 0) {
+    if (!all_even || !queues_drained()) {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
       continue;
     }
@@ -371,10 +373,20 @@ void PoolTransport::quiesce() {
 
 // -- internals --------------------------------------------------------------
 
+bool PoolTransport::queues_drained() const {
+  const std::size_t w = workers_.size();
+  for (std::size_t i = 0; i < w * w; ++i) {
+    if (!links_[i].drained()) return false;
+  }
+  for (const auto& worker : workers_) {
+    if (!worker->control.drained()) return false;
+  }
+  return true;
+}
+
 void PoolTransport::post_control(ProcessId p, ControlItem item) {
   Worker& target = *workers_[slot(p).worker];
   if (controller_probe_) item.sent_ns = now_ns();
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
   target.control.push(std::move(item));
   if (controller_probe_) {
     controller_probe_->record(obs::ProbeKind::kControlPush, now_ns(),
@@ -430,7 +442,6 @@ void PoolTransport::worker_main(Worker& me) {
         handle_control(me, control);
       }
       wake_marked(me);
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
       note_progress();
       did_work = true;
     }
@@ -447,7 +458,6 @@ void PoolTransport::worker_main(Worker& me) {
         for (PoolItem& item : me.batch) {
           handle_message(me, item, static_cast<std::uint16_t>(src));
           wake_marked(me);
-          inflight_.fetch_sub(1, std::memory_order_acq_rel);
           note_progress();
         }
         me.batch.clear();
@@ -456,7 +466,7 @@ void PoolTransport::worker_main(Worker& me) {
     }
     // Local run queue last: handlers above may have appended to it, and
     // handlers below may too — the loop drains to empty, preserving
-    // FIFO (no inflight accounting: these never left this thread).
+    // FIFO.
     while (!me.local.empty()) {
       PoolItem item = std::move(me.local.front());
       me.local.pop_front();

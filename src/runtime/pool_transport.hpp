@@ -14,8 +14,7 @@
 //    worker, and per-process-pair FIFO is preserved because all p→q
 //    traffic shares the single worker(p)→worker(q) link);
 //  * same-worker messages short-circuit to a plain deque run queue:
-//    zero atomics on the hot path — no link cursors, no inflight
-//    counter, no wakeup;
+//    zero atomics on the hot path — no link cursors, no wakeup;
 //  * inbound links are drained in batches (SpscQueue::pop_bulk), so a
 //    burst costs one acquire refresh + one cursor publish instead of a
 //    pair of fences per message;
@@ -49,16 +48,16 @@
 // advance returns. The handler finishes before its worker can park, so
 // the deferred bump delays a wakeup by at most the handler's length.
 //
-// Quiescence: cross-worker and control items are counted in a global
-// inflight counter (++ before push, -- after the handler). Local-queue
-// items are deliberately NOT counted (the fast path stays atomic-free);
-// soundness comes from a per-worker status word — odd while the loop
-// may hold or produce local work, incremented to even only after a scan
-// found nothing. The controller's quiesce() is a double-read: statuses
-// all even, inflight zero, statuses unchanged. Any work that existed at
-// the first read either shows in inflight (link/control items) or
-// forces its worker odd / onto a new status value (local items) before
-// the second read.
+// Quiescence keeps no global count of items in flight, so the message
+// path updates no counter that every worker shares. Each worker has a
+// status word — odd while the loop may pop, hold or produce work,
+// incremented to even (release) only after a scan of its control queue,
+// inbound links and local run queue found nothing. The controller's
+// quiesce() is a double-read: statuses all even, every link and control
+// queue drained (SpscQueue::drained reads the two cursors), statuses
+// unchanged. Any work that existed at the first read either still sits
+// in a queue, is being handled by a worker whose status is odd, or
+// moves a status word before the second read.
 //
 // Determinism: for the protocols whose phase structure waits on ALL
 // view members (the cross-check allow-list), per-process outcome
@@ -311,6 +310,11 @@ class PoolTransport final : public sim::Transport {
     return links_[src * workers_.size() + dst];
   }
 
+  /// True iff every link and every control queue is empty (quiesce's
+  /// check; exact only while no worker runs, which the double-read
+  /// around it establishes).
+  [[nodiscard]] bool queues_drained() const;
+
   void post_control(ProcessId p, ControlItem item);
   void bump_work(Worker& target);
   /// Bumps every worker `me`'s last handler pushed to, once each.
@@ -334,7 +338,6 @@ class PoolTransport final : public sim::Transport {
   /// Controller thread's probe ring (control-queue pushes); null when
   /// probes are off.
   std::unique_ptr<obs::ProbeRing> controller_probe_;
-  std::atomic<std::int64_t> inflight_{0};
   std::atomic<bool> stop_{false};
   bool running_ = false;
   bool joined_ = false;

@@ -118,6 +118,15 @@ class SpscQueue {
     return count;
   }
 
+  /// True iff every item pushed so far has been popped. Callable from
+  /// any thread: an acquire read of head, then of tail. Head never
+  /// passes tail, so reading head first makes a true result exact at
+  /// the moment head was read.
+  [[nodiscard]] bool drained() const {
+    const std::uint64_t head = head_.pos.load(std::memory_order_acquire);
+    return head == tail_.pos.load(std::memory_order_acquire);
+  }
+
   /// Producer-side occupancy estimate (exact for the producer: it owns
   /// tail, and a concurrent pop can only make the queue shorter).
   /// Costs an acquire of head — for probes, not the hot path.

@@ -32,6 +32,10 @@ class MessagePayload {
   /// Serialized size in bytes.
   [[nodiscard]] virtual std::size_t encoded_size() const = 0;
 
+  /// True iff this is a dynvote::PhasedPayload (its one override), so
+  /// the session protocols' per-message check needs no dynamic_cast.
+  [[nodiscard]] virtual bool phased() const noexcept { return false; }
+
  protected:
   MessagePayload() = default;
   MessagePayload(const MessagePayload&) = default;

@@ -180,6 +180,38 @@ ProcessSet ProcessSet::set_difference(const ProcessSet& other) const {
   return result;
 }
 
+std::strong_ordering ProcessSet::compare_unequal(const ProcessSet& a,
+                                                 const ProcessSet& b) {
+  // x = the lowest id in exactly one of the sets. Both member lists agree
+  // below x, so they first differ at x's position: the set holding x
+  // lists x there, the other lists its next member above x, or ends.
+  std::uint32_t x = 0;
+  std::size_t w = 0;
+  while (w < kWords && a.bits_[w] == b.bits_[w]) ++w;
+  if (w < kWords) {
+    x = static_cast<std::uint32_t>(
+        w * 64 + std::countr_zero(a.bits_[w] ^ b.bits_[w]));
+  } else {
+    const std::size_t wide =
+        std::max(a.ext_bits_.size(), b.ext_bits_.size());
+    const auto word = [](const ProcessSet& s, std::size_t i) {
+      return i < s.ext_bits_.size() ? s.ext_bits_[i] : std::uint64_t{0};
+    };
+    std::size_t e = 0;
+    while (e < wide && word(a, e) == word(b, e)) ++e;
+    x = kSmallIdLimit +
+        static_cast<std::uint32_t>(e * 64 +
+                                   std::countr_zero(word(a, e) ^ word(b, e)));
+  }
+  const bool a_has_x = a.contains(ProcessId(x));
+  const ProcessSet& other = a_has_x ? b : a;
+  // x < other's next member, or other is a proper prefix of the holder.
+  const bool holder_is_less =
+      !other.empty() && other.members_.back().value() > x;
+  return holder_is_less == a_has_x ? std::strong_ordering::less
+                                   : std::strong_ordering::greater;
+}
+
 std::optional<ProcessId> ProcessSet::max_member() const {
   if (members_.empty()) return std::nullopt;
   return members_.back();

@@ -2,9 +2,10 @@
 // the quorum calculus needs (intersection sizes, majorities, maxima under
 // the linear order).
 //
-// The sorted flat vector of members gives deterministic iteration,
-// lexicographic ordering, and the index_of positions the optimized
-// protocol's knowledge arrays key on. A bitset shadows the vector in two
+// The sorted flat vector of members gives deterministic iteration and
+// the index_of positions the optimized protocol's knowledge arrays key
+// on; equality and the lexicographic order of the member lists are
+// decided from the bitset words. A bitset shadows the vector in two
 // tiers: ids below kSmallIdLimit live in a 256-bit inline array (no heap
 // traffic for every scenario the single-group harness generates), and
 // ids in [kSmallIdLimit, kProcessIdLimit) live in a dynamically sized
@@ -18,6 +19,7 @@
 
 #include <array>
 #include <bit>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -174,14 +176,19 @@ class ProcessSet {
   [[nodiscard]] const_iterator begin() const noexcept { return members_.begin(); }
   [[nodiscard]] const_iterator end() const noexcept { return members_.end(); }
 
+  /// Compares the bitset words: exact, because the extension words are
+  /// trimmed of trailing zeros, so equal sets have equal words.
   friend bool operator==(const ProcessSet& a, const ProcessSet& b) {
-    return a.members_ == b.members_;
+    return a.bits_ == b.bits_ && a.ext_bits_ == b.ext_bits_;
   }
 
-  /// Deterministic total order (lexicographic on the sorted members), so
-  /// ProcessSets can key ordered containers.
-  friend auto operator<=>(const ProcessSet& a, const ProcessSet& b) {
-    return a.members_ <=> b.members_;
+  /// Deterministic total order: lexicographic on the sorted member lists,
+  /// so ProcessSets can key ordered containers. Decided from the words
+  /// in O(n / 64); the member lists are never walked.
+  friend std::strong_ordering operator<=>(const ProcessSet& a,
+                                          const ProcessSet& b) {
+    if (a == b) return std::strong_ordering::equal;
+    return compare_unequal(a, b);
   }
 
   /// Renders as "{p0,p1,p4}".
@@ -206,6 +213,9 @@ class ProcessSet {
   void trim_ext_bits();
   /// Rebuilds members_ (ascending) from bits_ + ext_bits_.
   void rebuild_members_from_bits();
+  /// operator<=> for two sets known to differ.
+  [[nodiscard]] static std::strong_ordering compare_unequal(
+      const ProcessSet& a, const ProcessSet& b);
 
   std::vector<ProcessId> members_;
   // Shadow bitset of members_. bits_ holds ids below kSmallIdLimit;

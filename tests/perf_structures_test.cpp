@@ -2,7 +2,8 @@
 //
 //   - ProcessSet's inline-bitset fast paths pinned to a std::set model
 //     on randomized inputs straddling the 256-id boundary, so the bitset
-//     and sorted-vector representations can never diverge silently;
+//     and sorted-vector representations can never diverge silently, and
+//     its word-wise == and <=> pinned to the member lists' order;
 //   - EventQueue tombstone cancellation and the drained-vs-event-limit
 //     distinction of drain();
 //   - the sweep runner's determinism contract: index-ordered results,
@@ -12,6 +13,8 @@
 //   - trace_json_string as a byte-identical fast path for
 //     trace_to_json(...).dump().
 #include <algorithm>
+#include <compare>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -256,6 +259,118 @@ TEST(ProcessSetProperty, DegenerateQuorumPredicatesAreNotVacuouslyTrue) {
   EXPECT_TRUE(ProcessSet::of({0, 1}).contains_exact_half_of(
       ProcessSet::of({0, 1, 2, 3})));
   EXPECT_FALSE(empty.contains_exact_half_of(ProcessSet::of({0, 1})));
+}
+
+TEST(ProcessSetProperty, OrderAndEqualityFollowTheMemberLists) {
+  // operator== and operator<=> decide from the bitset words. LastFormed's
+  // session table and Max_Ambiguous are ordered by them, so they must
+  // give exactly the equality and lexicographic order of the member
+  // lists, in both argument orders.
+  const auto check = [](const ProcessSet& a, const ProcessSet& b) {
+    const std::vector<ProcessId>& la = a.members();
+    const std::vector<ProcessId>& lb = b.members();
+    const std::strong_ordering lists = std::lexicographical_compare_three_way(
+        la.begin(), la.end(), lb.begin(), lb.end());
+    EXPECT_EQ(a == b, la == lb) << a.to_string() << " vs " << b.to_string();
+    EXPECT_EQ(b == a, la == lb) << b.to_string() << " vs " << a.to_string();
+    EXPECT_TRUE((a <=> b) == lists) << a.to_string() << " vs " << b.to_string();
+    EXPECT_TRUE((b <=> a) == (0 <=> lists))
+        << b.to_string() << " vs " << a.to_string();
+  };
+
+  Rng rng(20261017);
+  for (const std::uint32_t max_id : {40u, 320u, 2000u, kProcessIdLimit}) {
+    for (int round = 0; round < 500; ++round) {
+      const Model ma = random_model(rng, max_id);
+      Model mb;
+      switch (rng.next_below(3)) {
+        case 0:  // independent
+          mb = random_model(rng, max_id);
+          break;
+        case 1: {  // a few ids toggled: long common prefixes
+          mb = ma;
+          for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+            const Model extra = random_model(rng, max_id);
+            const bool from_a =
+                !ma.empty() && (extra.empty() || rng.next_bool(0.5));
+            if (!from_a && extra.empty()) continue;
+            const std::uint32_t id =
+                from_a ? *std::next(ma.begin(), static_cast<long>(
+                                                    rng.next_below(ma.size())))
+                       : *extra.begin();
+            if (mb.erase(id) == 0) mb.insert(id);
+          }
+          break;
+        }
+        default:  // a prefix of a's list
+          mb.insert(ma.begin(),
+                    std::next(ma.begin(), static_cast<long>(rng.next_below(
+                                              ma.size() + 1))));
+          break;
+      }
+      check(from_model(ma), from_model(mb));
+    }
+  }
+
+  // Prefix pairs and first differences on both sides of the inline limit
+  // and just below 2^20.
+  const std::uint32_t top = kProcessIdLimit - 1;
+  const std::vector<ProcessSet> edges = {
+      ProcessSet(),
+      ProcessSet::of({1}),
+      ProcessSet::of({1, 2}),
+      ProcessSet::of({1, 3}),
+      ProcessSet::of({2}),
+      ProcessSet::of({255}),
+      ProcessSet::of({256}),
+      ProcessSet::of({255, 256}),
+      ProcessSet::of({1, 255, 300}),
+      ProcessSet::of({1, 256}),
+      ProcessSet::of({1, 2, 256}),
+      ProcessSet::of({300, 2000}),
+      ProcessSet::of({300, top - 1}),
+      ProcessSet::of({300, top}),
+      ProcessSet::of({300, top - 1, top}),
+      ProcessSet::of({top - 1}),
+      ProcessSet::of({top}),
+  };
+  for (const ProcessSet& a : edges) {
+    for (const ProcessSet& b : edges) check(a, b);
+  }
+
+  // One set, built five ways: the words must agree exactly (trimmed
+  // extension words included).
+  const ProcessSet by_constructor = ProcessSet::of({3, 255, 256, 70000, top});
+  ProcessSet by_insert;
+  for (const std::uint32_t id : {top, 70000u, 3u, 999999u, 256u, 255u, 5u}) {
+    by_insert.insert(ProcessId(id));
+  }
+  by_insert.erase(ProcessId(999999));
+  by_insert.erase(ProcessId(5));
+  ProcessSet grown_and_trimmed = by_constructor;
+  grown_and_trimmed.insert(ProcessId(4000));
+  grown_and_trimmed.erase(ProcessId(4000));
+  const ProcessSet by_algebra =
+      ProcessSet::of({3, 255, 999})
+          .set_union(ProcessSet::of({256, 70000, top}))
+          .set_difference(ProcessSet::of({999, 1000}));
+  const ProcessSet by_intersection =
+      ProcessSet::of({3, 4, 255, 256, 70000, 70001, top})
+          .set_intersection(ProcessSet::of({0, 3, 255, 256, 70000, top}));
+  const std::vector<ProcessSet> same = {by_constructor, by_insert,
+                                        grown_and_trimmed, by_algebra,
+                                        by_intersection};
+  for (const ProcessSet& a : same) {
+    for (const ProcessSet& b : same) {
+      EXPECT_EQ(a, b) << a.to_string() << " vs " << b.to_string();
+      check(a, b);
+    }
+  }
+  // Dropping the widest member trims back to a narrower equal set.
+  ProcessSet narrowed = by_constructor;
+  narrowed.erase(ProcessId(top));
+  EXPECT_EQ(narrowed, ProcessSet::of({3, 255, 256, 70000}));
+  check(narrowed, by_constructor);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 // Integration tests: the basic protocol (paper figure 1) on the full
 // simulated stack — quorum succession, tie-breaks, Min_Quorum, crashes,
 // recovery, disk loss, view churn.
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "dv/basic_protocol.hpp"
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace dynvote {
 namespace {
@@ -306,6 +313,95 @@ TEST(BasicProtocol, AttemptRecordedWhenFormIsCut) {
   expect_consistent(cluster);
 }
 
+// ---- aggregate_step1 against a std::set reference ----------------------------
+
+/// Orders sessions by (member list, number) without ProcessSet's
+/// operator<=>, so the reference below is independent of the word-wise
+/// compare aggregate_step1 relies on.
+struct ByMemberLists {
+  bool operator()(const Session& a, const Session& b) const {
+    if (a.members.members() != b.members.members()) {
+      return a.members.members() < b.members.members();
+    }
+    return a.number < b.number;
+  }
+};
+
+/// The reference: a std::set of the ambiguous attempts and the
+/// Max_Primary tie-break on the member vectors.
+StepAggregates reference_aggregate_step1(const InfoBySender& infos) {
+  StepAggregates agg;
+  agg.max_session = kNoSessionNumber;
+  for (const auto& [from, info] : infos) {
+    agg.max_session = std::max(agg.max_session, info->session_number);
+    if (info->last_primary) {
+      if (!agg.max_primary ||
+          info->last_primary->number > agg.max_primary->number ||
+          (info->last_primary->number == agg.max_primary->number &&
+           info->last_primary->members.members() <
+               agg.max_primary->members.members())) {
+        agg.max_primary = info->last_primary;
+      }
+    }
+  }
+  const SessionNumber floor =
+      agg.max_primary ? agg.max_primary->number : kNoSessionNumber;
+  std::set<Session, ByMemberLists> distinct;
+  for (const auto& [from, info] : infos) {
+    for (const Session& attempt : info->ambiguous) {
+      if (attempt.number > floor) distinct.insert(attempt);
+    }
+  }
+  agg.max_ambiguous.assign(distinct.begin(), distinct.end());
+  return agg;
+}
+
+TEST(AggregateStep1, MatchesTheSetReferenceOnRandomInfos) {
+  Rng rng(22);
+  const auto random_members = [&rng] {
+    ProcessSet members;
+    const std::uint64_t size = 1 + rng.next_below(6);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      // Mostly small ids, some past the inline limit (extension words).
+      members.insert(ProcessId(static_cast<std::uint32_t>(
+          rng.next_bool(0.8) ? rng.next_below(12) : 250 + rng.next_below(20))));
+    }
+    return members;
+  };
+  for (int round = 0; round < 2000; ++round) {
+    // A small pool of sessions shared by the senders, so attempts repeat
+    // across infos; numbers repeat with different members, including
+    // the Last_Primary values only a broken baseline reports.
+    std::vector<Session> pool;
+    for (std::uint64_t i = 1 + rng.next_below(8); i > 0; --i) {
+      pool.push_back(
+          Session{random_members(),
+                  static_cast<SessionNumber>(rng.next_below(5))});
+    }
+    const std::size_t senders = 1 + rng.next_below(8);
+    std::vector<InfoPayload> payloads(senders);
+    InfoBySender infos;
+    for (std::size_t q = 0; q < senders; ++q) {
+      InfoPayload& info = payloads[q];
+      info.session_number = static_cast<SessionNumber>(rng.next_below(7)) - 1;
+      if (rng.next_bool(0.8)) {
+        info.last_primary = pool[rng.next_below(pool.size())];
+      }
+      for (std::uint64_t k = rng.next_below(4); k > 0; --k) {
+        info.ambiguous.push_back(pool[rng.next_below(pool.size())]);
+      }
+      infos.emplace_back(ProcessId(static_cast<std::uint32_t>(q)), &info);
+    }
+
+    const StepAggregates got = aggregate_step1(infos);
+    const StepAggregates want = reference_aggregate_step1(infos);
+    EXPECT_EQ(got.max_session, want.max_session);
+    EXPECT_EQ(got.max_primary, want.max_primary)
+        << to_string(got.max_primary) << " vs " << to_string(want.max_primary);
+    EXPECT_EQ(got.max_ambiguous, want.max_ambiguous) << "round " << round;
+  }
+}
+
 // ---- SessionProtocolBase's phase-message guards -----------------------------
 
 class StrayPayload final : public sim::MessagePayload {
@@ -352,6 +448,36 @@ TEST(PhaseMessageGuard, RejectsASenderOutsideTheSessionView) {
   const std::string what = deliver_to_waiting_session(
       {{ProcessId(7), std::make_shared<InfoPayload>()}});
   EXPECT_NE(what.find("message from non-member"), std::string::npos) << what;
+}
+
+TEST(PhaseMessageGuard, RejectsAWrongPayloadClassWhenAPhaseCompletes) {
+  const std::vector<ProcessId> members = {ProcessId(0), ProcessId(1),
+                                          ProcessId(2)};
+  // Phase 0 filled with attempts instead of infos.
+  std::vector<std::pair<ProcessId, sim::PayloadPtr>> sends;
+  for (const ProcessId q : members) {
+    sends.emplace_back(q, std::make_shared<AttemptPayload>(0));
+  }
+  std::string what = deliver_to_waiting_session(sends);
+  EXPECT_NE(what.find("phase-0 message is not an InfoPayload"),
+            std::string::npos)
+      << what;
+
+  // Eligible infos, then phase 1 filled with a payload other than an
+  // attempt.
+  sends.clear();
+  for (const ProcessId q : members) {
+    auto info = std::make_shared<InfoPayload>();
+    info->last_primary = Session{ProcessSet::range(3), 0};
+    sends.emplace_back(q, std::move(info));
+  }
+  for (const ProcessId q : members) {
+    sends.emplace_back(q, std::make_shared<RoundPayload>(1, "not-an-attempt"));
+  }
+  what = deliver_to_waiting_session(sends);
+  EXPECT_NE(what.find("form-step message is not an AttemptPayload"),
+            std::string::npos)
+      << what;
 }
 
 TEST(PhaseMessageGuard, RejectsASecondMessageFromOneSenderInOnePhase) {

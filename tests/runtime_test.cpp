@@ -105,6 +105,45 @@ TEST(RuntimeSpsc, PopBulkHonoursMaxAcrossASegmentBoundary) {
   }
 }
 
+TEST(RuntimeSpsc, DrainedFollowsPushAndPop) {
+  // quiesce() reads drained() on every link and control queue; it must
+  // follow the cursors exactly, through pop_bulk and segment changes.
+  SpscQueue<std::uint64_t> queue;
+  EXPECT_TRUE(queue.drained());
+  queue.push(std::uint64_t(0));
+  EXPECT_FALSE(queue.drained());
+  std::uint64_t out = 0;
+  ASSERT_TRUE(queue.try_pop(out));
+  EXPECT_TRUE(queue.drained());
+  EXPECT_FALSE(queue.try_pop(out));
+  EXPECT_TRUE(queue.drained());
+
+  // Positions 1 .. kSegment + 3: the second batch straddles the first
+  // segment boundary (position kSegment).
+  for (std::uint64_t i = 1; i <= kSegment + 3; ++i) queue.push(std::uint64_t(i));
+  EXPECT_FALSE(queue.drained());
+  std::vector<std::uint64_t> batch;
+  EXPECT_EQ(queue.pop_bulk(batch, kSegment - 3), kSegment - 3);
+  EXPECT_FALSE(queue.drained());
+  EXPECT_EQ(queue.pop_bulk(batch, 10), 6u);
+  EXPECT_TRUE(queue.drained());
+
+  // try_pop into the next segment: fill up to position 2 * kSegment.
+  for (std::uint64_t i = kSegment + 4; i <= 2 * kSegment; ++i) {
+    queue.push(std::uint64_t(i));
+  }
+  EXPECT_FALSE(queue.drained());
+  while (queue.try_pop(out)) {
+  }
+  EXPECT_EQ(out, 2 * kSegment);
+  EXPECT_TRUE(queue.drained());
+  queue.push(std::uint64_t(2 * kSegment + 1));
+  EXPECT_FALSE(queue.drained());
+  batch.clear();
+  EXPECT_EQ(queue.pop_bulk(batch, kSegment), 1u);
+  EXPECT_TRUE(queue.drained());
+}
+
 // Items still queued when the queue dies are destroyed with it, across
 // segments (ASan's leak check and the use count both see a miss).
 TEST(RuntimeSpsc, DestroysItemsLeftInTheQueue) {

@@ -136,9 +136,11 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
   # and timer wheel, the fleet and the DES cross-check at W ∈ {1,2,4,n},
   # the wall-clock probe rings, the eventcount wakeup stress on 4
   # workers, and the scheduler itself — a burst spanning several link
-  # segments, the per-handler wakeups from a parked fleet, quiesce
-  # status words, and a churn stress that must stay byte-identical
-  # across worker counts. TSan needs its own build tree.
+  # segments, the per-handler wakeups from a parked fleet, quiesce's
+  # status words and drained queues, and a churn stress that must stay byte-identical
+  # across worker counts. TSan needs its own build tree. A race shows
+  # only under some interleavings, so each test runs up to five times
+  # and the step fails on the first failing run.
   echo "== sweep-pool + persistence + runtime tests under TSan (build-tsan/)"
   if [ -f build-tsan/CMakeCache.txt ]; then
     cmake -B build-tsan -DDYNVOTE_SANITIZE=thread
@@ -146,7 +148,7 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
     cmake -B build-tsan -G Ninja -DDYNVOTE_SANITIZE=thread
   fi
   cmake --build build-tsan
-  ctest --test-dir build-tsan --output-on-failure \
+  ctest --test-dir build-tsan --output-on-failure --repeat until-fail:5 \
     -R '^(Sweep\.|SweepDeterminism\.|SweepShards\.|SweepTelemetry\.|StateDelta\.|Checkpoint\.|WalPersistence\.|ProtocolPersistence\.|Seeds/PersistenceChurnProperty\.|Runtime[A-Za-z]*\.)'
 fi
 
