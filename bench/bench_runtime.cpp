@@ -23,12 +23,13 @@
 //   (2) Phase breakdown: the phase-1 churn with probe rings on, at
 //       W = n (one process per worker thread), attributing each
 //       reconfiguration's wall time on its critical (last-forming)
-//       process's lane into queued / parked / executing / timer-slop
-//       buckets (obs/runtime_probe.hpp). The four buckets plus the
-//       unattributed residue sum to the wall time exactly; the bench
-//       gates the residue below 10%, which is what makes the breakdown
-//       a measurement rather than an accounting identity. The optimized
-//       protocol's raw probe document is exported for `dvtrace runtime`.
+//       process's lane into queued / parked / executing buckets
+//       (obs/runtime_probe.hpp; the timer-slop column reads 0, as the
+//       pool has no timers). The buckets plus the unattributed residue
+//       sum to the wall time exactly; the bench gates the residue below
+//       10%, which is what makes the breakdown a measurement rather
+//       than an accounting identity. The optimized protocol's raw probe
+//       document is exported for `dvtrace runtime`.
 //
 //   (3) Probe overhead: N adjacent probes-off/probes-on pairs of the
 //       phase-1 cell, CPU-timed, identical outcome digests required;
@@ -430,10 +431,13 @@ int main() {
         if (run->digests_equal) continue;
         equal = false;
         std::fprintf(stderr,
-                     "DIVERGENCE %s seed %llu probes %s\n--- DES ---\n%s--- "
-                     "pool (divergent) ---\n%s",
+                     "DIVERGENCE %s seed %llu probes %s W=%u: %s\n--- DES "
+                     "---\n%s--- pool (divergent) ---\n%s",
                      to_string(kind), static_cast<unsigned long long>(seed),
-                     run == &probed ? "on" : "off", run->sim_summary.c_str(),
+                     run == &probed ? "on" : "off", run->divergent_workers,
+                     run->divergence ? run->divergence->to_string().c_str()
+                                     : "transcripts equal, digests differ",
+                     run->sim_summary.c_str(),
                      run->pool_divergent_summary.c_str());
       }
       for (std::size_t i = 0; i < result.pool.size(); ++i) {
@@ -597,7 +601,6 @@ int main() {
   obs::RuntimeProbeMeta meta;
   meta.protocol = to_string(ProtocolKind::kOptimized);
   meta.n = phase_n;
-  meta.wheel_tick_us = RuntimeOptions{}.wheel_tick_us;
   meta.workers = phase_n;
   const std::string probes_path = write_json_file(
       "runtime_probes.json",

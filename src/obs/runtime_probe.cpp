@@ -24,20 +24,12 @@ std::string_view to_string(ProbeKind kind) {
       return "ctl_pop";
     case ProbeKind::kParked:
       return "parked";
-    case ProbeKind::kTimerSlop:
-      return "sleep_slop";
     case ProbeKind::kWakeup:
       return "wakeup";
-    case ProbeKind::kTimerSchedule:
-      return "timer_sched";
-    case ProbeKind::kTimerFire:
-      return "timer_fire";
     case ProbeKind::kHandlerMessage:
       return "h_msg";
     case ProbeKind::kHandlerControl:
       return "h_ctl";
-    case ProbeKind::kHandlerTimer:
-      return "h_timer";
     case ProbeKind::kBatch:
       return "batch";
     case ProbeKind::kRunQueue:
@@ -52,10 +44,9 @@ ProbeKind probe_kind_from_string(std::string_view name) {
   for (const ProbeKind kind :
        {ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
         ProbeKind::kControlPush, ProbeKind::kControlPop, ProbeKind::kParked,
-        ProbeKind::kTimerSlop, ProbeKind::kWakeup, ProbeKind::kTimerSchedule,
-        ProbeKind::kTimerFire, ProbeKind::kHandlerMessage,
-        ProbeKind::kHandlerControl, ProbeKind::kHandlerTimer,
-        ProbeKind::kBatch, ProbeKind::kRunQueue, ProbeKind::kHandoff}) {
+        ProbeKind::kWakeup, ProbeKind::kHandlerMessage,
+        ProbeKind::kHandlerControl, ProbeKind::kBatch, ProbeKind::kRunQueue,
+        ProbeKind::kHandoff}) {
     if (to_string(kind) == name) return kind;
   }
   invariant_failed("unknown probe kind " + std::string(name));
@@ -121,7 +112,6 @@ PhaseBreakdown attribute_window(const std::vector<ProbeEntry>& entries,
   out.wall_ns = t1_ns - t0_ns;
 
   std::vector<Interval> exec;
-  std::vector<Interval> slop;
   std::vector<Interval> queued;
   std::vector<Interval> parked;
   auto clip_add = [&](std::vector<Interval>& set, std::uint64_t s,
@@ -134,11 +124,7 @@ PhaseBreakdown attribute_window(const std::vector<ProbeEntry>& entries,
     switch (e.kind) {
       case ProbeKind::kHandlerMessage:
       case ProbeKind::kHandlerControl:
-      case ProbeKind::kHandlerTimer:
         clip_add(exec, e.t_ns, e.t_ns + e.value);
-        break;
-      case ProbeKind::kTimerSlop:
-        clip_add(slop, e.t_ns, e.t_ns + e.value);
         break;
       case ProbeKind::kParked:
         clip_add(parked, e.t_ns, e.t_ns + e.value);
@@ -156,16 +142,14 @@ PhaseBreakdown attribute_window(const std::vector<ProbeEntry>& entries,
     }
   }
   normalize(exec);
-  normalize(slop);
   normalize(queued);
   normalize(parked);
 
   std::vector<std::uint64_t> cuts;
-  cuts.reserve(2 * (exec.size() + slop.size() + queued.size() + parked.size()) +
-               2);
+  cuts.reserve(2 * (exec.size() + queued.size() + parked.size()) + 2);
   cuts.push_back(t0_ns);
   cuts.push_back(t1_ns);
-  for (const auto* set : {&exec, &slop, &queued, &parked}) {
+  for (const auto* set : {&exec, &queued, &parked}) {
     for (const Interval& iv : *set) {
       cuts.push_back(iv.start);
       cuts.push_back(iv.end);
@@ -175,7 +159,6 @@ PhaseBreakdown attribute_window(const std::vector<ProbeEntry>& entries,
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
   std::size_t ce = 0;
-  std::size_t cs = 0;
   std::size_t cq = 0;
   std::size_t cp = 0;
   for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
@@ -184,8 +167,6 @@ PhaseBreakdown attribute_window(const std::vector<ProbeEntry>& entries,
     const std::uint64_t len = cuts[i + 1] - s;
     if (covered(exec, ce, s)) {
       out.executing_ns += len;
-    } else if (covered(slop, cs, s)) {
-      out.timer_slop_ns += len;
     } else if (covered(queued, cq, s)) {
       out.queued_ns += len;
     } else if (covered(parked, cp, s)) {
@@ -230,24 +211,12 @@ void aggregate_probe_metrics(const std::vector<ThreadProbeLog>& logs,
           r.counter("rt.probe.parks").increment();
           r.histogram("rt.probe.park_ns").observe(e.value);
           break;
-        case ProbeKind::kTimerSlop:
-          r.histogram("rt.probe.sleep_slop_ns").observe(e.value);
-          break;
         case ProbeKind::kWakeup:
           r.counter("rt.probe.wakeups").increment();
           r.histogram("rt.probe.wakeup_ns").observe(e.value);
           break;
-        case ProbeKind::kTimerSchedule:
-          r.counter("rt.probe.timer_scheduled").increment();
-          r.histogram("rt.probe.timer_delay_ns").observe(e.value);
-          break;
-        case ProbeKind::kTimerFire:
-          r.counter("rt.probe.timer_fired").increment();
-          r.histogram("rt.probe.timer_slop_ns").observe(e.value);
-          break;
         case ProbeKind::kHandlerMessage:
         case ProbeKind::kHandlerControl:
-        case ProbeKind::kHandlerTimer:
           r.counter("rt.probe.handlers").increment();
           r.histogram("rt.probe.handler_ns").observe(e.value);
           break;
@@ -480,15 +449,8 @@ JsonValue runtime_probe_chrome_json(const RuntimeProbeDoc& doc) {
           events.push_back(
               chrome_slice(handler_name("h:ctl", e), tid, e.t_ns, e.value));
           break;
-        case ProbeKind::kHandlerTimer:
-          events.push_back(
-              chrome_slice(handler_name("h:timer", e), tid, e.t_ns, e.value));
-          break;
         case ProbeKind::kParked:
           events.push_back(chrome_slice("parked", tid, e.t_ns, e.value));
-          break;
-        case ProbeKind::kTimerSlop:
-          events.push_back(chrome_slice("timer-slop", tid, e.t_ns, e.value));
           break;
         case ProbeKind::kLinkPop:
         case ProbeKind::kControlPop:
@@ -500,9 +462,6 @@ JsonValue runtime_probe_chrome_json(const RuntimeProbeDoc& doc) {
           break;
         case ProbeKind::kLinkPushFailed:
           events.push_back(chrome_instant("backpressure", tid, e.t_ns));
-          break;
-        case ProbeKind::kTimerFire:
-          events.push_back(chrome_instant("timer-fire", tid, e.t_ns));
           break;
         case ProbeKind::kHandoff:
           events.push_back(chrome_instant("handoff", tid, e.t_ns));

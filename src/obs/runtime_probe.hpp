@@ -4,7 +4,7 @@
 // speaks simulated time; the runtime backend (runtime/pool_transport.hpp)
 // runs on real worker threads, where the interesting questions are
 // wall-clock ones: how long did a message sit in its SPSC link, how long
-// was a worker parked, how late did a timer fire, where did a
+// was a worker parked, how late did it wake, where did a
 // reconfiguration's microseconds actually go. ProbeRing answers them
 // without perturbing the system under test:
 //
@@ -27,8 +27,8 @@
 // On top of the raw rings this header provides the offline analyses:
 // per-thread metric aggregation into a MetricsHub (one child per lane,
 // so rollup() and the JSON export work unchanged), the reconfiguration
-// phase breakdown (queued / parked / executing / timer-slop attribution
-// of a wall-clock window), and the schema-versioned JSON document that
+// phase breakdown (queued / parked / executing attribution of a
+// wall-clock window), and the schema-versioned JSON document that
 // `dvtrace runtime` renders and exports as a Chrome trace.
 #pragma once
 
@@ -48,11 +48,13 @@ namespace dynvote::obs {
 /// (batch / run_queue / handoff), `workers` in the meta. v3: one lane
 /// layout — lanes are always workers (`workers` >= 1), handler entries
 /// stamp the handling process in `link`, and the per-process `push`
-/// kind is gone (a cross-worker push records `handoff`).
+/// kind is gone (a cross-worker push records `handoff`). The four timer
+/// kinds (sleep_slop, timer_sched, timer_fire, h_timer) left v3 without
+/// a bump: no protocol ever scheduled a timer, so no document held one.
 inline constexpr int kRuntimeProbeSchemaVersion = 3;
 
 /// `link` value for "the controller lane" (pushes from / pops of the
-/// control queue) and for entries with no peer at all (parks, timers).
+/// control queue) and for entries with no peer at all (parks, wakeups).
 inline constexpr std::uint16_t kControllerLane = 0xFFFF;
 inline constexpr std::uint16_t kNoLane = 0xFFFE;
 
@@ -67,15 +69,10 @@ enum class ProbeKind : std::uint8_t {
   kLinkPop,         // data-link pop; value = queue wait ns (pop - send)
   kControlPush,     // control-queue push (controller lane); value = depth
   kControlPop,      // control-queue pop; value = queue wait ns
-  kParked,          // t = park start, value = parked ns (for timer-bounded
-                    // naps: only the portion before the deadline)
-  kTimerSlop,       // t = deadline, value = ns spent asleep past it
+  kParked,          // t = park start, value = parked ns
   kWakeup,          // t = wake, value = ns from the last notify to running
-  kTimerSchedule,   // value = requested delay ns
-  kTimerFire,       // value = fire slop ns (fire time - deadline)
   kHandlerMessage,  // t = begin, value = handler duration ns
   kHandlerControl,  // t = begin, value = handler duration ns
-  kHandlerTimer,    // t = begin, value = duration of a firing advance()
   // Pool-scheduler kinds (per-worker lanes; schema v2):
   kBatch,           // one batched inbox drain; value = batch size,
                     // link = source lane (sender / source worker)
@@ -159,10 +156,9 @@ struct ThreadProbeLog {
 /// (phase definitions in docs/OBSERVABILITY.md). Each nanosecond of the
 /// window gets exactly one label, by precedence:
 ///
-///   executing > timer_slop > queued > parked > unattributed
+///   executing > queued > parked > unattributed
 ///
-///  * executing: inside a message/control/timer handler;
-///  * timer_slop: asleep past a due timer deadline;
+///  * executing: inside a message or control handler;
 ///  * queued: work addressed to this thread was in flight (pushed but
 ///    not yet popped) while the thread was not executing — covers both
 ///    ring residence and the tail of a park spent waiting to wake;
@@ -176,6 +172,10 @@ struct PhaseBreakdown {
   std::uint64_t queued_ns = 0;
   std::uint64_t parked_ns = 0;
   std::uint64_t executing_ns = 0;
+  /// Always 0: the pool has no timers to oversleep. It stays only so
+  /// that the v3 document, dvtrace's `runtime` view, bench_runtime's
+  /// `timer_slop_ns_*` leaves and benchmark/adapter.cpp keep their
+  /// shape; it goes with the next change to benchmark/ (ROADMAP item 3).
   std::uint64_t timer_slop_ns = 0;
   std::uint64_t unattributed_ns = 0;
 
@@ -211,6 +211,9 @@ void aggregate_probe_metrics(const std::vector<ThreadProbeLog>& logs,
 struct RuntimeProbeMeta {
   std::string protocol;
   std::uint32_t n = 0;
+  /// Always 0: there is no timer wheel. Kept, like
+  /// PhaseBreakdown::timer_slop_ns, only for the v3 document's shape and
+  /// benchmark/adapter.cpp; it goes with ROADMAP item 3.
   std::uint64_t wheel_tick_us = 0;
   /// Pool workers, one lane each (>= 1; the loader rejects 0). Handler
   /// entries carry the handling process's index in `link`.
@@ -239,12 +242,12 @@ struct RuntimeProbeDoc {
 [[nodiscard]] RuntimeProbeDoc load_runtime_probes(const std::string& text);
 
 /// Chrome trace-event JSON of a probe document: one tid per lane
-/// (thread_name metadata), "X" slices for parks / slop and for handlers
-/// (each named for its handling process), instants for backpressure
-/// episodes, handoffs and timer fires, and one async
-/// "b"/"e" span per reconfiguration window. Loads in chrome://tracing
-/// and Perfetto; `dvtrace runtime --chrome` validates it with the same
-/// checker as export-chrome before writing.
+/// (thread_name metadata), "X" slices for parks, queue residence and
+/// handlers (each named for its handling process), instants for
+/// backpressure episodes and handoffs, and one async "b"/"e" span per
+/// reconfiguration window. Loads in chrome://tracing and Perfetto;
+/// `dvtrace runtime --chrome` validates it with the same checker as
+/// export-chrome before writing.
 [[nodiscard]] JsonValue runtime_probe_chrome_json(const RuntimeProbeDoc& doc);
 
 }  // namespace dynvote::obs

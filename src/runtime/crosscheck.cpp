@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 #include "harness/cluster.hpp"
 #include "runtime/fleet.hpp"
@@ -40,7 +41,53 @@ std::size_t cluster_distinct_primaries(Cluster& cluster) {
   return sessions.size();
 }
 
+/// `text` cut at every `sep`; a trailing separator ends the last piece
+/// rather than starting an empty one.
+std::vector<std::string_view> split(std::string_view text, char sep) {
+  std::vector<std::string_view> pieces;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find(sep), text.size());
+    pieces.push_back(text.substr(0, end));
+    text.remove_prefix(std::min(end + 1, text.size()));
+  }
+  return pieces;
+}
+
 }  // namespace
+
+std::string TranscriptDiff::to_string() const {
+  const auto quoted = [](const std::string& entry) {
+    return entry.empty() ? std::string("none") : "`" + entry + "`";
+  };
+  return process + " entry " + std::to_string(entry) + ": DES " +
+         quoted(des) + ", pool " + quoted(pool);
+}
+
+std::optional<TranscriptDiff> diff_transcripts(const std::string& des,
+                                               const std::string& pool) {
+  const std::vector<std::string_view> des_lines = split(des, '\n');
+  const std::vector<std::string_view> pool_lines = split(pool, '\n');
+  const auto entries = [](const std::vector<std::string_view>& lines,
+                          std::size_t i) {
+    return i < lines.size() ? split(lines[i], ' ')
+                            : std::vector<std::string_view>{};
+  };
+  for (std::size_t i = 0; i < std::max(des_lines.size(), pool_lines.size());
+       ++i) {
+    const std::vector<std::string_view> a = entries(des_lines, i);
+    const std::vector<std::string_view> b = entries(pool_lines, i);
+    for (std::size_t k = 0; k < std::max(a.size(), b.size()); ++k) {
+      const std::string_view x = k < a.size() ? a[k] : std::string_view{};
+      const std::string_view y = k < b.size() ? b[k] : std::string_view{};
+      if (x == y) continue;
+      std::string_view label = a.empty() ? b.front() : a.front();
+      if (label.ends_with(':')) label.remove_suffix(1);
+      return TranscriptDiff{std::string(label), k, std::string(x),
+                            std::string(y)};
+    }
+  }
+  return std::nullopt;
+}
 
 std::string ScenarioStep::to_string() const {
   switch (kind) {
@@ -224,6 +271,8 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
       all_equal = false;
       if (result.pool_divergent_summary.empty()) {
         result.pool_divergent_summary = summary;
+        result.divergent_workers = workers;
+        result.divergence = diff_transcripts(result.sim_summary, summary);
       }
     }
   }

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,31 @@ struct ScenarioStep {
                                       const std::vector<ScenarioStep>& script,
                                       bool& c1_clean);
 
+/// Where two outcome transcripts first differ. An entry is one
+/// space-separated token of a line append_outcome_line writes: the
+/// "p3:" label (entry 0), a view install "V2={p0,p3}", a formation
+/// "F2r2={p0,p3}", the "|" separator, and the final state
+/// "primary=..." and "formed=...".
+struct TranscriptDiff {
+  /// The process of the first line that differs: the DES line's label,
+  /// or the pool line's where the DES transcript has no such line.
+  std::string process;
+  /// Index of the first differing entry within that line.
+  std::size_t entry = 0;
+  /// The entry on each side; empty where that side's line ends first.
+  std::string des;
+  std::string pool;
+
+  /// "p3 entry 2: DES `F2r2={p0,p3}`, pool `|`" (a missing entry
+  /// reads "none").
+  [[nodiscard]] std::string to_string() const;
+};
+
+/// Compares two transcripts line by line and entry by entry; nullopt
+/// when they are equal.
+[[nodiscard]] std::optional<TranscriptDiff> diff_transcripts(
+    const std::string& des, const std::string& pool);
+
 /// One pool execution of the scenario at a given worker count.
 struct PoolCheck {
   std::uint32_t workers = 0;
@@ -81,6 +107,10 @@ struct CrossCheckResult {
   std::string sim_summary;
   /// First divergent pool transcript (empty when all pool runs agree).
   std::string pool_divergent_summary;
+  /// That run's worker count (0 when all agree) and the first entry
+  /// where its transcript leaves the DES's.
+  std::uint32_t divergent_workers = 0;
+  std::optional<TranscriptDiff> divergence;
 };
 
 /// Runs the seed's scenario on the DES and on the pool runtime once per

@@ -28,7 +28,7 @@ PoolTransport::Slot::Slot(ProcessId pid, std::size_t idx, std::uint32_t w)
 
 PoolTransport::Worker::Worker(std::uint32_t idx, std::uint32_t num_workers,
                               const RuntimeOptions& options)
-    : index(idx), wheel(options.wheel_tick_us), marked(num_workers, 0) {
+    : index(idx), marked(num_workers, 0) {
   wake.reserve(num_workers);
   if (options.probes) {
     probe = std::make_unique<obs::ProbeRing>(options.probe_capacity);
@@ -76,13 +76,6 @@ PoolTransport::PoolTransport(const std::vector<ProcessId>& processes,
   if (options_.probes) {
     controller_probe_ =
         std::make_unique<obs::ProbeRing>(options_.probe_capacity);
-    for (auto& worker : workers_) {
-      Worker& me = *worker;
-      me.wheel.set_fire_hook([&me](SimTime deadline, SimTime fired_at) {
-        me.probe->record(obs::ProbeKind::kTimerFire, deadline * 1000,
-                         (fired_at - deadline) * 1000, obs::kNoLane, 0);
-      });
-    }
   }
 }
 
@@ -163,21 +156,6 @@ SimTime PoolTransport::now() const {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start_time_)
           .count());
-}
-
-sim::TimerToken PoolTransport::schedule_timer(ProcessId p, SimTime delay,
-                                              sim::TimerAction action) {
-  Slot& s = slot(p);
-  Worker& me = *workers_[s.worker];
-  if (me.probe) {
-    me.probe->record(obs::ProbeKind::kTimerSchedule, now_ns(), delay * 1000,
-                     static_cast<std::uint16_t>(s.index), s.trace.last_eid());
-  }
-  return me.wheel.schedule_at(now() + delay, std::move(action));
-}
-
-bool PoolTransport::cancel_timer(ProcessId p, sim::TimerToken token) {
-  return workers_[slot(p).worker]->wheel.cancel(token);
 }
 
 sim::StableStorage& PoolTransport::storage(ProcessId p) {
@@ -307,12 +285,23 @@ void PoolTransport::post_view(const View& view) {
   }
 }
 
-void PoolTransport::run_on(ProcessId p, sim::TimerAction fn) {
+void PoolTransport::run_on(ProcessId p, InlineFunction<void()> fn) {
   ensure(static_cast<bool>(fn), "run_on with empty closure");
   post_control(p, ControlItem{ControlItem::Kind::kRun, p, {}, std::move(fn)});
 }
 
 void PoolTransport::quiesce() {
+  if (!running_) {
+    // No worker runs to drain a queue, so waiting could only end in the
+    // timeout below.
+    const std::string queue = undrained_queue();
+    if (!queue.empty()) {
+      invariant_failed("runtime quiesce: the transport is not running (not "
+                       "started, or stopped), and " +
+                       queue + " holds items");
+    }
+    return;
+  }
   // The timeout detects a wedge (a handler stuck in a loop), not a busy
   // run: it re-arms whenever any worker's handled-item count advances,
   // so a wide fleet grinding through an O(n^2)-message formation on one
@@ -331,14 +320,6 @@ void PoolTransport::quiesce() {
     }
     if (moved) give_up = std::chrono::steady_clock::now() + kQuiesceTimeout;
   };
-  if (!running_) {
-    while (!queues_drained()) {
-      ensure(std::chrono::steady_clock::now() < give_up,
-             "runtime quiesce timeout (a handler is stuck?)");
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
-    return;
-  }
   // Double-read over the worker status words. A worker pops and handles
   // items only while its status is odd, and publishes even (release)
   // only after a scan of its control queue, links and local run queue
@@ -357,7 +338,7 @@ void PoolTransport::quiesce() {
       first[i] = workers_[i]->status.load(std::memory_order_acquire);
       all_even = all_even && (first[i] % 2 == 0);
     }
-    if (!all_even || !queues_drained()) {
+    if (!all_even || !undrained_queue().empty()) {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
       continue;
     }
@@ -373,15 +354,20 @@ void PoolTransport::quiesce() {
 
 // -- internals --------------------------------------------------------------
 
-bool PoolTransport::queues_drained() const {
+std::string PoolTransport::undrained_queue() const {
   const std::size_t w = workers_.size();
   for (std::size_t i = 0; i < w * w; ++i) {
-    if (!links_[i].drained()) return false;
+    if (!links_[i].drained()) {
+      return "link " + obs::lane_name(static_cast<std::uint32_t>(i / w)) +
+             "->" + obs::lane_name(static_cast<std::uint32_t>(i % w));
+    }
   }
   for (const auto& worker : workers_) {
-    if (!worker->control.drained()) return false;
+    if (!worker->control.drained()) {
+      return obs::lane_name(worker->index) + "'s control queue";
+    }
   }
-  return true;
+  return {};
 }
 
 void PoolTransport::post_control(ProcessId p, ControlItem item) {
@@ -475,71 +461,28 @@ void PoolTransport::worker_main(Worker& me) {
       note_progress();
       did_work = true;
     }
-    if (probe) {
-      const std::uint64_t t = now_ns();
-      if (me.wheel.advance(now()) > 0) {
-        // One entry per firing advance() — the fire hook records the
-        // per-timer slop, this records the batch's execution time.
-        probe->record(obs::ProbeKind::kHandlerTimer, t, now_ns() - t,
-                      obs::kNoLane, 0);
-        wake_marked(me);
-        note_progress();
-        did_work = true;
-      }
-    } else if (me.wheel.advance(now()) > 0) {
-      wake_marked(me);
-      note_progress();
-      did_work = true;
-    }
     if (did_work) continue;
     if (stop_.load(std::memory_order_acquire)) break;
 
     // Nothing to do: publish idle (odd -> even) for the quiesce
-    // double-read, park, then mark busy again (even -> odd) on wake.
+    // double-read, park on the futex until a producer bumps the word,
+    // then mark busy again (even -> odd).
     me.status.fetch_add(1, std::memory_order_release);
-    if (const auto deadline = me.wheel.next_deadline()) {
-      if (*deadline > now()) {
-        const std::uint64_t nap_start = probe ? now_ns() : 0;
-        me.work.wait_until(seq, *deadline, [this] { return now(); });
-        if (probe) {
-          // Split the nap at the timer deadline: time before it is
-          // parked, time past it is slop the timer's consumer will
-          // observe.
-          const std::uint64_t wake_ns = now_ns();
-          const std::uint64_t deadline_ns = *deadline * 1000;
-          if (wake_ns > deadline_ns) {
-            if (deadline_ns > nap_start) {
-              probe->record(obs::ProbeKind::kParked, nap_start,
-                            deadline_ns - nap_start, obs::kNoLane, 0);
-            }
-            const std::uint64_t slop_from = std::max(nap_start, deadline_ns);
-            probe->record(obs::ProbeKind::kTimerSlop, slop_from,
-                          wake_ns - slop_from, obs::kNoLane, 0);
-          } else {
-            probe->record(obs::ProbeKind::kParked, nap_start,
-                          wake_ns - nap_start, obs::kNoLane, 0);
-          }
-        }
+    if (probe) {
+      const std::uint64_t park_start = now_ns();
+      me.work.wait(seq);
+      const std::uint64_t wake_ns = now_ns();
+      probe->record(obs::ProbeKind::kParked, park_start, wake_ns - park_start,
+                    obs::kNoLane, 0);
+      // Wakeup latency: only meaningful when the notify landed during
+      // this park (a stale stamp from before the park says nothing).
+      const std::uint64_t notify = me.notify_ns.load(std::memory_order_relaxed);
+      if (notify >= park_start && wake_ns > notify) {
+        probe->record(obs::ProbeKind::kWakeup, wake_ns, wake_ns - notify,
+                      obs::kNoLane, 0);
       }
     } else {
-      // Fully idle: park on the futex until a producer bumps the word.
-      if (probe) {
-        const std::uint64_t park_start = now_ns();
-        me.work.wait(seq);
-        const std::uint64_t wake_ns = now_ns();
-        probe->record(obs::ProbeKind::kParked, park_start,
-                      wake_ns - park_start, obs::kNoLane, 0);
-        // Wakeup latency: only meaningful when the notify landed during
-        // this park (a stale stamp from before the park says nothing).
-        const std::uint64_t notify =
-            me.notify_ns.load(std::memory_order_relaxed);
-        if (notify >= park_start && wake_ns > notify) {
-          probe->record(obs::ProbeKind::kWakeup, wake_ns, wake_ns - notify,
-                        obs::kNoLane, 0);
-        }
-      } else {
-        me.work.wait(seq);
-      }
+      me.work.wait(seq);
     }
     me.status.fetch_add(1, std::memory_order_release);
   }

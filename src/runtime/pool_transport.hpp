@@ -7,8 +7,8 @@
 // carries four-digit fleets in wall-clock time:
 //
 //  * each worker owns a static shard of processes (index mod W — no
-//    migration, so every per-process structure stays single-threaded),
-//    one merged timer wheel, and one probe lane;
+//    migration, so every per-process structure stays single-threaded)
+//    and one probe lane;
 //  * cross-worker messages travel over W×W SPSC links (one per ordered
 //    worker pair — SPSC holds because a process never leaves its
 //    worker, and per-process-pair FIFO is preserved because all p→q
@@ -44,9 +44,12 @@
 //
 // One wakeup per destination worker per handler: a cross-worker send
 // only marks its destination worker, and the loop bumps each marked
-// worker once when the message handler, control item or timer-wheel
-// advance returns. The handler finishes before its worker can park, so
-// the deferred bump delays a wakeup by at most the handler's length.
+// worker once when the message handler or control item returns. The
+// handler finishes before its worker can park, so the deferred bump
+// delays a wakeup by at most the handler's length.
+//
+// No timers (sim/transport.hpp): an idle worker parks on its futex
+// word with no deadline, and only a producer's bump wakes it.
 //
 // Quiescence keeps no global count of items in flight, so the message
 // path updates no counter that every worker shares. Each worker has a
@@ -57,7 +60,10 @@
 // queue drained (SpscQueue::drained reads the two cursors), statuses
 // unchanged. Any work that existed at the first read either still sits
 // in a queue, is being handled by a worker whose status is odd, or
-// moves a status word before the second read.
+// moves a status word before the second read. Because a worker holds
+// no timer, an even status means it holds no work at all, so the point
+// quiesce() returns at is a true fixed point: nothing runs afterwards
+// until the controller posts again.
 //
 // Determinism: for the protocols whose phase structure waits on ALL
 // view members (the cross-check allow-list), per-process outcome
@@ -79,6 +85,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,11 +95,11 @@
 #include "obs/trace.hpp"
 #include "runtime/eventcount.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/timer_wheel.hpp"
 #include "sim/node.hpp"
 #include "sim/stable_storage.hpp"
 #include "sim/transport.hpp"
 #include "util/ids.hpp"
+#include "util/inline_function.hpp"
 #include "util/process_set.hpp"
 
 namespace dynvote::runtime {
@@ -101,8 +108,11 @@ namespace dynvote::runtime {
 /// unbounded segment chains with nothing to size; the per-process trace
 /// capacity is fixed in pool_transport.cpp.
 struct RuntimeOptions {
-  /// Timer-wheel slot granularity, microseconds.
-  SimTime wheel_tick_us = 1024;
+  /// There is no timer wheel, so this reads 0 and cannot be set. It
+  /// stays only because benchmark/adapter.cpp stamps it into its probe
+  /// document; it goes with the next change to benchmark/ (ROADMAP
+  /// item 3).
+  static constexpr SimTime wheel_tick_us = 0;
   /// Wall-clock probe rings (obs/runtime_probe.hpp). Off by default;
   /// when off no ring exists and every record site is a single branch
   /// on a null pointer.
@@ -136,9 +146,6 @@ class PoolTransport final : public sim::Transport {
 
   void send(sim::Envelope env) override;
   [[nodiscard]] SimTime now() const override;
-  sim::TimerToken schedule_timer(ProcessId p, SimTime delay,
-                                 sim::TimerAction action) override;
-  bool cancel_timer(ProcessId p, sim::TimerToken token) override;
   [[nodiscard]] sim::StableStorage& storage(ProcessId p) override;
   [[nodiscard]] obs::TraceSink& trace(ProcessId p) override;
   [[nodiscard]] obs::MetricsRegistry& metrics(ProcessId p) override;
@@ -184,10 +191,13 @@ class PoolTransport final : public sim::Transport {
 
   /// Runs `fn` on p's worker (state probes; effects are visible to the
   /// controller after the next quiesce()).
-  void run_on(ProcessId p, sim::TimerAction fn);
+  void run_on(ProcessId p, InlineFunction<void()> fn);
 
   /// Blocks until no message, control item or handler is in flight
   /// anywhere — the real-time analogue of the simulator's settle().
+  /// On a transport that is not running (not started, or stopped) no
+  /// worker can drain a queue, so it throws InvariantViolation at once,
+  /// naming a queue that holds items, unless every queue is empty.
   void quiesce();
 
   [[nodiscard]] const std::vector<ProcessId>& processes() const noexcept {
@@ -220,9 +230,9 @@ class PoolTransport final : public sim::Transport {
   struct ControlItem {
     enum class Kind : std::uint8_t { kNone, kView, kCrash, kRecover, kRun };
     Kind kind = Kind::kNone;
-    ProcessId target;     // the process this item addresses
-    View view;            // kView
-    sim::TimerAction fn;  // kRun
+    ProcessId target;           // the process this item addresses
+    View view;                  // kView
+    InlineFunction<void()> fn;  // kRun
     std::uint64_t sent_ns = 0;  // push timestamp, 0 unless probes are on
   };
 
@@ -266,7 +276,6 @@ class PoolTransport final : public sim::Transport {
     /// it before parking (runtime/eventcount.hpp; no mutex anywhere on
     /// the message path).
     RuntimeEventcount work;
-    TimerWheel wheel;
     std::unique_ptr<obs::ProbeRing> probe;
     /// Wall-clock stamp of the latest bump aimed at this worker (probes
     /// only; relaxed — feeds a latency estimate, not ordering).
@@ -310,10 +319,11 @@ class PoolTransport final : public sim::Transport {
     return links_[src * workers_.size() + dst];
   }
 
-  /// True iff every link and every control queue is empty (quiesce's
-  /// check; exact only while no worker runs, which the double-read
-  /// around it establishes).
-  [[nodiscard]] bool queues_drained() const;
+  /// The first link or control queue that holds items, named for an
+  /// error message ("link w0->w1", "w2's control queue"); empty iff
+  /// every queue is drained. quiesce's check: exact only while no worker
+  /// runs, which the double-read around it establishes.
+  [[nodiscard]] std::string undrained_queue() const;
 
   void post_control(ProcessId p, ControlItem item);
   void bump_work(Worker& target);

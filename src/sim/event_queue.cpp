@@ -13,13 +13,13 @@ static_assert(sizeof(EventQueue::Action) == 112,
 static_assert(alignof(EventQueue::Action) == alignof(std::max_align_t),
               "SBO storage must hold max-aligned captures");
 
-EventToken EventQueue::schedule_at(SimTime t, Action action) {
+void EventQueue::schedule_at(SimTime t, Action action) {
   static_assert(sizeof(Key) == 24, "a sift moves 24-byte keys");
   ensure(t >= now_, "scheduling into the past");
   ensure(static_cast<bool>(action), "scheduling an empty action");
   std::uint32_t slot = 0;
   if (free_.empty()) {
-    ensure(slab_.size() < kDead, "event slab full");
+    ensure(slab_.size() < UINT32_MAX, "event slab full");
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.push_back(std::move(action));
   } else {
@@ -27,42 +27,15 @@ EventToken EventQueue::schedule_at(SimTime t, Action action) {
     free_.pop_back();
     slab_[slot] = std::move(action);
   }
-  const EventToken token = next_token_++;
-  heap_.push_back(Key{t, token, slot});
+  heap_.push_back(Key{t, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), After{});
-  ++live_;
-  return token;
 }
 
-EventToken EventQueue::schedule_after(SimTime delay, Action action) {
-  return schedule_at(now_ + delay, std::move(action));
-}
-
-bool EventQueue::cancel(EventToken token) {
-  // Cancellation is a cold path (timers being superseded): marking the
-  // key dead keeps the heap intact, and the key is discarded when it
-  // reaches the top. The slot is freed at once.
-  for (Key& key : heap_) {
-    if (key.token == token && key.slot != kDead) {
-      slab_[key.slot].reset();
-      free_.push_back(key.slot);
-      key.slot = kDead;
-      --live_;
-      return true;
-    }
-  }
-  return false;
-}
-
-void EventQueue::skim_tombstones() {
-  while (!heap_.empty() && heap_.front().slot == kDead) {
-    std::pop_heap(heap_.begin(), heap_.end(), After{});
-    heap_.pop_back();
-  }
+void EventQueue::schedule_after(SimTime delay, Action action) {
+  schedule_at(now_ + delay, std::move(action));
 }
 
 bool EventQueue::run_next() {
-  skim_tombstones();
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), After{});
   const Key key = heap_.back();
@@ -72,7 +45,6 @@ bool EventQueue::run_next() {
   Action action = std::move(slab_[key.slot]);
   free_.push_back(key.slot);
   now_ = key.time;
-  --live_;
   ++executed_;
   action();
   return true;
@@ -80,9 +52,7 @@ bool EventQueue::run_next() {
 
 std::size_t EventQueue::run_until(SimTime t) {
   std::size_t count = 0;
-  for (;;) {
-    skim_tombstones();
-    if (heap_.empty() || heap_.front().time > t) break;
+  while (!heap_.empty() && heap_.front().time <= t) {
     run_next();
     ++count;
   }

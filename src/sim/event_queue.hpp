@@ -5,16 +5,18 @@
 // fully deterministic (same seed => same trace, byte for byte).
 //
 // Storage is split in two. A flat binary min-heap orders 24-byte keys
-// (time, token, slot), and the actions live in a slab indexed by slot,
-// with a free list of vacated slots. A heap sift moves keys only, never
-// the 112-byte callables (whose move is an indirect call): each action
-// moves once into its slot when scheduled and once out of it just
-// before it runs. The callback type keeps captures up to 88 bytes
-// inline, so the common scheduling path — including the network's
-// delivery closure with its full Envelope — allocates nothing once the
-// slab has grown. cancel() scans the keys linearly, frees the slot and
-// marks the key dead; dead keys are discarded lazily when they surface
-// at the heap top.
+// (time, insertion sequence, slot), and the actions live in a slab
+// indexed by slot, with a free list of vacated slots. A heap sift moves
+// keys only, never the 112-byte callables (whose move is an indirect
+// call): each action moves once into its slot when scheduled and once
+// out of it just before it runs. The callback type keeps captures up to
+// 88 bytes inline, so the common scheduling path — including the
+// network's delivery closure with its full Envelope — allocates nothing
+// once the slab has grown.
+//
+// Events cannot be cancelled: every scheduled event runs. Nothing in
+// the library schedules an event it might later revoke (the protocols
+// have no timers, sim/transport.hpp).
 #pragma once
 
 #include <cstdint>
@@ -26,16 +28,12 @@
 
 namespace dynvote::sim {
 
-/// Token identifying a scheduled event so it can be cancelled.
-using EventToken = std::uint64_t;
-
 class EventQueue {
  public:
   /// Inline capacity (the 88-byte InlineFunction default) covers the
   /// network's delivery closure (an Envelope plus a pointer and an
   /// epoch, 64 bytes) with headroom; larger captures fall back to one
-  /// heap box, never silently truncate. Same type as sim::TimerAction,
-  /// so Transport::schedule_timer forwards into the queue move-only.
+  /// heap box, never silently truncate.
   using Action = InlineFunction<void()>;
 
   /// How a bounded run ended: the queue ran dry, or the event budget was
@@ -53,15 +51,10 @@ class EventQueue {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `action` at absolute virtual time `t` (>= now()).
-  EventToken schedule_at(SimTime t, Action action);
+  void schedule_at(SimTime t, Action action);
 
   /// Schedules `action` `delay` ticks from now.
-  EventToken schedule_after(SimTime delay, Action action);
-
-  /// Cancels a pending event. Returns false if it already ran or was
-  /// cancelled (cancelling twice is harmless). O(pending): a scan over
-  /// the heap keys, which is fine for the cold timer-superseding path.
-  bool cancel(EventToken token);
+  void schedule_after(SimTime delay, Action action);
 
   /// Runs the earliest pending event, advancing the clock to it.
   /// Returns false if the queue is empty.
@@ -80,35 +73,30 @@ class EventQueue {
   /// event budget stopped it with work still pending.
   DrainResult drain(std::size_t max_events = kDefaultMaxEvents);
 
-  [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
   [[nodiscard]] std::size_t executed() const noexcept { return executed_; }
 
  private:
-  /// Heap key of one pending event; `slot` indexes slab_, or is kDead
-  /// once the event was cancelled (its slot is already free).
+  /// Heap key of one pending event; `seq` is its insertion sequence,
+  /// the tie-break among equal times, and `slot` indexes slab_.
   struct Key {
     SimTime time = 0;
-    EventToken token = 0;
+    std::uint64_t seq = 0;
     std::uint32_t slot = 0;
   };
-  static constexpr std::uint32_t kDead = UINT32_MAX;
 
   /// std::push_heap/pop_heap build a max-heap; order keys so the
-  /// earliest (time, token) surfaces at the top.
+  /// earliest (time, seq) surfaces at the top.
   struct After {
     bool operator()(const Key& a, const Key& b) const noexcept {
-      return b.time < a.time || (b.time == a.time && b.token < a.token);
+      return b.time < a.time || (b.time == a.time && b.seq < a.seq);
     }
   };
 
-  /// Discards dead keys sitting at the heap top.
-  void skim_tombstones();
-
   SimTime now_ = 0;
-  EventToken next_token_ = 1;
+  std::uint64_t next_seq_ = 1;
   std::size_t executed_ = 0;
-  std::size_t live_ = 0;  // heap keys that are not dead
   std::vector<Key> heap_;
   std::vector<Action> slab_;         // empty where the slot is free
   std::vector<std::uint32_t> free_;  // vacated slab slots, reused LIFO

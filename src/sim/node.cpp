@@ -82,14 +82,6 @@ StableStorage& Node::storage() { return transport_.storage(id_); }
 
 SimTime Node::now() const { return transport_.now(); }
 
-TimerToken Node::schedule_timer(SimTime delay, TimerAction action) {
-  return transport_.schedule_timer(id_, delay, std::move(action));
-}
-
-bool Node::cancel_timer(TimerToken token) {
-  return transport_.cancel_timer(id_, token);
-}
-
 obs::TraceSink& Node::trace() { return transport_.trace(id_); }
 
 obs::MetricsRegistry& Node::metrics() { return transport_.metrics(id_); }

@@ -91,11 +91,6 @@ class Node {
   [[nodiscard]] StableStorage& storage();
   [[nodiscard]] SimTime now() const;
 
-  /// Schedules `action` in this process's execution context after
-  /// `delay` clock units; cancel_timer revokes a pending one.
-  TimerToken schedule_timer(SimTime delay, TimerAction action);
-  bool cancel_timer(TimerToken token);
-
   /// The simulation's structured trace sink / metrics registry, so
   /// protocol layers can record events without including simulator.hpp.
   [[nodiscard]] obs::TraceSink& trace();

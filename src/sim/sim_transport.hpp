@@ -1,8 +1,8 @@
 // SimTransport: the discrete-event simulator as a Transport.
 //
 // A thin adapter over the Simulator's existing parts — Network for
-// sends and Lamport clocks, EventQueue for timers, the shared TraceSink
-// / MetricsRegistry / per-process StableStorage map. Owned by
+// sends and Lamport clocks, the shared TraceSink / MetricsRegistry /
+// per-process StableStorage map. Owned by
 // the Simulator itself (sim.transport()); protocol nodes hold only the
 // Transport& and never see the Simulator.
 #pragma once
@@ -19,9 +19,6 @@ class SimTransport final : public Transport {
 
   void send(Envelope env) override;
   [[nodiscard]] SimTime now() const override;
-  TimerToken schedule_timer(ProcessId p, SimTime delay,
-                            TimerAction action) override;
-  bool cancel_timer(ProcessId p, TimerToken token) override;
   [[nodiscard]] StableStorage& storage(ProcessId p) override;
   [[nodiscard]] obs::TraceSink& trace(ProcessId p) override;
   [[nodiscard]] obs::MetricsRegistry& metrics(ProcessId p) override;

@@ -2,16 +2,19 @@
 // its messages.
 //
 // Every protocol node talks to the world through exactly this surface:
-// point-to-point sends, a clock, per-process timers, stable storage, and
-// the observability sinks (trace, metrics, Lamport clock). Two
-// implementations exist:
+// point-to-point sends, a clock, stable storage, and the observability
+// sinks (trace, metrics, Lamport clock). Two implementations exist:
 //
 //  * sim::SimTransport — the discrete-event simulator (sim/network.hpp
 //    behind sim/event_queue.hpp): virtual time, deterministic, the
 //    correctness oracle;
 //  * runtime::PoolTransport — n processes on W worker threads connected
-//    by unbounded lock-free SPSC links, real monotonic time, a per-worker
-//    timer wheel (src/runtime/).
+//    by unbounded lock-free SPSC links, real monotonic time
+//    (src/runtime/).
+//
+// There are no timers. The paper's protocols act only on view
+// deliveries and round messages, and leave liveness to the membership
+// service (section 3.1), so a protocol step never waits on a clock.
 //
 // The protocol state machines (dv/, baselines/) are written once against
 // this interface and run unchanged on both; the cross-check harness
@@ -29,7 +32,6 @@
 
 #include "sim/message.hpp"
 #include "util/ids.hpp"
-#include "util/inline_function.hpp"
 
 namespace dynvote::obs {
 class MetricsRegistry;
@@ -39,13 +41,6 @@ class TraceSink;
 namespace dynvote::sim {
 
 class StableStorage;
-
-/// Handle for a scheduled timer (0 is never issued).
-using TimerToken = std::uint64_t;
-
-/// Timer callback. Shares the event queue's inline capacity so the
-/// simulator backend forwards actions without re-boxing them.
-using TimerAction = InlineFunction<void()>;
 
 class Transport {
  public:
@@ -61,14 +56,6 @@ class Transport {
   /// ticks in the simulator, microseconds of monotonic time since
   /// transport start in the runtime backend.
   [[nodiscard]] virtual SimTime now() const = 0;
-
-  /// Schedules `action` to run in process p's execution context after
-  /// `delay` clock units. Returns a token for cancel_timer.
-  virtual TimerToken schedule_timer(ProcessId p, SimTime delay,
-                                    TimerAction action) = 0;
-
-  /// Cancels a pending timer; false if it already fired or was cancelled.
-  virtual bool cancel_timer(ProcessId p, TimerToken token) = 0;
 
   /// Process p's stable storage: survives crashes, lost only by
   /// crash_and_destroy_disk (paper footnote 4).

@@ -4,8 +4,8 @@
 //     on randomized inputs straddling the 256-id boundary, so the bitset
 //     and sorted-vector representations can never diverge silently, and
 //     its word-wise == and <=> pinned to the member lists' order;
-//   - EventQueue tombstone cancellation and the drained-vs-event-limit
-//     distinction of drain();
+//   - the InlineFunction size budget of the EventQueue's slab and the
+//     drained-vs-event-limit distinction of drain();
 //   - the sweep runner's determinism contract: index-ordered results,
 //     identical output at any thread count (including the full E1
 //     trace.json byte-for-byte through a 4-thread pool), and exception
@@ -388,8 +388,7 @@ TEST(InlineFunctionSize, EventQueueEntryIsExactlyTwoCacheLines) {
   EXPECT_EQ(sizeof(InlineFunction<void()>), 112u);
   EXPECT_EQ(alignof(InlineFunction<void()>), alignof(std::max_align_t));
   // The queue's Action is the default-capacity type (not a wider
-  // specialization), so sim::TimerAction forwards into it without
-  // re-wrapping.
+  // specialization).
   EXPECT_EQ(sizeof(sim::EventQueue::Action), sizeof(InlineFunction<void()>));
 }
 
@@ -422,21 +421,7 @@ TEST(InlineFunctionSize, DeliverySizedCaptureFitsAndOversizedBoxWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// EventQueue: tombstones and the drain() status.
-
-TEST(EventQueuePerf, CancelledEventsNeverRun) {
-  sim::EventQueue q;
-  std::vector<int> order;
-  const sim::EventToken a = q.schedule_at(10, [&] { order.push_back(1); });
-  const sim::EventToken b = q.schedule_at(20, [&] { order.push_back(2); });
-  q.schedule_at(30, [&] { order.push_back(3); });
-  EXPECT_TRUE(q.cancel(b));
-  EXPECT_FALSE(q.cancel(b)) << "second cancel of the same token";
-  EXPECT_EQ(q.pending(), 2u);
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-  EXPECT_FALSE(q.cancel(a)) << "cancel after the event ran";
-}
+// EventQueue: the drain() status.
 
 TEST(EventQueuePerf, DrainDistinguishesEventLimitFromDrained) {
   sim::EventQueue q;

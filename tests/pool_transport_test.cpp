@@ -3,12 +3,12 @@
 // determinism contract (byte-identical outcome transcripts at ANY
 // worker count, equal to the DES oracle), the same-worker fast path vs
 // cross-worker handoff split visible in the probe lanes, a burst that
-// spans several link segments, the partition rule, in-flight drain and
-// per-handler wakeups of a bare transport, and a churn stress meant for
+// spans several link segments, the partition rule, in-flight drain,
+// per-handler wakeups, the fixed point quiesce() returns at and its
+// not-running check on a bare transport, and a churn stress meant for
 // the TSan pass (tools/run_experiments.sh wires the Runtime* prefixes
 // in).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -24,6 +24,7 @@
 #include "runtime/pool_transport.hpp"
 #include "sim/message.hpp"
 #include "sim/node.hpp"
+#include "util/ensure.hpp"
 
 namespace dynvote::runtime {
 namespace {
@@ -414,9 +415,9 @@ struct Relay final : sim::MessagePayload {
   [[nodiscard]] std::size_t encoded_size() const override { return 0; }
 };
 
-/// Pings every other member of its view on request, after a timer, or
-/// on receiving a Relay; counts the pings it receives (written on its
-/// worker, read by the controller after quiesce()).
+/// Pings every other member of its view on request or on receiving a
+/// Relay; counts the pings it receives (written on its worker, read by
+/// the controller after quiesce()).
 class FanOutNode final : public sim::Node {
  public:
   using sim::Node::Node;
@@ -426,12 +427,6 @@ class FanOutNode final : public sim::Node {
     for (const ProcessId p : current_view()->members) {
       if (p != id()) send(p, payload);
     }
-  }
-  void fan_out_after(SimTime delay, std::atomic<bool>& fired) {
-    schedule_timer(delay, [this, &fired] {
-      fan_out();
-      fired.store(true, std::memory_order_release);
-    });
   }
   void relay_to(ProcessId to) { send(to, std::make_shared<const Relay>()); }
 
@@ -449,11 +444,12 @@ class FanOutNode final : public sim::Node {
 };
 
 // A cross-worker send only marks its destination worker; the bump comes
-// when the handler returns. Each of the three handler kinds — a run_on
-// closure, a timer callback and a message handler — sends from a parked
-// fleet to processes on the other three workers, and nothing else wakes
-// those workers: a path that skipped its wake would leave messages in a
-// parked worker's link and quiesce() would time out.
+// when the handler returns. Each of the two handler kinds — a run_on
+// closure and a message handler — sends from a parked fleet to
+// processes on the other three workers, and nothing else wakes those
+// workers: a path that skipped its wake would leave messages in a
+// parked worker's link and quiesce() would time out. Nothing runs
+// after quiesce() returns, so each count is read straight after it.
 TEST(RuntimePool, EveryHandlerKindWakesTheWorkersItSentTo) {
   constexpr std::uint32_t kN = 4;
   PoolTransport transport(make_ids(kN), /*workers=*/kN);
@@ -465,7 +461,7 @@ TEST(RuntimePool, EveryHandlerKindWakesTheWorkersItSentTo) {
   transport.start();
   transport.merge_all();
   transport.post_view(View{ViewId(1), ProcessSet::of({0, 1, 2, 3})});
-  transport.quiesce();  // every worker parked, none holding a timer
+  transport.quiesce();  // every worker parked
   const auto pings = [&nodes] {
     std::vector<std::uint64_t> out;
     for (const auto& node : nodes) out.push_back(node->pings);
@@ -477,24 +473,83 @@ TEST(RuntimePool, EveryHandlerKindWakesTheWorkersItSentTo) {
   transport.quiesce();
   EXPECT_EQ(pings(), (std::vector<std::uint64_t>{0, 1, 1, 1}));
 
-  // A timer callback on p0's worker.
-  std::atomic<bool> fired{false};
-  transport.run_on(ProcessId(0), [&nodes, &fired] {
-    nodes[0]->fan_out_after(/*delay=*/1000, fired);
-  });
-  transport.quiesce();
-  while (!fired.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  transport.quiesce();
-  EXPECT_EQ(pings(), (std::vector<std::uint64_t>{0, 2, 2, 2}));
-
   // A message handler on p1's worker, reached from p0.
   transport.run_on(ProcessId(0),
                    [&nodes] { nodes[0]->relay_to(ProcessId(1)); });
   transport.quiesce();
-  EXPECT_EQ(pings(), (std::vector<std::uint64_t>{1, 2, 3, 3}));
+  EXPECT_EQ(pings(), (std::vector<std::uint64_t>{1, 1, 2, 2}));
   transport.stop_and_join();
+}
+
+// No worker holds a timer, so the point quiesce() returns at is a fixed
+// point: parked workers stay parked and run nothing until the
+// controller posts again.
+TEST(RuntimePool, NothingRunsAfterQuiesceUntilTheNextPost) {
+  constexpr std::uint32_t kN = 4;
+  PoolTransport transport(make_ids(kN), /*workers=*/2);
+  std::vector<std::unique_ptr<FanOutNode>> nodes;
+  for (const ProcessId p : transport.processes()) {
+    nodes.push_back(std::make_unique<FanOutNode>(transport, p));
+    transport.set_node(nodes.back().get());
+  }
+  transport.start();
+  transport.merge_all();
+  transport.post_view(View{ViewId(1), ProcessSet::of({0, 1, 2, 3})});
+  transport.quiesce();
+  transport.run_on(ProcessId(2),
+                   [&nodes] { nodes[2]->relay_to(ProcessId(3)); });
+  transport.quiesce();
+  const auto pings = [&nodes] {
+    std::vector<std::uint64_t> out;
+    for (const auto& node : nodes) out.push_back(node->pings);
+    return out;
+  };
+  const std::vector<std::uint64_t> settled = pings();
+  EXPECT_EQ(settled, (std::vector<std::uint64_t>{1, 1, 1, 0}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(pings(), settled);
+  transport.quiesce();
+  EXPECT_EQ(pings(), settled);
+  transport.stop_and_join();
+}
+
+// Outside start()..stop_and_join() no worker drains a queue: quiesce()
+// returns when every queue is empty and otherwise throws at once,
+// naming the queue that holds items.
+TEST(RuntimePool, QuiesceWhenNotRunningNamesTheQueueThatHoldsItems) {
+  const auto quiesce_error = [](PoolTransport& transport) {
+    try {
+      transport.quiesce();
+    } catch (const InvariantViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string("returned");
+  };
+  const auto holds = [](const std::string& queue) {
+    return "runtime quiesce: the transport is not running (not started, or "
+           "stopped), and " +
+           queue + " holds items";
+  };
+
+  PoolTransport before(make_ids(4), /*workers=*/2);
+  EXPECT_EQ(quiesce_error(before), "returned");
+  before.run_on(ProcessId(1), [] {});  // p1 lives on w1
+  EXPECT_NE(quiesce_error(before).find(holds("w1's control queue")),
+            std::string::npos);
+
+  PoolTransport after(make_ids(4), /*workers=*/2);
+  std::vector<std::unique_ptr<FanOutNode>> nodes;
+  for (const ProcessId p : after.processes()) {
+    nodes.push_back(std::make_unique<FanOutNode>(after, p));
+    after.set_node(nodes.back().get());
+  }
+  after.start();
+  after.stop_and_join();
+  EXPECT_FALSE(after.running());
+  EXPECT_EQ(quiesce_error(after), "returned");
+  after.run_on(ProcessId(2), [] {});  // p2 lives on w0
+  EXPECT_NE(quiesce_error(after).find(holds("w0's control queue")),
+            std::string::npos);
 }
 
 // --------------------------------------------------------------- stress

@@ -8,7 +8,6 @@
 // (tools/run_experiments.sh wires the Runtime* prefixes into its TSan
 // pass).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -18,7 +17,6 @@
 
 #include "obs/runtime_probe.hpp"
 #include "runtime/crosscheck.hpp"
-#include "runtime/eventcount.hpp"
 #include "runtime/fleet.hpp"
 #include "util/ensure.hpp"
 #include "util/json.hpp"
@@ -60,13 +58,15 @@ TEST(RuntimeProbe, KindStringsRoundTrip) {
   for (const ProbeKind kind :
        {ProbeKind::kLinkPushFailed, ProbeKind::kLinkPop,
         ProbeKind::kControlPush, ProbeKind::kControlPop, ProbeKind::kParked,
-        ProbeKind::kTimerSlop, ProbeKind::kWakeup, ProbeKind::kTimerSchedule,
-        ProbeKind::kTimerFire, ProbeKind::kHandlerMessage,
-        ProbeKind::kHandlerControl, ProbeKind::kHandlerTimer,
-        ProbeKind::kBatch, ProbeKind::kRunQueue, ProbeKind::kHandoff}) {
+        ProbeKind::kWakeup, ProbeKind::kHandlerMessage,
+        ProbeKind::kHandlerControl, ProbeKind::kBatch, ProbeKind::kRunQueue,
+        ProbeKind::kHandoff}) {
     EXPECT_EQ(probe_kind_from_string(to_string(kind)), kind);
   }
   EXPECT_THROW((void)probe_kind_from_string("no-such-kind"),
+               InvariantViolation);
+  // The pool has no timers, so a timer kind is an unknown kind.
+  EXPECT_THROW((void)probe_kind_from_string("timer_fire"),
                InvariantViolation);
 }
 
@@ -102,12 +102,12 @@ TEST(RuntimeProbe, AttributeWindowPartitionsWallExactly) {
 }
 
 TEST(RuntimeProbe, AttributeWindowAppliesPrecedenceOnOverlap) {
-  // All four phases claim [0, 100): executing must win the whole span.
+  // All three phases claim [0, 100): executing must win the whole span.
   const std::vector<ProbeEntry> overlap = {
       entry(ProbeKind::kParked, 0, 100),
-      entry(ProbeKind::kLinkPop, 100, 100),  // queued [0, 100)
-      entry(ProbeKind::kTimerSlop, 0, 100),
-      entry(ProbeKind::kHandlerTimer, 0, 100),
+      entry(ProbeKind::kLinkPop, 100, 100),     // queued [0, 100)
+      entry(ProbeKind::kControlPop, 100, 100),  // queued [0, 100)
+      entry(ProbeKind::kHandlerControl, 0, 100),
   };
   PhaseBreakdown phases = attribute_window(overlap, 0, 100);
   EXPECT_EQ(phases.executing_ns, 100u);
@@ -116,13 +116,14 @@ TEST(RuntimeProbe, AttributeWindowAppliesPrecedenceOnOverlap) {
   EXPECT_EQ(phases.parked_ns, 0u);
   EXPECT_EQ(phases.unattributed_ns, 0u);
 
-  // Without the handler, slop wins; without slop, queued; then parked.
+  // Without the handler, queued wins; without the pops, parked.
   phases = attribute_window({overlap[0], overlap[1], overlap[2]}, 0, 100);
-  EXPECT_EQ(phases.timer_slop_ns, 100u);
-  phases = attribute_window({overlap[0], overlap[1]}, 0, 100);
+  EXPECT_EQ(phases.queued_ns, 100u);
+  phases = attribute_window({overlap[0], overlap[2]}, 0, 100);
   EXPECT_EQ(phases.queued_ns, 100u);
   phases = attribute_window({overlap[0]}, 0, 100);
   EXPECT_EQ(phases.parked_ns, 100u);
+  EXPECT_EQ(phases.timer_slop_ns, 0u);
 }
 
 TEST(RuntimeProbe, AttributeWindowClipsIntervalsToTheWindow) {
@@ -151,7 +152,7 @@ RuntimeProbeDoc sample_doc() {
       entry(ProbeKind::kHandlerMessage, 1200, 400),
       entry(ProbeKind::kParked, 1600, 2000),
       entry(ProbeKind::kWakeup, 3600, 120),
-      entry(ProbeKind::kTimerFire, 5000, 40),
+      entry(ProbeKind::kBatch, 5000, 4),
   };
   lane0.entries[0].link = 1;
   lane0.entries[0].eid = 7;
@@ -168,7 +169,7 @@ RuntimeProbeDoc sample_doc() {
   window.phases = attribute_window(lane0.entries, 100, 4000);
 
   RuntimeProbeDoc doc;
-  doc.meta = {"dv-optimized", 4, 1024, /*workers=*/1};
+  doc.meta = {"dv-optimized", 4, /*wheel_tick_us=*/0, /*workers=*/1};
   doc.threads = {lane0, ctl};
   doc.reconfigs = {window};
   return doc;
@@ -262,7 +263,7 @@ TEST(RuntimeProbe, ChromeExportIsWellFormed) {
   }
   EXPECT_TRUE(open_async.empty());  // every reconfig span is balanced
   EXPECT_TRUE(saw_slice);           // handlers / parks
-  EXPECT_TRUE(saw_instant);         // backpressure / timer fire
+  EXPECT_TRUE(saw_instant);         // backpressure / handoff
 }
 
 // The one lane naming that the Chrome export and dvtrace share.
@@ -283,7 +284,7 @@ TEST(RuntimeProbe, ChromeExportLabelsHandlerSlicesWithTheirProcess) {
   lane1.entries = {
       entry(ProbeKind::kHandlerMessage, 200, 50),
       entry(ProbeKind::kHandlerControl, 300, 50),
-      entry(ProbeKind::kHandlerTimer, 400, 50),
+      entry(ProbeKind::kHandlerControl, 400, 50),
       entry(ProbeKind::kHandlerMessage, 500, 50),
   };
   lane1.entries[0].link = 3;
@@ -310,7 +311,7 @@ TEST(RuntimeProbe, ChromeExportLabelsHandlerSlicesWithTheirProcess) {
             (std::map<std::uint64_t, std::string>{
                 {0, "w0"}, {1, "w1"}, {kControllerLane, "ctl"}}));
   EXPECT_EQ(lane1_slices, (std::vector<std::string>{"h:msg p3", "h:ctl p1",
-                                                    "h:timer p2", "h:msg"}));
+                                                    "h:ctl p2", "h:msg"}));
 }
 
 TEST(RuntimeProbe, AggregatesPerLaneMetricsIntoHub) {
@@ -377,6 +378,49 @@ TEST(RuntimeProbe, ProbesAreDigestNeutral) {
   }
 }
 
+// The pool records no timer kind, so a real run attributes nothing to
+// timer slop: the field and the wheel tick stay in the v3 document only
+// for its shape, and read 0.
+TEST(RuntimeProbe, PoolRunAttributesNoTimeToTimerSlop) {
+  static_assert(runtime::RuntimeOptions::wheel_tick_us == 0);
+  FleetOptions options;
+  options.kind = ProtocolKind::kOptimized;
+  options.n = 4;
+  options.workers = 2;
+  options.runtime.probes = true;
+  RuntimeFleet fleet(options);
+  fleet.start();
+  ProcessSet left;
+  ProcessSet right;
+  for (std::uint32_t i = 0; i < 2; ++i) left.insert(ProcessId(i));
+  for (std::uint32_t i = 2; i < 4; ++i) right.insert(ProcessId(i));
+  fleet.partition({left, right});
+  fleet.merge();
+  fleet.crash(ProcessId(3));
+  fleet.recover(ProcessId(3));
+  const std::vector<ThreadProbeLog> logs = fleet.probe_logs();
+  fleet.stop();
+
+  std::uint64_t executing = 0;
+  std::uint64_t parked = 0;
+  for (const ThreadProbeLog& lane : logs) {
+    std::uint64_t end_ns = 0;
+    for (const ProbeEntry& e : lane.entries) {
+      end_ns = std::max(end_ns, e.t_ns + e.value);
+    }
+    const PhaseBreakdown phases = attribute_window(lane.entries, 0, end_ns);
+    EXPECT_EQ(phases.timer_slop_ns, 0u) << lane_name(lane.thread);
+    EXPECT_EQ(phases.executing_ns + phases.parked_ns + phases.queued_ns +
+                  phases.unattributed_ns,
+              phases.wall_ns)
+        << lane_name(lane.thread);
+    executing += phases.executing_ns;
+    parked += phases.parked_ns;
+  }
+  EXPECT_GT(executing, 0u);
+  EXPECT_GT(parked, 0u);
+}
+
 // ---------------------------------------------------------- eventcount
 
 // Wakeup stress across 4 worker threads, meant for the TSan pass: heavy
@@ -423,65 +467,6 @@ TEST(RuntimeEventcount, ChurnHasNoLostWakeupsAndBoundedLatency) {
   }
   EXPECT_GT(parks, 0u);
   EXPECT_GT(wakeups, 0u);
-}
-
-// The pure slice-sizing contract of a bounded park: the remainder to
-// the deadline, clamped by the cap, zero once the deadline has passed.
-TEST(RuntimeEventcount, NapSliceIsRemainderClampedByCap) {
-  using runtime::RuntimeEventcount;
-  // Far from the deadline: the cap rules.
-  EXPECT_EQ(RuntimeEventcount::nap_slice_us(0, 10'000),
-            RuntimeEventcount::kMaxNapSliceUs);
-  EXPECT_EQ(RuntimeEventcount::nap_slice_us(0, 1'000, /*cap_us=*/50), 50u);
-  // Near the deadline: only the remainder, never the cap.
-  EXPECT_EQ(RuntimeEventcount::nap_slice_us(900, 1'000), 100u);
-  EXPECT_EQ(RuntimeEventcount::nap_slice_us(999, 1'000, /*cap_us=*/50), 1u);
-  // At or past the deadline: no sleep at all.
-  EXPECT_EQ(RuntimeEventcount::nap_slice_us(1'000, 1'000), 0u);
-  EXPECT_EQ(RuntimeEventcount::nap_slice_us(2'000, 1'000), 0u);
-}
-
-// Regression test for the bounded-sleep bug: the transports used to
-// size each nap from a clock reading taken before the previous sleep,
-// so a spurious wake near a timer deadline re-parked for a full slice
-// past it. The fix recomputes the remaining budget from the CURRENT
-// clock on every iteration. With an owner clock that jumps straight to
-// the deadline after a few reads and a deliberately enormous slice cap,
-// the fixed implementation returns after microseconds of real sleep; an
-// implementation that reuses a stale budget sleeps out the cap.
-TEST(RuntimeEventcount, BoundedWaitRechecksDeadline) {
-  runtime::RuntimeEventcount ec;
-  const std::uint32_t seen = ec.prepare();
-  // Owner clock: 0, 100, ... then pinned past the 250us deadline. Every
-  // slice the fixed code requests is <= 150us of real sleep even though
-  // the cap would allow half a second.
-  std::uint64_t fake_now_us = 0;
-  const auto now_fn = [&fake_now_us] {
-    const std::uint64_t now = fake_now_us;
-    fake_now_us += 100;
-    return now;
-  };
-  const auto start = std::chrono::steady_clock::now();
-  ec.wait_until(seen, /*deadline_us=*/250, now_fn, /*cap_us=*/500'000);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  const auto elapsed_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count();
-  // Requested sleeps total 450us; allow generous scheduler slack but
-  // stay far under the 500ms cap a stale-budget sleep would burn.
-  EXPECT_LT(elapsed_us, 250'000);
-  EXPECT_EQ(fake_now_us, 400u);  // reads at 0, 100, 200, 300(>deadline)
-
-  // And a moved sequence word short-circuits the park entirely: no
-  // clock reads, no sleep.
-  ec.notify();
-  std::uint64_t reads = 0;
-  ec.wait_until(seen, /*deadline_us=*/1'000'000,
-                [&reads] {
-                  ++reads;
-                  return std::uint64_t{0};
-                },
-                /*cap_us=*/500'000);
-  EXPECT_EQ(reads, 0u);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
-// Tests for the pool runtime (src/runtime/): the SPSC queue and
-// timer wheel in isolation (including cross-thread stress cases meant
-// to run under TSan — tools/run_experiments.sh wires the Runtime*
-// prefixes into its TSan pass), the fleet lifecycle, and the
-// DES-as-oracle cross-check that pins the pool at every worker count
-// to the DES's outcome digests seed by seed.
+// Tests for the pool runtime (src/runtime/): the SPSC queue in
+// isolation (including cross-thread stress cases meant to run under
+// TSan — tools/run_experiments.sh wires the Runtime* prefixes into its
+// TSan pass), the fleet lifecycle, and the DES-as-oracle cross-check
+// that pins the pool at every worker count to the DES's outcome
+// digests seed by seed, with the transcript diff that names where a
+// mismatch starts.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +20,7 @@
 #include "runtime/crosscheck.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/spsc_queue.hpp"
-#include "runtime/timer_wheel.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 
 namespace dynvote::runtime {
@@ -251,102 +253,6 @@ TEST(RuntimeSpsc, PopBulkTwoThreadStressKeepsOrderAndCount) {
   EXPECT_EQ(checksum, expected_checksum);
 }
 
-// -------------------------------------------------------------- timer wheel
-
-TEST(RuntimeWheel, FiresInDeadlineOrderAcrossSlots) {
-  TimerWheel wheel(/*tick_us=*/10);
-  std::vector<int> fired;
-  // Deliberately scheduled out of order, with deadlines that hash to
-  // scattered slots.
-  wheel.schedule_at(95, [&] { fired.push_back(3); });
-  wheel.schedule_at(15, [&] { fired.push_back(1); });
-  wheel.schedule_at(40, [&] { fired.push_back(2); });
-  EXPECT_EQ(wheel.pending(), 3u);
-  EXPECT_EQ(wheel.advance(14), 0u);
-  EXPECT_EQ(wheel.advance(95), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(wheel.pending(), 0u);
-}
-
-TEST(RuntimeWheel, SameDeadlineFiresInScheduleOrder) {
-  TimerWheel wheel(10);
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) {
-    wheel.schedule_at(100, [&fired, i] { fired.push_back(i); });
-  }
-  EXPECT_EQ(wheel.advance(100), 5u);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(RuntimeWheel, CancelledTimerNeverFires) {
-  TimerWheel wheel(10);
-  bool fired = false;
-  const sim::TimerToken token = wheel.schedule_at(50, [&] { fired = true; });
-  EXPECT_TRUE(wheel.cancel(token));
-  EXPECT_FALSE(wheel.cancel(token));  // already gone
-  EXPECT_EQ(wheel.advance(1000), 0u);
-  EXPECT_FALSE(fired);
-}
-
-TEST(RuntimeWheel, DistantDeadlineSurvivesWholeRevolutions) {
-  // tick 10 and 256 slots: one revolution is 2560us. A timer 3+
-  // revolutions out must stay put while the cursor laps its slot.
-  TimerWheel wheel(10);
-  bool fired = false;
-  wheel.schedule_at(8000, [&] { fired = true; });
-  for (SimTime t = 100; t <= 7900; t += 100) {
-    ASSERT_EQ(wheel.advance(t), 0u) << "fired early at t=" << t;
-  }
-  EXPECT_EQ(wheel.next_deadline(), std::optional<SimTime>(8000));
-  EXPECT_EQ(wheel.advance(8000), 1u);
-  EXPECT_TRUE(fired);
-}
-
-// Property test: the wheel agrees with a multimap reference model under
-// a random schedule/cancel/advance workload.
-TEST(RuntimeWheel, AgreesWithReferenceModelUnderRandomWorkload) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    TimerWheel wheel(/*tick_us=*/16);
-    std::multimap<SimTime, sim::TimerToken> model;  // deadline -> token
-    std::vector<std::pair<SimTime, sim::TimerToken>> fired;
-    SimTime now = 0;
-    for (int op = 0; op < 2000; ++op) {
-      const std::uint64_t dice = rng.next_below(10);
-      if (dice < 5) {  // schedule at now + [0, 5000)
-        const SimTime deadline = now + rng.next_below(5000);
-        const sim::TimerToken token = wheel.schedule_at(
-            deadline, [&fired, deadline] { fired.emplace_back(deadline, 0); });
-        model.emplace(deadline, token);
-      } else if (dice < 7) {  // cancel a random pending timer
-        if (!model.empty()) {
-          auto it = model.begin();
-          std::advance(it, static_cast<long>(rng.next_below(model.size())));
-          EXPECT_TRUE(wheel.cancel(it->second));
-          model.erase(it);
-        }
-      } else {  // advance by [0, 2000)
-        now += rng.next_below(2000);
-        const std::size_t before = fired.size();
-        const std::size_t count = wheel.advance(now);
-        // Everything due in the model must have fired, nothing else.
-        std::size_t due = 0;
-        while (!model.empty() && model.begin()->first <= now) {
-          model.erase(model.begin());
-          ++due;
-        }
-        ASSERT_EQ(count, due) << "seed " << seed << " now " << now;
-        ASSERT_EQ(fired.size() - before, due);
-        // Fired deadlines are ordered within this batch.
-        for (std::size_t i = before + 1; i < fired.size(); ++i) {
-          ASSERT_LE(fired[i - 1].first, fired[i].first);
-        }
-      }
-      ASSERT_EQ(wheel.pending(), model.size());
-    }
-  }
-}
-
 // -------------------------------------------------------------- fleet
 
 TEST(RuntimeFleet, FormsOnePrimaryOnStart) {
@@ -431,6 +337,38 @@ TEST(RuntimeFleet, StopIsIdempotentAndSummariesAreStable) {
   EXPECT_EQ(fleet.outcome_digest(), fnv1a64(summary));
 }
 
+// With no worker running, nothing drains the queue a verb posts to, so
+// the verb fails at once and says why, instead of waiting out the 60 s
+// stuck-handler timeout.
+TEST(RuntimeFleet, VerbOutsideTheLifecycleFailsAtOnce) {
+  const auto expect_fails_fast = [](const auto& verb, const char* what) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      verb();
+      ADD_FAILURE() << what << " did not throw";
+    } catch (const InvariantViolation& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("not running (not started, or stopped)"),
+                std::string::npos)
+          << what << ": " << message;
+      EXPECT_NE(message.find("control queue holds items"), std::string::npos)
+          << what << ": " << message;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1))
+        << what;
+  };
+  FleetOptions options;
+  options.n = 3;
+  RuntimeFleet before(options);
+  expect_fails_fast([&before] { before.merge(); }, "merge() before start()");
+
+  RuntimeFleet after(options);
+  after.start();
+  after.stop();
+  expect_fails_fast([&after] { (void)after.probe(); }, "probe() after stop()");
+}
+
 // -------------------------------------------------------------- cross-check
 
 // The acceptance gate: the same seeded scenario, run through the DES
@@ -449,7 +387,9 @@ TEST(RuntimeCrossCheck, DigestsMatchOnEightSeeds) {
                                   std::to_string(seed) +
                                   (probes ? " probes on" : " probes off");
         EXPECT_TRUE(result.digests_equal)
-            << where << "\n--- DES ---\n"
+            << where << " W=" << result.divergent_workers << ": "
+            << (result.divergence ? result.divergence->to_string() : "")
+            << "\n--- DES ---\n"
             << result.sim_summary << "--- pool (divergent) ---\n"
             << result.pool_divergent_summary;
         EXPECT_TRUE(result.c1_clean) << where;
@@ -464,6 +404,82 @@ TEST(RuntimeCrossCheck, DigestsMatchOnEightSeeds) {
       }
     }
   }
+}
+
+// Hand-written transcript pairs in append_outcome_line's format: the
+// diff names the process, the entry's index in its line and both
+// entries, and finds nothing in equal transcripts.
+const std::string kDesTranscript =
+    "p0: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n"
+    "p1: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n";
+
+std::string diff_against_des(const std::string& pool) {
+  const std::optional<TranscriptDiff> d =
+      diff_transcripts(kDesTranscript, pool);
+  return d ? d->to_string() : std::string("equal");
+}
+
+TEST(RuntimeCrossCheck, TranscriptDiffOfEqualTranscriptsIsEmpty) {
+  EXPECT_EQ(diff_against_des(kDesTranscript), "equal");
+  EXPECT_FALSE(diff_transcripts("", "").has_value());
+}
+
+TEST(RuntimeCrossCheck, TranscriptDiffNamesADifferingEntry) {
+  EXPECT_EQ(
+      diff_against_des(
+          "p0: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n"
+          "p1: V1={p0,p1} F1r3={p0,p1} | primary=({p0,p1},1) formed=1\n"),
+      "p1 entry 2: DES `F1r2={p0,p1}`, pool `F1r3={p0,p1}`");
+}
+
+// The pool line moves on to the next entry, so the diff shows it there.
+TEST(RuntimeCrossCheck, TranscriptDiffNamesAMissingEntry) {
+  EXPECT_EQ(
+      diff_against_des(
+          "p0: V1={p0,p1} | primary=({p0,p1},1) formed=1\n"
+          "p1: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n"),
+      "p0 entry 2: DES `F1r2={p0,p1}`, pool `|`");
+}
+
+TEST(RuntimeCrossCheck, TranscriptDiffNamesADifferingFinalState) {
+  EXPECT_EQ(
+      diff_against_des(
+          "p0: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=2\n"
+          "p1: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n"),
+      "p0 entry 5: DES `formed=1`, pool `formed=2`");
+}
+
+// The DES has no such line, so the label comes from the pool's.
+TEST(RuntimeCrossCheck, TranscriptDiffNamesAnExtraProcessLine) {
+  EXPECT_EQ(diff_against_des(kDesTranscript + "p2: | primary=(∞,-1) formed=0\n"),
+            "p2 entry 0: DES none, pool `p2:`");
+}
+
+TEST(RuntimeCrossCheck, TranscriptDiffNamesAProcessLineThePoolLacks) {
+  EXPECT_EQ(diff_against_des(
+                "p0: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n"),
+            "p1 entry 0: DES `p1:`, pool none");
+}
+
+TEST(RuntimeCrossCheck, TranscriptDiffNamesALineThatEndsEarly) {
+  EXPECT_EQ(
+      diff_against_des(
+          "p0: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1)\n"
+          "p1: V1={p0,p1} F1r2={p0,p1} | primary=({p0,p1},1) formed=1\n"),
+      "p0 entry 5: DES `formed=1`, pool none");
+}
+
+// When every pool run agrees with the DES, the result names no
+// divergent run: worker count 0, no diff and no pool transcript.
+TEST(RuntimeCrossCheck, AgreeingRunRecordsNoDivergence) {
+  const CrossCheckResult result =
+      run_scenario(ProtocolKind::kOptimized, /*n=*/4, /*seed=*/1,
+                   /*steps=*/6, /*probes=*/false, {1, 2});
+  ASSERT_TRUE(result.digests_equal);
+  EXPECT_EQ(result.divergent_workers, 0u);
+  EXPECT_FALSE(result.divergence.has_value());
+  EXPECT_TRUE(result.pool_divergent_summary.empty());
+  EXPECT_FALSE(result.sim_summary.empty());
 }
 
 TEST(RuntimeCrossCheck, ScenarioGenerationIsDeterministic) {

@@ -58,16 +58,6 @@ TEST(EventQueue, RejectsSchedulingIntoThePast) {
   EXPECT_THROW(q.schedule_at(5, [] {}), InvariantViolation);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventToken token = q.schedule_at(10, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(token));
-  EXPECT_FALSE(q.cancel(token));
-  q.run_all();
-  EXPECT_FALSE(ran);
-}
-
 TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
   EventQueue q;
   EXPECT_EQ(q.run_until(500), 0u);
@@ -94,8 +84,8 @@ TEST(EventQueue, RunAllHonorsEventLimit) {
   EXPECT_FALSE(q.empty());
 }
 
-// -- the action slab: slots are vacated when an event runs or is
-// cancelled and handed to the next schedule_at.
+// -- the action slab: a slot is vacated when its event runs and handed
+// to the next schedule_at.
 
 TEST(EventQueue, ActionMayGrowTheSlabWhileItRuns) {
   EventQueue q;
@@ -117,39 +107,61 @@ TEST(EventQueue, ActionMayGrowTheSlabWhileItRuns) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(ran[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelAfterSlotReuseLeavesTheNewOccupant) {
-  EventQueue q;
-  int old_ran = 0;
-  int new_ran = 0;
-  // A token that ran: its slot now holds a later event.
-  const EventToken ran = q.schedule_at(1, [&] { ++old_ran; });
-  q.run_next();
-  q.schedule_at(2, [&] { ++new_ran; });
-  EXPECT_FALSE(q.cancel(ran));
-  // A token that was cancelled: its dead key is still in the heap while
-  // its slot holds a later event.
-  const EventToken cancelled = q.schedule_at(3, [&] { ++old_ran; });
-  EXPECT_TRUE(q.cancel(cancelled));
-  q.schedule_at(3, [&] { ++new_ran; });
-  EXPECT_FALSE(q.cancel(cancelled));
-  EXPECT_EQ(q.pending(), 2u);
-  q.run_all();
-  EXPECT_EQ(old_ran, 1);
-  EXPECT_EQ(new_ran, 2);
-}
-
 TEST(EventQueue, EqualTimeEventsStayFifoAcrossSlotReuse) {
   EventQueue q;
-  std::vector<EventToken> tokens;
-  for (int i = 0; i < 8; ++i) tokens.push_back(q.schedule_at(5, [] {}));
-  // Free every other slot, so reuse hands slots back out of index order.
-  for (std::size_t i = 0; i < tokens.size(); i += 2) q.cancel(tokens[i]);
+  for (int i = 0; i < 8; ++i) q.schedule_at(5, [] {});
+  // Running them frees slots 0..7 in order; the LIFO free list hands
+  // them back out of index order (7 first).
+  EXPECT_EQ(q.run_until(5), 8u);
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) {
     q.schedule_at(10, [&order, i] { order.push_back(i); });
   }
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+// schedule_at and schedule_after draw from one insertion sequence, so
+// equal-time events run in the order they were scheduled whichever call
+// scheduled them, and an event scheduled at the current time by a
+// running event goes behind those already due then.
+TEST(EventQueue, ScheduleAtAndAfterShareOneInsertionOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(10, [&] {
+    order.push_back(1);
+    q.schedule_after(0, [&] { order.push_back(5); });
+  });
+  q.schedule_after(10, [&] { order.push_back(2); });
+  q.schedule_at(10, [&] { order.push_back(3); });
+  q.schedule_after(10, [&] { order.push_back(4); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.now(), 10u);
+}
+
+// Every scheduled event stays pending until it runs, including those
+// scheduled by a running event.
+TEST(EventQueue, PendingCountsEveryEventUntilItRuns) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  q.schedule_at(1, [&q] {
+    q.schedule_after(1, [] {});
+    q.schedule_after(2, [] {});
+  });
+  q.schedule_at(5, [] {});
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_TRUE(q.run_next());
+  EXPECT_EQ(q.pending(), 3u);
+  EXPECT_EQ(q.executed(), 1u);
+  EXPECT_EQ(q.run_until(3), 2u);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+  EXPECT_EQ(q.run_all(), 1u);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.executed(), 4u);
+  EXPECT_FALSE(q.run_next());
 }
 
 TEST(StableStorage, PutGetErase) {

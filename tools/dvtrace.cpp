@@ -582,7 +582,6 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
           break;
         case ProbeKind::kHandlerMessage:
         case ProbeKind::kHandlerControl:
-        case ProbeKind::kHandlerTimer:
           ++handlers;
           break;
         default:

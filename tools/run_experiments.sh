@@ -12,6 +12,9 @@
 # latter loads in chrome://tracing / Perfetto); a Theorem-1 lifetime
 # violation or invalid Chrome JSON fails the script.
 #
+# After the benches, `bash benchmark/run.sh --smoke` builds and runs the
+# end-to-end benchmark (dvbench) at 1/20 length.
+#
 # The run ends with tools/check_perf.py, which compares the fresh
 # results/BENCH_*.json against the committed baselines in
 # results/baselines/ — deterministic outputs must match exactly, timing
@@ -53,6 +56,15 @@ if [ -x build/bench/bench_micro ]; then
     --benchmark_out="results/BENCH_bench_micro.json" \
     --benchmark_out_format=json | tee "results/bench_micro.txt"
 fi
+
+# The end-to-end benchmark's smoke run (benchmark/README.md): it builds
+# dvbench from this tree and fails unless every workload runs and every
+# metric BENCHMARK.json names prints once. benchmark/adapter.cpp reads
+# a few library names kept only for it (ROADMAP item 3), so a src/
+# change that breaks its build, or stops a metric from printing, fails
+# here too.
+echo "== benchmark smoke (benchmark/run.sh --smoke)"
+bash benchmark/run.sh --smoke
 
 # Post-process the E1 reference trace with dvtrace: the ambiguity report
 # re-checks the Theorem-1 lifetime bound from the file alone, and the
@@ -132,8 +144,8 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
   # sweep pool plus the persistence suite, whose WAL layer the sweep
   # workers exercise concurrently, the multi-group shard sweep
   # (SweepShards.*), which runs whole fleets on the pool, and every
-  # Runtime* suite of the pool runtime: the segment-chained SPSC links
-  # and timer wheel, the fleet and the DES cross-check at W ∈ {1,2,4,n},
+  # Runtime* suite of the pool runtime: the segment-chained SPSC links,
+  # the fleet and the DES cross-check at W ∈ {1,2,4,n},
   # the wall-clock probe rings, the eventcount wakeup stress on 4
   # workers, and the scheduler itself — a burst spanning several link
   # segments, the per-handler wakeups from a parked fleet, quiesce's
