@@ -11,6 +11,7 @@
 //       Min_Quorum members of W0; with section 6's W/A sets the joiners
 //       are first-class and the system outlives its founders.
 #include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "dv/basic_protocol.hpp"
@@ -128,7 +129,8 @@ JsonValue churn_availability() {
     // Random-ish deterministic churn: split off the two lowest ids.
     ProcessSet everyone;
     for (ProcessId p : cluster.all_processes()) everyone.insert(p);
-    const ProcessSet low = ProcessSet{everyone.members()[0], everyone.members()[1]};
+    const ProcessSet low =
+        ProcessSet{*everyone.begin(), *std::next(everyone.begin())};
     cluster.partition({everyone.set_difference(low), low});
     cluster.settle();
     cluster.merge();

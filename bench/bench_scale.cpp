@@ -7,8 +7,8 @@
 // message/byte counts) must match exactly between the two passes — the
 // sweep's determinism contract — and the reported throughput is virtual
 // events per second of wall time. Large n also pushes ProcessSet past
-// its 256-id inline-bitset limit, so the sorted-vector fallback is on
-// the measured path.
+// its 256-id inline-bitset limit, so its extension words (heap-backed,
+// copied with every set) are on the measured path.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

@@ -24,7 +24,7 @@ void show(Cluster& cluster, const char* moment) {
   const auto& state =
       dynamic_cast<const BasicDvProtocol&>(
           cluster.protocol(primary && !primary->members.empty()
-                               ? primary->members.members().front()
+                               ? *primary->members.begin()
                                : ProcessId(0)))
           .state();
   std::printf("  participants W = %s, pending A = %s\n",

@@ -42,7 +42,7 @@ CentralizedDvProtocol::CentralizedDvProtocol(sim::Transport& transport,
 
 ProcessId CentralizedDvProtocol::coordinator_of(const View& view) {
   ensure(!view.members.empty(), "empty view has no coordinator");
-  return view.members.members().front();
+  return *view.members.begin();
 }
 
 bool CentralizedDvProtocol::coordinating() const {

@@ -44,13 +44,4 @@ class ProtocolObserver {
                                    const std::string& /*reason*/) {}
 };
 
-/// A per-process hook for applications built on the service: told when
-/// its process enters/leaves the primary component.
-class PrimaryListener {
- public:
-  virtual ~PrimaryListener() = default;
-  virtual void on_primary_formed(const Session& session) = 0;
-  virtual void on_primary_lost() = 0;
-};
-
 }  // namespace dynvote

@@ -84,14 +84,11 @@ class SessionProtocolBase : public ProtocolNode {
   /// Ends the session: the view is not an eligible quorum.
   void abort_session(const std::string& reason);
 
-  /// Rounds of communication used so far in the current session.
-  [[nodiscard]] int rounds_used() const noexcept { return rounds_used_; }
-
   [[nodiscard]] const View& session_view() const;
-  [[nodiscard]] bool session_active() const noexcept { return session_active_; }
 
  private:
-  /// One phase's slots; index i holds the message of members()[i].
+  /// One phase's slots; index i holds the message of the member whose
+  /// index_of is i.
   struct PhaseSlots {
     PhaseMessages messages;
     std::size_t filled = 0;

@@ -3,8 +3,8 @@
 // Both protocol shapes in the library — the symmetric phase-broadcast
 // protocols (SessionProtocolBase) and the coordinator-based centralized
 // variant — expose the same surface: Is_Primary state, the current
-// primary session, and observer/listener wiring. The harness, the
-// service facade and the applications depend only on this class.
+// primary session, and observer wiring. The harness, the service facade
+// and the applications depend only on this class.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +31,6 @@ class ProtocolNode : public sim::Node {
   void set_observer(ProtocolObserver* observer) noexcept {
     observer_ = observer;
   }
-  void set_primary_listener(PrimaryListener* listener) noexcept {
-    listener_ = listener;
-  }
 
   /// Is_Primary: true iff this process's current membership is the
   /// primary component.
@@ -51,9 +48,9 @@ class ProtocolNode : public sim::Node {
 
  protected:
   /// Records entry into a freshly formed primary and notifies the
-  /// observer (with the session's communication-round count) and the
-  /// application listener. The trace event cites the session's attempt
-  /// (or, for zero-round protocols, the view install) as its cause.
+  /// observer (with the session's communication-round count). The trace
+  /// event cites the session's attempt (or, for zero-round protocols,
+  /// the view install) as its cause.
   void enter_primary(const Session& session, int rounds) {
     primary_ = session;
     ++formed_count_;
@@ -68,7 +65,6 @@ class ProtocolNode : public sim::Node {
     event.cause = session_cause_eid();
     formed_eid_ = trace().record(std::move(event));
     if (observer_) observer_->on_formed(now(), id(), session, rounds);
-    if (listener_) listener_->on_primary_formed(session);
   }
 
   /// Reports loss of primary status (view change / crash) exactly once.
@@ -85,7 +81,6 @@ class ProtocolNode : public sim::Node {
     formed_eid_ = 0;
     trace().record(std::move(event));
     if (observer_) observer_->on_primary_lost(now(), id());
-    if (listener_) listener_->on_primary_lost();
   }
 
   /// Records the view install, citing the topology change that produced
@@ -135,10 +130,6 @@ class ProtocolNode : public sim::Node {
   [[nodiscard]] std::uint64_t session_cause_eid() const noexcept {
     return attempt_eid_ != 0 ? attempt_eid_ : view_eid_;
   }
-  /// Event id of the current view's install record (0 before the first).
-  [[nodiscard]] std::uint64_t current_view_eid() const noexcept {
-    return view_eid_;
-  }
 
   [[nodiscard]] ProtocolObserver* observer() const noexcept { return observer_; }
 
@@ -153,7 +144,6 @@ class ProtocolNode : public sim::Node {
  private:
   Encoder scratch_;
   ProtocolObserver* observer_ = nullptr;
-  PrimaryListener* listener_ = nullptr;
   std::optional<Session> primary_;
   std::uint64_t formed_count_ = 0;
   std::uint64_t view_eid_ = 0;     // eid of the latest kViewInstalled

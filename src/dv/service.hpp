@@ -4,7 +4,7 @@
 // replication algorithms, transaction managers, group-communication
 // toolkits). One PrimaryComponentService fronts one process's protocol
 // instance; the application asks "am I in the primary component?" and
-// registers a listener for transitions.
+// which session the primary is.
 //
 // The protocol factory builds any protocol variant in the library by
 // name — the harness, benches and examples all construct protocols
@@ -67,12 +67,6 @@ class PrimaryComponentService {
   /// it.
   [[nodiscard]] const std::optional<Session>& primary() const {
     return protocol_->primary_session();
-  }
-
-  /// Registers the application callback for primary transitions. At most
-  /// one listener per service.
-  void set_listener(PrimaryListener* listener) {
-    protocol_->set_primary_listener(listener);
   }
 
   [[nodiscard]] ProcessId process() const { return protocol_->id(); }

@@ -44,7 +44,8 @@ enum class FormedKnowledge : std::int8_t {
 /// protocol) with per-member formation knowledge.
 struct AmbiguousSession {
   Session session;
-  /// knowledge[i] is what we know about session.members.members()[i];
+  /// knowledge[i] is what we know about the member at
+  /// session.members.index_of position i (ascending id order);
   /// always sized to the membership. The basic protocol carries the array
   /// too but never updates it past the initial self = kNotFormed.
   std::vector<FormedKnowledge> knowledge;

@@ -83,7 +83,6 @@ class WalPersistence {
 
   /// Records one mutation of the running step. No-op in snapshot mode.
   void stage(StateDelta delta);
-  [[nodiscard]] bool has_staged() const noexcept { return !pending_.empty(); }
 
   /// Persists the step just taken: appends the staged batch (WAL mode;
   /// nothing staged = nothing to write, the state on disk already covers

@@ -25,7 +25,6 @@ void ConsistencyChecker::note_participation(ProcessId p,
 
 void ConsistencyChecker::on_attempt(SimTime /*time*/, ProcessId p,
                                     const Session& session) {
-  ++attempt_events_;
   note_participation(p, session);
 }
 

@@ -73,9 +73,6 @@ class ConsistencyChecker final : public ProtocolObserver {
     return formed_order_;
   }
   [[nodiscard]] std::uint64_t form_events() const noexcept { return form_events_; }
-  [[nodiscard]] std::uint64_t attempt_events() const noexcept {
-    return attempt_events_;
-  }
   [[nodiscard]] std::uint64_t rejected_sessions() const noexcept {
     return rejected_;
   }
@@ -120,7 +117,6 @@ class ConsistencyChecker final : public ProtocolObserver {
   std::map<ProcessId, std::size_t> open_interval_;
 
   std::uint64_t form_events_ = 0;
-  std::uint64_t attempt_events_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t blocked_ = 0;
   Summary rounds_;

@@ -1,5 +1,7 @@
 #include "harness/cluster.hpp"
 
+#include <iterator>
+
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -80,9 +82,9 @@ void Cluster::on_topology_for_misses() {
   for (const ProcessSet& component : sim_.network().live_components()) {
     if (component.size() < 2) continue;
     if (!loss_rng_->next_bool(options_.formation_miss)) continue;
-    const auto& members = component.members();
-    const ProcessId victim =
-        members[static_cast<std::size_t>(loss_rng_->next_below(members.size()))];
+    const ProcessId victim = *std::next(
+        component.begin(),
+        static_cast<std::ptrdiff_t>(loss_rng_->next_below(component.size())));
     const int copies = options_.kind == ProtocolKind::kCentralized
                            ? 1
                            : static_cast<int>(component.size() - 1);

@@ -1,6 +1,7 @@
 #include "harness/schedule.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/ensure.hpp"
 
@@ -48,7 +49,7 @@ struct TopologyModel {
 
 ProcessSet random_split(const ProcessSet& component, Rng& rng) {
   // A uniformly random non-empty strict subset to break off.
-  std::vector<ProcessId> members = component.members();
+  std::vector<ProcessId> members(component.begin(), component.end());
   rng.shuffle(members);
   const std::size_t cut =
       1 + static_cast<std::size_t>(rng.next_below(members.size() - 1));
@@ -152,9 +153,9 @@ std::vector<ScheduleEvent> generate_schedule(const ProcessSet& processes,
         break;
       }
       case ScheduleEvent::Kind::kRecover: {
-        const auto& members = model.crashed.members();
-        event.process =
-            members[static_cast<std::size_t>(rng.next_below(members.size()))];
+        event.process = *std::next(
+            model.crashed.begin(),
+            static_cast<std::ptrdiff_t>(rng.next_below(model.crashed.size())));
         model.crashed.erase(event.process);
         // Recovers into its own singleton component (matching Simulator
         // semantics); a later merge may reconnect it.

@@ -264,7 +264,7 @@ TraceMetaAndEvents filter_trace_group(const TraceMetaAndEvents& trace,
     if (event.kind == obs::TraceEventKind::kTopologyChange) {
       // Global events carry no acting process; the component's first
       // member identifies the group (components never span groups).
-      if (event.members.empty() || !in_group(event.members.begin()->value())) {
+      if (event.members.empty() || !in_group((*event.members.begin()).value())) {
         continue;
       }
     } else if (!in_group(event.a.value())) {

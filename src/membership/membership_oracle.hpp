@@ -53,11 +53,6 @@ class MembershipOracle {
   /// protocol under inaccurate membership reports.
   ViewId inject_view(const ProcessSet& members);
 
-  /// Number of views generated so far.
-  [[nodiscard]] std::uint64_t views_generated() const noexcept {
-    return announcer_.views_generated();
-  }
-
  private:
   void on_topology_changed();
   void schedule_view(const View& view);

@@ -49,11 +49,6 @@ class ViewAnnouncer {
   /// it, which is what announces the recovery view.
   [[nodiscard]] const View* latest(ProcessId p) const;
 
-  /// Number of views generated so far.
-  [[nodiscard]] std::uint64_t views_generated() const noexcept {
-    return next_view_id_ - 1;
-  }
-
  private:
   std::uint64_t next_view_id_ = 1;
   std::map<ProcessId, View> latest_;

@@ -27,7 +27,7 @@ void FlightRecorder::note(const TraceEvent& event) {
       // Global event with no acting process; components never span
       // groups, so the first member identifies the group.
       if (event.members.empty()) return;
-      pid = event.members.begin()->value();
+      pid = (*event.members.begin()).value();
       break;
     default:
       pid = event.a.value();

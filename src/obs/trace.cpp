@@ -89,12 +89,11 @@ ProcessId process_id_from_json(const JsonValue& value) {
 }  // namespace
 
 ProcessSet process_set_from_json(const JsonValue& value) {
-  std::vector<ProcessId> members;
-  members.reserve(value.as_array().size());
+  ProcessSet members;
   for (const JsonValue& entry : value.as_array()) {
-    members.push_back(process_id_from_json(entry));
+    members.insert(process_id_from_json(entry));
   }
-  return ProcessSet(std::move(members));
+  return members;
 }
 
 JsonValue to_json(const TraceEvent& event) {

@@ -12,11 +12,6 @@
 
 namespace dynvote {
 
-/// Rank of a process in L. Higher value = higher rank.
-[[nodiscard]] constexpr std::uint64_t linear_rank(ProcessId p) noexcept {
-  return p.value();
-}
-
 /// True iff T wins the tie for S's succession: there exists p in T ∩ S
 /// with L(p) > L(q) for all q in S \ T. Because ranks follow ProcessId
 /// order, this holds exactly when the maximum of S lies in T.

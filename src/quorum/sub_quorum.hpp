@@ -82,7 +82,10 @@ class QuorumCalculus {
 };
 
 /// Property 1 of the scheme (paper 4.1): Sub_Quorum(S,T) implies S and T
-/// intersect — exposed for the property-based tests.
+/// intersect — exposed for the property-based tests. Precondition: S
+/// meets Min_Quorum under `calc`, as every formed quorum does. Clause 2c
+/// grants T without looking at S, so only |S ∩ W| >= Min_Quorum makes S
+/// and T overlap there; for an S below the floor the property fails.
 [[nodiscard]] bool sub_quorum_implies_intersection(const QuorumCalculus& calc,
                                                    const ProcessSet& S,
                                                    const ProcessSet& T);

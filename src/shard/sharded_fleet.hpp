@@ -202,9 +202,6 @@ class ShardedFleet {
     }
   };
 
-  [[nodiscard]] bool telemetry_enabled() const noexcept {
-    return hub_ != nullptr;
-  }
   /// The per-group metrics hub. Requires options.telemetry.enabled.
   [[nodiscard]] obs::MetricsHub& hub();
   [[nodiscard]] const obs::MetricsHub& hub() const;

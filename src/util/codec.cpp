@@ -114,10 +114,19 @@ ProcessId Decoder::get_process_id() {
 ProcessSet Decoder::get_process_set() {
   std::uint64_t n = get_varint();
   if (n > remaining()) throw CodecError("process set length prefix too large");
-  std::vector<ProcessId> ids;
-  ids.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) ids.push_back(get_process_id());
-  return ProcessSet(std::move(ids));
+  // put_process_set writes ascending ids, so a set has one encoding: a
+  // duplicate or descending id is malformed rather than normalized.
+  ProcessSet s;
+  std::optional<ProcessId> previous;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const ProcessId p = get_process_id();
+    if (previous && !(*previous < p)) {
+      throw CodecError("process set ids not strictly ascending");
+    }
+    s.insert(p);
+    previous = p;
+  }
+  return s;
 }
 
 }  // namespace dynvote

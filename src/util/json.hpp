@@ -65,7 +65,6 @@ class JsonValue {
   }
   [[nodiscard]] bool is_null() const noexcept { return kind() == Kind::kNull; }
   [[nodiscard]] bool is_object() const noexcept { return kind() == Kind::kObject; }
-  [[nodiscard]] bool is_array() const noexcept { return kind() == Kind::kArray; }
 
   // Checked accessors — throw JsonError on kind mismatch (numbers convert
   // between signed/unsigned/double when the value fits).

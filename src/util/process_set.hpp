@@ -2,19 +2,19 @@
 // the quorum calculus needs (intersection sizes, majorities, maxima under
 // the linear order).
 //
-// The sorted flat vector of members gives deterministic iteration and
-// the index_of positions the optimized protocol's knowledge arrays key
-// on; equality and the lexicographic order of the member lists are
-// decided from the bitset words. A bitset shadows the vector in two
-// tiers: ids below kSmallIdLimit live in a 256-bit inline array (no heap
-// traffic for every scenario the single-group harness generates), and
-// ids in [kSmallIdLimit, kProcessIdLimit) live in a dynamically sized
-// extension word vector. The set predicates the Sub_Quorum hot path
-// hammers — contains / intersection_size / is_subset_of / majority
-// tests — therefore run as AND+popcount word ops for every legal id,
-// including pairs where one operand spills past the inline limit and the
-// other does not. An id at or past kProcessIdLimit (2^20) is rejected
-// with InvariantViolation.
+// The set is its bitset, in two tiers: ids below kSmallIdLimit live in a
+// 256-bit inline array (no heap traffic for every scenario the
+// single-group harness generates, copies included), and ids in
+// [kSmallIdLimit, kProcessIdLimit) live in a dynamically sized extension
+// word vector, trimmed of trailing zero words. Iteration walks the set
+// bits in ascending id order; index_of is a popcount rank and max_member
+// a read of the highest nonzero word; size() is a count the mutators
+// keep. The set predicates the Sub_Quorum hot path hammers — contains /
+// intersection_size / is_subset_of / majority tests — and equality and
+// the lexicographic order of the member lists run as word ops for every
+// legal id, including pairs where one operand spills past the inline
+// limit and the other does not. An id at or past kProcessIdLimit (2^20)
+// is rejected with InvariantViolation.
 #pragma once
 
 #include <array>
@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,7 +38,7 @@ namespace dynvote {
 /// memberships, and the W / A participant sets of paper section 6.
 class ProcessSet {
  public:
-  using const_iterator = std::vector<ProcessId>::const_iterator;
+  class const_iterator;
 
   /// Ids below this bound are tracked in the inline bitset (one 64-bit
   /// word per 64 ids, no heap allocation).
@@ -49,7 +50,7 @@ class ProcessSet {
   /// constructors, range(), of() and insert() throw InvariantViolation on
   /// an id >= kProcessIdLimit.
   ProcessSet(std::initializer_list<ProcessId> ids);
-  explicit ProcessSet(std::vector<ProcessId> ids);
+  explicit ProcessSet(const std::vector<ProcessId>& ids);
 
   /// Convenience: {ProcessId(0), ..., ProcessId(n-1)}.
   [[nodiscard]] static ProcessSet range(std::uint32_t n);
@@ -64,8 +65,8 @@ class ProcessSet {
     if (w >= ext_bits_.size()) return false;
     return (ext_bits_[w] >> (v & 63)) & 1;
   }
-  [[nodiscard]] std::size_t size() const noexcept { return members_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return members_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   /// Adds a member; returns true if it was not already present.
   bool insert(ProcessId p);
@@ -164,17 +165,15 @@ class ProcessSet {
   /// Paper 4.1 uses the maximum of the *previous quorum* to break ties.
   [[nodiscard]] std::optional<ProcessId> max_member() const;
 
-  /// Position of `p` in the sorted membership list; this is the i_M(q)
-  /// index the optimized protocol's knowledge arrays are keyed by
-  /// (paper 5.1). Precondition: contains(p).
+  /// Position of `p` in ascending id order (the number of members below
+  /// it); this is the i_M(q) index the optimized protocol's knowledge
+  /// arrays are keyed by (paper 5.1). Throws InvariantViolation unless
+  /// contains(p).
   [[nodiscard]] std::size_t index_of(ProcessId p) const;
 
-  [[nodiscard]] const std::vector<ProcessId>& members() const noexcept {
-    return members_;
-  }
-
-  [[nodiscard]] const_iterator begin() const noexcept { return members_.begin(); }
-  [[nodiscard]] const_iterator end() const noexcept { return members_.end(); }
+  /// Ascending id order.
+  [[nodiscard]] const_iterator begin() const noexcept;
+  [[nodiscard]] const_iterator end() const noexcept;
 
   /// Compares the bitset words: exact, because the extension words are
   /// trimmed of trailing zeros, so equal sets have equal words.
@@ -182,9 +181,9 @@ class ProcessSet {
     return a.bits_ == b.bits_ && a.ext_bits_ == b.ext_bits_;
   }
 
-  /// Deterministic total order: lexicographic on the sorted member lists,
-  /// so ProcessSets can key ordered containers. Decided from the words
-  /// in O(n / 64); the member lists are never walked.
+  /// Deterministic total order: lexicographic on the ascending member
+  /// lists, so ProcessSets can key ordered containers. Decided from the
+  /// words in O(n / 64).
   friend std::strong_ordering operator<=>(const ProcessSet& a,
                                           const ProcessSet& b) {
     if (a == b) return std::strong_ordering::equal;
@@ -204,26 +203,90 @@ class ProcessSet {
  private:
   static constexpr std::size_t kWords = kSmallIdLimit / 64;
 
-  /// Recomputes bits_ and ext_bits_ from members_ (after bulk mutation);
-  /// throws if the highest member is not a legal id.
-  void rebuild_bits();
+  /// Word `w` of the whole bitset: the inline words, then the extension
+  /// words, so word w holds ids [64w, 64(w+1)).
+  [[nodiscard]] std::uint64_t word(std::size_t w) const noexcept {
+    return w < kWords ? bits_[w] : ext_bits_[w - kWords];
+  }
+  [[nodiscard]] std::size_t word_count() const noexcept {
+    return kWords + ext_bits_.size();
+  }
   /// Drops trailing all-zero extension words so ext_bits_.size() encodes
-  /// the highest occupied word (the is_subset_of width shortcut and
-  /// uses_inline_bits depend on this invariant).
+  /// the highest occupied word (the is_subset_of width shortcut,
+  /// max_member and uses_inline_bits depend on this invariant).
   void trim_ext_bits();
-  /// Rebuilds members_ (ascending) from bits_ + ext_bits_.
-  void rebuild_members_from_bits();
+  /// Sets size_ from the words (after a set operation).
+  void recount();
   /// operator<=> for two sets known to differ.
   [[nodiscard]] static std::strong_ordering compare_unequal(
       const ProcessSet& a, const ProcessSet& b);
 
-  std::vector<ProcessId> members_;
-  // Shadow bitset of members_. bits_ holds ids below kSmallIdLimit;
-  // ext_bits_[w] holds ids [kSmallIdLimit + 64w, kSmallIdLimit + 64(w+1)),
-  // trimmed of trailing zero words.
+  // bits_ holds ids below kSmallIdLimit; ext_bits_[w] holds ids
+  // [kSmallIdLimit + 64w, kSmallIdLimit + 64(w+1)), trimmed of trailing
+  // zero words.
   std::array<std::uint64_t, kWords> bits_{};
   std::vector<std::uint64_t> ext_bits_;
+  std::size_t size_ = 0;
 };
+
+/// Forward iterator over the set bits, yielding each member's ProcessId
+/// in ascending order. Invalidated by any mutation of the set.
+class ProcessSet::const_iterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = ProcessId;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = ProcessId;
+
+  const_iterator() = default;
+
+  ProcessId operator*() const noexcept {
+    return ProcessId(static_cast<std::uint32_t>(
+        word_ * 64 + static_cast<std::size_t>(std::countr_zero(rest_))));
+  }
+  const_iterator& operator++() noexcept {
+    rest_ &= rest_ - 1;
+    if (rest_ == 0) skip_empty_words();
+    return *this;
+  }
+  const_iterator operator++(int) noexcept {
+    const_iterator before = *this;
+    ++*this;
+    return before;
+  }
+  friend bool operator==(const const_iterator& a,
+                         const const_iterator& b) noexcept {
+    return a.word_ == b.word_ && a.rest_ == b.rest_;
+  }
+
+ private:
+  friend class ProcessSet;
+  const_iterator(const ProcessSet* set, std::size_t w,
+                 std::uint64_t rest) noexcept
+      : set_(set), word_(w), rest_(rest) {}
+  /// From a visited word_, moves to the next nonzero word, or to end().
+  void skip_empty_words() noexcept {
+    const std::size_t words = set_->word_count();
+    while (++word_ < words) {
+      rest_ = set_->word(word_);
+      if (rest_ != 0) return;
+    }
+  }
+
+  const ProcessSet* set_ = nullptr;
+  std::size_t word_ = 0;     // index into the whole bitset (see word())
+  std::uint64_t rest_ = 0;   // bits of word_ not yet visited
+};
+
+inline ProcessSet::const_iterator ProcessSet::begin() const noexcept {
+  const_iterator it(this, 0, bits_[0]);
+  if (bits_[0] == 0) it.skip_empty_words();
+  return it;
+}
+inline ProcessSet::const_iterator ProcessSet::end() const noexcept {
+  return const_iterator(this, word_count(), 0);
+}
 
 [[nodiscard]] inline std::string to_string(const ProcessSet& s) {
   return s.to_string();

@@ -2,7 +2,10 @@
 // input rejection.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/codec.hpp"
 
@@ -108,6 +111,43 @@ TEST(Codec, ThrowsOnOversizedLengthPrefix) {
   enc.put_u8(2);
   Decoder dec(enc.bytes());
   EXPECT_THROW(dec.get_process_set(), CodecError);
+}
+
+/// Process-set bytes holding `ids` in the given order, as a peer or
+/// stable storage might hand them over.
+std::vector<std::uint8_t> raw_process_set(
+    std::initializer_list<std::uint32_t> ids) {
+  Encoder enc;
+  enc.put_varint(ids.size());
+  for (const std::uint32_t id : ids) enc.put_process_id(ProcessId(id));
+  return enc.bytes();
+}
+
+TEST(Codec, ThrowsOnDuplicateProcessSetIds) {
+  // [2, p1, p1] would decode to {p1}, which re-encodes as [1, p1]: a set
+  // has one encoding, so the duplicate is malformed.
+  for (const std::uint32_t id : {1u, 300u}) {
+    const std::vector<std::uint8_t> bytes = raw_process_set({id, id});
+    Decoder dec(bytes);
+    EXPECT_THROW(dec.get_process_set(), CodecError) << id;
+  }
+}
+
+TEST(Codec, ThrowsOnDescendingProcessSetIds) {
+  // [2, p3, p1] would decode to {p1,p3}, which re-encodes as [2, p1, p3].
+  for (const auto& [high, low] : {std::pair{3u, 1u}, std::pair{300u, 255u}}) {
+    const std::vector<std::uint8_t> bytes = raw_process_set({high, low});
+    Decoder dec(bytes);
+    EXPECT_THROW(dec.get_process_set(), CodecError) << high << " " << low;
+  }
+  // The ascending order of the same ids decodes and re-encodes exactly.
+  const std::vector<std::uint8_t> bytes = raw_process_set({1, 255, 300});
+  Decoder dec(bytes);
+  const ProcessSet s = dec.get_process_set();
+  EXPECT_TRUE(dec.exhausted());
+  Encoder enc;
+  enc.put_process_set(s);
+  EXPECT_EQ(enc.bytes(), bytes);
 }
 
 TEST(Codec, ThrowsOnVarintOverflow) {

@@ -2,6 +2,8 @@
 // chain, voluntary leaves under the blocking baseline, same-membership
 // attempt overwrite with knowledge arrays, latency-model bounds, and a
 // larger-scale smoke run.
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "dv/optimized_protocol.hpp"
@@ -185,10 +187,11 @@ TEST(Scale, TwentyFiveProcessChainStaysCorrect) {
   ProcessSet current = ProcessSet::range(25);
   while (current.size() > 4) {
     ProcessSet next;
-    const auto& members = current.members();
-    for (std::size_t i = members.size() / 2 + (members.size() % 2 ? 0 : 1);
-         i < members.size(); ++i) {
-      next.insert(members[i]);  // keep the top-ranked half (wins any tie)
+    const std::size_t low = current.size() / 2 + (current.size() % 2 ? 0 : 1);
+    // Keep the top-ranked half (wins any tie).
+    for (auto it = std::next(current.begin(), static_cast<std::ptrdiff_t>(low));
+         it != current.end(); ++it) {
+      next.insert(*it);
     }
     std::vector<ProcessSet> groups{next, current.set_difference(next)};
     cluster.partition(groups);

@@ -1,9 +1,11 @@
 // Tests for the perf-critical data structures and the parallel sweep:
 //
-//   - ProcessSet's inline-bitset fast paths pinned to a std::set model
-//     on randomized inputs straddling the 256-id boundary, so the bitset
-//     and sorted-vector representations can never diverge silently, and
-//     its word-wise == and <=> pinned to the member lists' order;
+//   - ProcessSet's word-wise operations pinned to a std::set model on
+//     randomized inputs straddling the 256-id boundary and the extension
+//     words: iteration order, size(), max_member, the index_of rank and
+//     every set predicate and operation, with the word-wise == and <=>
+//     pinned to the member lists' order; and its size, so no second
+//     representation grows back beside the bitset;
 //   - the InlineFunction size budget of the EventQueue's slab and the
 //     drained-vs-event-limit distinction of drain();
 //   - the sweep runner's determinism contract: index-ordered results,
@@ -37,6 +39,10 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // ProcessSet: bitset fast paths vs a std::set<uint32_t> model.
+
+// The set is its bitset: 4 inline words, the extension word vector and
+// the count. A second representation kept beside it would grow this.
+static_assert(sizeof(ProcessSet) <= 64);
 
 using Model = std::set<std::uint32_t>;
 
@@ -104,6 +110,18 @@ void expect_matches_model(const ProcessSet& s, const Model& m) {
     ASSERT_TRUE(s.max_member().has_value());
     EXPECT_EQ(s.max_member()->value(), *m.rbegin());
   }
+  // index_of is a popcount rank: each member's position in the model,
+  // across the inline words and every extension word below it.
+  std::size_t rank = 0;
+  for (const std::uint32_t id : m) {
+    EXPECT_EQ(s.index_of(ProcessId(id)), rank) << "rank of p" << id;
+    ++rank;
+  }
+  // A non-member has no rank: the id just past the highest member (one
+  // probe per set, because a throw costs more than the whole check).
+  const std::uint32_t past_top = m.empty() ? 0 : *m.rbegin() + 1;
+  EXPECT_THROW((void)s.index_of(ProcessId(past_top)), InvariantViolation)
+      << "p" << past_top;
 }
 
 TEST(ProcessSetProperty, PredicatesAgreeWithModelAcrossTheBitsetBoundary) {
@@ -267,8 +285,8 @@ TEST(ProcessSetProperty, OrderAndEqualityFollowTheMemberLists) {
   // give exactly the equality and lexicographic order of the member
   // lists, in both argument orders.
   const auto check = [](const ProcessSet& a, const ProcessSet& b) {
-    const std::vector<ProcessId>& la = a.members();
-    const std::vector<ProcessId>& lb = b.members();
+    const std::vector<ProcessId> la(a.begin(), a.end());
+    const std::vector<ProcessId> lb(b.begin(), b.end());
     const std::strong_ordering lists = std::lexicographical_compare_three_way(
         la.begin(), la.end(), lb.begin(), lb.end());
     EXPECT_EQ(a == b, la == lb) << a.to_string() << " vs " << b.to_string();

@@ -2,6 +2,7 @@
 // simulated stack — quorum succession, tie-breaks, Min_Quorum, crashes,
 // recovery, disk loss, view churn.
 #include <algorithm>
+#include <compare>
 #include <set>
 #include <string>
 #include <utility>
@@ -320,15 +321,16 @@ TEST(BasicProtocol, AttemptRecordedWhenFormIsCut) {
 /// compare aggregate_step1 relies on.
 struct ByMemberLists {
   bool operator()(const Session& a, const Session& b) const {
-    if (a.members.members() != b.members.members()) {
-      return a.members.members() < b.members.members();
-    }
+    const std::strong_ordering lists = std::lexicographical_compare_three_way(
+        a.members.begin(), a.members.end(), b.members.begin(),
+        b.members.end());
+    if (lists != 0) return lists < 0;
     return a.number < b.number;
   }
 };
 
 /// The reference: a std::set of the ambiguous attempts and the
-/// Max_Primary tie-break on the member vectors.
+/// Max_Primary tie-break on the member lists, walked id by id.
 StepAggregates reference_aggregate_step1(const InfoBySender& infos) {
   StepAggregates agg;
   agg.max_session = kNoSessionNumber;
@@ -338,8 +340,11 @@ StepAggregates reference_aggregate_step1(const InfoBySender& infos) {
       if (!agg.max_primary ||
           info->last_primary->number > agg.max_primary->number ||
           (info->last_primary->number == agg.max_primary->number &&
-           info->last_primary->members.members() <
-               agg.max_primary->members.members())) {
+           std::lexicographical_compare(
+               info->last_primary->members.begin(),
+               info->last_primary->members.end(),
+               agg.max_primary->members.begin(),
+               agg.max_primary->members.end()))) {
         agg.max_primary = info->last_primary;
       }
     }

@@ -178,6 +178,80 @@ TEST_P(SubQuorumProperty, TwoSubQuorumsOfSameQuorumIntersect) {
 INSTANTIATE_TEST_SUITE_P(MinQuorumSweep, SubQuorumProperty,
                          ::testing::Values(1u, 2u, 3u, 4u));
 
+/// Each member of `of` kept with probability `keep`.
+ProcessSet random_subset(Rng& rng, const ProcessSet& of, double keep) {
+  ProcessSet out;
+  for (const ProcessId p : of) {
+    if (rng.next_bool(keep)) out.insert(p);
+  }
+  return out;
+}
+
+// Property 1 through sub_quorum_implies_intersection, on random calculi:
+// static (W = W ∪ A) and section-6 (W ⊂ W ∪ A), Min_Quorum from 1 to |W|,
+// the tie-break on and off, and ids drawn from [0, 512) so the sets
+// straddle ProcessSet's inline limit. S ranges over every set the helper
+// admits (S meets Min_Quorum); T over subsets of W ∪ A plus outsiders.
+TEST(SubQuorumProperty1, HoldsForEveryPreviousQuorumMeetingMinQuorum) {
+  Rng rng(20261019);
+  const ProcessSet universe = ProcessSet::range(512);
+  std::size_t checked = 0;
+  std::size_t granted = 0;
+  std::size_t granted_without_majority = 0;
+  for (int round = 0; round < 1000; ++round) {
+    ProcessSet all;
+    while (all.size() < 2) all = random_subset(rng, universe, 0.04);
+    const bool dynamic = rng.next_bool(0.5);
+    ProcessSet admitted = all;
+    if (dynamic) {
+      // A nonempty proper subset: W ⊂ W ∪ A.
+      do {
+        admitted = random_subset(rng, all, rng.next_double());
+      } while (admitted.empty() || admitted == all);
+    }
+    const std::size_t min_quorum =
+        1 + static_cast<std::size_t>(rng.next_below(admitted.size()));
+    const bool tie_break = rng.next_bool(0.5);
+    const QuorumCalculus calc =
+        dynamic ? QuorumCalculus(admitted, all, min_quorum, tie_break)
+                : QuorumCalculus(all, min_quorum, tie_break);
+    const ProcessSet outsiders = random_subset(rng, universe, 0.01);
+    for (int pair = 0; pair < 100; ++pair) {
+      const ProcessSet S = random_subset(rng, all, rng.next_double())
+                               .set_union(random_subset(rng, outsiders, 0.5));
+      if (!calc.meets_min_quorum(S)) continue;
+      const ProcessSet T = random_subset(rng, all, rng.next_double())
+                               .set_union(random_subset(rng, outsiders, 0.5));
+      ++checked;
+      if (calc.sub_quorum(S, T)) {
+        ++granted;
+        if (!T.contains_majority_of(S)) ++granted_without_majority;
+      }
+      EXPECT_TRUE(sub_quorum_implies_intersection(calc, S, T))
+          << calc.to_string() << " S=" << S.to_string()
+          << " T=" << T.to_string() << " tie_break=" << tie_break;
+    }
+  }
+  // The sweep reaches the majority clause and the two clauses (tie-break
+  // and unconditional) that grant T without a majority of S.
+  EXPECT_GT(checked, 40000u);
+  EXPECT_GT(granted, 15000u);
+  EXPECT_GT(granted_without_majority, 400u);
+}
+
+// Why the helper needs S to meet Min_Quorum: clause 2c grants a T that is
+// large enough in W ∪ A without looking at S, so an S below the floor can
+// lie entirely outside it.
+TEST(SubQuorumProperty1, FailsForAPreviousQuorumBelowMinQuorum) {
+  const QuorumCalculus calc(ProcessSet::range(10), 5);
+  const ProcessSet S = ProcessSet::of({9});
+  const ProcessSet T = ProcessSet::range(6);
+  EXPECT_FALSE(calc.meets_min_quorum(S));
+  EXPECT_TRUE(calc.sub_quorum(S, T));
+  EXPECT_FALSE(S.intersects(T));
+  EXPECT_FALSE(sub_quorum_implies_intersection(calc, S, T));
+}
+
 // ---- ParticipantTracker (section 6) --------------------------------------
 
 TEST(Participants, InitialStateCoreVsJoiner) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "util/ensure.hpp"
@@ -58,8 +59,8 @@ TEST(Ensure, FormattedMessageKeepsCallSiteAndFullText) {
 TEST(ProcessSet, NormalizesDuplicatesAndOrder) {
   ProcessSet s{ProcessId(3), ProcessId(1), ProcessId(3), ProcessId(2)};
   EXPECT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.members()[0], ProcessId(1));
-  EXPECT_EQ(s.members()[2], ProcessId(3));
+  EXPECT_EQ(*s.begin(), ProcessId(1));
+  EXPECT_EQ(*std::next(s.begin(), 2), ProcessId(3));
 }
 
 TEST(ProcessSet, RangeAndOfBuilders) {
