@@ -25,7 +25,7 @@ class LearningBenchProtocol : public OptimizedDvProtocol {
  public:
   using OptimizedDvProtocol::OptimizedDvProtocol;
   void run_learning(const InfoBySender& infos) { pre_decision_update(infos); }
-  void install_state(ProtocolState state) { state_ = std::move(state); }
+  void install_state(ProtocolState state) { wal_.reset(std::move(state)); }
   [[nodiscard]] std::shared_ptr<InfoPayload> build_info(
       const View& view) const {
     return make_info(view);
@@ -106,7 +106,13 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
 
   sim::Simulator sim;
   auto protocol = std::make_unique<LearningBenchProtocol>(
-      sim, ProcessId(0), DvConfig{core, 1, false, true, 0});
+      sim.transport(), ProcessId(0),
+      DvConfig{.core = core,
+               .min_quorum = 1,
+               .dynamic_participants = false,
+               .linear_tie_break = true,
+               .ambiguous_record_limit = 0,
+               .persistence = {}});
   auto* bench_protocol = protocol.get();
   sim.add_node(std::move(protocol));
 
@@ -151,8 +157,8 @@ void BM_InfoPayloadBuild(benchmark::State& state) {
   sim::Simulator sim;
   DvConfig config;
   config.core = core;
-  auto protocol =
-      std::make_unique<LearningBenchProtocol>(sim, ProcessId(0), config);
+  auto protocol = std::make_unique<LearningBenchProtocol>(
+      sim.transport(), ProcessId(0), config);
   auto* bench_protocol = protocol.get();
   sim.add_node(std::move(protocol));
   ProtocolState proto_state = ProtocolState::initial(core, ProcessId(0));

@@ -1,7 +1,6 @@
 #include "baselines/hybrid_jm.hpp"
 
 #include "quorum/linear_order.hpp"
-#include "sim/simulator.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -12,10 +11,6 @@ HybridJmProtocol::HybridJmProtocol(sim::Transport& transport, ProcessId id,
   ensure(config_.core.size() >= 3,
          "hybrid voting needs a core of at least three processes");
 }
-
-HybridJmProtocol::HybridJmProtocol(sim::Simulator& sim, ProcessId id,
-                                   DvConfig config)
-    : HybridJmProtocol(sim.transport(), id, std::move(config)) {}
 
 bool HybridJmProtocol::hybrid_rule(const ProcessSet& S, const ProcessSet& M) {
   if (S.size() > 3) {

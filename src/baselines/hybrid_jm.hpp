@@ -25,7 +25,6 @@ namespace dynvote {
 class HybridJmProtocol : public BasicDvProtocol {
  public:
   HybridJmProtocol(sim::Transport& transport, ProcessId id, DvConfig config);
-  HybridJmProtocol(sim::Simulator& sim, ProcessId id, DvConfig config);
 
  protected:
   [[nodiscard]] Eligibility decide(const QuorumCalculus& calc,

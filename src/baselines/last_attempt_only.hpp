@@ -19,8 +19,6 @@ class LastAttemptOnlyProtocol : public BasicDvProtocol {
   LastAttemptOnlyProtocol(sim::Transport& transport, ProcessId id,
                           DvConfig config)
       : BasicDvProtocol(transport, id, with_limit(std::move(config))) {}
-  LastAttemptOnlyProtocol(sim::Simulator& sim, ProcessId id, DvConfig config)
-      : BasicDvProtocol(sim, id, with_limit(std::move(config))) {}
 
  private:
   static DvConfig with_limit(DvConfig config) {

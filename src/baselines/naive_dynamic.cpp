@@ -1,50 +1,40 @@
 #include "baselines/naive_dynamic.hpp"
 
-#include "sim/simulator.hpp"
-#include "sim/stable_storage.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
 
 namespace {
+
 constexpr const char* kStateKey = "naive.state";
+
+PersistenceOptions snapshot_mode(PersistenceOptions options) {
+  options.mode = PersistenceMode::kSnapshot;
+  return options;
+}
+
 }  // namespace
 
+// Snapshot mode: the raw ProtocolState, rewritten at birth and at every
+// formation. No registry, so the baseline adds no dv.storage.* counter
+// to the fleet's metrics; StableStorage still counts its writes.
 NaiveDynamicProtocol::NaiveDynamicProtocol(sim::Transport& transport,
                                            ProcessId id, DvConfig config)
     : SessionProtocolBase(transport, id, /*max_phases=*/1),
-      state_(ProtocolState::initial(config.core, id)),
-      config_(std::move(config)) {
-  persist();
-}
+      config_(std::move(config)),
+      wal_(storage(), /*metrics=*/nullptr, kStateKey, id,
+           snapshot_mode(config_.persistence),
+           ProtocolState::initial(config_.core, id)) {}
 
-NaiveDynamicProtocol::NaiveDynamicProtocol(sim::Simulator& sim, ProcessId id,
-                                           DvConfig config)
-    : NaiveDynamicProtocol(sim.transport(), id, std::move(config)) {}
-
-void NaiveDynamicProtocol::persist() {
-  Encoder& enc = scratch_encoder();
-  state_.encode(enc);
-  storage().put(kStateKey, enc.bytes().data(), enc.size());
-}
-
-void NaiveDynamicProtocol::handle_recover() {
-  const auto bytes = storage().get(kStateKey);
-  if (bytes) {
-    Decoder dec(*bytes);
-    state_ = ProtocolState::decode(dec);
-  } else {
-    state_ = ProtocolState::after_disk_loss(id());
-    persist();
-  }
-}
+void NaiveDynamicProtocol::handle_recover() { wal_.recover(); }
 
 void NaiveDynamicProtocol::begin_session(const View& view) {
   (void)view;
+  const ProtocolState& state = wal_.state();
   auto info = std::make_shared<InfoPayload>();
-  info->session_number = state_.session_number;
-  info->has_history = state_.has_history;
-  info->last_primary = state_.last_primary;
+  info->session_number = state.session_number;
+  info->has_history = state.has_history;
+  info->last_primary = state.last_primary;
   // No ambiguous sessions — that is the point of this baseline.
   send_phase(0, std::move(info));
 }
@@ -62,10 +52,9 @@ void NaiveDynamicProtocol::on_phase_complete(int phase,
   }
   // Install immediately: no attempt round, no durable trace for members
   // that detach before this point.
-  state_.session_number = agg.max_session + 1;
-  const Session session{M, state_.session_number};
-  state_.apply_form(session);
-  persist();
+  const Session session{M, agg.max_session + 1};
+  wal_.apply(StateDelta::form(session));
+  wal_.commit();
   mark_primary(session);
 }
 

@@ -16,6 +16,7 @@
 #include "dv/basic_protocol.hpp"
 #include "dv/protocol_base.hpp"
 #include "dv/state.hpp"
+#include "dv/wal.hpp"
 
 namespace dynvote {
 
@@ -23,9 +24,10 @@ class NaiveDynamicProtocol : public SessionProtocolBase {
  public:
   NaiveDynamicProtocol(sim::Transport& transport, ProcessId id,
                        DvConfig config);
-  NaiveDynamicProtocol(sim::Simulator& sim, ProcessId id, DvConfig config);
 
-  [[nodiscard]] const ProtocolState& state() const noexcept { return state_; }
+  [[nodiscard]] const ProtocolState& state() const noexcept {
+    return wal_.state();
+  }
 
  protected:
   void begin_session(const View& view) override;
@@ -33,10 +35,8 @@ class NaiveDynamicProtocol : public SessionProtocolBase {
   void handle_recover() override;
 
  private:
-  void persist();
-
-  ProtocolState state_;
   DvConfig config_;
+  WalPersistence wal_;
 };
 
 }  // namespace dynvote

@@ -1,7 +1,6 @@
 #include "baselines/static_majority.hpp"
 
 #include "quorum/linear_order.hpp"
-#include "sim/simulator.hpp"
 
 namespace dynvote {
 
@@ -10,11 +9,6 @@ StaticMajorityProtocol::StaticMajorityProtocol(sim::Transport& transport,
                                                StaticMajorityConfig config)
     : SessionProtocolBase(transport, id, /*max_phases=*/0),
       config_(std::move(config)) {}
-
-StaticMajorityProtocol::StaticMajorityProtocol(sim::Simulator& sim,
-                                               ProcessId id,
-                                               StaticMajorityConfig config)
-    : StaticMajorityProtocol(sim.transport(), id, std::move(config)) {}
 
 void StaticMajorityProtocol::begin_session(const View& view) {
   const ProcessSet& M = view.members;

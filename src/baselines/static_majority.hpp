@@ -24,8 +24,6 @@ class StaticMajorityProtocol : public SessionProtocolBase {
  public:
   StaticMajorityProtocol(sim::Transport& transport, ProcessId id,
                          StaticMajorityConfig config);
-  StaticMajorityProtocol(sim::Simulator& sim, ProcessId id,
-                         StaticMajorityConfig config);
 
  protected:
   void begin_session(const View& view) override;

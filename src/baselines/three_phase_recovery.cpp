@@ -14,7 +14,7 @@ void ThreePhaseRecoveryProtocol::on_phase_complete(
         // The decision step may have merged the participant sets; those
         // must be durable before the propose round exposes them (section
         // 4.4). run_decision only persists on rejection.
-        persist();
+        wal_.commit();
         send_phase(1, std::make_shared<RoundPayload>(1, "3pc.propose"));
       }
       return;

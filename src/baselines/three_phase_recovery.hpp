@@ -23,8 +23,6 @@ class ThreePhaseRecoveryProtocol : public BasicDvProtocol {
   ThreePhaseRecoveryProtocol(sim::Transport& transport, ProcessId id,
                              DvConfig config)
       : BasicDvProtocol(transport, id, std::move(config), /*max_phases=*/5) {}
-  ThreePhaseRecoveryProtocol(sim::Simulator& sim, ProcessId id, DvConfig config)
-      : BasicDvProtocol(sim, id, std::move(config), /*max_phases=*/5) {}
 
  protected:
   void on_phase_complete(int phase, const PhaseMessages& messages) override;

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/simulator.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -96,64 +95,59 @@ Eligibility evaluate_eligibility(const QuorumCalculus& calc,
   return {true, {}};
 }
 
+void merge_participants(const DvConfig& config, const InfoBySender& infos,
+                        WalPersistence& wal) {
+  if (!config.dynamic_participants) return;
+  std::vector<const ParticipantTracker*> peers;
+  peers.reserve(infos.size());
+  for (const auto& [from, info] : infos) peers.push_back(&info->participants);
+  ParticipantTracker merged = wal.state().participants;
+  merged.merge_attempt_step(peers);
+  if (merged != wal.state().participants) {
+    wal.apply(StateDelta::merge_participants(std::move(merged)));
+  }
+}
+
+QuorumCalculus make_calculus(const DvConfig& config,
+                             const ProtocolState& state) {
+  if (config.dynamic_participants) {
+    return QuorumCalculus(state.participants.admitted(),
+                          state.participants.all_participants(),
+                          config.min_quorum, config.linear_tie_break);
+  }
+  return QuorumCalculus(config.core, config.min_quorum,
+                        config.linear_tie_break);
+}
+
 BasicDvProtocol::BasicDvProtocol(sim::Transport& transport, ProcessId id,
                                  DvConfig config)
     : BasicDvProtocol(transport, id, std::move(config), /*max_phases=*/2) {}
 
-BasicDvProtocol::BasicDvProtocol(sim::Simulator& sim, ProcessId id,
-                                 DvConfig config)
-    : BasicDvProtocol(sim.transport(), id, std::move(config),
-                      /*max_phases=*/2) {}
-
-BasicDvProtocol::BasicDvProtocol(sim::Simulator& sim, ProcessId id,
-                                 DvConfig config, int max_phases)
-    : BasicDvProtocol(sim.transport(), id, std::move(config), max_phases) {}
-
 BasicDvProtocol::BasicDvProtocol(sim::Transport& transport, ProcessId id,
                                  DvConfig config, int max_phases)
     : SessionProtocolBase(transport, id, max_phases),
-      state_(ProtocolState::initial(config.core, id)),
       config_(std::move(config)),
       wal_(storage(),
            config_.registry != nullptr ? config_.registry : &metrics(),
-           kStateKey, id, config_.persistence) {
+           kStateKey, id, config_.persistence,
+           ProtocolState::initial(config_.core, id)) {
   obs::MetricsRegistry& reg =
       config_.registry != nullptr ? *config_.registry : metrics();
   ambiguity_gauge_ = &reg.gauge("dv.ambiguous_recorded");
   ambiguity_ticks_ = &reg.counter("dv.ambiguity_ticks");
-  // Durable from birth: a crash before the first session must not erase
-  // the fact that a core member once knew (W0, 0).
-  wal_.checkpoint(state_);
 }
-
-void BasicDvProtocol::persist() { wal_.commit(state_); }
 
 void BasicDvProtocol::handle_recover() {
-  if (std::optional<ProtocolState> recovered = wal_.recover()) {
-    state_ = std::move(*recovered);
-  } else {
-    // The constructor checkpointed the initial state, so an empty store
-    // means the disk was destroyed (paper footnote 4): come back with
-    // Last_Primary = (∞,-1) and no trustworthy history. The ambiguous
-    // records died with the disk — close their lifetime spans.
-    for (const AmbiguousSession& amb : state_.ambiguous) {
-      record_ambiguity_resolution(obs::TraceEventKind::kAmbiguityResolved,
-                                  amb.session, "disk-loss");
-    }
-    state_ = ProtocolState::after_disk_loss(id());
-    record_ambiguity_level();
-    wal_.checkpoint(state_);
+  ProtocolState lost;
+  if (wal_.recover(&lost)) return;
+  // The disk was destroyed (paper footnote 4) and the process came back
+  // with Last_Primary = (∞,-1) and no trustworthy history. The ambiguous
+  // records it held died with the disk — close their lifetime spans.
+  for (const AmbiguousSession& amb : lost.ambiguous) {
+    record_ambiguity_resolution(obs::TraceEventKind::kAmbiguityResolved,
+                                amb.session, "disk-loss");
   }
-}
-
-QuorumCalculus BasicDvProtocol::make_calculus() const {
-  if (config_.dynamic_participants) {
-    return QuorumCalculus(state_.participants.admitted(),
-                          state_.participants.all_participants(),
-                          config_.min_quorum, config_.linear_tie_break);
-  }
-  return QuorumCalculus(config_.core, config_.min_quorum,
-                        config_.linear_tie_break);
+  record_ambiguity_level();
 }
 
 void BasicDvProtocol::begin_session(const View& view) {
@@ -162,18 +156,19 @@ void BasicDvProtocol::begin_session(const View& view) {
 
 std::shared_ptr<InfoPayload> BasicDvProtocol::make_info(
     const View& view) const {
+  const ProtocolState& state = wal_.state();
   auto info = std::make_shared<InfoPayload>();
-  info->session_number = state_.session_number;
-  info->has_history = state_.has_history;
-  info->last_primary = state_.last_primary;
-  info->ambiguous.reserve(state_.ambiguous.size());
-  for (const auto& a : state_.ambiguous) info->ambiguous.push_back(a.session);
+  info->session_number = state.session_number;
+  info->has_history = state.has_history;
+  info->last_primary = state.last_primary;
+  info->ambiguous.reserve(state.ambiguous.size());
+  for (const auto& a : state.ambiguous) info->ambiguous.push_back(a.session);
   if (sends_last_formed()) {
     // Only the view's members receive this info, and each reads only its
     // own entry (see InfoPayload::last_formed).
-    info->last_formed = state_.last_formed.restricted_to(view.members);
+    info->last_formed = state.last_formed.restricted_to(view.members);
   }
-  if (config_.dynamic_participants) info->participants = state_.participants;
+  if (config_.dynamic_participants) info->participants = state.participants;
   return info;
 }
 
@@ -202,25 +197,13 @@ bool BasicDvProtocol::run_decision(const PhaseMessages& messages) {
 
   // Optimized protocol: learning + resolution (garbage collection).
   pre_decision_update(infos);
-
-  // Section 6: merge the W / A participant sets before evaluating the
-  // quorum requirement. All members merge the same messages, so all use
-  // the same calculus (paper Lemma 13).
-  if (config_.dynamic_participants) {
-    std::vector<const ParticipantTracker*> peers;
-    peers.reserve(infos.size());
-    for (const auto& [from, info] : infos) peers.push_back(&info->participants);
-    const ParticipantTracker before = state_.participants;
-    state_.participants.merge_attempt_step(peers);
-    if (state_.participants != before) {
-      wal_.stage(StateDelta::merge_participants(state_.participants));
-    }
-  }
+  merge_participants(config_, infos, wal_);
 
   pending_agg_ = aggregate_step1(infos);
-  const Eligibility verdict = decide(make_calculus(), pending_agg_, M);
+  const Eligibility verdict =
+      decide(make_calculus(config_, wal_.state()), pending_agg_, M);
   if (!verdict.eligible) {
-    persist();  // learning / participant merges must still survive
+    wal_.commit();  // learning / participant merges must still survive
     abort_session(verdict.reason);
     return false;
   }
@@ -228,26 +211,18 @@ bool BasicDvProtocol::run_decision(const PhaseMessages& messages) {
 }
 
 void BasicDvProtocol::record_and_send_attempt(int phase) {
-  state_.session_number = pending_agg_.max_session + 1;
-  const Session session{session_view().members, state_.session_number};
-  state_.record_attempt(session, id());
-  if (config_.ambiguous_record_limit != 0 &&
-      state_.ambiguous.size() > config_.ambiguous_record_limit) {
-    // Deliberately unsound truncation — see DvConfig::ambiguous_record_limit.
-    state_.ambiguous.erase(
-        state_.ambiguous.begin(),
-        state_.ambiguous.end() -
-            static_cast<std::ptrdiff_t>(config_.ambiguous_record_limit));
-  }
-  wal_.stage(StateDelta::attempt(session, config_.ambiguous_record_limit));
+  const Session session{session_view().members, pending_agg_.max_session + 1};
+  // The limit's deliberately unsound truncation (see
+  // DvConfig::ambiguous_record_limit) is part of the delta.
+  wal_.apply(StateDelta::attempt(session, config_.ambiguous_record_limit));
   max_ambiguous_recorded_ =
-      std::max(max_ambiguous_recorded_, state_.ambiguous.size());
+      std::max(max_ambiguous_recorded_, wal_.state().ambiguous.size());
   record_ambiguity_level();
-  persist();
+  wal_.commit();
   notify_attempt(session);
 
   auto attempt = std::make_shared<AttemptPayload>(phase);
-  attempt->session_number = state_.session_number;
+  attempt->session_number = session.number;
   send_phase(phase, std::move(attempt));
 }
 
@@ -258,22 +233,20 @@ void BasicDvProtocol::run_form_step(const PhaseMessages& messages) {
     ensure(typeid(message) == typeid(AttemptPayload),
            "form-step message is not an AttemptPayload");
     ensure(static_cast<const AttemptPayload&>(message).session_number ==
-               state_.session_number,
+               state().session_number,
            "attempt session number mismatch (Lemma 4 violated)");
   }
-  const Session actual{session_view().members, state_.session_number};
+  const Session actual{session_view().members, state().session_number};
   // The recorded session can differ from the view (the hybrid baseline
   // pins the membership); the delta must carry what was recorded.
-  const Session recorded = make_formed_record(actual);
-  state_.apply_form(recorded);
-  wal_.stage(StateDelta::form(recorded));
+  wal_.apply(StateDelta::form(make_formed_record(actual)));
   record_ambiguity_level();
-  persist();
+  wal_.commit();
   mark_primary(actual);
 }
 
 void BasicDvProtocol::record_ambiguity_level() {
-  const auto level = static_cast<std::int64_t>(state_.ambiguous.size());
+  const auto level = static_cast<std::int64_t>(state().ambiguous.size());
   ambiguity_gauge_->set(level);
   // Time-in-ambiguity: each closed episode (level 0 -> >0 -> 0) adds its
   // length to the counter; the fleet report divides by sim time.

@@ -101,20 +101,27 @@ struct Eligibility {
                                                const StepAggregates& agg,
                                                const ProcessSet& M);
 
+/// Section 6's attempt-step merge of the W / A participant sets, before
+/// the quorum requirement is evaluated. All members merge the same
+/// messages, so all use the same calculus (paper Lemma 13). Applies the
+/// merged sets to `wal` as one delta when they changed; does nothing
+/// unless `config` enables dynamic participants.
+void merge_participants(const DvConfig& config, const InfoBySender& infos,
+                        WalPersistence& wal);
+
+/// The quorum calculus of an attempt step: the (merged) W / A sets of
+/// `state` with dynamic participants, else the fixed core W0.
+[[nodiscard]] QuorumCalculus make_calculus(const DvConfig& config,
+                                           const ProtocolState& state);
+
 class BasicDvProtocol : public SessionProtocolBase {
  public:
   BasicDvProtocol(sim::Transport& transport, ProcessId id, DvConfig config);
-  BasicDvProtocol(sim::Simulator& sim, ProcessId id, DvConfig config);
 
-  [[nodiscard]] const ProtocolState& state() const noexcept { return state_; }
-  [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
-
-  /// The persistence layer (tests hook its mid-compaction window and
-  /// read its persist counters).
-  [[nodiscard]] WalPersistence& persistence() noexcept { return wal_; }
-  [[nodiscard]] const WalPersistence& persistence() const noexcept {
-    return wal_;
+  [[nodiscard]] const ProtocolState& state() const noexcept {
+    return wal_.state();
   }
+  [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
 
   /// High-water mark of |Ambiguous_Sessions| ever recorded — the metric
   /// of experiment E3 (exponential without GC, linear with).
@@ -126,8 +133,6 @@ class BasicDvProtocol : public SessionProtocolBase {
   /// For subclasses with extra rounds (the three-phase-recovery
   /// baseline): `max_phases` broadcast rounds, form on the last.
   BasicDvProtocol(sim::Transport& transport, ProcessId id, DvConfig config,
-                  int max_phases);
-  BasicDvProtocol(sim::Simulator& sim, ProcessId id, DvConfig config,
                   int max_phases);
 
   void begin_session(const View& view) override;
@@ -167,21 +172,11 @@ class BasicDvProtocol : public SessionProtocolBase {
   /// The form step: validates attempt messages, adopts the new primary.
   void run_form_step(const PhaseMessages& messages);
 
-  /// Builds the QuorumCalculus for this attempt step (after the
-  /// participant sets were merged).
-  [[nodiscard]] QuorumCalculus make_calculus() const;
-
   /// The aggregates computed by the last run_decision of this session —
   /// identical at every member (they fold the same message set).
   [[nodiscard]] const StepAggregates& pending_aggregates() const noexcept {
     return pending_agg_;
   }
-
-  /// Makes the mutations of the current step durable (paper section
-  /// 4.4): commits the deltas staged on wal_ (or rewrites the snapshot in
-  /// snapshot mode). Called before every send that exposes a state
-  /// change; a commit with nothing staged writes nothing.
-  void persist();
 
   /// Records the current |Ambiguous_Sessions| in the trace and the
   /// "dv.ambiguous_recorded" gauge. Called whenever the record changes
@@ -196,10 +191,11 @@ class BasicDvProtocol : public SessionProtocolBase {
   void record_ambiguity_resolution(obs::TraceEventKind kind,
                                    const Session& session, std::string rule);
 
-  ProtocolState state_;
   DvConfig config_;
-  /// Persistence of state_. Every mutation of state_ must stage its
-  /// delta here before persist() — the cross-check enforces it.
+  /// The protocol state and its persistence. A step changes the state
+  /// only by wal_.apply and makes it durable with wal_.commit() before
+  /// every send that exposes the change (paper section 4.4); a commit
+  /// with nothing applied writes nothing.
   WalPersistence wal_;
 
  private:

@@ -1,7 +1,5 @@
 #include "dv/centralized_protocol.hpp"
 
-#include "sim/simulator.hpp"
-#include "sim/stable_storage.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -25,20 +23,14 @@ std::size_t CentralizedPayload::encoded_size() const {
   return 1 + 8;  // hop tag + session number
 }
 
-CentralizedDvProtocol::CentralizedDvProtocol(sim::Simulator& sim, ProcessId id,
-                                             DvConfig config)
-    : CentralizedDvProtocol(sim.transport(), id, std::move(config)) {}
-
 CentralizedDvProtocol::CentralizedDvProtocol(sim::Transport& transport,
                                              ProcessId id, DvConfig config)
     : ProtocolNode(transport, id),
-      state_(ProtocolState::initial(config.core, id)),
       config_(std::move(config)),
       wal_(storage(),
            config_.registry != nullptr ? config_.registry : &metrics(),
-           kStateKey, id, config_.persistence) {
-  wal_.checkpoint(state_);
-}
+           kStateKey, id, config_.persistence,
+           ProtocolState::initial(config_.core, id)) {}
 
 ProcessId CentralizedDvProtocol::coordinator_of(const View& view) {
   ensure(!view.members.empty(), "empty view has no coordinator");
@@ -48,8 +40,6 @@ ProcessId CentralizedDvProtocol::coordinator_of(const View& view) {
 bool CentralizedDvProtocol::coordinating() const {
   return current_view() && coordinator_of(*current_view()) == id();
 }
-
-void CentralizedDvProtocol::persist() { wal_.commit(state_); }
 
 void CentralizedDvProtocol::on_view(const View& view) {
   leave_primary();
@@ -61,13 +51,14 @@ void CentralizedDvProtocol::on_view(const View& view) {
 
   // Hop 1: everyone (the coordinator included, via loopback) reports its
   // state to the coordinator.
+  const ProtocolState& state = wal_.state();
   auto msg = std::make_shared<CentralizedPayload>();
   msg->hop = CentralizedPayload::Hop::kInfo;
-  msg->info.session_number = state_.session_number;
-  msg->info.has_history = state_.has_history;
-  msg->info.last_primary = state_.last_primary;
-  for (const auto& a : state_.ambiguous) msg->info.ambiguous.push_back(a.session);
-  if (config_.dynamic_participants) msg->info.participants = state_.participants;
+  msg->info.session_number = state.session_number;
+  msg->info.has_history = state.has_history;
+  msg->info.last_primary = state.last_primary;
+  for (const auto& a : state.ambiguous) msg->info.ambiguous.push_back(a.session);
+  if (config_.dynamic_participants) msg->info.participants = state.participants;
   send(coordinator_of(view), std::move(msg));
 }
 
@@ -104,27 +95,12 @@ void CentralizedDvProtocol::run_coordinator_decision() {
   infos.reserve(collected_infos_.size());
   for (const auto& [p, info] : collected_infos_) infos.emplace_back(p, &info);
 
-  if (config_.dynamic_participants) {
-    std::vector<const ParticipantTracker*> peers;
-    for (const auto& [p, info] : infos) peers.push_back(&info->participants);
-    const ParticipantTracker before = state_.participants;
-    state_.participants.merge_attempt_step(peers);
-    if (state_.participants != before) {
-      wal_.stage(StateDelta::merge_participants(state_.participants));
-    }
-  }
-
+  merge_participants(config_, infos, wal_);
   const StepAggregates agg = aggregate_step1(infos);
-  const QuorumCalculus calc =
-      config_.dynamic_participants
-          ? QuorumCalculus(state_.participants.admitted(),
-                           state_.participants.all_participants(),
-                           config_.min_quorum, config_.linear_tie_break)
-          : QuorumCalculus(config_.core, config_.min_quorum,
-                           config_.linear_tie_break);
-  const Eligibility verdict = evaluate_eligibility(calc, agg, M);
+  const Eligibility verdict =
+      evaluate_eligibility(make_calculus(config_, wal_.state()), agg, M);
   if (!verdict.eligible) {
-    persist();
+    wal_.commit();
     session_active_ = false;
     notify_rejected(*current_view(), verdict.reason);
     return;
@@ -132,17 +108,12 @@ void CentralizedDvProtocol::run_coordinator_decision() {
 
   // Hop 2: the coordinator records its own attempt first, then hands
   // every member the decision.
-  state_.session_number = agg.max_session + 1;
-  const Session session{M, state_.session_number};
-  state_.record_attempt(session, id());
-  wal_.stage(StateDelta::attempt(session, /*record_limit=*/0));
-  persist();
-  attempted_this_session_ = true;
-  notify_attempt(session);
+  const Session session{M, agg.max_session + 1};
+  persist_attempt(session);
 
   auto attempt = std::make_shared<CentralizedPayload>();
   attempt->hop = CentralizedPayload::Hop::kAttempt;
-  attempt->session_number = state_.session_number;
+  attempt->session_number = session.number;
   for (ProcessId member : M) {
     if (member != id()) send(member, attempt);
   }
@@ -156,7 +127,7 @@ void CentralizedDvProtocol::maybe_commit() {
   if (!session_active_ || !coordinating()) return;
   if (acked_.size() != current_view()->members.size()) return;
   // Hop 4: everyone's attempt is durable; commit.
-  const SessionNumber number = state_.session_number;
+  const SessionNumber number = wal_.state().session_number;
   form(number);
   auto commit = std::make_shared<CentralizedPayload>();
   commit->hop = CentralizedPayload::Hop::kCommit;
@@ -168,13 +139,8 @@ void CentralizedDvProtocol::maybe_commit() {
 
 void CentralizedDvProtocol::handle_attempt(const CentralizedPayload& msg) {
   ensure(!coordinating(), "attempt hop reached the coordinator");
-  state_.session_number = msg.session_number;
-  const Session session{current_view()->members, msg.session_number};
-  state_.record_attempt(session, id());
-  wal_.stage(StateDelta::attempt(session, /*record_limit=*/0));
-  persist();  // durable BEFORE the ack: the whole point of the hop
-  attempted_this_session_ = true;
-  notify_attempt(session);
+  // Durable BEFORE the ack: the whole point of the hop.
+  persist_attempt(Session{current_view()->members, msg.session_number});
 
   auto ack = std::make_shared<CentralizedPayload>();
   ack->hop = CentralizedPayload::Hop::kAck;
@@ -184,16 +150,22 @@ void CentralizedDvProtocol::handle_attempt(const CentralizedPayload& msg) {
 
 void CentralizedDvProtocol::handle_commit(const CentralizedPayload& msg) {
   ensure(attempted_this_session_, "commit without a recorded attempt");
-  ensure(msg.session_number == state_.session_number,
+  ensure(msg.session_number == wal_.state().session_number,
          "commit session number mismatch");
   form(msg.session_number);
 }
 
+void CentralizedDvProtocol::persist_attempt(const Session& session) {
+  wal_.apply(StateDelta::attempt(session, /*record_limit=*/0));
+  wal_.commit();
+  attempted_this_session_ = true;
+  notify_attempt(session);
+}
+
 void CentralizedDvProtocol::form(SessionNumber number) {
   const Session session{current_view()->members, number};
-  state_.apply_form(session);
-  wal_.stage(StateDelta::form(session));
-  persist();
+  wal_.apply(StateDelta::form(session));
+  wal_.commit();
   session_active_ = false;
   // 4 hops of latency; reported as 4 rounds for the cost comparisons.
   enter_primary(session, 4);
@@ -206,13 +178,6 @@ void CentralizedDvProtocol::on_crash() {
   acked_ = ProcessSet{};
 }
 
-void CentralizedDvProtocol::on_recover() {
-  if (std::optional<ProtocolState> recovered = wal_.recover()) {
-    state_ = std::move(*recovered);
-  } else {
-    state_ = ProtocolState::after_disk_loss(id());
-    wal_.checkpoint(state_);
-  }
-}
+void CentralizedDvProtocol::on_recover() { wal_.recover(); }
 
 }  // namespace dynvote

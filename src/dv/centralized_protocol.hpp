@@ -57,13 +57,10 @@ class CentralizedDvProtocol : public ProtocolNode {
  public:
   CentralizedDvProtocol(sim::Transport& transport, ProcessId id,
                         DvConfig config);
-  CentralizedDvProtocol(sim::Simulator& sim, ProcessId id, DvConfig config);
 
-  [[nodiscard]] const ProtocolState& state() const noexcept { return state_; }
-
-  /// The persistence layer (tests hook its mid-compaction window and
-  /// read its persist counters).
-  [[nodiscard]] WalPersistence& persistence() noexcept { return wal_; }
+  [[nodiscard]] const ProtocolState& state() const noexcept {
+    return wal_.state();
+  }
 
   /// The coordinator of a view: its lowest-ranked member.
   [[nodiscard]] static ProcessId coordinator_of(const View& view);
@@ -76,15 +73,17 @@ class CentralizedDvProtocol : public ProtocolNode {
 
  private:
   [[nodiscard]] bool coordinating() const;
-  void persist();
   void run_coordinator_decision();
   void maybe_commit();
   void handle_attempt(const CentralizedPayload& msg);
   void handle_commit(const CentralizedPayload& msg);
   void form(SessionNumber number);
+  /// Records the attempt durably (paper section 4.4: before the message
+  /// that exposes it) and reports it.
+  void persist_attempt(const Session& session);
 
-  ProtocolState state_;
   DvConfig config_;
+  /// The protocol state and its persistence; see BasicDvProtocol::wal_.
   WalPersistence wal_;
 
   bool session_active_ = false;

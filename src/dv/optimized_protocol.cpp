@@ -16,6 +16,9 @@ bool contains_session(const std::vector<Session>& list, const Session& s) {
 }  // namespace
 
 void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
+  // A view of the live state: every wal_.apply below changes what it shows.
+  const ProtocolState& state = wal_.state();
+
   // ---- Learning rules (paper section 5.2) --------------------------------
   std::set<SessionNumber> formed_by_nobody;
   for (const auto& [q, info] : infos) {
@@ -27,23 +30,23 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
 
     const Session* formed = info->last_formed.find(id());
 
-    for (AmbiguousSession& amb : state_.ambiguous) {
+    // A knowledge delta rewrites one entry of `amb` in place, so the
+    // walk over the list stays valid.
+    for (const AmbiguousSession& amb : state.ambiguous) {
       if (!amb.session.members.contains(q)) continue;
       if (formed != nullptr && formed->number == amb.session.number) {
         // Last_Formed_q(p).N = S.N  =>  q formed S.
         ensure(formed->members == amb.session.members,
                "formed session number collision (Lemma 10 violated)");
         if (amb.knowledge_about(q) != FormedKnowledge::kFormed) {
-          amb.set_knowledge(q, FormedKnowledge::kFormed);
-          wal_.stage(StateDelta::learned(amb.session.number, q,
+          wal_.apply(StateDelta::learned(amb.session.number, q,
                                          FormedKnowledge::kFormed));
         }
       } else if (formed == nullptr || formed->number < amb.session.number) {
         // Last_Formed_q(p).N < S.N  =>  q did not form S. (No entry at
         // all means q never formed any session containing us.)
         if (amb.knowledge_about(q) != FormedKnowledge::kNotFormed) {
-          amb.set_knowledge(q, FormedKnowledge::kNotFormed);
-          wal_.stage(StateDelta::learned(amb.session.number, q,
+          wal_.apply(StateDelta::learned(amb.session.number, q,
                                          FormedKnowledge::kNotFormed));
         }
       }
@@ -73,7 +76,7 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
   // becomes Last_Primary ("the other members behave as if they also
   // formed this session").
   const AmbiguousSession* to_adopt = nullptr;
-  for (const AmbiguousSession& amb : state_.ambiguous) {
+  for (const AmbiguousSession& amb : state.ambiguous) {
     if (amb.known_formed_by_someone()) {
       ensure(!formed_by_nobody.contains(amb.session.number),
              "session both formed and formed-by-nobody");
@@ -82,14 +85,15 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
       }
     }
   }
-  if (to_adopt) {
-    const Session adopted = to_adopt->session;  // copy before mutating list
+  const bool adopting = to_adopt != nullptr;
+  if (adopting) {
     // Close the lifetime span of every record the adoption resolves: the
     // adopted session itself plus everything it supersedes (adopt_formed
-    // erases all records with number <= adopted.number).
-    for (const AmbiguousSession& amb : state_.ambiguous) {
-      if (amb.session.number > adopted.number) continue;
-      if (amb.session.number == adopted.number) {
+    // erases all records with number <= the adopted one).
+    const SessionNumber adopted = to_adopt->session.number;
+    for (const AmbiguousSession& amb : state.ambiguous) {
+      if (amb.session.number > adopted) continue;
+      if (amb.session.number == adopted) {
         record_ambiguity_resolution(obs::TraceEventKind::kAmbiguityAdopted,
                                     amb.session, "fig2-adoption");
       } else {
@@ -97,36 +101,33 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
                                     amb.session, "fig2-adoption-supersedes");
       }
     }
-    state_.adopt_formed(adopted);
-    wal_.stage(StateDelta::adopt(adopted));
+    // The delta takes its copy of the session before the adoption erases
+    // the record.
+    wal_.apply(StateDelta::adopt(to_adopt->session));
     ++gc_adoptions_;
   }
 
   // Deletion: sessions formed by nobody are no constraint on anything.
-  const std::size_t before = state_.ambiguous.size();
   std::vector<SessionNumber> deleted;
-  std::erase_if(state_.ambiguous, [&](const AmbiguousSession& amb) {
+  for (const AmbiguousSession& amb : state.ambiguous) {
+    const char* rule = nullptr;
     if (amb.known_unformed_by_all()) {
-      record_ambiguity_resolution(obs::TraceEventKind::kAmbiguityResolved,
-                                  amb.session, "5.2-rule1-unformed-by-all");
-      deleted.push_back(amb.session.number);
-      return true;
+      rule = "5.2-rule1-unformed-by-all";
+    } else if (formed_by_nobody.contains(amb.session.number)) {
+      rule = "5.2-rule2-formed-by-nobody";
+    } else {
+      continue;
     }
-    if (formed_by_nobody.contains(amb.session.number)) {
-      record_ambiguity_resolution(obs::TraceEventKind::kAmbiguityResolved,
-                                  amb.session, "5.2-rule2-formed-by-nobody");
-      deleted.push_back(amb.session.number);
-      return true;
-    }
-    return false;
-  });
-  if (!deleted.empty()) {
-    wal_.stage(StateDelta::erase_ambiguous(std::move(deleted)));
+    record_ambiguity_resolution(obs::TraceEventKind::kAmbiguityResolved,
+                                amb.session, rule);
+    deleted.push_back(amb.session.number);
   }
-  gc_deletions_ += before - state_.ambiguous.size();
-  if (to_adopt != nullptr || before != state_.ambiguous.size()) {
-    record_ambiguity_level();
+  const bool deleting = !deleted.empty();
+  if (deleting) {
+    gc_deletions_ += deleted.size();
+    wal_.apply(StateDelta::erase_ambiguous(std::move(deleted)));
   }
+  if (adopting || deleting) record_ambiguity_level();
 }
 
 }  // namespace dynvote

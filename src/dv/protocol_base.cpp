@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "sim/simulator.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -12,10 +11,6 @@ SessionProtocolBase::SessionProtocolBase(sim::Transport& transport,
     : ProtocolNode(transport, id), max_phases_(max_phases) {
   ensure(max_phases_ >= 0, "negative phase count");
 }
-
-SessionProtocolBase::SessionProtocolBase(sim::Simulator& sim, ProcessId id,
-                                         int max_phases)
-    : SessionProtocolBase(sim.transport(), id, max_phases) {}
 
 void SessionProtocolBase::on_view(const View& view) {
   // "Set Is_Primary to FALSE" — step 1 of every session (paper fig. 1).

@@ -48,7 +48,6 @@ class SessionProtocolBase : public ProtocolNode {
 
  protected:
   SessionProtocolBase(sim::Transport& transport, ProcessId id, int max_phases);
-  SessionProtocolBase(sim::Simulator& sim, ProcessId id, int max_phases);
 
   // -- Node hooks (final: the lifecycle is owned here) ----------------------
   void on_view(const View& view) final;

@@ -16,7 +16,6 @@
 #include "membership/view.hpp"
 #include "obs/trace.hpp"
 #include "sim/node.hpp"
-#include "util/codec.hpp"
 
 namespace dynvote {
 
@@ -24,9 +23,6 @@ class ProtocolNode : public sim::Node {
  public:
   ProtocolNode(sim::Transport& transport, ProcessId id)
       : sim::Node(transport, id) {}
-  /// Convenience for simulator-driven code: Node resolves the
-  /// simulator's transport.
-  ProtocolNode(sim::Simulator& sim, ProcessId id) : sim::Node(sim, id) {}
 
   void set_observer(ProtocolObserver* observer) noexcept {
     observer_ = observer;
@@ -133,16 +129,7 @@ class ProtocolNode : public sim::Node {
 
   [[nodiscard]] ProtocolObserver* observer() const noexcept { return observer_; }
 
-  /// Scratch encoder for the persist path. Returned cleared; the buffer
-  /// capacity persists across calls, so a protocol that re-encodes its
-  /// state on every step stops paying one allocation per stable write.
-  [[nodiscard]] Encoder& scratch_encoder() noexcept {
-    scratch_.clear();
-    return scratch_;
-  }
-
  private:
-  Encoder scratch_;
   ProtocolObserver* observer_ = nullptr;
   std::optional<Session> primary_;
   std::uint64_t formed_count_ = 0;

@@ -29,18 +29,13 @@ ProtocolState ProtocolState::after_disk_loss(ProcessId self) {
 }
 
 AmbiguousSession* ProtocolState::find_ambiguous(SessionNumber number) {
-  for (auto& a : ambiguous) {
-    if (a.session.number == number) return &a;
-  }
-  return nullptr;
-}
-
-const AmbiguousSession* ProtocolState::find_ambiguous(
-    SessionNumber number) const {
-  for (const auto& a : ambiguous) {
-    if (a.session.number == number) return &a;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(
+      ambiguous.begin(), ambiguous.end(), number,
+      [](const AmbiguousSession& a, SessionNumber n) {
+        return a.session.number < n;
+      });
+  return it != ambiguous.end() && it->session.number == number ? &*it
+                                                                : nullptr;
 }
 
 void ProtocolState::record_attempt(const Session& session, ProcessId self) {
@@ -112,6 +107,11 @@ ProtocolState ProtocolState::decode(Decoder& dec) {
   state.ambiguous.reserve(n_ambiguous);
   for (std::uint64_t i = 0; i < n_ambiguous; ++i) {
     state.ambiguous.push_back(AmbiguousSession::decode(dec));
+    // find_ambiguous searches by number, so only one order is valid.
+    if (i != 0 && state.ambiguous[i].session.number <=
+                      state.ambiguous[i - 1].session.number) {
+      throw CodecError("ambiguous sessions not ascending by session number");
+    }
   }
   state.last_formed = LastFormed::decode(dec);
   state.participants = ParticipantTracker::decode(dec);
@@ -119,65 +119,35 @@ ProtocolState ProtocolState::decode(Decoder& dec) {
   return state;
 }
 
-StateDelta StateDelta::session_number(SessionNumber n) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kSessionNumber;
-  d.number = n;
-  return d;
-}
-
 StateDelta StateDelta::attempt(Session s, std::uint64_t record_limit) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kAttempt;
-  d.session = std::move(s);
-  d.record_limit = record_limit;
-  return d;
+  return {StateDeltaKind::kAttempt, record_limit, std::move(s)};
 }
 
 StateDelta StateDelta::form(Session s) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kForm;
-  d.session = std::move(s);
-  return d;
+  return {StateDeltaKind::kForm, 0, std::move(s)};
 }
 
 StateDelta StateDelta::adopt(Session s) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kAdopt;
-  d.session = std::move(s);
-  return d;
+  return {StateDeltaKind::kAdopt, 0, std::move(s)};
 }
 
 StateDelta StateDelta::learned(SessionNumber n, ProcessId q,
                                FormedKnowledge k) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kKnowledge;
-  d.number = n;
-  d.subject = q;
-  d.knowledge = k;
-  return d;
+  return {StateDeltaKind::kKnowledge, 0, Learned{n, q, k}};
 }
 
 StateDelta StateDelta::erase_ambiguous(std::vector<SessionNumber> numbers) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kEraseAmbiguous;
-  d.numbers = std::move(numbers);
-  return d;
+  return {StateDeltaKind::kEraseAmbiguous, 0, std::move(numbers)};
 }
 
 StateDelta StateDelta::merge_participants(ParticipantTracker t) {
-  StateDelta d;
-  d.kind = StateDeltaKind::kParticipants;
-  d.participants = std::move(t);
-  return d;
+  return {StateDeltaKind::kParticipants, 0, std::move(t)};
 }
 
 void StateDelta::apply(ProtocolState& state, ProcessId self) const {
   switch (kind) {
-    case StateDeltaKind::kSessionNumber:
-      state.session_number = number;
-      return;
-    case StateDeltaKind::kAttempt:
+    case StateDeltaKind::kAttempt: {
+      const Session& session = std::get<Session>(operand);
       state.session_number = session.number;
       state.record_attempt(session, self);
       if (record_limit != 0 && state.ambiguous.size() > record_limit) {
@@ -186,27 +156,33 @@ void StateDelta::apply(ProtocolState& state, ProcessId self) const {
             state.ambiguous.end() - static_cast<std::ptrdiff_t>(record_limit));
       }
       return;
-    case StateDeltaKind::kForm:
+    }
+    case StateDeltaKind::kForm: {
+      const Session& session = std::get<Session>(operand);
       state.session_number = session.number;
       state.apply_form(session);
       return;
+    }
     case StateDeltaKind::kAdopt:
-      state.adopt_formed(session);
+      state.adopt_formed(std::get<Session>(operand));
       return;
     case StateDeltaKind::kKnowledge: {
-      AmbiguousSession* amb = state.find_ambiguous(number);
+      const Learned& fact = std::get<Learned>(operand);
+      AmbiguousSession* amb = state.find_ambiguous(fact.number);
       ensure(amb != nullptr, "knowledge delta for unrecorded session");
-      amb->set_knowledge(subject, knowledge);
+      amb->set_knowledge(fact.subject, fact.knowledge);
       return;
     }
-    case StateDeltaKind::kEraseAmbiguous:
-      std::erase_if(state.ambiguous, [&](const AmbiguousSession& a) {
-        return std::find(numbers.begin(), numbers.end(), a.session.number) !=
-               numbers.end();
+    case StateDeltaKind::kEraseAmbiguous: {
+      const auto& numbers = std::get<std::vector<SessionNumber>>(operand);
+      std::erase_if(state.ambiguous, [&numbers](const AmbiguousSession& a) {
+        return std::binary_search(numbers.begin(), numbers.end(),
+                                  a.session.number);
       });
       return;
+    }
     case StateDeltaKind::kParticipants:
-      state.participants = participants;
+      state.participants = std::get<ParticipantTracker>(operand);
       return;
   }
   ensure(false, "unknown state-delta kind");
@@ -228,70 +204,72 @@ FormedKnowledge decode_knowledge(std::uint8_t byte) {
 void StateDelta::encode(Encoder& enc) const {
   enc.put_u8(static_cast<std::uint8_t>(kind));
   switch (kind) {
-    case StateDeltaKind::kSessionNumber:
-      enc.put_i64(number);
-      return;
     case StateDeltaKind::kAttempt:
-      session.encode(enc);
+      std::get<Session>(operand).encode(enc);
       enc.put_varint(record_limit);
       return;
     case StateDeltaKind::kForm:
     case StateDeltaKind::kAdopt:
-      session.encode(enc);
+      std::get<Session>(operand).encode(enc);
       return;
-    case StateDeltaKind::kKnowledge:
-      enc.put_i64(number);
-      enc.put_process_id(subject);
-      enc.put_u8(encode_knowledge(knowledge));
+    case StateDeltaKind::kKnowledge: {
+      const Learned& fact = std::get<Learned>(operand);
+      enc.put_i64(fact.number);
+      enc.put_process_id(fact.subject);
+      enc.put_u8(encode_knowledge(fact.knowledge));
       return;
-    case StateDeltaKind::kEraseAmbiguous:
+    }
+    case StateDeltaKind::kEraseAmbiguous: {
+      const auto& numbers = std::get<std::vector<SessionNumber>>(operand);
       enc.put_varint(numbers.size());
       for (SessionNumber n : numbers) enc.put_i64(n);
       return;
+    }
     case StateDeltaKind::kParticipants:
-      participants.encode(enc);
+      std::get<ParticipantTracker>(operand).encode(enc);
       return;
   }
   ensure(false, "unknown state-delta kind");
 }
 
 StateDelta StateDelta::decode(Decoder& dec) {
-  StateDelta d;
   const std::uint8_t kind = dec.get_u8();
-  if (kind < static_cast<std::uint8_t>(StateDeltaKind::kSessionNumber) ||
+  if (kind < static_cast<std::uint8_t>(StateDeltaKind::kAttempt) ||
       kind > static_cast<std::uint8_t>(StateDeltaKind::kParticipants)) {
     throw CodecError("unknown state-delta kind");
   }
-  d.kind = static_cast<StateDeltaKind>(kind);
-  switch (d.kind) {
-    case StateDeltaKind::kSessionNumber:
-      d.number = dec.get_i64();
-      return d;
-    case StateDeltaKind::kAttempt:
-      d.session = Session::decode(dec);
-      d.record_limit = dec.get_varint();
-      return d;
+  switch (static_cast<StateDeltaKind>(kind)) {
+    case StateDeltaKind::kAttempt: {
+      Session session = Session::decode(dec);
+      return attempt(std::move(session), dec.get_varint());
+    }
     case StateDeltaKind::kForm:
+      return form(Session::decode(dec));
     case StateDeltaKind::kAdopt:
-      d.session = Session::decode(dec);
-      return d;
-    case StateDeltaKind::kKnowledge:
-      d.number = dec.get_i64();
-      d.subject = dec.get_process_id();
-      d.knowledge = decode_knowledge(dec.get_u8());
-      return d;
+      return adopt(Session::decode(dec));
+    case StateDeltaKind::kKnowledge: {
+      const SessionNumber number = dec.get_i64();
+      const ProcessId subject = dec.get_process_id();
+      return learned(number, subject, decode_knowledge(dec.get_u8()));
+    }
     case StateDeltaKind::kEraseAmbiguous: {
       const std::uint64_t n = dec.get_varint();
       if (n > dec.remaining()) {
         throw CodecError("erase-delta count prefix too large");
       }
-      d.numbers.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) d.numbers.push_back(dec.get_i64());
-      return d;
+      std::vector<SessionNumber> numbers;
+      numbers.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        numbers.push_back(dec.get_i64());
+        // apply searches the list, so only one order is valid.
+        if (i != 0 && numbers[i] <= numbers[i - 1]) {
+          throw CodecError("erased session numbers not ascending");
+        }
+      }
+      return erase_ambiguous(std::move(numbers));
     }
     case StateDeltaKind::kParticipants:
-      d.participants = ParticipantTracker::decode(dec);
-      return d;
+      return merge_participants(ParticipantTracker::decode(dec));
   }
   throw CodecError("unknown state-delta kind");
 }

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "dv/last_formed.hpp"
@@ -60,11 +61,11 @@ struct ProtocolState {
     return last_primary ? last_primary->number : kNoSessionNumber;
   }
 
-  /// Finds the recorded ambiguous session with the given number, if any.
-  /// Session numbers are unique within one process's list (Lemma 1).
+  /// Finds the recorded ambiguous session with the given number, if any,
+  /// by binary search: the list ascends strictly by session number
+  /// (record_attempt keeps it sorted, Lemma 1 makes numbers unique, and
+  /// decode rejects any other order).
   [[nodiscard]] AmbiguousSession* find_ambiguous(SessionNumber number);
-  [[nodiscard]] const AmbiguousSession* find_ambiguous(
-      SessionNumber number) const;
 
   /// Records an attempt (paper figure 1 / figure 3, step 2): appends
   /// (members, number), overwriting an existing attempt with the same
@@ -89,18 +90,17 @@ struct ProtocolState {
   friend bool operator==(const ProtocolState&, const ProtocolState&) = default;
 };
 
-/// One delta record of the persistence WAL (dv/wal.hpp). Each kind
-/// mirrors exactly one mutation of ProtocolState, so a step that changed
-/// the state is durably described by the (ordered) deltas it staged, and
-/// `apply` replays it: replay(checkpoint, log) must always reproduce the
-/// live state — the cross-check in WalPersistence asserts it does.
+/// One change of ProtocolState, and one record of the persistence WAL
+/// (dv/wal.hpp). A protocol step changes its durable state only through
+/// WalPersistence::apply, which runs `apply` on the live state and stages
+/// the same delta for the step's commit, so replay(checkpoint, log)
+/// reproduces the live state by construction; the cross-check in
+/// WalPersistence re-reads the disk to confirm it.
 enum class StateDeltaKind : std::uint8_t {
-  /// Raw Session_Number assignment (rarely needed alone: kAttempt and
-  /// kForm both carry the number of the session they install).
-  kSessionNumber = 1,
   /// Attempt step: Session_Number := S.N, record_attempt(S), then the
   /// deliberately-unsound truncation of DvConfig::ambiguous_record_limit
-  /// if the writer had one configured.
+  /// if the writer had one configured. (Kind byte 1 is retired; decode
+  /// rejects it.)
   kAttempt = 2,
   /// Form step: Session_Number := S.N, apply_form(S). S is the *recorded*
   /// session (baselines may pin a different membership than the view).
@@ -111,7 +111,7 @@ enum class StateDeltaKind : std::uint8_t {
   /// session with the given number.
   kKnowledge = 5,
   /// Resolution-rule deletions: drop the ambiguous sessions with these
-  /// numbers ("formed by nobody").
+  /// numbers ("formed by nobody"), listed in ascending order.
   kEraseAmbiguous = 6,
   /// Attempt-step participant merge (paper section 6): the post-merge
   /// W / A tracker (small: two process sets).
@@ -119,16 +119,26 @@ enum class StateDeltaKind : std::uint8_t {
 };
 
 struct StateDelta {
-  StateDeltaKind kind = StateDeltaKind::kSessionNumber;
-  Session session;                      // kAttempt / kForm / kAdopt
-  SessionNumber number = 0;             // kSessionNumber / kKnowledge
-  ProcessId subject;                    // kKnowledge
-  FormedKnowledge knowledge = FormedKnowledge::kUnknown;  // kKnowledge
-  std::vector<SessionNumber> numbers;   // kEraseAmbiguous
-  ParticipantTracker participants;      // kParticipants
-  std::uint64_t record_limit = 0;       // kAttempt (0 = unlimited)
+  /// kKnowledge: S.A[subject] := knowledge for the ambiguous session S
+  /// numbered `number`.
+  struct Learned {
+    SessionNumber number = 0;
+    ProcessId subject;
+    FormedKnowledge knowledge = FormedKnowledge::kUnknown;
+    friend bool operator==(const Learned&, const Learned&) = default;
+  };
 
-  [[nodiscard]] static StateDelta session_number(SessionNumber n);
+  StateDeltaKind kind = StateDeltaKind::kKnowledge;
+  std::uint64_t record_limit = 0;  // kAttempt (0 = unlimited)
+  /// The kind's operand and nothing else: a Learned fact (kKnowledge),
+  /// a Session (kAttempt / kForm / kAdopt), the erased numbers, ascending
+  /// (kEraseAmbiguous), or the merged tracker (kParticipants). The
+  /// learning pass stages one delta per fact, so building, staging and
+  /// destroying a fact touches a few words, not every kind's fields.
+  std::variant<Learned, Session, std::vector<SessionNumber>,
+               ParticipantTracker>
+      operand;
+
   [[nodiscard]] static StateDelta attempt(Session s,
                                           std::uint64_t record_limit);
   [[nodiscard]] static StateDelta form(Session s);
@@ -139,8 +149,9 @@ struct StateDelta {
       std::vector<SessionNumber> numbers);
   [[nodiscard]] static StateDelta merge_participants(ParticipantTracker t);
 
-  /// Replays this delta against `state`. `self` is the replaying process
-  /// (attempt records initialize their knowledge array around it).
+  /// Applies this delta to `state`, live or in replay. `self` is the
+  /// process that owns the state (attempt records initialize their
+  /// knowledge array around it).
   void apply(ProtocolState& state, ProcessId self) const;
 
   void encode(Encoder& enc) const;

@@ -11,12 +11,14 @@ namespace dynvote {
 WalPersistence::WalPersistence(sim::StableStorage& storage,
                                obs::MetricsRegistry* metrics,
                                std::string_view key_prefix, ProcessId self,
-                               PersistenceOptions options)
+                               PersistenceOptions options,
+                               ProtocolState initial)
     : storage_(storage),
       options_(options),
       self_(self),
       ckpt_key_(storage.intern(key_prefix)),
-      wal_key_(storage.intern(std::string(key_prefix) + ".wal")) {
+      wal_key_(storage.intern(std::string(key_prefix) + ".wal")),
+      state_(std::move(initial)) {
   if (metrics != nullptr) {
     wal_appends_ = &metrics->counter("dv.storage.wal_appends");
     wal_bytes_ = &metrics->counter("dv.storage.wal_bytes");
@@ -26,20 +28,22 @@ WalPersistence::WalPersistence(sim::StableStorage& storage,
     snapshot_bytes_ = &metrics->counter("dv.storage.snapshot_bytes");
     persist_calls_ = &metrics->counter("dv.storage.persists");
   }
+  checkpoint();
 }
 
-void WalPersistence::stage(StateDelta delta) {
-  if (options_.mode != PersistenceMode::kWal) return;
-  pending_.push_back(std::move(delta));
+void WalPersistence::apply(StateDelta delta) {
+  delta.apply(state_, self_);
+  if (options_.mode == PersistenceMode::kWal) {
+    pending_.push_back(std::move(delta));
+  }
 }
 
-void WalPersistence::commit(const ProtocolState& state) {
+void WalPersistence::commit() {
   ++persists_;
   if (persist_calls_ != nullptr) persist_calls_->increment();
 
   if (options_.mode == PersistenceMode::kSnapshot) {
-    write_snapshot(state);
-    if (options_.cross_check) verify_cross_check(state);
+    checkpoint();  // the whole state, every time
     return;
   }
 
@@ -56,69 +60,74 @@ void WalPersistence::commit(const ProtocolState& state) {
       wal_bytes_->add(scratch_.size());
     }
   }
-  // else: nothing mutated since the last commit — the bytes on disk
-  // already describe `state`, so the write is elided entirely.
+  // else: nothing changed since the last commit — the bytes on disk
+  // already describe the state, so the write is elided entirely.
 
   if (storage_.log_bytes(wal_key_) > compact_threshold()) {
-    checkpoint(state);  // verifies internally
+    checkpoint();  // verifies internally
     return;
   }
-  if (options_.cross_check) verify_cross_check(state);
+  if (options_.cross_check) verify_cross_check();
 }
 
-void WalPersistence::checkpoint(const ProtocolState& state) {
+void WalPersistence::reset(ProtocolState state) {
+  state_ = std::move(state);
+  checkpoint();
+}
+
+void WalPersistence::checkpoint() {
   // Anything still staged is folded into the snapshot below.
   pending_.clear();
+  scratch_.clear();
 
   if (options_.mode == PersistenceMode::kSnapshot) {
-    write_snapshot(state);
-    if (options_.cross_check) verify_cross_check(state);
-    return;
+    // Raw ProtocolState, no checkpoint framing: byte-identical to the
+    // pre-WAL persist path.
+    state_.encode(scratch_);
+    storage_.put(ckpt_key_, scratch_.bytes().data(), scratch_.size());
+    if (snapshots_ != nullptr) {
+      snapshots_->increment();
+      snapshot_bytes_->add(scratch_.size());
+    }
+  } else {
+    // Batches appended so far carry lsn < next_lsn_; all of them are
+    // folded into this snapshot, so recovery must skip every one that a
+    // mid-compaction crash leaves behind in the log.
+    encode_checkpoint(scratch_, state_, /*covers_lsn=*/next_lsn_ - 1);
+    storage_.put(ckpt_key_, scratch_.bytes().data(), scratch_.size());
+    last_checkpoint_bytes_ = scratch_.size();
+    if (checkpoints_ != nullptr) {
+      checkpoints_->increment();
+      checkpoint_bytes_->add(scratch_.size());
+    }
+    if (before_truncate_hook_) before_truncate_hook_();
+    storage_.truncate_log(wal_key_);
   }
 
-  scratch_.clear();
-  // Batches appended so far carry lsn < next_lsn_; all of them are
-  // folded into this snapshot, so recovery must skip every one that a
-  // mid-compaction crash leaves behind in the log.
-  encode_checkpoint(scratch_, state, /*covers_lsn=*/next_lsn_ - 1);
-  storage_.put(ckpt_key_, scratch_.bytes().data(), scratch_.size());
-  last_checkpoint_bytes_ = scratch_.size();
-  if (checkpoints_ != nullptr) {
-    checkpoints_->increment();
-    checkpoint_bytes_->add(scratch_.size());
-  }
-
-  if (before_truncate_hook_) before_truncate_hook_();
-  storage_.truncate_log(wal_key_);
-
-  if (options_.cross_check) verify_cross_check(state);
+  if (options_.cross_check) verify_cross_check();
 }
 
-std::optional<ProtocolState> WalPersistence::recover() {
+bool WalPersistence::recover(ProtocolState* lost) {
   pending_.clear();
   std::uint64_t max_lsn = 0;
-  std::optional<ProtocolState> state = replay_storage(&max_lsn);
+  std::optional<ProtocolState> recovered = replay_storage(&max_lsn);
   next_lsn_ = max_lsn + 1;
-  const std::vector<std::uint8_t>* ckpt = storage_.value(ckpt_key_);
-  last_checkpoint_bytes_ = ckpt != nullptr ? ckpt->size() : 0;
-  return state;
+  if (!recovered) {
+    // Birth wrote a checkpoint, so an empty store means the disk was
+    // destroyed; the fresh checkpoint covers no batch (lsn 0).
+    if (lost != nullptr) *lost = std::move(state_);
+    reset(ProtocolState::after_disk_loss(self_));
+    return false;
+  }
+  state_ = std::move(*recovered);
+  last_checkpoint_bytes_ = storage_.value(ckpt_key_)->size();
+  return true;
 }
 
 std::size_t WalPersistence::compact_threshold() const noexcept {
   const auto scaled = static_cast<std::size_t>(
       options_.compact_factor * static_cast<double>(last_checkpoint_bytes_));
   return std::max(options_.min_compact_bytes, scaled);
-}
-
-void WalPersistence::write_snapshot(const ProtocolState& state) {
-  scratch_.clear();
-  state.encode(scratch_);
-  storage_.put(ckpt_key_, scratch_.bytes().data(), scratch_.size());
-  last_checkpoint_bytes_ = scratch_.size();
-  if (snapshots_ != nullptr) {
-    snapshots_->increment();
-    snapshot_bytes_->add(scratch_.size());
-  }
 }
 
 std::optional<ProtocolState> WalPersistence::replay_storage(
@@ -156,14 +165,14 @@ std::optional<ProtocolState> WalPersistence::replay_storage(
   return state;
 }
 
-void WalPersistence::verify_cross_check(const ProtocolState& state) const {
+void WalPersistence::verify_cross_check() const {
   const std::optional<ProtocolState> replayed = replay_storage(nullptr);
   ensure(replayed.has_value(), "cross-check: storage empty after persist");
-  if (*replayed != state) {
+  if (*replayed != state_) {
     throw InvariantViolation(
-        "cross-check: replay(checkpoint, log) diverges from live state — a "
-        "mutation was not staged.\n  replayed: " +
-        replayed->to_string() + "\n  live:     " + state.to_string());
+        "cross-check: replay(checkpoint, log) diverges from live state — "
+        "the bytes on disk do not describe it.\n  replayed: " +
+        replayed->to_string() + "\n  live:     " + state_.to_string());
   }
 }
 

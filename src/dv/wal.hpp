@@ -11,6 +11,13 @@
 // configurable factor, so steady-state write cost stays near-constant
 // in n.
 //
+// WalPersistence owns the ProtocolState it persists. A protocol reads
+// it through state() and changes it one way only: apply(delta) runs
+// StateDelta::apply on the live state and stages the same delta for the
+// step's commit. So the staged batch always describes exactly what the
+// step changed, and the write path (commit, compaction, reset) is the
+// only place that turns state into stable bytes.
+//
 // Layout (two interned keys of sim::StableStorage):
 //   <prefix>       the checkpoint: either a versioned CheckpointRecord
 //                  (WAL mode) or a legacy raw ProtocolState snapshot
@@ -22,10 +29,13 @@
 // it covers and recovery skips log batches at or below it.
 //
 // The durability contract is guarded, not assumed: with cross_check on
-// (the default, and required in tests), every commit re-runs recovery
+// (the default, and required in tests), every write re-runs recovery
 // from the bytes actually on disk and asserts replay(checkpoint, log)
-// equals the live state — a mutation that forgot to stage its delta
-// fails loudly at the very step that made it.
+// equals the live state. Since a step cannot change the state without
+// staging its delta, what the check guards is the codec and the disk:
+// a delta or checkpoint that encodes, decodes or replays differently
+// from how it applied live, or bytes that changed on disk, fail loudly
+// at the very write that exposed them.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +57,8 @@ namespace dynvote {
 
 enum class PersistenceMode : std::uint8_t {
   /// Re-encode and rewrite the full snapshot on every persist (the
-  /// pre-WAL behavior; kept as the bench baseline and fallback).
+  /// pre-WAL behavior; kept as the bench baseline and for the naive
+  /// baseline, which keeps no log).
   kSnapshot,
   /// Append per-step deltas; compact past the threshold.
   kWal,
@@ -72,34 +83,41 @@ struct PersistenceOptions {
 
 class WalPersistence {
  public:
-  /// `metrics` may be null (unit tests); counters are registered lazily.
+  /// Takes `initial` as the live state and writes it as the first
+  /// checkpoint: durable from birth, so a crash before the first step
+  /// must not erase the fact that a core member once knew (W0, 0).
+  /// `metrics` may be null (unit tests); counters are registered once.
   WalPersistence(sim::StableStorage& storage, obs::MetricsRegistry* metrics,
                  std::string_view key_prefix, ProcessId self,
-                 PersistenceOptions options);
+                 PersistenceOptions options, ProtocolState initial);
 
-  [[nodiscard]] const PersistenceOptions& options() const noexcept {
-    return options_;
-  }
+  /// The live state: what the last apply left, durable once committed.
+  [[nodiscard]] const ProtocolState& state() const noexcept { return state_; }
 
-  /// Records one mutation of the running step. No-op in snapshot mode.
-  void stage(StateDelta delta);
+  /// The one way a step changes the state: applies `delta` to the live
+  /// state and stages it for the next commit (snapshot mode stages
+  /// nothing; its commit rewrites the whole state).
+  void apply(StateDelta delta);
 
-  /// Persists the step just taken: appends the staged batch (WAL mode;
-  /// nothing staged = nothing to write, the state on disk already covers
-  /// `state`) or rewrites the snapshot (snapshot mode). Runs the
-  /// cross-check when enabled, then compacts if the log tripped the
-  /// threshold.
-  void commit(const ProtocolState& state);
+  /// Persists the step just taken (paper section 4.4: before any send
+  /// that exposes it): appends the staged batch (WAL mode; nothing
+  /// staged = nothing to write, the disk already covers the state) or
+  /// rewrites the snapshot (snapshot mode). Runs the cross-check when
+  /// enabled, then compacts if the log tripped the threshold.
+  void commit();
 
-  /// Full rewrite: fresh checkpoint covering everything, log truncated.
-  /// Used at construction (durable from birth) and after disk loss; also
-  /// called internally by compaction.
-  void checkpoint(const ProtocolState& state);
+  /// Replaces the whole state and writes it as a fresh checkpoint,
+  /// dropping anything staged and truncating the log.
+  void reset(ProtocolState state);
 
-  /// Reloads state from storage: checkpoint (either format) plus the log
-  /// tail beyond it. nullopt = empty disk (paper footnote 4: destroyed).
-  /// Resets the staging buffer and LSN bookkeeping.
-  [[nodiscard]] std::optional<ProtocolState> recover();
+  /// Reloads the state after a crash: checkpoint (either format) plus
+  /// the log tail beyond it, with the staging buffer and LSN bookkeeping
+  /// restored to match. Returns false when the disk was destroyed (paper
+  /// footnote 4): the process then restarts with Last_Primary = (∞,-1)
+  /// and no trustworthy history (ProtocolState::after_disk_loss) on a
+  /// fresh checkpoint, and `lost`, if given, receives the state it held
+  /// in memory before.
+  bool recover(ProtocolState* lost = nullptr);
 
   /// Test hook, invoked between the checkpoint write and the log
   /// truncation — the mid-compaction window a crash can land in.
@@ -112,20 +130,23 @@ class WalPersistence {
 
  private:
   [[nodiscard]] std::size_t compact_threshold() const noexcept;
-  /// Legacy full-state write (snapshot mode): raw ProtocolState, no
-  /// checkpoint framing — byte-identical to the pre-WAL persist path.
-  void write_snapshot(const ProtocolState& state);
+  /// Full rewrite of the live state: a checkpoint covering every batch
+  /// appended so far, then the log truncated (or, in snapshot mode, the
+  /// raw snapshot). Used at birth, by reset, by compaction and by every
+  /// snapshot-mode commit.
+  void checkpoint();
   /// Decodes checkpoint + log into a fresh state; nullopt on empty disk.
   /// `max_lsn_out` (optional) receives the highest LSN seen.
   [[nodiscard]] std::optional<ProtocolState> replay_storage(
       std::uint64_t* max_lsn_out) const;
-  void verify_cross_check(const ProtocolState& state) const;
+  void verify_cross_check() const;
 
   sim::StableStorage& storage_;
   PersistenceOptions options_;
   ProcessId self_;
   sim::StableStorage::KeyId ckpt_key_;
   sim::StableStorage::KeyId wal_key_;
+  ProtocolState state_;
   Encoder scratch_;
   std::vector<StateDelta> pending_;
   std::uint64_t next_lsn_ = 1;

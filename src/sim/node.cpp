@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/simulator.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote::sim {
 
 Node::Node(Transport& transport, ProcessId id)
     : transport_(transport), id_(id) {}
-
-Node::Node(Simulator& sim, ProcessId id) : Node(sim.transport(), id) {}
 
 Node::~Node() = default;
 

@@ -25,17 +25,11 @@
 
 namespace dynvote::sim {
 
-class Simulator;
-
 class Node {
  public:
   /// A node lives on a Transport (sim/transport.hpp): the simulator's
   /// event queue or the pool runtime's worker threads.
   Node(Transport& transport, ProcessId id);
-
-  /// Convenience for simulator-driven code and tests: equivalent to
-  /// Node(sim.transport(), id).
-  Node(Simulator& sim, ProcessId id);
 
   virtual ~Node();
 

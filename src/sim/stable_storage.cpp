@@ -65,35 +65,6 @@ void StableStorage::truncate_log(KeyId key) {
   e.log_records = 0;
 }
 
-void StableStorage::put(const std::string& key,
-                        std::vector<std::uint8_t> value) {
-  put(intern(key), value.data(), value.size());
-}
-
-void StableStorage::put(const std::string& key, const std::uint8_t* data,
-                        std::size_t size) {
-  put(intern(key), data, size);
-}
-
-std::optional<std::vector<std::uint8_t>> StableStorage::get(
-    const std::string& key) const {
-  auto it = ids_.find(key);
-  if (it == ids_.end()) return std::nullopt;
-  const Entry& e = entries_[it->second];
-  if (!e.has_value) return std::nullopt;
-  return e.value;
-}
-
-bool StableStorage::erase(const std::string& key) {
-  auto it = ids_.find(key);
-  if (it == ids_.end()) return false;
-  Entry& e = entries_[it->second];
-  const bool existed = e.has_value;
-  e.has_value = false;
-  e.value.clear();
-  return existed;
-}
-
 void StableStorage::destroy() {
   for (Entry& e : entries_) {
     e.has_value = false;

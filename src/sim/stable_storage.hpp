@@ -12,15 +12,14 @@
 //   * an append-only *log* (`append`) — the delta WAL the protocols
 //     write on every step, truncated when a fresh checkpoint lands.
 //
-// Keys are interned once into small dense `KeyId`s (cold path); the hot
-// persist path indexes a flat vector and never hashes or compares a
-// string. The string overloads remain as thin shims for tests and
-// legacy callers.
+// Keys are interned once into small dense `KeyId`s (cold path); every
+// read and write then names its key by id, so the persist path indexes a
+// flat vector and never hashes or compares a string. Protocol state
+// reaches storage only through WalPersistence (dv/wal.hpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,8 +34,6 @@ class StableStorage {
   /// for the lifetime of the storage (they survive destroy(), which
   /// wipes data, not the naming). Cold path — call once at wiring time.
   KeyId intern(std::string_view key);
-
-  // -- hot-path API (interned keys, no string traffic) ---------------------
 
   /// Durably stores the buffer as the key's value, replacing any
   /// previous value. Reuses the capacity of the existing entry, so a hot
@@ -62,17 +59,6 @@ class StableStorage {
   /// Drops the log (checkpoint compaction). Keeps the buffer capacity:
   /// steady-state compaction does not re-grow the log allocation.
   void truncate_log(KeyId key);
-
-  // -- string shims (tests + cold callers) ---------------------------------
-
-  void put(const std::string& key, std::vector<std::uint8_t> value);
-  void put(const std::string& key, const std::uint8_t* data,
-           std::size_t size);
-
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
-      const std::string& key) const;
-
-  bool erase(const std::string& key);
 
   /// Wipes everything — values and logs: the "severe disk crash" fault.
   /// A process recovering afterwards comes up with no history, i.e. with

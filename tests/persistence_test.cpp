@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/naive_dynamic.hpp"
 #include "dv/basic_protocol.hpp"
 #include "dv/state.hpp"
 #include "dv/wal.hpp"
@@ -30,7 +33,6 @@ std::vector<StateDelta> sample_deltas() {
   ParticipantTracker tracker =
       ParticipantTracker::initial(ProcessSet::of({0, 1, 2, 5}), kSelf);
   return {
-      StateDelta::session_number(41),
       StateDelta::attempt(Session{ProcessSet::of({0, 1, 2}), 7}, 0),
       StateDelta::attempt(Session{ProcessSet::of({0, 1}), 9}, 2),
       StateDelta::form(Session{ProcessSet::of({0, 1, 2}), 8}),
@@ -54,10 +56,27 @@ TEST(StateDelta, EncodeDecodeRoundTripsEveryKind) {
 }
 
 TEST(StateDelta, DecodeRejectsUnknownKind) {
-  Encoder enc;
-  enc.put_u8(0xEE);
-  Decoder dec(enc.bytes());
-  EXPECT_THROW(StateDelta::decode(dec), CodecError);
+  // Kind byte 1 once named a bare Session_Number assignment that no
+  // protocol staged; it is rejected like any byte outside the kinds.
+  for (const std::uint8_t kind : {0x00, 0x01, 0x08, 0xEE}) {
+    Encoder enc;
+    enc.put_u8(kind);
+    enc.put_i64(41);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(StateDelta::decode(dec), CodecError) << int{kind};
+  }
+}
+
+TEST(StateDelta, DecodeRejectsErasedNumbersOutOfOrder) {
+  // apply finds each erased record by binary search, so an erase record
+  // whose numbers do not ascend strictly is malformed.
+  for (const std::vector<SessionNumber>& numbers :
+       {std::vector<SessionNumber>{9, 7}, std::vector<SessionNumber>{7, 7}}) {
+    Encoder enc;
+    StateDelta::erase_ambiguous(numbers).encode(enc);
+    Decoder dec(enc.bytes());
+    EXPECT_THROW(StateDelta::decode(dec), CodecError) << numbers[0];
+  }
 }
 
 TEST(StateDelta, ApplyMirrorsTheStateMutators) {
@@ -162,44 +181,36 @@ PersistenceOptions tight_compaction() {
   return options;
 }
 
-/// Recovers a fresh WalPersistence over (a copy of) `storage` and
-/// returns the state it reads.
-std::optional<ProtocolState> recover_from(sim::StableStorage storage,
-                                          const PersistenceOptions& options) {
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, options);
-  return wal.recover();
+/// Recovers a second WalPersistence from a copy of `storage`, as a
+/// restarted process would, and returns the state it reads; the writer
+/// and its disk stay untouched.
+ProtocolState recover_copy(const sim::StableStorage& storage) {
+  sim::StableStorage disk;
+  WalPersistence reader(disk, nullptr, "dv.state", kSelf, {}, sample_state());
+  disk = storage;  // interned in the same order, so the key ids match
+  EXPECT_TRUE(reader.recover());
+  return reader.state();
 }
 
 TEST(WalPersistence, CrashAfterEveryCommitRecoversTheExactState) {
   sim::StableStorage storage;
-  const PersistenceOptions options = tight_compaction();
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, options);
-  ProtocolState state = sample_state();
-  wal.checkpoint(state);
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, tight_compaction(),
+                     sample_state());
 
   for (SessionNumber n = 1; n <= 40; ++n) {
     const Session s{ProcessSet::of({0, 1, static_cast<std::uint32_t>(n % 5)}),
                     n};
-    state.session_number = n;
-    state.record_attempt(s, kSelf);
-    wal.stage(StateDelta::attempt(s, 0));
+    wal.apply(StateDelta::attempt(s, 0));
     if (n % 3 == 0) {
-      state.find_ambiguous(n)->set_knowledge(ProcessId{1},
-                                             FormedKnowledge::kNotFormed);
-      wal.stage(StateDelta::learned(n, ProcessId{1},
+      wal.apply(StateDelta::learned(n, ProcessId{1},
                                     FormedKnowledge::kNotFormed));
     }
-    if (n % 7 == 0) {
-      state.apply_form(s);
-      wal.stage(StateDelta::form(s));
-    }
-    wal.commit(state);
+    if (n % 7 == 0) wal.apply(StateDelta::form(s));
+    wal.commit();
 
     // Crash here: a recovery over a copy of the disk must reproduce the
     // live state, whatever mix of checkpoint + log tail is on it.
-    const auto recovered = recover_from(storage, options);
-    ASSERT_TRUE(recovered.has_value());
-    ASSERT_EQ(*recovered, state) << "after commit " << n;
+    ASSERT_EQ(recover_copy(storage), wal.state()) << "after commit " << n;
   }
   // The loop must have crossed the compaction threshold along the way,
   // or the test proved nothing about checkpoint + tail recovery.
@@ -208,10 +219,8 @@ TEST(WalPersistence, CrashAfterEveryCommitRecoversTheExactState) {
 
 TEST(WalPersistence, MidCompactionCrashDoesNotDoubleApply) {
   sim::StableStorage storage;
-  const PersistenceOptions options = tight_compaction();
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, options);
-  ProtocolState state = sample_state();
-  wal.checkpoint(state);
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, tight_compaction(),
+                     sample_state());
 
   // Snapshot the disk in the window where the fresh checkpoint is
   // written but the log records it covers are still present.
@@ -222,44 +231,54 @@ TEST(WalPersistence, MidCompactionCrashDoesNotDoubleApply) {
   while (!disk_at_crash.has_value()) {
     ++n;
     ASSERT_LT(n, 1000) << "compaction never triggered";
-    const Session s{ProcessSet::of({0, 1}), n};
-    state.session_number = n;
-    state.record_attempt(s, kSelf);
-    wal.stage(StateDelta::attempt(s, 0));
-    wal.commit(state);
+    wal.apply(StateDelta::attempt(Session{ProcessSet::of({0, 1}), n}, 0));
+    wal.commit();
   }
 
   // The captured disk really is mid-compaction: covered records remain.
   EXPECT_GT(disk_at_crash->log_bytes(disk_at_crash->intern("dv.state.wal")),
             0u);
-  const auto recovered = recover_from(*disk_at_crash, options);
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(*recovered, state);
+  EXPECT_EQ(recover_copy(*disk_at_crash), wal.state());
 }
 
-TEST(WalPersistence, CrossCheckCatchesAMutationNobodyStaged) {
+TEST(WalPersistence, CommitsAfterAnInPlaceRecoveryExtendWhatItRead) {
+  // A restarted process keeps writing through the object it recovered:
+  // its next batches must replay on top of the checkpoint and log tail
+  // it read, with compactions before and after the recovery.
   sim::StableStorage storage;
-  PersistenceOptions options;  // cross_check on by default
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, options);
-  ProtocolState state = sample_state();
-  wal.checkpoint(state);
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, tight_compaction(),
+                     sample_state());
 
-  state.session_number = 9;  // mutated... and never staged
-  EXPECT_THROW(wal.commit(state), InvariantViolation);
+  for (SessionNumber n = 1; n <= 40; ++n) {
+    wal.apply(StateDelta::attempt(Session{ProcessSet::of({0, 1}), n}, 0));
+    if (n % 3 == 0) {
+      wal.apply(StateDelta::learned(n, ProcessId{1},
+                                    FormedKnowledge::kNotFormed));
+    }
+    wal.commit();
+    if (n % 4 == 0) {
+      const ProtocolState live = wal.state();
+      ASSERT_TRUE(wal.recover());
+      ASSERT_EQ(wal.state(), live) << "after commit " << n;
+    }
+    ASSERT_EQ(recover_copy(storage), wal.state()) << "after commit " << n;
+  }
+  EXPECT_GT(storage.writes(), 41u);
 }
 
-TEST(WalPersistence, CrossCheckShowsALastFormedDivergence) {
-  // When replay and live state differ only in Last_Formed, the failure
-  // text must show two different lines, not two identical ones.
-  sim::StableStorage storage;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {});
-  ProtocolState state = sample_state();
-  wal.checkpoint(state);
+/// Rewrites the checkpoint on disk behind the WAL's back with `state`.
+void tamper_checkpoint(sim::StableStorage& storage,
+                       const ProtocolState& state) {
+  Encoder enc;
+  encode_checkpoint(enc, state, /*covers_lsn=*/0);
+  storage.put(storage.intern("dv.state"), enc.bytes().data(), enc.size());
+}
 
-  state.last_formed.assign(Session{ProcessSet::of({0, 1}), 3});  // unstaged
+/// Commits, expects the cross-check to throw, and returns the text after
+/// its "replayed: " and "live:     " labels.
+std::pair<std::string, std::string> cross_check_lines(WalPersistence& wal) {
   try {
-    wal.commit(state);
-    FAIL() << "cross-check accepted an unstaged Last_Formed change";
+    wal.commit();
   } catch (const InvariantViolation& e) {
     const std::string what = e.what();
     auto line_after = [&what](const std::string& label) {
@@ -269,68 +288,94 @@ TEST(WalPersistence, CrossCheckShowsALastFormedDivergence) {
       const std::size_t from = at + label.size();
       return what.substr(from, what.find('\n', from) - from);
     };
-    const std::string replayed = line_after("replayed: ");
-    const std::string live = line_after("live:     ");
-    EXPECT_NE(replayed, live);
-    EXPECT_NE(live.find("({p0,p1},3)"), std::string::npos) << live;
-    EXPECT_EQ(replayed.find("({p0,p1},3)"), std::string::npos) << replayed;
+    return {line_after("replayed: "), line_after("live:     ")};
   }
+  ADD_FAILURE() << "cross-check accepted a disk that differs from the state";
+  return {};
+}
+
+TEST(WalPersistence, CrossCheckCatchesATamperedCheckpoint) {
+  sim::StableStorage storage;
+  PersistenceOptions options;  // cross_check on by default
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, options,
+                     sample_state());
+
+  ProtocolState tampered = sample_state();
+  tampered.session_number = 9;
+  tamper_checkpoint(storage, tampered);
+  const auto [replayed, live] = cross_check_lines(wal);
+  EXPECT_NE(replayed, live);
+  EXPECT_EQ(replayed.rfind("sn=9 ", 0), 0u) << replayed;
+  EXPECT_EQ(live.rfind("sn=0 ", 0), 0u) << live;
+}
+
+TEST(WalPersistence, CrossCheckShowsALastFormedDivergence) {
+  // When replay and live state differ only in Last_Formed, the failure
+  // text must show two different lines, not two identical ones.
+  sim::StableStorage storage;
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
+
+  ProtocolState tampered = sample_state();
+  tampered.last_formed.assign(Session{ProcessSet::of({0, 1}), 3});
+  tamper_checkpoint(storage, tampered);
+  const auto [replayed, live] = cross_check_lines(wal);
+  EXPECT_NE(replayed, live);
+  EXPECT_NE(replayed.find("({p0,p1},3)"), std::string::npos) << replayed;
+  EXPECT_EQ(live.find("({p0,p1},3)"), std::string::npos) << live;
 }
 
 TEST(WalPersistence, EmptyCommitWritesNothing) {
   sim::StableStorage storage;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {});
-  ProtocolState state = sample_state();
-  wal.checkpoint(state);
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
 
   const std::uint64_t writes_before = storage.writes();
-  wal.commit(state);  // nothing staged: the disk already covers `state`
-  wal.commit(state);
+  wal.commit();  // nothing applied: the disk already covers the state
+  wal.commit();
   EXPECT_EQ(storage.writes(), writes_before);
   EXPECT_EQ(wal.persists(), 2u);
 }
 
-TEST(WalPersistence, EmptyDiskRecoversToNothing) {
-  sim::StableStorage storage;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {});
-  EXPECT_EQ(wal.recover(), std::nullopt);
-
+TEST(WalPersistence, DestroyedDiskRestartsWithoutHistory) {
   // destroy() wipes checkpoint and log together; recovery sees footnote
-  // 4's destroyed disk, not a torn state.
-  ProtocolState state = sample_state();
-  wal.checkpoint(state);
-  state.session_number = 3;
-  state.record_attempt(Session{ProcessSet::of({0, 1}), 3}, kSelf);
-  wal.stage(StateDelta::attempt(Session{ProcessSet::of({0, 1}), 3}, 0));
-  wal.commit(state);
+  // 4's destroyed disk, not a torn state, and restarts from
+  // after_disk_loss on a fresh checkpoint.
+  sim::StableStorage storage;
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
+  wal.apply(StateDelta::attempt(Session{ProcessSet::of({0, 1}), 3}, 0));
+  wal.commit();
+  const ProtocolState held = wal.state();
+
   storage.destroy();
-  EXPECT_EQ(wal.recover(), std::nullopt);
+  ProtocolState lost;
+  EXPECT_FALSE(wal.recover(&lost));
+  EXPECT_EQ(lost, held);
+  EXPECT_EQ(wal.state(), ProtocolState::after_disk_loss(kSelf));
+  // The fresh checkpoint is what the next recovery reads.
+  EXPECT_TRUE(wal.recover());
+  EXPECT_EQ(wal.state(), ProtocolState::after_disk_loss(kSelf));
 }
 
 TEST(WalPersistence, ReadsADiskWrittenInSnapshotMode) {
   // A disk written by the legacy snapshot path must be adoptable by a
   // WAL-mode recovery (rolling upgrade of the persistence format).
   sim::StableStorage storage;
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
+
+  // A snapshot-mode writer replaces the checkpoint with a raw snapshot.
   PersistenceOptions snapshot;
   snapshot.mode = PersistenceMode::kSnapshot;
-  WalPersistence old(storage, nullptr, "dv.state", kSelf, snapshot);
   ProtocolState state = sample_state();
   state.session_number = 5;
   state.record_attempt(Session{ProcessSet::of({0, 1, 2}), 5}, kSelf);
-  old.checkpoint(state);
+  WalPersistence old(storage, nullptr, "dv.state", kSelf, snapshot, state);
 
-  PersistenceOptions wal_options;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, wal_options);
-  auto recovered = wal.recover();
-  ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(*recovered, state);
+  ASSERT_TRUE(wal.recover());
+  EXPECT_EQ(wal.state(), state);
 
   // And the adopted state keeps evolving through the WAL from there.
-  state.session_number = 6;
-  state.record_attempt(Session{ProcessSet::of({0, 2}), 6}, kSelf);
-  wal.stage(StateDelta::attempt(Session{ProcessSet::of({0, 2}), 6}, 0));
-  wal.commit(state);
-  EXPECT_EQ(*recover_from(storage, wal_options), state);
+  wal.apply(StateDelta::attempt(Session{ProcessSet::of({0, 2}), 6}, 0));
+  wal.commit();
+  EXPECT_EQ(recover_copy(storage), wal.state());
 }
 
 TEST(WalPersistence, SnapshotModeKeepsTheLegacyByteFormat) {
@@ -339,13 +384,17 @@ TEST(WalPersistence, SnapshotModeKeepsTheLegacyByteFormat) {
   sim::StableStorage storage;
   PersistenceOptions snapshot;
   snapshot.mode = PersistenceMode::kSnapshot;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, snapshot);
-  ProtocolState state = sample_state();
-  wal.commit(state);
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, snapshot,
+                     sample_state());
+  wal.apply(StateDelta::form(Session{ProcessSet::of({0, 1, 2}), 1}));
+  wal.commit();
 
   Encoder expected;
-  state.encode(expected);
-  EXPECT_EQ(storage.get("dv.state"), expected.bytes());
+  wal.state().encode(expected);
+  const std::vector<std::uint8_t>* stored =
+      storage.value(storage.intern("dv.state"));
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(*stored, expected.bytes());
 }
 
 // ---- protocol-level coverage ---------------------------------------------
@@ -379,6 +428,37 @@ TEST(ProtocolPersistence, HappyPathStableWriteCountsPerStep) {
           << "protocol kind " << static_cast<int>(kind) << " process " << p;
     }
   }
+}
+
+TEST(ProtocolPersistence, NaiveWritesOneSnapshotAtBirthAndPerFormation) {
+  // The naive baseline persists through WalPersistence in snapshot mode:
+  // one stable write at construction and one per formed session, each
+  // the raw ProtocolState encoding of its live state.
+  Cluster cluster(cluster_options(ProtocolKind::kNaiveDynamic, 3));
+  auto expect_snapshot = [&cluster](std::uint32_t p, std::uint64_t writes) {
+    sim::StableStorage& storage = cluster.sim().storage(ProcessId{p});
+    EXPECT_EQ(storage.writes(), writes) << "process " << p;
+    Encoder expected;
+    dynamic_cast<const NaiveDynamicProtocol&>(cluster.protocol(ProcessId{p}))
+        .state()
+        .encode(expected);
+    const std::vector<std::uint8_t>* stored =
+        storage.value(storage.intern("naive.state"));
+    ASSERT_NE(stored, nullptr) << "process " << p;
+    EXPECT_EQ(*stored, expected.bytes()) << "process " << p;
+  };
+  for (std::uint32_t p = 0; p < 3; ++p) expect_snapshot(p, 1);
+
+  cluster.start();
+  ASSERT_TRUE(cluster.live_primary().has_value());
+  for (std::uint32_t p = 0; p < 3; ++p) expect_snapshot(p, 2);
+
+  // Only the majority side forms again; the singleton writes nothing.
+  cluster.partition({ProcessSet::of({0, 1}), ProcessSet::of({2})});
+  cluster.settle();
+  expect_snapshot(0, 3);
+  expect_snapshot(1, 3);
+  expect_snapshot(2, 2);
 }
 
 TEST(ProtocolPersistence, ThreePhasePersistsParticipantMergeBeforePropose) {

@@ -164,48 +164,52 @@ TEST(EventQueue, PendingCountsEveryEventUntilItRuns) {
   EXPECT_FALSE(q.run_next());
 }
 
-TEST(StableStorage, PutGetErase) {
+void put_bytes(StableStorage& storage, StableStorage::KeyId key,
+               const std::vector<std::uint8_t>& bytes) {
+  storage.put(key, bytes.data(), bytes.size());
+}
+
+TEST(StableStorage, PutReplacesTheValue) {
   StableStorage storage;
-  EXPECT_EQ(storage.get("k"), std::nullopt);
-  storage.put("k", {1, 2, 3});
-  EXPECT_EQ(storage.get("k"), (std::vector<std::uint8_t>{1, 2, 3}));
-  storage.put("k", {9});
-  EXPECT_EQ(storage.get("k"), (std::vector<std::uint8_t>{9}));
-  EXPECT_TRUE(storage.erase("k"));
-  EXPECT_FALSE(storage.erase("k"));
-  EXPECT_EQ(storage.get("k"), std::nullopt);
+  const StableStorage::KeyId k = storage.intern("k");
+  EXPECT_EQ(storage.value(k), nullptr);
+  put_bytes(storage, k, {1, 2, 3});
+  ASSERT_NE(storage.value(k), nullptr);
+  EXPECT_EQ(*storage.value(k), (std::vector<std::uint8_t>{1, 2, 3}));
+  put_bytes(storage, k, {9});
+  EXPECT_EQ(*storage.value(k), (std::vector<std::uint8_t>{9}));
 }
 
 TEST(StableStorage, DestroyWipesEverything) {
   StableStorage storage;
-  storage.put("a", {1});
-  storage.put("b", {2});
+  const StableStorage::KeyId a = storage.intern("a");
+  put_bytes(storage, a, {1});
+  put_bytes(storage, storage.intern("b"), {2});
   EXPECT_EQ(storage.entry_count(), 2u);
   EXPECT_FALSE(storage.destroyed_once());
   storage.destroy();
   EXPECT_TRUE(storage.destroyed_once());
   EXPECT_EQ(storage.entry_count(), 0u);
-  EXPECT_EQ(storage.get("a"), std::nullopt);
+  EXPECT_EQ(storage.value(a), nullptr);
 }
 
 TEST(StableStorage, TracksWriteMetrics) {
   StableStorage storage;
-  storage.put("a", {1, 2, 3});
-  storage.put("b", {4});
+  put_bytes(storage, storage.intern("a"), {1, 2, 3});
+  put_bytes(storage, storage.intern("b"), {4});
   EXPECT_EQ(storage.writes(), 2u);
   EXPECT_EQ(storage.bytes_written(), 4u);
 }
 
-TEST(StableStorage, InternIsIdempotentAndSharedWithStringShims) {
+TEST(StableStorage, InternIsIdempotent) {
   StableStorage storage;
   const StableStorage::KeyId id = storage.intern("k");
   EXPECT_EQ(storage.intern("k"), id);
   EXPECT_NE(storage.intern("other"), id);
 
-  const std::uint8_t bytes[] = {7, 8};
-  storage.put(id, bytes, sizeof bytes);
-  EXPECT_EQ(storage.get("k"), (std::vector<std::uint8_t>{7, 8}));
-  storage.put("k", {9});
+  // Both ids of one name reach one slot.
+  put_bytes(storage, id, {7, 8});
+  put_bytes(storage, storage.intern("k"), {9});
   ASSERT_NE(storage.value(id), nullptr);
   EXPECT_EQ(*storage.value(id), (std::vector<std::uint8_t>{9}));
 }

@@ -2,6 +2,8 @@
 // transitions and persistence round-trips.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dv/messages.hpp"
 #include "dv/session.hpp"
 #include "dv/state.hpp"
@@ -165,6 +167,27 @@ TEST(ProtocolState, CodecRoundTripInfinityState) {
   state.encode(enc);
   Decoder dec(enc.bytes());
   EXPECT_EQ(ProtocolState::decode(dec), state);
+}
+
+TEST(ProtocolState, DecodeRejectsAmbiguousSessionsOutOfOrder) {
+  // find_ambiguous binary-searches the list by session number, so decode
+  // accepts only the strictly ascending order record_attempt keeps.
+  auto state = ProtocolState::initial(kCore, ProcessId(0));
+  state.record_attempt(Session{ProcessSet::of({0, 1, 2}), 1}, ProcessId(0));
+  state.record_attempt(Session{ProcessSet::of({0, 1}), 2}, ProcessId(0));
+  EXPECT_EQ(state.find_ambiguous(2), &state.ambiguous[1]);
+  EXPECT_EQ(state.find_ambiguous(3), nullptr);
+
+  auto decode = [](const ProtocolState& s) {
+    Encoder enc;
+    s.encode(enc);
+    Decoder dec(enc.bytes());
+    return ProtocolState::decode(dec);
+  };
+  std::swap(state.ambiguous[0], state.ambiguous[1]);
+  EXPECT_THROW(decode(state), CodecError);
+  state.ambiguous[0].session.number = 1;  // a repeated number
+  EXPECT_THROW(decode(state), CodecError);
 }
 
 TEST(ProtocolState, DecodeRejectsUnknownFormatVersion) {

@@ -37,6 +37,16 @@ the freshly generated one in lockstep:
     formed-quorums/sec), where lower is the regression direction;
   * machine-dependent context (google-benchmark's "context" block,
     pool_threads, dates) is skipped;
+  * a google-benchmark result that holds only aggregates of repeated
+    runs (bench_micro with --benchmark_repetitions and
+    --benchmark_report_aggregates_only, as tools/run_experiments.sh runs
+    it) is gated on each row's median: the median row is compared with
+    the baseline's single-run row of the same name, so one slow
+    repetition cannot fail the band while a uniform slowdown still does.
+    The keys that describe how a row was run rather than what it
+    measured (RUN_SHAPE_KEYS) are left out on both sides, so
+    bench_micro's "iterations" leaf, which in an aggregate row holds the
+    repetition count, is not gated there;
   * each recorded baseline carries a "host_fingerprint" block naming the
     machine that produced it. When the comparing host's fingerprint
     differs from the baseline's, timing-banded comparisons are skipped
@@ -119,6 +129,39 @@ SKIP_KEYS = {"context", "date", "executable", "load_avg", "pool_threads",
              "caches", "num_cpus", "mhz_per_cpu", "cpu_scaling_enabled"}
 
 REL_EPSILON = 1e-9  # exact-float comparison slack (serialization round-trip)
+
+# google-benchmark row keys that describe how a row was run, not what it
+# measured. They differ between a single run and an aggregate of
+# repetitions by construction (an aggregate row's "iterations" is its
+# repetition count), so a median comparison leaves them out on both
+# sides: bench_micro's "iterations" leaf is not gated, its "real_time"
+# and "cpu_time" leaves are.
+RUN_SHAPE_KEYS = ("run_type", "repetitions", "repetition_index",
+                  "aggregate_name", "aggregate_unit", "iterations")
+
+
+def median_rows(baseline: dict, current: dict) -> tuple[dict, dict]:
+    """(baseline, current) to compare. When `current` is a
+    google-benchmark document of aggregate rows, its rows become each
+    row's median renamed to its run_name, and both sides' rows lose
+    RUN_SHAPE_KEYS. Other documents are returned unchanged."""
+    rows = current.get("benchmarks")
+    if not isinstance(rows, list) or not any(
+            isinstance(row, dict) and row.get("run_type") == "aggregate"
+            for row in rows):
+        return baseline, current
+
+    def measured(row):
+        if not isinstance(row, dict):
+            return row
+        return {key: value for key, value in row.items()
+                if key not in RUN_SHAPE_KEYS}
+
+    medians = [measured(dict(row, name=row["run_name"])) for row in rows
+               if row.get("aggregate_name") == "median"]
+    base_rows = [measured(row) for row in baseline.get("benchmarks", [])]
+    return (dict(baseline, benchmarks=base_rows),
+            dict(current, benchmarks=medians))
 
 
 def is_timing_key(key: str) -> bool:
@@ -285,6 +328,7 @@ def main() -> int:
         baseline_host = baseline.pop(FINGERPRINT_KEY, None)
         current.pop(FINGERPRINT_KEY, None)
         foreign = baseline_host is not None and baseline_host != host_fingerprint()
+        baseline, current = median_rows(baseline, current)
         report = Report()
         compare(baseline, current, baseline_path.stem, False, args.tolerance,
                 report, skip_timing=foreign)
