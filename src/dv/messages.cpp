@@ -14,9 +14,12 @@ void InfoPayload::encode(Encoder& enc) const {
 
 std::size_t InfoPayload::encoded_size() const {
   if (cached_size_ == 0) {
-    Encoder enc;
-    encode(enc);
-    cached_size_ = enc.size();
+    // One buffer per thread, kept across calls: a fresh Encoder would
+    // grow its buffer from empty, allocating several times per info.
+    thread_local Encoder scratch;
+    scratch.clear();
+    encode(scratch);
+    cached_size_ = scratch.size();
   }
   return cached_size_;
 }

@@ -90,7 +90,6 @@ void Network::set_components(const std::vector<ProcessSet>& groups) {
     for (ProcessId p : group) entries_[slot_of(p)].component = component;
   }
   bump_epochs_for_disconnections(before);
-  prune_stale_fifo_tails();
   record_topology(/*cause=*/0);
   notify_topology_changed();
 }
@@ -112,7 +111,6 @@ void Network::set_alive(ProcessId p, bool alive) {
     entries_[slot].component = next_component_++;
   }
   bump_epochs_for_disconnections(before);
-  prune_stale_fifo_tails();
   obs::TraceEvent event;
   event.time = queue_.now();
   event.kind = alive ? obs::TraceEventKind::kProcessRecover
@@ -195,16 +193,6 @@ void Network::bump_epochs_for_disconnections(
         fifo_tails_[tri * 2 + 1] = 0;
       }
     }
-  }
-}
-
-void Network::prune_stale_fifo_tails() {
-  // A tail at or before the current time cannot clamp anything: every new
-  // delivery is scheduled at >= now, so max(when, tail) == when. Dropping
-  // such tails is therefore invisible to the schedule.
-  const SimTime now = queue_.now();
-  for (SimTime& slot : fifo_tails_) {
-    if (slot != 0 && slot - 1 <= now) slot = 0;
   }
 }
 
@@ -385,7 +373,8 @@ std::optional<SimTime> Network::fifo_tail(ProcessId from, ProcessId to) const {
   const std::uint32_t st = slot_of(to);
   if (sf == kNoSlot || st == kNoSlot || sf == st) return std::nullopt;
   const std::size_t index = directed_index(sf, st);
-  if (index >= fifo_tails_.size() || fifo_tails_[index] == 0) {
+  if (index >= fifo_tails_.size() || fifo_tails_[index] == 0 ||
+      fifo_tails_[index] - 1 <= queue_.now()) {
     return std::nullopt;
   }
   return fifo_tails_[index] - 1;

@@ -138,8 +138,10 @@ class Network {
 
   /// The pending FIFO tail for the directional channel from -> to: the
   /// latest delivery time already handed out, which the next send may not
-  /// precede. Empty when the channel has no outstanding FIFO constraint
-  /// (never used, or cleared by an epoch bump). Exposed for tests.
+  /// precede. Empty when the channel has no outstanding FIFO constraint:
+  /// never used, cleared by an epoch bump, or at or before now(), where
+  /// it cannot delay a send (every delivery is scheduled at or after
+  /// now(), so max(when, tail) == when). Exposed for tests.
   [[nodiscard]] std::optional<SimTime> fifo_tail(ProcessId from,
                                                  ProcessId to) const;
 
@@ -196,11 +198,6 @@ class Network {
   [[nodiscard]] std::vector<ConnectivityEntry> snapshot_connectivity() const;
   void bump_epochs_for_disconnections(
       const std::vector<ConnectivityEntry>& before);
-  /// Drops FIFO tails that can no longer constrain a future send (tail
-  /// time <= now): every new delivery is scheduled at or after now, so
-  /// max(when, tail) == when for such tails. Run on topology changes to
-  /// keep the table from carrying dead bookkeeping across reconfigs.
-  void prune_stale_fifo_tails();
   /// Records one kTopologyChange event per live component, citing
   /// `cause` (e.g. the crash/recover event that triggered the change).
   void record_topology(std::uint64_t cause);
@@ -219,7 +216,8 @@ class Network {
   std::vector<ProcessEntry> entries_;  // indexed by compact slot
   std::vector<std::uint64_t> link_epochs_;  // indexed by tri_index
   // FIFO tails, indexed by directed_index. Stored as tail+1 so 0 means
-  // "no outstanding constraint" without a side table.
+  // "no outstanding constraint" without a side table. A tail that time
+  // has passed stays stored but constrains nothing.
   std::vector<SimTime> fifo_tails_;
   std::uint32_t next_component_ = 1;
   DropFilter drop_filter_;

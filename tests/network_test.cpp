@@ -240,6 +240,19 @@ TEST_F(NetworkTest, CrashClearsFifoTailOfTheProcessLinks) {
   EXPECT_FALSE(sim_.network().fifo_tail(ProcessId(0), ProcessId(1)).has_value());
 }
 
+// No topology change in between: the tail is absent because the clock
+// has passed it, and a tail at or before now() cannot delay a send.
+TEST_F(NetworkTest, FifoTailThatTimeHasPassedReadsAsAbsent) {
+  node(0).send(ProcessId(1), std::make_shared<TestPayload>("a"));
+  const auto tail = sim_.network().fifo_tail(ProcessId(0), ProcessId(1));
+  ASSERT_TRUE(tail.has_value());
+  sim_.run_until(*tail - 1);
+  EXPECT_EQ(sim_.network().fifo_tail(ProcessId(0), ProcessId(1)), tail);
+  sim_.run_until(*tail);
+  ASSERT_EQ(node(1).received.size(), 1u);
+  EXPECT_FALSE(sim_.network().fifo_tail(ProcessId(0), ProcessId(1)).has_value());
+}
+
 TEST_F(NetworkTest, HealedLinkIsNotDelayedByGhostOfDroppedMessage) {
   // Many sends at one instant drive the FIFO tail towards the latency
   // maximum (it is the running max of the sampled delivery times).

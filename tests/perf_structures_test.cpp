@@ -396,8 +396,8 @@ TEST(ProcessSetProperty, OrderAndEqualityFollowTheMemberLists) {
 
 TEST(InlineFunctionSize, EventQueueEntryIsExactlyTwoCacheLines) {
   // The 88-byte SBO capacity plus three dispatch pointers make the
-  // 112-byte Action that fills one EventQueue slab slot (the heap itself
-  // orders 24-byte keys). Any change to kInlineFunctionDefaultCapacity
+  // 112-byte Action that fills one EventQueue slab slot (the buckets
+  // chain 4-byte slot ids). Any change to kInlineFunctionDefaultCapacity
   // or the dispatch-pointer layout that changes this size must be a
   // conscious decision, not drift.
   EXPECT_EQ(kInlineFunctionDefaultCapacity, 88u);

@@ -18,6 +18,7 @@
 #include "harness/cluster.hpp"
 #include "harness/schedule.hpp"
 #include "sim/stable_storage.hpp"
+#include "state_printers.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {

@@ -1,9 +1,16 @@
 // Unit tests: event queue and stable storage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "event_queue_reference.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stable_storage.hpp"
 #include "util/ensure.hpp"
+#include "util/rng.hpp"
 
 namespace dynvote::sim {
 namespace {
@@ -162,6 +169,158 @@ TEST(EventQueue, PendingCountsEveryEventUntilItRuns) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.executed(), 4u);
   EXPECT_FALSE(q.run_next());
+}
+
+// -- the tick buckets against the key heap they replaced. Each event logs
+// (time, label) when it runs and may schedule children from the
+// schedule's own stream, so two queues that run the same events in the
+// same order draw the same numbers and build the same schedule; the
+// first divergence shows in the logs, the clock or the pending count.
+
+constexpr SimTime kWindow = EventQueue::kWindow;
+
+template <typename Queue>
+struct RandomSchedule {
+  explicit RandomSchedule(std::uint64_t seed) : rng(seed) {}
+
+  /// Delays from 0 to four windows, dense near the window's edge; half
+  /// the times are rounded up to a 128-tick grid, so events scheduled
+  /// near and far, and at different clock readings, tie at one tick.
+  SimTime draw_time() {
+    SimTime delay = 0;
+    switch (rng.next_below(6)) {
+      case 0:
+        break;
+      case 1:
+        delay = rng.next_below(8);
+        break;
+      case 2:
+        delay = rng.next_range(40, 160);
+        break;
+      case 3:
+        delay = rng.next_below(kWindow);
+        break;
+      case 4:
+        delay = kWindow - 2 + rng.next_below(4);
+        break;
+      default:
+        delay = rng.next_below(4 * kWindow);
+        break;
+    }
+    const SimTime t = queue.now() + delay;
+    return rng.next_bool(0.5) ? (t + 127) / 128 * 128 : t;
+  }
+
+  /// Schedules one event whose action schedules up to two children, at
+  /// now, inside the window or beyond it; the depth bound ends every
+  /// cascade.
+  void schedule(int depth) {
+    const std::uint64_t label = next_label++;
+    queue.schedule_at(draw_time(), [this, label, depth] {
+      log.emplace_back(queue.now(), label);
+      if (depth == 8) return;
+      for (auto children = rng.next_below(3); children > 0; --children) {
+        schedule(depth + 1);
+      }
+    });
+  }
+
+  Queue queue;
+  Rng rng;
+  std::uint64_t next_label = 0;
+  std::vector<std::pair<SimTime, std::uint64_t>> log;
+};
+
+TEST(EventQueue, RunsTheReferenceHeapOrderOnRandomSchedules) {
+  constexpr int kSteps = 400;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    RandomSchedule<EventQueue> buckets(seed);
+    RandomSchedule<reference::HeapEventQueue> heap(seed);
+    Rng ops(seed * 7919);
+    std::size_t checked = 0;  // log entries already compared
+    // The step after the last drains both queues.
+    for (int step = 0; step <= kSteps; ++step) {
+      switch (step == kSteps ? 5 : ops.next_below(5)) {
+        case 0:
+        case 1:
+          for (auto k = 1 + ops.next_below(4); k > 0; --k) {
+            buckets.schedule(0);
+            heap.schedule(0);
+          }
+          break;
+        case 2:
+          ASSERT_EQ(buckets.queue.run_next(), heap.queue.run_next());
+          break;
+        case 3: {
+          // Short steps, steps inside the window, and jumps over
+          // several empty windows.
+          SimTime jump = ops.next_below(64);
+          if (ops.next_bool(0.5)) jump = ops.next_below(kWindow);
+          if (ops.next_bool(0.25)) jump = kWindow * (1 + ops.next_below(4));
+          const SimTime t = buckets.queue.now() + jump;
+          ASSERT_EQ(buckets.queue.run_until(t), heap.queue.run_until(t));
+          break;
+        }
+        case 4: {
+          const std::size_t budget = ops.next_below(40);
+          const auto a = buckets.queue.drain(budget);
+          const auto b = heap.queue.drain(budget);
+          ASSERT_EQ(a.executed, b.executed);
+          ASSERT_EQ(a.status, b.status);
+          break;
+        }
+        default: {
+          const auto a = buckets.queue.drain(EventQueue::kDefaultMaxEvents);
+          const auto b = heap.queue.drain(EventQueue::kDefaultMaxEvents);
+          ASSERT_EQ(a.executed, b.executed);
+          ASSERT_EQ(a.status, EventQueue::DrainStatus::kDrained);
+          ASSERT_EQ(b.status, EventQueue::DrainStatus::kDrained);
+          break;
+        }
+      }
+      const std::size_t common = std::min(buckets.log.size(), heap.log.size());
+      for (; checked < common; ++checked) {
+        ASSERT_EQ(buckets.log[checked], heap.log[checked])
+            << "seed " << seed << " step " << step << " event " << checked;
+      }
+      ASSERT_EQ(buckets.log.size(), heap.log.size())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(buckets.queue.now(), heap.queue.now());
+      ASSERT_EQ(buckets.queue.pending(), heap.queue.pending());
+      ASSERT_EQ(buckets.queue.empty(), heap.queue.empty());
+      ASSERT_EQ(buckets.queue.executed(), heap.queue.executed());
+    }
+  }
+}
+
+// A far event moves into its bucket when the clock moves, before the
+// event that moved the clock can schedule at the same tick.
+TEST(EventQueue, FarEventRunsBeforeALaterInsertAtItsTick) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(3 * kWindow, [&] { order.push_back(1); });
+  q.schedule_at(2 * kWindow + 1, [&] {
+    q.schedule_at(3 * kWindow, [&] { order.push_back(2); });
+  });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// run_until moves the far events into the window it lands in, so an
+// insert after the jump goes behind them.
+TEST(EventQueue, RunUntilJumpMovesFarEventsIntoTheWindow) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(5 * kWindow, [&] { order.push_back(1); });
+  q.schedule_at(5 * kWindow + 2, [&] { order.push_back(3); });
+  EXPECT_EQ(q.run_until(4 * kWindow + 7), 0u);
+  EXPECT_EQ(q.now(), 4 * kWindow + 7);
+  q.schedule_at(5 * kWindow + 1, [&] { order.push_back(2); });
+  q.schedule_at(5 * kWindow, [&] { order.push_back(4); });
+  EXPECT_EQ(q.pending(), 4u);
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 2, 3}));
+  EXPECT_EQ(q.now(), 5 * kWindow + 2);
 }
 
 void put_bytes(StableStorage& storage, StableStorage::KeyId key,

@@ -7,6 +7,7 @@
 #include "dv/messages.hpp"
 #include "dv/session.hpp"
 #include "dv/state.hpp"
+#include "state_printers.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -75,6 +76,11 @@ TEST(ProtocolState, InitialCoreMemberKnowsF0) {
   EXPECT_TRUE(state.ambiguous.empty());
   EXPECT_EQ(state.last_formed.size(), 5u);
   EXPECT_TRUE(state.has_history);
+}
+
+TEST(ProtocolState, PrintsItsFieldsInTestFailures) {
+  const auto state = ProtocolState::initial(kCore, ProcessId(2));
+  EXPECT_EQ(::testing::PrintToString(state), state.to_string());
 }
 
 TEST(ProtocolState, InitialJoinerKnowsInfinity) {
