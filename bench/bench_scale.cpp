@@ -11,7 +11,6 @@
 // copied with every set) are on the measured path.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -26,13 +25,9 @@ namespace dynvote {
 namespace {
 
 /// 32 seeds per n up to 128. A single full-cluster session already costs
-/// O(n^2) messages, so the n >= 256 rows default to a 4-seed sample to
-/// keep the bench under a few minutes on one core; set
-/// DYNVOTE_SCALE_FULL=1 for the full 32-seed grid everywhere.
-std::size_t seeds_for(std::uint32_t n) {
-  if (std::getenv("DYNVOTE_SCALE_FULL") != nullptr) return 32;
-  return n <= 128 ? 32 : 4;
-}
+/// O(n^2) messages, so the n >= 256 rows take a 4-seed sample to keep
+/// the bench under a few minutes on one core.
+std::size_t seeds_for(std::uint32_t n) { return n <= 128 ? 32 : 4; }
 
 /// Virtual duration of the failure schedule. Shorter for n >= 256: the
 /// initial full-cluster session dominates there, and more topology
@@ -88,8 +83,7 @@ int main() {
   using namespace dynvote;
   const std::size_t pool = sweep_thread_count(0);
   std::puts("Scale: simulator throughput by cluster size, serial vs sweep pool");
-  std::printf("       pool = %zu thread(s); DYNVOTE_THREADS overrides, "
-              "DYNVOTE_SCALE_FULL=1 forces 32 seeds at every n\n\n",
+  std::printf("       pool = %zu thread(s); DYNVOTE_THREADS overrides\n\n",
               pool);
 
   Table table({"n", "seeds", "events", "serial ms", "pool ms", "speedup",

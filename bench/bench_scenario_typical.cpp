@@ -98,7 +98,7 @@ Outcome run(ProtocolKind kind) {
   // Export the structured trace and re-verify it offline: the replay
   // checker must reach the same verdict as the live one.
   outcome.trace_json =
-      trace_json_string(cluster.trace_meta(), cluster.sim().trace());
+      trace_to_json(cluster.trace_meta(), cluster.sim().trace()).dump();
   const TraceMetaAndEvents parsed = load_trace_json(outcome.trace_json);
   outcome.trace_events = parsed.events.size();
   outcome.replay = check_trace(parsed);

@@ -272,7 +272,7 @@ ViolationDemo run_violation_demo() {
   obs::TraceMeta meta;
   meta.protocol = to_string(options.kind);
   meta.n = fleet.fleet_n();
-  meta.min_quorum = options.min_quorum;
+  meta.min_quorum = shard::kFleetMinQuorum;
   meta.seed = options.sim.seed;
   ProcessSet all;
   for (std::uint32_t g = 0; g < options.num_groups; ++g) {
@@ -292,7 +292,6 @@ ViolationDemo run_violation_demo() {
 int main() {
   using namespace dynvote;
   const std::size_t pool = sweep_thread_count(0);
-  const bool full = std::getenv("DYNVOTE_SHARDS_FULL") != nullptr;
   // Quick mode trims to the small shape with 2 seeds: the sanitizer
   // passes in run_experiments.sh use it to race/overflow-check the
   // multi-group path without paying the four-digit row under ASan.
@@ -301,7 +300,6 @@ int main() {
   const bool quick = std::getenv("DYNVOTE_SHARDS_QUICK") != nullptr;
   std::puts("Shards: multi-group fleet throughput, serial vs sweep pool");
   std::printf("       pool = %zu thread(s); DYNVOTE_THREADS overrides, "
-              "DYNVOTE_SHARDS_FULL=1 adds the n=2048 row, "
               "DYNVOTE_SHARDS_QUICK=1 trims for sanitizer runs\n\n",
               pool);
 
@@ -309,7 +307,6 @@ int main() {
       {32, 8, 16},    // n = 256
       {128, 8, 32},   // n = 1024 — the four-digit flagship row
   };
-  if (full) shapes.push_back({256, 8, 64});  // n = 2048
   if (quick) shapes.resize(1);
   const std::size_t seeds_per_shape = quick ? 2 : 4;
 

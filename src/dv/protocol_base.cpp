@@ -16,7 +16,6 @@ void SessionProtocolBase::on_view(const View& view) {
   // "Set Is_Primary to FALSE" — step 1 of every session (paper fig. 1).
   leave_primary();
   session_active_ = true;
-  session_view_ = view;
   current_phase_ = -1;
   rounds_used_ = 0;
   collected_.resize(static_cast<std::size_t>(max_phases_));
@@ -38,7 +37,7 @@ void SessionProtocolBase::on_message(ProcessId from,
   const auto* phased = static_cast<const PhasedPayload*>(payload.get());
   const int phase = phased->phase();
   ensure(phase >= 0 && phase < max_phases_, "phase out of range");
-  const ProcessSet& members = session_view_->members;
+  const ProcessSet& members = current_view()->members;
   ensure(members.contains(from), "message from non-member");
   // FIFO channels + view gating mean no duplicates; a phase ahead of ours
   // simply waits in its bucket.
@@ -57,7 +56,7 @@ void SessionProtocolBase::try_complete_phase() {
   while (session_active_ && current_phase_ >= 0 &&
          current_phase_ < max_phases_ &&
          collected_[static_cast<std::size_t>(current_phase_)].filled ==
-             session_view_->members.size()) {
+             current_view()->members.size()) {
     const int phase = current_phase_;
     on_phase_complete(phase,
                       collected_[static_cast<std::size_t>(phase)].messages);
@@ -86,18 +85,17 @@ void SessionProtocolBase::mark_primary(const Session& session) {
 void SessionProtocolBase::abort_session(const std::string& reason) {
   ensure(session_active_, "abort_session outside an active session");
   session_active_ = false;
-  notify_rejected(*session_view_, reason);
+  notify_rejected(session_view(), reason);
 }
 
 const View& SessionProtocolBase::session_view() const {
-  ensure(session_view_.has_value(), "no session view");
-  return *session_view_;
+  ensure(current_view().has_value(), "no session view");
+  return *current_view();
 }
 
 void SessionProtocolBase::on_crash() {
   leave_primary();
   session_active_ = false;
-  session_view_.reset();
   collected_.clear();
   handle_crash();
 }

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,7 +96,6 @@ class SessionProtocolBase : public ProtocolNode {
 
   int max_phases_;
   bool session_active_ = false;
-  std::optional<View> session_view_;
   int current_phase_ = -1;
   int rounds_used_ = 0;
   bool in_completion_ = false;

@@ -24,7 +24,6 @@ Cluster::Cluster(ClusterOptions options)
           config_.core,
           /*seed_initial=*/options_.kind != ProtocolKind::kStaticMajority)),
       metrics_observer_(std::make_unique<MetricsObserver>(sim_.metrics())) {
-  sim_.trace().set_capacity(options_.trace_capacity);
   sim_.trace().set_messages_enabled(options_.trace_messages);
   observers_.add(checker_.get());
   observers_.add(metrics_observer_.get());

@@ -45,9 +45,6 @@ struct ClusterOptions {
   /// trace. Off by default: availability sweeps exchange millions of
   /// messages. Protocol and topology events are always recorded.
   bool trace_messages = false;
-
-  /// Ring-buffer capacity of the structured trace (0 = unbounded).
-  std::size_t trace_capacity = 0;
 };
 
 class Cluster {

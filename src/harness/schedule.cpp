@@ -74,19 +74,19 @@ std::vector<ScheduleEvent> generate_schedule(const ProcessSet& processes,
                rng.next_exponential(static_cast<double>(options.mean_event_gap))));
     if (t >= options.duration) break;
 
-    // Draw an applicable event kind by weight.
+    // Draw an applicable event kind by weight: partitions and merges 4,
+    // recoveries 2, crashes 1 (normalized over the kinds possible in the
+    // current topology).
     struct Choice {
       ScheduleEvent::Kind kind;
       double weight;
       bool possible;
     };
     const Choice choices[] = {
-        {ScheduleEvent::Kind::kPartition, options.weight_partition,
-         model.can_partition()},
-        {ScheduleEvent::Kind::kMerge, options.weight_merge, model.can_merge()},
-        {ScheduleEvent::Kind::kCrash, options.weight_crash, model.can_crash()},
-        {ScheduleEvent::Kind::kRecover, options.weight_recover,
-         model.can_recover()},
+        {ScheduleEvent::Kind::kPartition, 4, model.can_partition()},
+        {ScheduleEvent::Kind::kMerge, 4, model.can_merge()},
+        {ScheduleEvent::Kind::kCrash, 1, model.can_crash()},
+        {ScheduleEvent::Kind::kRecover, 2, model.can_recover()},
     };
     double total = 0;
     for (const Choice& c : choices) {

@@ -36,12 +36,6 @@ struct ScheduleOptions {
   SimTime duration = 3'000'000;
   /// Mean gap between network events (exponential inter-arrival).
   SimTime mean_event_gap = 60'000;
-  // Relative weights of event kinds (normalized internally; events that
-  // are impossible in the current topology are re-drawn).
-  double weight_partition = 4;
-  double weight_merge = 4;
-  double weight_crash = 1;
-  double weight_recover = 2;
   std::uint64_t seed = 42;
 };
 

@@ -1,7 +1,6 @@
 #include "harness/trace_replay.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <iterator>
 
 #include "util/ensure.hpp"
@@ -98,109 +97,6 @@ JsonValue trace_to_json(const obs::TraceMeta& meta,
   JsonValue out = JsonValue::object();
   out.set("meta", std::move(meta_json));
   out.set("events", std::move(events));
-  return out;
-}
-
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[20];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, end);
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[21];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, end);
-}
-
-void append_set(std::string& out, const ProcessSet& set) {
-  out.push_back('[');
-  bool first = true;
-  for (const ProcessId p : set) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_u64(out, p.value());
-  }
-  out.push_back(']');
-}
-
-}  // namespace
-
-std::string trace_json_string(const obs::TraceMeta& meta,
-                              const obs::TraceSink& sink) {
-  // Field-for-field the schema of trace_to_json — a unit test holds the
-  // two outputs byte-identical. Kind names are plain identifiers, so only
-  // "protocol" and "d" go through json_escape.
-  std::string out;
-  out.reserve(128 + sink.events().size() * 72);
-  out += "{\"meta\":{\"schema_version\":";
-  append_i64(out, kTraceSchemaVersion);
-  out += ",\"protocol\":";
-  json_escape(out, meta.protocol);
-  out += ",\"n\":";
-  append_u64(out, meta.n);
-  out += ",\"min_quorum\":";
-  append_u64(out, meta.min_quorum);
-  out += ",\"seed\":";
-  append_u64(out, meta.seed);
-  out += ",\"core\":";
-  append_set(out, meta.core);
-  out += ",\"ambiguity_bound\":";
-  append_u64(out, meta.ambiguity_bound);
-  if (meta.num_groups != 0) {
-    out += ",\"num_groups\":";
-    append_u64(out, meta.num_groups);
-    out += ",\"group_size\":";
-    append_u64(out, meta.group_size);
-  }
-  out += ",\"overwritten\":";
-  append_u64(out, sink.overwritten());
-  out += "},\"events\":[";
-  bool first = true;
-  for (const obs::TraceEvent& event : sink.events()) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += "{\"t\":";
-    append_u64(out, event.time);
-    out += ",\"k\":\"";
-    out += to_string(event.kind);
-    out += "\",\"a\":";
-    append_u64(out, event.a.value());
-    if (event.b != ProcessId{}) {
-      out += ",\"b\":";
-      append_u64(out, event.b.value());
-    }
-    if (event.number != 0) {
-      out += ",\"n\":";
-      append_i64(out, event.number);
-    }
-    if (event.value != 0) {
-      out += ",\"v\":";
-      append_u64(out, event.value);
-    }
-    if (!event.members.empty()) {
-      out += ",\"m\":";
-      append_set(out, event.members);
-    }
-    if (!event.detail.empty()) {
-      out += ",\"d\":";
-      json_escape(out, event.detail);
-    }
-    out += ",\"e\":";
-    append_u64(out, event.eid);
-    if (event.lamport != 0) {
-      out += ",\"l\":";
-      append_u64(out, event.lamport);
-    }
-    if (event.cause != 0) {
-      out += ",\"c\":";
-      append_u64(out, event.cause);
-    }
-    out.push_back('}');
-  }
-  out += "]}";
   return out;
 }
 

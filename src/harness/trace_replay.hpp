@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -83,13 +82,6 @@ struct TraceMetaAndEvents {
 /// schema (see docs/PROTOCOL.md "Tracing & metrics").
 [[nodiscard]] JsonValue trace_to_json(const obs::TraceMeta& meta,
                                       const obs::TraceSink& sink);
-
-/// The compact trace.json document, byte-identical to
-/// trace_to_json(meta, sink).dump() but written straight into the output
-/// string — no intermediate JSON tree. The export side of every
-/// simulate-export-replay loop runs through here.
-[[nodiscard]] std::string trace_json_string(const obs::TraceMeta& meta,
-                                            const obs::TraceSink& sink);
 
 /// Parses a trace.json document produced by trace_to_json. Throws
 /// JsonError on schema violations.

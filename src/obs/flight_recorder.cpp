@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/ensure.hpp"
 
@@ -13,7 +12,8 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
          "FlightRecorder: need a positive fleet shape");
   ensure(options_.per_group_capacity > 0,
          "FlightRecorder: per-group ring needs capacity");
-  rings_.resize(options_.num_groups);
+  rings_.assign(options_.num_groups,
+                Ring<TraceEvent>(options_.per_group_capacity));
 }
 
 void FlightRecorder::note(const TraceEvent& event) {
@@ -35,59 +35,31 @@ void FlightRecorder::note(const TraceEvent& event) {
   }
   std::uint32_t group = pid / options_.group_size;
   if (group >= options_.num_groups) group = options_.num_groups - 1;
-  GroupRing& ring = rings_[group];
-  if (ring.slots.size() < options_.per_group_capacity) {
-    ring.slots.push_back(event);
-    return;
-  }
-  // Overwrite-in-place circular buffer: once a slot has held an event,
-  // assigning the next one reuses its member-set and detail-string
-  // allocations. This path runs for every protocol event of a saturated
-  // group, and allocation-free assignment is what keeps the recorder
-  // inside the telemetry overhead budget.
-  ring.slots[ring.next] = event;
-  ring.next = (ring.next + 1) % ring.slots.size();
-  ++ring.dropped;
+  rings_[group].push(event);
 }
 
-std::vector<TraceEvent> FlightRecorder::group_events(
+const Ring<TraceEvent>& FlightRecorder::group_events(
     std::uint32_t group) const {
   ensure(group < rings_.size(), "FlightRecorder: group out of range");
-  const GroupRing& ring = rings_[group];
-  std::vector<TraceEvent> out;
-  out.reserve(ring.slots.size());
-  for (std::size_t i = 0; i < ring.slots.size(); ++i) {
-    out.push_back(ring.slots[(ring.next + i) % ring.slots.size()]);
-  }
-  return out;
-}
-
-std::uint64_t FlightRecorder::dropped(std::uint32_t group) const {
-  ensure(group < rings_.size(), "FlightRecorder: group out of range");
-  return rings_[group].dropped;
+  return rings_[group];
 }
 
 JsonValue FlightRecorder::postmortem_json(std::uint32_t group,
                                           std::string_view reason,
                                           SimTime now) const {
-  ensure(group < rings_.size(), "FlightRecorder: group out of range");
-  const std::vector<TraceEvent> ring = group_events(group);
+  const Ring<TraceEvent>& ring_events = group_events(group);
+  const std::vector<TraceEvent> ring(ring_events.begin(), ring_events.end());
 
   JsonValue out = JsonValue::object();
   out.set("schema_version", JsonValue(kPostmortemSchemaVersion));
   out.set("group", JsonValue(std::uint64_t{group}));
   out.set("reason", JsonValue(std::string(reason)));
   out.set("time", JsonValue(now));
-  out.set("dropped", JsonValue(rings_[group].dropped));
+  out.set("dropped", JsonValue(ring_events.overwritten()));
 
-  std::unordered_map<std::uint64_t, std::size_t> by_eid;
-  by_eid.reserve(ring.size());
   JsonValue events = JsonValue::array();
   events.reserve(ring.size());
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    by_eid.emplace(ring[i].eid, i);
-    events.push_back(to_json(ring[i]));
-  }
+  for (const TraceEvent& event : ring) events.push_back(to_json(event));
   out.set("events", std::move(events));
 
   // Causal chains for the events a post-mortem reader asks about first:
@@ -113,31 +85,18 @@ JsonValue FlightRecorder::postmortem_json(std::uint32_t group,
 
   JsonValue chains = JsonValue::array();
   for (const std::uint64_t anchor : anchors) {
-    // Walk cause links inside the ring, then reverse to root-first. A
-    // cause pointing outside the ring (evicted, or recorded before the
+    // A cause pointing outside the ring (evicted, or recorded before the
     // recorder attached) truncates the chain.
-    std::vector<std::uint64_t> walk;
-    bool truncated = false;
-    std::uint64_t eid = anchor;
-    while (eid != 0) {
-      const auto it = by_eid.find(eid);
-      if (it == by_eid.end()) {
-        truncated = true;
-        break;
-      }
-      walk.push_back(eid);
-      eid = ring[it->second].cause;
-    }
-    JsonValue chain = JsonValue::object();
-    chain.set("for", JsonValue(anchor));
+    const std::vector<const TraceEvent*> chain = causal_chain(ring, anchor);
     JsonValue eids = JsonValue::array();
-    eids.reserve(walk.size());
-    for (auto it = walk.rbegin(); it != walk.rend(); ++it) {
-      eids.push_back(JsonValue(*it));
-    }
-    chain.set("eids", std::move(eids));
-    chain.set("truncated", JsonValue(truncated));
-    chains.push_back(std::move(chain));
+    eids.reserve(chain.size());
+    for (const TraceEvent* event : chain) eids.push_back(JsonValue(event->eid));
+    JsonValue entry = JsonValue::object();
+    entry.set("for", JsonValue(anchor));
+    entry.set("eids", std::move(eids));
+    entry.set("truncated",
+              JsonValue(!chain.empty() && chain.front()->cause != 0));
+    chains.push_back(std::move(entry));
   }
   out.set("chains", std::move(chains));
   return out;

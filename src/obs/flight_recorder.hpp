@@ -22,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 
@@ -52,35 +53,28 @@ class FlightRecorder {
   [[nodiscard]] std::uint32_t num_groups() const noexcept {
     return options_.num_groups;
   }
-  /// The ring's surviving events, oldest first (materialized from the
-  /// circular buffer; cold path — only post-mortems and tests read it).
-  [[nodiscard]] std::vector<TraceEvent> group_events(
+  /// The group's surviving events, oldest first; overwritten() counts
+  /// the events evicted since construction.
+  [[nodiscard]] const Ring<TraceEvent>& group_events(
       std::uint32_t group) const;
-  /// Events evicted from `group`'s ring since construction.
-  [[nodiscard]] std::uint64_t dropped(std::uint32_t group) const;
 
   /// Post-mortem for one group: the ring's events (same single-letter
-  /// schema as trace.json) plus causal chains (root-first eid walks,
-  /// flagged as truncated when the root's cause was evicted) for the
-  /// most recent event and the last formation/abort. `reason` states
-  /// what fired (the violation detail or the latency outlier).
+  /// schema as trace.json) plus causal chains (causal_chain's
+  /// root-first eid walks, flagged as truncated when the root's cause
+  /// was evicted) for the most recent event and the last
+  /// formation/abort. `reason` states what fired (the violation detail
+  /// or the latency outlier).
   [[nodiscard]] JsonValue postmortem_json(std::uint32_t group,
                                           std::string_view reason,
                                           SimTime now) const;
 
  private:
-  /// Circular buffer, overwritten in place once full: slot assignment
-  /// reuses each TraceEvent's heap allocations, so a saturated ring
-  /// records allocation-free. `next` is the oldest slot (= the one the
-  /// next event overwrites) once size reached capacity.
-  struct GroupRing {
-    std::vector<TraceEvent> slots;
-    std::size_t next = 0;
-    std::uint64_t dropped = 0;
-  };
-
   FlightRecorderOptions options_;
-  std::vector<GroupRing> rings_;
+  /// One ring per group. note() copies each event into its ring, so a
+  /// saturated ring assigns into the oldest slot and reuses its
+  /// allocations: that keeps the recorder inside the telemetry
+  /// overhead budget.
+  std::vector<Ring<TraceEvent>> rings_;
 };
 
 }  // namespace dynvote::obs

@@ -452,24 +452,6 @@ JsonValue chrome_trace_json(const TraceMeta& meta,
   return out;
 }
 
-std::vector<const TraceEvent*> causal_chain(
-    const std::vector<TraceEvent>& events, std::uint64_t eid) {
-  std::map<std::uint64_t, const TraceEvent*> by_eid;
-  for (const TraceEvent& event : events) {
-    if (event.eid != 0) by_eid.emplace(event.eid, &event);
-  }
-  std::vector<const TraceEvent*> chain;
-  std::uint64_t current = eid;
-  while (current != 0 && chain.size() <= events.size()) {
-    const auto it = by_eid.find(current);
-    if (it == by_eid.end()) break;  // evicted by the ring bound: truncated
-    chain.push_back(it->second);
-    current = it->second->cause;
-  }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
-}
-
 std::vector<std::string> cross_check_with_registry(
     const SpanReport& report, const MetricsRegistry& registry) {
   std::vector<std::string> mismatches;

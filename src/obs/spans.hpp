@@ -156,14 +156,6 @@ struct SpanReport {
                                           const std::vector<TraceEvent>& events,
                                           const SpanReport& report);
 
-/// Walks `cause` links from the event with id `eid` back to a root.
-/// Returns the chain ordered root-first (the queried event is last), or
-/// an empty vector when `eid` is not in `events`. If the first entry
-/// still has a nonzero cause, the chain is truncated: the cause was
-/// evicted by the ring bound.
-[[nodiscard]] std::vector<const TraceEvent*> causal_chain(
-    const std::vector<TraceEvent>& events, std::uint64_t eid);
-
 /// Compares the trace-derived metrics against the live registry the run
 /// maintained (dv.* counters, dv.rounds_per_form, dv.primary_uptime_ticks,
 /// the dv.ambiguous_recorded gauge). Returns one human-readable line per

@@ -6,7 +6,7 @@ namespace dynvote::obs {
 
 TimeSeriesSampler::TimeSeriesSampler(const MetricsHub& hub,
                                      TimeSeriesOptions options)
-    : hub_(hub), options_(options) {}
+    : hub_(hub), options_(options), rows_(options.capacity) {}
 
 void TimeSeriesSampler::track_counter(std::string name) {
   counter_names_.push_back(std::move(name));
@@ -52,11 +52,7 @@ void TimeSeriesSampler::sample(SimTime now) {
     row.gauge_values.push_back(level);
   }
 
-  rows_.push_back(std::move(row));
-  if (options_.capacity != 0 && rows_.size() > options_.capacity) {
-    rows_.pop_front();
-    ++dropped_;
-  }
+  rows_.push(std::move(row));
   have_sample_ = true;
   last_time_ = now;
 }
@@ -65,7 +61,7 @@ JsonValue TimeSeriesSampler::to_json() const {
   JsonValue out = JsonValue::object();
   out.set("schema_version", JsonValue(kTimeSeriesSchemaVersion));
   out.set("tick", JsonValue(std::uint64_t{options_.tick}));
-  out.set("dropped", JsonValue(dropped_));
+  out.set("dropped", JsonValue(dropped()));
 
   JsonValue times = JsonValue::array();
   times.reserve(rows_.size());

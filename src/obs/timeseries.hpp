@@ -17,11 +17,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "obs/hub.hpp"
+#include "obs/ring.hpp"
 #include "util/ids.hpp"
 #include "util/json.hpp"
 
@@ -61,7 +61,9 @@ class TimeSeriesSampler {
 
   [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
   /// Samples evicted by the ring bound.
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return rows_.overwritten();
+  }
 
   /// {"schema_version", "tick", "dropped", "times": [...],
   ///  "counters": {name: {"values": [...], "rates": [...]}},
@@ -81,11 +83,10 @@ class TimeSeriesSampler {
   TimeSeriesOptions options_;
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
-  std::deque<Row> rows_;
+  Ring<Row> rows_;
   bool have_sample_ = false;
   SimTime last_time_ = 0;
   std::vector<std::uint64_t> last_counters_;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace dynvote::obs

@@ -1,7 +1,11 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <map>
+
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "util/ensure.hpp"
 
 namespace dynvote::obs {
 
@@ -202,6 +206,24 @@ std::string describe(const TraceEvent& e) {
   return out;
 }
 
+std::vector<const TraceEvent*> causal_chain(
+    const std::vector<TraceEvent>& events, std::uint64_t eid) {
+  std::map<std::uint64_t, const TraceEvent*> by_eid;
+  for (const TraceEvent& event : events) {
+    if (event.eid != 0) by_eid.emplace(event.eid, &event);
+  }
+  std::vector<const TraceEvent*> chain;
+  std::uint64_t current = eid;
+  while (current != 0 && chain.size() <= events.size()) {
+    const auto it = by_eid.find(current);
+    if (it == by_eid.end()) break;  // evicted by the ring bound: truncated
+    chain.push_back(it->second);
+    current = it->second->cause;
+  }
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
 std::uint64_t TraceSink::record(TraceEvent event) {
   switch (event.kind) {
     case TraceEventKind::kMessageSend:
@@ -212,25 +234,16 @@ std::uint64_t TraceSink::record(TraceEvent event) {
     default:
       break;
   }
-  if (capacity_ != 0 && events_.size() >= capacity_) {
-    events_.pop_front();
-    ++overwritten_;
-  }
   event.eid = ++next_eid_;
-  events_.push_back(std::move(event));
-  if (flight_ != nullptr) flight_->note(events_.back());
+  const TraceEvent& stored = events_.push(std::move(event));
+  if (flight_ != nullptr) flight_->note(stored);
   update_gauges();
   return next_eid_;
 }
 
 void TraceSink::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
-  if (capacity_ != 0) {
-    while (events_.size() > capacity_) {
-      events_.pop_front();
-      ++overwritten_;
-    }
-  }
+  ensure(events_.empty(), "TraceSink: set the capacity before recording");
+  events_ = Ring<TraceEvent>(capacity);
   update_gauges();
 }
 
@@ -243,12 +256,11 @@ void TraceSink::bind_metrics(MetricsRegistry& registry) {
 void TraceSink::update_gauges() {
   if (events_gauge_ == nullptr) return;
   events_gauge_->set(static_cast<std::int64_t>(events_.size()));
-  overwritten_gauge_->set(static_cast<std::int64_t>(overwritten_));
+  overwritten_gauge_->set(static_cast<std::int64_t>(events_.overwritten()));
 }
 
 void TraceSink::clear() {
   events_.clear();
-  overwritten_ = 0;
   next_eid_ = 0;
   update_gauges();
 }

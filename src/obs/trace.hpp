@@ -35,10 +35,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "obs/ring.hpp"
 #include "util/ids.hpp"
 #include "util/json.hpp"
 #include "util/process_set.hpp"
@@ -129,6 +130,15 @@ struct TraceEvent {
 /// and scenario_cli's `trace` command print.
 [[nodiscard]] std::string describe(const TraceEvent& e);
 
+/// Walks `cause` links from the event with id `eid` back to a root.
+/// Returns the chain ordered root-first (the queried event is last), or
+/// an empty vector when `eid` is not in `events`. If the first entry
+/// still has a nonzero cause, the chain is truncated: the cause was
+/// evicted by the ring bound. dvtrace explain-abort and flight-recorder
+/// post-mortems walk every chain through here.
+[[nodiscard]] std::vector<const TraceEvent*> causal_chain(
+    const std::vector<TraceEvent>& events, std::uint64_t eid);
+
 /// Run-level context exported alongside the events so a trace file is
 /// self-describing: replay needs the core set, Min_Quorum, and whether
 /// the Theorem-1 ambiguity bound applies to the traced protocol.
@@ -155,11 +165,11 @@ struct TraceMeta {
   std::uint32_t group_size = 0;
 };
 
-/// Ring buffer of TraceEvents.
+/// The recorded TraceEvents, kept in a Ring.
 class TraceSink {
  public:
   /// `capacity` 0 means unbounded.
-  explicit TraceSink(std::size_t capacity = 0) : capacity_(capacity) {}
+  explicit TraceSink(std::size_t capacity = 0) : events_(capacity) {}
 
   /// Records `event`, assigning it the next event id. Returns the id, or
   /// 0 when the event was skipped (per-message events while disabled) —
@@ -170,8 +180,13 @@ class TraceSink {
   void set_messages_enabled(bool enabled) noexcept { messages_ = enabled; }
   [[nodiscard]] bool messages_enabled() const noexcept { return messages_; }
 
+  /// Sets the ring bound (0 = unbounded). The sink must be empty: a
+  /// bound applies from the first event on, so no event is evicted
+  /// after the fact.
   void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return events_.capacity();
+  }
 
   /// Mirrors size/overwritten into the registry's "trace.events" /
   /// "trace.overwritten" gauges, so ring-buffer pressure is visible in
@@ -189,13 +204,13 @@ class TraceSink {
 
   void clear();
 
-  [[nodiscard]] const std::deque<TraceEvent>& events() const noexcept {
+  [[nodiscard]] const Ring<TraceEvent>& events() const noexcept {
     return events_;
   }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   /// Events evicted by the ring bound since the last clear().
   [[nodiscard]] std::uint64_t overwritten() const noexcept {
-    return overwritten_;
+    return events_.overwritten();
   }
   /// Id of the most recently recorded event (0 = none yet).
   [[nodiscard]] std::uint64_t last_eid() const noexcept { return next_eid_; }
@@ -203,10 +218,8 @@ class TraceSink {
  private:
   void update_gauges();
 
-  std::size_t capacity_;
   bool messages_ = false;
-  std::deque<TraceEvent> events_;
-  std::uint64_t overwritten_ = 0;
+  Ring<TraceEvent> events_;
   std::uint64_t next_eid_ = 0;
   Gauge* events_gauge_ = nullptr;
   Gauge* overwritten_gauge_ = nullptr;

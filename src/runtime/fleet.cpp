@@ -130,7 +130,7 @@ std::size_t RuntimeFleet::distinct_primaries(
 }
 
 void append_outcome_line(std::string& out, ProcessId p,
-                         const std::deque<obs::TraceEvent>& events,
+                         const obs::Ring<obs::TraceEvent>& events,
                          const ProtocolNode& node) {
   out += to_string(p) + ":";
   for (const obs::TraceEvent& event : events) {

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -134,7 +133,7 @@ class RuntimeFleet {
 /// in order, then `node`'s final primary and formation count. Both sides
 /// of the DES cross-check write their transcripts with it.
 void append_outcome_line(std::string& out, ProcessId p,
-                         const std::deque<obs::TraceEvent>& events,
+                         const obs::Ring<obs::TraceEvent>& events,
                          const ProtocolNode& node);
 
 /// FNV-1a 64-bit — tiny, deterministic, dependency-free; collisions are

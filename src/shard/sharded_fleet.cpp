@@ -11,6 +11,13 @@
 
 namespace dynvote::shard {
 
+namespace {
+/// Ring bound of the fleet's structured trace: every fleet fault records
+/// one topology event per live component, and a sharded fleet has
+/// hundreds of those.
+constexpr std::size_t kTraceCapacity = 4096;
+}  // namespace
+
 /// Per-group observer that closes the group's open reconfiguration
 /// window on the first formation after a fleet fault.
 struct ShardedFleet::GroupFormationObserver final : ProtocolObserver {
@@ -33,14 +40,13 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
   ensure(options_.group_size > 0, "ShardedFleet: need group_size >= 1");
   ensure(options_.group_size <= options_.num_machines,
          "ShardedFleet: a group's replicas must fit on distinct machines");
-  sim_.trace().set_capacity(options_.trace_capacity);
+  sim_.trace().set_capacity(kTraceCapacity);
   machine_replicas_.resize(options_.num_machines);
 
   if (options_.telemetry.enabled) {
     hub_ = std::make_unique<obs::MetricsHub>(options_.num_groups);
-    flight_ = std::make_unique<obs::FlightRecorder>(obs::FlightRecorderOptions{
-        options_.num_groups, options_.group_size,
-        options_.telemetry.flight_recorder_capacity});
+    flight_ = std::make_unique<obs::FlightRecorder>(
+        obs::FlightRecorderOptions{options_.num_groups, options_.group_size});
     sim_.trace().set_flight_recorder(flight_.get());
   } else {
     metrics_observer_ = std::make_unique<MetricsObserver>(sim_.metrics());
@@ -65,8 +71,10 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
 
     DvConfig config;
     config.core = group.members;
-    config.min_quorum = options_.min_quorum;
-    config.persistence.cross_check = options_.persistence_cross_check;
+    config.min_quorum = kFleetMinQuorum;
+    // The WAL replay audit is a debug check too costly at fleet scale;
+    // bench_persistence measures it.
+    config.persistence.cross_check = false;
     if (hub_ != nullptr) {
       // Attributable telemetry: this group's protocol events and WAL
       // counters land in its own hub child, not the fleet-global pile.
@@ -88,8 +96,7 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
   }
   if (hub_ != nullptr) {
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-        *hub_, obs::TimeSeriesOptions{options_.telemetry.timeseries_tick,
-                                      options_.telemetry.timeseries_capacity});
+        *hub_, obs::TimeSeriesOptions{});
     sampler_->track_counter("dv.formed");
     sampler_->track_counter("dv.rejected");
     sampler_->track_counter("dv.storage.wal_bytes");
@@ -97,7 +104,7 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
   }
   // The oracle must subscribe after every node exists, so each view it
   // announces finds a registered receiver.
-  oracle_ = std::make_unique<MembershipOracle>(sim_, options_.membership);
+  oracle_ = std::make_unique<MembershipOracle>(sim_);
 }
 
 ProcessId ShardedFleet::replica_id(std::uint32_t group,

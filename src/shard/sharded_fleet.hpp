@@ -63,14 +63,13 @@ inline constexpr int kFleetTelemetrySchemaVersion = 2;
 /// perturbs the simulation: enabled or not, the event schedule and every
 /// protocol decision are identical (bench_shards asserts digest equality
 /// between modes and measures the overhead against a 5% budget).
+///
+/// The time series and the flight recorder run with their obs-level
+/// defaults (obs::TimeSeriesOptions, obs::FlightRecorderOptions): a
+/// sample per 2,000 ticks with 512 retained, and 64 protocol events
+/// per group.
 struct FleetTelemetryOptions {
   bool enabled = true;
-  /// Sim-time spacing of retained time-series samples (microticks).
-  SimTime timeseries_tick = 2'000;
-  /// Ring bound on retained time-series samples.
-  std::size_t timeseries_capacity = 512;
-  /// Per-group flight-recorder ring bound (protocol events only).
-  std::size_t flight_recorder_capacity = 64;
   /// Reconfiguration latency (ticks) above which the group's flight
   /// recorder dumps an outlier post-mortem. 0 = no outlier capture.
   SimTime reconfig_outlier_ticks = 0;
@@ -88,19 +87,12 @@ struct ShardedFleetOptions {
   /// machines; every group with replicas on both sides of a cut splits.
   std::uint32_t num_machines = 8;
   ProtocolKind kind = ProtocolKind::kOptimized;
-  /// Min_Quorum applied to every group's DvConfig.
-  std::size_t min_quorum = 1;
   sim::SimulatorOptions sim;
-  MembershipOptions membership;
-  /// Ring-buffer capacity of the structured trace. Bounded by default:
-  /// every fleet fault records one topology event per live component,
-  /// and a sharded fleet has hundreds of those.
-  std::size_t trace_capacity = 4096;
-  /// Debug replay audit of the persistence layer (expensive; off for
-  /// fleet-scale runs, bench_persistence measures its cost).
-  bool persistence_cross_check = false;
   FleetTelemetryOptions telemetry;
 };
+
+/// Min_Quorum of every group's DvConfig.
+inline constexpr std::size_t kFleetMinQuorum = 1;
 
 class ShardedFleet {
  public:

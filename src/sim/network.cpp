@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "sim/node.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote::sim {
@@ -38,7 +39,7 @@ std::size_t Network::directed_index(std::uint32_t slot_from,
   return tri_index(slot_from, slot_to) * 2 + (slot_from > slot_to ? 1 : 0);
 }
 
-void Network::add_process(ProcessId p) {
+void Network::add_process(ProcessId p, Node& node) {
   ensure(!known(p), "process added twice");
   processes_.insert(p);  // rejects an id >= kProcessIdLimit
   const auto slot = static_cast<std::uint32_t>(entries_.size());
@@ -57,13 +58,7 @@ void Network::add_process(ProcessId p) {
   ProcessEntry& entry = entries_[slot];
   entry.alive = true;
   entry.component = next_component_++;
-}
-
-void Network::set_delivery_handler(ProcessId p,
-                                   std::function<void(Envelope)> handler) {
-  const std::uint32_t slot = slot_of(p);
-  ensure(slot != kNoSlot, "unknown process");
-  entries_[slot].handler = std::move(handler);
+  entry.node = &node;
 }
 
 std::vector<Network::ConnectivityEntry> Network::snapshot_connectivity()
@@ -320,11 +315,11 @@ void Network::send(Envelope env) {
     tail = when + 1;
   }
   queue_.schedule_at(when, [this, env = std::move(env), epoch]() mutable {
-    deliver(std::move(env), epoch);
+    deliver(env, epoch);
   });
 }
 
-void Network::deliver(Envelope env, std::uint64_t epoch_at_send) {
+void Network::deliver(Envelope& env, std::uint64_t epoch_at_send) {
   // The pair must have stayed connected for the whole flight; a partition
   // (even a healed one) loses the message, per the model in paper
   // section 3.
@@ -334,7 +329,6 @@ void Network::deliver(Envelope env, std::uint64_t epoch_at_send) {
     return;
   }
   ProcessEntry& receiver = entries_[slot_of(env.to)];
-  ensure(static_cast<bool>(receiver.handler), "no delivery handler installed");
   delivered_.increment();
   // Lamport receive rule: the receiver's clock jumps past everything the
   // sender had seen at send time.
@@ -350,7 +344,7 @@ void Network::deliver(Envelope env, std::uint64_t epoch_at_send) {
     event.cause = env.send_eid;
     trace_.record(std::move(event));
   }
-  receiver.handler(std::move(env));
+  receiver.node->deliver_message(std::move(env));
 }
 
 NetworkStats Network::stats() const {

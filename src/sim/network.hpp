@@ -36,6 +36,8 @@
 
 namespace dynvote::sim {
 
+class Node;
+
 /// Uniform message latency in simulated ticks.
 struct LatencyModel {
   SimTime min = 40;
@@ -70,13 +72,10 @@ class Network {
   Network(EventQueue& queue, Rng rng, LatencyModel latency,
           obs::TraceSink& trace, obs::MetricsRegistry& metrics);
 
-  /// Registers a process. All processes start alive, each in its own
-  /// singleton component until set_components is called.
-  void add_process(ProcessId p);
-
-  /// Installs the delivery callback for a process (the Node layer).
-  void set_delivery_handler(ProcessId p,
-                            std::function<void(Envelope)> handler);
+  /// Registers process `p`, whose messages `node` receives. All
+  /// processes start alive, each in its own singleton component until
+  /// set_components is called. The node must outlive the network.
+  void add_process(ProcessId p, Node& node);
 
   // -- connectivity control ------------------------------------------------
 
@@ -149,14 +148,13 @@ class Network {
   struct ProcessEntry {
     bool alive = true;
     std::uint32_t component = 0;
-    std::function<void(Envelope)> handler;
+    Node* node = nullptr;
     std::uint64_t lamport = 0;   // Lamport clock of this process
     std::uint64_t topo_eid = 0;  // last topology event covering this process
   };
 
   /// Connectivity-only snapshot used to detect disconnections across a
-  /// topology change. Deliberately excludes the delivery handler so
-  /// snapshotting does not copy std::function objects.
+  /// topology change.
   struct ConnectivityEntry {
     bool alive = false;
     std::uint32_t component = 0;
@@ -204,7 +202,7 @@ class Network {
   void notify_topology_changed();
   std::uint64_t link_epoch(ProcessId a, ProcessId b) const;
   void count_drop(const Envelope& env, obs::DropCause cause);
-  void deliver(Envelope env, std::uint64_t epoch_at_send);
+  void deliver(Envelope& env, std::uint64_t epoch_at_send);
 
   EventQueue& queue_;
   Rng rng_;

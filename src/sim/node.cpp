@@ -39,7 +39,7 @@ void Node::deliver_view(const View& view) {
   }
 }
 
-void Node::deliver_message(Envelope env) {
+void Node::deliver_message(Envelope&& env) {
   if (!alive_) return;
   if (!view_ || env.view > view_->id) {
     buffered_.push_back(std::move(env));

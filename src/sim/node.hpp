@@ -50,7 +50,7 @@ class Node {
 
   /// Routes an incoming envelope through the view gate (buffer / drop /
   /// hand to on_message).
-  void deliver_message(Envelope env);
+  void deliver_message(Envelope&& env);
 
   /// Crash: wipe volatile state. The simulator keeps stable storage.
   void crash();

@@ -17,10 +17,7 @@ void Simulator::add_node(std::unique_ptr<Node> node) {
   ensure(node != nullptr, "null node");
   const ProcessId p = node->id();
   ensure(!nodes_.contains(p), "node registered twice");
-  network_.add_process(p);
-  Node* raw = node.get();
-  network_.set_delivery_handler(
-      p, [raw](Envelope env) { raw->deliver_message(std::move(env)); });
+  network_.add_process(p, *node);
   nodes_.emplace(p, std::move(node));
 }
 

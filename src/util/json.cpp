@@ -133,8 +133,7 @@ namespace {
   return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
-}  // namespace
-
+/// Escapes `s` into a quoted JSON string literal appended to `out`.
 void json_escape(std::string& out, std::string_view s) {
   out.push_back('"');
   std::size_t i = 0;
@@ -171,6 +170,8 @@ void json_escape(std::string& out, std::string_view s) {
   }
   out.push_back('"');
 }
+
+}  // namespace
 
 void JsonValue::write(std::string& out, int indent, int depth) const {
   const auto newline = [&](int d) {

@@ -111,7 +111,4 @@ class JsonValue {
       value_;
 };
 
-/// Escapes `s` into a quoted JSON string literal appended to `out`.
-void json_escape(std::string& out, std::string_view s);
-
 }  // namespace dynvote

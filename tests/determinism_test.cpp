@@ -36,7 +36,7 @@ std::string run_trace(ProtocolKind kind, std::uint64_t sim_seed,
   // The trace.json export: every protocol and topology event with its
   // eid, Lamport clock, cause and abort reason.
   std::ostringstream out;
-  out << trace_json_string(cluster.trace_meta(), cluster.sim().trace());
+  out << trace_to_json(cluster.trace_meta(), cluster.sim().trace()).dump();
   out << "msgs=" << cluster.sim().network().stats().messages_sent
       << " bytes=" << cluster.sim().network().stats().bytes_sent
       << " now=" << cluster.sim().now();

@@ -1,16 +1,21 @@
 // Unit tests: the observability layer — JSON codec, metrics registry,
-// trace ring buffer, deterministic trace export, and the checker's
-// trace-replay mode.
+// the bounded ring and the trace sink on it, deterministic trace export,
+// and the checker's trace-replay mode.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
+#include <vector>
 
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
 #include "harness/trace_replay.hpp"
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"
+#include "util/ensure.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace dynvote {
 namespace {
@@ -150,6 +155,66 @@ TEST(MetricsTest, InstrumentReferencesStayValidAcrossRegistrations) {
   EXPECT_EQ(registry.counter_value("a"), 1u);
 }
 
+// ---- obs/ring ---------------------------------------------------------------
+
+/// Reference model of a bounded history: a deque that drops its front
+/// once it holds `capacity` elements (0 = unbounded).
+struct DequeReference {
+  std::size_t capacity;
+  std::deque<std::string> items;
+  std::uint64_t overwritten = 0;
+
+  void push(const std::string& value) {
+    if (capacity != 0 && items.size() >= capacity) {
+      items.pop_front();
+      ++overwritten;
+    }
+    items.push_back(value);
+  }
+  void clear() {
+    items.clear();
+    overwritten = 0;
+  }
+};
+
+TEST(Ring, MatchesADequeReferenceUnderSeededPushesAndClears) {
+  for (const std::size_t capacity : {0u, 1u, 3u, 64u}) {
+    obs::Ring<std::string> ring(capacity);
+    DequeReference reference{capacity, {}, 0};
+    Rng rng(9000 + capacity);
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.next_below(100) == 0) {
+        ring.clear();
+        reference.clear();
+      } else {
+        // Strings of varying length, so assigning into an occupied slot
+        // both reuses and grows its buffer.
+        const std::string value(rng.next_below(40), 'a' + step % 26);
+        const std::string stored = value + std::to_string(step);
+        EXPECT_EQ(ring.push(stored), stored);
+        reference.push(stored);
+      }
+      ASSERT_EQ(ring.size(), reference.items.size())
+          << "capacity " << capacity << " step " << step;
+      ASSERT_EQ(ring.empty(), reference.items.empty());
+      ASSERT_EQ(ring.overwritten(), reference.overwritten)
+          << "capacity " << capacity << " step " << step;
+      const std::vector<std::string> iterated(ring.begin(), ring.end());
+      const std::vector<std::string> expected(reference.items.begin(),
+                                              reference.items.end());
+      ASSERT_EQ(iterated, expected)
+          << "capacity " << capacity << " step " << step;
+      for (std::size_t i = 0; i < ring.size(); ++i) {
+        ASSERT_EQ(ring[i], reference.items[i]);
+      }
+      if (!ring.empty()) {
+        ASSERT_EQ(ring.front(), reference.items.front());
+        ASSERT_EQ(ring.back(), reference.items.back());
+      }
+    }
+  }
+}
+
 // ---- obs/trace --------------------------------------------------------------
 
 obs::TraceEvent event_at(SimTime t) {
@@ -166,6 +231,17 @@ TEST(TraceSinkTest, RingBufferEvictsOldest) {
   EXPECT_EQ(sink.events().front().time, 2u);
   EXPECT_EQ(sink.events().back().time, 4u);
   EXPECT_EQ(sink.overwritten(), 2u);
+}
+
+TEST(TraceSinkTest, SetCapacityOnANonEmptySinkThrows) {
+  obs::TraceSink sink;
+  sink.set_capacity(2);  // empty: fine
+  sink.record(event_at(1));
+  EXPECT_THROW(sink.set_capacity(8), InvariantViolation);
+  EXPECT_EQ(sink.capacity(), 2u);
+  sink.clear();
+  sink.set_capacity(8);
+  EXPECT_EQ(sink.capacity(), 8u);
 }
 
 TEST(TraceSinkTest, MessageEventsAreGatedSeparately) {
@@ -303,8 +379,8 @@ TEST(TraceReplayTest, RingBoundedTraceStillReplaysRecentEvents) {
   options.kind = ProtocolKind::kOptimized;
   options.n = 5;
   options.sim.seed = 7;
-  options.trace_capacity = 64;
   Cluster cluster(options);
+  cluster.trace().set_capacity(64);
   cluster.start();
   for (int i = 0; i < 6; ++i) {
     cluster.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});

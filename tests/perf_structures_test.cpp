@@ -12,8 +12,8 @@
 //     identical output at any thread count (including the full E1
 //     trace.json byte-for-byte through a 4-thread pool), and exception
 //     propagation;
-//   - trace_json_string as a byte-identical fast path for
-//     trace_to_json(...).dump().
+//   - the trace.json round trip: an export loads, re-records and
+//     re-exports byte for byte.
 #include <algorithm>
 #include <compare>
 #include <iterator>
@@ -504,7 +504,7 @@ std::string run_e1_trace(ProtocolKind kind) {
   faults.clear();
   cluster.partition({ProcessSet::of({0, 1}), ProcessSet::of({2, 3, 4})});
   cluster.settle();
-  return trace_json_string(cluster.trace_meta(), cluster.sim().trace());
+  return trace_to_json(cluster.trace_meta(), cluster.sim().trace()).dump();
 }
 
 TEST(SweepDeterminism, E1TraceJsonIsByteIdenticalThroughTheParallelSweep) {
@@ -526,9 +526,9 @@ TEST(SweepDeterminism, E1TraceJsonIsByteIdenticalThroughTheParallelSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// trace_json_string: the no-tree export path.
+// trace.json round trip.
 
-TEST(TraceExport, DirectStringMatchesTreeDumpByteForByte) {
+TEST(TraceExport, LoadedTraceReExportsByteForByte) {
   for (const ProtocolKind kind :
        {ProtocolKind::kBasic, ProtocolKind::kOptimized,
         ProtocolKind::kCentralized, ProtocolKind::kThreePhaseRecovery}) {
@@ -542,15 +542,17 @@ TEST(TraceExport, DirectStringMatchesTreeDumpByteForByte) {
     cluster.settle();
     cluster.partition({ProcessSet::of({0, 5}), ProcessSet::of({1, 2, 3, 4})});
     cluster.settle();
-    const std::string direct =
-        trace_json_string(cluster.trace_meta(), cluster.sim().trace());
-    const std::string via_tree =
+    const std::string exported =
         trace_to_json(cluster.trace_meta(), cluster.sim().trace()).dump();
-    EXPECT_EQ(direct, via_tree);
-    // And the loader accepts it: export -> load -> export round-trips.
-    const TraceMetaAndEvents loaded = load_trace_json(direct);
-    EXPECT_EQ(loaded.events.size(),
-              cluster.sim().trace().events().size());
+    const TraceMetaAndEvents loaded = load_trace_json(exported);
+    ASSERT_EQ(loaded.events.size(), cluster.sim().trace().size());
+    // Recording the loaded events into a fresh sink renumbers them 1..N,
+    // which is what they were: the run's sink never evicted.
+    obs::TraceSink sink;
+    sink.set_messages_enabled(true);
+    for (const obs::TraceEvent& event : loaded.events) sink.record(event);
+    EXPECT_EQ(trace_to_json(loaded.meta, sink).dump(), exported)
+        << to_string(kind);
   }
 }
 

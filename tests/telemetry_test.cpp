@@ -197,7 +197,7 @@ TEST(FlightRecorder, RingKeepsLastNOldestFirst) {
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().eid, 7u);
   EXPECT_EQ(events.back().eid, 10u);
-  EXPECT_EQ(recorder.dropped(0), 6u);
+  EXPECT_EQ(recorder.group_events(0).overwritten(), 6u);
 }
 
 TEST(FlightRecorder, PostmortemChainsAreRootFirstAndFlagTruncation) {
@@ -252,8 +252,8 @@ TEST(TraceFilter, FleetShapeRoundTripsAndSingleGroupTracesAreUnchanged) {
   meta.n = 6;
   meta.num_groups = 2;
   meta.group_size = 3;
-  const std::string sharded = trace_json_string(meta, sink);
-  // Both serializers must agree byte-for-byte on the shape keys.
+  const std::string sharded = trace_to_json(meta, sink).dump();
+  // The export is a pure function of meta and sink.
   EXPECT_EQ(sharded, trace_to_json(meta, sink).dump());
   const TraceMetaAndEvents parsed = load_trace_json(sharded);
   EXPECT_EQ(parsed.meta.num_groups, 2u);
@@ -264,7 +264,7 @@ TEST(TraceFilter, FleetShapeRoundTripsAndSingleGroupTracesAreUnchanged) {
   obs::TraceMeta flat = meta;
   flat.num_groups = 0;
   flat.group_size = 0;
-  const std::string single = trace_json_string(flat, sink);
+  const std::string single = trace_to_json(flat, sink).dump();
   EXPECT_EQ(single.find("num_groups"), std::string::npos);
   EXPECT_EQ(load_trace_json(single).meta.group_size, 0u);
 }
@@ -293,7 +293,7 @@ TEST(TraceFilter, GroupFilterKeepsOneGroupsEventsWithCausesIntact) {
   }
   meta.core = all;
   const TraceMetaAndEvents trace =
-      load_trace_json(trace_json_string(meta, fleet.sim().trace()));
+      load_trace_json(trace_to_json(meta, fleet.sim().trace()).dump());
 
   std::size_t kept_total = 0;
   for (std::uint32_t g = 0; g < options.num_groups; ++g) {

@@ -37,18 +37,22 @@
 //
 // Exit codes: 0 success, 1 a check failed (Theorem-1 bound exceeded, no
 // causal root, Chrome JSON invalid, missing expected post-mortem),
-// 2 usage or I/O error.
+// 2 usage or I/O error: a malformed document, or an argument the usage
+// does not allow, such as a non-numeric --top, --group or view id.
 //
 // Everything here works from the file alone — the tool never needs the
 // process that produced the trace (see docs/OBSERVABILITY.md).
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -57,7 +61,6 @@
 #include "obs/runtime_probe.hpp"
 #include "obs/spans.hpp"
 #include "obs/trace.hpp"
-#include "util/ensure.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -102,14 +105,6 @@ bool write_file(const std::string& path, const std::string& content) {
   if (!out) return false;
   out << content;
   return out.good();
-}
-
-/// "--out FILE" anywhere after the trace path; empty = stdout.
-std::string parse_out(int argc, char** argv, int from) {
-  for (int i = from; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--out") return argv[i + 1];
-  }
-  return {};
 }
 
 int cmd_timeline(const TraceMetaAndEvents& trace) {
@@ -428,6 +423,17 @@ bool validate_chrome(const JsonValue& doc, std::string& error) {
   return true;
 }
 
+/// Writes a Chrome trace-event document as emit_json does, once
+/// validate_chrome accepts it.
+int emit_chrome(const JsonValue& doc, const std::string& out_path) {
+  std::string error;
+  if (!validate_chrome(doc, error)) {
+    std::cerr << "dvtrace: invalid Chrome trace JSON: " << error << "\n";
+    return 1;
+  }
+  return emit_json(doc, out_path);
+}
+
 // -- runtime probe report ------------------------------------------------------
 
 using dynvote::obs::lane_name;
@@ -667,136 +673,130 @@ int cmd_runtime(const RuntimeProbeDoc& doc, std::size_t top,
   }
 
   if (!chrome_path.empty()) {
-    const JsonValue chrome = dynvote::obs::runtime_probe_chrome_json(doc);
-    std::string error;
-    if (!validate_chrome(chrome, error)) {
-      std::cerr << "dvtrace: invalid Chrome trace JSON: " << error << "\n";
-      return 1;
-    }
-    return emit_json(chrome, chrome_path);
+    return emit_chrome(dynvote::obs::runtime_probe_chrome_json(doc),
+                       chrome_path);
   }
   return 0;
 }
 
-}  // namespace
+/// One invocation, parsed and validated before the document is read.
+struct Args {
+  std::string command;
+  std::string path;
+  std::size_t top = 32;            // fleet (default 8), runtime
+  bool expect_postmortem = false;  // fleet
+  std::string chrome_path;         // runtime
+  std::string out_path;            // spans, export-chrome; empty = stdout
+  std::optional<std::uint32_t> group;   // trace commands
+  std::optional<std::int64_t> view_id;  // explain-abort
+};
 
-int main(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string command = argv[1];
-  const std::string path = argv[2];
+/// Whether all of `text` is a decimal number, stored in `value`.
+template <typename T>
+bool parse_number(std::string_view text, T& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && ptr == end;
+}
 
-  const auto text = read_file(path);
+/// Nothing when the arguments do not form a valid invocation, including
+/// a non-numeric value where a number belongs.
+std::optional<Args> parse_args(int argc, char** argv) {
+  if (argc < 3) return std::nullopt;
+  Args args;
+  args.command = argv[1];
+  args.path = argv[2];
+  const std::string& c = args.command;
+  const bool trace = c == "timeline" || c == "explain-abort" ||
+                     c == "ambiguity" || c == "spans" || c == "export-chrome";
+  if (!trace && c != "fleet" && c != "runtime") return std::nullopt;
+  if (c == "fleet") args.top = 8;
+  for (int i = 3; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    bool ok = true;
+    if (arg == "--top" && !trace && has_value) {
+      ok = parse_number(argv[++i], args.top);
+    } else if (arg == "--group" && trace && has_value) {
+      ok = parse_number(argv[++i], args.group.emplace());
+    } else if (arg == "--expect-postmortem" && c == "fleet") {
+      args.expect_postmortem = true;
+    } else if (arg == "--chrome" && c == "runtime" && has_value) {
+      args.chrome_path = argv[++i];
+    } else if (arg == "--out" && (c == "spans" || c == "export-chrome") &&
+               has_value) {
+      args.out_path = argv[++i];
+    } else if (c == "explain-abort" && !args.view_id &&
+               !arg.starts_with('-')) {
+      ok = parse_number(arg, args.view_id.emplace());
+    } else {
+      ok = false;
+    }
+    if (!ok) return std::nullopt;
+  }
+  return args;
+}
+
+/// Reads the document, parses it as the command's kind and reports.
+/// Throws on a malformed document.
+int run(const Args& args) {
+  const auto text = read_file(args.path);
   if (!text) {
-    std::cerr << "dvtrace: cannot read " << path << "\n";
+    std::cerr << "dvtrace: cannot read " << args.path << "\n";
     return 2;
   }
-
-  // `fleet` consumes the telemetry document, not a trace — dispatch
-  // before the trace parser sees the file.
-  if (command == "fleet") {
-    std::size_t top = 8;
-    bool expect_postmortem = false;
-    for (int i = 3; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--top" && i + 1 < argc) {
-        top = static_cast<std::size_t>(std::stoull(argv[++i]));
-      } else if (arg == "--expect-postmortem") {
-        expect_postmortem = true;
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return cmd_fleet(JsonValue::parse(*text), top, expect_postmortem);
-    } catch (const dynvote::JsonError& e) {
-      std::cerr << "dvtrace: " << path << ": " << e.what() << "\n";
-      return 2;
-    }
+  if (args.command == "fleet") {
+    return cmd_fleet(JsonValue::parse(*text), args.top,
+                     args.expect_postmortem);
+  }
+  if (args.command == "runtime") {
+    return cmd_runtime(dynvote::obs::load_runtime_probes(*text), args.top,
+                       args.chrome_path);
   }
 
-  // `runtime` consumes the probe document bench_runtime exports — also
-  // not a trace.
-  if (command == "runtime") {
-    std::size_t top = 32;
-    std::string chrome_path;
-    for (int i = 3; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--top" && i + 1 < argc) {
-        top = static_cast<std::size_t>(std::stoull(argv[++i]));
-      } else if (arg == "--chrome" && i + 1 < argc) {
-        chrome_path = argv[++i];
-      } else {
-        return usage();
-      }
-    }
-    try {
-      return cmd_runtime(dynvote::obs::load_runtime_probes(*text), top,
-                         chrome_path);
-    } catch (const dynvote::JsonError& e) {
-      std::cerr << "dvtrace: " << path << ": " << e.what() << "\n";
-      return 2;
-    } catch (const dynvote::InvariantViolation& e) {
-      std::cerr << "dvtrace: " << path << ": " << e.what() << "\n";
-      return 2;
-    }
-  }
-
-  TraceMetaAndEvents trace;
-  try {
-    trace = dynvote::load_trace_json(*text);
-  } catch (const dynvote::JsonError& e) {
-    std::cerr << "dvtrace: " << path << ": " << e.what() << "\n";
-    return 2;
-  }
-
+  TraceMetaAndEvents trace = dynvote::load_trace_json(*text);
   // `--group G` restricts a sharded trace to one group before any
   // command runs; the narrowed meta makes span folding and the
   // Theorem-1 check meaningful per group.
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) != "--group") continue;
+  if (args.group) {
     if (trace.meta.group_size == 0) {
       std::cerr << "dvtrace: --group needs a sharded trace (this meta "
                    "carries no fleet shape)\n";
       return 2;
     }
-    const auto group =
-        static_cast<std::uint32_t>(std::stoull(argv[i + 1]));
-    if (group >= trace.meta.num_groups) {
-      std::cerr << "dvtrace: group " << group << " out of range (trace has "
-                << trace.meta.num_groups << " groups)\n";
+    if (*args.group >= trace.meta.num_groups) {
+      std::cerr << "dvtrace: group " << *args.group
+                << " out of range (trace has " << trace.meta.num_groups
+                << " groups)\n";
       return 2;
     }
-    trace = dynvote::filter_trace_group(trace, group);
-    break;
+    trace = dynvote::filter_trace_group(trace, *args.group);
   }
 
-  if (command == "timeline") return cmd_timeline(trace);
-
-  if (command == "explain-abort") {
-    std::optional<std::int64_t> view_id;
-    if (argc > 3 && argv[3][0] != '-') view_id = std::stoll(argv[3]);
-    return cmd_explain_abort(trace, view_id);
+  if (args.command == "timeline") return cmd_timeline(trace);
+  if (args.command == "explain-abort") {
+    return cmd_explain_abort(trace, args.view_id);
   }
 
   const SpanReport report = dynvote::obs::build_spans(trace.events);
-
-  if (command == "ambiguity") return cmd_ambiguity(trace, report);
-
-  if (command == "spans") {
-    return emit_json(dynvote::obs::spans_to_json(report),
-                     parse_out(argc, argv, 3));
+  if (args.command == "ambiguity") return cmd_ambiguity(trace, report);
+  if (args.command == "spans") {
+    return emit_json(dynvote::obs::spans_to_json(report), args.out_path);
   }
+  return emit_chrome(
+      dynvote::obs::chrome_trace_json(trace.meta, trace.events, report),
+      args.out_path);
+}
 
-  if (command == "export-chrome") {
-    const JsonValue doc =
-        dynvote::obs::chrome_trace_json(trace.meta, trace.events, report);
-    std::string error;
-    if (!validate_chrome(doc, error)) {
-      std::cerr << "dvtrace: invalid Chrome trace JSON: " << error << "\n";
-      return 1;
-    }
-    return emit_json(doc, parse_out(argc, argv, 3));
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::optional<Args> args = parse_args(argc, argv);
+  if (!args) return usage();
+  try {
+    return run(*args);
+  } catch (const std::exception& e) {
+    std::cerr << "dvtrace: " << args->path << ": " << e.what() << "\n";
+    return 2;
   }
-
-  return usage();
 }
