@@ -1,14 +1,6 @@
 // Wall-clock benchmark of the real-time runtime (experiment C5).
 //
-// Five phases:
-//
-//   (0) Correctness gate: the DES-as-oracle cross-check on 8 seeds for
-//       both paper protocols, each seed run probes-off AND probes-on,
-//       on the M:N pool at W ∈ {1, 2, 4, n}. The bench *refuses to
-//       report numbers from a runtime that diverges from the simulator*
-//       — exit 1 — and likewise refuses if the wall-clock probe layer
-//       shifts any outcome digest (digest-neutrality: probes-on ==
-//       probes-off == DES, at every worker count).
+// Four phases:
 //
 //   (1) Reconfiguration latency: for each protocol in {basic,
 //       optimized, three_phase_recovery} and fleet width n in
@@ -18,23 +10,29 @@
 //       until every member of the forming component has formed the new
 //       primary (per-process formation timestamps come from a
 //       ProtocolObserver on the workers). Reports p50/p99. Each cell's
-//       outcome digest must equal the DES replay of the same script.
+//       outcome digest must equal the DES replay of the same script,
+//       and C1 must hold at every step of that replay; the bench
+//       refuses to pass with numbers from a runtime that diverges from
+//       the simulator. The seeded cross-check over random scripts at
+//       W ∈ {1, 2, 4, n}, probes off and on, is a ctest case
+//       (RuntimeCrossCheck.DigestsMatchOnEightSeeds).
 //
 //   (2) Phase breakdown: the phase-1 churn with probe rings on, at
 //       W = n (one process per worker thread), attributing each
 //       reconfiguration's wall time on its critical (last-forming)
 //       process's lane into queued / parked / executing buckets
-//       (obs/runtime_probe.hpp; the timer-slop column reads 0, as the
-//       pool has no timers). The buckets plus the unattributed residue
-//       sum to the wall time exactly; the bench gates the residue below
-//       10%, which is what makes the breakdown a measurement rather
-//       than an accounting identity. The optimized protocol's raw probe
-//       document is exported for `dvtrace runtime`.
+//       (obs/runtime_probe.hpp). The buckets plus the unattributed
+//       residue sum to the wall time exactly; the bench gates the
+//       residue below 10%, which is what makes the breakdown a
+//       measurement rather than an accounting identity. The optimized
+//       protocol's raw probe document is exported for `dvtrace runtime`.
 //
-//   (3) Probe overhead: N adjacent probes-off/probes-on pairs of the
-//       phase-1 cell, CPU-timed, identical outcome digests required;
-//       overhead = max(0, min-pair-ratio - 1), gated < 5% (estimator
-//       rationale in bench/bench_shards.cpp).
+//   (3) Probe overhead: adjacent probes-off/probes-on pairs of a
+//       phase-1 cell (optimized, at the phase-2 width), CPU-timed,
+//       identical outcome digests required in every pair; overhead =
+//       max(0, min-pair-ratio - 1), gated < 5% (paired_overhead in
+//       harness/bench_report.hpp, which gives the estimator's
+//       rationale).
 //
 //   (4) Fleet-width scaling: n ∈ {64, 256, 1024} processes carved into
 //       groups of 32 that all re-form on every verb (alternating
@@ -58,7 +56,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,18 +133,22 @@ struct MeasureOut {
 };
 
 /// The churn every timed cell runs, `cycles` times: split into the
-/// majority {0..n/2} and the minority, then merge back.
-std::vector<ScenarioStep> churn_script(std::uint32_t n, int cycles) {
-  ScenarioStep partition;
-  partition.kind = ScenarioStep::Kind::kPartition;
+/// majority {0..n/2} and the minority, then merge everyone back. Each
+/// event's first group is the component that forms the new primary.
+std::vector<ScheduleEvent> churn_script(std::uint32_t n, int cycles) {
+  ScheduleEvent partition;
+  partition.kind = ScheduleEvent::Kind::kPartition;
   partition.groups.resize(2);
   for (std::uint32_t i = 0; i < n; ++i) {
     partition.groups[i <= n / 2 ? 0 : 1].insert(ProcessId(i));
   }
-  std::vector<ScenarioStep> script;
+  ScheduleEvent merge;
+  merge.kind = ScheduleEvent::Kind::kMerge;
+  merge.groups = {ProcessSet::range(n)};
+  std::vector<ScheduleEvent> script;
   for (int cycle = 0; cycle < cycles; ++cycle) {
     script.push_back(partition);
-    script.push_back(ScenarioStep{});  // merge
+    script.push_back(merge);
   }
   return script;
 }
@@ -166,35 +167,29 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
   options.runtime.probes = probes;
   options.workers = workers;
   // Timed phase: production persistence. The WAL replay audit re-runs
-  // recovery after every persist; it stays on in the cross-check phase.
+  // recovery after every persist; it stays on in the DES replay each
+  // cell is checked against.
   options.config.persistence.cross_check = false;
   RuntimeFleet fleet(options);
   FormationClock clock(n);
-  ProcessSet everyone;
   for (std::uint32_t i = 0; i < n; ++i) {
-    const ProcessId p(i);
-    fleet.protocol(p).set_observer(&clock);
-    everyone.insert(p);
+    fleet.protocol(ProcessId(i)).set_observer(&clock);
   }
   fleet.start();
 
   MeasureOut out;
   out.latencies.reserve(static_cast<std::size_t>(cycles) * 2);
-  for (const ScenarioStep& step : churn_script(n, cycles)) {
-    const bool merge = step.kind == ScenarioStep::Kind::kMerge;
-    const ProcessSet& forming = merge ? everyone : step.groups[0];
+  for (const ScheduleEvent& event : churn_script(n, cycles)) {
+    const ProcessSet& forming = event.groups[0];
     const std::uint64_t t0 = fleet.transport().now();
-    if (merge) {
-      fleet.merge();
-    } else {
-      fleet.partition(step.groups);
-    }
+    apply_event(fleet, event);
     const std::uint64_t formed = clock.formed_by(forming, t0);
     if (formed == 0) continue;
     out.latencies.push_back(formed - t0);
     if (!collect_windows) continue;
     obs::ReconfigWindow window;
-    window.verb = merge ? "merge" : "partition";
+    window.verb =
+        event.kind == ScheduleEvent::Kind::kMerge ? "merge" : "partition";
     window.t0_ns = t0 * 1000;
     window.t1_ns = formed * 1000;
     window.critical_thread =
@@ -207,49 +202,6 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
   fleet.stop();
   out.digest = fleet.outcome_digest();
   return out;
-}
-
-/// Process CPU time in milliseconds (all threads; parked threads accrue
-/// nothing, so this measures the work, not the waiting).
-double cpu_time_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) / 1e6;
-}
-
-/// Probe-overhead measurement: N adjacent probes-off/probes-on pairs of
-/// the phase-1 cell, CPU-timed, identical outcome digests required.
-/// Estimator: max(0, MIN over per-pair ratios - 1) — the min-of-pairs
-/// rationale (episodic shared-runner noise inflates pairs, a real
-/// regression shifts all of them) is documented at
-/// bench/bench_shards.cpp's measure_overhead.
-bool measure_overhead(std::uint32_t n, int cycles, int reps,
-                      double& overhead) {
-  // Discarded warmup pair (pristine-heap bias, see bench_shards).
-  (void)measure(ProtocolKind::kOptimized, n, cycles, false, false);
-  (void)measure(ProtocolKind::kOptimized, n, cycles, true, false);
-  double best_ratio = 0;
-  std::uint64_t digest_on = 0;
-  std::uint64_t digest_off = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool off_first = rep % 2 == 0;
-    const double t0 = cpu_time_ms();
-    const MeasureOut first =
-        measure(ProtocolKind::kOptimized, n, cycles, !off_first, false);
-    const double t1 = cpu_time_ms();
-    const MeasureOut second =
-        measure(ProtocolKind::kOptimized, n, cycles, off_first, false);
-    const double t2 = cpu_time_ms();
-    const double ms_off = off_first ? t1 - t0 : t2 - t1;
-    const double ms_on = off_first ? t2 - t1 : t1 - t0;
-    const double ratio = ms_off > 0 ? ms_on / ms_off : 1.0;
-    if (rep == 0 || ratio < best_ratio) best_ratio = ratio;
-    digest_on = off_first ? second.digest : first.digest;
-    digest_off = off_first ? first.digest : second.digest;
-  }
-  overhead = std::max(0.0, best_ratio - 1.0);
-  return digest_on == digest_off;
 }
 
 struct ScaleRow {
@@ -406,76 +358,6 @@ int main() {
 
   const bool quick = std::getenv("DYNVOTE_RUNTIME_QUICK") != nullptr;
 
-  // ---- phase 0: the runtime must match the DES before it may report
-  constexpr std::uint32_t kCheckN = 5;
-  std::puts(
-      "cross-check: DES oracle vs the pool runtime at W in {1,2,4,n}, "
-      "8 seeds, probes off+on");
-  Table check_table({"protocol", "seeds", "pool W", "digests equal",
-                     "C1 clean", "probes neutral"});
-  JsonValue check_rows = JsonValue::array();
-  bool all_equal = true;
-  bool all_c1 = true;
-  bool probes_neutral = true;
-  std::size_t worker_counts = 0;
-  for (ProtocolKind kind : {ProtocolKind::kBasic, ProtocolKind::kOptimized}) {
-    bool equal = true;
-    bool c1 = true;
-    bool neutral = true;
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      const CrossCheckResult result = run_scenario(kind, kCheckN, seed);
-      const CrossCheckResult probed =
-          run_scenario(kind, kCheckN, seed, /*steps=*/10, /*probes=*/true);
-      worker_counts = result.pool.size();
-      for (const CrossCheckResult* run : {&result, &probed}) {
-        if (run->digests_equal) continue;
-        equal = false;
-        std::fprintf(stderr,
-                     "DIVERGENCE %s seed %llu probes %s W=%u: %s\n--- DES "
-                     "---\n%s--- pool (divergent) ---\n%s",
-                     to_string(kind), static_cast<unsigned long long>(seed),
-                     run == &probed ? "on" : "off", run->divergent_workers,
-                     run->divergence ? run->divergence->to_string().c_str()
-                                     : "transcripts equal, digests differ",
-                     run->sim_summary.c_str(),
-                     run->pool_divergent_summary.c_str());
-      }
-      for (std::size_t i = 0; i < result.pool.size(); ++i) {
-        if (probed.pool[i].digest == result.pool[i].digest) continue;
-        neutral = false;
-        std::fprintf(stderr,
-                     "PROBE PERTURBATION %s seed %llu W=%u: probes-on digest "
-                     "%llx != probes-off digest %llx\n",
-                     to_string(kind), static_cast<unsigned long long>(seed),
-                     result.pool[i].workers,
-                     static_cast<unsigned long long>(probed.pool[i].digest),
-                     static_cast<unsigned long long>(result.pool[i].digest));
-      }
-      c1 &= result.c1_clean && probed.c1_clean;
-    }
-    check_table.add_row({to_string(kind), "8", "1,2,4," +
-                         std::to_string(kCheckN), equal ? "yes" : "NO",
-                         c1 ? "yes" : "NO", neutral ? "yes" : "NO"});
-    JsonValue row = JsonValue::object();
-    row.set("protocol", JsonValue(to_string(kind)));
-    row.set("seeds", JsonValue(std::uint64_t{8}));
-    row.set("pool_worker_counts", JsonValue(std::uint64_t{worker_counts}));
-    row.set("digests_equal", JsonValue(equal));
-    row.set("c1_clean", JsonValue(c1));
-    row.set("probes_digest_equal", JsonValue(neutral));
-    check_rows.push_back(std::move(row));
-    all_equal &= equal;
-    all_c1 &= c1;
-    probes_neutral &= neutral;
-  }
-  std::printf("%s\n", check_table.to_string().c_str());
-  if (!all_equal || !all_c1 || !probes_neutral) {
-    std::fputs("runtime diverges from the DES oracle (or probes perturb "
-               "outcomes); not reporting latencies from a wrong runtime\n",
-               stderr);
-    return 1;
-  }
-
   // ---- phase 1: reconfiguration latency ------------------------------
   const std::vector<std::uint32_t> widths =
       quick ? std::vector<std::uint32_t>{4, 8}
@@ -557,7 +439,7 @@ int main() {
               "last-forming process's worker)\n",
               phase_n, phase_n, phase_cycles);
   Table phase_table({"protocol", "reconfigs", "wall p50 us", "queued %",
-                     "parked %", "exec %", "slop %", "unattr %"});
+                     "parked %", "exec %", "unattr %"});
   std::vector<PhaseRun> phase_rows;
   bool phases_ok = true;
   std::vector<obs::ReconfigWindow> flagship_windows;
@@ -581,7 +463,6 @@ int main() {
          pct(&obs::PhaseBreakdown::queued_ns),
          pct(&obs::PhaseBreakdown::parked_ns),
          pct(&obs::PhaseBreakdown::executing_ns),
-         pct(&obs::PhaseBreakdown::timer_slop_ns),
          pct(&obs::PhaseBreakdown::unattributed_ns)});
     phases_ok &= !run.windows.empty() &&
                  run.frac(&obs::PhaseBreakdown::unattributed_ns) <= 0.10;
@@ -610,13 +491,17 @@ int main() {
   }
 
   // ---- phase 3: what the probes cost ---------------------------------
-  double pool_overhead = 0;
-  const bool pool_overhead_digests_equal =
-      // Quick mode uses more cycles/reps per cell than the rest of the
-      // quick bench: a sub-millisecond cell is dominated by
-      // scheduler-dependent CPU-time noise on small hosts, and the
-      // min-of-pairs estimator needs enough pairs for one clean one.
-      measure_overhead(phase_n, quick ? 6 : 4, quick ? 6 : 5, pool_overhead);
+  // Quick mode uses more cycles/reps per cell than the rest of the quick
+  // bench: a sub-millisecond cell is dominated by scheduler-dependent
+  // CPU-time noise on small hosts, and the min-of-pairs estimator needs
+  // enough pairs for one clean one.
+  const int overhead_cycles = quick ? 6 : 4;
+  const auto [pool_overhead, pool_overhead_digests_equal] = paired_overhead(
+      quick ? 6 : 5, [phase_n, overhead_cycles](bool probes) {
+        return measure(ProtocolKind::kOptimized, phase_n, overhead_cycles,
+                       probes, /*collect_windows=*/false)
+            .digest;
+      });
   const bool pool_overhead_ok = pool_overhead < 0.05 &&
                                 pool_overhead_digests_equal;
   std::printf("probe overhead (min of adjacent-pair CPU ratios): %.2f%% "
@@ -654,14 +539,6 @@ int main() {
 
   JsonValue result = JsonValue::object();
   result.set("experiment", JsonValue("runtime"));
-  JsonValue crosscheck = JsonValue::object();
-  crosscheck.set("seeds", JsonValue(std::uint64_t{8}));
-  crosscheck.set("all_equal", JsonValue(all_equal));
-  crosscheck.set("all_c1", JsonValue(all_c1));
-  crosscheck.set("probes_all_equal", JsonValue(probes_neutral));
-  crosscheck.set("rows", std::move(check_rows));
-  result.set("crosscheck", std::move(crosscheck));
-
   result.set("pool_rows", std::move(pool_latency_rows));
 
   JsonValue phases = JsonValue::object();
@@ -677,8 +554,7 @@ int main() {
          {std::pair{"wall_ns", &obs::PhaseBreakdown::wall_ns},
           std::pair{"queued_ns", &obs::PhaseBreakdown::queued_ns},
           std::pair{"parked_ns", &obs::PhaseBreakdown::parked_ns},
-          std::pair{"executing_ns", &obs::PhaseBreakdown::executing_ns},
-          std::pair{"timer_slop_ns", &obs::PhaseBreakdown::timer_slop_ns}}) {
+          std::pair{"executing_ns", &obs::PhaseBreakdown::executing_ns}}) {
       set_phase_quantiles(row, key, run.samples(field));
     }
     row.set("unattributed_frac",

@@ -20,10 +20,11 @@
 // determinism contract at fleet scale.
 //
 // Two extra sections exercise the telemetry layer itself:
-//   * overhead: the small shape runs with telemetry on and off
-//     (best-of-N CPU time, identical digests required); the overhead
-//     must stay within the 5% budget that tools/check_perf.py gates
-//     via telemetry_overhead_frac_budget;
+//   * overhead: the small shape runs with telemetry on and off in
+//     adjacent pairs (paired_overhead, harness/bench_report.hpp:
+//     min-of-pairs CPU ratio, identical digests required in every
+//     pair); the overhead must stay within the 5% budget that
+//     tools/check_perf.py gates via telemetry_overhead_frac_budget;
 //   * violation demo: a two-group fleet on the INCONSISTENT naive
 //     protocol replays the paper's section-4.5 scenario in group 0,
 //     which must produce a consistency violation and a flight-recorder
@@ -32,7 +33,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -167,62 +167,6 @@ RunResult run_cell(const FleetShape& shape, std::uint64_t seed,
   // small, so the default limit is fine.
   digest.violations = fleet.check_all_groups().size();
   return result;
-}
-
-/// Process CPU time in milliseconds. Wall clocks on shared hosts
-/// jitter +/-10% on the ~300ms cells below; CPU time strips the
-/// scheduler out of the measurement and leaves only frequency drift,
-/// which best-of-N then suppresses.
-double cpu_time_ms() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 +
-         static_cast<double>(ts.tv_nsec) / 1e6;
-}
-
-/// Telemetry-overhead measurement on the small shape: N adjacent
-/// on/off pairs of long cells (`rounds` fault rounds, ~300ms each at
-/// the defaults), CPU-timed, identical simulation digests required.
-///
-/// The estimator is the MINIMUM over per-pair ratios, floored at 0.
-/// Rationale: shared-runner noise here comes in multi-second episodes
-/// (frequency scaling, cache contention) that inflate CPU time of
-/// identical work by 5-10%, which no per-mode best-of-N can see
-/// through — but a real telemetry regression shifts EVERY pair by the
-/// regression, while a noise episode must land on all N pairs at once
-/// to fake one. The cleanest pair is therefore the honest reading: a
-/// true 2x cost still fails the 5% budget by an order of magnitude,
-/// and the ~1-2% true overhead passes regardless of episodes.
-/// Adjacent pairing (not pooled minima) keeps both sides of each
-/// ratio inside the same noise epoch; alternating which mode runs
-/// first cancels intra-pair drift across pairs.
-bool measure_overhead(const FleetShape& shape, double& overhead, int reps,
-                      int rounds) {
-  // Discarded warmup pair: the very first cell runs on a pristine heap
-  // no later cell sees again, and letting it into a ratio biases that
-  // pair by a few percent.
-  (void)run_cell(shape, 0, /*telemetry=*/false, rounds);
-  (void)run_cell(shape, 0, /*telemetry=*/true, rounds);
-  double best_ratio = 0;
-  RunDigest digest_on, digest_off;
-  for (int rep = 0; rep < reps; ++rep) {
-    const bool off_first = rep % 2 == 0;
-    const double t0 = cpu_time_ms();
-    const RunResult first =
-        run_cell(shape, 0, /*telemetry=*/!off_first, rounds);
-    const double t1 = cpu_time_ms();
-    const RunResult second =
-        run_cell(shape, 0, /*telemetry=*/off_first, rounds);
-    const double t2 = cpu_time_ms();
-    const double ms_off = off_first ? t1 - t0 : t2 - t1;
-    const double ms_on = off_first ? t2 - t1 : t1 - t0;
-    const double ratio = ms_off > 0 ? ms_on / ms_off : 1.0;
-    if (rep == 0 || ratio < best_ratio) best_ratio = ratio;
-    digest_on = off_first ? second.digest : first.digest;
-    digest_off = off_first ? first.digest : second.digest;
-  }
-  overhead = std::max(0.0, best_ratio - 1.0);
-  return digest_on == digest_off;
 }
 
 struct ViolationDemo {
@@ -411,14 +355,15 @@ int main() {
 
   // Telemetry overhead: the whole layer must stay within its 5% budget
   // (check_perf.py gates the exported fraction against the budget key).
-  double overhead = 0;
-  // Quick mode keeps the digest cross-check but trims the timing work:
-  // sanitizer runs waive the budget anyway.
-  const bool modes_match = quick
-                               ? measure_overhead(shapes.front(), overhead,
-                                                  /*reps=*/2, /*rounds=*/6)
-                               : measure_overhead(shapes.front(), overhead,
-                                                  /*reps=*/6, /*rounds=*/24);
+  // Adjacent on/off pairs of long cells (24 fault rounds) on the small
+  // shape, identical simulation digests required. Quick mode keeps the
+  // digest cross-check but trims the timing work: sanitizer runs waive
+  // the budget anyway.
+  const int rounds = quick ? 6 : 24;
+  const auto [overhead, modes_match] =
+      paired_overhead(quick ? 2 : 6, [&shapes, rounds](bool telemetry) {
+        return run_cell(shapes.front(), 0, telemetry, rounds).digest;
+      });
   constexpr double kOverheadBudget = 0.05;
   const bool overhead_ok = modes_match && (quick || overhead <= kOverheadBudget);
   result.set("telemetry_overhead_frac", JsonValue(overhead));

@@ -11,25 +11,8 @@ namespace dynvote {
 void enqueue_schedule(Cluster& cluster,
                       const std::vector<ScheduleEvent>& schedule) {
   for (const ScheduleEvent& event : schedule) {
-    cluster.sim().queue().schedule_at(event.time, [&cluster, &event] {
-      switch (event.kind) {
-        case ScheduleEvent::Kind::kPartition:
-          cluster.partition(event.groups);
-          break;
-        case ScheduleEvent::Kind::kMerge: {
-          ProcessSet merged;
-          for (const ProcessSet& g : event.groups) merged = merged.set_union(g);
-          cluster.partition({merged});
-          break;
-        }
-        case ScheduleEvent::Kind::kCrash:
-          cluster.crash(event.process);
-          break;
-        case ScheduleEvent::Kind::kRecover:
-          cluster.recover(event.process);
-          break;
-      }
-    });
+    cluster.sim().queue().schedule_at(
+        event.time, [&cluster, &event] { apply_event(cluster, event); });
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 
 namespace dynvote {
@@ -46,6 +47,13 @@ std::string write_json_file(const std::string& filename,
   }
   out << value.dump_pretty();
   return path;
+}
+
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 }  // namespace dynvote

@@ -35,23 +35,11 @@ Cluster::Cluster(ClusterOptions options)
 }
 
 void Cluster::install_fault_modes() {
-  if (options_.message_loss <= 0.0 && options_.formation_miss <= 0.0) return;
-  ensure(!(options_.message_loss > 0.0 && options_.formation_miss > 0.0),
-         "choose one built-in fault mode");
-  loss_rng_ = std::make_unique<Rng>(sim_.rng().split());
+  if (options_.formation_miss <= 0.0) return;
+  miss_rng_ = std::make_unique<Rng>(sim_.rng().split());
 
-  if (options_.message_loss > 0.0) {
-    const double p_loss = options_.message_loss;
-    Rng* rng = loss_rng_.get();
-    sim_.network().set_drop_filter([rng, p_loss](const sim::Envelope& env) {
-      if (env.from == env.to) return false;  // loopback is process-internal
-      return rng->next_bool(p_loss);
-    });
-    return;
-  }
-
-  // formation_miss: on every topology change, each new component may get
-  // one member that will miss the session's closing round.
+  // On every topology change, each new component may get one member
+  // that will miss the session's closing round.
   sim_.network().add_topology_observer([this] { on_topology_for_misses(); });
   sim_.network().set_drop_filter([this](const sim::Envelope& env) {
     if (env.from == env.to) return false;
@@ -80,10 +68,10 @@ void Cluster::on_topology_for_misses() {
   if (options_.kind == ProtocolKind::kCentralized) closing = "dvc.commit";
   for (const ProcessSet& component : sim_.network().live_components()) {
     if (component.size() < 2) continue;
-    if (!loss_rng_->next_bool(options_.formation_miss)) continue;
+    if (!miss_rng_->next_bool(options_.formation_miss)) continue;
     const ProcessId victim = *std::next(
         component.begin(),
-        static_cast<std::ptrdiff_t>(loss_rng_->next_below(component.size())));
+        static_cast<std::ptrdiff_t>(miss_rng_->next_below(component.size())));
     const int copies = options_.kind == ProtocolKind::kCentralized
                            ? 1
                            : static_cast<int>(component.size() - 1);

@@ -25,20 +25,14 @@ struct ClusterOptions {
   DvConfig config;
   sim::SimulatorOptions sim;
   MembershipOptions membership;
-  /// Uniform probability of losing any remote protocol message. NOTE:
-  /// this deliberately stresses the model beyond the paper's
-  /// reliable-while-connected channels; with n^2 messages per round even
-  /// small rates starve every messaging protocol (see EXPERIMENTS.md).
-  /// Installs the network's drop filter — mutually exclusive with using
-  /// a FaultInjector on the same cluster.
-  double message_loss = 0.0;
 
   /// Probability, per topology change and per component, that one random
   /// member "detaches before receiving the last message" of the ensuing
   /// session (paper section 1's failure mode): its copy of the closing
   /// round is lost, the session stays ambiguous at it. This is the
   /// paper-faithful way to make failures hit quorum formation itself.
-  /// Also claims the network's drop-filter slot.
+  /// Installs the network's drop filter — mutually exclusive with using
+  /// a FaultInjector on the same cluster.
   double formation_miss = 0.0;
 
   /// Record per-message events (send/drop/deliver) in the structured
@@ -127,7 +121,7 @@ class Cluster {
   std::unique_ptr<MetricsObserver> metrics_observer_;
   MultiObserver observers_;
   std::unique_ptr<MembershipOracle> oracle_;
-  std::unique_ptr<Rng> loss_rng_;
+  std::unique_ptr<Rng> miss_rng_;
   std::vector<ProcessId> process_ids_;
 
   struct MissRule {

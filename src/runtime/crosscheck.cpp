@@ -89,30 +89,13 @@ std::optional<TranscriptDiff> diff_transcripts(const std::string& des,
   return std::nullopt;
 }
 
-std::string ScenarioStep::to_string() const {
-  switch (kind) {
-    case Kind::kMerge:
-      return "merge";
-    case Kind::kCrash:
-      return "crash " + dynvote::to_string(p);
-    case Kind::kRecover:
-      return "recover " + dynvote::to_string(p);
-    case Kind::kPartition: {
-      std::string out = "partition";
-      for (const ProcessSet& group : groups) out += " " + group.to_string();
-      return out;
-    }
-  }
-  return "?";
-}
-
-std::vector<ScenarioStep> make_scenario(std::uint32_t n, std::uint64_t seed,
-                                        std::size_t steps) {
+std::vector<ScheduleEvent> make_scenario(std::uint32_t n, std::uint64_t seed,
+                                         std::size_t steps) {
   ensure(n >= 2, "scenario needs at least two processes");
   Rng rng(seed);
   std::vector<bool> alive(n, true);
   std::size_t alive_count = n;
-  std::vector<ScenarioStep> script;
+  std::vector<ScheduleEvent> script;
   script.reserve(steps);
 
   auto pick = [&](bool want_alive) {
@@ -123,7 +106,7 @@ std::vector<ScenarioStep> make_scenario(std::uint32_t n, std::uint64_t seed,
   };
 
   while (script.size() < steps) {
-    ScenarioStep step;
+    ScheduleEvent event;
     switch (rng.next_below(4)) {
       case 0: {  // partition all ids into 2-3 groups
         std::vector<ProcessId> ids;
@@ -131,74 +114,55 @@ std::vector<ScenarioStep> make_scenario(std::uint32_t n, std::uint64_t seed,
         rng.shuffle(ids);
         const std::size_t k =
             std::min<std::size_t>(2 + rng.next_below(2), ids.size());
-        step.kind = ScenarioStep::Kind::kPartition;
-        step.groups.resize(k);
+        event.kind = ScheduleEvent::Kind::kPartition;
+        event.groups.resize(k);
         // Every group gets one seed member; the rest land uniformly.
         for (std::size_t i = 0; i < ids.size(); ++i) {
           const std::size_t g = i < k ? i : rng.next_below(k);
-          step.groups[g].insert(ids[i]);
+          event.groups[g].insert(ids[i]);
         }
         break;
       }
       case 1:
-        step.kind = ScenarioStep::Kind::kMerge;
+        event.kind = ScheduleEvent::Kind::kMerge;
+        event.groups = {ProcessSet::range(n)};
         break;
       case 2: {
         if (alive_count <= 1) continue;  // keep one process up
-        step.kind = ScenarioStep::Kind::kCrash;
+        event.kind = ScheduleEvent::Kind::kCrash;
         const std::uint32_t idx = pick(true);
-        step.p = ProcessId(idx);
+        event.process = ProcessId(idx);
         alive[idx] = false;
         --alive_count;
         break;
       }
       case 3: {
         if (alive_count == n) continue;  // nobody to recover
-        step.kind = ScenarioStep::Kind::kRecover;
+        event.kind = ScheduleEvent::Kind::kRecover;
         const std::uint32_t idx = pick(false);
-        step.p = ProcessId(idx);
+        event.process = ProcessId(idx);
         alive[idx] = true;
         ++alive_count;
         break;
       }
     }
-    script.push_back(std::move(step));
+    script.push_back(std::move(event));
   }
   return script;
 }
 
 namespace {
 
-/// Applies one verb to a Cluster or a RuntimeFleet, which share the
-/// verb surface.
-template <typename Fleet>
-void apply(Fleet& fleet, const ScenarioStep& step) {
-  switch (step.kind) {
-    case ScenarioStep::Kind::kPartition:
-      fleet.partition(step.groups);
-      break;
-    case ScenarioStep::Kind::kMerge:
-      fleet.merge();
-      break;
-    case ScenarioStep::Kind::kCrash:
-      fleet.crash(step.p);
-      break;
-    case ScenarioStep::Kind::kRecover:
-      fleet.recover(step.p);
-      break;
-  }
-}
-
 /// One wall-clock execution of the script; returns its transcript and
 /// folds its per-step C1 checks into `c1_clean`.
 std::string run_fleet(FleetOptions options,
-                      const std::vector<ScenarioStep>& script,
+                      const std::vector<ScheduleEvent>& script,
                       bool& c1_clean) {
   RuntimeFleet fleet(std::move(options));
   fleet.start();
   c1_clean &= RuntimeFleet::distinct_primaries(fleet.probe()) <= 1;
-  for (const ScenarioStep& step : script) {
-    apply(fleet, step);
+  for (const ScheduleEvent& event : script) {
+    apply_event(fleet, event);
     c1_clean &= RuntimeFleet::distinct_primaries(fleet.probe()) <= 1;
   }
   fleet.stop();
@@ -208,7 +172,7 @@ std::string run_fleet(FleetOptions options,
 }  // namespace
 
 std::string des_summary(ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
-                        const std::vector<ScenarioStep>& script,
+                        const std::vector<ScheduleEvent>& script,
                         bool& c1_clean) {
   ClusterOptions options;
   options.kind = kind;
@@ -217,8 +181,8 @@ std::string des_summary(ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
   Cluster cluster(options);
   cluster.start();
   c1_clean &= cluster_distinct_primaries(cluster) <= 1;
-  for (const ScenarioStep& step : script) {
-    apply(cluster, step);
+  for (const ScheduleEvent& event : script) {
+    apply_event(cluster, event);
     cluster.settle();
     c1_clean &= cluster_distinct_primaries(cluster) <= 1;
   }
@@ -240,7 +204,7 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
     invariant_failed(std::string("cross-check does not cover protocol kind ") +
                      dynvote::to_string(kind));
   }
-  const std::vector<ScenarioStep> script = make_scenario(n, seed, steps);
+  const std::vector<ScheduleEvent> script = make_scenario(n, seed, steps);
 
   CrossCheckResult result;
   result.seed = seed;

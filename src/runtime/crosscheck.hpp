@@ -28,37 +28,28 @@
 #include <vector>
 
 #include "dv/service.hpp"
-#include "util/ids.hpp"
-#include "util/process_set.hpp"
+#include "harness/schedule.hpp"
 
 namespace dynvote::runtime {
 
-/// One topology verb of a scenario script.
-struct ScenarioStep {
-  enum class Kind : std::uint8_t { kPartition, kMerge, kCrash, kRecover };
-  Kind kind = Kind::kMerge;
-  std::vector<ProcessSet> groups;  // kPartition
-  ProcessId p;                     // kCrash / kRecover
+/// Deterministically expands (n, seed) into a script of `steps` valid
+/// events, each with time 0 (a replay runs one to quiescence before the
+/// next): crashes only hit live processes (always leaving one),
+/// recoveries only dead ones, partitions split all n ids into 2-3
+/// groups, and merges list all n ids as one group.
+[[nodiscard]] std::vector<ScheduleEvent> make_scenario(std::uint32_t n,
+                                                       std::uint64_t seed,
+                                                       std::size_t steps);
 
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// Deterministically expands (n, seed) into `steps` valid verbs:
-/// crashes only hit live processes (always leaving one), recoveries
-/// only dead ones, partitions split all n ids into 2-3 groups.
-[[nodiscard]] std::vector<ScenarioStep> make_scenario(std::uint32_t n,
-                                                      std::uint64_t seed,
-                                                      std::size_t steps);
-
-/// Runs `script` on the DES (message delays seeded by `seed`) and
-/// returns its outcome transcript, written like
-/// RuntimeFleet::outcome_summary() by append_outcome_line, folding the
-/// per-step C1 checks into `c1_clean`. Every fleet that replays the same
-/// script must reproduce it byte for byte.
-[[nodiscard]] std::string des_summary(ProtocolKind kind, std::uint32_t n,
-                                      std::uint64_t seed,
-                                      const std::vector<ScenarioStep>& script,
-                                      bool& c1_clean);
+/// Runs `script` on the DES (message delays seeded by `seed`), applying
+/// each event with apply_event and settling after it, and returns its
+/// outcome transcript, written like RuntimeFleet::outcome_summary() by
+/// append_outcome_line, folding the per-step C1 checks into `c1_clean`.
+/// Every fleet that replays the same script must reproduce it byte for
+/// byte.
+[[nodiscard]] std::string des_summary(
+    ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
+    const std::vector<ScheduleEvent>& script, bool& c1_clean);
 
 /// Where two outcome transcripts first differ. An entry is one
 /// space-separated token of a line append_outcome_line writes: the

@@ -12,7 +12,6 @@
 #include "harness/cluster.hpp"
 #include "harness/schedule.hpp"
 #include "harness/trace_replay.hpp"
-#include "util/ensure.hpp"
 
 namespace dynvote {
 namespace {
@@ -83,34 +82,6 @@ TEST(FaultModes, FormationMissLeavesAmbiguousSessionsBehind) {
   // holding the session ambiguous.
   EXPECT_EQ(cluster.primary_members().size(), 4u);
   EXPECT_EQ(cluster.checker().check_all().size(), 0u);
-}
-
-TEST(FaultModes, MessageLossModeDropsRoughlyTheConfiguredFraction) {
-  ClusterOptions options;
-  options.kind = ProtocolKind::kBasic;
-  options.n = 5;
-  options.sim.seed = 4;
-  options.message_loss = 0.25;
-  Cluster cluster(options);
-  cluster.start();
-  for (int i = 0; i < 30; ++i) {
-    cluster.oracle().inject_view(ProcessSet::range(5));
-    cluster.settle();
-  }
-  const auto& stats = cluster.sim().network().stats();
-  const double remote =
-      static_cast<double>(stats.messages_sent - stats.messages_loopback);
-  const double dropped = static_cast<double>(stats.messages_dropped);
-  ASSERT_GT(remote, 100.0);
-  EXPECT_NEAR(dropped / remote, 0.25, 0.08);
-  EXPECT_TRUE(cluster.checker().check_basic().empty());
-}
-
-TEST(FaultModes, BothModesTogetherAreRejected) {
-  ClusterOptions options;
-  options.message_loss = 0.1;
-  options.formation_miss = 0.1;
-  EXPECT_THROW(Cluster cluster(options), InvariantViolation);
 }
 
 TEST(FaultModes, PairedSchedulesAreIdenticalAcrossProtocols) {

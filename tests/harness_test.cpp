@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/availability.hpp"
+#include "harness/bench_report.hpp"
 #include "harness/cluster.hpp"
 #include "harness/metrics.hpp"
 #include "harness/scenario.hpp"
@@ -113,6 +114,35 @@ TEST(Availability, ConsistentProtocolsNeverViolateOnRandomSchedules) {
           << to_string(kind) << " seed " << seed;
     }
   }
+}
+
+// paired_overhead compares both runs of every pair, the warm-up pair
+// included: an instrument that changes the outcome of one pair must
+// fail the comparison however the other pairs end.
+TEST(BenchReport, PairedOverheadComparesEveryPair) {
+  constexpr int kReps = 4;
+  for (int bad_pair = 0; bad_pair <= kReps; ++bad_pair) {
+    int calls = 0;
+    // Pair k is calls 2k and 2k + 1; pair 0 is the warm-up.
+    const PairedOverhead estimate =
+        paired_overhead(kReps, [&calls, bad_pair](bool instrumented) {
+          const bool in_bad_pair = calls++ / 2 == bad_pair;
+          return instrumented && in_bad_pair ? 1 : 0;
+        });
+    EXPECT_EQ(calls, 2 * (kReps + 1));
+    EXPECT_FALSE(estimate.outcomes_equal) << "pair " << bad_pair;
+  }
+}
+
+TEST(BenchReport, PairedOverheadAcceptsRunsThatAllAgree) {
+  int calls = 0;
+  const PairedOverhead estimate = paired_overhead(4, [&calls](bool) {
+    ++calls;
+    return 7;
+  });
+  EXPECT_EQ(calls, 10);
+  EXPECT_TRUE(estimate.outcomes_equal);
+  EXPECT_GE(estimate.frac, 0.0);
 }
 
 TEST(Metrics, CollectsTrafficAndStorage) {

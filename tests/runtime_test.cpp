@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -496,6 +497,64 @@ TEST(RuntimeCrossCheck, ScenarioGenerationIsDeterministic) {
   for (const auto& step : a) sa += step.to_string() + ";";
   for (const auto& step : c) sc += step.to_string() + ";";
   EXPECT_NE(sa, sc);
+}
+
+/// The memberships of the views `label` installed, in order, read from
+/// its line of an outcome transcript.
+std::vector<std::string> views_in(const std::string& transcript,
+                                  const std::string& label) {
+  const std::size_t line = transcript.find(label + ":");
+  std::istringstream entries(
+      transcript.substr(line, transcript.find('\n', line) - line));
+  std::vector<std::string> views;
+  for (std::string entry; entries >> entry;) {
+    if (entry[0] == 'V') views.push_back(entry.substr(entry.find('=') + 1));
+  }
+  return views;
+}
+
+// make_scenario only ever merges everyone. This script merges two of
+// three components, then crashes and recovers a member of the third
+// and rejoins it piece by piece: the pool at every worker count must
+// write the DES's transcript, and the component the first merge leaves
+// out keeps its view through it.
+TEST(RuntimeCrossCheck, PartialMergesMatchTheDes) {
+  using Kind = ScheduleEvent::Kind;
+  const ProcessSet a = ProcessSet::of({0, 1});
+  const ProcessSet b = ProcessSet::of({2, 3});
+  const ProcessSet c = ProcessSet::of({4, 5});
+  const std::vector<ScheduleEvent> script = {
+      {0, Kind::kPartition, {a, b, c}, {}},
+      {0, Kind::kMerge, {a, b}, {}},
+      {0, Kind::kCrash, {}, ProcessId(4)},
+      {0, Kind::kRecover, {}, ProcessId(4)},
+      {0, Kind::kMerge, {ProcessSet::of({4}), ProcessSet::of({5})}, {}},
+      {0, Kind::kMerge, {a.set_union(b), c}, {}},
+  };
+  for (const ProtocolKind kind :
+       {ProtocolKind::kBasic, ProtocolKind::kOptimized}) {
+    bool c1_clean = true;
+    const std::string des = des_summary(kind, /*n=*/6, /*seed=*/1, script,
+                                        c1_clean);
+    EXPECT_TRUE(c1_clean) << to_string(kind);
+    const std::string everyone = ProcessSet::range(6).to_string();
+    EXPECT_EQ(views_in(des, "p5"),
+              (std::vector<std::string>{everyone, "{p4,p5}", "{p5}",
+                                        "{p4,p5}", everyone}))
+        << des;
+    for (const std::uint32_t workers : {1u, 2u, 4u, 6u}) {
+      FleetOptions options;
+      options.kind = kind;
+      options.n = 6;
+      options.workers = workers;
+      RuntimeFleet fleet(options);
+      fleet.start();
+      for (const ScheduleEvent& event : script) apply_event(fleet, event);
+      fleet.stop();
+      EXPECT_EQ(fleet.outcome_summary(), des)
+          << to_string(kind) << " W=" << workers;
+    }
+  }
 }
 
 TEST(RuntimeCrossCheck, RejectsTimingDependentKinds) {

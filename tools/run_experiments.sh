@@ -135,13 +135,13 @@ if [ "${DYNVOTE_SKIP_SANITIZERS:-0}" != "1" ]; then
   env -u DYNVOTE_JSON_DIR DYNVOTE_SHARDS_QUICK=1 build-asan/bench/bench_shards
 
   # The pool-runtime bench under ASan/UBSan, in quick mode (widths
-  # {4,8}, 3 cycles). Its phase 0 re-runs the DES-vs-pool cross-check at
-  # W ∈ {1,2,4,n} on 8 seeds — each seed both probes-off and probes-on,
-  # asserting the probe layer is digest-neutral — and its phase 3 gates
-  # the probe overhead at < 5% with outcome-digest equality, so a
-  # divergence or an overhead blowout under sanitizers fails the script
-  # here; JSON export is disabled so the quick payload cannot clobber
-  # the real results/BENCH_runtime.json.
+  # {4,8}, 3 cycles). Every timed cell must equal the DES replay of its
+  # script, and phase 3 gates the probe overhead at < 5% with equal
+  # outcome digests in every probes-off/probes-on pair, so a divergence
+  # or an overhead blowout under sanitizers fails the script here (the
+  # seeded DES-vs-pool cross-check ran in the ctest pass above); JSON
+  # export is disabled so the quick payload cannot clobber the real
+  # results/BENCH_runtime.json.
   echo "== bench_runtime under ASan/UBSan (quick mode)"
   env -u DYNVOTE_JSON_DIR DYNVOTE_RUNTIME_QUICK=1 build-asan/bench/bench_runtime
 
