@@ -111,7 +111,6 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
                .min_quorum = 1,
                .dynamic_participants = false,
                .linear_tie_break = true,
-               .ambiguous_record_limit = 0,
                .persistence = {}});
   auto* bench_protocol = protocol.get();
   sim.add_node(std::move(protocol));

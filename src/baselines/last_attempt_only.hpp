@@ -6,8 +6,8 @@
 // (sessions S1, S2, S3, S3') in which this forms two concurrent primary
 // components; experiment E2 replays that execution verbatim.
 //
-// Implementation: the full basic protocol with the (deliberately
-// unsound) ambiguous_record_limit knob set to 1.
+// Implementation: the full basic protocol with its (deliberately
+// unsound) ambiguous-record limit set to 1.
 #pragma once
 
 #include "dv/basic_protocol.hpp"
@@ -16,14 +16,11 @@ namespace dynvote {
 
 class LastAttemptOnlyProtocol : public BasicDvProtocol {
  public:
-  LastAttemptOnlyProtocol(sim::Transport& transport, ProcessId id,
-                          DvConfig config)
-      : BasicDvProtocol(transport, id, with_limit(std::move(config))) {}
+  using BasicDvProtocol::BasicDvProtocol;
 
- private:
-  static DvConfig with_limit(DvConfig config) {
-    config.ambiguous_record_limit = 1;
-    return config;
+ protected:
+  [[nodiscard]] std::size_t ambiguous_record_limit() const override {
+    return 1;
   }
 };
 

@@ -2,8 +2,7 @@
 //
 // The classic quorum rule the dynamic-voting literature compares against
 // (paper section 1): a component is the primary iff it contains a strict
-// majority of the fixed core group W0 — optionally, with dynamic linear
-// voting's tie-break at exactly half. Decides locally from the membership
+// majority of the fixed core group W0. Decides locally from the membership
 // view: zero communication rounds, trivially consistent (all majorities
 // intersect), and the least available option under repeated partitions.
 #pragma once
@@ -13,24 +12,18 @@
 
 namespace dynvote {
 
-struct StaticMajorityConfig {
-  ProcessSet core;
-  /// If true, a component holding exactly half of W0 including the
-  /// top-ranked member also qualifies (weighted static linear voting).
-  bool linear_tie_break = false;
-};
-
 class StaticMajorityProtocol : public SessionProtocolBase {
  public:
+  /// `core` is the fixed core group W0.
   StaticMajorityProtocol(sim::Transport& transport, ProcessId id,
-                         StaticMajorityConfig config);
+                         ProcessSet core);
 
  protected:
   void begin_session(const View& view) override;
   void on_phase_complete(int phase, const PhaseMessages& messages) override;
 
  private:
-  StaticMajorityConfig config_;
+  ProcessSet core_;
 };
 
 }  // namespace dynvote

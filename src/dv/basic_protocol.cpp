@@ -213,8 +213,8 @@ bool BasicDvProtocol::run_decision(const PhaseMessages& messages) {
 void BasicDvProtocol::record_and_send_attempt(int phase) {
   const Session session{session_view().members, pending_agg_.max_session + 1};
   // The limit's deliberately unsound truncation (see
-  // DvConfig::ambiguous_record_limit) is part of the delta.
-  wal_.apply(StateDelta::attempt(session, config_.ambiguous_record_limit));
+  // ambiguous_record_limit()) is part of the delta.
+  wal_.apply(StateDelta::attempt(session, ambiguous_record_limit()));
   max_ambiguous_recorded_ =
       std::max(max_ambiguous_recorded_, wal_.state().ambiguous.size());
   record_ambiguity_level();

@@ -51,11 +51,6 @@ struct DvConfig {
   /// ablation bench quantifies the availability cost.
   bool linear_tie_break = true;
 
-  /// Cap on how many ambiguous sessions are *kept* (0 = unlimited).
-  /// The paper proves any finite cap breaks consistency (section 4.6);
-  /// the LastAttemptOnly baseline sets 1 to reproduce exactly that.
-  std::size_t ambiguous_record_limit = 0;
-
   /// How protocol state reaches stable storage (dv/wal.hpp): delta WAL
   /// with checkpoint compaction by default, full snapshot per persist as
   /// the legacy fallback.
@@ -144,6 +139,13 @@ class BasicDvProtocol : public SessionProtocolBase {
 
   /// Optimized protocol: include Last_Formed in step-1 messages.
   [[nodiscard]] virtual bool sends_last_formed() const { return false; }
+
+  /// Cap on how many ambiguous sessions are *kept* (0 = unlimited).
+  /// The paper proves any finite cap breaks consistency (section 4.6);
+  /// the LastAttemptOnly baseline returns 1 to reproduce exactly that.
+  [[nodiscard]] virtual std::size_t ambiguous_record_limit() const {
+    return 0;
+  }
 
   /// Optimized protocol: learning + resolution rules, applied to own
   /// state before the aggregates are computed (paper figure 3 step 2).

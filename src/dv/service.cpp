@@ -61,8 +61,8 @@ std::unique_ptr<ProtocolNode> make_protocol(ProtocolKind kind,
       return std::make_unique<CentralizedDvProtocol>(transport, id,
                                                      std::move(config));
     case ProtocolKind::kStaticMajority:
-      return std::make_unique<StaticMajorityProtocol>(
-          transport, id, StaticMajorityConfig{config.core, false});
+      return std::make_unique<StaticMajorityProtocol>(transport, id,
+                                                      std::move(config.core));
     case ProtocolKind::kNaiveDynamic:
       return std::make_unique<NaiveDynamicProtocol>(transport, id, std::move(config));
     case ProtocolKind::kLastAttemptOnly:

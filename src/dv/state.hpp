@@ -98,9 +98,9 @@ struct ProtocolState {
 /// WalPersistence re-reads the disk to confirm it.
 enum class StateDeltaKind : std::uint8_t {
   /// Attempt step: Session_Number := S.N, record_attempt(S), then the
-  /// deliberately-unsound truncation of DvConfig::ambiguous_record_limit
-  /// if the writer had one configured. (Kind byte 1 is retired; decode
-  /// rejects it.)
+  /// deliberately-unsound truncation to the writer's
+  /// BasicDvProtocol::ambiguous_record_limit() if it has one. (Kind
+  /// byte 1 is retired; decode rejects it.)
   kAttempt = 2,
   /// Form step: Session_Number := S.N, apply_form(S). S is the *recorded*
   /// session (baselines may pin a different membership than the view).

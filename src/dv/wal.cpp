@@ -125,9 +125,7 @@ bool WalPersistence::recover(ProtocolState* lost) {
 }
 
 std::size_t WalPersistence::compact_threshold() const noexcept {
-  const auto scaled = static_cast<std::size_t>(
-      options_.compact_factor * static_cast<double>(last_checkpoint_bytes_));
-  return std::max(options_.min_compact_bytes, scaled);
+  return std::max(kMinCompactBytes, kCompactFactor * last_checkpoint_bytes_);
 }
 
 std::optional<ProtocolState> WalPersistence::replay_storage(

@@ -7,9 +7,8 @@
 // table, every ambiguous record) even when the step changed one field.
 // WalPersistence instead appends one batch of small StateDelta records
 // per persist — O(delta) bytes — and compacts the log into a fresh
-// versioned checkpoint when it outgrows the last checkpoint by a
-// configurable factor, so steady-state write cost stays near-constant
-// in n.
+// versioned checkpoint when it outgrows the last checkpoint by a fixed
+// factor, so steady-state write cost stays near-constant in n.
 //
 // WalPersistence owns the ProtocolState it persists. A protocol reads
 // it through state() and changes it one way only: apply(delta) runs
@@ -64,16 +63,16 @@ enum class PersistenceMode : std::uint8_t {
   kWal,
 };
 
+/// The WAL compacts when its log bytes exceed
+/// max(kMinCompactBytes, kCompactFactor * last checkpoint bytes). The
+/// factor bounds amortized write cost at delta * (1 + 1/kCompactFactor)
+/// per step — O(delta), not O(state) — while keeping recovery replay
+/// proportional to one checkpoint.
+inline constexpr std::size_t kMinCompactBytes = 1024;
+inline constexpr std::size_t kCompactFactor = 4;
+
 struct PersistenceOptions {
   PersistenceMode mode = PersistenceMode::kWal;
-
-  /// Compact when log bytes exceed
-  /// max(min_compact_bytes, compact_factor * last checkpoint bytes).
-  /// The factor bounds amortized write cost at
-  /// delta * (1 + 1/compact_factor) per step — O(delta), not O(state) —
-  /// while keeping recovery replay proportional to one checkpoint.
-  std::size_t min_compact_bytes = 1024;
-  double compact_factor = 4.0;
 
   /// Re-derive the state from storage after every commit and assert it
   /// matches (see file header). O(state) reads per persist — disable for

@@ -30,7 +30,7 @@ Cluster::Cluster(ClusterOptions options)
   for (ProcessId p : config_.core) add_process(p);
   // The oracle must subscribe after nodes exist but before any topology
   // change, so every view reaches a registered node.
-  oracle_ = std::make_unique<MembershipOracle>(sim_, options_.membership);
+  oracle_ = std::make_unique<MembershipOracle>(sim_);
   install_fault_modes();
 }
 

@@ -24,7 +24,6 @@ struct ClusterOptions {
   std::uint32_t n = 5;
   DvConfig config;
   sim::SimulatorOptions sim;
-  MembershipOptions membership;
 
   /// Probability, per topology change and per component, that one random
   /// member "detaches before receiving the last message" of the ensuing

@@ -7,20 +7,16 @@
 
 namespace dynvote {
 
-TraceCheckResult check_trace(const TraceMetaAndEvents& trace,
-                             TruncationPolicy truncation) {
+TraceCheckResult check_trace(const TraceMetaAndEvents& trace) {
   TraceCheckResult result;
   result.ambiguity_bound = trace.meta.ambiguity_bound;
   if (trace.meta.overwritten > 0) {
     result.truncated = true;
-    if (truncation == TruncationPolicy::kFail) {
-      result.violations.push_back(Violation{
-          "truncated-trace",
-          std::to_string(trace.meta.overwritten) +
-              " events evicted by the ring bound before export; the "
-              "stream is a suffix, so replay verdicts are not evidence "
-              "(pass TruncationPolicy::kWarn to accept the suffix)"});
-    }
+    result.violations.push_back(Violation{
+        "truncated-trace",
+        std::to_string(trace.meta.overwritten) +
+            " events evicted by the ring bound before export; the stream "
+            "is a suffix, so replay verdicts are not evidence"});
   }
 
   ConsistencyChecker checker(trace.meta.core, /*seed_initial=*/true);

@@ -28,18 +28,6 @@ namespace dynvote {
 /// "version" to "schema_version".
 inline constexpr int kTraceSchemaVersion = 2;
 
-/// What check_trace does about a truncated event stream
-/// (meta.overwritten > 0): a ring-bounded sink only kept a suffix of the
-/// execution, so "no violation found" is not evidence of correctness.
-enum class TruncationPolicy {
-  /// Report a "truncated-trace" violation (the default: replay verdicts
-  /// on partial evidence must not pass silently).
-  kFail,
-  /// Downgrade to a warning: result.truncated is set, but the verdict
-  /// reflects only the surviving events.
-  kWarn,
-};
-
 /// Verdict of a trace replay.
 struct TraceCheckResult {
   /// V1..V4 violations found by the replayed ConsistencyChecker.
@@ -54,7 +42,7 @@ struct TraceCheckResult {
   /// True iff no bound applies or max_ambiguous stayed within it.
   bool ambiguity_ok = true;
   /// True iff the sink evicted events before export (meta.overwritten > 0).
-  /// Under TruncationPolicy::kFail this also appears in `violations`.
+  /// It also appears in `violations`, first.
   bool truncated = false;
 
   [[nodiscard]] bool consistent() const noexcept {
@@ -72,11 +60,11 @@ struct TraceMetaAndEvents {
 /// Feeds the protocol-level events of `trace` through a fresh
 /// ConsistencyChecker (seeded from meta.core) and evaluates the ambiguity
 /// bound in meta.ambiguity_bound. A truncated trace (meta.overwritten
-/// > 0) fails by default; pass TruncationPolicy::kWarn to accept the
-/// surviving suffix with result.truncated set.
-[[nodiscard]] TraceCheckResult check_trace(
-    const TraceMetaAndEvents& trace,
-    TruncationPolicy truncation = TruncationPolicy::kFail);
+/// > 0) always fails with a "truncated-trace" violation: a ring-bounded
+/// sink kept only a suffix of the execution, so "no violation found" is
+/// not evidence of correctness. The surviving events still replay, and
+/// their verdicts follow the truncation violation.
+[[nodiscard]] TraceCheckResult check_trace(const TraceMetaAndEvents& trace);
 
 /// Serializes meta + the sink's events to the deterministic trace.json
 /// schema (see docs/PROTOCOL.md "Tracing & metrics").

@@ -2,9 +2,8 @@
 
 namespace dynvote {
 
-MembershipOracle::MembershipOracle(sim::Simulator& sim,
-                                   MembershipOptions options)
-    : sim_(sim), options_(options), rng_(sim.rng().split()) {
+MembershipOracle::MembershipOracle(sim::Simulator& sim)
+    : sim_(sim), rng_(sim.rng().split()) {
   sim_.network().add_topology_observer([this] { on_topology_changed(); });
 }
 
@@ -23,9 +22,9 @@ ViewId MembershipOracle::inject_view(const ProcessSet& members) {
 
 void MembershipOracle::schedule_view(const View& view) {
   for (ProcessId p : view.members) {
-    const SimTime delay = options_.detection_delay_min +
-                          rng_.next_below(options_.detection_delay_max -
-                                          options_.detection_delay_min + 1);
+    const SimTime delay =
+        kDetectionDelayMin +
+        rng_.next_below(kDetectionDelayMax - kDetectionDelayMin + 1);
     sim_.queue().schedule_after(delay, [this, p, view] {
       // Suppress if a newer view superseded this one for p, or if p is
       // down. (A crashed-and-recovered p gets fresh views from the

@@ -33,17 +33,21 @@
 
 namespace dynvote {
 
-struct MembershipOptions {
-  /// Failure/recovery detection latency range, sampled independently per
-  /// member per view — this is what makes view delivery non-atomic.
-  SimTime detection_delay_min = 200;
-  SimTime detection_delay_max = 800;
-};
+/// Failure/recovery detection latency range in ticks, sampled
+/// independently per member per view: this is what makes view delivery
+/// non-atomic. The paper only asks that views arrive eventually
+/// (section 3.1), so no workload tunes it.
+inline constexpr SimTime kDetectionDelayMin = 200;
+inline constexpr SimTime kDetectionDelayMax = 800;
+static_assert(kDetectionDelayMin <= kDetectionDelayMax &&
+                  kDetectionDelayMax < sim::EventQueue::kWindow,
+              "a detection delay beyond the window sends every view to "
+              "the far heap");
 
 class MembershipOracle {
  public:
   /// Subscribes to the simulator's network. Register all nodes first.
-  explicit MembershipOracle(sim::Simulator& sim, MembershipOptions options = {});
+  explicit MembershipOracle(sim::Simulator& sim);
 
   MembershipOracle(const MembershipOracle&) = delete;
   MembershipOracle& operator=(const MembershipOracle&) = delete;
@@ -58,7 +62,6 @@ class MembershipOracle {
   void schedule_view(const View& view);
 
   sim::Simulator& sim_;
-  MembershipOptions options_;
   Rng rng_;
   /// Its latest(p) is the newest view scheduled for p; an older scheduled
   /// delivery that fires after a newer view was announced is suppressed

@@ -10,10 +10,8 @@ FlightRecorder::FlightRecorder(FlightRecorderOptions options)
     : options_(options) {
   ensure(options_.num_groups > 0 && options_.group_size > 0,
          "FlightRecorder: need a positive fleet shape");
-  ensure(options_.per_group_capacity > 0,
-         "FlightRecorder: per-group ring needs capacity");
   rings_.assign(options_.num_groups,
-                Ring<TraceEvent>(options_.per_group_capacity));
+                Ring<TraceEvent>(kFlightRecorderCapacity));
 }
 
 void FlightRecorder::note(const TraceEvent& event) {

@@ -31,13 +31,14 @@ namespace dynvote::obs {
 /// Version stamped into every post-mortem JSON document.
 inline constexpr int kPostmortemSchemaVersion = 1;
 
+/// Ring bound per group (protocol events only).
+inline constexpr std::size_t kFlightRecorderCapacity = 64;
+
 struct FlightRecorderOptions {
   /// Fleet shape: replica ProcessIds are dense group-major, so
   /// group = pid / group_size (shard/sharded_fleet.hpp).
   std::uint32_t num_groups = 1;
   std::uint32_t group_size = 1;
-  /// Ring bound per group (protocol events only).
-  std::size_t per_group_capacity = 64;
 };
 
 class FlightRecorder {

@@ -4,9 +4,8 @@
 
 namespace dynvote::obs {
 
-TimeSeriesSampler::TimeSeriesSampler(const MetricsHub& hub,
-                                     TimeSeriesOptions options)
-    : hub_(hub), options_(options), rows_(options.capacity) {}
+TimeSeriesSampler::TimeSeriesSampler(const MetricsHub& hub)
+    : hub_(hub), rows_(kTimeSeriesCapacity) {}
 
 void TimeSeriesSampler::track_counter(std::string name) {
   counter_names_.push_back(std::move(name));
@@ -19,7 +18,7 @@ void TimeSeriesSampler::track_gauge(std::string name) {
 
 void TimeSeriesSampler::sample(SimTime now) {
   if (have_sample_ &&
-      (now < last_time_ || now - last_time_ < options_.tick)) {
+      (now < last_time_ || now - last_time_ < kTimeSeriesTick)) {
     return;
   }
 
@@ -60,7 +59,7 @@ void TimeSeriesSampler::sample(SimTime now) {
 JsonValue TimeSeriesSampler::to_json() const {
   JsonValue out = JsonValue::object();
   out.set("schema_version", JsonValue(kTimeSeriesSchemaVersion));
-  out.set("tick", JsonValue(std::uint64_t{options_.tick}));
+  out.set("tick", JsonValue(std::uint64_t{kTimeSeriesTick}));
   out.set("dropped", JsonValue(dropped()));
 
   JsonValue times = JsonValue::array();

@@ -2,7 +2,7 @@
 //
 // A fleet run is a single virtual timeline; knowing only the end-of-run
 // totals hides *when* a shard stalled. The sampler snapshots selected
-// instruments from a MetricsHub on a configurable sim-time tick:
+// instruments from a MetricsHub on a fixed sim-time tick:
 // tracked counters are summed across groups and carry a windowed rate
 // (delta per virtual second since the previous sample — ticks are
 // microseconds), tracked gauges report the max across groups. Samples
@@ -31,19 +31,17 @@ namespace dynvote::obs {
 /// incompatible change to the payload shape.
 inline constexpr int kTimeSeriesSchemaVersion = 1;
 
-struct TimeSeriesOptions {
-  /// Minimum sim-time spacing between retained samples (virtual ticks =
-  /// microseconds). Calls inside the window are dropped, so callers may
-  /// sample opportunistically (e.g. after every settle).
-  SimTime tick = 2'000;
-  /// Ring bound on retained samples (0 = unbounded).
-  std::size_t capacity = 512;
-};
+/// Minimum sim-time spacing between retained samples (virtual ticks =
+/// microseconds). Calls inside the window are dropped, so callers may
+/// sample opportunistically (e.g. after every settle).
+inline constexpr SimTime kTimeSeriesTick = 2'000;
+/// Ring bound on retained samples.
+inline constexpr std::size_t kTimeSeriesCapacity = 512;
 
 class TimeSeriesSampler {
  public:
   /// The hub must outlive the sampler.
-  TimeSeriesSampler(const MetricsHub& hub, TimeSeriesOptions options);
+  explicit TimeSeriesSampler(const MetricsHub& hub);
 
   /// Tracks a counter by name: each sample records the cross-group sum
   /// and the windowed rate (delta / elapsed virtual seconds). Call at
@@ -80,7 +78,6 @@ class TimeSeriesSampler {
   };
 
   const MetricsHub& hub_;
-  TimeSeriesOptions options_;
   std::vector<std::string> counter_names_;
   std::vector<std::string> gauge_names_;
   Ring<Row> rows_;

@@ -153,9 +153,8 @@ struct TraceMeta {
   /// garbage-collect, or runs with dynamic membership).
   std::size_t ambiguity_bound = 0;
   /// Events evicted by the sink's ring bound before export. Nonzero means
-  /// the event stream is a suffix of the execution; consumers must either
-  /// reject the file or explicitly downgrade their verdicts (see
-  /// check_trace's TruncationPolicy).
+  /// the event stream is a suffix of the execution, which check_trace
+  /// reports as a "truncated-trace" violation.
   std::uint64_t overwritten = 0;
   /// Sharded-fleet shape (0 = not a sharded trace). When set, replica
   /// ProcessIds are dense group-major (group = pid / group_size), which

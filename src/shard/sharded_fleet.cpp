@@ -95,8 +95,7 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
     groups_.push_back(std::move(group));
   }
   if (hub_ != nullptr) {
-    sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-        *hub_, obs::TimeSeriesOptions{});
+    sampler_ = std::make_unique<obs::TimeSeriesSampler>(*hub_);
     sampler_->track_counter("dv.formed");
     sampler_->track_counter("dv.rejected");
     sampler_->track_counter("dv.storage.wal_bytes");
@@ -303,7 +302,7 @@ void ShardedFleet::note_formed(std::uint32_t group, SimTime time) {
   reconfig_samples_.push_back(ReconfigSample{group, fault, time});
   if (options_.telemetry.reconfig_outlier_ticks != 0 &&
       ticks > options_.telemetry.reconfig_outlier_ticks &&
-      postmortems_.size() < options_.telemetry.max_postmortems) {
+      postmortems_.size() < kMaxPostmortems) {
     postmortems_.push_back(flight_->postmortem_json(
         group,
         "reconfig-latency-outlier: " + std::to_string(ticks) + " ticks (> " +
@@ -335,7 +334,7 @@ std::size_t ShardedFleet::check_and_record_postmortems(
     const std::vector<Violation> violations =
         groups_[g].checker->check_all(order_check_limit);
     if (violations.empty()) continue;
-    if (postmortems_.size() >= options_.telemetry.max_postmortems) break;
+    if (postmortems_.size() >= kMaxPostmortems) break;
     postmortems_.push_back(flight_->postmortem_json(
         g,
         "consistency-violation " + violations.front().kind + ": " +

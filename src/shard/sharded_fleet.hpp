@@ -64,18 +64,19 @@ inline constexpr int kFleetTelemetrySchemaVersion = 2;
 /// protocol decision are identical (bench_shards asserts digest equality
 /// between modes and measures the overhead against a 5% budget).
 ///
-/// The time series and the flight recorder run with their obs-level
-/// defaults (obs::TimeSeriesOptions, obs::FlightRecorderOptions): a
-/// sample per 2,000 ticks with 512 retained, and 64 protocol events
-/// per group.
+/// The time series and the flight recorder keep their obs-level bounds
+/// (obs::kTimeSeriesTick, obs::kTimeSeriesCapacity,
+/// obs::kFlightRecorderCapacity): a sample per 2,000 ticks with 512
+/// retained, and 64 protocol events per group.
 struct FleetTelemetryOptions {
   bool enabled = true;
   /// Reconfiguration latency (ticks) above which the group's flight
   /// recorder dumps an outlier post-mortem. 0 = no outlier capture.
   SimTime reconfig_outlier_ticks = 0;
-  /// Cap on post-mortems retained per run (outliers + violations).
-  std::size_t max_postmortems = 16;
 };
+
+/// Cap on post-mortems retained per run (outliers + violations).
+inline constexpr std::size_t kMaxPostmortems = 16;
 
 struct ShardedFleetOptions {
   /// Number of independent primary-component groups (= shards).
@@ -207,7 +208,7 @@ class ShardedFleet {
 
   /// Runs every group's consistency check; each violating group dumps
   /// its flight-recorder ring as a post-mortem (reason = the first
-  /// violation), subject to the max_postmortems cap. Returns how many
+  /// violation), subject to the kMaxPostmortems cap. Returns how many
   /// post-mortems were recorded. Requires telemetry.
   std::size_t check_and_record_postmortems(std::size_t order_check_limit = 400);
 

@@ -117,14 +117,9 @@ std::size_t EventQueue::run_until(SimTime t) {
 }
 
 std::size_t EventQueue::run_all(std::size_t max_events) {
-  return drain(max_events).executed;
-}
-
-EventQueue::DrainResult EventQueue::drain(std::size_t max_events) {
-  DrainResult result;
-  while (result.executed < max_events && run_next()) ++result.executed;
-  result.status = empty() ? DrainStatus::kDrained : DrainStatus::kEventLimit;
-  return result;
+  std::size_t count = 0;
+  while (count < max_events && run_next()) ++count;
+  return count;
 }
 
 }  // namespace dynvote::sim

@@ -47,19 +47,12 @@ class EventQueue {
   /// heap box, never silently truncate.
   using Action = InlineFunction<void()>;
 
-  /// How a bounded run ended: the queue ran dry, or the event budget was
-  /// exhausted with work still pending (a runaway schedule).
-  enum class DrainStatus { kDrained, kEventLimit };
-
-  struct DrainResult {
-    std::size_t executed = 0;
-    DrainStatus status = DrainStatus::kDrained;
-  };
-
   static constexpr std::size_t kDefaultMaxEvents = 10'000'000;
 
   /// Ticks ahead of now() that the buckets cover; a power of two above
-  /// the default 40–160-tick latency and 200–800-tick view detection.
+  /// the 40–160-tick message latency and the 200–800-tick view
+  /// detection (static_asserts in sim/network.hpp and
+  /// membership/membership_oracle.hpp hold both below it).
   static constexpr SimTime kWindow = 1024;
 
   /// Current virtual time. Starts at 0 and only advances when events run.
@@ -80,13 +73,9 @@ class EventQueue {
   std::size_t run_until(SimTime t);
 
   /// Runs events until the queue drains or `max_events` executed.
-  /// Returns the number executed. Prefer drain() when the caller must
-  /// distinguish a drained queue from a tripped event budget.
+  /// Returns the number executed. empty() afterwards tells a drained
+  /// queue from a tripped event budget (a runaway schedule).
   std::size_t run_all(std::size_t max_events = kDefaultMaxEvents);
-
-  /// Like run_all, but reports whether the queue actually drained or the
-  /// event budget stopped it with work still pending.
-  DrainResult drain(std::size_t max_events = kDefaultMaxEvents);
 
   [[nodiscard]] bool empty() const noexcept { return pending_ == 0; }
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }

@@ -8,11 +8,10 @@
 
 namespace dynvote::sim {
 
-Network::Network(EventQueue& queue, Rng rng, LatencyModel latency,
-                 obs::TraceSink& trace, obs::MetricsRegistry& metrics)
+Network::Network(EventQueue& queue, Rng rng, obs::TraceSink& trace,
+                 obs::MetricsRegistry& metrics)
     : queue_(queue),
       rng_(rng),
-      latency_(latency),
       trace_(trace),
       metrics_(metrics),
       sent_(metrics.counter("net.messages_sent")),
@@ -23,9 +22,7 @@ Network::Network(EventQueue& queue, Rng rng, LatencyModel latency,
       lost_in_flight_(metrics.counter("net.messages_lost_in_flight")),
       bytes_sent_(metrics.counter("net.bytes_sent")),
       bytes_rejected_(metrics.counter("net.bytes_rejected")),
-      topology_changes_(metrics.counter("net.topology_changes")) {
-  ensure(latency_.min <= latency_.max, "latency model min > max");
-}
+      topology_changes_(metrics.counter("net.topology_changes")) {}
 
 std::size_t Network::tri_index(std::uint32_t slot_a, std::uint32_t slot_b) {
   std::uint64_t lo = slot_a;
@@ -306,7 +303,7 @@ void Network::send(Envelope env) {
     when = queue_.now();  // local loopback: same instant, after queued work
   } else {
     const SimTime latency =
-        latency_.min + rng_.next_below(latency_.max - latency_.min + 1);
+        kMinLatency + rng_.next_below(kMaxLatency - kMinLatency + 1);
     when = queue_.now() + latency;
     // Reliable FIFO channel: per ordered pair, deliveries never reorder.
     SimTime& tail =

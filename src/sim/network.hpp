@@ -38,11 +38,16 @@ namespace dynvote::sim {
 
 class Node;
 
-/// Uniform message latency in simulated ticks.
-struct LatencyModel {
-  SimTime min = 40;
-  SimTime max = 160;
-};
+/// A remote message's latency is uniform in [kMinLatency, kMaxLatency]
+/// ticks. The paper's safety claims hold for any delays (section 3),
+/// so no workload tunes them; every delivery stays inside the event
+/// queue's bucket window.
+inline constexpr SimTime kMinLatency = 40;
+inline constexpr SimTime kMaxLatency = 160;
+static_assert(kMinLatency <= kMaxLatency &&
+                  kMaxLatency < EventQueue::kWindow,
+              "a latency beyond the window sends every delivery to the "
+              "far heap");
 
 /// Read-only snapshot of the network counters (assembled from the
 /// MetricsRegistry — see Network::stats()).
@@ -69,8 +74,8 @@ class Network {
   /// crash, recovery). The membership oracle subscribes to this.
   using TopologyObserver = std::function<void()>;
 
-  Network(EventQueue& queue, Rng rng, LatencyModel latency,
-          obs::TraceSink& trace, obs::MetricsRegistry& metrics);
+  Network(EventQueue& queue, Rng rng, obs::TraceSink& trace,
+          obs::MetricsRegistry& metrics);
 
   /// Registers process `p`, whose messages `node` receives. All
   /// processes start alive, each in its own singleton component until
@@ -107,8 +112,8 @@ class Network {
   // -- messaging -------------------------------------------------------------
 
   /// Sends `env`. Self-sends deliver at the current time (after currently
-  /// queued events); remote sends sample the latency model and respect
-  /// per-pair FIFO order. Messages crossing a partition are dropped.
+  /// queued events); remote sends draw a latency in [kMinLatency,
+  /// kMaxLatency] and respect per-pair FIFO order. Messages crossing a partition are dropped.
   void send(Envelope env);
 
   void set_drop_filter(DropFilter filter) { drop_filter_ = std::move(filter); }
@@ -206,7 +211,6 @@ class Network {
 
   EventQueue& queue_;
   Rng rng_;
-  LatencyModel latency_;
   obs::TraceSink& trace_;
   obs::MetricsRegistry& metrics_;
   ProcessSet processes_;

@@ -6,8 +6,8 @@ namespace dynvote::sim {
 
 Simulator::Simulator(SimulatorOptions options)
     : rng_(options.seed),
-      network_(queue_, Rng(options.seed ^ 0x9E3779B97F4A7C15ULL),
-               options.latency, trace_, metrics_) {
+      network_(queue_, Rng(options.seed ^ 0x9E3779B97F4A7C15ULL), trace_,
+               metrics_) {
   trace_.bind_metrics(metrics_);
 }
 

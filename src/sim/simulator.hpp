@@ -24,7 +24,6 @@ namespace dynvote::sim {
 
 struct SimulatorOptions {
   std::uint64_t seed = 1;
-  LatencyModel latency;
 };
 
 class Simulator {

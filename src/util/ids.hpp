@@ -61,7 +61,7 @@ using SessionNumber = std::int64_t;
 inline constexpr SessionNumber kNoSessionNumber = -1;
 
 /// Simulated time, in integer "ticks" (interpreted as microseconds by the
-/// latency models; the unit is irrelevant to correctness).
+/// delay constants; the unit is irrelevant to correctness).
 using SimTime = std::uint64_t;
 
 inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();

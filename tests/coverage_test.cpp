@@ -1,6 +1,6 @@
 // Targeted coverage of under-exercised corners: the Lemma-2 learning
 // chain, voluntary leaves under the blocking baseline, same-membership
-// attempt overwrite with knowledge arrays, latency-model bounds, and a
+// attempt overwrite with knowledge arrays, the DES's delay bounds, and a
 // larger-scale smoke run.
 #include <iterator>
 
@@ -154,23 +154,20 @@ TEST(VoluntaryLeave, OneLeaverStallsTheBlockingProtocolOnly) {
   }
 }
 
-// ---- latency model bounds -----------------------------------------------------
+// ---- delay bounds ---------------------------------------------------------------
 
-TEST(LatencyModel, CustomBoundsAreHonoredEndToEnd) {
+TEST(DelayBounds, FormationLandsWithinTheConstantDelayBounds) {
   ClusterOptions options;
   options.kind = ProtocolKind::kBasic;
   options.n = 3;
   options.sim.seed = 205;
-  options.sim.latency = sim::LatencyModel{1000, 1001};
-  options.membership.detection_delay_min = 10;
-  options.membership.detection_delay_max = 11;
   Cluster cluster(options);
   cluster.start();
-  // Views by ~11us; two rounds of ~1000us each; forming must therefore
-  // land in roughly [2010, 2050]us — far beyond the default model.
+  // One view detection, then two message rounds: the last formation
+  // lands between the smallest and the largest sum of the three delays.
   ASSERT_TRUE(cluster.live_primary().has_value());
-  EXPECT_GE(cluster.sim().now(), 2010u);
-  EXPECT_LE(cluster.sim().now(), 2100u);
+  EXPECT_GE(cluster.sim().now(), kDetectionDelayMin + 2 * sim::kMinLatency);
+  EXPECT_LE(cluster.sim().now(), kDetectionDelayMax + 2 * sim::kMaxLatency);
 }
 
 // ---- scale smoke ----------------------------------------------------------------

@@ -18,8 +18,6 @@ namespace dynvote::sim::reference {
 class HeapEventQueue {
  public:
   using Action = EventQueue::Action;
-  using DrainResult = EventQueue::DrainResult;
-  using DrainStatus = EventQueue::DrainStatus;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
@@ -66,11 +64,10 @@ class HeapEventQueue {
     return count;
   }
 
-  DrainResult drain(std::size_t max_events) {
-    DrainResult result;
-    while (result.executed < max_events && run_next()) ++result.executed;
-    result.status = empty() ? DrainStatus::kDrained : DrainStatus::kEventLimit;
-    return result;
+  std::size_t run_all(std::size_t max_events) {
+    std::size_t count = 0;
+    while (count < max_events && run_next()) ++count;
+    return count;
   }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }

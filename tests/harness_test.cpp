@@ -1,5 +1,8 @@
 // Unit/integration tests: schedule generation, paired availability runs,
 // metrics collection, trace recording, fault-injector mechanics.
+#include <functional>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "harness/availability.hpp"
@@ -217,6 +220,24 @@ TEST(Cluster, LivePrimaryNulloptWhenNoneOrAmbiguous) {
   Cluster cluster(options);
   // Before any view settles: nobody is primary.
   EXPECT_FALSE(cluster.live_primary().has_value());
+}
+
+TEST(Cluster, SettleThrowsWhenTheEventBudgetTrips) {
+  Cluster cluster(ClusterOptions{});
+  cluster.start();
+  // A self-rescheduling event never lets the queue drain: settle must
+  // fail loudly instead of returning with work still pending.
+  sim::EventQueue& queue = cluster.sim().queue();
+  std::function<void()> forever = [&] { queue.schedule_after(1, forever); };
+  queue.schedule_after(1, forever);
+  try {
+    cluster.settle(100);
+    FAIL() << "settle returned with events pending";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("event budget exhausted"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

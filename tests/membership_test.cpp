@@ -36,7 +36,7 @@ class MembershipTest : public ::testing::Test {
 
   ViewWatcher& node(std::uint32_t i) { return *nodes_[i]; }
 
-  sim::Simulator sim_{sim::SimulatorOptions{.seed = 5, .latency = {}}};
+  sim::Simulator sim_{sim::SimulatorOptions{.seed = 5}};
   std::vector<ViewWatcher*> nodes_;
   std::unique_ptr<MembershipOracle> oracle_;
 };

@@ -86,7 +86,7 @@ struct Observation {
 /// order in both runs) and returns everything observable.
 Observation run_script(const std::vector<std::uint32_t>& raw_ids) {
   const std::size_t n = raw_ids.size();
-  Simulator sim{SimulatorOptions{.seed = 4242, .latency = {}}};
+  Simulator sim{SimulatorOptions{.seed = 4242}};
   std::vector<RecordingNode*> nodes;
   std::map<ProcessId, std::size_t> index_of;
   ProcessSet everyone;
@@ -211,7 +211,7 @@ TEST(NetworkSparseIds, LoopbackFromTheLargestSparseIdDeliversToSelf) {
   // The loopback regression at sparse scale: tri_index(s, s) for the
   // largest slot indexes one past the pair tables, so a self-send must
   // never consult them — here from the largest legal raw id.
-  Simulator sim{SimulatorOptions{.seed = 7, .latency = {}}};
+  Simulator sim{SimulatorOptions{.seed = 7}};
   const ProcessId big{kProcessIdLimit - 1};
   const ProcessId small{17};
   auto* small_node = new RecordingNode(sim.transport(), small);
@@ -234,7 +234,7 @@ TEST(NetworkSparseIds, PairStateSurvivesLaterSparseRegistrations) {
   // add_process must only ever append pair entries: an epoch captured
   // by an in-flight message, and a FIFO tail, must survive a later
   // registration that grows the tables.
-  Simulator sim{SimulatorOptions{.seed = 11, .latency = {}}};
+  Simulator sim{SimulatorOptions{.seed = 11}};
   const ProcessId a{5000};
   const ProcessId b{60000};
   auto* na = new RecordingNode(sim.transport(), a);
@@ -263,7 +263,7 @@ TEST(NetworkSparseIds, PairStateSurvivesLaterSparseRegistrations) {
 }
 
 TEST(NetworkSparseIds, FifoTailForUnknownOrSelfPairsIsEmpty) {
-  Simulator sim{SimulatorOptions{.seed = 13, .latency = {}}};
+  Simulator sim{SimulatorOptions{.seed = 13}};
   const ProcessId a{123456};
   auto* na = new RecordingNode(sim.transport(), a);
   sim.add_node(std::unique_ptr<Node>(na));

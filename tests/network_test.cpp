@@ -61,7 +61,7 @@ class NetworkTest : public ::testing::Test {
 
   RecordingNode& node(std::uint32_t i) { return *nodes_[i]; }
 
-  Simulator sim_{SimulatorOptions{.seed = 99, .latency = {}}};
+  Simulator sim_{SimulatorOptions{.seed = 99}};
   std::vector<RecordingNode*> nodes_;
 };
 

@@ -395,23 +395,16 @@ TEST(TraceReplayTest, RingBoundedTraceStillReplaysRecentEvents) {
       load_trace_json(trace_to_json(cluster.trace_meta(), sink).dump());
   EXPECT_EQ(loaded.meta.overwritten, sink.overwritten());
 
-  // A truncated trace is only a suffix of the execution, so the default
-  // policy refuses to certify it.
-  const TraceCheckResult strict = check_trace(loaded);
-  EXPECT_TRUE(strict.truncated);
-  EXPECT_FALSE(strict.consistent());
-  ASSERT_FALSE(strict.violations.empty());
-  EXPECT_EQ(strict.violations.front().kind, "truncated-trace");
-
-  // Explicitly downgrading to a warning still replays the surviving
-  // events (C1 holds on the suffix; the bound check is unaffected).
-  const TraceCheckResult lenient =
-      check_trace(loaded, TruncationPolicy::kWarn);
-  EXPECT_TRUE(lenient.truncated);
-  EXPECT_TRUE(lenient.ambiguity_ok);
-  for (const Violation& v : lenient.violations) {
-    EXPECT_NE(v.kind, "truncated-trace");
-  }
+  // A truncated trace is only a suffix of the execution, so the replay
+  // refuses to certify it. The surviving events still replay: C1 holds
+  // on the suffix, so the truncation is the only violation, and the
+  // bound check is unaffected.
+  const TraceCheckResult result = check_trace(loaded);
+  EXPECT_TRUE(result.truncated);
+  EXPECT_FALSE(result.consistent());
+  ASSERT_EQ(result.violations.size(), 1u);
+  EXPECT_EQ(result.violations.front().kind, "truncated-trace");
+  EXPECT_TRUE(result.ambiguity_ok);
 }
 
 TEST(MetricsIntegrationTest, ClusterPopulatesSessionAndNetworkCounters) {

@@ -7,7 +7,7 @@
 //     pinned to the member lists' order; and its size, so no second
 //     representation grows back beside the bitset;
 //   - the InlineFunction size budget of the EventQueue's slab and the
-//     drained-vs-event-limit distinction of drain();
+//     drained-vs-event-limit distinction of run_all() and empty();
 //   - the sweep runner's determinism contract: index-ordered results,
 //     identical output at any thread count (including the full E1
 //     trace.json byte-for-byte through a 4-thread pool), and exception
@@ -439,7 +439,7 @@ TEST(InlineFunctionSize, DeliverySizedCaptureFitsAndOversizedBoxWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// EventQueue: the drain() status.
+// EventQueue: a drained queue against a tripped event budget.
 
 TEST(EventQueuePerf, DrainDistinguishesEventLimitFromDrained) {
   sim::EventQueue q;
@@ -448,15 +448,12 @@ TEST(EventQueuePerf, DrainDistinguishesEventLimitFromDrained) {
   std::function<void()> reschedule = [&] { q.schedule_after(1, [&] { reschedule(); }); };
   q.schedule_at(0, [&] { reschedule(); });
 
-  const auto limited = q.drain(/*max_events=*/100);
-  EXPECT_EQ(limited.executed, 100u);
-  EXPECT_EQ(limited.status, sim::EventQueue::DrainStatus::kEventLimit);
+  EXPECT_EQ(q.run_all(/*max_events=*/100), 100u);
   EXPECT_FALSE(q.empty()) << "the runaway schedule still has work pending";
 
   // Stop the cascade, then the queue must report a genuine drain.
   reschedule = [] {};
-  const auto drained = q.drain();
-  EXPECT_EQ(drained.status, sim::EventQueue::DrainStatus::kDrained);
+  q.run_all();
   EXPECT_TRUE(q.empty());
 }
 

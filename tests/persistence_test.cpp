@@ -123,9 +123,9 @@ TEST(StateDelta, ApplyMirrorsTheStateMutators) {
 }
 
 TEST(StateDelta, AttemptReplaysTheUnsoundTruncation) {
-  // A writer configured with ambiguous_record_limit truncates after
-  // recording; the delta must reproduce exactly that (the
-  // LastAttemptOnly baseline's persistence depends on it).
+  // A writer with an ambiguous-record limit truncates after recording;
+  // the delta must reproduce exactly that (the LastAttemptOnly
+  // baseline's persistence depends on it).
   ProtocolState live = sample_state();
   ProtocolState replica = live;
   for (SessionNumber n = 1; n <= 4; ++n) {
@@ -174,12 +174,10 @@ TEST(Checkpoint, ConstructionCheckpointGrowsLinearlyInN) {
   EXPECT_LT(checkpoint_bytes(1024), 8 * checkpoint_bytes(256));
 }
 
-// Options tuned so the tests cross the compaction threshold quickly.
-PersistenceOptions tight_compaction() {
-  PersistenceOptions options;
-  options.min_compact_bytes = 96;
-  options.compact_factor = 1.5;
-  return options;
+/// Checkpoints written to `storage`: one at birth, then one per
+/// compaction (every other write is a log append).
+std::uint64_t checkpoints(const sim::StableStorage& storage) {
+  return storage.writes() - storage.appends();
 }
 
 /// Recovers a second WalPersistence from a copy of `storage`, as a
@@ -195,10 +193,9 @@ ProtocolState recover_copy(const sim::StableStorage& storage) {
 
 TEST(WalPersistence, CrashAfterEveryCommitRecoversTheExactState) {
   sim::StableStorage storage;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, tight_compaction(),
-                     sample_state());
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
 
-  for (SessionNumber n = 1; n <= 40; ++n) {
+  for (SessionNumber n = 1; n <= 160; ++n) {
     const Session s{ProcessSet::of({0, 1, static_cast<std::uint32_t>(n % 5)}),
                     n};
     wal.apply(StateDelta::attempt(s, 0));
@@ -213,15 +210,14 @@ TEST(WalPersistence, CrashAfterEveryCommitRecoversTheExactState) {
     // live state, whatever mix of checkpoint + log tail is on it.
     ASSERT_EQ(recover_copy(storage), wal.state()) << "after commit " << n;
   }
-  // The loop must have crossed the compaction threshold along the way,
-  // or the test proved nothing about checkpoint + tail recovery.
-  EXPECT_GT(storage.writes(), 41u);
+  // The loop must have crossed kMinCompactBytes more than once, or the
+  // test proved nothing about checkpoint + tail recovery.
+  EXPECT_GE(checkpoints(storage), 3u);
 }
 
 TEST(WalPersistence, MidCompactionCrashDoesNotDoubleApply) {
   sim::StableStorage storage;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, tight_compaction(),
-                     sample_state());
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
 
   // Snapshot the disk in the window where the fresh checkpoint is
   // written but the log records it covers are still present.
@@ -247,10 +243,9 @@ TEST(WalPersistence, CommitsAfterAnInPlaceRecoveryExtendWhatItRead) {
   // its next batches must replay on top of the checkpoint and log tail
   // it read, with compactions before and after the recovery.
   sim::StableStorage storage;
-  WalPersistence wal(storage, nullptr, "dv.state", kSelf, tight_compaction(),
-                     sample_state());
+  WalPersistence wal(storage, nullptr, "dv.state", kSelf, {}, sample_state());
 
-  for (SessionNumber n = 1; n <= 40; ++n) {
+  for (SessionNumber n = 1; n <= 160; ++n) {
     wal.apply(StateDelta::attempt(Session{ProcessSet::of({0, 1}), n}, 0));
     if (n % 3 == 0) {
       wal.apply(StateDelta::learned(n, ProcessId{1},
@@ -264,7 +259,7 @@ TEST(WalPersistence, CommitsAfterAnInPlaceRecoveryExtendWhatItRead) {
     }
     ASSERT_EQ(recover_copy(storage), wal.state()) << "after commit " << n;
   }
-  EXPECT_GT(storage.writes(), 41u);
+  EXPECT_GE(checkpoints(storage), 3u);
 }
 
 /// Rewrites the checkpoint on disk behind the WAL's back with `state`.

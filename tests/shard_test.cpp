@@ -3,6 +3,7 @@
 // and the sharded KV integration.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -169,6 +170,24 @@ TEST(ShardedFleet, GroupsFailIndependentlyUnderMinorityCuts) {
         }
       }
     }
+  }
+}
+
+TEST(ShardedFleet, SettleThrowsWhenTheEventBudgetTrips) {
+  ShardedFleet fleet(small_fleet_options());
+  fleet.start();
+  // A self-rescheduling event never lets the queue drain: settle must
+  // fail loudly instead of returning with work still pending.
+  sim::EventQueue& queue = fleet.sim().queue();
+  std::function<void()> forever = [&] { queue.schedule_after(1, forever); };
+  queue.schedule_after(1, forever);
+  try {
+    fleet.settle(100);
+    FAIL() << "settle returned with events pending";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("event budget exhausted"),
+              std::string::npos)
+        << e.what();
   }
 }
 

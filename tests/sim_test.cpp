@@ -263,18 +263,15 @@ TEST(EventQueue, RunsTheReferenceHeapOrderOnRandomSchedules) {
         }
         case 4: {
           const std::size_t budget = ops.next_below(40);
-          const auto a = buckets.queue.drain(budget);
-          const auto b = heap.queue.drain(budget);
-          ASSERT_EQ(a.executed, b.executed);
-          ASSERT_EQ(a.status, b.status);
+          ASSERT_EQ(buckets.queue.run_all(budget), heap.queue.run_all(budget));
+          ASSERT_EQ(buckets.queue.empty(), heap.queue.empty());
           break;
         }
         default: {
-          const auto a = buckets.queue.drain(EventQueue::kDefaultMaxEvents);
-          const auto b = heap.queue.drain(EventQueue::kDefaultMaxEvents);
-          ASSERT_EQ(a.executed, b.executed);
-          ASSERT_EQ(a.status, EventQueue::DrainStatus::kDrained);
-          ASSERT_EQ(b.status, EventQueue::DrainStatus::kDrained);
+          ASSERT_EQ(buckets.queue.run_all(EventQueue::kDefaultMaxEvents),
+                    heap.queue.run_all(EventQueue::kDefaultMaxEvents));
+          ASSERT_TRUE(buckets.queue.empty());
+          ASSERT_TRUE(heap.queue.empty());
           break;
         }
       }

@@ -99,16 +99,14 @@ TEST(TimeSeries, TickGatesSamplesAndComputesWindowedRates) {
   obs::MetricsHub hub(2);
   obs::Counter& c0 = hub.group(0).counter("formed");
   obs::Counter& c1 = hub.group(1).counter("formed");
-  obs::TimeSeriesOptions options;
-  options.tick = 1000;
-  obs::TimeSeriesSampler sampler(hub, options);
+  obs::TimeSeriesSampler sampler(hub);
   sampler.track_counter("formed");
   sampler.track_gauge("level");
 
   c0.add(2);
   sampler.sample(0);  // first sample always retained
   EXPECT_EQ(sampler.size(), 1u);
-  sampler.sample(500);  // inside the tick window: dropped
+  sampler.sample(obs::kTimeSeriesTick - 1);  // inside the window: dropped
   EXPECT_EQ(sampler.size(), 1u);
   sampler.sample(400);  // out of order: dropped
   EXPECT_EQ(sampler.size(), 1u);
@@ -132,17 +130,17 @@ TEST(TimeSeries, TickGatesSamplesAndComputesWindowedRates) {
 
 TEST(TimeSeries, RingBoundEvictsOldestAndCountsDrops) {
   obs::MetricsHub hub(1);
-  obs::TimeSeriesOptions options;
-  options.tick = 1;
-  options.capacity = 3;
-  obs::TimeSeriesSampler sampler(hub, options);
+  obs::TimeSeriesSampler sampler(hub);
   sampler.track_counter("c");
-  for (SimTime t = 0; t < 10; ++t) sampler.sample(t * 10);
-  EXPECT_EQ(sampler.size(), 3u);
+  for (SimTime t = 0; t < obs::kTimeSeriesCapacity + 7; ++t) {
+    sampler.sample(t * obs::kTimeSeriesTick);
+  }
+  EXPECT_EQ(sampler.size(), obs::kTimeSeriesCapacity);
   EXPECT_EQ(sampler.dropped(), 7u);
   const JsonValue doc = sampler.to_json();
-  ASSERT_EQ(doc.at("times").as_array().size(), 3u);
-  EXPECT_EQ(doc.at("times").as_array()[0].as_uint(), 70u);  // oldest kept
+  ASSERT_EQ(doc.at("times").as_array().size(), obs::kTimeSeriesCapacity);
+  EXPECT_EQ(doc.at("times").as_array()[0].as_uint(),
+            7 * obs::kTimeSeriesTick);  // oldest kept
   EXPECT_EQ(doc.at("dropped").as_uint(), 7u);
 }
 
@@ -184,28 +182,21 @@ TEST(FlightRecorder, RoutesByGroupAndSkipsMessages) {
 }
 
 TEST(FlightRecorder, RingKeepsLastNOldestFirst) {
-  obs::FlightRecorderOptions options;
-  options.num_groups = 1;
-  options.group_size = 1;
-  options.per_group_capacity = 4;
-  obs::FlightRecorder recorder(options);
-  for (std::uint64_t i = 1; i <= 10; ++i) {
+  obs::FlightRecorder recorder(obs::FlightRecorderOptions{});
+  const std::uint64_t total = obs::kFlightRecorderCapacity + 6;
+  for (std::uint64_t i = 1; i <= total; ++i) {
     recorder.note(
         protocol_event(i, 0, obs::TraceEventKind::kViewInstalled, i));
   }
-  const auto events = recorder.group_events(0);
-  ASSERT_EQ(events.size(), 4u);
+  const auto& events = recorder.group_events(0);
+  ASSERT_EQ(events.size(), obs::kFlightRecorderCapacity);
   EXPECT_EQ(events.front().eid, 7u);
-  EXPECT_EQ(events.back().eid, 10u);
-  EXPECT_EQ(recorder.group_events(0).overwritten(), 6u);
+  EXPECT_EQ(events.back().eid, total);
+  EXPECT_EQ(events.overwritten(), 6u);
 }
 
 TEST(FlightRecorder, PostmortemChainsAreRootFirstAndFlagTruncation) {
-  obs::FlightRecorderOptions options;
-  options.num_groups = 1;
-  options.group_size = 1;
-  options.per_group_capacity = 8;
-  obs::FlightRecorder recorder(options);
+  obs::FlightRecorder recorder(obs::FlightRecorderOptions{});
   recorder.note(protocol_event(1, 0, obs::TraceEventKind::kViewInstalled, 1));
   recorder.note(
       protocol_event(2, 0, obs::TraceEventKind::kSessionAttempt, 2, 1));
@@ -392,21 +383,25 @@ TEST(FleetTelemetry, OutlierLatencyDumpsACappedPostmortem) {
   // Every reconfiguration exceeds one tick, so every closed window is an
   // outlier; the cap keeps the retained post-mortems bounded.
   options.telemetry.reconfig_outlier_ticks = 1;
-  options.telemetry.max_postmortems = 2;
   shard::ShardedFleet fleet(options);
   fleet.start();
-  fleet.partition_fleet({{0, 1}, {2, 3}});
-  fleet.settle();
-  fleet.merge_fleet();
-  fleet.settle();
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    fleet.partition_fleet({{0, 1}, {2, 3}});
+    fleet.settle();
+    fleet.merge_fleet();
+    fleet.settle();
+  }
 
-  ASSERT_EQ(fleet.postmortems().size(), 2u);
+  // Three cut/heal cycles close more outlier windows than the cap.
+  EXPECT_GT(fleet.reconfig_samples().size(), shard::kMaxPostmortems);
+  ASSERT_EQ(fleet.postmortems().size(), shard::kMaxPostmortems);
   const JsonValue& first = fleet.postmortems().front();
   EXPECT_NE(first.at("reason").as_string().find("reconfig-latency-outlier"),
             std::string::npos);
   EXPECT_FALSE(first.at("events").as_array().empty());
   // The telemetry document embeds them.
-  EXPECT_EQ(fleet.telemetry_json().at("postmortems").as_array().size(), 2u);
+  EXPECT_EQ(fleet.telemetry_json().at("postmortems").as_array().size(),
+            shard::kMaxPostmortems);
 }
 
 TEST(FleetTelemetry, DisabledTelemetryKeepsTheSimulationScheduleIdentical) {
