@@ -106,7 +106,7 @@ void BM_LearningAndResolutionPass(benchmark::State& state) {
 
   sim::Simulator sim;
   auto protocol = std::make_unique<LearningBenchProtocol>(
-      sim.transport(), ProcessId(0),
+      sim, ProcessId(0),
       DvConfig{.core = core,
                .min_quorum = 1,
                .dynamic_participants = false,
@@ -157,7 +157,7 @@ void BM_InfoPayloadBuild(benchmark::State& state) {
   DvConfig config;
   config.core = core;
   auto protocol = std::make_unique<LearningBenchProtocol>(
-      sim.transport(), ProcessId(0), config);
+      sim, ProcessId(0), config);
   auto* bench_protocol = protocol.get();
   sim.add_node(std::move(protocol));
   ProtocolState proto_state = ProtocolState::initial(core, ProcessId(0));

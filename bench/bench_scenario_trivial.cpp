@@ -64,12 +64,7 @@ JsonValue run(ProtocolKind kind) {
   Cluster cluster(options);
 
   SessionTableObserver table_observer;
-  MultiObserver fanout;
-  fanout.add(&cluster.checker());
-  fanout.add(&table_observer);
-  for (ProcessId p : cluster.all_processes()) {
-    cluster.protocol(p).set_observer(&fanout);
-  }
+  cluster.observers(0).add(&table_observer);
 
   FaultInjector faults(cluster.sim().network());
   // S1: a forms; b, c detach before forming.

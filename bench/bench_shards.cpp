@@ -213,20 +213,9 @@ ViolationDemo run_violation_demo() {
 
   // Sharded trace export (meta carries the fleet shape), the input for
   // dvtrace --group: per-group replay of the same evidence.
-  obs::TraceMeta meta;
-  meta.protocol = to_string(options.kind);
-  meta.n = fleet.fleet_n();
-  meta.min_quorum = shard::kFleetMinQuorum;
-  meta.seed = options.sim.seed;
-  ProcessSet all;
-  for (std::uint32_t g = 0; g < options.num_groups; ++g) {
-    for (const ProcessId p : fleet.group_members(g)) all.insert(p);
-  }
-  meta.core = std::move(all);
-  meta.num_groups = options.num_groups;
-  meta.group_size = options.group_size;
   write_json_file("fleet_trace.json",
-                  trace_to_json(meta, fleet.sim().trace()));
+                  trace_to_json(fleet.cluster().trace_meta(),
+                                fleet.sim().trace()));
   return demo;
 }
 

@@ -1,6 +1,7 @@
 #include "app/replicated_kv.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/ensure.hpp"
 
@@ -92,6 +93,10 @@ KvStore::KvStore(Cluster& cluster) : cluster_(cluster) {
 }
 
 Replica& KvStore::replica(ProcessId p) {
+  return const_cast<Replica&>(std::as_const(*this).replica(p));
+}
+
+const Replica& KvStore::replica(ProcessId p) const {
   auto it = replicas_.find(p);
   if (it == replicas_.end()) {
     invariant_failed("no replica for " + dynvote::to_string(p));
@@ -125,14 +130,18 @@ void KvStore::sync_primary() {
 std::vector<Divergence> KvStore::audit() const {
   std::vector<Divergence> out;
 
-  // (a) Same version stamp, different values, at any two replicas.
-  std::vector<const Replica*> all;
-  for (const auto& [p, replica] : replicas_) all.push_back(replica.get());
-  find_stamp_conflicts(all, out);
+  // (a) Same version stamp, different values, at two replicas of a group.
+  std::vector<std::vector<const Replica*>> groups(cluster_.num_groups());
+  for (const auto& [p, replica] : replicas_) {
+    groups[cluster_.group_of(p)].push_back(replica.get());
+  }
+  for (const auto& members : groups) find_stamp_conflicts(members, out);
 
-  // (b) A write acknowledged while a disjoint primary component was live.
-  const ConsistencyChecker& checker = cluster_.checker();
+  // (b) A write acknowledged while a disjoint primary of its group was
+  // live.
   for (const LoggedWrite& w : log_) {
+    const ConsistencyChecker& checker =
+        cluster_.checker(cluster_.group_of(w.replica));
     for (const Session& other : checker.formed_sessions()) {
       if (other == w.session) continue;
       if (other.members.intersects(w.session.members)) continue;

@@ -34,8 +34,6 @@
 #include "dv/service.hpp"
 #include "harness/cluster.hpp"
 
-namespace dynvote::shard { class ShardedKv; }
-
 namespace dynvote::app {
 
 /// A version stamp: (primary session number, per-primary sequence,
@@ -91,7 +89,6 @@ class Replica {
 
  private:
   friend class KvStore;
-  friend class shard::ShardedKv;
   PrimaryComponentService service_;
   KvState state_;
 };
@@ -118,6 +115,7 @@ class KvStore {
   explicit KvStore(Cluster& cluster);
 
   [[nodiscard]] Replica& replica(ProcessId p);
+  [[nodiscard]] const Replica& replica(ProcessId p) const;
 
   /// Writes through the replica at `p`; fails (nullopt) outside the
   /// primary.
@@ -129,13 +127,15 @@ class KvStore {
   /// cluster settles on a new primary.
   void sync_primary();
 
-  /// Audits the execution for application-visible split brain:
+  /// Audits the execution for application-visible split brain, within
+  /// each of the cluster's consistency groups:
   ///
-  ///  (a) two replicas hold the same version of a key with different
-  ///      values (two primaries minted the same version stamp);
+  ///  (a) two replicas of a group hold the same version of a key with
+  ///      different values (two primaries minted the same version stamp);
   ///  (b) a write was acknowledged in primary P while a *disjoint*
-  ///      primary P' was also live (so P' could acknowledge conflicting
-  ///      writes that state transfer will silently overwrite).
+  ///      primary P' of the writer's group was also live, by that group's
+  ///      checker (so P' could acknowledge conflicting writes that state
+  ///      transfer will silently overwrite).
   ///
   /// Consistent protocols produce neither, ever.
   [[nodiscard]] std::vector<Divergence> audit() const;

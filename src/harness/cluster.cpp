@@ -1,65 +1,32 @@
 #include "harness/cluster.hpp"
 
+#include <algorithm>
 #include <iterator>
 
 #include "util/ensure.hpp"
 
 namespace dynvote {
 
-namespace {
-
-DvConfig resolve_config(const ClusterOptions& options) {
-  DvConfig config = options.config;
-  if (config.core.empty()) config.core = ProcessSet::range(options.n);
-  return config;
-}
-
-}  // namespace
-
 Cluster::Cluster(ClusterOptions options)
-    : config_(resolve_config(options)),
-      options_(std::move(options)),
-      sim_(options_.sim),
-      checker_(std::make_unique<ConsistencyChecker>(
-          config_.core,
-          /*seed_initial=*/options_.kind != ProtocolKind::kStaticMajority)),
-      metrics_observer_(std::make_unique<MetricsObserver>(sim_.metrics())) {
+    : options_(std::move(options)), sim_(options_.sim) {
   sim_.trace().set_messages_enabled(options_.trace_messages);
-  observers_.add(checker_.get());
-  observers_.add(metrics_observer_.get());
-  for (ProcessId p : config_.core) add_process(p);
+  DvConfig config = options_.config;
+  if (config.core.empty()) config.core = ProcessSet::range(options_.n);
+  add_group(std::move(config));
   // The oracle must subscribe after nodes exist but before any topology
   // change, so every view reaches a registered node.
   oracle_ = std::make_unique<MembershipOracle>(sim_);
-  install_fault_modes();
-}
-
-void Cluster::install_fault_modes() {
   if (options_.formation_miss <= 0.0) return;
   miss_rng_ = std::make_unique<Rng>(sim_.rng().split());
-
+  misses_ = std::make_unique<FaultInjector>(sim_.network());
   // On every topology change, each new component may get one member
   // that will miss the session's closing round.
   sim_.network().add_topology_observer([this] { on_topology_for_misses(); });
-  sim_.network().set_drop_filter([this](const sim::Envelope& env) {
-    if (env.from == env.to) return false;
-    for (MissRule& rule : miss_rules_) {
-      if (rule.remaining == 0) continue;
-      if (rule.victim != env.to) continue;
-      if (env.payload->type_name().find(rule.type_substr) ==
-          std::string::npos) {
-        continue;
-      }
-      --rule.remaining;
-      return true;
-    }
-    return false;
-  });
 }
 
 void Cluster::on_topology_for_misses() {
   // Keep the rule list from growing without bound.
-  std::erase_if(miss_rules_, [](const MissRule& r) { return r.remaining == 0; });
+  misses_->remove_spent();
   // The closing round of a session: the attempt broadcast for the
   // two-or-more-round protocols, the info exchange for the one-round
   // naive baseline.
@@ -75,32 +42,72 @@ void Cluster::on_topology_for_misses() {
     const int copies = options_.kind == ProtocolKind::kCentralized
                            ? 1
                            : static_cast<int>(component.size() - 1);
-    miss_rules_.push_back(MissRule{victim, closing, copies});
+    misses_->drop_to(victim, closing, copies);
   }
 }
 
-void Cluster::add_process(ProcessId p) {
-  auto node = make_protocol(options_.kind, sim_.transport(), p, config_);
-  node->set_observer(&observers_);
+std::uint32_t Cluster::add_group(DvConfig config) {
+  ensure(!config.core.empty(), "add_group: a group needs a core");
+  const auto index = static_cast<std::uint32_t>(groups_.size());
+  Group group;
+  group.checker = std::make_unique<ConsistencyChecker>(
+      config.core,
+      /*seed_initial=*/options_.kind != ProtocolKind::kStaticMajority);
+  // A group with its own registry (a fleet's hub child) reports there.
+  group.metrics = std::make_unique<MetricsObserver>(
+      config.registry != nullptr ? *config.registry : sim_.metrics());
+  group.observers = std::make_unique<MultiObserver>();
+  group.observers->add(group.checker.get());
+  group.observers->add(group.metrics.get());
+  group.config = std::move(config);
+  groups_.push_back(std::move(group));
+  for (ProcessId p : groups_.back().config.core) add_node(p, index);
+  return index;
+}
+
+std::uint32_t Cluster::group_of(ProcessId p) const {
+  ensure(p.value() < group_of_.size() && group_of_[p.value()] != kNoGroup,
+         "group_of: process not in the cluster");
+  return group_of_[p.value()];
+}
+
+void Cluster::add_node(ProcessId p, std::uint32_t group) {
+  const Group& g = at(group);
+  auto node = make_protocol(options_.kind, sim_, p, g.config);
+  node->set_observer(g.observers.get());
   sim_.add_node(std::move(node));
+  if (p.value() >= group_of_.size()) group_of_.resize(p.value() + 1, kNoGroup);
+  group_of_[p.value()] = group;
   process_ids_.push_back(p);
 }
 
 obs::TraceMeta Cluster::trace_meta() const {
   obs::TraceMeta meta;
   meta.protocol = to_string(options_.kind);
-  meta.n = static_cast<std::uint32_t>(config_.core.size());
-  meta.min_quorum = config_.min_quorum;
+  meta.min_quorum = config().min_quorum;
   meta.seed = options_.sim.seed;
-  meta.core = config_.core;
-  // Theorem 1 bounds the simultaneously recorded ambiguous sessions of
-  // the garbage-collecting protocol at n − Min_Quorum + 1; the basic
-  // protocol keeps everything (section 4.7) and the section-6 dynamic
-  // membership changes n itself, so no bound is claimed there.
-  if (options_.kind == ProtocolKind::kOptimized &&
-      !config_.dynamic_participants && config_.min_quorum <= meta.n) {
-    meta.ambiguity_bound = meta.n - config_.min_quorum + 1;
+  meta.core = config().core;
+  for (std::size_t g = 1; g < groups_.size(); ++g) {
+    meta.core = meta.core.set_union(groups_[g].config.core);
   }
+  meta.n = static_cast<std::uint32_t>(meta.core.size());
+  if (groups_.size() > 1) {
+    meta.num_groups = num_groups();
+    meta.group_size = static_cast<std::uint32_t>(config().core.size());
+  }
+  // Theorem 1 bounds the simultaneously recorded ambiguous sessions of
+  // the garbage-collecting protocol at n − Min_Quorum + 1 within a
+  // group; the basic protocol keeps everything (section 4.7) and the
+  // section-6 dynamic membership changes n itself, so no bound is
+  // claimed there.
+  if (options_.kind != ProtocolKind::kOptimized) return meta;
+  std::size_t bound = 0;
+  for (const Group& group : groups_) {
+    const DvConfig& c = group.config;
+    if (c.dynamic_participants || c.min_quorum > c.core.size()) return meta;
+    bound = std::max(bound, c.core.size() - c.min_quorum + 1);
+  }
+  meta.ambiguity_bound = bound;
   return meta;
 }
 

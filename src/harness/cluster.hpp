@@ -1,8 +1,13 @@
 // Cluster: one simulated system running one protocol variant.
 //
-// Wires together the simulator, the membership oracle, one protocol node
-// per process, and the consistency checker. Scenario tests, property
-// tests, examples and benches all drive executions through this class.
+// The composition root of every simulated run: the simulator, the
+// membership oracle, one protocol node per process, and a list of
+// consistency groups. A group is a core with its own DvConfig,
+// ConsistencyChecker, MetricsObserver and observer fan-out; the paper's
+// guarantee (C1, Theorem 1) holds per group. Cluster(options) builds
+// group 0, which is the whole system for scenario tests, property tests,
+// examples and benches; add_group adds another over the same simulator,
+// which is how shard::ShardedFleet runs many groups at once.
 #pragma once
 
 #include <memory>
@@ -12,6 +17,7 @@
 #include "dv/service.hpp"
 #include "harness/checker.hpp"
 #include "harness/events.hpp"
+#include "harness/scenario.hpp"
 #include "membership/membership_oracle.hpp"
 #include "sim/simulator.hpp"
 #include "util/ensure.hpp"
@@ -49,17 +55,55 @@ class Cluster {
 
   [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
   [[nodiscard]] MembershipOracle& oracle() noexcept { return *oracle_; }
-  [[nodiscard]] ConsistencyChecker& checker() noexcept { return *checker_; }
+  /// Group 0's checker: the only one of a one-group cluster.
+  [[nodiscard]] ConsistencyChecker& checker() noexcept {
+    return *groups_[0].checker;
+  }
+  [[nodiscard]] const ConsistencyChecker& checker(std::uint32_t group) const {
+    return *at(group).checker;
+  }
   /// The structured trace, sim().trace(); obs::describe renders an
   /// event as one narrative line.
   [[nodiscard]] obs::TraceSink& trace() noexcept { return sim_.trace(); }
-  [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const ProcessSet& core() const noexcept { return config_.core; }
+  /// Group 0's configuration and core.
+  [[nodiscard]] const DvConfig& config() const noexcept {
+    return groups_[0].config;
+  }
+  [[nodiscard]] const DvConfig& config(std::uint32_t group) const {
+    return at(group).config;
+  }
+  [[nodiscard]] const ProcessSet& core() const noexcept {
+    return config().core;
+  }
+
+  // -- consistency groups ------------------------------------------------------
+
+  /// Adds a consistency group: one node per member of config.core (which
+  /// must be non-empty and new to the cluster), observed by the group's
+  /// own checker and metrics observer. Returns the group's index. Call
+  /// before the first topology change.
+  std::uint32_t add_group(DvConfig config);
+
+  [[nodiscard]] std::uint32_t num_groups() const noexcept {
+    return static_cast<std::uint32_t>(groups_.size());
+  }
+  /// The group `p` belongs to; a process added by add_process joins
+  /// group 0.
+  [[nodiscard]] std::uint32_t group_of(ProcessId p) const;
+  /// The group's observer fan-out: every node of the group reports to
+  /// it, so an extra observer added here sees the group's events next to
+  /// its checker and metrics observer. Borrowed; keep it alive.
+  [[nodiscard]] MultiObserver& observers(std::uint32_t group) {
+    return *at(group).observers;
+  }
 
   /// Run description for exporting the structured trace
   /// (sim().trace()) via trace_to_json. ambiguity_bound is the Theorem-1
-  /// limit n − Min_Quorum + 1 for the protocols that enforce it (the
-  /// optimized protocol with a static participant set), 0 otherwise.
+  /// limit n − Min_Quorum + 1 per group, for the protocols that enforce
+  /// it (the optimized protocol with a static participant set), 0
+  /// otherwise. A cluster of several groups records num_groups, group 0's
+  /// size as group_size and the union of the cores, which is the dense
+  /// group-major shape dvtrace --group reads.
   [[nodiscard]] obs::TraceMeta trace_meta() const;
 
   [[nodiscard]] ProtocolNode& protocol(ProcessId p);
@@ -67,9 +111,10 @@ class Cluster {
     return PrimaryComponentService(protocol(p));
   }
 
-  /// Adds a non-core process on the fly (paper section 6: joins). The
-  /// new process starts in its own component; merge it to connect.
-  void add_process(ProcessId p);
+  /// Adds a non-core process to group 0 on the fly (paper section 6:
+  /// joins). The new process starts in its own component; merge it to
+  /// connect.
+  void add_process(ProcessId p) { add_node(p, 0); }
 
   /// Connects all live processes and settles: the usual way to start.
   void start() {
@@ -113,25 +158,31 @@ class Cluster {
   }
 
  private:
-  DvConfig config_;
+  struct Group {
+    DvConfig config;
+    std::unique_ptr<ConsistencyChecker> checker;
+    std::unique_ptr<MetricsObserver> metrics;
+    std::unique_ptr<MultiObserver> observers;
+  };
+
+  static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
+
+  [[nodiscard]] const Group& at(std::uint32_t group) const {
+    ensure(group < groups_.size(), "group out of range");
+    return groups_[group];
+  }
+  void add_node(ProcessId p, std::uint32_t group);
+  void on_topology_for_misses();
+
   ClusterOptions options_;
   sim::Simulator sim_;
-  std::unique_ptr<ConsistencyChecker> checker_;
-  std::unique_ptr<MetricsObserver> metrics_observer_;
-  MultiObserver observers_;
+  std::vector<Group> groups_;
+  /// group_of_[p.value()]; kNoGroup for an id never added.
+  std::vector<std::uint32_t> group_of_;
   std::unique_ptr<MembershipOracle> oracle_;
   std::unique_ptr<Rng> miss_rng_;
+  std::unique_ptr<FaultInjector> misses_;
   std::vector<ProcessId> process_ids_;
-
-  struct MissRule {
-    ProcessId victim;
-    std::string type_substr;
-    int remaining;
-  };
-  std::vector<MissRule> miss_rules_;
-
-  void install_fault_modes();
-  void on_topology_for_misses();
 };
 
 }  // namespace dynvote

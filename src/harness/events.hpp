@@ -10,8 +10,8 @@
 
 namespace dynvote {
 
-/// Forwards protocol events to any number of observers (the cluster
-/// installs the consistency checker and the metrics bridge).
+/// Forwards protocol events to any number of observers (each cluster
+/// group installs its consistency checker and metrics bridge).
 class MultiObserver final : public ProtocolObserver {
  public:
   /// Borrowed; callers keep the observers alive for the run.
@@ -30,8 +30,9 @@ class MultiObserver final : public ProtocolObserver {
 };
 
 /// Bridges protocol events into a MetricsRegistry: session counters plus
-/// a rounds-per-formation histogram. The cluster installs one against
-/// the simulation's registry, so protocol-level counts ship in the same
+/// a rounds-per-formation histogram. Each of a cluster's consistency
+/// groups installs one against its DvConfig::registry, or else the
+/// simulation's registry, so protocol-level counts ship in the same
 /// JSON export as the network counters.
 ///
 /// Also accumulates "dv.primary_uptime_ticks": virtual time during which

@@ -32,6 +32,10 @@ void FaultInjector::remove(int rule_id) {
 
 void FaultInjector::clear() { rules_.clear(); }
 
+void FaultInjector::remove_spent() {
+  std::erase_if(rules_, [](const Rule& r) { return r.remaining == 0; });
+}
+
 std::uint64_t FaultInjector::dropped(int rule_id) const {
   for (const Rule& rule : rules_) {
     if (rule.id == rule_id) return rule.hits;

@@ -37,9 +37,10 @@ class FaultInjector {
   int drop_link(ProcessId from, ProcessId to, std::string type_substr,
                 int count = -1);
 
-  /// Removes one rule / all rules.
+  /// Removes one rule / all rules / the rules with no drops left.
   void remove(int rule_id);
   void clear();
+  void remove_spent();
 
   /// Messages dropped by rule so far.
   [[nodiscard]] std::uint64_t dropped(int rule_id) const;

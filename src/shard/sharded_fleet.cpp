@@ -18,81 +18,59 @@ namespace {
 constexpr std::size_t kTraceCapacity = 4096;
 }  // namespace
 
-/// Per-group observer that closes the group's open reconfiguration
-/// window on the first formation after a fleet fault.
-struct ShardedFleet::GroupFormationObserver final : ProtocolObserver {
-  GroupFormationObserver(ShardedFleet* fleet, std::uint32_t group)
-      : fleet(fleet), group(group) {}
-
-  void on_formed(SimTime time, ProcessId, const Session&, int) override {
-    fleet->note_formed(group, time);
-  }
-
-  ShardedFleet* fleet;
-  std::uint32_t group;
-};
-
 ShardedFleet::~ShardedFleet() = default;
 
-ShardedFleet::ShardedFleet(ShardedFleetOptions options)
-    : options_(options), sim_(options.sim) {
+ShardedFleet::ShardedFleet(ShardedFleetOptions options) : options_(options) {
   ensure(options_.num_groups > 0, "ShardedFleet: need at least one group");
   ensure(options_.group_size > 0, "ShardedFleet: need group_size >= 1");
   ensure(options_.group_size <= options_.num_machines,
          "ShardedFleet: a group's replicas must fit on distinct machines");
-  sim_.trace().set_capacity(kTraceCapacity);
-  machine_replicas_.resize(options_.num_machines);
-
+  // Group 0 is the cluster's own: the fleet's protocol and seed over the
+  // first group_size ids.
+  ClusterOptions first;
+  first.kind = options_.kind;
+  first.n = options_.group_size;
+  first.sim = options_.sim;
+  first.config.min_quorum = kFleetMinQuorum;
+  // The WAL replay audit is a debug check too costly at fleet scale;
+  // bench_persistence measures it.
+  first.config.persistence.cross_check = false;
   if (options_.telemetry.enabled) {
     hub_ = std::make_unique<obs::MetricsHub>(options_.num_groups);
+    first.config.registry = &hub_->group(0);
+  }
+  cluster_ = std::make_unique<Cluster>(std::move(first));
+  sim().trace().set_capacity(kTraceCapacity);
+  machine_replicas_.resize(options_.num_machines);
+  if (hub_ != nullptr) {
     flight_ = std::make_unique<obs::FlightRecorder>(
         obs::FlightRecorderOptions{options_.num_groups, options_.group_size});
-    sim_.trace().set_flight_recorder(flight_.get());
-  } else {
-    metrics_observer_ = std::make_unique<MetricsObserver>(sim_.metrics());
+    sim().trace().set_flight_recorder(flight_.get());
   }
 
-  groups_.reserve(options_.num_groups);
+  // Groups 1..G-1 follow group 0 in the same group-major id order, each
+  // reporting to its own hub child when telemetry is on.
+  groups_.resize(options_.num_groups);
   for (std::uint32_t g = 0; g < options_.num_groups; ++g) {
-    Group group;
+    if (g > 0) {
+      DvConfig config = cluster_->config();
+      config.core = ProcessSet();
+      for (std::uint32_t i = 0; i < options_.group_size; ++i) {
+        config.core.insert(replica_id(g, i));
+      }
+      if (hub_ != nullptr) config.registry = &hub_->group(g);
+      cluster_->add_group(std::move(config));
+    }
     for (std::uint32_t i = 0; i < options_.group_size; ++i) {
-      const ProcessId p = replica_id(g, i);
-      group.members.insert(p);
-      machine_replicas_[machine_of(g, i)].push_back(p);
+      machine_replicas_[machine_of(g, i)].push_back(replica_id(g, i));
     }
-    group.checker = std::make_unique<ConsistencyChecker>(
-        group.members,
-        /*seed_initial=*/options_.kind != ProtocolKind::kStaticMajority);
-    group.formation_observer =
-        std::make_unique<GroupFormationObserver>(this, g);
-    group.observers = std::make_unique<MultiObserver>();
-    group.observers->add(group.checker.get());
-    group.observers->add(group.formation_observer.get());
-
-    DvConfig config;
-    config.core = group.members;
-    config.min_quorum = kFleetMinQuorum;
-    // The WAL replay audit is a debug check too costly at fleet scale;
-    // bench_persistence measures it.
-    config.persistence.cross_check = false;
+    cluster_->observers(g).add(this);
     if (hub_ != nullptr) {
-      // Attributable telemetry: this group's protocol events and WAL
-      // counters land in its own hub child, not the fleet-global pile.
       obs::MetricsRegistry& registry = hub_->group(g);
-      group.metrics = std::make_unique<MetricsObserver>(registry);
-      group.observers->add(group.metrics.get());
-      group.reconfig_hist = &registry.histogram("shard.reconfig_latency_ticks");
-      group.reconfigs = &registry.counter("shard.reconfigs");
-      config.registry = &registry;
-    } else {
-      group.observers->add(metrics_observer_.get());
+      groups_[g].reconfig_hist =
+          &registry.histogram("shard.reconfig_latency_ticks");
+      groups_[g].reconfigs = &registry.counter("shard.reconfigs");
     }
-    for (ProcessId p : group.members) {
-      auto node = make_protocol(options_.kind, sim_.transport(), p, config);
-      node->set_observer(group.observers.get());
-      sim_.add_node(std::move(node));
-    }
-    groups_.push_back(std::move(group));
   }
   if (hub_ != nullptr) {
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(*hub_);
@@ -101,9 +79,6 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options)
     sampler_->track_counter("dv.storage.wal_bytes");
     sampler_->track_gauge("dv.ambiguous_recorded");
   }
-  // The oracle must subscribe after every node exists, so each view it
-  // announces finds a registered receiver.
-  oracle_ = std::make_unique<MembershipOracle>(sim_);
 }
 
 ProcessId ShardedFleet::replica_id(std::uint32_t group,
@@ -124,8 +99,7 @@ std::uint32_t ShardedFleet::machine_of(std::uint32_t group,
 }
 
 const ProcessSet& ShardedFleet::group_members(std::uint32_t group) const {
-  ensure(group < groups_.size(), "group out of range");
-  return groups_[group].members;
+  return cluster_->config(group).core;
 }
 
 const std::vector<ProcessId>& ShardedFleet::machine_replicas(
@@ -175,7 +149,7 @@ void ShardedFleet::partition_fleet(const MachinePartition& sides) {
 void ShardedFleet::merge_fleet() {
   std::vector<std::vector<ProcessSet>> per_group(groups_.size());
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    per_group[g].push_back(groups_[g].members);
+    per_group[g].push_back(group_members(g));
   }
   apply_components(std::move(per_group));
 }
@@ -190,18 +164,18 @@ void ShardedFleet::apply_components(
   for (const auto& components : per_group) {
     all.insert(all.end(), components.begin(), components.end());
   }
-  const SimTime now = sim_.now();
+  const SimTime now = sim().now();
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     if (groups_[g].last_components != per_group[g]) {
       groups_[g].reconfig_pending_since = now;
       groups_[g].last_components = std::move(per_group[g]);
     }
   }
-  sim_.set_components(all);
+  sim().set_components(all);
 }
 
 void ShardedFleet::mark_groups_on_machine_pending(std::uint32_t machine) {
-  const SimTime now = sim_.now();
+  const SimTime now = sim().now();
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     for (std::uint32_t i = 0; i < options_.group_size; ++i) {
       if (machine_of(g, i) == machine) {
@@ -215,50 +189,35 @@ void ShardedFleet::mark_groups_on_machine_pending(std::uint32_t machine) {
 void ShardedFleet::crash_machine(std::uint32_t machine) {
   ensure(machine < options_.num_machines, "unknown machine");
   mark_groups_on_machine_pending(machine);
-  for (const ProcessId p : machine_replicas_[machine]) sim_.crash(p);
+  for (const ProcessId p : machine_replicas_[machine]) sim().crash(p);
 }
 
 void ShardedFleet::recover_machine(std::uint32_t machine) {
   ensure(machine < options_.num_machines, "unknown machine");
   mark_groups_on_machine_pending(machine);
-  for (const ProcessId p : machine_replicas_[machine]) sim_.recover(p);
+  for (const ProcessId p : machine_replicas_[machine]) sim().recover(p);
   // A recovered replica comes back in its own singleton component;
   // reapply every group's intended layout so it rejoins its group
   // (unchanged groups diff equal and stay out of the latency sample).
   std::vector<std::vector<ProcessSet>> per_group(groups_.size());
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     per_group[g] = groups_[g].last_components;
-    if (per_group[g].empty()) per_group[g].push_back(groups_[g].members);
+    if (per_group[g].empty()) per_group[g].push_back(group_members(g));
   }
   apply_components(std::move(per_group));
 }
 
 void ShardedFleet::settle(std::size_t max_events) {
-  sim_.run_to_quiescence(max_events);
-  ensure(sim_.queue().empty(),
-         "settle: event budget exhausted with events still pending "
-         "(runaway schedule)");
+  cluster_->settle(max_events);
   // Opportunistic sampling: settle() brackets every fault in a fleet
   // scenario, and the sampler's own tick spacing bounds retention.
-  if (sampler_ != nullptr) sampler_->sample(sim_.now());
-}
-
-ProtocolNode& ShardedFleet::protocol(std::uint32_t group,
-                                     std::uint32_t index) {
-  auto* node = dynamic_cast<ProtocolNode*>(&sim_.node(replica_id(group, index)));
-  ensure(node != nullptr, "node is not a protocol instance");
-  return *node;
-}
-
-ConsistencyChecker& ShardedFleet::checker(std::uint32_t group) {
-  ensure(group < groups_.size(), "group out of range");
-  return *groups_[group].checker;
+  if (sampler_ != nullptr) sampler_->sample(sim().now());
 }
 
 std::uint64_t ShardedFleet::total_formed_sessions() const {
   std::uint64_t total = 0;
-  for (const Group& group : groups_) {
-    total += group.checker->formed_session_count();
+  for (std::uint32_t g = 0; g < options_.num_groups; ++g) {
+    total += cluster_->checker(g).formed_session_count();
   }
   return total;
 }
@@ -268,7 +227,7 @@ std::uint32_t ShardedFleet::groups_with_live_primary() {
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     for (std::uint32_t i = 0; i < options_.group_size; ++i) {
       const ProcessId p = replica_id(g, i);
-      if (sim_.network().alive(p) && protocol(g, i).is_primary()) {
+      if (sim().network().alive(p) && protocol(g, i).is_primary()) {
         ++count;
         break;
       }
@@ -281,7 +240,7 @@ std::vector<Violation> ShardedFleet::check_all_groups(
     std::size_t order_check_limit) const {
   std::vector<Violation> out;
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    for (Violation v : groups_[g].checker->check_all(order_check_limit)) {
+    for (Violation v : cluster_->checker(g).check_all(order_check_limit)) {
       v.detail = "group " + std::to_string(g) + ": " + v.detail;
       out.push_back(std::move(v));
     }
@@ -289,7 +248,8 @@ std::vector<Violation> ShardedFleet::check_all_groups(
   return out;
 }
 
-void ShardedFleet::note_formed(std::uint32_t group, SimTime time) {
+void ShardedFleet::on_formed(SimTime time, ProcessId p, const Session&, int) {
+  const std::uint32_t group = cluster_->group_of(p);
   Group& g = groups_[group];
   if (!g.reconfig_pending_since) return;
   const SimTime fault = *g.reconfig_pending_since;
@@ -332,14 +292,14 @@ std::size_t ShardedFleet::check_and_record_postmortems(
   std::size_t recorded = 0;
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     const std::vector<Violation> violations =
-        groups_[g].checker->check_all(order_check_limit);
+        cluster_->checker(g).check_all(order_check_limit);
     if (violations.empty()) continue;
     if (postmortems_.size() >= kMaxPostmortems) break;
     postmortems_.push_back(flight_->postmortem_json(
         g,
         "consistency-violation " + violations.front().kind + ": " +
             violations.front().detail,
-        sim_.now()));
+        sim().now()));
     ++recorded;
   }
   return recorded;

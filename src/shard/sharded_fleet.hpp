@@ -3,18 +3,18 @@
 // The paper maintains one consistent primary component per group; a
 // deployment (ROADMAP north star, open item 1) runs hundreds of such
 // groups — one per key range — over a shared fleet of machines, each
-// machine participating in many groups at once. This class is that
-// composition root:
+// machine participating in many groups at once. This class lays such a
+// fleet out over one harness Cluster:
 //
-//   * one sim::Simulator carries every group's traffic and one
+//   * the Cluster's simulator carries every group's traffic and its one
 //     MembershipOracle serves them all — the oracle announces views per
 //     changed component, and fleet faults are always translated to
 //     per-group component lists, so a component never spans groups and
 //     every view a protocol node sees is drawn from its own group;
-//   * each group is an independent protocol instance set (one
-//     ProtocolNode per replica, its own DvConfig core and its own
-//     ConsistencyChecker) — the consistency guarantee is per group, the
-//     simulation substrate is shared;
+//   * each group is one of the Cluster's consistency groups (its own
+//     DvConfig core, ConsistencyChecker and MetricsObserver) — the
+//     consistency guarantee is per group, the simulation substrate is
+//     shared;
 //   * a *machine* hosts one replica of every group placed on it; fleet
 //     faults (partition, crash) hit machines, and therefore hit all
 //     hosted groups at once — the correlated-failure regime the
@@ -35,11 +35,7 @@
 #include <optional>
 #include <vector>
 
-#include "dv/service.hpp"
-#include "harness/checker.hpp"
-#include "harness/events.hpp"
-#include "membership/membership_oracle.hpp"
-#include "sim/simulator.hpp"
+#include "harness/cluster.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 
@@ -95,7 +91,7 @@ struct ShardedFleetOptions {
 /// Min_Quorum of every group's DvConfig.
 inline constexpr std::size_t kFleetMinQuorum = 1;
 
-class ShardedFleet {
+class ShardedFleet final : private ProtocolObserver {
  public:
   /// A fleet-level partition: disjoint sets of machine indices. Must
   /// cover every machine exactly once (so the induced per-group
@@ -103,12 +99,14 @@ class ShardedFleet {
   using MachinePartition = std::vector<std::vector<std::uint32_t>>;
 
   explicit ShardedFleet(ShardedFleetOptions options);
-  ~ShardedFleet();  // out of line: GroupFormationObserver is incomplete here
+  ~ShardedFleet() override;  // out of line: the obs types are incomplete here
 
   ShardedFleet(const ShardedFleet&) = delete;
   ShardedFleet& operator=(const ShardedFleet&) = delete;
 
-  [[nodiscard]] sim::Simulator& sim() noexcept { return sim_; }
+  /// The Cluster the fleet's groups run in: group g is its group g.
+  [[nodiscard]] Cluster& cluster() noexcept { return *cluster_; }
+  [[nodiscard]] sim::Simulator& sim() noexcept { return cluster_->sim(); }
   [[nodiscard]] std::uint32_t num_groups() const noexcept {
     return options_.num_groups;
   }
@@ -152,18 +150,16 @@ class ShardedFleet {
   void crash_machine(std::uint32_t machine);
   void recover_machine(std::uint32_t machine);
 
-  /// Runs until no events remain; throws if the event budget trips.
+  /// Runs until no events remain (Cluster::settle, which throws if the
+  /// event budget trips), then samples the telemetry time series.
   void settle(std::size_t max_events = sim::EventQueue::kDefaultMaxEvents);
 
   // -- queries -----------------------------------------------------------------
 
   [[nodiscard]] ProtocolNode& protocol(std::uint32_t group,
-                                       std::uint32_t index);
-  [[nodiscard]] PrimaryComponentService service(std::uint32_t group,
-                                                std::uint32_t index) {
-    return PrimaryComponentService(protocol(group, index));
+                                       std::uint32_t index) {
+    return cluster_->protocol(replica_id(group, index));
   }
-  [[nodiscard]] ConsistencyChecker& checker(std::uint32_t group);
 
   /// Distinct formed sessions summed over all groups.
   [[nodiscard]] std::uint64_t total_formed_sessions() const;
@@ -224,18 +220,7 @@ class ShardedFleet {
   [[nodiscard]] JsonValue telemetry_json() const;
 
  private:
-  friend struct GroupFormationObserver;
-
-  struct GroupFormationObserver;
-
   struct Group {
-    ProcessSet members;
-    std::unique_ptr<ConsistencyChecker> checker;
-    std::unique_ptr<GroupFormationObserver> formation_observer;
-    std::unique_ptr<MultiObserver> observers;
-    /// Telemetry mode: this group's protocol events land in its own hub
-    /// child registry instead of the fleet-global one.
-    std::unique_ptr<MetricsObserver> metrics;
     /// Cached hub-child instruments (telemetry mode only): formation
     /// closes a window on the protocol hot path.
     obs::Histogram* reconfig_hist = nullptr;
@@ -246,19 +231,21 @@ class ShardedFleet {
     std::optional<SimTime> reconfig_pending_since;
   };
 
+  /// Every group's observer fan-out includes the fleet: the first
+  /// formation after a fleet fault closes the group's open window.
+  void on_formed(SimTime time, ProcessId p, const Session&, int) override;
+
   /// Applies per-group component lists in ONE network call (so one
   /// topology change covers the whole correlated fault) and opens a
   /// reconfiguration window for every group whose layout changed.
   void apply_components(std::vector<std::vector<ProcessSet>> per_group);
   void mark_groups_on_machine_pending(std::uint32_t machine);
-  void note_formed(std::uint32_t group, SimTime time);
 
   ShardedFleetOptions options_;
-  sim::Simulator sim_;
-  /// Fleet-global MetricsObserver (non-telemetry mode only; telemetry
-  /// mode gives every group its own, feeding its hub child).
-  std::unique_ptr<MetricsObserver> metrics_observer_;
+  /// Telemetry mode: group g's protocol events and WAL counters land in
+  /// hub child g. Declared before cluster_, whose groups report there.
   std::unique_ptr<obs::MetricsHub> hub_;
+  std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   std::vector<Group> groups_;
@@ -266,7 +253,6 @@ class ShardedFleet {
   std::vector<double> reconfig_latencies_;
   std::vector<ReconfigSample> reconfig_samples_;
   std::vector<JsonValue> postmortems_;
-  std::unique_ptr<MembershipOracle> oracle_;
 };
 
 }  // namespace dynvote::shard

@@ -5,16 +5,19 @@
 // layer runs one such group per key range: a ShardMap routes each key to
 // a group of the ShardedFleet, and the group's app::Replica instances
 // accept the write iff that group currently has a primary component.
+// The replicas, state transfer and audit are one app::KvStore over the
+// fleet's Cluster; this class only routes keys.
 //
 // The guarantee is exactly the per-group one — writes to one key range
 // are totally ordered by that range's primary components — and the
-// audit checks it per group: with a consistent protocol no two replicas
-// of a group ever hold the same version stamp with different values, no
-// matter how many correlated fleet faults hit all groups at once.
+// KvStore audit checks it per group: with a consistent protocol no two
+// replicas of a group ever hold the same version stamp with different
+// values, and no write is acknowledged while a disjoint primary of its
+// group is live, no matter how many correlated fleet faults hit all
+// groups at once.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,33 +50,35 @@ class ShardedKv {
   [[nodiscard]] std::optional<std::string> read(const std::string& key) const;
 
   [[nodiscard]] app::Replica& replica(std::uint32_t group,
-                                      std::uint32_t index);
+                                      std::uint32_t index) {
+    return store_.replica(fleet_.replica_id(group, index));
+  }
 
   /// State transfer inside every group's current primary component:
   /// member replicas converge to the highest version per key. Call after
   /// the fleet settles on new primaries.
-  void sync_primaries();
+  void sync_primaries() { store_.sync_primary(); }
 
-  /// Split-brain audit over every group: two replicas of one group
-  /// holding the same version of a key with different values means two
-  /// primaries minted the same stamp. Consistent protocols produce none.
-  [[nodiscard]] std::vector<app::Divergence> audit() const;
+  /// The KvStore audit, group by group (app::KvStore::audit).
+  [[nodiscard]] std::vector<app::Divergence> audit() const {
+    return store_.audit();
+  }
 
   [[nodiscard]] std::uint64_t accepted_writes() const noexcept {
-    return accepted_;
+    return store_.accepted_writes();
   }
   [[nodiscard]] std::uint64_t rejected_writes() const noexcept {
     return rejected_;
   }
 
  private:
-  [[nodiscard]] app::Replica* primary_replica(std::uint32_t group) const;
+  /// The first member of `group` whose replica is in the primary.
+  [[nodiscard]] std::optional<ProcessId> primary_replica(
+      std::uint32_t group) const;
 
   ShardedFleet& fleet_;
   ShardMap map_;
-  // replicas_[group][member index]
-  std::vector<std::vector<std::unique_ptr<app::Replica>>> replicas_;
-  std::uint64_t accepted_ = 0;
+  app::KvStore store_;
   std::uint64_t rejected_ = 0;
 };
 

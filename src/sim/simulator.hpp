@@ -3,10 +3,14 @@
 // Owns virtual time, the network, per-process stable storage, the random
 // stream, and the registered nodes. Scenario scripts and the
 // availability harness drive executions exclusively through this class.
+// It is also the Transport (sim/transport.hpp) its protocol nodes are
+// constructed against: sends go to the Network, and every process shares
+// the one clock, trace sink and metrics registry.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -14,8 +18,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
-#include "sim/sim_transport.hpp"
 #include "sim/stable_storage.hpp"
+#include "sim/transport.hpp"
 #include "util/ids.hpp"
 #include "util/process_set.hpp"
 #include "util/rng.hpp"
@@ -26,18 +30,14 @@ struct SimulatorOptions {
   std::uint64_t seed = 1;
 };
 
-class Simulator {
+class Simulator final : public Transport {
  public:
   explicit Simulator(SimulatorOptions options = {});
 
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
-  [[nodiscard]] SimTime now() const noexcept { return queue_.now(); }
+  [[nodiscard]] SimTime now() const noexcept override { return queue_.now(); }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
   [[nodiscard]] Network& network() noexcept { return network_; }
-
-  /// The Transport face of this simulator (sim/transport.hpp): what
-  /// protocol nodes are constructed against.
-  [[nodiscard]] SimTransport& transport() noexcept { return transport_; }
 
   /// Structured event trace for this execution (obs/trace.hpp). Message
   /// events are off by default; enable via trace().set_messages_enabled.
@@ -52,7 +52,21 @@ class Simulator {
 
   /// Per-process stable storage; created on first use and retained for
   /// the lifetime of the simulation (survives node crashes).
-  [[nodiscard]] StableStorage& storage(ProcessId p);
+  [[nodiscard]] StableStorage& storage(ProcessId p) override;
+
+  // -- the rest of the Transport -----------------------------------------------
+
+  void send(Envelope env) override { network_.send(std::move(env)); }
+  [[nodiscard]] obs::TraceSink& trace(ProcessId) override { return trace_; }
+  [[nodiscard]] obs::MetricsRegistry& metrics(ProcessId) override {
+    return metrics_;
+  }
+  std::uint64_t lamport_tick(ProcessId p) override {
+    return network_.lamport_tick(p);
+  }
+  [[nodiscard]] std::uint64_t last_topology_eid(ProcessId p) const override {
+    return network_.last_topology_eid(p);
+  }
 
   /// Registers a node (a protocol instance). The process must not have
   /// been registered before. Takes ownership.
@@ -96,7 +110,6 @@ class Simulator {
   obs::TraceSink trace_;
   obs::MetricsRegistry metrics_;
   Network network_;  // references trace_/metrics_; keep it declared after
-  SimTransport transport_{*this};
   std::map<ProcessId, std::unique_ptr<Node>> nodes_;
   std::map<ProcessId, StableStorage> storages_;
 };

@@ -5,7 +5,7 @@
 // point-to-point sends, a clock, stable storage, and the observability
 // sinks (trace, metrics, Lamport clock). Two implementations exist:
 //
-//  * sim::SimTransport — the discrete-event simulator (sim/network.hpp
+//  * sim::Simulator — the discrete-event simulator (sim/network.hpp
 //    behind sim/event_queue.hpp): virtual time, deterministic, the
 //    correctness oracle;
 //  * runtime::PoolTransport — n processes on W worker threads connected

@@ -240,5 +240,41 @@ TEST(Cluster, SettleThrowsWhenTheEventBudgetTrips) {
   }
 }
 
+TEST(Cluster, GroupsAreIndependentConsistencyDomains) {
+  ClusterOptions options;
+  options.n = 3;
+  options.sim.seed = 12;
+  Cluster cluster(options);
+  DvConfig second = cluster.config();
+  second.core = ProcessSet::of({3, 4, 5});
+  ASSERT_EQ(cluster.add_group(second), 1u);
+  // One component per group: a component never spans groups.
+  cluster.partition({cluster.config(0).core, cluster.config(1).core});
+  cluster.settle();
+
+  for (std::uint32_t g = 0; g < cluster.num_groups(); ++g) {
+    const ProcessSet& core = cluster.config(g).core;
+    const ConsistencyChecker& checker = cluster.checker(g);
+    // The group forms its own primary, and its checker sees only it.
+    ASSERT_EQ(checker.live_primaries().size(), 3u) << "group " << g;
+    for (const auto& [p, session] : checker.live_primaries()) {
+      EXPECT_EQ(session.members, core) << "group " << g;
+      EXPECT_GT(session.number, 0) << "group " << g;
+    }
+    for (const Session& session : checker.formed_sessions()) {
+      EXPECT_TRUE(session.members.is_subset_of(core)) << "group " << g;
+    }
+    EXPECT_TRUE(checker.check_all().empty()) << "group " << g;
+    for (const ProcessId p : core) EXPECT_EQ(cluster.group_of(p), g);
+  }
+
+  const obs::TraceMeta meta = cluster.trace_meta();
+  EXPECT_EQ(meta.num_groups, 2u);
+  EXPECT_EQ(meta.group_size, 3u);
+  EXPECT_EQ(meta.n, 6u);
+  EXPECT_EQ(meta.core, ProcessSet::range(6));
+  EXPECT_EQ(meta.ambiguity_bound, 3u);  // per group: 3 - Min_Quorum + 1
+}
+
 }  // namespace
 }  // namespace dynvote

@@ -27,7 +27,7 @@ class MembershipTest : public ::testing::Test {
  protected:
   MembershipTest() {
     for (std::uint32_t i = 0; i < 5; ++i) {
-      auto node = std::make_unique<ViewWatcher>(sim_.transport(), ProcessId(i));
+      auto node = std::make_unique<ViewWatcher>(sim_, ProcessId(i));
       nodes_.push_back(node.get());
       sim_.add_node(std::move(node));
     }

@@ -92,7 +92,7 @@ Observation run_script(const std::vector<std::uint32_t>& raw_ids) {
   ProcessSet everyone;
   for (std::size_t i = 0; i < n; ++i) {
     const ProcessId p{raw_ids[i]};
-    auto node = std::make_unique<RecordingNode>(sim.transport(), p);
+    auto node = std::make_unique<RecordingNode>(sim, p);
     nodes.push_back(node.get());
     sim.add_node(std::move(node));
     index_of[p] = i;
@@ -214,8 +214,8 @@ TEST(NetworkSparseIds, LoopbackFromTheLargestSparseIdDeliversToSelf) {
   Simulator sim{SimulatorOptions{.seed = 7}};
   const ProcessId big{kProcessIdLimit - 1};
   const ProcessId small{17};
-  auto* small_node = new RecordingNode(sim.transport(), small);
-  auto* big_node = new RecordingNode(sim.transport(), big);
+  auto* small_node = new RecordingNode(sim, small);
+  auto* big_node = new RecordingNode(sim, big);
   sim.add_node(std::unique_ptr<Node>(small_node));
   sim.add_node(std::unique_ptr<Node>(big_node));
   sim.merge_all();
@@ -237,8 +237,8 @@ TEST(NetworkSparseIds, PairStateSurvivesLaterSparseRegistrations) {
   Simulator sim{SimulatorOptions{.seed = 11}};
   const ProcessId a{5000};
   const ProcessId b{60000};
-  auto* na = new RecordingNode(sim.transport(), a);
-  auto* nb = new RecordingNode(sim.transport(), b);
+  auto* na = new RecordingNode(sim, a);
+  auto* nb = new RecordingNode(sim, b);
   sim.add_node(std::unique_ptr<Node>(na));
   sim.add_node(std::unique_ptr<Node>(nb));
   sim.merge_all();
@@ -253,7 +253,7 @@ TEST(NetworkSparseIds, PairStateSurvivesLaterSparseRegistrations) {
 
   // Grow the tables mid-flight.
   const ProcessId late{700000};
-  auto* nl = new RecordingNode(sim.transport(), late);
+  auto* nl = new RecordingNode(sim, late);
   sim.add_node(std::unique_ptr<Node>(nl));
   EXPECT_EQ(sim.network().fifo_tail(a, b), tail_before);
 
@@ -265,7 +265,7 @@ TEST(NetworkSparseIds, PairStateSurvivesLaterSparseRegistrations) {
 TEST(NetworkSparseIds, FifoTailForUnknownOrSelfPairsIsEmpty) {
   Simulator sim{SimulatorOptions{.seed = 13}};
   const ProcessId a{123456};
-  auto* na = new RecordingNode(sim.transport(), a);
+  auto* na = new RecordingNode(sim, a);
   sim.add_node(std::unique_ptr<Node>(na));
   EXPECT_FALSE(sim.network().fifo_tail(a, ProcessId{999999}).has_value());
   EXPECT_FALSE(sim.network().fifo_tail(ProcessId{999999}, a).has_value());

@@ -48,7 +48,7 @@ class NetworkTest : public ::testing::Test {
   NetworkTest() {
     for (std::uint32_t i = 0; i < 4; ++i) {
       auto node =
-          std::make_unique<RecordingNode>(sim_.transport(), ProcessId(i));
+          std::make_unique<RecordingNode>(sim_, ProcessId(i));
       nodes_.push_back(node.get());
       sim_.add_node(std::move(node));
     }

@@ -65,14 +65,8 @@ TEST_P(RandomScheduleProperty, InvariantsHoldAndHealedSystemRecovers) {
   Cluster cluster(options);
 
   MonotonicityObserver monotonic;
-  // Wire the extra observer into every protocol instance alongside the
-  // checker: protocols only hold one observer, so go through a fan-out.
-  MultiObserver fanout;
-  fanout.add(&cluster.checker());
-  fanout.add(&monotonic);
-  for (ProcessId p : cluster.all_processes()) {
-    cluster.protocol(p).set_observer(&fanout);
-  }
+  // The extra observer joins the group's fan-out, next to the checker.
+  cluster.observers(0).add(&monotonic);
 
   enqueue_schedule(cluster, schedule);
   cluster.merge();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "app_sync_reference.hpp"
+#include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "shard/shard_map.hpp"
 #include "shard/sharded_fleet.hpp"
@@ -301,6 +302,47 @@ TEST(ShardedKv, StateTransferMatchesAllPairsOverInPrimaryReplicas) {
           << "group " << g << " replica " << i;
     }
   }
+}
+
+TEST(ShardedKv, AuditFlagsAWriteAcknowledgedBesideADisjointPrimary) {
+  // bench_shards' section-4.5 split, staged in group 0 of a two-group
+  // fleet on the INCONSISTENT naive protocol: replica 2 misses the
+  // closing infos of the {0,1,2} session, then the cut moves and both
+  // {0,1} and {2,3,4} go primary. Group 1 reconfigures normally.
+  ShardedFleetOptions options;
+  options.num_groups = 2;
+  options.group_size = 5;
+  options.num_machines = 5;
+  options.kind = ProtocolKind::kNaiveDynamic;
+  options.sim.seed = 424'242;
+  ShardedFleet fleet(options);
+  ShardedKv kv(fleet);
+  FaultInjector faults(fleet.sim().network());
+  fleet.start();
+  const int rule = faults.drop_to(ProcessId(2), "dv.info", 2);
+  fleet.partition_fleet({{0, 1, 2}, {3, 4}});
+  fleet.settle();
+  ASSERT_EQ(faults.dropped(rule), 2u);
+  faults.clear();
+  fleet.partition_fleet({{0, 1}, {2, 3, 4}});
+  fleet.settle();
+  ASSERT_FALSE(fleet.check_all_groups().empty());
+
+  std::string key_of[2];
+  for (int i = 0; key_of[0].empty() || key_of[1].empty(); ++i) {
+    const std::string key = "k" + std::to_string(i);
+    key_of[kv.group_of(key)] = key;
+  }
+  // A write to the healthy group leaves the audit empty.
+  ASSERT_TRUE(kv.write(key_of[1], "healthy").has_value());
+  EXPECT_TRUE(kv.audit().empty());
+  // A write to the split group is acknowledged beside a disjoint primary.
+  ASSERT_TRUE(kv.write(key_of[0], "split").has_value());
+  const std::vector<app::Divergence> divergences = kv.audit();
+  ASSERT_EQ(divergences.size(), 1u);
+  EXPECT_EQ(divergences[0].key, key_of[0]);
+  EXPECT_NE(divergences[0].detail.find("disjoint primary"), std::string::npos)
+      << divergences[0].detail;
 }
 
 // ---- sweep-pool determinism over fleets ------------------------------------

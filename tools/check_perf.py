@@ -141,14 +141,18 @@ RUN_SHAPE_KEYS = ("run_type", "repetitions", "repetition_index",
 
 
 def median_rows(baseline: dict, current: dict) -> tuple[dict, dict]:
-    """(baseline, current) to compare. When `current` is a
-    google-benchmark document of aggregate rows, its rows become each
-    row's median renamed to its run_name, and both sides' rows lose
-    RUN_SHAPE_KEYS. Other documents are returned unchanged."""
-    rows = current.get("benchmarks")
-    if not isinstance(rows, list) or not any(
+    """(baseline, current) to compare. When either side is a
+    google-benchmark document of aggregate rows, each side that holds
+    aggregates keeps only each row's median renamed to its run_name, and
+    both sides' rows lose RUN_SHAPE_KEYS. Other documents are returned
+    unchanged."""
+    def aggregated(doc):
+        rows = doc.get("benchmarks")
+        return isinstance(rows, list) and any(
             isinstance(row, dict) and row.get("run_type") == "aggregate"
-            for row in rows):
+            for row in rows)
+
+    if not (aggregated(baseline) or aggregated(current)):
         return baseline, current
 
     def measured(row):
@@ -157,11 +161,14 @@ def median_rows(baseline: dict, current: dict) -> tuple[dict, dict]:
         return {key: value for key, value in row.items()
                 if key not in RUN_SHAPE_KEYS}
 
-    medians = [measured(dict(row, name=row["run_name"])) for row in rows
-               if row.get("aggregate_name") == "median"]
-    base_rows = [measured(row) for row in baseline.get("benchmarks", [])]
-    return (dict(baseline, benchmarks=base_rows),
-            dict(current, benchmarks=medians))
+    def reduced(doc):
+        rows = doc.get("benchmarks", [])
+        if aggregated(doc):
+            rows = [dict(row, name=row["run_name"]) for row in rows
+                    if row.get("aggregate_name") == "median"]
+        return dict(doc, benchmarks=[measured(row) for row in rows])
+
+    return reduced(baseline), reduced(current)
 
 
 def is_timing_key(key: str) -> bool:

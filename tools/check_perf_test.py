@@ -12,7 +12,8 @@ directory, runs check_perf.py on them and checks its exit status:
   * exact leaves still fail on any change;
   * a google-benchmark result of repeated runs reporting aggregates
     only is gated on each row's median: one slow repetition passes, a
-    uniform 2x slowdown fails, and a changed counter still fails.
+    uniform 2x slowdown fails, and a changed counter still fails,
+    against a single-run baseline and against an aggregate one.
 
 Usage: python3 tools/check_perf_test.py   (exit 0 = all cases pass)
 """
@@ -125,13 +126,16 @@ def main() -> int:
         print(f"{verdict:4} {description}: exit {status}, expected {expected}")
         if status != expected:
             failures.append(description)
-    for description, times, state_bytes, expected in MICRO_CASES:
-        status = run_check(micro_aggregates(times, state_bytes),
-                           MICRO_BASELINE)
-        verdict = "ok" if status == expected else "FAIL"
-        print(f"{verdict:4} {description}: exit {status}, expected {expected}")
-        if status != expected:
-            failures.append(description)
+    for baseline_name, baseline in (
+            ("single-run", MICRO_BASELINE),
+            ("aggregate", micro_aggregates([100.0] * 7))):
+        for description, times, state_bytes, expected in MICRO_CASES:
+            status = run_check(micro_aggregates(times, state_bytes), baseline)
+            verdict = "ok" if status == expected else "FAIL"
+            case = f"{description} ({baseline_name} baseline)"
+            print(f"{verdict:4} {case}: exit {status}, expected {expected}")
+            if status != expected:
+                failures.append(case)
     if failures:
         print(f"check_perf_test: {len(failures)} case(s) failed")
         return 1
