@@ -8,8 +8,8 @@
 //       repeatedly partition into majority/minority and merge back,
 //       measuring the wall-clock time from issuing the topology change
 //       until every member of the forming component has formed the new
-//       primary (per-process formation timestamps come from a
-//       ProtocolObserver on the workers). Reports p50/p99. Each cell's
+//       primary (per-process formation timestamps come from a trace
+//       listener on the workers). Reports p50/p99. Each cell's
 //       outcome digest must equal the DES replay of the same script,
 //       and C1 must hold at every step of that replay; the bench
 //       refuses to pass with numbers from a runtime that diverges from
@@ -70,14 +70,23 @@ namespace dynvote::runtime {
 namespace {
 
 /// Records each process's latest formation time (transport microseconds)
-/// from its worker; the fleet's quiesce barrier publishes the slots back
-/// to the bench thread.
-class FormationClock : public ProtocolObserver {
+/// from its worker, listening on every process's trace sink (each written
+/// only by the worker that owns the process); the fleet's quiesce barrier
+/// publishes the slots back to the bench thread.
+class FormationClock : public obs::TraceListener {
  public:
   explicit FormationClock(std::size_t n) : formed_at_(n) {}
 
-  void on_formed(SimTime time, ProcessId p, const Session&, int) override {
-    formed_at_[p.value()].store(time, std::memory_order_relaxed);
+  /// Listens on each of the fleet's process sinks; call before start().
+  void listen(RuntimeFleet& fleet) {
+    for (std::uint32_t i = 0; i < formed_at_.size(); ++i) {
+      fleet.transport().trace(ProcessId(i)).add_listener(*this);
+    }
+  }
+
+  void note(const obs::TraceEvent& e) override {
+    if (e.kind != obs::TraceEventKind::kSessionFormed) return;
+    formed_at_[e.a.value()].store(e.time, std::memory_order_relaxed);
   }
 
   /// Latest formation among `members`, or 0 if someone never formed
@@ -170,11 +179,9 @@ MeasureOut measure(ProtocolKind kind, std::uint32_t n, int cycles, bool probes,
   // recovery after every persist; it stays on in the DES replay each
   // cell is checked against.
   options.config.persistence.cross_check = false;
+  FormationClock clock(n);  // outlives the fleet whose sinks it listens on
   RuntimeFleet fleet(options);
-  FormationClock clock(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    fleet.protocol(ProcessId(i)).set_observer(&clock);
-  }
+  clock.listen(fleet);
   fleet.start();
 
   MeasureOut out;
@@ -239,11 +246,9 @@ ScaleRow measure_scaling(std::uint32_t n, int cycles) {
   options.n = n;
   options.workers = 0;  // hardware_concurrency, clamped to [1, n]
   options.config.persistence.cross_check = false;  // timed: no WAL audit
+  FormationClock clock(n);  // outlives the fleet whose sinks it listens on
   RuntimeFleet fleet(options);
-  FormationClock clock(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    fleet.protocol(ProcessId(i)).set_observer(&clock);
-  }
+  clock.listen(fleet);
   // One carve: the lineage members in one group, everyone else in inert
   // groups of <= 32 (they install the view and discover they have no
   // quorum; their membership still shifts between consecutive carves

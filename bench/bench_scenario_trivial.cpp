@@ -24,15 +24,17 @@
 namespace dynvote {
 namespace {
 
-/// Observer reconstructing the paper's per-process Form/Attempt table.
-class SessionTableObserver final : public ProtocolObserver {
+/// Trace listener reconstructing the paper's per-process Form/Attempt
+/// table.
+class SessionTableObserver final : public obs::TraceListener {
  public:
-  void on_attempt(SimTime, ProcessId p, const Session& session) override {
-    auto& cell = cells_[session][p];
-    if (cell.empty()) cell = "Attempt";
-  }
-  void on_formed(SimTime, ProcessId p, const Session& session, int) override {
-    cells_[session][p] = "Form";
+  void note(const obs::TraceEvent& e) override {
+    if (e.kind == obs::TraceEventKind::kSessionFormed) {
+      cells_[Session{e.members, e.number}][e.a] = "Form";
+    } else if (e.kind == obs::TraceEventKind::kSessionAttempt) {
+      auto& cell = cells_[Session{e.members, e.number}][e.a];
+      if (cell.empty()) cell = "Attempt";
+    }
   }
 
   [[nodiscard]] Table render(std::uint32_t n) const {
@@ -61,10 +63,9 @@ JsonValue run(ProtocolKind kind) {
   options.kind = kind;
   options.n = 5;
   options.sim.seed = 46;
+  SessionTableObserver table_observer;  // outlives the cluster's sink
   Cluster cluster(options);
-
-  SessionTableObserver table_observer;
-  cluster.observers(0).add(&table_observer);
+  cluster.trace().add_listener(table_observer);
 
   FaultInjector faults(cluster.sim().network());
   // S1: a forms; b, c detach before forming.

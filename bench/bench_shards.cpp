@@ -12,9 +12,10 @@
 // Reported: aggregate formed-quorums/sec (distinct formed sessions
 // across all groups per wall second of the pooled pass) and the p50/p99
 // reconfiguration latency in virtual ticks (fleet fault -> first
-// formation in each affected group), estimated from the merged
-// power-of-two histograms (obs::Histogram::quantile) the telemetry
-// layer maintains per group. Every seed runs twice through the sweep
+// formation in each affected group): each run folds the fleet's
+// reconfiguration samples into a power-of-two histogram, and the row
+// estimates both from the seeds' histograms merged in seed order
+// (obs::Histogram::quantile). Every seed runs twice through the sweep
 // pool (1 thread, then the full pool); the per-seed digests — the
 // fleet-telemetry JSON included — must be byte-identical: the sweep
 // determinism contract at fleet scale.
@@ -147,24 +148,22 @@ RunResult run_cell(const FleetShape& shape, std::uint64_t seed,
   }
 
   RunResult result;
-  for (const double sample : fleet.reconfig_latencies()) {
-    result.reconfig_hist.observe(static_cast<std::uint64_t>(sample));
-  }
   if (telemetry) result.telemetry = fleet.telemetry_json().dump();
   RunDigest& digest = result.digest;
+  for (const auto& sample : fleet.reconfig_samples()) {
+    result.reconfig_hist.observe(sample.latency());
+    digest.latency_sum += sample.latency();
+  }
+  digest.latency_count = fleet.reconfig_samples().size();
   digest.executed = fleet.sim().queue().executed();
   digest.horizon = fleet.sim().now();
   digest.formed = fleet.total_formed_sessions();
   digest.messages = fleet.sim().network().stats().messages_sent;
   digest.accepted_writes = kv.accepted_writes();
   digest.rejected_writes = kv.rejected_writes();
-  digest.latency_count = fleet.reconfig_latencies().size();
-  for (const double sample : fleet.reconfig_latencies()) {
-    digest.latency_sum += static_cast<std::uint64_t>(sample);
-  }
   digest.divergences = kv.audit().size();
   // Order checks are O(k^3) in formed sessions per group; groups are
-  // small, so the default limit is fine.
+  // small, so each stays under kOrderCheckLimit.
   digest.violations = fleet.check_all_groups().size();
   return result;
 }

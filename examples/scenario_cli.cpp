@@ -27,6 +27,7 @@
 //   trace [k]                  print the last k protocol events (default 12)
 //
 // Configuration commands must precede `start`/the first topology command.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -162,6 +163,19 @@ struct Repl {
     };
     static const std::string id_range =
         " (process ids are below " + std::to_string(kProcessIdLimit) + ")";
+    // True iff the cluster has process p exactly when `member` says it
+    // should; reports a mismatch.
+    auto expect_member = [&](std::uint32_t p, bool member) {
+      const std::vector<ProcessId>& ids = live().all_processes();
+      const std::string name = "p" + std::to_string(p);
+      if ((std::find(ids.begin(), ids.end(), ProcessId(p)) != ids.end()) ==
+          member) {
+        return true;
+      }
+      fail(member ? "unknown process " + name
+                  : name + " is already in the cluster");
+      return false;
+    };
 
     if (command == "protocol") {
       std::string name;
@@ -209,6 +223,7 @@ struct Repl {
         fail("missing or bad process id" + id_range);
         return true;
       }
+      if (!expect_member(p, command != "join")) return true;
       if (command == "crash") live().crash(ProcessId(p));
       if (command == "recover") live().recover(ProcessId(p));
       if (command == "destroy-disk") {
@@ -228,8 +243,8 @@ struct Repl {
         fail("drop needs: <type> <process> [count]" + id_range);
         return true;
       }
+      if (!expect_member(p, true)) return true;
       in >> count;
-      live();
       faults->drop_to(ProcessId(p), type, count);
     } else if (command == "clear-drops") {
       live();
@@ -241,7 +256,7 @@ struct Repl {
         fail("write needs: <process> <key> <value>" + id_range);
         return true;
       }
-      live();
+      if (!expect_member(p, true)) return true;
       const auto version = store->write(ProcessId(p), key, value);
       std::printf("write %s=%s via p%u: %s\n", key.c_str(), value.c_str(), p,
                   version ? version->to_string().c_str()
@@ -254,7 +269,7 @@ struct Repl {
         fail("read needs: <process> <key>" + id_range);
         return true;
       }
-      live();
+      if (!expect_member(p, true)) return true;
       const auto value = store->replica(ProcessId(p)).read(key);
       std::printf("read %s via p%u: %s\n", key.c_str(), p,
                   value ? value->c_str() : "(none)");

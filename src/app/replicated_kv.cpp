@@ -140,18 +140,12 @@ std::vector<Divergence> KvStore::audit() const {
   // (b) A write acknowledged while a disjoint primary of its group was
   // live.
   for (const LoggedWrite& w : log_) {
-    const ConsistencyChecker& checker =
-        cluster_.checker(cluster_.group_of(w.replica));
-    for (const Session& other : checker.formed_sessions()) {
-      if (other == w.session) continue;
-      if (other.members.intersects(w.session.members)) continue;
-      if (checker.session_live_at(other, w.time)) {
-        out.push_back(
-            {w.key, w.replica, w.replica,
-             "write " + w.version.to_string() + " acknowledged in " +
-                 w.session.to_string() + " while disjoint primary " +
-                 other.to_string() + " was live"});
-      }
+    for (const Session& other : cluster_.checker(cluster_.group_of(w.replica))
+                                    .disjoint_live_at(w.session, w.time)) {
+      out.push_back({w.key, w.replica, w.replica,
+                     "write " + w.version.to_string() + " acknowledged in " +
+                         w.session.to_string() + " while disjoint primary " +
+                         other.to_string() + " was live"});
     }
   }
   return out;

@@ -65,7 +65,8 @@ std::optional<LogPosition> ReplicatedLog::append(ProcessId p,
   // collide here — which is exactly what the audit looks for.
   const LogPosition position{session.number, epoch_counters_[session]++};
   target.store(LogEntry{position, std::move(payload), session.members});
-  log_times_.push_back(AppendRecord{cluster_.sim().now(), position, session});
+  log_times_.push_back(
+      AppendRecord{cluster_.sim().now(), position, session, p});
   return position;
 }
 
@@ -108,19 +109,15 @@ std::vector<LogDivergence> ReplicatedLog::audit() const {
     }
   }
 
-  // (b) Appends acknowledged while a disjoint primary was live.
-  const ConsistencyChecker& checker = cluster_.checker();
-  for (const AppendRecord& record : log_times_) {
-    for (const Session& other : checker.formed_sessions()) {
-      if (other == record.session) continue;
-      if (other.members.intersects(record.session.members)) continue;
-      if (checker.session_live_at(other, record.time)) {
-        out.push_back({ProcessId(0), ProcessId(0),
-                       "append " + record.position.to_string() +
-                           " acknowledged in " + record.session.to_string() +
-                           " while disjoint primary " + other.to_string() +
-                           " was live"});
-      }
+  // (b) An append acknowledged while a disjoint primary of its group was
+  // live.
+  for (const AppendRecord& r : log_times_) {
+    for (const Session& other : cluster_.checker(cluster_.group_of(r.replica))
+                                    .disjoint_live_at(r.session, r.time)) {
+      out.push_back({r.replica, r.replica,
+                     "append " + r.position.to_string() + " acknowledged in " +
+                         r.session.to_string() + " while disjoint primary " +
+                         other.to_string() + " was live"});
     }
   }
   return out;

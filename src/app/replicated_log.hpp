@@ -106,8 +106,9 @@ class ReplicatedLog {
 
   /// Pairwise audit:
   ///   (a) two replicas disagree on the entry at one position;
-  ///   (b) two entries appended at overlapping times by disjoint
-  ///       primaries (the split-brain signature, via the checker).
+  ///   (b) an append acknowledged while a disjoint primary of the
+  ///       appender's group was live, by that group's checker (the
+  ///       split-brain signature).
   [[nodiscard]] std::vector<LogDivergence> audit() const;
 
   /// Total appends acknowledged.
@@ -124,6 +125,7 @@ class ReplicatedLog {
     SimTime time;
     LogPosition position;
     Session session;
+    ProcessId replica;  // the appender, whose group's checker audits it
   };
   std::vector<AppendRecord> log_times_;
 };

@@ -1,11 +1,12 @@
-// Observation interface for protocol executions.
+// Per-process protocol callbacks, kept only for benchmark/adapter.cpp.
 //
-// Protocols report what they do — attempts, formed primaries, rejections
-// — to an external observer. The consistency checker, the metrics
-// collector, and the availability harness are all observers; keeping
-// them outside the protocol guarantees the measurement can't influence
-// the measured (and lets the deliberately broken baselines run to
-// completion so their inconsistencies can be counted).
+// The adapter stamps each pool process's view installs, attempts and
+// formations with the transport clock through this interface
+// (ProtocolNode::set_observer). Everything else that watches a protocol
+// — the consistency checker, the metrics bridge, a sharded fleet's
+// reconfiguration windows, the flight recorder — reads the trace sink as
+// an obs::TraceListener instead. Both go with the other adapter-only
+// names in ROADMAP item 3.
 #pragma once
 
 #include <string>

@@ -2,9 +2,11 @@
 //
 // Both protocol shapes in the library — the symmetric phase-broadcast
 // protocols (SessionProtocolBase) and the coordinator-based centralized
-// variant — expose the same surface: Is_Primary state, the current
-// primary session, and observer wiring. The harness, the service facade
-// and the applications depend only on this class.
+// variant — expose the same surface: Is_Primary state and the current
+// primary session. Every protocol event goes to the trace sink, which is
+// what the harness's checker and metrics read (obs::TraceListener). The
+// harness, the service facade and the applications depend only on this
+// class.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,8 @@ class ProtocolNode : public sim::Node {
   ProtocolNode(sim::Transport& transport, ProcessId id)
       : sim::Node(transport, id) {}
 
+  /// Only benchmark/adapter.cpp's per-process stamps use this (ROADMAP
+  /// item 3 removes it); everything else reads the trace sink.
   void set_observer(ProtocolObserver* observer) noexcept {
     observer_ = observer;
   }
@@ -43,10 +47,10 @@ class ProtocolNode : public sim::Node {
   }
 
  protected:
-  /// Records entry into a freshly formed primary and notifies the
-  /// observer (with the session's communication-round count). The trace
-  /// event cites the session's attempt (or, for zero-round protocols,
-  /// the view install) as its cause.
+  /// Records entry into a freshly formed primary, with the session's
+  /// communication-round count. The trace event cites the session's
+  /// attempt (or, for zero-round protocols, the view install) as its
+  /// cause.
   void enter_primary(const Session& session, int rounds) {
     primary_ = session;
     ++formed_count_;
@@ -126,8 +130,6 @@ class ProtocolNode : public sim::Node {
   [[nodiscard]] std::uint64_t session_cause_eid() const noexcept {
     return attempt_eid_ != 0 ? attempt_eid_ : view_eid_;
   }
-
-  [[nodiscard]] ProtocolObserver* observer() const noexcept { return observer_; }
 
  private:
   ProtocolObserver* observer_ = nullptr;

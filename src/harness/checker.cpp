@@ -17,19 +17,33 @@ ConsistencyChecker::ConsistencyChecker(const ProcessSet& core,
   }
 }
 
-void ConsistencyChecker::note_participation(ProcessId p,
-                                            const Session& session) {
-  auto& list = participation_[p];
-  if (list.empty() || !(list.back() == session)) list.push_back(session);
+void ConsistencyChecker::note(const obs::TraceEvent& event) {
+  switch (event.kind) {
+    case obs::TraceEventKind::kSessionAttempt:
+      on_attempt(event.time, event.a, Session{event.members, event.number});
+      break;
+    case obs::TraceEventKind::kSessionFormed:
+      on_formed(event.time, event.a, Session{event.members, event.number},
+                static_cast<int>(event.value));
+      break;
+    case obs::TraceEventKind::kPrimaryLost:
+      on_primary_lost(event.time, event.a);
+      break;
+    case obs::TraceEventKind::kSessionAbort:
+      on_session_rejected(event.detail);
+      break;
+    default:
+      break;  // message/topology events carry no correctness obligations
+  }
 }
 
 void ConsistencyChecker::on_attempt(SimTime /*time*/, ProcessId p,
-                                    const Session& session) {
-  note_participation(p, session);
+                                    Session session) {
+  note_participation(p, std::move(session));
 }
 
-void ConsistencyChecker::on_formed(SimTime time, ProcessId p,
-                                   const Session& session, int rounds) {
+void ConsistencyChecker::on_formed(SimTime time, ProcessId p, Session session,
+                                   int rounds) {
   ++form_events_;
   rounds_.add(rounds);
   if (formed_.insert(session).second) formed_order_.push_back(session);
@@ -42,7 +56,7 @@ void ConsistencyChecker::on_formed(SimTime time, ProcessId p,
     open_interval_.erase(open);
   }
   open_interval_[p] = intervals_.size();
-  intervals_.push_back(Interval{p, session, time, std::nullopt});
+  intervals_.push_back(Interval{p, std::move(session), time, std::nullopt});
 }
 
 void ConsistencyChecker::on_primary_lost(SimTime time, ProcessId p) {
@@ -52,9 +66,7 @@ void ConsistencyChecker::on_primary_lost(SimTime time, ProcessId p) {
   open_interval_.erase(open);
 }
 
-void ConsistencyChecker::on_session_rejected(SimTime /*time*/, ProcessId /*p*/,
-                                             const View& /*view*/,
-                                             const std::string& reason) {
+void ConsistencyChecker::on_session_rejected(const std::string& reason) {
   ++rejected_;
   if (reason.rfind("blocked", 0) == 0) ++blocked_;
 }
@@ -156,10 +168,9 @@ std::vector<Violation> ConsistencyChecker::check_order() const {
   return out;
 }
 
-std::vector<Violation> ConsistencyChecker::check_all(
-    std::size_t order_check_limit) const {
+std::vector<Violation> ConsistencyChecker::check_all() const {
   std::vector<Violation> out = check_basic();
-  if (formed_order_.size() <= order_check_limit) {
+  if (formed_order_.size() <= kOrderCheckLimit) {
     const auto order = check_order();
     out.insert(out.end(), order.begin(), order.end());
   }
@@ -204,6 +215,18 @@ bool ConsistencyChecker::session_live_at(const Session& session,
     if (iv.start <= t && (!iv.end || *iv.end > t)) return true;
   }
   return false;
+}
+
+std::vector<Session> ConsistencyChecker::disjoint_live_at(
+    const Session& session, SimTime t) const {
+  std::vector<Session> out;
+  for (const Session& other : formed_order_) {
+    if (other == session || other.members.intersects(session.members)) {
+      continue;
+    }
+    if (session_live_at(other, t)) out.push_back(other);
+  }
+  return out;
 }
 
 std::string to_string(const std::vector<Violation>& violations) {

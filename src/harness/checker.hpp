@@ -2,8 +2,9 @@
 //
 // The paper's correctness requirement (section 2): the transitive
 // closure of the participation order between intersecting formed primary
-// components must be a total order. The checker observes every protocol
-// event and verifies, post-hoc:
+// components must be a total order. The checker reads the protocol's
+// trace events (a live Cluster and check_trace feed it through the same
+// note()) and verifies, post-hoc:
 //
 //   V1 "split-brain"    — two different primary components, with disjoint
 //                         memberships, live at overlapping times;
@@ -23,9 +24,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "dv/observer.hpp"
+#include "dv/session.hpp"
+#include "obs/trace.hpp"
 #include "util/process_set.hpp"
 #include "util/stats.hpp"
 
@@ -36,20 +39,25 @@ struct Violation {
   std::string detail;
 };
 
-class ConsistencyChecker final : public ProtocolObserver {
+/// Formed sessions above this count skip check_order's O(k^3) closure.
+inline constexpr std::size_t kOrderCheckLimit = 400;
+
+class ConsistencyChecker final : public obs::TraceListener {
  public:
   /// `core` seeds the initial primary component F0 = (W0, 0), which the
   /// dv-family protocols treat as formed by every core member. Pass
   /// seed_initial=false for protocols without that convention (static).
   explicit ConsistencyChecker(const ProcessSet& core, bool seed_initial = true);
 
-  // -- ProtocolObserver --------------------------------------------------------
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
+  /// Feeds one trace event: attempts, formations, primary losses and
+  /// aborts reach the on_* steps below, every other kind is ignored.
+  void note(const obs::TraceEvent& event) override;
+
+  // -- the steps note() takes, also fed directly by unit tests -----------------
+  void on_attempt(SimTime time, ProcessId p, Session session);
+  void on_formed(SimTime time, ProcessId p, Session session, int rounds);
+  void on_primary_lost(SimTime time, ProcessId p);
+  void on_session_rejected(const std::string& reason);
 
   // -- verdicts -----------------------------------------------------------------
 
@@ -60,9 +68,9 @@ class ConsistencyChecker final : public ProtocolObserver {
   /// formed sessions; meant for scenario-scale executions.
   [[nodiscard]] std::vector<Violation> check_order() const;
 
-  /// check_basic plus, when affordable, check_order.
-  [[nodiscard]] std::vector<Violation> check_all(
-      std::size_t order_check_limit = 400) const;
+  /// check_basic plus, up to kOrderCheckLimit formed sessions,
+  /// check_order.
+  [[nodiscard]] std::vector<Violation> check_all() const;
 
   // -- accounting ---------------------------------------------------------------
 
@@ -98,6 +106,12 @@ class ConsistencyChecker final : public ProtocolObserver {
   /// interval still open counts as live through any t >= its start).
   [[nodiscard]] bool session_live_at(const Session& session, SimTime t) const;
 
+  /// The formed sessions disjoint from `session` that were live at `t`,
+  /// in formation order: what an application audit reports when a write
+  /// acknowledged in `session` at `t` could conflict with another primary.
+  [[nodiscard]] std::vector<Session> disjoint_live_at(const Session& session,
+                                                      SimTime t) const;
+
  private:
   struct Interval {
     ProcessId process;
@@ -121,7 +135,15 @@ class ConsistencyChecker final : public ProtocolObserver {
   std::uint64_t blocked_ = 0;
   Summary rounds_;
 
-  void note_participation(ProcessId p, const Session& session);
+  /// Appends `session` to p's participation sequence unless it is
+  /// already the last entry; copies only an lvalue that is appended.
+  template <typename S>
+  void note_participation(ProcessId p, S&& session) {
+    auto& list = participation_[p];
+    if (list.empty() || !(list.back() == session)) {
+      list.push_back(std::forward<S>(session));
+    }
+  }
 };
 
 /// Renders violations one per line (empty string if none).

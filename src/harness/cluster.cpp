@@ -10,6 +10,7 @@ namespace dynvote {
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), sim_(options_.sim) {
   sim_.trace().set_messages_enabled(options_.trace_messages);
+  sim_.trace().add_listener(*this);
   DvConfig config = options_.config;
   if (config.core.empty()) config.core = ProcessSet::range(options_.n);
   add_group(std::move(config));
@@ -56,9 +57,6 @@ std::uint32_t Cluster::add_group(DvConfig config) {
   // A group with its own registry (a fleet's hub child) reports there.
   group.metrics = std::make_unique<MetricsObserver>(
       config.registry != nullptr ? *config.registry : sim_.metrics());
-  group.observers = std::make_unique<MultiObserver>();
-  group.observers->add(group.checker.get());
-  group.observers->add(group.metrics.get());
   group.config = std::move(config);
   groups_.push_back(std::move(group));
   for (ProcessId p : groups_.back().config.core) add_node(p, index);
@@ -71,11 +69,25 @@ std::uint32_t Cluster::group_of(ProcessId p) const {
   return group_of_[p.value()];
 }
 
+void Cluster::note(const obs::TraceEvent& event) {
+  switch (event.kind) {
+    case obs::TraceEventKind::kViewInstalled:
+    case obs::TraceEventKind::kSessionAttempt:
+    case obs::TraceEventKind::kSessionFormed:
+    case obs::TraceEventKind::kSessionAbort:
+    case obs::TraceEventKind::kPrimaryLost: {
+      const Group& g = groups_[group_of(event.a)];
+      g.checker->note(event);
+      g.metrics->note(event);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
 void Cluster::add_node(ProcessId p, std::uint32_t group) {
-  const Group& g = at(group);
-  auto node = make_protocol(options_.kind, sim_, p, g.config);
-  node->set_observer(g.observers.get());
-  sim_.add_node(std::move(node));
+  sim_.add_node(make_protocol(options_.kind, sim_, p, at(group).config));
   if (p.value() >= group_of_.size()) group_of_.resize(p.value() + 1, kNoGroup);
   group_of_[p.value()] = group;
   process_ids_.push_back(p);

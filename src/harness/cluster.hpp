@@ -3,11 +3,13 @@
 // The composition root of every simulated run: the simulator, the
 // membership oracle, one protocol node per process, and a list of
 // consistency groups. A group is a core with its own DvConfig,
-// ConsistencyChecker, MetricsObserver and observer fan-out; the paper's
-// guarantee (C1, Theorem 1) holds per group. Cluster(options) builds
-// group 0, which is the whole system for scenario tests, property tests,
-// examples and benches; add_group adds another over the same simulator,
-// which is how shard::ShardedFleet runs many groups at once.
+// ConsistencyChecker and MetricsObserver; the paper's guarantee (C1,
+// Theorem 1) holds per group. The cluster is the first listener on the
+// simulator's trace sink and hands each protocol event to its actor's
+// group. Cluster(options) builds group 0, which is the whole system for
+// scenario tests, property tests, examples and benches; add_group adds
+// another over the same simulator, which is how shard::ShardedFleet runs
+// many groups at once.
 #pragma once
 
 #include <memory>
@@ -46,7 +48,7 @@ struct ClusterOptions {
   bool trace_messages = false;
 };
 
-class Cluster {
+class Cluster : private obs::TraceListener {
  public:
   explicit Cluster(ClusterOptions options);
 
@@ -79,9 +81,9 @@ class Cluster {
   // -- consistency groups ------------------------------------------------------
 
   /// Adds a consistency group: one node per member of config.core (which
-  /// must be non-empty and new to the cluster), observed by the group's
-  /// own checker and metrics observer. Returns the group's index. Call
-  /// before the first topology change.
+  /// must be non-empty and new to the cluster), whose events reach the
+  /// group's own checker and metrics observer. Returns the group's index.
+  /// Call before the first topology change.
   std::uint32_t add_group(DvConfig config);
 
   [[nodiscard]] std::uint32_t num_groups() const noexcept {
@@ -90,12 +92,6 @@ class Cluster {
   /// The group `p` belongs to; a process added by add_process joins
   /// group 0.
   [[nodiscard]] std::uint32_t group_of(ProcessId p) const;
-  /// The group's observer fan-out: every node of the group reports to
-  /// it, so an extra observer added here sees the group's events next to
-  /// its checker and metrics observer. Borrowed; keep it alive.
-  [[nodiscard]] MultiObserver& observers(std::uint32_t group) {
-    return *at(group).observers;
-  }
 
   /// Run description for exporting the structured trace
   /// (sim().trace()) via trace_to_json. ambiguity_bound is the Theorem-1
@@ -162,7 +158,6 @@ class Cluster {
     DvConfig config;
     std::unique_ptr<ConsistencyChecker> checker;
     std::unique_ptr<MetricsObserver> metrics;
-    std::unique_ptr<MultiObserver> observers;
   };
 
   static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
@@ -171,6 +166,9 @@ class Cluster {
     ensure(group < groups_.size(), "group out of range");
     return groups_[group];
   }
+  /// Sends view installs, attempts, formations, aborts and primary
+  /// losses to the actor's group.
+  void note(const obs::TraceEvent& event) override;
   void add_node(ProcessId p, std::uint32_t group);
   void on_topology_for_misses();
 

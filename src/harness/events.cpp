@@ -2,35 +2,6 @@
 
 namespace dynvote {
 
-void MultiObserver::add(ProtocolObserver* observer) {
-  if (observer != nullptr) observers_.push_back(observer);
-}
-
-void MultiObserver::on_view_installed(SimTime time, ProcessId p,
-                                      const View& view) {
-  for (auto* o : observers_) o->on_view_installed(time, p, view);
-}
-
-void MultiObserver::on_attempt(SimTime time, ProcessId p,
-                               const Session& session) {
-  for (auto* o : observers_) o->on_attempt(time, p, session);
-}
-
-void MultiObserver::on_formed(SimTime time, ProcessId p, const Session& session,
-                              int rounds) {
-  for (auto* o : observers_) o->on_formed(time, p, session, rounds);
-}
-
-void MultiObserver::on_primary_lost(SimTime time, ProcessId p) {
-  for (auto* o : observers_) o->on_primary_lost(time, p);
-}
-
-void MultiObserver::on_session_rejected(SimTime time, ProcessId p,
-                                        const View& view,
-                                        const std::string& reason) {
-  for (auto* o : observers_) o->on_session_rejected(time, p, view, reason);
-}
-
 MetricsObserver::MetricsObserver(obs::MetricsRegistry& registry)
     : views_(registry.counter("dv.views_installed")),
       attempts_(registry.counter("dv.attempts")),
@@ -40,35 +11,32 @@ MetricsObserver::MetricsObserver(obs::MetricsRegistry& registry)
       rounds_(registry.histogram("dv.rounds_per_form")),
       uptime_(registry.counter("dv.primary_uptime_ticks")) {}
 
-void MetricsObserver::on_view_installed(SimTime /*time*/, ProcessId /*p*/,
-                                        const View& /*view*/) {
-  views_.increment();
-}
-
-void MetricsObserver::on_attempt(SimTime /*time*/, ProcessId /*p*/,
-                                 const Session& /*session*/) {
-  attempts_.increment();
-}
-
-void MetricsObserver::on_formed(SimTime time, ProcessId p,
-                                const Session& /*session*/, int rounds) {
-  formed_.increment();
-  rounds_.observe(static_cast<std::uint64_t>(rounds < 0 ? 0 : rounds));
-  if (primary_procs_.empty()) uptime_open_ = time;
-  primary_procs_.insert(p);
-}
-
-void MetricsObserver::on_primary_lost(SimTime time, ProcessId p) {
-  primary_lost_.increment();
-  if (primary_procs_.erase(p) != 0 && primary_procs_.empty()) {
-    uptime_.add(time - uptime_open_);
+void MetricsObserver::note(const obs::TraceEvent& event) {
+  switch (event.kind) {
+    case obs::TraceEventKind::kViewInstalled:
+      views_.increment();
+      break;
+    case obs::TraceEventKind::kSessionAttempt:
+      attempts_.increment();
+      break;
+    case obs::TraceEventKind::kSessionFormed:
+      formed_.increment();
+      rounds_.observe(event.value);
+      if (primary_procs_.empty()) uptime_open_ = event.time;
+      primary_procs_.insert(event.a);
+      break;
+    case obs::TraceEventKind::kPrimaryLost:
+      primary_lost_.increment();
+      if (primary_procs_.erase(event.a) != 0 && primary_procs_.empty()) {
+        uptime_.add(event.time - uptime_open_);
+      }
+      break;
+    case obs::TraceEventKind::kSessionAbort:
+      rejected_.increment();
+      break;
+    default:
+      break;
   }
-}
-
-void MetricsObserver::on_session_rejected(SimTime /*time*/, ProcessId /*p*/,
-                                          const View& /*view*/,
-                                          const std::string& /*reason*/) {
-  rejected_.increment();
 }
 
 }  // namespace dynvote

@@ -1,37 +1,16 @@
-// Observer plumbing: fan-out and the metrics bridge.
+// The metrics bridge: protocol trace events into a MetricsRegistry.
 #pragma once
 
 #include <set>
-#include <string>
-#include <vector>
 
-#include "dv/observer.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dynvote {
 
-/// Forwards protocol events to any number of observers (each cluster
-/// group installs its consistency checker and metrics bridge).
-class MultiObserver final : public ProtocolObserver {
- public:
-  /// Borrowed; callers keep the observers alive for the run.
-  void add(ProtocolObserver* observer);
-
-  void on_view_installed(SimTime time, ProcessId p, const View& view) override;
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
-
- private:
-  std::vector<ProtocolObserver*> observers_;
-};
-
 /// Bridges protocol events into a MetricsRegistry: session counters plus
 /// a rounds-per-formation histogram. Each of a cluster's consistency
-/// groups installs one against its DvConfig::registry, or else the
+/// groups keeps one against its DvConfig::registry, or else the
 /// simulation's registry, so protocol-level counts ship in the same
 /// JSON export as the network counters.
 ///
@@ -41,17 +20,13 @@ class MultiObserver final : public ProtocolObserver {
 /// interval still open when the run ends is not counted. The span layer
 /// (obs/spans.hpp) derives the same quantity from the trace alone with
 /// the same convention, so the two can be cross-checked exactly.
-class MetricsObserver final : public ProtocolObserver {
+class MetricsObserver final : public obs::TraceListener {
  public:
   explicit MetricsObserver(obs::MetricsRegistry& registry);
 
-  void on_view_installed(SimTime time, ProcessId p, const View& view) override;
-  void on_attempt(SimTime time, ProcessId p, const Session& session) override;
-  void on_formed(SimTime time, ProcessId p, const Session& session,
-                 int rounds) override;
-  void on_primary_lost(SimTime time, ProcessId p) override;
-  void on_session_rejected(SimTime time, ProcessId p, const View& view,
-                           const std::string& reason) override;
+  /// Counts view installs, attempts, formations, primary losses and
+  /// aborts; every other kind is ignored.
+  void note(const obs::TraceEvent& event) override;
 
  private:
   obs::Counter& views_;

@@ -5,9 +5,9 @@
 // are generated once from a seed and then replayed bit-identically
 // against every protocol, making the availability comparison paired:
 // every protocol faces exactly the same failures at exactly the same
-// moments. The same events, with time 0, also serve as stepped scripts
-// (runtime::make_scenario), which run each event to quiescence before
-// the next.
+// moments. The same events, with their times ignored, also serve as
+// stepped scripts (runtime::run_scenario), which run each event to
+// quiescence before the next.
 #pragma once
 
 #include <cstdint>

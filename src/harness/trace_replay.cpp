@@ -21,33 +21,16 @@ TraceCheckResult check_trace(const TraceMetaAndEvents& trace) {
 
   ConsistencyChecker checker(trace.meta.core, /*seed_initial=*/true);
   for (const obs::TraceEvent& event : trace.events) {
+    checker.note(event);
     switch (event.kind) {
       case obs::TraceEventKind::kSessionAttempt:
         ++result.attempts;
-        checker.on_attempt(event.time, event.a,
-                           Session{event.members, event.number});
-        break;
-      case obs::TraceEventKind::kSessionFormed:
-        checker.on_formed(event.time, event.a,
-                          Session{event.members, event.number},
-                          static_cast<int>(event.value));
-        break;
-      case obs::TraceEventKind::kPrimaryLost:
-        checker.on_primary_lost(event.time, event.a);
-        break;
-      case obs::TraceEventKind::kSessionAbort:
-        ++result.aborts;
-        checker.on_session_rejected(
-            event.time, event.a,
-            View{ViewId(static_cast<std::uint64_t>(event.number)),
-                 event.members},
-            event.detail);
         break;
       case obs::TraceEventKind::kAmbiguityRecord:
         result.max_ambiguous = std::max(result.max_ambiguous, event.value);
         break;
       default:
-        break;  // message/topology events carry no correctness obligations
+        break;
     }
   }
   auto checked = checker.check_all();
@@ -55,6 +38,7 @@ TraceCheckResult check_trace(const TraceMetaAndEvents& trace) {
                            std::make_move_iterator(checked.begin()),
                            std::make_move_iterator(checked.end()));
   result.formed_sessions = checker.formed_session_count();
+  result.aborts = checker.rejected_sessions();
   if (result.ambiguity_bound != 0) {
     result.ambiguity_ok = result.max_ambiguous <= result.ambiguity_bound;
   }

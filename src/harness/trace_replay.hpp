@@ -7,7 +7,8 @@
 // section 2) — and checks the Theorem-1 ambiguity bound
 // (n − Min_Quorum + 1) without access to the live run: a trace.json file
 // is sufficient evidence. This is the "checker trace-replay mode": the
-// same verdicts the in-process checker reaches, reproduced offline.
+// replay hands each event to ConsistencyChecker::note, the same call a
+// live Cluster makes, so it reaches the in-process checker's verdicts.
 #pragma once
 
 #include <cstdint>

@@ -11,10 +11,9 @@
 // ring as a post-mortem with causal chains — tracing that is affordable
 // precisely because it is paid only on failure.
 //
-// The TraceSink tees every recorded event into the recorder
-// (TraceSink::set_flight_recorder); the recorder never interferes with
-// the sink's own ring or event ids, so post-mortem eids line up with
-// any full trace export of the same run.
+// The recorder is one of the TraceSink's listeners (add_listener); it
+// never interferes with the sink's own ring or event ids, so post-mortem
+// eids line up with any full trace export of the same run.
 #pragma once
 
 #include <cstddef>
@@ -41,15 +40,14 @@ struct FlightRecorderOptions {
   std::uint32_t group_size = 1;
 };
 
-class FlightRecorder {
+class FlightRecorder final : public TraceListener {
  public:
   explicit FlightRecorder(FlightRecorderOptions options);
 
   /// Routes `event` to its group's ring. Message kinds are skipped
   /// (affordability is the whole point); topology events are routed by
-  /// their first member (components never span groups). Called by
-  /// TraceSink::record for every retained event.
-  void note(const TraceEvent& event);
+  /// their first member (components never span groups).
+  void note(const TraceEvent& event) override;
 
   [[nodiscard]] std::uint32_t num_groups() const noexcept {
     return options_.num_groups;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "util/ensure.hpp"
 
@@ -236,7 +235,7 @@ std::uint64_t TraceSink::record(TraceEvent event) {
   }
   event.eid = ++next_eid_;
   const TraceEvent& stored = events_.push(std::move(event));
-  if (flight_ != nullptr) flight_->note(stored);
+  for (TraceListener* listener : listeners_) listener->note(stored);
   update_gauges();
   return next_eid_;
 }

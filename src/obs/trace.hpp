@@ -31,6 +31,12 @@
 // long availability sweeps exchange millions of messages. Eviction never
 // reuses ids, so causal links stay unambiguous (they may dangle — a
 // chain walk reports the truncation instead of resolving wrongly).
+//
+// Listeners: everything that watches a protocol run — the consistency
+// checker and metrics bridge (via harness Cluster), a sharded fleet's
+// reconfiguration windows, the flight recorder — reads this stream as a
+// TraceListener. A live run and a replay of an exported trace therefore
+// feed a listener the same events through the same note().
 #pragma once
 
 #include <cstddef>
@@ -46,7 +52,6 @@
 
 namespace dynvote::obs {
 
-class FlightRecorder;
 class Gauge;
 class MetricsRegistry;
 
@@ -164,7 +169,16 @@ struct TraceMeta {
   std::uint32_t group_size = 0;
 };
 
-/// The recorded TraceEvents, kept in a Ring.
+/// Reads the recorded events, one at a time, in recording order.
+class TraceListener {
+ public:
+  virtual ~TraceListener() = default;
+  /// Called once per recorded event, with its eid assigned.
+  virtual void note(const TraceEvent& event) = 0;
+};
+
+/// The recorded TraceEvents, kept in a Ring, and the listeners that read
+/// them as they land.
 class TraceSink {
  public:
   /// `capacity` 0 means unbounded.
@@ -193,12 +207,12 @@ class TraceSink {
   /// registry must outlive the sink.
   void bind_metrics(MetricsRegistry& registry);
 
-  /// Tees every retained event into a per-group flight recorder
-  /// (obs/flight_recorder.hpp) after it lands in the ring. The recorder
-  /// keeps its own bounds; eviction here never touches it. Pass nullptr
-  /// to detach. The recorder must outlive the sink (or be detached).
-  void set_flight_recorder(FlightRecorder* recorder) noexcept {
-    flight_ = recorder;
+  /// Hands every recorded event to `listener` after it lands in the
+  /// ring, so eviction never reaches a listener. Listeners run in the
+  /// order they were added. Borrowed: keep the listener alive while
+  /// events are recorded.
+  void add_listener(TraceListener& listener) {
+    listeners_.push_back(&listener);
   }
 
   void clear();
@@ -222,7 +236,7 @@ class TraceSink {
   std::uint64_t next_eid_ = 0;
   Gauge* events_gauge_ = nullptr;
   Gauge* overwritten_gauge_ = nullptr;
-  FlightRecorder* flight_ = nullptr;
+  std::vector<TraceListener*> listeners_;
 };
 
 }  // namespace dynvote::obs

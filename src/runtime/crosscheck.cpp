@@ -7,7 +7,6 @@
 #include "harness/cluster.hpp"
 #include "runtime/fleet.hpp"
 #include "util/ensure.hpp"
-#include "util/rng.hpp"
 
 namespace dynvote::runtime {
 
@@ -89,68 +88,6 @@ std::optional<TranscriptDiff> diff_transcripts(const std::string& des,
   return std::nullopt;
 }
 
-std::vector<ScheduleEvent> make_scenario(std::uint32_t n, std::uint64_t seed,
-                                         std::size_t steps) {
-  ensure(n >= 2, "scenario needs at least two processes");
-  Rng rng(seed);
-  std::vector<bool> alive(n, true);
-  std::size_t alive_count = n;
-  std::vector<ScheduleEvent> script;
-  script.reserve(steps);
-
-  auto pick = [&](bool want_alive) {
-    std::uint32_t idx =
-        static_cast<std::uint32_t>(rng.next_below(n));
-    while (alive[idx] != want_alive) idx = (idx + 1) % n;
-    return idx;
-  };
-
-  while (script.size() < steps) {
-    ScheduleEvent event;
-    switch (rng.next_below(4)) {
-      case 0: {  // partition all ids into 2-3 groups
-        std::vector<ProcessId> ids;
-        for (std::uint32_t i = 0; i < n; ++i) ids.push_back(ProcessId(i));
-        rng.shuffle(ids);
-        const std::size_t k =
-            std::min<std::size_t>(2 + rng.next_below(2), ids.size());
-        event.kind = ScheduleEvent::Kind::kPartition;
-        event.groups.resize(k);
-        // Every group gets one seed member; the rest land uniformly.
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          const std::size_t g = i < k ? i : rng.next_below(k);
-          event.groups[g].insert(ids[i]);
-        }
-        break;
-      }
-      case 1:
-        event.kind = ScheduleEvent::Kind::kMerge;
-        event.groups = {ProcessSet::range(n)};
-        break;
-      case 2: {
-        if (alive_count <= 1) continue;  // keep one process up
-        event.kind = ScheduleEvent::Kind::kCrash;
-        const std::uint32_t idx = pick(true);
-        event.process = ProcessId(idx);
-        alive[idx] = false;
-        --alive_count;
-        break;
-      }
-      case 3: {
-        if (alive_count == n) continue;  // nobody to recover
-        event.kind = ScheduleEvent::Kind::kRecover;
-        const std::uint32_t idx = pick(false);
-        event.process = ProcessId(idx);
-        alive[idx] = true;
-        ++alive_count;
-        break;
-      }
-    }
-    script.push_back(std::move(event));
-  }
-  return script;
-}
-
 namespace {
 
 /// One wall-clock execution of the script; returns its transcript and
@@ -204,7 +141,17 @@ CrossCheckResult run_scenario(ProtocolKind kind, std::uint32_t n,
     invariant_failed(std::string("cross-check does not cover protocol kind ") +
                      dynvote::to_string(kind));
   }
-  const std::vector<ScheduleEvent> script = make_scenario(n, seed, steps);
+  // The first `steps` events of the seed's schedule over all n ids. Each
+  // settles before the next, so only their order counts: a one-tick
+  // mean gap over 64 ticks a step leaves far more events than `steps`.
+  ScheduleOptions schedule;
+  schedule.duration = 64 * (steps + 1);
+  schedule.mean_event_gap = 1;
+  schedule.seed = seed;
+  std::vector<ScheduleEvent> script =
+      generate_schedule(ProcessSet::range(n), schedule);
+  ensure(script.size() >= steps, "run_scenario: schedule too short");
+  script.resize(steps);
 
   CrossCheckResult result;
   result.seed = seed;

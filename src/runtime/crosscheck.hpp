@@ -10,9 +10,10 @@
 // quiesce) with no message loss, so they install the same view sequence
 // at every process and therefore form the same primaries with the same
 // session numbers, memberships, and round counts. run_scenario() makes
-// that equality executable: one seeded script, the DES and the pool at
-// several worker counts, transcripts written by one function
-// (append_outcome_line), digest comparison plus per-step C1 checks.
+// that equality executable: one seeded generate_schedule script, the
+// DES and the pool at several worker counts, transcripts written by one
+// function (append_outcome_line), digest comparison plus per-step C1
+// checks.
 //
 // Scope: the deterministic-outcome argument covers the quiescent
 // protocols (kBasic, kOptimized, and the other all-member-wait
@@ -31,15 +32,6 @@
 #include "harness/schedule.hpp"
 
 namespace dynvote::runtime {
-
-/// Deterministically expands (n, seed) into a script of `steps` valid
-/// events, each with time 0 (a replay runs one to quiescence before the
-/// next): crashes only hit live processes (always leaving one),
-/// recoveries only dead ones, partitions split all n ids into 2-3
-/// groups, and merges list all n ids as one group.
-[[nodiscard]] std::vector<ScheduleEvent> make_scenario(std::uint32_t n,
-                                                       std::uint64_t seed,
-                                                       std::size_t steps);
 
 /// Runs `script` on the DES (message delays seeded by `seed`), applying
 /// each event with apply_event and settling after it, and returns its
@@ -104,9 +96,11 @@ struct CrossCheckResult {
   std::optional<TranscriptDiff> divergence;
 };
 
-/// Runs the seed's scenario on the DES and on the pool runtime once per
-/// entry of `pool_workers`, plus once at W = n (one process per worker
-/// thread) unless the list already has it, and compares outcomes.
+/// Runs the first `steps` events of generate_schedule's script for
+/// (n, seed), each to quiescence before the next, on the DES and on the
+/// pool runtime once per entry of `pool_workers`, plus once at W = n
+/// (one process per worker thread) unless the list already has it, and
+/// compares outcomes.
 /// Throws InvariantViolation for protocol kinds outside the
 /// deterministic-outcome allow-list. `probes` turns wall-clock probe
 /// rings on in the runtime fleets — outcomes must be identical either

@@ -45,8 +45,11 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options) : options_(options) {
   if (hub_ != nullptr) {
     flight_ = std::make_unique<obs::FlightRecorder>(
         obs::FlightRecorderOptions{options_.num_groups, options_.group_size});
-    sim().trace().set_flight_recorder(flight_.get());
+    sim().trace().add_listener(*flight_);
   }
+  // After the recorder: a formation lands in its group's ring before it
+  // closes the window, so an outlier post-mortem ends with it.
+  sim().trace().add_listener(*this);
 
   // Groups 1..G-1 follow group 0 in the same group-major id order, each
   // reporting to its own hub child when telemetry is on.
@@ -64,7 +67,6 @@ ShardedFleet::ShardedFleet(ShardedFleetOptions options) : options_(options) {
     for (std::uint32_t i = 0; i < options_.group_size; ++i) {
       machine_replicas_[machine_of(g, i)].push_back(replica_id(g, i));
     }
-    cluster_->observers(g).add(this);
     if (hub_ != nullptr) {
       obs::MetricsRegistry& registry = hub_->group(g);
       groups_[g].reconfig_hist =
@@ -236,11 +238,10 @@ std::uint32_t ShardedFleet::groups_with_live_primary() {
   return count;
 }
 
-std::vector<Violation> ShardedFleet::check_all_groups(
-    std::size_t order_check_limit) const {
+std::vector<Violation> ShardedFleet::check_all_groups() const {
   std::vector<Violation> out;
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    for (Violation v : cluster_->checker(g).check_all(order_check_limit)) {
+    for (Violation v : cluster_->checker(g).check_all()) {
       v.detail = "group " + std::to_string(g) + ": " + v.detail;
       out.push_back(std::move(v));
     }
@@ -248,18 +249,19 @@ std::vector<Violation> ShardedFleet::check_all_groups(
   return out;
 }
 
-void ShardedFleet::on_formed(SimTime time, ProcessId p, const Session&, int) {
-  const std::uint32_t group = cluster_->group_of(p);
+void ShardedFleet::note(const obs::TraceEvent& event) {
+  if (event.kind != obs::TraceEventKind::kSessionFormed) return;
+  const std::uint32_t group = cluster_->group_of(event.a);
   Group& g = groups_[group];
   if (!g.reconfig_pending_since) return;
+  const SimTime time = event.time;
   const SimTime fault = *g.reconfig_pending_since;
   const SimTime ticks = time - fault;
-  reconfig_latencies_.push_back(static_cast<double>(ticks));
+  reconfig_samples_.push_back(ReconfigSample{group, fault, time});
   g.reconfig_pending_since.reset();
   if (hub_ == nullptr) return;
   g.reconfig_hist->observe(ticks);
   g.reconfigs->add(1);
-  reconfig_samples_.push_back(ReconfigSample{group, fault, time});
   if (options_.telemetry.reconfig_outlier_ticks != 0 &&
       ticks > options_.telemetry.reconfig_outlier_ticks &&
       postmortems_.size() < kMaxPostmortems) {
@@ -286,13 +288,12 @@ const obs::FlightRecorder& ShardedFleet::flight_recorder() const {
   return *flight_;
 }
 
-std::size_t ShardedFleet::check_and_record_postmortems(
-    std::size_t order_check_limit) {
+std::size_t ShardedFleet::check_and_record_postmortems() {
   ensure(flight_ != nullptr, "ShardedFleet: telemetry is disabled");
   std::size_t recorded = 0;
   for (std::uint32_t g = 0; g < groups_.size(); ++g) {
     const std::vector<Violation> violations =
-        cluster_->checker(g).check_all(order_check_limit);
+        cluster_->checker(g).check_all();
     if (violations.empty()) continue;
     if (postmortems_.size() >= kMaxPostmortems) break;
     postmortems_.push_back(flight_->postmortem_json(

@@ -26,8 +26,11 @@
 // Reconfiguration latency: whenever a fleet fault changes a group's
 // component layout, the group is marked pending; the first subsequent
 // session formation in that group closes the window and records
-// (formation time - fault time) as one latency sample. bench_shards
-// reports the p99 of these samples across all groups and seeds.
+// (formation time - fault time) as one latency sample. The fleet reads
+// formations as a listener on the simulator's trace sink, after the
+// flight recorder, so an outlier post-mortem ends with the formation
+// that closed its window. bench_shards reports the p99 of these samples
+// across all groups and seeds.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +94,7 @@ struct ShardedFleetOptions {
 /// Min_Quorum of every group's DvConfig.
 inline constexpr std::size_t kFleetMinQuorum = 1;
 
-class ShardedFleet final : private ProtocolObserver {
+class ShardedFleet final : private obs::TraceListener {
  public:
   /// A fleet-level partition: disjoint sets of machine indices. Must
   /// cover every machine exactly once (so the induced per-group
@@ -169,19 +172,10 @@ class ShardedFleet final : private ProtocolObserver {
 
   /// Consistency violations across all groups, each prefixed with its
   /// group id. Empty for the consistent protocols, always.
-  [[nodiscard]] std::vector<Violation> check_all_groups(
-      std::size_t order_check_limit = 400) const;
+  [[nodiscard]] std::vector<Violation> check_all_groups() const;
 
-  /// Reconfiguration-latency samples (virtual ticks), in the order the
-  /// formations closed them. Deterministic for a fixed seed.
-  [[nodiscard]] const std::vector<double>& reconfig_latencies() const noexcept {
-    return reconfig_latencies_;
-  }
-
-  // -- telemetry ---------------------------------------------------------------
-
-  /// One closed reconfiguration window, attributable to its group (the
-  /// latency in reconfig_latencies() loses the group id).
+  /// One closed reconfiguration window: its group, the fault that opened
+  /// it and the formation that closed it (virtual ticks).
   struct ReconfigSample {
     std::uint32_t group = 0;
     SimTime fault_time = 0;
@@ -189,24 +183,30 @@ class ShardedFleet final : private ProtocolObserver {
     [[nodiscard]] SimTime latency() const noexcept {
       return formed_time - fault_time;
     }
+    friend bool operator==(const ReconfigSample&,
+                           const ReconfigSample&) = default;
   };
+
+  /// Every closed reconfiguration window, in the order the formations
+  /// closed them, with or without telemetry. Deterministic for a fixed
+  /// seed.
+  [[nodiscard]] const std::vector<ReconfigSample>& reconfig_samples()
+      const noexcept {
+    return reconfig_samples_;
+  }
+
+  // -- telemetry ---------------------------------------------------------------
 
   /// The per-group metrics hub. Requires options.telemetry.enabled.
   [[nodiscard]] obs::MetricsHub& hub();
   [[nodiscard]] const obs::MetricsHub& hub() const;
   [[nodiscard]] const obs::FlightRecorder& flight_recorder() const;
 
-  /// Reconfiguration samples with group attribution, formation order.
-  [[nodiscard]] const std::vector<ReconfigSample>& reconfig_samples()
-      const noexcept {
-    return reconfig_samples_;
-  }
-
   /// Runs every group's consistency check; each violating group dumps
   /// its flight-recorder ring as a post-mortem (reason = the first
   /// violation), subject to the kMaxPostmortems cap. Returns how many
   /// post-mortems were recorded. Requires telemetry.
-  std::size_t check_and_record_postmortems(std::size_t order_check_limit = 400);
+  std::size_t check_and_record_postmortems();
 
   /// Post-mortems recorded so far (latency outliers and violations).
   [[nodiscard]] const std::vector<JsonValue>& postmortems() const noexcept {
@@ -231,9 +231,9 @@ class ShardedFleet final : private ProtocolObserver {
     std::optional<SimTime> reconfig_pending_since;
   };
 
-  /// Every group's observer fan-out includes the fleet: the first
-  /// formation after a fleet fault closes the group's open window.
-  void on_formed(SimTime time, ProcessId p, const Session&, int) override;
+  /// The first formation after a fleet fault closes the group's open
+  /// window.
+  void note(const obs::TraceEvent& event) override;
 
   /// Applies per-group component lists in ONE network call (so one
   /// topology change covers the whole correlated fault) and opens a
@@ -245,12 +245,12 @@ class ShardedFleet final : private ProtocolObserver {
   /// Telemetry mode: group g's protocol events and WAL counters land in
   /// hub child g. Declared before cluster_, whose groups report there.
   std::unique_ptr<obs::MetricsHub> hub_;
-  std::unique_ptr<Cluster> cluster_;
+  /// Declared before cluster_, whose trace sink it listens on.
   std::unique_ptr<obs::FlightRecorder> flight_;
+  std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   std::vector<Group> groups_;
   std::vector<std::vector<ProcessId>> machine_replicas_;
-  std::vector<double> reconfig_latencies_;
   std::vector<ReconfigSample> reconfig_samples_;
   std::vector<JsonValue> postmortems_;
 };

@@ -143,9 +143,8 @@ TEST(Checker, SessionLiveAtRespectsIntervalBounds) {
 
 TEST(Checker, CountsRejectionsAndBlocked) {
   ConsistencyChecker checker(kCore);
-  const View view{ViewId(1), ProcessSet::of({0, 1})};
-  checker.on_session_rejected(1, ProcessId(0), view, "no majority");
-  checker.on_session_rejected(2, ProcessId(0), view, "blocked: waiting");
+  checker.on_session_rejected("no majority");
+  checker.on_session_rejected("blocked: waiting");
   EXPECT_EQ(checker.rejected_sessions(), 2u);
   EXPECT_EQ(checker.blocked_sessions(), 1u);
 }

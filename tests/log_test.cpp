@@ -161,6 +161,24 @@ TEST(ReplicatedLog, OurProtocolSameScenarioStaysClean) {
   EXPECT_TRUE(log.audit().empty());
 }
 
+// Two groups of three, one component each: an append in group 1's
+// primary while group 0's disjoint primary is live is no conflict, so
+// the audit asks the appender's own group's checker.
+TEST(ReplicatedLog, AuditChecksEachAppendAgainstItsOwnGroup) {
+  ClusterOptions options = options_for(ProtocolKind::kOptimized);
+  options.n = 3;
+  Cluster cluster(options);
+  DvConfig second = cluster.config();
+  second.core = ProcessSet::of({3, 4, 5});
+  cluster.add_group(second);
+  cluster.partition({cluster.config(0).core, cluster.config(1).core});
+  cluster.settle();
+  ReplicatedLog log(cluster);
+  ASSERT_TRUE(log.append(ProcessId(3), "a").has_value());
+  const std::vector<LogDivergence> divergences = log.audit();
+  EXPECT_TRUE(divergences.empty()) << divergences.front().detail;
+}
+
 // ---- state transfer: linear merge vs the all-pairs reference ---------------
 
 /// m random sorted logs over a small position space; payloads at one

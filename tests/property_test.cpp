@@ -25,16 +25,17 @@
 namespace dynvote {
 namespace {
 
-/// Observer asserting Lemma 1/3: each process's attempted session
+/// Trace listener asserting Lemma 1/3: each process's attempted session
 /// numbers strictly increase.
-class MonotonicityObserver final : public ProtocolObserver {
+class MonotonicityObserver final : public obs::TraceListener {
  public:
-  void on_attempt(SimTime, ProcessId p, const Session& session) override {
-    auto [it, inserted] = last_.try_emplace(p, session.number);
+  void note(const obs::TraceEvent& e) override {
+    if (e.kind != obs::TraceEventKind::kSessionAttempt) return;
+    auto [it, inserted] = last_.try_emplace(e.a, e.number);
     if (!inserted) {
-      EXPECT_GT(session.number, it->second)
-          << to_string(p) << " attempted non-increasing session numbers";
-      it->second = session.number;
+      EXPECT_GT(e.number, it->second)
+          << to_string(e.a) << " attempted non-increasing session numbers";
+      it->second = e.number;
     }
   }
 
@@ -62,11 +63,10 @@ TEST_P(RandomScheduleProperty, InvariantsHoldAndHealedSystemRecovers) {
   options.n = n;
   options.config.min_quorum = 1 + seed % 2;
   options.sim.seed = seed;
+  MonotonicityObserver monotonic;  // outlives the cluster's sink
   Cluster cluster(options);
-
-  MonotonicityObserver monotonic;
-  // The extra observer joins the group's fan-out, next to the checker.
-  cluster.observers(0).add(&monotonic);
+  // The extra listener reads the trace after the cluster's checker.
+  cluster.trace().add_listener(monotonic);
 
   enqueue_schedule(cluster, schedule);
   cluster.merge();

@@ -133,9 +133,9 @@ TEST(ShardedFleet, CorrelatedCutReconfiguresEveryGroupConsistently) {
   EXPECT_TRUE(fleet.check_all_groups().empty());
   // Both the cut and the heal opened reconfiguration windows that later
   // formations closed.
-  EXPECT_GE(fleet.reconfig_latencies().size(), std::size_t{fleet.num_groups()});
-  for (const double sample : fleet.reconfig_latencies()) {
-    EXPECT_GT(sample, 0.0);
+  EXPECT_GE(fleet.reconfig_samples().size(), std::size_t{fleet.num_groups()});
+  for (const ShardedFleet::ReconfigSample& sample : fleet.reconfig_samples()) {
+    EXPECT_GT(sample.latency(), 0u);
   }
 }
 
@@ -353,7 +353,7 @@ struct FleetDigest {
   std::uint64_t horizon = 0;
   std::uint64_t formed = 0;
   std::uint64_t accepted = 0;
-  std::vector<double> latencies;
+  std::vector<ShardedFleet::ReconfigSample> reconfigs;
 
   bool operator==(const FleetDigest&) const = default;
 };
@@ -377,7 +377,7 @@ FleetDigest run_fleet_cell(std::size_t seed) {
   digest.horizon = fleet.sim().now();
   digest.formed = fleet.total_formed_sessions();
   digest.accepted = kv.accepted_writes();
-  digest.latencies = fleet.reconfig_latencies();
+  digest.reconfigs = fleet.reconfig_samples();
   return digest;
 }
 

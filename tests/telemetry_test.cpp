@@ -404,6 +404,31 @@ TEST(FleetTelemetry, OutlierLatencyDumpsACappedPostmortem) {
             shard::kMaxPostmortems);
 }
 
+// The fleet listens on the trace after its flight recorder, so the
+// formation that closes an outlier window is already in the group's ring
+// when the post-mortem is taken: it is the last event, and it anchors a
+// causal chain.
+TEST(FleetTelemetry, OutlierPostmortemEndsWithTheClosingFormation) {
+  shard::ShardedFleetOptions options = small_fleet_options(55);
+  options.telemetry.reconfig_outlier_ticks = 1;
+  shard::ShardedFleet fleet(options);
+  fleet.start();
+  ASSERT_FALSE(fleet.postmortems().empty());
+  const JsonValue& postmortem = fleet.postmortems().front();
+  const shard::ShardedFleet::ReconfigSample& window =
+      fleet.reconfig_samples().front();
+  EXPECT_EQ(postmortem.at("group").as_uint(), window.group);
+  const obs::TraceEvent last =
+      obs::trace_event_from_json(postmortem.at("events").as_array().back());
+  EXPECT_EQ(last.kind, obs::TraceEventKind::kSessionFormed);
+  EXPECT_EQ(last.time, window.formed_time);
+  bool anchored = false;
+  for (const JsonValue& chain : postmortem.at("chains").as_array()) {
+    anchored |= chain.at("for").as_uint() == last.eid;
+  }
+  EXPECT_TRUE(anchored);
+}
+
 TEST(FleetTelemetry, DisabledTelemetryKeepsTheSimulationScheduleIdentical) {
   const auto digest = [](bool telemetry) {
     shard::ShardedFleetOptions options = small_fleet_options(77);
