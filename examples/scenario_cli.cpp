@@ -207,12 +207,18 @@ struct Repl {
         fail("cannot parse groups: '" + rest + "'");
         return true;
       }
-      try {
-        live().partition(*groups);
-        live().settle();
-      } catch (const std::exception& e) {
-        fail(e.what());
+      ProcessSet named;
+      for (const ProcessSet& group : *groups) {
+        for (const ProcessId p : group) {
+          if (!expect_member(p.value(), true)) return true;
+          if (!named.insert(p)) {
+            fail(to_string(p) + " is in two groups");
+            return true;
+          }
+        }
       }
+      live().partition(*groups);
+      live().settle();
     } else if (command == "merge") {
       live().merge();
       live().settle();

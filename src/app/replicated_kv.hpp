@@ -11,7 +11,11 @@
 //     primary components;
 //   * when a new primary forms, the replicas inside it synchronize:
 //     every key converges to the highest-versioned value among the
-//     members (state transfer);
+//     members (state transfer). The merged entries become one immutable
+//     snapshot that every member shares; a replica then holds only what
+//     it writes (or kept on a version tie) on top of it, so the next
+//     transfer walks each distinct snapshot once instead of every
+//     member's copy;
 //   * an auditor compares ALL replicas (both sides of any partition):
 //     with a consistent protocol, any two values for one key are
 //     version-ordered, so synchronization never loses an acknowledged
@@ -26,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -61,15 +66,50 @@ struct VersionedValue {
   ProcessSet written_in;
 };
 
+using KvEntries = std::map<std::string, VersionedValue>;
+
 /// A replica's transferable state: its data and its next write sequence.
+/// The data is `own` over `snapshot`: a key's entry is the replica's own
+/// one if it has one, else the snapshot's.
 struct KvState {
-  std::map<std::string, VersionedValue> data;
+  /// What the last sync of this replica agreed on; every member of that
+  /// sync holds the same object. Null before the replica's first sync.
+  std::shared_ptr<const KvEntries> snapshot;
+  /// Entries written since that sync, and those the sync let the replica
+  /// keep: an entry whose version tied the winner's with other content.
+  KvEntries own;
   std::uint64_t next_sequence = 1;
+
+  /// The entry for `key`, or null.
+  [[nodiscard]] const VersionedValue* find(const std::string& key) const;
+
+  /// Calls f(key, entry) for every entry of the data, in key order.
+  template <typename F>
+  void for_each(F&& f) const {
+    auto mine = own.begin();
+    if (snapshot) {
+      for (const auto& [key, shared] : *snapshot) {
+        for (; mine != own.end() && mine->first < key; ++mine) {
+          f(mine->first, mine->second);
+        }
+        if (mine != own.end() && mine->first == key) {
+          f(mine->first, mine->second);
+          ++mine;
+        } else {
+          f(key, shared);
+        }
+      }
+    }
+    for (; mine != own.end(); ++mine) f(mine->first, mine->second);
+  }
 };
 
 /// State transfer among one primary component's members, in ascending
 /// process order: data and sequences end exactly as if each had pulled from
-/// every other in turn (each key at its maximum version), in O(m·k).
+/// every other in turn (each key at its maximum version). Every member
+/// ends holding one shared snapshot of the merged entries. The work is
+/// one walk per distinct snapshot and per member without one, plus each
+/// member's own entries, plus O(m).
 void sync_states(std::span<KvState* const> members);
 
 /// One replica, bound to one process's PrimaryComponentService.

@@ -3,6 +3,8 @@
 // in list order, pulls from every other member in list order, so later
 // members see the earlier ones' already-merged state. Quadratic, and
 // kept only to check that the linear merges produce identical state.
+// The KV loop works on materialized replicas (every entry written out),
+// so it knows nothing of shared snapshots.
 #pragma once
 
 #include <algorithm>
@@ -20,11 +22,26 @@ std::vector<T*> pointers(std::vector<T>& items) {
   return out;
 }
 
+/// A KV replica's data written out, with its next write sequence.
+struct MaterializedKv {
+  KvEntries data;
+  std::uint64_t next_sequence = 1;
+};
+
+inline MaterializedKv materialize(const KvState& state) {
+  MaterializedKv out;
+  state.for_each([&](const std::string& key, const VersionedValue& entry) {
+    out.data.emplace_hint(out.data.end(), key, entry);
+  });
+  out.next_sequence = state.next_sequence;
+  return out;
+}
+
 /// Byte-for-byte equality of two replicas' data: keys, values, version
 /// stamps and the memberships the writes were accepted in.
-inline bool same_data(const KvState& a, const KvState& b) {
-  return std::equal(a.data.begin(), a.data.end(), b.data.begin(),
-                    b.data.end(), [](const auto& x, const auto& y) {
+inline bool same_data(const KvEntries& a, const KvEntries& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
                       return x.first == y.first &&
                              x.second.value == y.second.value &&
                              x.second.version == y.second.version &&
@@ -32,9 +49,9 @@ inline bool same_data(const KvState& a, const KvState& b) {
                     });
 }
 
-inline void all_pairs_sync(const std::vector<KvState*>& members) {
-  for (KvState* a : members) {
-    for (const KvState* b : members) {
+inline void all_pairs_sync(const std::vector<MaterializedKv*>& members) {
+  for (MaterializedKv* a : members) {
+    for (const MaterializedKv* b : members) {
       if (a == b) continue;
       for (const auto& [key, theirs] : b->data) {
         auto mine = a->data.find(key);

@@ -103,12 +103,24 @@ TEST(ReplicatedKv, ConsistentProtocolNeverDivergesUnderChurn) {
   cluster.start();
   KvStore store(cluster);
   int seq = 0;
+  // A consistent run never ties two stamps with different values, so
+  // after each sync every in-primary replica holds the same snapshot
+  // object and nothing of its own.
   auto write_everywhere = [&] {
     for (std::uint32_t p = 0; p < 5; ++p) {
       store.write(ProcessId(p), "key" + std::to_string(p % 2),
                   "val" + std::to_string(seq++));
     }
     store.sync_primary();
+    const KvEntries* shared = nullptr;
+    for (std::uint32_t p = 0; p < 5; ++p) {
+      const KvState& state = store.replica(ProcessId(p)).state();
+      if (!store.replica(ProcessId(p)).in_primary()) continue;
+      if (shared == nullptr) shared = state.snapshot.get();
+      EXPECT_NE(state.snapshot, nullptr) << "p" << p;
+      EXPECT_EQ(state.snapshot.get(), shared) << "p" << p;
+      EXPECT_TRUE(state.own.empty()) << "p" << p;
+    }
   };
   write_everywhere();
   cluster.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});
@@ -177,28 +189,40 @@ std::vector<KvState> random_states(Rng& rng, std::size_t m) {
                             rng.next_range(1, 40),
                             ProcessId(static_cast<std::uint32_t>(
                                 rng.next_below(3)))};
-      state.data["k" + std::to_string(rng.next_below(32))] = VersionedValue{
+      state.own["k" + std::to_string(rng.next_below(32))] = VersionedValue{
           "v" + std::to_string(rng.next_below(3)), version,
           ProcessSet::of({static_cast<std::uint32_t>(rng.next_below(5))})};
     }
     if (rng.next_bool(0.5)) {  // a key no other member holds
-      state.data["solo" + std::to_string(i)] = VersionedValue{
+      state.own["solo" + std::to_string(i)] = VersionedValue{
           "s", Version{0, rng.next_range(1, 60), ProcessId(0)}, {}};
     }
   }
   return states;
 }
 
-void expect_same_states(const std::vector<KvState>& actual,
-                        const std::vector<KvState>& expected,
-                        const std::string& context) {
-  ASSERT_EQ(actual.size(), expected.size()) << context;
+std::vector<reference::MaterializedKv> materialize_all(
+    const std::vector<KvState>& states) {
+  std::vector<reference::MaterializedKv> out;
+  out.reserve(states.size());
+  for (const KvState& state : states) out.push_back(reference::materialize(state));
+  return out;
+}
+
+/// The members (by index) of `actual` whose data or next sequence differ
+/// from `expected`.
+std::vector<std::size_t> mismatched(
+    const std::vector<KvState>& actual,
+    const std::vector<reference::MaterializedKv>& expected) {
+  std::vector<std::size_t> out;
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].next_sequence, expected[i].next_sequence)
-        << context << " member " << i;
-    EXPECT_TRUE(reference::same_data(actual[i], expected[i]))
-        << context << " member " << i;
+    const reference::MaterializedKv mine = reference::materialize(actual[i]);
+    if (mine.next_sequence != expected[i].next_sequence ||
+        !reference::same_data(mine.data, expected[i].data)) {
+      out.push_back(i);
+    }
   }
+  return out;
 }
 
 TEST(KvStateTransfer, LinearMergeMatchesAllPairsOnRandomMembers) {
@@ -206,24 +230,104 @@ TEST(KvStateTransfer, LinearMergeMatchesAllPairsOnRandomMembers) {
   for (std::uint64_t seed = 0; seed < 250; ++seed) {
     Rng rng(seed);
     const std::size_t m = kSizes[seed % std::size(kSizes)];
-    std::vector<KvState> expected = random_states(rng, m);
-    std::vector<KvState> actual = expected;
+    std::vector<KvState> actual = random_states(rng, m);
+    std::vector<reference::MaterializedKv> expected = materialize_all(actual);
     reference::all_pairs_sync(reference::pointers(expected));
     sync_states(reference::pointers(actual));
-    expect_same_states(actual, expected, "seed " + std::to_string(seed));
+    EXPECT_EQ(mismatched(actual, expected), std::vector<std::size_t>{})
+        << "seed " << seed;
   }
+}
+
+TEST(KvStateTransfer, SharedSnapshotsMatchAllPairsOverRounds) {
+  // Rounds of writes and syncs over one set of replicas, so members hold
+  // snapshots from earlier syncs: several different ones, or none. Each
+  // round writes own entries at arbitrary versions (below the held
+  // entry's, equal to some replica's stamp with maybe another value, or
+  // anything), often over the entry with the replica's largest sequence,
+  // and then syncs a random ascending subset.
+  constexpr std::size_t kSizes[] = {2, 3, 5, 17, 64};
+  constexpr int kRounds = 8;
+  std::size_t bad_rounds = 0;
+  std::string first_bad;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed);
+    const std::size_t m = kSizes[seed % std::size(kSizes)];
+    std::vector<KvState> states = random_states(rng, m);
+    for (int round = 0; round < kRounds; ++round) {
+      for (KvState& state : states) {
+        if (!rng.next_bool(0.3)) continue;
+        const auto writes = rng.next_range(1, 6);
+        for (std::uint64_t w = 0; w < writes; ++w) {
+          std::string key = "k" + std::to_string(rng.next_below(32));
+          if (rng.next_bool(0.25)) {
+            std::uint64_t largest = 0;
+            state.for_each([&](const std::string& k, const VersionedValue& e) {
+              if (e.version.sequence > largest) {
+                largest = e.version.sequence;
+                key = k;
+              }
+            });
+          }
+          Version version{static_cast<SessionNumber>(rng.next_below(6)),
+                          rng.next_range(1, 60),
+                          ProcessId(static_cast<std::uint32_t>(
+                              rng.next_below(3)))};
+          const VersionedValue* held =
+              states[rng.next_below(m)].find(key);  // any replica's entry
+          const double kind = rng.next_double();
+          if (held != nullptr && kind < 0.4) {
+            version = held->version;  // an equal stamp
+          } else if (held != nullptr && kind < 0.7) {
+            version = held->version;  // below it
+            if (version.sequence > 1) {
+              --version.sequence;
+            } else {
+              --version.primary_number;
+            }
+          }
+          state.own.insert_or_assign(
+              key,
+              VersionedValue{
+                  "v" + std::to_string(rng.next_below(3)), version,
+                  ProcessSet::of(
+                      {static_cast<std::uint32_t>(rng.next_below(2))})});
+        }
+      }
+      std::vector<KvState*> members;
+      std::vector<reference::MaterializedKv> expected = materialize_all(states);
+      std::vector<reference::MaterializedKv*> expected_members;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (!rng.next_bool(0.6)) continue;
+        members.push_back(&states[i]);
+        expected_members.push_back(&expected[i]);
+      }
+      reference::all_pairs_sync(expected_members);
+      sync_states(members);
+      const std::vector<std::size_t> bad = mismatched(states, expected);
+      bad_rounds += bad.size();
+      if (!bad.empty() && first_bad.empty()) {
+        first_bad = "seed " + std::to_string(seed) + " round " +
+                    std::to_string(round) + " replica " +
+                    std::to_string(bad.front());
+      }
+    }
+  }
+  EXPECT_EQ(bad_rounds, 0u) << "mismatching replica-rounds; first: "
+                            << first_bad;
 }
 
 TEST(KvStateTransfer, MergeGivesEveryMemberTheMaximumVersion) {
   std::vector<KvState> states(3);
-  states[0].data["a"] = VersionedValue{"old", Version{1, 1, ProcessId(0)}, {}};
-  states[1].data["a"] = VersionedValue{"new", Version{2, 1, ProcessId(1)}, {}};
-  states[2].data["b"] = VersionedValue{"b", Version{1, 7, ProcessId(2)}, {}};
+  states[0].own["a"] = VersionedValue{"old", Version{1, 1, ProcessId(0)}, {}};
+  states[1].own["a"] = VersionedValue{"new", Version{2, 1, ProcessId(1)}, {}};
+  states[2].own["b"] = VersionedValue{"b", Version{1, 7, ProcessId(2)}, {}};
   sync_states(reference::pointers(states));
   for (const KvState& state : states) {
-    ASSERT_EQ(state.data.size(), 2u);
-    EXPECT_EQ(state.data.at("a").value, "new");
-    EXPECT_EQ(state.data.at("b").value, "b");
+    const reference::MaterializedKv data = reference::materialize(state);
+    ASSERT_EQ(data.data.size(), 2u);
+    EXPECT_EQ(data.data.at("a").value, "new");
+    EXPECT_EQ(data.data.at("b").value, "b");
     EXPECT_EQ(state.next_sequence, 8u);
   }
 }
@@ -249,12 +353,12 @@ TEST(KvStateTransfer, SplitBrainSyncMatchesAllPairsWithinEachSession) {
     store.write(ProcessId(p), "own" + std::to_string(p), "y");
   }
 
-  std::vector<KvState> expected;
-  std::map<Session, std::vector<KvState*>> sessions;
-  expected.reserve(5);
+  std::vector<KvState> actual;
   for (std::uint32_t p = 0; p < 5; ++p) {
-    expected.push_back(store.replica(ProcessId(p)).state());
+    actual.push_back(store.replica(ProcessId(p)).state());
   }
+  std::vector<reference::MaterializedKv> expected = materialize_all(actual);
+  std::map<Session, std::vector<reference::MaterializedKv*>> sessions;
   for (std::uint32_t p = 0; p < 5; ++p) {
     const auto& primary = cluster.service(ProcessId(p)).primary();
     if (primary) sessions[*primary].push_back(&expected[p]);
@@ -265,13 +369,11 @@ TEST(KvStateTransfer, SplitBrainSyncMatchesAllPairsWithinEachSession) {
   }
 
   store.sync_primary();
-  std::vector<KvState> actual;
   for (std::uint32_t p = 0; p < 5; ++p) {
-    actual.push_back(store.replica(ProcessId(p)).state());
+    actual[p] = store.replica(ProcessId(p)).state();
   }
-  expect_same_states(actual, expected, "split brain");
-  EXPECT_NE(actual[0].data.at("shared").value,
-            actual[4].data.at("shared").value);
+  EXPECT_EQ(mismatched(actual, expected), std::vector<std::size_t>{});
+  EXPECT_NE(actual[0].find("shared")->value, actual[4].find("shared")->value);
 }
 
 }  // namespace

@@ -266,42 +266,55 @@ TEST(ShardedKv, WritesToPrimarylessShardsAreRejectedNotMisrouted) {
 
 TEST(ShardedKv, StateTransferMatchesAllPairsOverInPrimaryReplicas) {
   // Each group syncs its in_primary() replicas in index order; a replica
-  // cut off from its group's primary keeps its state untouched.
+  // cut off from its group's primary keeps its state untouched. The
+  // second round syncs replicas that hold the first round's snapshots,
+  // or older ones, beside their own new writes.
   ShardedFleet fleet(small_fleet_options());
   ShardedKv kv(fleet);
   fleet.start();
+  const auto sync_and_compare = [&](const std::string& round) {
+    std::vector<std::vector<app::reference::MaterializedKv>> expected(
+        fleet.num_groups());
+    std::size_t excluded = 0;
+    for (std::uint32_t g = 0; g < fleet.num_groups(); ++g) {
+      std::vector<app::reference::MaterializedKv*> members;
+      expected[g].reserve(fleet.group_size());
+      for (std::uint32_t i = 0; i < fleet.group_size(); ++i) {
+        expected[g].push_back(
+            app::reference::materialize(kv.replica(g, i).state()));
+        if (kv.replica(g, i).in_primary()) {
+          members.push_back(&expected[g].back());
+        } else {
+          ++excluded;
+        }
+      }
+      app::reference::all_pairs_sync(members);
+    }
+    EXPECT_GT(excluded, 0u) << round;
+
+    kv.sync_primaries();
+    for (std::uint32_t g = 0; g < fleet.num_groups(); ++g) {
+      for (std::uint32_t i = 0; i < fleet.group_size(); ++i) {
+        const app::reference::MaterializedKv actual =
+            app::reference::materialize(kv.replica(g, i).state());
+        EXPECT_EQ(actual.next_sequence, expected[g][i].next_sequence)
+            << round << " group " << g << " replica " << i;
+        EXPECT_TRUE(app::reference::same_data(actual.data, expected[g][i].data))
+            << round << " group " << g << " replica " << i;
+      }
+    }
+  };
   for (int i = 0; i < 30; ++i) kv.write("k" + std::to_string(i), "before");
   fleet.partition_fleet({{0}, {1, 2, 3, 4, 5}});
   fleet.settle();
   for (int i = 0; i < 30; i += 2) kv.write("k" + std::to_string(i), "during");
+  sync_and_compare("round 1");
 
-  std::vector<std::vector<app::KvState>> expected(fleet.num_groups());
-  std::size_t excluded = 0;
-  for (std::uint32_t g = 0; g < fleet.num_groups(); ++g) {
-    std::vector<app::KvState*> members;
-    expected[g].reserve(fleet.group_size());
-    for (std::uint32_t i = 0; i < fleet.group_size(); ++i) {
-      expected[g].push_back(kv.replica(g, i).state());
-      if (kv.replica(g, i).in_primary()) {
-        members.push_back(&expected[g].back());
-      } else {
-        ++excluded;
-      }
-    }
-    app::reference::all_pairs_sync(members);
-  }
-  EXPECT_GT(excluded, 0u);
-
-  kv.sync_primaries();
-  for (std::uint32_t g = 0; g < fleet.num_groups(); ++g) {
-    for (std::uint32_t i = 0; i < fleet.group_size(); ++i) {
-      const app::KvState& actual = kv.replica(g, i).state();
-      EXPECT_EQ(actual.next_sequence, expected[g][i].next_sequence)
-          << "group " << g << " replica " << i;
-      EXPECT_TRUE(app::reference::same_data(actual, expected[g][i]))
-          << "group " << g << " replica " << i;
-    }
-  }
+  for (int i = 0; i < 30; i += 3) kv.write("k" + std::to_string(i), "after");
+  fleet.partition_fleet({{0, 1, 2}, {3, 4, 5}});
+  fleet.settle();
+  for (int i = 1; i < 30; i += 3) kv.write("k" + std::to_string(i), "cut");
+  sync_and_compare("round 2");
 }
 
 TEST(ShardedKv, AuditFlagsAWriteAcknowledgedBesideADisjointPrimary) {
