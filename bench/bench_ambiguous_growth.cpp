@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <string>
 
-#include "dv/basic_protocol.hpp"
 #include "harness/availability.hpp"
 #include "harness/bench_report.hpp"
 #include "harness/cluster.hpp"
@@ -54,8 +53,7 @@ std::size_t run_exponential(ProtocolKind kind, std::uint32_t n) {
     cluster.settle();
   }
   faults.clear();
-  return dynamic_cast<const BasicDvProtocol&>(cluster.protocol(ProcessId(0)))
-      .max_ambiguous_recorded();
+  return cluster.checker().max_ambiguous(ProcessId(0));
 }
 
 std::size_t random_schedule_high_water(ProtocolKind kind, std::uint32_t n,

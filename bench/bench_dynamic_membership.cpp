@@ -139,7 +139,7 @@ JsonValue churn_availability() {
   const auto violations = cluster.checker().check_all();
   std::printf("formed sessions: %zu, rejected: %llu, violations: %zu\n",
               cluster.checker().formed_session_count(),
-              static_cast<unsigned long long>(cluster.checker().rejected_sessions()),
+              static_cast<unsigned long long>(cluster.observer().rejected()),
               violations.size());
   std::printf("final W at p0: %s\n\n",
               state_of(cluster, 0).participants.admitted().to_string().c_str());
@@ -147,7 +147,7 @@ JsonValue churn_availability() {
   block.set("formed_sessions",
             JsonValue(std::uint64_t{cluster.checker().formed_session_count()}));
   block.set("rejected_sessions",
-            JsonValue(std::uint64_t{cluster.checker().rejected_sessions()}));
+            JsonValue(std::uint64_t{cluster.observer().rejected()}));
   block.set("violations", JsonValue(std::uint64_t{violations.size()}));
   return block;
 }

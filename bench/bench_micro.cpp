@@ -292,6 +292,10 @@ void BM_KvSyncPrimary(benchmark::State& state) {
   std::vector<app::KvState*> pointers(m);
   for (auto _ : state) {
     state.PauseTiming();
+    // Rebuild rather than assign: assigning would reuse the map nodes
+    // the previous sync left, so the timed merge would start from
+    // whatever allocator state that sync happened to leave behind.
+    replicas.clear();
     replicas = before;
     for (std::size_t i = 0; i < m; ++i) pointers[i] = &replicas[i];
     state.ResumeTiming();

@@ -63,7 +63,7 @@ std::string reconnect_outcome(ProtocolKind kind, std::uint32_t n,
 
   const auto primary = cluster.live_primary();
   if (primary && primary->members == group) return "formed";
-  if (cluster.checker().blocked_sessions() > 0) return "blocked";
+  if (cluster.observer().blocked() > 0) return "blocked";
   return "refused";
 }
 

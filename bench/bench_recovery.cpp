@@ -59,7 +59,7 @@ std::string merge_outcome(ProtocolKind kind, bool fail_mid_formation,
   cluster.settle();
   const auto primary = cluster.live_primary();
   if (primary && primary->members == merged) return "recovered";
-  if (cluster.checker().blocked_sessions() > 0) return "blocked";
+  if (cluster.observer().blocked() > 0) return "blocked";
   return "no";
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <typeinfo>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/ensure.hpp"
 
@@ -130,12 +129,7 @@ BasicDvProtocol::BasicDvProtocol(sim::Transport& transport, ProcessId id,
       wal_(storage(),
            config_.registry != nullptr ? config_.registry : &metrics(),
            kStateKey, id, config_.persistence,
-           ProtocolState::initial(config_.core, id)) {
-  obs::MetricsRegistry& reg =
-      config_.registry != nullptr ? *config_.registry : metrics();
-  ambiguity_gauge_ = &reg.gauge("dv.ambiguous_recorded");
-  ambiguity_ticks_ = &reg.counter("dv.ambiguity_ticks");
-}
+           ProtocolState::initial(config_.core, id)) {}
 
 void BasicDvProtocol::handle_recover() {
   ProtocolState lost;
@@ -215,8 +209,6 @@ void BasicDvProtocol::record_and_send_attempt(int phase) {
   // The limit's deliberately unsound truncation (see
   // ambiguous_record_limit()) is part of the delta.
   wal_.apply(StateDelta::attempt(session, ambiguous_record_limit()));
-  max_ambiguous_recorded_ =
-      std::max(max_ambiguous_recorded_, wal_.state().ambiguous.size());
   record_ambiguity_level();
   wal_.commit();
   notify_attempt(session);
@@ -246,21 +238,11 @@ void BasicDvProtocol::run_form_step(const PhaseMessages& messages) {
 }
 
 void BasicDvProtocol::record_ambiguity_level() {
-  const auto level = static_cast<std::int64_t>(state().ambiguous.size());
-  ambiguity_gauge_->set(level);
-  // Time-in-ambiguity: each closed episode (level 0 -> >0 -> 0) adds its
-  // length to the counter; the fleet report divides by sim time.
-  if (last_ambiguity_level_ == 0 && level > 0) {
-    ambiguity_open_since_ = now();
-  } else if (last_ambiguity_level_ > 0 && level == 0) {
-    ambiguity_ticks_->add(now() - ambiguity_open_since_);
-  }
-  last_ambiguity_level_ = level;
   obs::TraceEvent event;
   event.time = now();
   event.kind = obs::TraceEventKind::kAmbiguityRecord;
   event.a = id();
-  event.value = static_cast<std::uint64_t>(level);
+  event.value = state().ambiguous.size();
   event.lamport = lamport_tick();
   event.cause = session_cause_eid();
   trace().record(std::move(event));

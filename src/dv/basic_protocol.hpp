@@ -27,10 +27,6 @@
 #include "dv/wal.hpp"
 #include "quorum/sub_quorum.hpp"
 
-namespace dynvote::obs {
-class Gauge;
-}  // namespace dynvote::obs
-
 namespace dynvote {
 
 /// Configuration shared by the dynamic-voting protocol family.
@@ -56,8 +52,8 @@ struct DvConfig {
   /// the legacy fallback.
   PersistenceOptions persistence;
 
-  /// Where this node's protocol-side instruments land (the dv.storage.*
-  /// WAL counters, the dv.ambiguous_recorded gauge, dv.ambiguity_ticks).
+  /// Where this group's instruments land: the nodes' dv.storage.* WAL
+  /// counters and the group's MetricsObserver (harness/events.hpp).
   /// nullptr = the simulator's fleet-global registry; a sharded fleet
   /// points every group at its MetricsHub child registry so per-shard
   /// health is attributable (borrowed; must outlive the node).
@@ -118,12 +114,6 @@ class BasicDvProtocol : public SessionProtocolBase {
   }
   [[nodiscard]] const DvConfig& config() const noexcept { return config_; }
 
-  /// High-water mark of |Ambiguous_Sessions| ever recorded — the metric
-  /// of experiment E3 (exponential without GC, linear with).
-  [[nodiscard]] std::size_t max_ambiguous_recorded() const noexcept {
-    return max_ambiguous_recorded_;
-  }
-
  protected:
   /// For subclasses with extra rounds (the three-phase-recovery
   /// baseline): `max_phases` broadcast rounds, form on the last.
@@ -180,10 +170,11 @@ class BasicDvProtocol : public SessionProtocolBase {
     return pending_agg_;
   }
 
-  /// Records the current |Ambiguous_Sessions| in the trace and the
-  /// "dv.ambiguous_recorded" gauge. Called whenever the record changes
-  /// (attempt recorded, session formed, garbage collection) so the
-  /// trace-replay checker can verify the Theorem-1 bound offline.
+  /// Records the current |Ambiguous_Sessions| in the trace. Called
+  /// whenever the record changes (attempt recorded, session formed,
+  /// garbage collection, disk loss); the checker derives each process's
+  /// Theorem-1 high-water from these events and the metrics bridge the
+  /// "dv.ambiguous_recorded" gauge and "dv.ambiguity_ticks".
   void record_ambiguity_level();
 
   /// Records the end of one ambiguous record's lifetime: `kind` is
@@ -202,19 +193,6 @@ class BasicDvProtocol : public SessionProtocolBase {
 
  private:
   StepAggregates pending_agg_;
-  std::size_t max_ambiguous_recorded_ = 0;
-  /// Cached handles into the registry config_.registry selected — the
-  /// ambiguity level is re-recorded on every state change, and a map
-  /// lookup per call is measurable at fleet scale.
-  obs::Gauge* ambiguity_gauge_ = nullptr;
-  obs::Counter* ambiguity_ticks_ = nullptr;
-  /// Start of the current ambiguous episode (level > 0); meaningful only
-  /// while last_ambiguity_level_ > 0. On the closing transition back to
-  /// level 0 the episode length lands on "dv.ambiguity_ticks"; an episode
-  /// still open at the end of a run is excluded, matching the
-  /// dv.primary_uptime_ticks open-tail convention.
-  SimTime ambiguity_open_since_ = 0;
-  std::int64_t last_ambiguity_level_ = 0;
 };
 
 /// Downcasts a phase bucket to InfoPayloads (phase 0 of the dv family).

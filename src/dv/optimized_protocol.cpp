@@ -104,7 +104,6 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
     // The delta takes its copy of the session before the adoption erases
     // the record.
     wal_.apply(StateDelta::adopt(to_adopt->session));
-    ++gc_adoptions_;
   }
 
   // Deletion: sessions formed by nobody are no constraint on anything.
@@ -123,10 +122,7 @@ void OptimizedDvProtocol::pre_decision_update(const InfoBySender& infos) {
     deleted.push_back(amb.session.number);
   }
   const bool deleting = !deleted.empty();
-  if (deleting) {
-    gc_deletions_ += deleted.size();
-    wal_.apply(StateDelta::erase_ambiguous(std::move(deleted)));
-  }
+  if (deleting) wal_.apply(StateDelta::erase_ambiguous(std::move(deleted)));
   if (adopting || deleting) record_ambiguity_level();
 }
 

@@ -26,23 +26,13 @@ class OptimizedDvProtocol : public BasicDvProtocol {
  public:
   using BasicDvProtocol::BasicDvProtocol;
 
-  /// How many ambiguous sessions were deleted by resolution rule 1
-  /// ("formed by nobody") and how many were resolved by adoption —
-  /// exposed for tests and the E3 bench.
-  [[nodiscard]] std::uint64_t gc_deletions() const noexcept {
-    return gc_deletions_;
-  }
-  [[nodiscard]] std::uint64_t gc_adoptions() const noexcept {
-    return gc_adoptions_;
-  }
-
  protected:
   [[nodiscard]] bool sends_last_formed() const override { return true; }
+  /// Traces each record it resolves as it goes: a §5.2 deletion is a
+  /// kAmbiguityResolved event whose rule starts with "5.2-", an adoption
+  /// a kAmbiguityAdopted event (the records it supersedes are
+  /// kAmbiguityResolved with rule "fig2-adoption-supersedes").
   void pre_decision_update(const InfoBySender& infos) override;
-
- private:
-  std::uint64_t gc_deletions_ = 0;
-  std::uint64_t gc_adoptions_ = 0;
 };
 
 }  // namespace dynvote

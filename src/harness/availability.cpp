@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "dv/basic_protocol.hpp"
 #include "harness/sweep.hpp"
 #include "util/ensure.hpp"
 
@@ -29,6 +28,7 @@ AvailabilityResult run_schedule(ProtocolKind kind,
 
   const SimTime horizon = sim.now();
   const ConsistencyChecker& checker = cluster.checker();
+  const MetricsObserver& observer = cluster.observer();
 
   AvailabilityResult result;
   result.kind = kind;
@@ -37,20 +37,13 @@ AvailabilityResult run_schedule(ProtocolKind kind,
                    : static_cast<double>(checker.primary_uptime(horizon)) /
                          static_cast<double>(horizon);
   result.formed_sessions = checker.formed_session_count();
-  result.rejected_sessions = checker.rejected_sessions();
-  result.blocked_sessions = checker.blocked_sessions();
+  result.rejected_sessions = observer.rejected();
+  result.blocked_sessions = observer.blocked();
   result.violations = checker.check_basic().size();
-  result.mean_rounds =
-      checker.rounds_per_form().empty() ? 0 : checker.rounds_per_form().mean();
+  result.mean_rounds = observer.rounds().mean();
   result.messages_sent = sim.network().stats().messages_sent;
   result.bytes_sent = sim.network().stats().bytes_sent;
-  for (ProcessId p : cluster.all_processes()) {
-    if (const auto* dv =
-            dynamic_cast<const BasicDvProtocol*>(&cluster.protocol(p))) {
-      result.max_ambiguous =
-          std::max(result.max_ambiguous, dv->max_ambiguous_recorded());
-    }
-  }
+  result.max_ambiguous = checker.max_ambiguous();
   return result;
 }
 

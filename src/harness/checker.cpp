@@ -23,15 +23,17 @@ void ConsistencyChecker::note(const obs::TraceEvent& event) {
       on_attempt(event.time, event.a, Session{event.members, event.number});
       break;
     case obs::TraceEventKind::kSessionFormed:
-      on_formed(event.time, event.a, Session{event.members, event.number},
-                static_cast<int>(event.value));
+      on_formed(event.time, event.a, Session{event.members, event.number});
       break;
     case obs::TraceEventKind::kPrimaryLost:
       on_primary_lost(event.time, event.a);
       break;
-    case obs::TraceEventKind::kSessionAbort:
-      on_session_rejected(event.detail);
+    case obs::TraceEventKind::kAmbiguityRecord: {
+      const std::size_t p = event.a.value();
+      if (p >= max_ambiguous_.size()) max_ambiguous_.resize(p + 1, 0);
+      max_ambiguous_[p] = std::max(max_ambiguous_[p], event.value);
       break;
+    }
     default:
       break;  // message/topology events carry no correctness obligations
   }
@@ -42,10 +44,8 @@ void ConsistencyChecker::on_attempt(SimTime /*time*/, ProcessId p,
   note_participation(p, std::move(session));
 }
 
-void ConsistencyChecker::on_formed(SimTime time, ProcessId p, Session session,
-                                   int rounds) {
-  ++form_events_;
-  rounds_.add(rounds);
+void ConsistencyChecker::on_formed(SimTime time, ProcessId p,
+                                   Session session) {
   if (formed_.insert(session).second) formed_order_.push_back(session);
   note_participation(p, session);
   // The process enters a live primary; close a dangling interval first
@@ -66,9 +66,10 @@ void ConsistencyChecker::on_primary_lost(SimTime time, ProcessId p) {
   open_interval_.erase(open);
 }
 
-void ConsistencyChecker::on_session_rejected(const std::string& reason) {
-  ++rejected_;
-  if (reason.rfind("blocked", 0) == 0) ++blocked_;
+std::uint64_t ConsistencyChecker::max_ambiguous() const noexcept {
+  std::uint64_t out = 0;
+  for (const std::uint64_t level : max_ambiguous_) out = std::max(out, level);
+  return out;
 }
 
 std::vector<Violation> ConsistencyChecker::check_basic() const {

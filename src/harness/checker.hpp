@@ -16,6 +16,10 @@
 //   V4 "order-partial"  — two formed sessions are ≺-incomparable (so ≺ is
 //                         not total).
 //
+// It also keeps each process's high-water of recorded ambiguous
+// sessions, the quantity Theorem 1 bounds at n − Min_Quorum + 1 for the
+// garbage-collecting protocol.
+//
 // Deliberately broken baselines run to completion; their violations are
 // *results* the experiments report, not errors.
 #pragma once
@@ -30,7 +34,6 @@
 #include "dv/session.hpp"
 #include "obs/trace.hpp"
 #include "util/process_set.hpp"
-#include "util/stats.hpp"
 
 namespace dynvote {
 
@@ -49,15 +52,15 @@ class ConsistencyChecker final : public obs::TraceListener {
   /// seed_initial=false for protocols without that convention (static).
   explicit ConsistencyChecker(const ProcessSet& core, bool seed_initial = true);
 
-  /// Feeds one trace event: attempts, formations, primary losses and
-  /// aborts reach the on_* steps below, every other kind is ignored.
+  /// Feeds one trace event: attempts, formations and primary losses
+  /// reach the on_* steps below, ambiguous-record levels the high-water;
+  /// every other kind is ignored.
   void note(const obs::TraceEvent& event) override;
 
   // -- the steps note() takes, also fed directly by unit tests -----------------
   void on_attempt(SimTime time, ProcessId p, Session session);
-  void on_formed(SimTime time, ProcessId p, Session session, int rounds);
+  void on_formed(SimTime time, ProcessId p, Session session);
   void on_primary_lost(SimTime time, ProcessId p);
-  void on_session_rejected(const std::string& reason);
 
   // -- verdicts -----------------------------------------------------------------
 
@@ -80,18 +83,15 @@ class ConsistencyChecker final : public obs::TraceListener {
   [[nodiscard]] const std::vector<Session>& formed_sessions() const noexcept {
     return formed_order_;
   }
-  [[nodiscard]] std::uint64_t form_events() const noexcept { return form_events_; }
-  [[nodiscard]] std::uint64_t rejected_sessions() const noexcept {
-    return rejected_;
+
+  /// High-water of |Ambiguous_Sessions| that `p` recorded (0 if it never
+  /// recorded a level) — the metric of experiment E3, exponential
+  /// without garbage collection and linear with it.
+  [[nodiscard]] std::uint64_t max_ambiguous(ProcessId p) const noexcept {
+    return p.value() < max_ambiguous_.size() ? max_ambiguous_[p.value()] : 0;
   }
-  /// Rejections whose reason marks a blocking wait (the blocking
-  /// baseline's signature failure mode).
-  [[nodiscard]] std::uint64_t blocked_sessions() const noexcept {
-    return blocked_;
-  }
-  [[nodiscard]] const Summary& rounds_per_form() const noexcept {
-    return rounds_;
-  }
+  /// The highest of every process's high-water.
+  [[nodiscard]] std::uint64_t max_ambiguous() const noexcept;
 
   /// Total virtual time during which at least one process was in a live
   /// primary component, up to `horizon`.
@@ -130,10 +130,8 @@ class ConsistencyChecker final : public obs::TraceListener {
   std::vector<Interval> intervals_;
   std::map<ProcessId, std::size_t> open_interval_;
 
-  std::uint64_t form_events_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t blocked_ = 0;
-  Summary rounds_;
+  /// max_ambiguous_[p.value()]; grown on a process's first record.
+  std::vector<std::uint64_t> max_ambiguous_;
 
   /// Appends `session` to p's participation sequence unless it is
   /// already the last entry; copies only an lvalue that is appended.

@@ -75,7 +75,8 @@ void Cluster::note(const obs::TraceEvent& event) {
     case obs::TraceEventKind::kSessionAttempt:
     case obs::TraceEventKind::kSessionFormed:
     case obs::TraceEventKind::kSessionAbort:
-    case obs::TraceEventKind::kPrimaryLost: {
+    case obs::TraceEventKind::kPrimaryLost:
+    case obs::TraceEventKind::kAmbiguityRecord: {
       const Group& g = groups_[group_of(event.a)];
       g.checker->note(event);
       g.metrics->note(event);

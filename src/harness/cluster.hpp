@@ -64,6 +64,15 @@ class Cluster : private obs::TraceListener {
   [[nodiscard]] const ConsistencyChecker& checker(std::uint32_t group) const {
     return *at(group).checker;
   }
+  /// Group 0's metrics observer: rejected, blocked and rounds per
+  /// formation. A group's instruments live in its registry, which
+  /// groups added without their own registry share.
+  [[nodiscard]] const MetricsObserver& observer() const noexcept {
+    return *groups_[0].metrics;
+  }
+  [[nodiscard]] const MetricsObserver& observer(std::uint32_t group) const {
+    return *at(group).metrics;
+  }
   /// The structured trace, sim().trace(); obs::describe renders an
   /// event as one narrative line.
   [[nodiscard]] obs::TraceSink& trace() noexcept { return sim_.trace(); }
@@ -166,8 +175,8 @@ class Cluster : private obs::TraceListener {
     ensure(group < groups_.size(), "group out of range");
     return groups_[group];
   }
-  /// Sends view installs, attempts, formations, aborts and primary
-  /// losses to the actor's group.
+  /// Sends view installs, attempts, formations, aborts, primary losses
+  /// and ambiguous-record levels to the actor's group.
   void note(const obs::TraceEvent& event) override;
   void add_node(ProcessId p, std::uint32_t group);
   void on_topology_for_misses();

@@ -3,7 +3,8 @@
 namespace dynvote {
 
 MetricsObserver::MetricsObserver(obs::MetricsRegistry& registry)
-    : views_(registry.counter("dv.views_installed")),
+    : registry_(registry),
+      views_(registry.counter("dv.views_installed")),
       attempts_(registry.counter("dv.attempts")),
       formed_(registry.counter("dv.formed")),
       primary_lost_(registry.counter("dv.primary_lost")),
@@ -33,10 +34,31 @@ void MetricsObserver::note(const obs::TraceEvent& event) {
       break;
     case obs::TraceEventKind::kSessionAbort:
       rejected_.increment();
+      if (event.detail.starts_with("blocked")) ++blocked_;
+      break;
+    case obs::TraceEventKind::kAmbiguityRecord:
+      note_ambiguity(event);
       break;
     default:
       break;
   }
+}
+
+void MetricsObserver::note_ambiguity(const obs::TraceEvent& event) {
+  if (ambiguity_level_ == nullptr) {
+    ambiguity_level_ = &registry_.gauge("dv.ambiguous_recorded");
+    ambiguity_ticks_ = &registry_.counter("dv.ambiguity_ticks");
+  }
+  ambiguity_level_->set(static_cast<std::int64_t>(event.value));
+  const std::size_t p = event.a.value();
+  if (p >= ambiguity_.size()) ambiguity_.resize(p + 1);
+  Ambiguity& process = ambiguity_[p];
+  if (process.level == 0 && event.value > 0) {
+    process.open_since = event.time;
+  } else if (process.level > 0 && event.value == 0) {
+    ambiguity_ticks_->add(event.time - process.open_since);
+  }
+  process.level = event.value;
 }
 
 }  // namespace dynvote

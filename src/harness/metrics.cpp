@@ -1,7 +1,5 @@
 #include "harness/metrics.hpp"
 
-#include <sstream>
-
 namespace dynvote {
 
 RunMetrics RunMetrics::collect(Cluster& cluster) {
@@ -9,63 +7,13 @@ RunMetrics RunMetrics::collect(Cluster& cluster) {
   const sim::NetworkStats& net = cluster.sim().network().stats();
   m.messages_sent = net.messages_sent;
   m.messages_loopback = net.messages_loopback;
-  m.messages_delivered = net.messages_delivered;
-  m.messages_dropped = net.messages_dropped;
   m.bytes_sent = net.bytes_sent;
   for (ProcessId p : cluster.all_processes()) {
-    const sim::StableStorage& storage = cluster.sim().storage(p);
-    m.storage_writes += storage.writes();
-    m.storage_bytes += storage.bytes_written();
+    m.storage_writes += cluster.sim().storage(p).writes();
   }
-  const ConsistencyChecker& checker = cluster.checker();
-  m.form_events = checker.form_events();
-  m.formed_sessions = checker.formed_session_count();
-  if (!checker.rounds_per_form().empty()) {
-    m.mean_rounds = checker.rounds_per_form().mean();
-    m.max_rounds = checker.rounds_per_form().max();
-  }
+  m.formed_sessions = cluster.checker().formed_session_count();
+  m.mean_rounds = cluster.observer().rounds().mean();
   return m;
-}
-
-double RunMetrics::messages_per_formed() const {
-  return formed_sessions == 0
-             ? 0.0
-             : static_cast<double>(messages_sent) /
-                   static_cast<double>(formed_sessions);
-}
-
-double RunMetrics::bytes_per_formed() const {
-  return formed_sessions == 0
-             ? 0.0
-             : static_cast<double>(bytes_sent) /
-                   static_cast<double>(formed_sessions);
-}
-
-JsonValue RunMetrics::to_json() const {
-  JsonValue out = JsonValue::object();
-  out.set("messages_sent", JsonValue(messages_sent));
-  out.set("messages_loopback", JsonValue(messages_loopback));
-  out.set("messages_delivered", JsonValue(messages_delivered));
-  out.set("messages_dropped", JsonValue(messages_dropped));
-  out.set("bytes_sent", JsonValue(bytes_sent));
-  out.set("storage_writes", JsonValue(storage_writes));
-  out.set("storage_bytes", JsonValue(storage_bytes));
-  out.set("form_events", JsonValue(form_events));
-  out.set("formed_sessions", JsonValue(formed_sessions));
-  out.set("mean_rounds", JsonValue(mean_rounds));
-  out.set("max_rounds", JsonValue(max_rounds));
-  out.set("messages_per_formed", JsonValue(messages_per_formed()));
-  out.set("bytes_per_formed", JsonValue(bytes_per_formed()));
-  return out;
-}
-
-std::string RunMetrics::to_string() const {
-  std::ostringstream out;
-  out << "msgs=" << messages_sent << " (delivered " << messages_delivered
-      << ", dropped " << messages_dropped << ") bytes=" << bytes_sent
-      << " storage-writes=" << storage_writes << " formed=" << formed_sessions
-      << " mean-rounds=" << mean_rounds;
-  return out.str();
 }
 
 }  // namespace dynvote

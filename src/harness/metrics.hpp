@@ -1,46 +1,28 @@
-// Run-level cost metrics (experiment E4 and the micro benches).
+// Run-level cost metrics (experiment E4).
 //
 // Aggregates network traffic, stable-storage traffic, and per-session
 // round counts for one cluster execution. "Rounds" are reported by the
 // protocols themselves (number of broadcast phases a formed session
-// used); messages/bytes come from the network, storage writes from the
+// used) and reach group 0's metrics observer through the trace;
+// messages/bytes come from the network, storage writes from the
 // simulated disks.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "harness/cluster.hpp"
-#include "util/json.hpp"
 
 namespace dynvote {
 
 struct RunMetrics {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_loopback = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t storage_writes = 0;
-  std::uint64_t storage_bytes = 0;
-  std::uint64_t form_events = 0;       // per-process form events
-  std::uint64_t formed_sessions = 0;   // distinct formed sessions
+  std::uint64_t formed_sessions = 0;  // distinct formed sessions
   double mean_rounds = 0;
-  double max_rounds = 0;
 
   [[nodiscard]] static RunMetrics collect(Cluster& cluster);
-
-  /// Network messages per distinct formed session (the symmetric
-  /// protocol's cost; paper section 4.4 discusses the centralized
-  /// alternative, which the E4 bench derives analytically).
-  [[nodiscard]] double messages_per_formed() const;
-  [[nodiscard]] double bytes_per_formed() const;
-
-  [[nodiscard]] std::string to_string() const;
-
-  /// Flat object with every field — the per-run block of the bench JSON
-  /// exports.
-  [[nodiscard]] JsonValue to_json() const;
 };
 
 }  // namespace dynvote

@@ -1,6 +1,5 @@
 #include "harness/trace_replay.hpp"
 
-#include <algorithm>
 #include <iterator>
 
 #include "util/ensure.hpp"
@@ -22,23 +21,15 @@ TraceCheckResult check_trace(const TraceMetaAndEvents& trace) {
   ConsistencyChecker checker(trace.meta.core, /*seed_initial=*/true);
   for (const obs::TraceEvent& event : trace.events) {
     checker.note(event);
-    switch (event.kind) {
-      case obs::TraceEventKind::kSessionAttempt:
-        ++result.attempts;
-        break;
-      case obs::TraceEventKind::kAmbiguityRecord:
-        result.max_ambiguous = std::max(result.max_ambiguous, event.value);
-        break;
-      default:
-        break;
-    }
+    if (event.kind == obs::TraceEventKind::kSessionAttempt) ++result.attempts;
+    if (event.kind == obs::TraceEventKind::kSessionAbort) ++result.aborts;
   }
   auto checked = checker.check_all();
   result.violations.insert(result.violations.end(),
                            std::make_move_iterator(checked.begin()),
                            std::make_move_iterator(checked.end()));
   result.formed_sessions = checker.formed_session_count();
-  result.aborts = checker.rejected_sessions();
+  result.max_ambiguous = checker.max_ambiguous();
   if (result.ambiguity_bound != 0) {
     result.ambiguity_ok = result.max_ambiguous <= result.ambiguity_bound;
   }

@@ -144,17 +144,6 @@ std::vector<ProcessSet> Network::live_components() const {
   return out;
 }
 
-ProcessSet Network::component_of(ProcessId p) const {
-  ProcessSet out;
-  if (!alive(p)) return out;
-  const std::uint32_t component = entries_[slot_of(p)].component;
-  for (ProcessId q : processes_) {
-    const ProcessEntry& entry = entries_[slot_of(q)];
-    if (entry.alive && entry.component == component) out.insert(q);
-  }
-  return out;
-}
-
 void Network::bump_epochs_for_disconnections(
     const std::vector<ConnectivityEntry>& before) {
   // Only a pair that was connected before can disconnect, and

@@ -101,10 +101,6 @@ class Network {
   /// Current components over live processes, deterministically ordered.
   [[nodiscard]] std::vector<ProcessSet> live_components() const;
 
-  /// The component of `p` (members alive and connected to p, including p).
-  /// Empty if p is crashed.
-  [[nodiscard]] ProcessSet component_of(ProcessId p) const;
-
   [[nodiscard]] const ProcessSet& all_processes() const noexcept {
     return processes_;
   }

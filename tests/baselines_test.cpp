@@ -56,7 +56,7 @@ TEST(StaticMajority, ZeroCommunicationRounds) {
   Cluster cluster(options_for(ProtocolKind::kStaticMajority));
   cluster.start();
   EXPECT_EQ(cluster.sim().network().stats().messages_sent, 0u);
-  EXPECT_DOUBLE_EQ(cluster.checker().rounds_per_form().max(), 0.0);
+  EXPECT_EQ(cluster.observer().rounds().max(), 0u);
 }
 
 TEST(StaticMajority, RecoversInstantlyWhenMajorityReturns) {
@@ -96,7 +96,7 @@ TEST(BlockingDynamic, MajorityOfAttemptersIsNotEnough) {
   cluster.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});
   cluster.settle();
   EXPECT_FALSE(cluster.live_primary().has_value());
-  EXPECT_GT(cluster.checker().blocked_sessions(), 0u);
+  EXPECT_GT(cluster.observer().blocked(), 0u);
 
   // Same failure, our protocol: the majority continues.
   Cluster ours(options_for(ProtocolKind::kBasic));
@@ -132,7 +132,7 @@ TEST(BlockingDynamic, OneCrashedAttemperBlocksEveryoneForever) {
   cluster.merge();
   cluster.settle();
   EXPECT_FALSE(cluster.live_primary().has_value());
-  EXPECT_GT(cluster.checker().blocked_sessions(), 0u);
+  EXPECT_GT(cluster.observer().blocked(), 0u);
 }
 
 TEST(BlockingDynamic, StaysConsistentUnderTheTypicalScenario) {
@@ -248,8 +248,8 @@ TEST(ThreePhaseRecovery, PaysFiveRoundsWhereOursPaysTwo) {
   slow.start();
   Cluster fast(options_for(ProtocolKind::kBasic));
   fast.start();
-  EXPECT_DOUBLE_EQ(slow.checker().rounds_per_form().mean(), 5.0);
-  EXPECT_DOUBLE_EQ(fast.checker().rounds_per_form().mean(), 2.0);
+  EXPECT_DOUBLE_EQ(slow.observer().rounds().mean(), 5.0);
+  EXPECT_DOUBLE_EQ(fast.observer().rounds().mean(), 2.0);
   EXPECT_GT(slow.sim().network().stats().messages_sent,
             2 * fast.sim().network().stats().messages_sent);
 }
@@ -285,7 +285,7 @@ TEST(NaiveDynamic, ConsistentWhenNoFailuresHitTheProtocol) {
 TEST(NaiveDynamic, SingleRoundOnly) {
   Cluster cluster(options_for(ProtocolKind::kNaiveDynamic));
   cluster.start();
-  EXPECT_DOUBLE_EQ(cluster.checker().rounds_per_form().max(), 1.0);
+  EXPECT_EQ(cluster.observer().rounds().max(), 1u);
 }
 
 TEST(LastAttemptOnly, KeepsExactlyOneAmbiguousSession) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "dv/optimized_protocol.hpp"
+#include "gc_events.hpp"
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
 
@@ -74,7 +75,7 @@ TEST(Lemma2Chain, AdoptionThroughTheLaterAttempt) {
   ASSERT_EQ(opt(cluster, 2).state().ambiguous.size(), 1u);
   EXPECT_EQ(opt(cluster, 2).state().last_primary->members,
             ProcessSet::range(5));
-  EXPECT_GE(opt(cluster, 2).gc_adoptions(), 1u);
+  EXPECT_GE(gc_adoptions(cluster, 2), 1u);
   faults.clear();
 
   // A quorum-less probe view with p1: learning runs, nothing can form.
@@ -85,7 +86,7 @@ TEST(Lemma2Chain, AdoptionThroughTheLaterAttempt) {
   ASSERT_TRUE(state.last_primary.has_value());
   EXPECT_EQ(state.last_primary->members, ProcessSet::of({1, 2, 3}));  // B
   EXPECT_TRUE(state.ambiguous.empty());  // A superseded, B resolved
-  EXPECT_GE(opt(cluster, 2).gc_adoptions(), 1u);
+  EXPECT_GE(gc_adoptions(cluster, 2), 1u);
   EXPECT_TRUE(cluster.checker().check_all().empty());
 }
 
@@ -146,7 +147,7 @@ TEST(VoluntaryLeave, OneLeaverStallsTheBlockingProtocolOnly) {
     cluster.settle();
     if (kind == ProtocolKind::kBlockingDynamic) {
       EXPECT_FALSE(cluster.live_primary().has_value());
-      EXPECT_GT(cluster.checker().blocked_sessions(), 0u);
+      EXPECT_GT(cluster.observer().blocked(), 0u);
     } else {
       ASSERT_TRUE(cluster.live_primary().has_value());
       EXPECT_EQ(cluster.live_primary()->members, ProcessSet::of({0, 1, 2, 3}));

@@ -85,8 +85,7 @@ TEST_P(RandomScheduleProperty, InvariantsHoldAndHealedSystemRecovers) {
   // Theorem 1 bound (any dv-family protocol with full recording).
   if (kind == ProtocolKind::kOptimized) {
     for (ProcessId p : cluster.all_processes()) {
-      const auto& dv = dynamic_cast<const BasicDvProtocol&>(cluster.protocol(p));
-      EXPECT_LE(dv.max_ambiguous_recorded(),
+      EXPECT_LE(cluster.checker().max_ambiguous(p),
                 n - options.config.min_quorum + 1)
           << "Theorem 1 violated at " << to_string(p) << " seed " << seed;
     }

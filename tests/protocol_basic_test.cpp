@@ -113,7 +113,7 @@ TEST(BasicProtocol, MinoritySideRejectsWithReason) {
   cluster.start();
   cluster.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});
   cluster.settle();
-  EXPECT_GT(cluster.checker().rejected_sessions(), 0u);
+  EXPECT_GT(cluster.observer().rejected(), 0u);
 }
 
 TEST(BasicProtocol, MinQuorumBlocksSingletons) {
@@ -250,7 +250,7 @@ TEST(BasicProtocol, AllDisksDestroyedMeansNoPrimaryEver) {
   cluster.merge();
   cluster.settle();
   EXPECT_FALSE(cluster.live_primary().has_value());
-  EXPECT_GT(cluster.checker().rejected_sessions(), 0u);
+  EXPECT_GT(cluster.observer().rejected(), 0u);
 }
 
 TEST(BasicProtocol, LosesPrimacyInstantlyOnViewChange) {
@@ -295,8 +295,8 @@ TEST(BasicProtocol, RepeatedPartitionMergeCyclesStayConsistent) {
 TEST(BasicProtocol, UsesExactlyTwoRounds) {
   Cluster cluster(basic_options());
   cluster.start();
-  EXPECT_DOUBLE_EQ(cluster.checker().rounds_per_form().mean(), 2.0);
-  EXPECT_DOUBLE_EQ(cluster.checker().rounds_per_form().max(), 2.0);
+  EXPECT_DOUBLE_EQ(cluster.observer().rounds().mean(), 2.0);
+  EXPECT_EQ(cluster.observer().rounds().max(), 2u);
 }
 
 TEST(BasicProtocol, AttemptRecordedWhenFormIsCut) {

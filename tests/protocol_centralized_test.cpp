@@ -92,7 +92,7 @@ TEST(CentralizedProtocol, FewerMessagesThanSymmetric) {
 TEST(CentralizedProtocol, ReportsFourRounds) {
   Cluster cluster(centralized_options());
   cluster.start();
-  EXPECT_DOUBLE_EQ(cluster.checker().rounds_per_form().mean(), 4.0);
+  EXPECT_DOUBLE_EQ(cluster.observer().rounds().mean(), 4.0);
 }
 
 TEST(CentralizedProtocol, MemberAttemptIsDurableBeforeAck) {
@@ -197,7 +197,7 @@ TEST(CentralizedProtocol, MinQuorumRespected) {
   cluster.settle();
   EXPECT_FALSE(cluster.protocol(ProcessId(0)).is_primary());
   EXPECT_TRUE(cluster.protocol(ProcessId(2)).is_primary());
-  EXPECT_GT(cluster.checker().rejected_sessions(), 0u);
+  EXPECT_GT(cluster.observer().rejected(), 0u);
 }
 
 TEST(CentralizedProtocol, DynamicParticipantsWork) {

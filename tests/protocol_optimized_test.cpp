@@ -4,6 +4,7 @@
 
 #include "dv/messages.hpp"
 #include "dv/optimized_protocol.hpp"
+#include "gc_events.hpp"
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
 #include "sim/network.hpp"
@@ -146,7 +147,7 @@ TEST(OptimizedProtocol, AdoptionWhenFormedSessionWasMissed) {
   // session then forms, so what proves the adoption ran is the counter.
   cluster.oracle().inject_view(ProcessSet::range(5));
   cluster.settle();
-  EXPECT_GE(opt(cluster, 2).gc_adoptions(), 1u);
+  EXPECT_GE(gc_adoptions(cluster, 2), 1u);
   EXPECT_TRUE(cluster.protocol(ProcessId(2)).is_primary());
   EXPECT_TRUE(cluster.checker().check_all().empty());
 }
@@ -170,7 +171,7 @@ TEST(OptimizedProtocol, AdoptionWithoutReformingKeepsStateCorrect) {
   cluster.settle();
   EXPECT_EQ(opt(cluster, 2).state().last_primary, formed);
   EXPECT_TRUE(opt(cluster, 2).state().ambiguous.empty());
-  EXPECT_GE(opt(cluster, 2).gc_adoptions(), 1u);
+  EXPECT_GE(gc_adoptions(cluster, 2), 1u);
 }
 
 TEST(OptimizedProtocol, DeletesAttemptNobodyFormed) {
@@ -193,8 +194,8 @@ TEST(OptimizedProtocol, DeletesAttemptNobodyFormed) {
 
   cluster.oracle().inject_view(ProcessSet::of({0, 1}));
   cluster.settle();
-  EXPECT_GE(opt(cluster, 0).gc_deletions(), 1u);
-  EXPECT_GE(opt(cluster, 1).gc_deletions(), 1u);
+  EXPECT_GE(gc_deletions(cluster, 0), 1u);
+  EXPECT_GE(gc_deletions(cluster, 1), 1u);
   // The rerun session then forms normally.
   EXPECT_TRUE(cluster.protocol(ProcessId(0)).is_primary());
   EXPECT_TRUE(cluster.checker().check_all().empty());
@@ -222,7 +223,7 @@ TEST(OptimizedProtocol, SecondRuleDeletesViaNonAmbiguousPeer) {
                      ProcessSet::of({3, 4})});
   cluster.settle();
   EXPECT_TRUE(opt(cluster, 0).state().ambiguous.empty());
-  EXPECT_GE(opt(cluster, 0).gc_deletions(), 1u);
+  EXPECT_GE(gc_deletions(cluster, 0), 1u);
 }
 
 TEST(OptimizedProtocol, GcUnblocksWhereBasicStaysBlocked) {
@@ -305,7 +306,7 @@ TEST(OptimizedProtocol, TwoRoundsJustLikeBasic) {
   cluster.start();
   cluster.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});
   cluster.settle();
-  EXPECT_DOUBLE_EQ(cluster.checker().rounds_per_form().max(), 2.0);
+  EXPECT_EQ(cluster.observer().rounds().max(), 2u);
 }
 
 TEST(OptimizedProtocol, RepeatedFailuresDuringFormationStayConsistent) {

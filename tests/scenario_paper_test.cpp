@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "dv/basic_protocol.hpp"
-#include "dv/optimized_protocol.hpp"
+#include "gc_events.hpp"
 #include "harness/cluster.hpp"
 #include "harness/scenario.hpp"
 
@@ -78,7 +78,7 @@ TEST(TypicalScenario, DetachedMemberHoldsTheAmbiguousSession) {
     if (amb.session.members == ProcessSet::of({0, 1, 2})) c_holds_abc = true;
   }
   EXPECT_TRUE(c_holds_abc);
-  EXPECT_GT(cluster.checker().rejected_sessions(), 0u);
+  EXPECT_GT(cluster.observer().rejected(), 0u);
 }
 
 TEST(TypicalScenario, NaiveProtocolSplitsIntoTwoLiveQuorums) {
@@ -242,7 +242,7 @@ std::size_t run_exponential_example(Cluster& cluster, std::uint32_t n) {
     cluster.settle();
   }
   faults.clear();
-  return dv(cluster, 0).max_ambiguous_recorded();
+  return cluster.checker().max_ambiguous(ProcessId(0));
 }
 
 TEST(ExponentialExample, BasicProtocolRecordsExponentiallyMany) {
@@ -273,9 +273,7 @@ TEST(ExponentialExample, OptimizedProtocolStaysSmallOnSameExecution) {
 TEST(ExponentialExample, GarbageCollectionActuallyDeletes) {
   Cluster cluster(options_for(ProtocolKind::kOptimized, 6));
   run_exponential_example(cluster, 6);
-  const auto& proto =
-      dynamic_cast<const OptimizedDvProtocol&>(cluster.protocol(ProcessId(0)));
-  EXPECT_GT(proto.gc_deletions(), 0u);
+  EXPECT_GT(gc_deletions(cluster, 0), 0u);
 }
 
 }  // namespace
