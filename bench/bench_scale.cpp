@@ -1,14 +1,16 @@
 // Scale bench — simulator throughput across cluster sizes, and the
 // parallel seed-sweep harness exercised end to end.
 //
-// For each n the same random failure schedules run twice through the
-// sweep pool (harness/sweep.hpp): once on 1 thread, once on the full
-// pool. The per-seed digests (events executed, horizon, formed sessions,
-// message/byte counts) must match exactly between the two passes — the
-// sweep's determinism contract — and the reported throughput is virtual
-// events per second of wall time. Large n also pushes ProcessSet past
+// For each n the same random failure schedules run through the sweep
+// pool (harness/sweep.hpp): once on 1 thread, then three times on the
+// full pool. The per-seed digests (events executed, horizon, formed
+// sessions, message/byte counts) of every pooled pass must match the
+// serial pass exactly — the sweep's determinism contract — and the
+// reported throughput is virtual events per second of the median pooled
+// pass's wall time. Large n also pushes ProcessSet past
 // its 256-id inline-bitset limit, so its extension words (heap-backed,
 // copied with every set) are on the measured path.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -97,25 +99,33 @@ int main() {
   for (std::uint32_t n : {8u, 16u, 32u, 64u, 128u, 256u, 512u}) {
     const std::size_t seeds = seeds_for(n);
     using Clock = std::chrono::steady_clock;
+    const auto ms_since = [](Clock::time_point start) {
+      return std::chrono::duration<double, std::milli>(Clock::now() - start)
+          .count();
+    };
     const auto serial_start = Clock::now();
     const auto serial = sweep_map<RunDigest>(
         seeds, 1, [n](std::size_t i) { return run_cell(n, i); });
-    const auto serial_end = Clock::now();
-    const auto pooled = sweep_map<RunDigest>(
-        seeds, pool, [n](std::size_t i) { return run_cell(n, i); });
-    const auto pooled_end = Clock::now();
+    const double serial_ms = ms_since(serial_start);
 
-    const bool match = serial == pooled;
+    // One pooled timing at n = 256 spreads wider than check_perf's band,
+    // so the row reports the median of three pooled passes, each of
+    // whose digests must equal the serial pass's.
+    bool match = true;
+    std::vector<double> pool_passes_ms;
+    for (int pass = 0; pass < 3; ++pass) {
+      const auto pooled_start = Clock::now();
+      const auto pooled = sweep_map<RunDigest>(
+          seeds, pool, [n](std::size_t i) { return run_cell(n, i); });
+      pool_passes_ms.push_back(ms_since(pooled_start));
+      match &= serial == pooled;
+    }
+    std::sort(pool_passes_ms.begin(), pool_passes_ms.end());
+    const double pool_ms = pool_passes_ms[1];
     deterministic &= match;
 
     std::uint64_t events = 0;
-    for (const RunDigest& d : pooled) events += d.executed;
-    const double serial_ms =
-        std::chrono::duration<double, std::milli>(serial_end - serial_start)
-            .count();
-    const double pool_ms =
-        std::chrono::duration<double, std::milli>(pooled_end - serial_end)
-            .count();
+    for (const RunDigest& d : serial) events += d.executed;
     const double speedup = pool_ms > 0 ? serial_ms / pool_ms : 0;
     const double events_per_sec =
         pool_ms > 0 ? static_cast<double>(events) * 1000.0 / pool_ms : 0;

@@ -34,8 +34,8 @@ struct Outcome {
   TraceCheckResult replay;       // offline re-verification of that trace
   obs::SpanReport spans;         // causal spans folded from the trace
   std::size_t trace_events = 0;  // event count of the exported trace
-  /// Disagreements between the trace-derived metrics and the live
-  /// registry (must be empty: the two accounts describe one run).
+  /// Disagreements between the replayed and the live registry (must be
+  /// empty: the two accounts describe one run).
   std::vector<std::string> cross_check;
 };
 
@@ -104,7 +104,7 @@ Outcome run(ProtocolKind kind) {
   outcome.replay = check_trace(parsed);
   outcome.spans = obs::build_spans(parsed.events);
   outcome.cross_check =
-      obs::cross_check_with_registry(outcome.spans, cluster.sim().metrics());
+      diff_observer_metrics(outcome.replay.metrics, cluster.sim().metrics());
   return outcome;
 }
 
@@ -158,9 +158,14 @@ int main() {
     row.set("max_open_ambiguity", JsonValue(derived.max_open_ambiguity));
     row.set("time_in_ambiguity_ticks",
             JsonValue(derived.time_in_ambiguity_ticks));
-    row.set("primary_uptime_ticks", JsonValue(derived.primary_uptime_ticks));
+    const std::uint64_t uptime =
+        outcome.replay.metrics.counter_value("dv.primary_uptime_ticks");
+    row.set("primary_uptime_ticks", JsonValue(uptime));
     row.set("primary_availability",
-            JsonValue(derived.primary_availability()));
+            JsonValue(derived.horizon == 0
+                          ? 0.0
+                          : static_cast<double>(uptime) /
+                                static_cast<double>(derived.horizon)));
     row.set("cross_check_ok", JsonValue(outcome.cross_check.empty()));
     rows.push_back(std::move(row));
   }

@@ -34,7 +34,7 @@ AvailabilityResult run_schedule(ProtocolKind kind,
   result.kind = kind;
   result.availability =
       horizon == 0 ? 0.0
-                   : static_cast<double>(checker.primary_uptime(horizon)) /
+                   : static_cast<double>(observer.primary_uptime(horizon)) /
                          static_cast<double>(horizon);
   result.formed_sessions = checker.formed_session_count();
   result.rejected_sessions = observer.rejected();

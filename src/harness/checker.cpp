@@ -178,28 +178,6 @@ std::vector<Violation> ConsistencyChecker::check_all() const {
   return out;
 }
 
-SimTime ConsistencyChecker::primary_uptime(SimTime horizon) const {
-  // Merge the [start, end) spans of all live-primary intervals.
-  std::vector<std::pair<SimTime, SimTime>> spans;
-  spans.reserve(intervals_.size());
-  for (const Interval& iv : intervals_) {
-    const SimTime end = iv.end.value_or(horizon);
-    if (iv.start >= end) continue;
-    spans.emplace_back(iv.start, std::min(end, horizon));
-  }
-  std::sort(spans.begin(), spans.end());
-  SimTime total = 0;
-  SimTime cursor = 0;
-  for (const auto& [start, end] : spans) {
-    const SimTime from = std::max(cursor, start);
-    if (end > from) {
-      total += end - from;
-      cursor = end;
-    }
-  }
-  return total;
-}
-
 std::vector<std::pair<ProcessId, Session>> ConsistencyChecker::live_primaries()
     const {
   std::vector<std::pair<ProcessId, Session>> out;

@@ -93,10 +93,6 @@ class ConsistencyChecker final : public obs::TraceListener {
   /// The highest of every process's high-water.
   [[nodiscard]] std::uint64_t max_ambiguous() const noexcept;
 
-  /// Total virtual time during which at least one process was in a live
-  /// primary component, up to `horizon`.
-  [[nodiscard]] SimTime primary_uptime(SimTime horizon) const;
-
   /// Processes currently (i.e., at the latest observed moment) inside a
   /// live primary, with their sessions.
   [[nodiscard]] std::vector<std::pair<ProcessId, Session>> live_primaries()

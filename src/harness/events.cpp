@@ -1,5 +1,7 @@
 #include "harness/events.hpp"
 
+#include "util/ensure.hpp"
+
 namespace dynvote {
 
 MetricsObserver::MetricsObserver(obs::MetricsRegistry& registry)
@@ -42,6 +44,13 @@ void MetricsObserver::note(const obs::TraceEvent& event) {
     default:
       break;
   }
+}
+
+SimTime MetricsObserver::primary_uptime(SimTime horizon) const {
+  if (primary_procs_.empty()) return uptime_.value();
+  ensure(horizon >= uptime_open_,
+         "primary_uptime: horizon precedes the open uptime interval");
+  return uptime_.value() + (horizon - uptime_open_);
 }
 
 void MetricsObserver::note_ambiguity(const obs::TraceEvent& event) {

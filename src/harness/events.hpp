@@ -18,9 +18,10 @@ namespace dynvote {
 /// Also accumulates "dv.primary_uptime_ticks": virtual time during which
 /// at least one process was primary. An interval opens when the primary
 /// count goes 0 -> 1 and closes (and is added) when it returns to 0; an
-/// interval still open when the run ends is not counted. The span layer
-/// (obs/spans.hpp) derives the same quantity from the trace alone with
-/// the same convention, so the two can be cross-checked exactly.
+/// interval still open when the run ends is not counted by the counter,
+/// but primary_uptime(horizon) adds it. The observer is the one owner
+/// of uptime: availability (E5-E8) reads primary_uptime, and a trace
+/// replay (harness/trace_replay.hpp) runs observers of its own.
 ///
 /// The ambiguous-record levels feed the "dv.ambiguous_recorded" gauge
 /// (the latest level any process recorded, and the highest) and
@@ -53,6 +54,12 @@ class MetricsObserver final : public obs::TraceListener {
   [[nodiscard]] const obs::Histogram& rounds() const noexcept {
     return rounds_;
   }
+  /// Virtual time with a live primary up to `horizon`: the
+  /// "dv.primary_uptime_ticks" counter (shared with any group reporting
+  /// to the same registry) plus, while some process is still primary,
+  /// `horizon` minus the open interval's start. `horizon` must not
+  /// precede that start.
+  [[nodiscard]] SimTime primary_uptime(SimTime horizon) const;
 
  private:
   /// One process's ambiguous-record level and, while it is above 0, the

@@ -1,7 +1,10 @@
 #include "harness/trace_replay.hpp"
 
-#include <iterator>
+#include <algorithm>
+#include <set>
 
+#include "dv/service.hpp"
+#include "harness/events.hpp"
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -18,22 +21,85 @@ TraceCheckResult check_trace(const TraceMetaAndEvents& trace) {
             "is a suffix, so replay verdicts are not evidence"});
   }
 
-  ConsistencyChecker checker(trace.meta.core, /*seed_initial=*/true);
-  for (const obs::TraceEvent& event : trace.events) {
-    checker.note(event);
-    if (event.kind == obs::TraceEventKind::kSessionAttempt) ++result.attempts;
-    if (event.kind == obs::TraceEventKind::kSessionAbort) ++result.aborts;
+  // The groups of the live Cluster: dense group-major id ranges, and a
+  // process past them (Cluster::add_process) in group 0.
+  const std::uint32_t num_groups = std::max(trace.meta.num_groups, 1u);
+  const auto group_of = [&](ProcessId p) {
+    if (trace.meta.group_size == 0) return 0u;
+    const std::uint32_t g = p.value() / trace.meta.group_size;
+    return g < num_groups ? g : 0u;
+  };
+  std::vector<ProcessSet> cores(num_groups);
+  for (const ProcessId p : trace.meta.core) cores[group_of(p)].insert(p);
+
+  // Cluster::add_group seeds F0 for every protocol but static majority.
+  // A --group-filtered trace keeps only its own group's core, so only
+  // that group is seeded.
+  const bool seed_initial =
+      trace.meta.protocol != to_string(ProtocolKind::kStaticMajority);
+  std::vector<ConsistencyChecker> checkers;
+  std::vector<MetricsObserver> observers;
+  checkers.reserve(num_groups);
+  observers.reserve(num_groups);
+  for (const ProcessSet& core : cores) {
+    checkers.emplace_back(core, seed_initial);
+    observers.emplace_back(result.metrics);
   }
-  auto checked = checker.check_all();
-  result.violations.insert(result.violations.end(),
-                           std::make_move_iterator(checked.begin()),
-                           std::make_move_iterator(checked.end()));
-  result.formed_sessions = checker.formed_session_count();
-  result.max_ambiguous = checker.max_ambiguous();
+  for (const obs::TraceEvent& event : trace.events) {
+    // Both listeners ignore the kinds a live Cluster does not route.
+    const std::uint32_t g = group_of(event.a);
+    checkers[g].note(event);
+    observers[g].note(event);
+  }
+
+  const bool several_groups =
+      std::count_if(cores.begin(), cores.end(),
+                    [](const ProcessSet& core) { return !core.empty(); }) > 1;
+  for (std::uint32_t g = 0; g < num_groups; ++g) {
+    for (Violation& v : checkers[g].check_all()) {
+      if (several_groups) {
+        v.detail = "group " + std::to_string(g) + ": " + v.detail;
+      }
+      result.violations.push_back(std::move(v));
+    }
+    result.formed_sessions += checkers[g].formed_session_count();
+    result.max_ambiguous =
+        std::max(result.max_ambiguous, checkers[g].max_ambiguous());
+  }
   if (result.ambiguity_bound != 0) {
     result.ambiguity_ok = result.max_ambiguous <= result.ambiguity_bound;
   }
   return result;
+}
+
+std::vector<std::string> diff_observer_metrics(
+    const obs::MetricsRegistry& replayed, const obs::MetricsRegistry& live) {
+  // Each instrument is compared as MetricsRegistry::to_json renders it:
+  // a counter's value, a gauge's value and max, a histogram's count,
+  // sum, min, max and non-zero buckets.
+  const JsonValue sides[] = {replayed.to_json(), live.to_json()};
+  std::vector<std::string> out;
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    std::set<std::string> names;
+    for (const JsonValue& side : sides) {
+      for (const auto& [name, value] : side.at(kind).as_object()) {
+        if (name.starts_with("dv.") && !name.starts_with("dv.storage.")) {
+          names.insert(name);
+        }
+      }
+    }
+    for (const std::string& name : names) {
+      const JsonValue* r = sides[0].at(kind).find(name);
+      const JsonValue* l = sides[1].at(kind).find(name);
+      if (r == nullptr || l == nullptr) {
+        out.push_back(name + ": missing from the " +
+                      (r == nullptr ? "replay" : "live registry"));
+      } else if (r->dump() != l->dump()) {
+        out.push_back(name + ": replay " + r->dump() + ", live " + l->dump());
+      }
+    }
+  }
+  return out;
 }
 
 JsonValue trace_to_json(const obs::TraceMeta& meta,

@@ -2,13 +2,15 @@
 //
 // The structured trace (obs/trace.hpp) records every session attempt,
 // formation, abort, and ambiguous-record level. Replaying those events
-// through a fresh ConsistencyChecker re-establishes C1 — the transitive
-// participation order over formed primary components is total (paper
-// section 2) — and checks the Theorem-1 ambiguity bound
-// (n − Min_Quorum + 1) without access to the live run: a trace.json file
-// is sufficient evidence. This is the "checker trace-replay mode": the
-// replay hands each event to ConsistencyChecker::note, the same call a
-// live Cluster makes, so it reaches the in-process checker's verdicts.
+// re-establishes C1 — the transitive participation order over formed
+// primary components is total (paper section 2) — checks the Theorem-1
+// ambiguity bound (n − Min_Quorum + 1) and rebuilds every count, gauge
+// and episode of the run's metrics, without access to the live run: a
+// trace.json file is sufficient evidence. The replay runs the listeners
+// a live Cluster runs, one ConsistencyChecker and one MetricsObserver
+// per consistency group, and hands each event to its actor's group
+// through the same note() calls, so it reaches the live verdicts and
+// the live registry's observer instruments.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "harness/checker.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 
@@ -31,11 +34,11 @@ inline constexpr int kTraceSchemaVersion = 2;
 
 /// Verdict of a trace replay.
 struct TraceCheckResult {
-  /// V1..V4 violations found by the replayed ConsistencyChecker.
+  /// V1..V4 violations found by the replayed ConsistencyCheckers; when
+  /// meta.core spans several groups each detail starts with "group G: ".
   std::vector<Violation> violations;
+  /// Formed sessions, summed over the groups.
   std::size_t formed_sessions = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t aborts = 0;
   /// Highest ambiguous-record level any process reported.
   std::uint64_t max_ambiguous = 0;
   /// The bound from the trace meta (0 = not applicable / not checked).
@@ -45,6 +48,9 @@ struct TraceCheckResult {
   /// True iff the sink evicted events before export (meta.overwritten > 0).
   /// It also appears in `violations`, first.
   bool truncated = false;
+  /// The registry every group's replayed MetricsObserver wrote to, as the
+  /// groups of a live Cluster without their own registry share one.
+  obs::MetricsRegistry metrics;
 
   [[nodiscard]] bool consistent() const noexcept {
     return violations.empty() && ambiguity_ok;
@@ -58,14 +64,25 @@ struct TraceMetaAndEvents {
   std::vector<obs::TraceEvent> events;
 };
 
-/// Feeds the protocol-level events of `trace` through a fresh
-/// ConsistencyChecker (seeded from meta.core) and evaluates the ambiguity
-/// bound in meta.ambiguity_bound. A truncated trace (meta.overwritten
-/// > 0) always fails with a "truncated-trace" violation: a ring-bounded
-/// sink kept only a suffix of the execution, so "no violation found" is
-/// not evidence of correctness. The surviving events still replay, and
-/// their verdicts follow the truncation violation.
+/// Replays `trace` as a live Cluster observes its run: one
+/// ConsistencyChecker and one MetricsObserver per group (meta.num_groups,
+/// or one), each group's core its dense slice of meta.core, with F0
+/// seeded unless meta.protocol is static majority; each event goes to its
+/// actor's group. Evaluates the ambiguity bound in meta.ambiguity_bound.
+/// A truncated trace (meta.overwritten > 0) always fails with a
+/// "truncated-trace" violation: a ring-bounded sink kept only a suffix
+/// of the execution, so "no violation found" is not evidence of
+/// correctness. The surviving events still replay, and their verdicts
+/// follow the truncation violation.
 [[nodiscard]] TraceCheckResult check_trace(const TraceMetaAndEvents& trace);
+
+/// Compares two registries on every instrument a MetricsObserver owns
+/// (the "dv.*" names outside "dv.storage.*", taken from either side):
+/// counters, gauges (value and max) and histograms (count, sum, min, max
+/// and buckets). Returns one line per instrument that is missing on one
+/// side or differs; empty means the two accounts agree exactly.
+[[nodiscard]] std::vector<std::string> diff_observer_metrics(
+    const obs::MetricsRegistry& replayed, const obs::MetricsRegistry& live);
 
 /// Serializes meta + the sink's events to the deterministic trace.json
 /// schema (see docs/PROTOCOL.md "Tracing & metrics").
@@ -82,8 +99,8 @@ struct TraceMetaAndEvents {
 /// events whose component belongs to the group (components never span
 /// groups). Causal chains survive intact — messages and sessions never
 /// cross groups, so no kept event can cite a dropped one. The returned
-/// meta narrows core/n to the group, which is what makes span folding
-/// and checker replay meaningful on sharded traces (dvtrace --group).
+/// meta narrows core/n to the group, so check_trace seeds only that
+/// group and the span fold reads as a single-group run (dvtrace --group).
 [[nodiscard]] TraceMetaAndEvents filter_trace_group(
     const TraceMetaAndEvents& trace, std::uint32_t group);
 

@@ -1,9 +1,8 @@
 #include "obs/spans.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
-
-#include "obs/metrics.hpp"
 
 namespace dynvote::obs {
 
@@ -25,11 +24,8 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
   DerivedMetrics& d = report.derived;
   std::map<ProcessId, ProcessFold> folds;
 
-  // Union-interval accounting, mirroring harness MetricsObserver: an
-  // interval opens on the 0 -> nonzero transition and is only counted
-  // once it closes.
-  std::set<ProcessId> primary_procs;
-  SimTime uptime_open = 0;
+  // The union of the ambiguity spans: an interval opens when the first
+  // record anywhere opens and closes when the last one closes.
   std::size_t ambiguity_open_total = 0;
   SimTime ambiguity_open_at = 0;
 
@@ -76,7 +72,6 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
     d.horizon = std::max(d.horizon, event.time);
     switch (event.kind) {
       case TraceEventKind::kViewInstalled: {
-        ++d.views_installed;
         ProcessFold& fold = folds[event.a];
         close_session(fold, event, "superseded");
         SessionSpan span;
@@ -90,7 +85,6 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceEventKind::kSessionAttempt: {
-        ++d.attempts;
         ProcessFold& fold = folds[event.a];
         if (fold.open_session != ProcessFold::kNone) {
           SessionSpan& span = report.sessions[fold.open_session];
@@ -110,18 +104,6 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceEventKind::kSessionFormed: {
-        ++d.formed;
-        const auto rounds = event.value;
-        ++d.rounds_to_form[rounds];
-        d.rounds_sum += rounds;
-        if (d.formed == 1) {
-          d.rounds_min = rounds;
-          d.rounds_max = rounds;
-        } else {
-          d.rounds_min = std::min(d.rounds_min, rounds);
-          d.rounds_max = std::max(d.rounds_max, rounds);
-        }
-
         ProcessFold& fold = folds[event.a];
         if (fold.open_session != ProcessFold::kNone) {
           report.sessions[fold.open_session].rounds =
@@ -141,12 +123,9 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
         primary.open_eid = event.eid;
         fold.open_primary = report.primaries.size();
         report.primaries.push_back(std::move(primary));
-        if (primary_procs.empty()) uptime_open = event.time;
-        primary_procs.insert(event.a);
         break;
       }
       case TraceEventKind::kPrimaryLost: {
-        ++d.primary_lost;
         ProcessFold& fold = folds[event.a];
         if (fold.open_primary != ProcessFold::kNone) {
           PrimarySpan& span = report.primaries[fold.open_primary];
@@ -154,13 +133,9 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
           span.close_eid = event.eid;
           fold.open_primary = ProcessFold::kNone;
         }
-        if (primary_procs.erase(event.a) != 0 && primary_procs.empty()) {
-          d.primary_uptime_ticks += event.time - uptime_open;
-        }
         break;
       }
       case TraceEventKind::kSessionAbort: {
-        ++d.aborts;
         ProcessFold& fold = folds[event.a];
         if (fold.open_session != ProcessFold::kNone) {
           report.sessions[fold.open_session].reason = event.detail;
@@ -186,19 +161,14 @@ SpanReport build_spans(const std::vector<TraceEvent>& events) {
         }
         break;
       }
-      case TraceEventKind::kAmbiguityRecord:
-        d.max_ambiguity_level = std::max(d.max_ambiguity_level, event.value);
-        break;
       default:
-        break;  // message/topology/recover events open no spans
+        break;  // message/topology/recover/level events open no spans
     }
   }
 
   // The ambiguity union interval counts its open tail up to the horizon:
   // "time in ambiguity" would read 0 for exactly the runs where a record
-  // is never resolved, which is the interesting case. (primary_uptime
-  // keeps the strict closed-interval convention — it must equal the
-  // registry's dv.primary_uptime_ticks counter.)
+  // is never resolved, which is the interesting case.
   if (ambiguity_open_total > 0) {
     d.time_in_ambiguity_ticks += d.horizon - ambiguity_open_at;
   }
@@ -269,26 +239,10 @@ JsonValue spans_to_json(const SpanReport& report) {
   }
 
   const DerivedMetrics& d = report.derived;
-  JsonValue rounds = JsonValue::object();
-  for (const auto& [r, count] : d.rounds_to_form) {
-    rounds.set(std::to_string(r), JsonValue(count));
-  }
   JsonValue derived = JsonValue::object();
-  derived.set("views_installed", JsonValue(d.views_installed));
-  derived.set("attempts", JsonValue(d.attempts));
-  derived.set("formed", JsonValue(d.formed));
-  derived.set("aborts", JsonValue(d.aborts));
-  derived.set("primary_lost", JsonValue(d.primary_lost));
-  derived.set("rounds_to_form", std::move(rounds));
-  derived.set("rounds_sum", JsonValue(d.rounds_sum));
-  derived.set("rounds_min", JsonValue(d.rounds_min));
-  derived.set("rounds_max", JsonValue(d.rounds_max));
-  derived.set("primary_uptime_ticks", JsonValue(d.primary_uptime_ticks));
   derived.set("time_in_ambiguity_ticks", JsonValue(d.time_in_ambiguity_ticks));
-  derived.set("max_ambiguity_level", JsonValue(d.max_ambiguity_level));
   derived.set("max_open_ambiguity", JsonValue(d.max_open_ambiguity));
   derived.set("horizon", JsonValue(d.horizon));
-  derived.set("primary_availability", JsonValue(d.primary_availability()));
 
   JsonValue out = JsonValue::object();
   out.set("sessions", std::move(sessions));
@@ -450,62 +404,6 @@ JsonValue chrome_trace_json(const TraceMeta& meta,
   out.set("otherData", std::move(other));
   out.set("traceEvents", std::move(trace_events));
   return out;
-}
-
-std::vector<std::string> cross_check_with_registry(
-    const SpanReport& report, const MetricsRegistry& registry) {
-  std::vector<std::string> mismatches;
-  const DerivedMetrics& d = report.derived;
-
-  const auto check_counter = [&](const char* name, std::uint64_t derived) {
-    const std::uint64_t live = registry.counter_value(name);
-    if (live != derived) {
-      mismatches.push_back(std::string(name) + ": trace=" +
-                           std::to_string(derived) + " registry=" +
-                           std::to_string(live));
-    }
-  };
-  check_counter("dv.views_installed", d.views_installed);
-  check_counter("dv.attempts", d.attempts);
-  check_counter("dv.formed", d.formed);
-  check_counter("dv.rejected", d.aborts);
-  check_counter("dv.primary_lost", d.primary_lost);
-  check_counter("dv.primary_uptime_ticks", d.primary_uptime_ticks);
-
-  const auto& histograms = registry.histograms();
-  const auto rounds = histograms.find("dv.rounds_per_form");
-  if (rounds == histograms.end()) {
-    if (d.formed != 0) {
-      mismatches.push_back("dv.rounds_per_form: trace has " +
-                           std::to_string(d.formed) +
-                           " formations, registry has no histogram");
-    }
-  } else {
-    const Histogram& h = rounds->second;
-    if (h.count() != d.formed || h.sum() != d.rounds_sum ||
-        h.min() != d.rounds_min || h.max() != d.rounds_max) {
-      mismatches.push_back(
-          "dv.rounds_per_form: trace count/sum/min/max=" +
-          std::to_string(d.formed) + "/" + std::to_string(d.rounds_sum) + "/" +
-          std::to_string(d.rounds_min) + "/" + std::to_string(d.rounds_max) +
-          " registry=" + std::to_string(h.count()) + "/" +
-          std::to_string(h.sum()) + "/" + std::to_string(h.min()) + "/" +
-          std::to_string(h.max()));
-    }
-  }
-
-  const auto& gauges = registry.gauges();
-  const auto level = gauges.find("dv.ambiguous_recorded");
-  if (level != gauges.end()) {
-    const auto live_max = static_cast<std::uint64_t>(
-        level->second.max() < 0 ? 0 : level->second.max());
-    if (live_max != d.max_ambiguity_level) {
-      mismatches.push_back("dv.ambiguous_recorded.max: trace=" +
-                           std::to_string(d.max_ambiguity_level) +
-                           " registry=" + std::to_string(live_max));
-    }
-  }
-  return mismatches;
 }
 
 }  // namespace dynvote::obs

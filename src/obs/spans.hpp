@@ -13,12 +13,12 @@
 //   PrimarySpan    one primary-component tenure at one process:
 //                  kSessionFormed -> kPrimaryLost.
 //
-// The builder also computes derived metrics from the trace alone —
-// rounds-to-form histogram, primary-availability time, time spent with
-// at least one ambiguous record outstanding — which
-// cross_check_with_registry compares against the live MetricsRegistry:
-// the trace file and the in-process instruments must tell the same
-// story, or one of them is lying.
+// The builder also derives what only the lifecycles know: the time
+// spent with at least one ambiguous record outstanding and the most
+// records open at once at one process. Every count, the rounds per
+// formation and the primary uptime belong to harness MetricsObserver,
+// which a trace replay (harness/trace_replay.hpp) runs on the same
+// events.
 //
 // Determinism: build_spans is a pure fold over the event vector; with
 // the byte-identical trace of a fixed seed, spans_to_json and
@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,8 +35,6 @@
 #include "util/process_set.hpp"
 
 namespace dynvote::obs {
-
-class MetricsRegistry;
 
 /// One session lifecycle at one process. Opens at kViewInstalled and
 /// closes at the first of: kSessionFormed, kSessionAbort, kProcessCrash,
@@ -89,46 +86,19 @@ struct PrimarySpan {
   bool open = false;            // still primary at end of trace
 };
 
-/// Aggregates recomputed from the trace alone. Counter and uptime
-/// conventions match harness MetricsObserver exactly, so cross-checks
-/// compare equals.
+/// What the lifecycles alone tell about the run.
 struct DerivedMetrics {
-  std::uint64_t views_installed = 0;
-  std::uint64_t attempts = 0;
-  std::uint64_t formed = 0;
-  std::uint64_t aborts = 0;
-  std::uint64_t primary_lost = 0;
-
-  /// rounds -> number of formations (the kSessionFormed round counts).
-  std::map<std::uint64_t, std::uint64_t> rounds_to_form;
-  std::uint64_t rounds_sum = 0;
-  std::uint64_t rounds_min = 0;
-  std::uint64_t rounds_max = 0;
-
-  /// Virtual time with >= 1 process primary (union over processes;
-  /// intervals still open at the end of the trace are excluded, matching
-  /// the registry's dv.primary_uptime_ticks counter).
-  std::uint64_t primary_uptime_ticks = 0;
-  /// Virtual time with >= 1 ambiguous record open anywhere. Unlike
-  /// uptime, an interval still open at the end of the trace counts up to
-  /// the horizon — unresolved ambiguity is the case worth measuring.
+  /// Virtual time with >= 1 ambiguous record open anywhere: the union of
+  /// the AmbiguitySpans, an interval still open at the end of the trace
+  /// counted up to the horizon (unresolved ambiguity is the case worth
+  /// measuring).
   std::uint64_t time_in_ambiguity_ticks = 0;
-
-  /// Highest level any kAmbiguityRecord event reported.
-  std::uint64_t max_ambiguity_level = 0;
   /// Highest simultaneous open-AmbiguitySpan count at a single process —
   /// the quantity Theorem 1 bounds by n - Min_Quorum + 1.
   std::uint64_t max_open_ambiguity = 0;
 
   /// Timestamp of the last event (0 for an empty trace).
   SimTime horizon = 0;
-
-  /// Fraction of the horizon with a live primary component.
-  [[nodiscard]] double primary_availability() const noexcept {
-    return horizon == 0 ? 0.0
-                        : static_cast<double>(primary_uptime_ticks) /
-                              static_cast<double>(horizon);
-  }
 };
 
 struct SpanReport {
@@ -155,12 +125,5 @@ struct SpanReport {
 [[nodiscard]] JsonValue chrome_trace_json(const TraceMeta& meta,
                                           const std::vector<TraceEvent>& events,
                                           const SpanReport& report);
-
-/// Compares the trace-derived metrics against the live registry the run
-/// maintained (dv.* counters, dv.rounds_per_form, dv.primary_uptime_ticks,
-/// the dv.ambiguous_recorded gauge). Returns one human-readable line per
-/// mismatch; empty means the two accounts agree exactly.
-[[nodiscard]] std::vector<std::string> cross_check_with_registry(
-    const SpanReport& report, const MetricsRegistry& registry);
 
 }  // namespace dynvote::obs

@@ -114,24 +114,6 @@ TEST(Checker, AttemptedButNeverFormedSessionsDoNotEnterTheOrder) {
   EXPECT_EQ(checker.formed_session_count(), 2u);  // F0 + s2
 }
 
-TEST(Checker, PrimaryUptimeMergesIntervals) {
-  ConsistencyChecker checker(kCore);
-  checker.on_formed(100, ProcessId(0), session({0, 1, 2}, 1));
-  checker.on_formed(150, ProcessId(1), session({0, 1, 2}, 1));
-  checker.on_primary_lost(300, ProcessId(0));
-  checker.on_primary_lost(400, ProcessId(1));
-  // Union of [100,300) and [150,400) = [100,400) = 300.
-  EXPECT_EQ(checker.primary_uptime(1000), 300u);
-  // Horizon clamps open intervals and spans.
-  EXPECT_EQ(checker.primary_uptime(200), 100u);
-}
-
-TEST(Checker, OpenIntervalExtendsToHorizon) {
-  ConsistencyChecker checker(kCore);
-  checker.on_formed(100, ProcessId(0), session({0, 1, 2}, 1));
-  EXPECT_EQ(checker.primary_uptime(500), 400u);
-}
-
 TEST(Checker, SessionLiveAtRespectsIntervalBounds) {
   ConsistencyChecker checker(kCore);
   const Session s = session({0, 1, 2}, 1);

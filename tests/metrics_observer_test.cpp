@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "harness/events.hpp"
+#include "util/ensure.hpp"
 
 namespace dynvote {
 namespace {
@@ -72,6 +73,27 @@ TEST(MetricsObserver, AmbiguityTicksSumEachProcessClosedEpisodes) {
   const obs::Gauge& gauge = registry.gauge("dv.ambiguous_recorded");
   EXPECT_EQ(gauge.value(), 1);  // the latest level any process recorded
   EXPECT_EQ(gauge.max(), 2);
+}
+
+TEST(MetricsObserver, PrimaryUptimeMergesIntervals) {
+  obs::MetricsRegistry registry;
+  MetricsObserver observer(registry);
+  observer.note(formed(100, 0, 2));
+  observer.note(formed(150, 1, 2));
+  observer.note(event_of(obs::TraceEventKind::kPrimaryLost, 300, 0));
+  observer.note(event_of(obs::TraceEventKind::kPrimaryLost, 400, 1));
+  // Union of [100,300) and [150,400) = [100,400) = 300.
+  EXPECT_EQ(registry.counter_value("dv.primary_uptime_ticks"), 300u);
+  EXPECT_EQ(observer.primary_uptime(1000), 300u);
+}
+
+TEST(MetricsObserver, OpenIntervalExtendsToHorizon) {
+  obs::MetricsRegistry registry;
+  MetricsObserver observer(registry);
+  observer.note(formed(100, 0, 2));
+  EXPECT_EQ(registry.counter_value("dv.primary_uptime_ticks"), 0u);
+  EXPECT_EQ(observer.primary_uptime(500), 400u);
+  EXPECT_THROW((void)observer.primary_uptime(99), InvariantViolation);
 }
 
 TEST(MetricsObserver, CountsRejectionsBlockedAndRounds) {

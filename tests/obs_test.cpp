@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/ring.hpp"
 #include "obs/trace.hpp"
+#include "shard/sharded_fleet.hpp"
 #include "util/ensure.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -318,7 +319,7 @@ TEST(TraceReplayTest, CleanRunReverifiesC1AndAmbiguityBound) {
   const TraceCheckResult verdict = check_trace(load_trace_json(exported));
   EXPECT_TRUE(verdict.consistent()) << to_string(verdict.violations);
   EXPECT_GT(verdict.formed_sessions, 0u);
-  EXPECT_GT(verdict.attempts, 0u);
+  EXPECT_GT(verdict.metrics.counter_value("dv.attempts"), 0u);
   EXPECT_EQ(verdict.ambiguity_bound, 5u);
   EXPECT_LE(verdict.max_ambiguous, verdict.ambiguity_bound);
 }
@@ -372,6 +373,158 @@ TEST(TraceReplayTest, DetectsSplitBrainOfNaiveProtocolFromTraceAlone) {
   // Replay reaches the same verdicts as the live checker.
   EXPECT_EQ(verdict.violations.size(), cluster.checker().check_all().size());
   EXPECT_EQ(verdict.formed_sessions, cluster.checker().formed_session_count());
+}
+
+TEST(TraceReplayTest, StaticMajorityReplaySeedsNoF0LikeTheLiveChecker) {
+  ClusterOptions options;
+  options.kind = ProtocolKind::kStaticMajority;
+  options.n = 5;
+  options.sim.seed = 11;
+  Cluster cluster(options);
+  cluster.start();
+  cluster.partition({ProcessSet::of({0, 1, 2}), ProcessSet::of({3, 4})});
+  cluster.settle();
+  cluster.merge();
+  cluster.settle();
+
+  const TraceCheckResult verdict = check_trace(load_trace_json(
+      trace_to_json(cluster.trace_meta(), cluster.sim().trace()).dump()));
+  EXPECT_TRUE(verdict.consistent()) << to_string(verdict.violations);
+  EXPECT_GT(verdict.formed_sessions, 0u);
+  EXPECT_EQ(verdict.formed_sessions, cluster.checker().formed_session_count());
+}
+
+TEST(TraceReplayTest, ShardedTraceReplaysGroupByGroup) {
+  // bench_shards' violation demo, whose trace is the committed
+  // tests/dvtrace/fleet_trace.json: the section-4.5 split staged in group
+  // 0 of a two-group fleet on the naive protocol, group 1 reconfiguring
+  // normally.
+  shard::ShardedFleetOptions options;
+  options.num_groups = 2;
+  options.group_size = 5;
+  options.num_machines = 5;
+  options.kind = ProtocolKind::kNaiveDynamic;
+  options.sim.seed = 424'242;
+  shard::ShardedFleet fleet(options);
+  FaultInjector faults(fleet.sim().network());
+  fleet.start();
+  faults.drop_to(ProcessId(2), "dv.info", 2);
+  fleet.partition_fleet({{0, 1, 2}, {3, 4}});
+  fleet.settle();
+  faults.clear();
+  fleet.partition_fleet({{0, 1}, {2, 3, 4}});
+  fleet.settle();
+
+  const TraceMetaAndEvents trace = load_trace_json(
+      trace_to_json(fleet.cluster().trace_meta(), fleet.sim().trace()).dump());
+  ASSERT_EQ(trace.meta.num_groups, 2u);
+
+  // The replay pairs sessions only within a group and names the group,
+  // as the live checkers do: all nine violations are group 0's.
+  const TraceCheckResult verdict = check_trace(trace);
+  EXPECT_EQ(verdict.violations.size(), 9u);
+  EXPECT_EQ(to_string(verdict.violations),
+            to_string(fleet.check_all_groups()));
+  EXPECT_EQ(verdict.formed_sessions, fleet.total_formed_sessions());
+
+  // A --group filtered trace keeps its single-group verdicts.
+  const TraceCheckResult group0 = check_trace(filter_trace_group(trace, 0));
+  ASSERT_EQ(group0.violations.size(), verdict.violations.size());
+  for (std::size_t i = 0; i < group0.violations.size(); ++i) {
+    EXPECT_EQ("group 0: " + group0.violations[i].detail,
+              verdict.violations[i].detail);
+  }
+  EXPECT_TRUE(check_trace(filter_trace_group(trace, 1)).consistent());
+}
+
+TEST(TraceReplayTest, ConsistentFleetReplayMatchesTheLiveRun) {
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    shard::ShardedFleetOptions options;
+    options.num_groups = 4;
+    options.group_size = 3;
+    options.num_machines = 4;
+    options.sim.seed = seed;
+    // Off, every group reports to sim().metrics(), which a replay's one
+    // registry mirrors.
+    options.telemetry.enabled = false;
+    shard::ShardedFleet fleet(options);
+    fleet.start();
+    fleet.partition_fleet({{0, 1}, {2, 3}});
+    fleet.settle();
+    fleet.crash_machine(1);
+    fleet.settle();
+    fleet.recover_machine(1);
+    fleet.merge_fleet();
+    fleet.settle();
+    ASSERT_TRUE(fleet.check_all_groups().empty());
+
+    const TraceMetaAndEvents trace = load_trace_json(
+        trace_to_json(fleet.cluster().trace_meta(), fleet.sim().trace())
+            .dump());
+    ASSERT_EQ(trace.meta.overwritten, 0u) << "seed " << seed;
+    const TraceCheckResult verdict = check_trace(trace);
+    EXPECT_TRUE(verdict.consistent())
+        << "seed " << seed << ": " << to_string(verdict.violations);
+    EXPECT_EQ(verdict.formed_sessions, fleet.total_formed_sessions());
+    const auto mismatches =
+        diff_observer_metrics(verdict.metrics, fleet.sim().metrics());
+    EXPECT_TRUE(mismatches.empty())
+        << "seed " << seed << ": " << mismatches.front();
+  }
+}
+
+/// A hand-built registry with a counter, a gauge and a histogram of the
+/// observer's, and two counters that are not the observer's: the WAL's
+/// and the network's.
+obs::MetricsRegistry observer_registry(bool with_ambiguity_ticks) {
+  obs::MetricsRegistry registry;
+  registry.counter("dv.formed").add(4);
+  if (with_ambiguity_ticks) registry.counter("dv.ambiguity_ticks").add(120);
+  registry.gauge("dv.ambiguous_recorded").set(2);
+  registry.gauge("dv.ambiguous_recorded").set(1);
+  for (const std::uint64_t rounds : {1u, 2u, 4u, 5u}) {
+    registry.histogram("dv.rounds_per_form").observe(rounds);
+  }
+  registry.counter("dv.storage.persists").add(3);
+  registry.counter("net.messages_sent").add(9);
+  return registry;
+}
+
+TEST(TraceReplayTest, ObserverMetricsDiffNamesEachDifferingInstrument) {
+  const obs::MetricsRegistry live = observer_registry(true);
+  EXPECT_TRUE(diff_observer_metrics(live, live).empty());
+
+  const auto expect_one_line = [&](const obs::MetricsRegistry& replayed,
+                                   const std::string& name) {
+    for (const auto& lines : {diff_observer_metrics(replayed, live),
+                              diff_observer_metrics(live, replayed)}) {
+      ASSERT_EQ(lines.size(), 1u) << name;
+      EXPECT_TRUE(lines[0].starts_with(name + ":")) << lines[0];
+    }
+  };
+
+  obs::MetricsRegistry formed = live;
+  formed.counter("dv.formed").increment();
+  expect_one_line(formed, "dv.formed");
+
+  obs::MetricsRegistry level = live;
+  level.gauge("dv.ambiguous_recorded").set(2);  // same max, new value
+  expect_one_line(level, "dv.ambiguous_recorded");
+
+  // The same count, sum, min and max in different buckets.
+  obs::MetricsRegistry rounds = live;
+  rounds.histogram("dv.rounds_per_form").reset();
+  for (const std::uint64_t r : {1u, 3u, 3u, 5u}) {
+    rounds.histogram("dv.rounds_per_form").observe(r);
+  }
+  expect_one_line(rounds, "dv.rounds_per_form");
+
+  expect_one_line(observer_registry(false), "dv.ambiguity_ticks");
+
+  obs::MetricsRegistry other_layers = live;
+  other_layers.counter("dv.storage.persists").increment();
+  other_layers.counter("net.messages_sent").increment();
+  EXPECT_TRUE(diff_observer_metrics(other_layers, live).empty());
 }
 
 TEST(TraceReplayTest, RingBoundedTraceStillReplaysRecentEvents) {

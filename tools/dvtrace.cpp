@@ -153,7 +153,8 @@ int cmd_explain_abort(const TraceMetaAndEvents& trace,
   return 0;
 }
 
-int cmd_ambiguity(const TraceMetaAndEvents& trace, const SpanReport& report) {
+int cmd_ambiguity(const SpanReport& report,
+                  const dynvote::TraceCheckResult& replay) {
   const auto& d = report.derived;
   for (const auto& span : report.ambiguity) {
     std::cout << "p" << span.process.value() << " session " << span.number
@@ -162,16 +163,15 @@ int cmd_ambiguity(const TraceMetaAndEvents& trace, const SpanReport& report) {
   }
   std::cout << "records=" << report.ambiguity.size()
             << " max_simultaneous=" << d.max_open_ambiguity
-            << " max_level=" << d.max_ambiguity_level
+            << " max_level=" << replay.max_ambiguous
             << " time_in_ambiguity=" << d.time_in_ambiguity_ticks << "us"
             << " horizon=" << d.horizon << "us\n";
-  if (trace.meta.ambiguity_bound != 0) {
-    const auto bound =
-        static_cast<std::uint64_t>(trace.meta.ambiguity_bound);
-    if (d.max_open_ambiguity > bound || d.max_ambiguity_level > bound) {
+  if (replay.ambiguity_bound != 0) {
+    const auto bound = static_cast<std::uint64_t>(replay.ambiguity_bound);
+    if (d.max_open_ambiguity > bound || !replay.ambiguity_ok) {
       std::cerr << "dvtrace: Theorem-1 bound violated: "
                 << "max_simultaneous=" << d.max_open_ambiguity
-                << " max_level=" << d.max_ambiguity_level << " bound=" << bound
+                << " max_level=" << replay.max_ambiguous << " bound=" << bound
                 << "\n";
       return 1;
     }
@@ -285,15 +285,17 @@ int cmd_fleet(const JsonValue& doc, std::size_t top,
             << doc.at("protocol").as_string() << " (schema v"
             << doc.at("schema_version").as_uint() << ")\n";
 
-  // Rollup: the deterministic cross-group aggregate.
+  // Rollup: the deterministic cross-group aggregate. dv.ambiguity_ticks
+  // sums each replica's closed ambiguous episodes, so it is labelled in
+  // replica-microseconds, apart from the union `ambiguity` prints.
   const JsonValue& rollup = doc.at("rollup");
   std::cout << "rollup: formed=" << counter_of(rollup, "dv.formed")
             << " rejected=" << counter_of(rollup, "dv.rejected")
             << " reconfigs=" << counter_of(rollup, "shard.reconfigs")
             << " views=" << counter_of(rollup, "dv.views_installed")
             << " primary_uptime=" << counter_of(rollup, "dv.primary_uptime_ticks")
-            << "us time_in_ambiguity="
-            << counter_of(rollup, "dv.ambiguity_ticks") << "us\n\n";
+            << "us ambiguous_replica_us="
+            << counter_of(rollup, "dv.ambiguity_ticks") << "\n\n";
 
   // Per-shard health table; percentiles recomputed from each group's
   // exported bucket counts. Latency column unit comes from the explicit
@@ -308,7 +310,7 @@ int cmd_fleet(const JsonValue& doc, std::size_t top,
   }
   dynvote::Table table({"group", "formed", "reconfigs",
                         "p50 reconf " + latency_unit,
-                        "p99 reconf " + latency_unit, "ambiguity us"});
+                        "p99 reconf " + latency_unit, "ambig rep-us"});
   for (std::size_t g = 0; g < groups.as_array().size(); ++g) {
     const JsonValue& registry = groups.as_array()[g];
     const auto latency = histogram_of(registry, "shard.reconfig_latency_ticks");
@@ -779,9 +781,13 @@ int run(const Args& args) {
   }
 
   const SpanReport report = dynvote::obs::build_spans(trace.events);
-  if (args.command == "ambiguity") return cmd_ambiguity(trace, report);
+  if (args.command == "ambiguity") {
+    return cmd_ambiguity(report, dynvote::check_trace(trace));
+  }
   if (args.command == "spans") {
-    return emit_json(dynvote::obs::spans_to_json(report), args.out_path);
+    JsonValue doc = dynvote::obs::spans_to_json(report);
+    doc.set("metrics", dynvote::check_trace(trace).metrics.to_json());
+    return emit_json(doc, args.out_path);
   }
   return emit_chrome(
       dynvote::obs::chrome_trace_json(trace.meta, trace.events, report),
