@@ -1,5 +1,7 @@
 #include "baselines/naive_dynamic.hpp"
 
+#include <utility>
+
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -45,9 +47,9 @@ void NaiveDynamicProtocol::on_phase_complete(int phase,
   const ProcessSet& M = session_view().members;
   const StepAggregates agg = aggregate_step1(as_infos(messages));
   const QuorumCalculus calc(config_.core, config_.min_quorum);
-  const Eligibility verdict = evaluate_eligibility(calc, agg, M);
+  Eligibility verdict = evaluate_eligibility(calc, agg, M);
   if (!verdict.eligible) {
-    abort_session(verdict.reason);
+    abort_session(std::move(verdict.reason));
     return;
   }
   // Install immediately: no attempt round, no durable trace for members

@@ -1,7 +1,10 @@
 #include "dv/basic_protocol.hpp"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <typeinfo>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/ensure.hpp"
@@ -66,6 +69,21 @@ StepAggregates aggregate_step1(const InfoBySender& infos) {
   return agg;
 }
 
+namespace {
+
+/// `prefix` and then `session`'s text, formatted once into one buffer.
+std::string citing(std::string_view prefix, const Session& session) {
+  std::string reason;
+  // Per member "p", at most 7 digits (ids are below 2^20) and a comma;
+  // then the brackets and the session number.
+  reason.reserve(prefix.size() + 9 * session.members.size() + 24);
+  reason += prefix;
+  session.append_to(reason);
+  return reason;
+}
+
+}  // namespace
+
 Eligibility evaluate_eligibility(const QuorumCalculus& calc,
                                  const StepAggregates& agg,
                                  const ProcessSet& M) {
@@ -82,13 +100,12 @@ Eligibility evaluate_eligibility(const QuorumCalculus& calc,
     return {false, "Max_Primary = (∞,-1): no member knows a primary"};
   }
   if (!calc.sub_quorum(agg.max_primary->members, M)) {
-    return {false, "not a sub-quorum of Max_Primary " +
-                       agg.max_primary->to_string()};
+    return {false,
+            citing("not a sub-quorum of Max_Primary ", *agg.max_primary)};
   }
   for (const Session& attempt : agg.max_ambiguous) {
     if (!calc.sub_quorum(attempt.members, M)) {
-      return {false,
-              "not a sub-quorum of ambiguous attempt " + attempt.to_string()};
+      return {false, citing("not a sub-quorum of ambiguous attempt ", attempt)};
     }
   }
   return {true, {}};
@@ -194,11 +211,11 @@ bool BasicDvProtocol::run_decision(const PhaseMessages& messages) {
   merge_participants(config_, infos, wal_);
 
   pending_agg_ = aggregate_step1(infos);
-  const Eligibility verdict =
+  Eligibility verdict =
       decide(make_calculus(config_, wal_.state()), pending_agg_, M);
   if (!verdict.eligible) {
     wal_.commit();  // learning / participant merges must still survive
-    abort_session(verdict.reason);
+    abort_session(std::move(verdict.reason));
     return false;
   }
   return true;

@@ -1,5 +1,7 @@
 #include "dv/centralized_protocol.hpp"
 
+#include <utility>
+
 #include "util/ensure.hpp"
 
 namespace dynvote {
@@ -97,12 +99,12 @@ void CentralizedDvProtocol::run_coordinator_decision() {
 
   merge_participants(config_, infos, wal_);
   const StepAggregates agg = aggregate_step1(infos);
-  const Eligibility verdict =
+  Eligibility verdict =
       evaluate_eligibility(make_calculus(config_, wal_.state()), agg, M);
   if (!verdict.eligible) {
     wal_.commit();
     session_active_ = false;
-    notify_rejected(*current_view(), verdict.reason);
+    notify_rejected(*current_view(), std::move(verdict.reason));
     return;
   }
 

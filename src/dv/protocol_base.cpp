@@ -82,10 +82,10 @@ void SessionProtocolBase::mark_primary(const Session& session) {
   enter_primary(session, rounds_used_);
 }
 
-void SessionProtocolBase::abort_session(const std::string& reason) {
+void SessionProtocolBase::abort_session(std::string reason) {
   ensure(session_active_, "abort_session outside an active session");
   session_active_ = false;
-  notify_rejected(session_view(), reason);
+  notify_rejected(session_view(), std::move(reason));
 }
 
 const View& SessionProtocolBase::session_view() const {

@@ -79,8 +79,9 @@ class SessionProtocolBase : public ProtocolNode {
   /// Ends the session successfully: Is_Primary := true for `session`.
   void mark_primary(const Session& session);
 
-  /// Ends the session: the view is not an eligible quorum.
-  void abort_session(const std::string& reason);
+  /// Ends the session: the view is not an eligible quorum. `reason` moves
+  /// into the abort's trace event.
+  void abort_session(std::string reason);
 
   [[nodiscard]] const View& session_view() const;
 

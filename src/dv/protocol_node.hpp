@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "dv/observer.hpp"
 #include "dv/session.hpp"
@@ -111,18 +112,19 @@ class ProtocolNode : public sim::Node {
     attempt_eid_ = trace().record(std::move(event));
     if (observer_) observer_->on_attempt(now(), id(), session);
   }
-  void notify_rejected(const View& view, const std::string& reason) {
+  /// The observer sees `reason` before it moves into the trace event.
+  void notify_rejected(const View& view, std::string reason) {
+    if (observer_) observer_->on_session_rejected(now(), id(), view, reason);
     obs::TraceEvent event;
     event.time = now();
     event.kind = obs::TraceEventKind::kSessionAbort;
     event.a = id();
     event.number = static_cast<std::int64_t>(view.id.value());
     event.members = view.members;
-    event.detail = reason;
+    event.detail = std::move(reason);
     event.lamport = lamport_tick();
     event.cause = session_cause_eid();
     trace().record(std::move(event));
-    if (observer_) observer_->on_session_rejected(now(), id(), view, reason);
   }
 
   /// Causal parent for events of the current session: the attempt if one

@@ -5,7 +5,17 @@
 namespace dynvote {
 
 std::string Session::to_string() const {
-  return "(" + members.to_string() + "," + std::to_string(number) + ")";
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Session::append_to(std::string& out) const {
+  out += '(';
+  members.append_to(out);
+  out += ',';
+  append_decimal(out, number);
+  out += ')';
 }
 
 void Session::encode(Encoder& enc) const {

@@ -25,7 +25,10 @@ struct Session {
   friend bool operator==(const Session&, const Session&) = default;
   friend auto operator<=>(const Session&, const Session&) = default;
 
+  /// Renders as "({p0,p1},3)".
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string()'s text to `out`, with no temporaries.
+  void append_to(std::string& out) const;
 
   void encode(Encoder& enc) const;
   [[nodiscard]] static Session decode(Decoder& dec);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "util/ensure.hpp"
@@ -102,9 +103,27 @@ const PoolTransport::Slot& PoolTransport::slot(ProcessId p) const {
 // -- Transport surface ------------------------------------------------------
 
 void PoolTransport::send(sim::Envelope env) {
-  Slot& from = *slots_[index_of(env.from)];
-  const std::size_t ti = index_of(env.to);
-  Slot& to = *slots_[ti];
+  route(*slots_[index_of(env.from)], std::move(env));
+}
+
+void PoolTransport::broadcast(ProcessId from, ViewId view,
+                              const ProcessSet& members,
+                              sim::PayloadPtr payload) {
+  Slot& sender = *slots_[index_of(from)];
+  if (sender.sent_views.empty() || sender.sent_views.back().view != view) {
+    sender.sent_views.push_back(SentView{view, members, {}});
+  }
+  // No control block: copying `borrowed` into each envelope, and every
+  // move and drop after it, touches no count.
+  const sim::PayloadPtr borrowed(sim::PayloadPtr(), payload.get());
+  sender.sent_views.back().payloads.push_back(std::move(payload));
+  for (const ProcessId to : members) {
+    route(sender, sim::Envelope{from, to, view, borrowed});
+  }
+}
+
+void PoolTransport::route(Slot& from, sim::Envelope&& env) {
+  Slot& to = *slots_[index_of(env.to)];
   const std::uint32_t component =
       from.connectivity.load(std::memory_order_acquire);
   if (component == 0 ||
@@ -370,6 +389,18 @@ std::string PoolTransport::undrained_queue() const {
   return {};
 }
 
+void PoolTransport::release_payloads(Slot& s) {
+  std::erase_if(s.sent_views, [this](const SentView& sent) {
+    for (const ProcessId member : sent.members) {
+      if (slot(member).installed_view.load(std::memory_order_acquire) <=
+          sent.view.value()) {
+        return false;  // may still read this view's payloads
+      }
+    }
+    return true;
+  });
+}
+
 void PoolTransport::post_control(ProcessId p, ControlItem item) {
   Worker& target = *workers_[slot(p).worker];
   if (controller_probe_) item.sent_ns = now_ns();
@@ -501,6 +532,13 @@ void PoolTransport::handle_control(Worker& me, ControlItem& item) {
       event.members = item.view.members;
       s.last_topo_eid = s.trace.record(std::move(event));
       s.node->deliver_view(item.view);
+      // Publish the view now installed (a crashed node installs none): no
+      // payload of an older view is read here again.
+      if (const std::optional<View>& installed = s.node->current_view()) {
+        s.installed_view.store(installed->id.value(),
+                               std::memory_order_release);
+      }
+      release_payloads(s);
       return;
     }
     case ControlItem::Kind::kCrash:

@@ -48,6 +48,22 @@
 // handler finishes before its worker can park, so the deferred bump
 // delays a wakeup by at most the handler's length.
 //
+// No reference counts on broadcasts: broadcast() moves the payload once
+// into the sender's slot, filed under the view it was sent in with that
+// view's members, and every envelope carries a borrowed pointer with no
+// control block (sim/message.hpp, PayloadPtr). So no message touches a
+// shared count, and each payload is freed on the worker that allocated
+// it (or with the transport, after stop_and_join). The sender frees a
+// view's payloads at one of its own view installs, once every member of
+// that view has installed a newer one: each process publishes the view
+// it last installed in a word of its own (release, after deliver_view
+// returns), and the sender reads the members' words (acquire). That
+// rests on Node::on_message's contract — a payload is read only until
+// the receiver's next view install or crash — and on nothing else, so
+// it holds however the controller times its posts. An envelope still in
+// flight to a member that moved on carries a dangling pointer, and the
+// view gate drops it unread. Unicast send() keeps owning envelopes.
+//
 // No timers (sim/transport.hpp): an idle worker parks on its futex
 // word with no deadline, and only a producer's bump wakes it.
 //
@@ -145,6 +161,10 @@ class PoolTransport final : public sim::Transport {
   // -- Transport surface (worker-thread side) -------------------------------
 
   void send(sim::Envelope env) override;
+  /// Keeps the one owning reference and sends borrowed ones (see the
+  /// header comment).
+  void broadcast(ProcessId from, ViewId view, const ProcessSet& members,
+                 sim::PayloadPtr payload) override;
   [[nodiscard]] SimTime now() const override;
   [[nodiscard]] sim::StableStorage& storage(ProcessId p) override;
   [[nodiscard]] obs::TraceSink& trace(ProcessId p) override;
@@ -241,8 +261,16 @@ class PoolTransport final : public sim::Transport {
     std::uint64_t sent_ns = 0;  // enqueue timestamp, 0 unless probes are on
   };
 
+  /// The payloads one process broadcast in one view, with that view's
+  /// members: the only owning references to them.
+  struct SentView {
+    ViewId view;
+    ProcessSet members;
+    std::vector<sim::PayloadPtr> payloads;
+  };
+
   /// One protocol process: everything single-threaded on its worker
-  /// except the connectivity word at the bottom.
+  /// except the connectivity and installed-view words at the bottom.
   struct Slot {
     ProcessId id;
     std::size_t index = 0;     // global index (position in processes())
@@ -259,9 +287,18 @@ class PoolTransport final : public sim::Transport {
     sim::StableStorage storage;
     std::uint64_t lamport = 0;        // worker-owned
     std::uint64_t last_topo_eid = 0;  // worker-owned
+    /// This process's broadcast payloads not yet freed, oldest view
+    /// first (worker-owned).
+    std::vector<SentView> sent_views;
     /// The component while alive, 0 while crashed. The controller is the
     /// only writer (release); senders read both ends' words (acquire).
     std::atomic<std::uint32_t> connectivity{0};
+    /// The id of the view this process last installed. Its worker is the
+    /// only writer (release, after deliver_view returns); the workers of
+    /// processes that broadcast to it read it at their own installs
+    /// (acquire). On a cache line of its own: next to the per-message
+    /// fields above it would bounce with every delivery.
+    alignas(kCacheLineSize) std::atomic<std::uint64_t> installed_view{0};
 
     Slot(ProcessId pid, std::size_t idx, std::uint32_t w);
   };
@@ -324,6 +361,13 @@ class PoolTransport final : public sim::Transport {
   /// every queue is drained. quiesce's check: exact only while no worker
   /// runs, which the double-read around it establishes.
   [[nodiscard]] std::string undrained_queue() const;
+
+  /// send()'s body once the sender's slot is known; broadcast() calls it
+  /// per member.
+  void route(Slot& from, sim::Envelope&& env);
+  /// Frees `s`'s broadcast payloads of every view whose members have all
+  /// installed a newer one; runs on s's worker at each of its installs.
+  void release_payloads(Slot& s);
 
   void post_control(ProcessId p, ControlItem item);
   void bump_work(Worker& target);

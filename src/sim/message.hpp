@@ -42,6 +42,13 @@ class MessagePayload {
   MessagePayload& operator=(const MessagePayload&) = default;
 };
 
+/// A payload reference. Usually owning; but a pool broadcast's envelopes
+/// own nothing: each carries an aliasing pointer with no control block
+/// (`PayloadPtr(PayloadPtr(), raw)`, use_count() == 0), borrowed from the
+/// one owning reference the sender's worker keeps until every member has
+/// installed a newer view. Copying, moving or dropping such a pointer
+/// touches no reference count; reading it after the receiver's next view
+/// install is a use-after-free (sim/node.hpp, Node::on_message).
 using PayloadPtr = std::shared_ptr<const MessagePayload>;
 
 /// A routed message. `view` is the membership view the sender was in when
@@ -54,6 +61,11 @@ using PayloadPtr = std::shared_ptr<const MessagePayload>;
 /// every event the sender had seen) and the trace-event id of the send
 /// (so the delivery — or in-flight loss — can cite its cause). Senders
 /// leave both zero.
+///
+/// `payload` owns the payload on the simulator and for the pool's
+/// unicast sends; on a pool broadcast it only borrows it (see
+/// PayloadPtr), so the envelope may outlive the payload once its
+/// receiver has moved to a newer view and will drop it unread.
 struct Envelope {
   ProcessId from;
   ProcessId to;

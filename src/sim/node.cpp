@@ -70,9 +70,7 @@ void Node::send(ProcessId to, PayloadPtr payload) {
 
 void Node::broadcast(PayloadPtr payload) {
   ensure(view_.has_value(), "broadcast outside a view");
-  for (ProcessId member : view_->members) {
-    transport_.send(Envelope{id_, member, view_->id, payload});
-  }
+  transport_.broadcast(id_, view_->id, view_->members, std::move(payload));
 }
 
 StableStorage& Node::storage() { return transport_.storage(id_); }

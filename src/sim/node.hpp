@@ -65,8 +65,12 @@ class Node {
   virtual void on_view(const View& view) = 0;
 
   /// A protocol message arrived, sent by `from` in the current view. The
-  /// envelope's reference is handed over, so a protocol that keeps the
-  /// payload moves it instead of bumping its refcount.
+  /// payload stays readable until this node's next view install or crash,
+  /// and no longer: a broadcast's pointer may be borrowed from the
+  /// sender's transport, which frees the payload once every member has
+  /// installed a newer view (sim/transport.hpp). A protocol may keep the
+  /// pointer until then (moving it costs no count); anything it needs
+  /// later, it copies.
   virtual void on_message(ProcessId from, PayloadPtr payload) = 0;
 
   virtual void on_crash() {}

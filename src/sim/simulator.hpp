@@ -57,6 +57,15 @@ class Simulator final : public Transport {
   // -- the rest of the Transport -----------------------------------------------
 
   void send(Envelope env) override { network_.send(std::move(env)); }
+  /// One owning send per member: the network schedules, counts and drops
+  /// each like any send, and the single-threaded DES has no count to
+  /// contend.
+  void broadcast(ProcessId from, ViewId view, const ProcessSet& members,
+                 PayloadPtr payload) override {
+    for (const ProcessId to : members) {
+      network_.send(Envelope{from, to, view, payload});
+    }
+  }
   [[nodiscard]] obs::TraceSink& trace(ProcessId) override { return trace_; }
   [[nodiscard]] obs::MetricsRegistry& metrics(ProcessId) override {
     return metrics_;

@@ -2,8 +2,9 @@
 // its messages.
 //
 // Every protocol node talks to the world through exactly this surface:
-// point-to-point sends, a clock, stable storage, and the observability
-// sinks (trace, metrics, Lamport clock). Two implementations exist:
+// point-to-point sends, view broadcasts, a clock, stable storage, and the
+// observability sinks (trace, metrics, Lamport clock). Two
+// implementations exist:
 //
 //  * sim::Simulator — the discrete-event simulator (sim/network.hpp
 //    behind sim/event_queue.hpp): virtual time, deterministic, the
@@ -25,6 +26,11 @@
 // from p's execution context — the event-loop thread in the simulator
 // (trivially single-threaded) or the worker that owns p in the runtime.
 // Implementations rely on this to keep per-process state unsynchronized.
+//
+// Payload ownership: a send's envelope owns its payload. A broadcast's
+// envelopes may only borrow it (see broadcast), so a payload handed to
+// Node::on_message is readable until the receiver's next view install
+// or crash, and no longer.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 
 #include "sim/message.hpp"
 #include "util/ids.hpp"
+#include "util/process_set.hpp"
 
 namespace dynvote::obs {
 class MetricsRegistry;
@@ -51,6 +58,17 @@ class Transport {
   /// epoch changes while the message is in flight — a partition loses
   /// in-flight traffic, paper section 3).
   virtual void send(Envelope env) = 0;
+
+  /// Sends `payload` from `from`, tagged with `view`, to every process in
+  /// `members` (the sender included), in member order: per member, the
+  /// same routing, stamping and drop rule as send. The simulator sends one
+  /// owning envelope per member. The pool keeps the one owning reference
+  /// on the sender's worker and gives every envelope a borrowed pointer,
+  /// freeing the payload only once every member has installed a view
+  /// newer than `view`; receivers must therefore not read it after their
+  /// next view install or crash (sim/node.hpp, Node::on_message).
+  virtual void broadcast(ProcessId from, ViewId view,
+                         const ProcessSet& members, PayloadPtr payload) = 0;
 
   /// The clock protocols timestamp their trace events with: virtual
   /// ticks in the simulator, microseconds of monotonic time since

@@ -5,6 +5,7 @@
 // a session number at compile time.
 #pragma once
 
+#include <charconv>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -65,6 +66,14 @@ inline constexpr SessionNumber kNoSessionNumber = -1;
 using SimTime = std::uint64_t;
 
 inline constexpr SimTime kSimTimeMax = std::numeric_limits<SimTime>::max();
+
+/// Appends `v` in decimal, the text std::to_string gives, with no
+/// temporary string.
+inline void append_decimal(std::string& out, std::int64_t v) {
+  char digits[24];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), v);
+  out.append(digits, end);
+}
 
 [[nodiscard]] inline std::string to_string(ProcessId p) {
   return "p" + std::to_string(p.value());

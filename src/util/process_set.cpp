@@ -173,13 +173,21 @@ std::size_t ProcessSet::index_of(ProcessId p) const {
 }
 
 std::string ProcessSet::to_string() const {
-  std::string out = "{";
-  for (const ProcessId p : *this) {
-    if (out.size() != 1) out += ",";
-    out += dynvote::to_string(p);
-  }
-  out += "}";
+  std::string out;
+  append_to(out);
   return out;
+}
+
+void ProcessSet::append_to(std::string& out) const {
+  out += '{';
+  bool first = true;
+  for (const ProcessId p : *this) {
+    if (!first) out += ',';
+    first = false;
+    out += 'p';
+    append_decimal(out, p.value());
+  }
+  out += '}';
 }
 
 }  // namespace dynvote

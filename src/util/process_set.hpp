@@ -192,6 +192,8 @@ class ProcessSet {
 
   /// Renders as "{p0,p1,p4}".
   [[nodiscard]] std::string to_string() const;
+  /// Appends to_string()'s text to `out`, with no per-member temporary.
+  void append_to(std::string& out) const;
 
   /// True iff the set fits the inline words alone (every member id
   /// < kSmallIdLimit): no heap storage behind the bitset. Erasing the

@@ -4,10 +4,10 @@
 // worker count, equal to the DES oracle), the same-worker fast path vs
 // cross-worker handoff split visible in the probe lanes, a burst that
 // spans several link segments, the partition rule, in-flight drain,
-// per-handler wakeups, the fixed point quiesce() returns at and its
-// not-running check on a bare transport, and a churn stress meant for
-// the TSan pass (tools/run_experiments.sh wires the Runtime* prefixes
-// in).
+// a broadcast payload's single owner, per-handler wakeups, the fixed
+// point quiesce() returns at and its not-running check on a bare
+// transport, and a churn stress meant for the TSan pass
+// (tools/run_experiments.sh wires the Runtime* prefixes in).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -406,6 +406,100 @@ TEST(RuntimePool, TopologyVerbDrainsInFlightTrafficFirst) {
             static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(sender.counter_value("rt.dropped_unroutable"), 0u);
   EXPECT_EQ(pool.node(1).handled, static_cast<std::uint64_t>(kMessages));
+}
+
+// -------------------------------------------------- broadcast ownership
+
+/// Records the thread its destructor runs on; `value` is what receivers
+/// re-read.
+struct Tracked final : sim::MessagePayload {
+  explicit Tracked(std::thread::id* freed_on) : freed_on(freed_on) {}
+  ~Tracked() override { *freed_on = std::this_thread::get_id(); }
+  [[nodiscard]] std::string type_name() const override { return "tracked"; }
+  [[nodiscard]] std::size_t encoded_size() const override { return 0; }
+
+  std::thread::id* freed_on;
+  int value = 42;
+};
+
+/// Holds every payload it receives for as long as Node::on_message
+/// allows, until its next view, and re-reads each one there.
+class KeepingNode final : public sim::Node {
+ public:
+  using sim::Node::Node;
+
+  void send_to_view(sim::PayloadPtr payload) { broadcast(std::move(payload)); }
+  [[nodiscard]] std::size_t kept() const { return kept_.size(); }
+
+  int reread = 0;  // sum of the kept payloads' values at the last install
+
+ protected:
+  void on_view(const View&) override {
+    reread = 0;
+    for (const sim::PayloadPtr& payload : kept_) {
+      reread += static_cast<const Tracked&>(*payload).value;
+    }
+    kept_.clear();
+  }
+  void on_message(ProcessId, sim::PayloadPtr payload) override {
+    kept_.push_back(std::move(payload));
+  }
+
+ private:
+  std::vector<sim::PayloadPtr> kept_;
+};
+
+// A pool broadcast has one owner, the sender's worker; every receiver,
+// on either worker, borrows it. The sender frees it at one of its own
+// installs, and only once every member has installed a newer view: the
+// sender moving on alone must not free what the others still read.
+TEST(RuntimePool, BroadcastPayloadHasOneOwnerUntilEveryMemberMovesOn) {
+  // Declared before the transport, which frees whatever payload is left.
+  std::thread::id freed_on;
+  PoolTransport transport(make_ids(4), /*workers=*/2);  // {p0,p2} | {p1,p3}
+  std::vector<std::unique_ptr<KeepingNode>> nodes;
+  for (const ProcessId p : transport.processes()) {
+    nodes.push_back(std::make_unique<KeepingNode>(transport, p));
+    transport.set_node(nodes.back().get());
+  }
+  transport.start();
+  transport.merge_all();
+  transport.post_view(View{ViewId(1), ProcessSet::of({0, 1, 2, 3})});
+  transport.quiesce();
+
+  std::thread::id sender_worker;
+  std::weak_ptr<const sim::MessagePayload> watch;
+  transport.run_on(ProcessId(0), [&] {
+    sender_worker = std::this_thread::get_id();
+    // Not make_shared: the object's own block is freed with it, so a
+    // late read is a heap-use-after-free under ASan.
+    const sim::PayloadPtr payload(new Tracked(&freed_on));
+    watch = payload;
+    nodes[0]->send_to_view(payload);
+  });
+  transport.quiesce();
+  for (const auto& node : nodes) EXPECT_EQ(node->kept(), 1u);
+  EXPECT_EQ(watch.use_count(), 1);  // the sender's; the four hold borrows
+
+  // The sender moves on first; the other three still hold the payload.
+  transport.set_components({ProcessSet::of({0}), ProcessSet::of({1, 2, 3})});
+  transport.post_view(View{ViewId(2), ProcessSet::of({0})});
+  transport.quiesce();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(nodes[0]->reread, 42);
+
+  transport.post_view(View{ViewId(3), ProcessSet::of({1, 2, 3})});
+  transport.quiesce();
+  for (std::uint32_t p = 1; p < 4; ++p) EXPECT_EQ(nodes[p]->reread, 42);
+  EXPECT_FALSE(watch.expired());  // only the sender's installs free
+
+  // Every member has moved on: the sender's next install frees it, on
+  // the worker that allocated it.
+  transport.post_view(View{ViewId(4), ProcessSet::of({0})});
+  transport.quiesce();
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(freed_on, sender_worker);
+  transport.stop_and_join();
 }
 
 // -------------------------------------------------------------- wakeups
