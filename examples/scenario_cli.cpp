@@ -235,10 +235,7 @@ struct Repl {
       if (command == "destroy-disk") {
         live().sim().crash_and_destroy_disk(ProcessId(p));
       }
-      if (command == "join") {
-        live().add_process(ProcessId(p));
-        store = std::make_unique<app::KvStore>(live());  // rebuild replicas
-      }
+      if (command == "join") live().add_process(ProcessId(p));
       live().settle();
     } else if (command == "drop") {
       std::string type;

@@ -19,16 +19,6 @@ const VersionedValue* KvState::find(const std::string& key) const {
   return it == snapshot->end() ? nullptr : &it->second;
 }
 
-std::optional<Version> Replica::write(const std::string& key,
-                                      std::string value) {
-  if (!service_.in_primary()) return std::nullopt;
-  const Session& session = *service_.primary();
-  const Version version{session.number, state_.next_sequence++, process()};
-  state_.own.insert_or_assign(
-      key, VersionedValue{std::move(value), version, session.members});
-  return version;
-}
-
 std::optional<std::string> Replica::read(const std::string& key) const {
   const VersionedValue* entry = state_.find(key);
   if (entry == nullptr) return std::nullopt;
@@ -231,7 +221,12 @@ KvStore::KvStore(Cluster& cluster) : cluster_(cluster) {
 }
 
 Replica& KvStore::replica(ProcessId p) {
-  return const_cast<Replica&>(std::as_const(*this).replica(p));
+  auto it = replicas_.find(p);
+  if (it == replicas_.end()) {
+    it = replicas_.emplace(p, std::make_unique<Replica>(cluster_.service(p)))
+             .first;
+  }
+  return *it->second;
 }
 
 const Replica& KvStore::replica(ProcessId p) const {
@@ -245,24 +240,33 @@ const Replica& KvStore::replica(ProcessId p) const {
 std::optional<Version> KvStore::write(ProcessId p, const std::string& key,
                                       std::string value) {
   Replica& target = replica(p);
-  auto result = target.write(key, std::move(value));
-  if (result) {
-    log_.push_back(LoggedWrite{cluster_.sim().now(), key, *result,
-                               *target.service_.primary(), p});
-  }
-  return result;
+  const std::optional<Session>& session = target.primary();
+  if (!session) return std::nullopt;
+  const Version version{session->number, target.state_.next_sequence++, p};
+  store(p, key, std::move(value), version);
+  return version;
+}
+
+void KvStore::store(ProcessId p, const std::string& key, std::string value,
+                    const Version& version) {
+  Replica& target = replica(p);
+  ensure(target.in_primary(), "store outside the primary");
+  const Session& session = *target.primary();
+  target.state_.own.insert_or_assign(
+      key, VersionedValue{std::move(value), version, session.members});
+  log_.push_back(LoggedWrite{cluster_.sim().now(), key, version, session, p});
 }
 
 void KvStore::sync_primary() {
-  // Collect the members of the (unique) live primary; with a split brain
-  // there may be several — synchronize within each separately, exactly
-  // as a real deployment would (each side believes it is *the* primary).
-  std::map<Session, std::vector<KvState*>> groups;
-  for (auto& [p, replica] : replicas_) {
-    if (!cluster_.sim().network().alive(p) || !replica->in_primary()) continue;
-    groups[*replica->service_.primary()].push_back(&replica->state_);
+  // With a split brain there may be several live primaries: synchronize
+  // within each separately, exactly as a real deployment would (each
+  // side believes it is *the* primary).
+  std::vector<KvState*> members;
+  for (const auto& [session, processes] : cluster_.live_primaries()) {
+    members.clear();
+    for (const ProcessId p : processes) members.push_back(&replica(p).state_);
+    sync_states(members);
   }
-  for (auto& [session, members] : groups) sync_states(members);
 }
 
 std::vector<Divergence> KvStore::audit() const {

@@ -112,19 +112,20 @@ struct KvState {
 /// member's own entries, plus O(m).
 void sync_states(std::span<KvState* const> members);
 
-/// One replica, bound to one process's PrimaryComponentService.
+/// One replica, bound to one process's PrimaryComponentService. Writes
+/// go through the KvStore, which logs them for its audit.
 class Replica {
  public:
   explicit Replica(PrimaryComponentService service) : service_(service) {}
-
-  /// Accepts the write iff this process is currently in the primary
-  /// component. Returns the version on success.
-  std::optional<Version> write(const std::string& key, std::string value);
 
   [[nodiscard]] std::optional<std::string> read(const std::string& key) const;
   [[nodiscard]] const KvState& state() const noexcept { return state_; }
 
   [[nodiscard]] bool in_primary() const { return service_.in_primary(); }
+  /// The session of this process's primary component, if it is in one.
+  [[nodiscard]] const std::optional<Session>& primary() const {
+    return service_.primary();
+  }
   [[nodiscard]] ProcessId process() const { return service_.process(); }
 
  private:
@@ -154,15 +155,24 @@ class KvStore {
  public:
   explicit KvStore(Cluster& cluster);
 
+  /// The replica at `p`. A process added to the cluster after the store
+  /// was built gets an empty replica here, on first use.
   [[nodiscard]] Replica& replica(ProcessId p);
   [[nodiscard]] const Replica& replica(ProcessId p) const;
 
-  /// Writes through the replica at `p`; fails (nullopt) outside the
-  /// primary.
+  /// Writes through the replica at `p`: stamps the value (p's primary
+  /// number, the replica's next sequence, p) and stores it. Fails
+  /// (nullopt) outside the primary.
   std::optional<Version> write(ProcessId p, const std::string& key,
                                std::string value);
 
-  /// State transfer inside the current primary component: every member
+  /// Stores `value` at `key` in the replica at `p` under `version`, a
+  /// stamp the caller minted in p's current primary; the audit checks it
+  /// as it checks a write. `p` must be in the primary.
+  void store(ProcessId p, const std::string& key, std::string value,
+             const Version& version);
+
+  /// State transfer inside each live primary component: every member
   /// replica converges to the highest version per key. Call after the
   /// cluster settles on a new primary.
   void sync_primary();

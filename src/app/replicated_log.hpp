@@ -12,8 +12,8 @@
 //     models as an instant per-epoch counter (a real deployment runs the
 //     sequencer on a primary member, e.g. its lowest-ranked process);
 //   * when a new primary forms, its members reconcile: everyone adopts
-//     the longest prefix known inside the component, epoch by epoch
-//     (state transfer), then appends continue in the new epoch;
+//     every position known inside the component (state transfer), then
+//     appends continue in the new epoch;
 //   * the correctness the service must deliver: the sequence of epochs
 //     along any replica's log is non-decreasing and globally consistent
 //     — two replicas never hold different entries at the same (epoch,
@@ -21,19 +21,26 @@
 //     incomparable epochs or collide on positions, and the audit reports
 //     it.
 //
-// Entries live at the driver level (like KvStore): the protocol under
-// test provides exactly the primary-component guarantee, and this layer
-// shows what a replication service builds from it.
+// The log is an app::KvStore keyed by position. An entry's key is its
+// position in a fixed width (key order is position order) and its stamp
+// is Version{epoch, index} with the writer left at its default. The
+// sequencer makes that stamp unique within a primary, so one stamp with
+// two contents is two primaries minting one position: the store's
+// stamp-conflict audit, per consistency group. Every holder of a key
+// holds the same stamp, so the store's tie rule is the log's state
+// transfer: a missing position comes from the lowest-index holder, and
+// a member keeps its own entry where another holds other content. An
+// audit detail renders a stamp as v(epoch.index@p0): p0 is the default
+// writer, not the appender, which the Divergence's replica fields name.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "dv/service.hpp"
+#include "app/replicated_kv.hpp"
 #include "harness/cluster.hpp"
 
 namespace dynvote::app {
@@ -58,76 +65,53 @@ struct LogEntry {
   friend bool operator==(const LogEntry&, const LogEntry&) = default;
 };
 
-/// State transfer among one primary component's logs, in ascending process
-/// order: each keeps its own entries (a clash is the audit's business) and
-/// fills each missing position from the lowest-index holder, in O(m·k).
-void sync_logs(std::span<std::vector<LogEntry>* const> members);
+/// The store key of `position`: both numbers in a fixed width, so the
+/// store's key order is position order. Epochs are never negative.
+[[nodiscard]] std::string position_key(const LogPosition& position);
 
-/// One process's log replica.
-class LogReplica {
- public:
-  explicit LogReplica(PrimaryComponentService service) : service_(service) {}
+/// The stamp of the entry at `position`; the writer stays at its default.
+[[nodiscard]] inline Version position_stamp(const LogPosition& position) {
+  return Version{position.epoch, position.index, ProcessId()};
+}
 
-  [[nodiscard]] const std::vector<LogEntry>& entries() const noexcept {
-    return entries_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] bool in_primary() const { return service_.in_primary(); }
-  [[nodiscard]] ProcessId process() const { return service_.process(); }
+/// A replica's state read as a log, in position order (the stamp carries
+/// each position).
+[[nodiscard]] std::vector<LogEntry> log_entries(const KvState& state);
 
- private:
-  friend class ReplicatedLog;
-
-  /// Stores a sequencer-stamped entry locally.
-  void store(LogEntry entry);
-
-  PrimaryComponentService service_;
-  std::vector<LogEntry> entries_;  // sorted by position
-};
-
-struct LogDivergence {
-  ProcessId replica_a;
-  ProcessId replica_b;
-  std::string detail;
-};
-
-/// The whole replicated log: one LogReplica per cluster process.
+/// The whole replicated log: the store and the epochs' sequencer.
 class ReplicatedLog {
  public:
-  explicit ReplicatedLog(Cluster& cluster);
+  explicit ReplicatedLog(Cluster& cluster) : store_(cluster) {}
 
-  [[nodiscard]] LogReplica& replica(ProcessId p);
-
-  /// Appends through the replica at `p`.
+  /// Appends through the replica at `p`; fails (nullopt) outside the
+  /// primary.
   std::optional<LogPosition> append(ProcessId p, std::string payload);
 
-  /// Reconciles the members of the current primary component.
-  void sync_primary();
+  /// Reconciles the members of each live primary component.
+  void sync_primary() { store_.sync_primary(); }
 
-  /// Pairwise audit:
-  ///   (a) two replicas disagree on the entry at one position;
+  /// The store's audit, within each consistency group:
+  ///   (a) two replicas hold different entries at one position;
   ///   (b) an append acknowledged while a disjoint primary of the
-  ///       appender's group was live, by that group's checker (the
-  ///       split-brain signature).
-  [[nodiscard]] std::vector<LogDivergence> audit() const;
+  ///       appender's group was live (the split-brain signature).
+  [[nodiscard]] std::vector<Divergence> audit() const {
+    return store_.audit();
+  }
 
   /// Total appends acknowledged.
   [[nodiscard]] std::uint64_t accepted_appends() const noexcept {
-    return static_cast<std::uint64_t>(log_times_.size());
+    return store_.accepted_writes();
+  }
+
+  /// The log at `p`, in position order.
+  [[nodiscard]] std::vector<LogEntry> entries(ProcessId p) const {
+    return log_entries(store_.replica(p).state());
   }
 
  private:
-  Cluster& cluster_;
-  std::map<ProcessId, std::unique_ptr<LogReplica>> replicas_;
+  KvStore store_;
   /// The per-epoch sequencer state: next free index in each epoch.
   std::map<Session, std::uint64_t> epoch_counters_;
-  struct AppendRecord {
-    SimTime time;
-    LogPosition position;
-    Session session;
-    ProcessId replica;  // the appender, whose group's checker audits it
-  };
-  std::vector<AppendRecord> log_times_;
 };
 
 }  // namespace dynvote::app

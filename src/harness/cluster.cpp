@@ -130,25 +130,28 @@ ProtocolNode& Cluster::protocol(ProcessId p) {
   return *protocol;
 }
 
+std::map<Session, ProcessSet> Cluster::live_primaries() {
+  std::map<Session, ProcessSet> out;
+  for (ProcessId p : process_ids_) {
+    if (!sim_.network().alive(p)) continue;
+    const std::optional<Session>& session = protocol(p).primary_session();
+    if (session) out[*session].insert(p);
+  }
+  return out;
+}
+
 ProcessSet Cluster::primary_members() {
   ProcessSet out;
-  for (ProcessId p : process_ids_) {
-    if (sim_.network().alive(p) && protocol(p).is_primary()) out.insert(p);
+  for (const auto& [session, members] : live_primaries()) {
+    out = out.set_union(members);
   }
   return out;
 }
 
 std::optional<Session> Cluster::live_primary() {
-  std::optional<Session> found;
-  for (ProcessId p : process_ids_) {
-    if (!sim_.network().alive(p)) continue;
-    auto& proto = protocol(p);
-    if (!proto.is_primary()) continue;
-    const Session& session = *proto.primary_session();
-    if (found && !(*found == session)) return std::nullopt;  // ambiguous
-    found = session;
-  }
-  return found;
+  const std::map<Session, ProcessSet> primaries = live_primaries();
+  if (primaries.size() != 1) return std::nullopt;  // none, or ambiguous
+  return primaries.begin()->first;
 }
 
 }  // namespace dynvote

@@ -12,6 +12,7 @@
 // many groups at once.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -148,7 +149,11 @@ class Cluster : private obs::TraceListener {
 
   // -- queries -----------------------------------------------------------------
 
-  /// Processes whose Is_Primary is currently true.
+  /// Each primary session some live process is in, with its live
+  /// members. More than one session per group is a split brain.
+  [[nodiscard]] std::map<Session, ProcessSet> live_primaries();
+
+  /// Live processes whose Is_Primary is currently true.
   [[nodiscard]] ProcessSet primary_members();
 
   /// The session of the unique live primary component, if exactly one

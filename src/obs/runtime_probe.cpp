@@ -178,64 +178,6 @@ PhaseBreakdown attribute_window(const std::vector<ProbeEntry>& entries,
   return out;
 }
 
-// -- metric aggregation -------------------------------------------------------
-
-void aggregate_probe_metrics(const std::vector<ThreadProbeLog>& logs,
-                             MetricsHub& hub) {
-  ensure(hub.num_groups() == logs.size(),
-         "probe aggregation needs one hub group per lane");
-  for (std::size_t i = 0; i < logs.size(); ++i) {
-    MetricsRegistry& r = hub.group(i);
-    if (logs[i].dropped != 0) {
-      r.counter("rt.probe.dropped").add(logs[i].dropped);
-    }
-    for (const ProbeEntry& e : logs[i].entries) {
-      switch (e.kind) {
-        case ProbeKind::kLinkPushFailed:
-          r.counter("rt.probe.push_failed").increment();
-          r.histogram("rt.probe.backpressure_ns").observe(e.value);
-          break;
-        case ProbeKind::kLinkPop:
-          r.counter("rt.probe.pop").increment();
-          r.histogram("rt.probe.queued_ns").observe(e.value);
-          break;
-        case ProbeKind::kControlPush:
-          r.counter("rt.probe.control_push").increment();
-          r.histogram("rt.probe.queue_depth").observe(e.value);
-          break;
-        case ProbeKind::kControlPop:
-          r.counter("rt.probe.control_pop").increment();
-          r.histogram("rt.probe.queued_ns").observe(e.value);
-          break;
-        case ProbeKind::kParked:
-          r.counter("rt.probe.parks").increment();
-          r.histogram("rt.probe.park_ns").observe(e.value);
-          break;
-        case ProbeKind::kWakeup:
-          r.counter("rt.probe.wakeups").increment();
-          r.histogram("rt.probe.wakeup_ns").observe(e.value);
-          break;
-        case ProbeKind::kHandlerMessage:
-        case ProbeKind::kHandlerControl:
-          r.counter("rt.probe.handlers").increment();
-          r.histogram("rt.probe.handler_ns").observe(e.value);
-          break;
-        case ProbeKind::kBatch:
-          r.counter("rt.probe.batches").increment();
-          r.histogram("rt.probe.batch_size").observe(e.value);
-          break;
-        case ProbeKind::kRunQueue:
-          r.histogram("rt.probe.run_queue_depth").observe(e.value);
-          break;
-        case ProbeKind::kHandoff:
-          r.counter("rt.probe.handoffs").increment();
-          r.histogram("rt.probe.queue_depth").observe(e.value);
-          break;
-      }
-    }
-  }
-}
-
 // -- JSON document ------------------------------------------------------------
 
 namespace {
@@ -316,10 +258,6 @@ JsonValue runtime_probes_json(const RuntimeProbeMeta& meta,
     windows.push_back(breakdown_to_json(w));
   }
   out.set("reconfigs", std::move(windows));
-
-  MetricsHub hub(logs.size());
-  aggregate_probe_metrics(logs, hub);
-  out.set("metrics", hub.to_json());
   return out;
 }
 
@@ -366,7 +304,6 @@ RuntimeProbeDoc load_runtime_probes(const std::string& text) {
     window.phases.unattributed_ns = w.at("unattributed_ns").as_uint();
     doc.reconfigs.push_back(std::move(window));
   }
-  doc.metrics = json.at("metrics");
   return doc;
 }
 

@@ -25,11 +25,9 @@
 // runtime exposes snapshots through RuntimeFleet::probe_logs().
 //
 // On top of the raw rings this header provides the offline analyses:
-// per-thread metric aggregation into a MetricsHub (one child per lane,
-// so rollup() and the JSON export work unchanged), the reconfiguration
-// phase breakdown (queued / parked / executing attribution of a
-// wall-clock window), and the schema-versioned JSON document that
-// `dvtrace runtime` renders and exports as a Chrome trace.
+// the reconfiguration phase breakdown (queued / parked / executing
+// attribution of a wall-clock window) and the schema-versioned JSON
+// document that `dvtrace runtime` renders and exports as a Chrome trace.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/hub.hpp"
 #include "util/json.hpp"
 
 namespace dynvote::obs {
@@ -200,13 +197,6 @@ struct ReconfigWindow {
   PhaseBreakdown phases;
 };
 
-/// Folds raw rings into per-lane metrics. The hub must have exactly
-/// logs.size() groups; child i holds lane i's instruments (counters
-/// rt.probe.*, histograms rt.probe.*_ns / rt.probe.queue_depth), so the
-/// hub's deterministic rollup() and to_json() work unchanged.
-void aggregate_probe_metrics(const std::vector<ThreadProbeLog>& logs,
-                             MetricsHub& hub);
-
 /// Shape of the run the probes came from (stamped into the document).
 struct RuntimeProbeMeta {
   std::string protocol;
@@ -222,21 +212,21 @@ struct RuntimeProbeMeta {
 
 /// The schema-versioned document `dvtrace runtime` consumes:
 /// {schema_version, experiment:"runtime_probes", protocol, n,
-///  wheel_tick_us, threads:[{thread,dropped,events:[...]}],
-///  reconfigs:[{verb,t0_ns,...,phase buckets}], metrics: hub JSON}.
+///  wheel_tick_us, workers, threads:[{thread,dropped,events:[...]}],
+///  reconfigs:[{verb,t0_ns,...,phase buckets}]}.
 [[nodiscard]] JsonValue runtime_probes_json(
     const RuntimeProbeMeta& meta, const std::vector<ThreadProbeLog>& logs,
     const std::vector<ReconfigWindow>& reconfigs);
 
-/// Parsed form of runtime_probes_json (metrics kept as raw JSON — the
-/// consumers only re-render it). Throws JsonError on malformed input and
+/// Parsed form of runtime_probes_json. The loader ignores keys it does
+/// not read, such as the per-lane `metrics` block earlier documents of
+/// the same version carry. Throws JsonError on malformed input and
 /// InvariantViolation on a schema-version mismatch or a `workers` field
 /// that is missing or 0.
 struct RuntimeProbeDoc {
   RuntimeProbeMeta meta;
   std::vector<ThreadProbeLog> threads;
   std::vector<ReconfigWindow> reconfigs;
-  JsonValue metrics;
 };
 
 [[nodiscard]] RuntimeProbeDoc load_runtime_probes(const std::string& text);

@@ -1,7 +1,6 @@
 #include "runtime/crosscheck.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string_view>
 
 #include "harness/cluster.hpp"
@@ -23,21 +22,6 @@ bool deterministic_outcome(ProtocolKind kind) {
     default:
       return false;
   }
-}
-
-/// C1 at a quiescent point of the DES: distinct primary sessions among
-/// live processes (the same predicate RuntimeFleet::distinct_primaries
-/// applies to a probe snapshot).
-std::size_t cluster_distinct_primaries(Cluster& cluster) {
-  std::set<Session> sessions;
-  for (ProcessId p : cluster.all_processes()) {
-    if (!cluster.sim().network().alive(p)) continue;
-    const ProtocolNode& node = cluster.protocol(p);
-    if (node.is_primary() && node.primary_session()) {
-      sessions.insert(*node.primary_session());
-    }
-  }
-  return sessions.size();
 }
 
 /// `text` cut at every `sep`; a trailing separator ends the last piece
@@ -117,11 +101,13 @@ std::string des_summary(ProtocolKind kind, std::uint32_t n, std::uint64_t seed,
   options.sim.seed = seed;
   Cluster cluster(options);
   cluster.start();
-  c1_clean &= cluster_distinct_primaries(cluster) <= 1;
+  // C1 at each quiescent point: the predicate
+  // RuntimeFleet::distinct_primaries applies to a probe snapshot.
+  c1_clean &= cluster.live_primaries().size() <= 1;
   for (const ScheduleEvent& event : script) {
     apply_event(cluster, event);
     cluster.settle();
-    c1_clean &= cluster_distinct_primaries(cluster) <= 1;
+    c1_clean &= cluster.live_primaries().size() <= 1;
   }
   // The simulator records every process into one sink;
   // append_outcome_line keeps each process's own events, in order.

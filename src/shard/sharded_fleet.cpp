@@ -1,6 +1,7 @@
 #include "shard/sharded_fleet.hpp"
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -225,17 +226,11 @@ std::uint64_t ShardedFleet::total_formed_sessions() const {
 }
 
 std::uint32_t ShardedFleet::groups_with_live_primary() {
-  std::uint32_t count = 0;
-  for (std::uint32_t g = 0; g < groups_.size(); ++g) {
-    for (std::uint32_t i = 0; i < options_.group_size; ++i) {
-      const ProcessId p = replica_id(g, i);
-      if (sim().network().alive(p) && protocol(g, i).is_primary()) {
-        ++count;
-        break;
-      }
-    }
+  std::set<std::uint32_t> groups;
+  for (const auto& [session, members] : cluster_->live_primaries()) {
+    groups.insert(cluster_->group_of(*members.begin()));
   }
-  return count;
+  return static_cast<std::uint32_t>(groups.size());
 }
 
 std::vector<Violation> ShardedFleet::check_all_groups() const {

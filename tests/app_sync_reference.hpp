@@ -1,10 +1,12 @@
 // Reference state transfer for the differential tests: the all-pairs
-// loops that app::sync_states and app::sync_logs replaced. Each member,
-// in list order, pulls from every other member in list order, so later
-// members see the earlier ones' already-merged state. Quadratic, and
-// kept only to check that the linear merges produce identical state.
-// The KV loop works on materialized replicas (every entry written out),
-// so it knows nothing of shared snapshots.
+// loops that app::sync_states replaced, one for the KV store and one for
+// the replicated log, which syncs through sync_states under its position
+// keys and stamps. Each member, in list order, pulls from every other
+// member in list order, so later members see the earlier ones'
+// already-merged state. Quadratic, and kept only to check that the
+// linear merge produces identical state. Both loops work on materialized
+// replicas (every entry written out), so they know nothing of shared
+// snapshots.
 #pragma once
 
 #include <algorithm>

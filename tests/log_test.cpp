@@ -2,7 +2,9 @@
 // primary-component service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -14,6 +16,14 @@
 #include "util/rng.hpp"
 
 namespace dynvote::app {
+
+// A failed comparison of two logs prints each entry as its position,
+// payload and epoch members rather than a dump of its bytes.
+void PrintTo(const LogEntry& entry, std::ostream* os) {
+  *os << entry.position.to_string() << " '" << entry.payload << "' "
+      << entry.epoch_members.to_string();
+}
+
 namespace {
 
 ClusterOptions options_for(ProtocolKind kind, std::uint64_t seed = 71) {
@@ -28,6 +38,16 @@ TEST(LogPosition, OrdersByEpochThenIndex) {
   EXPECT_LT((LogPosition{1, 9}), (LogPosition{2, 0}));
   EXPECT_LT((LogPosition{2, 0}), (LogPosition{2, 1}));
   EXPECT_EQ((LogPosition{3, 4}).to_string(), "(3:4)");
+}
+
+TEST(LogPosition, KeysOrderLikePositions) {
+  const std::vector<LogPosition> positions{
+      {0, 0}, {1, 9}, {1, 10}, {2, 0}, {9, 99}, {10, 0}, {10, ~0ull}, {11, 0}};
+  for (std::size_t i = 1; i < positions.size(); ++i) {
+    EXPECT_LT(position_key(positions[i - 1]), position_key(positions[i]))
+        << positions[i].to_string();
+  }
+  EXPECT_EQ(position_stamp(LogPosition{3, 4}), (Version{3, 4, ProcessId()}));
 }
 
 TEST(ReplicatedLog, AppendsOnlyInsidePrimary) {
@@ -76,9 +96,10 @@ TEST(ReplicatedLog, SyncBringsReplicasToSamePrefix) {
   log.append(ProcessId(2), "b");
   log.sync_primary();
   for (std::uint32_t p = 0; p < 5; ++p) {
-    ASSERT_EQ(log.replica(ProcessId(p)).size(), 2u) << "p" << p;
-    EXPECT_EQ(log.replica(ProcessId(p)).entries()[0].payload, "a");
-    EXPECT_EQ(log.replica(ProcessId(p)).entries()[1].payload, "b");
+    const std::vector<LogEntry> entries = log.entries(ProcessId(p));
+    ASSERT_EQ(entries.size(), 2u) << "p" << p;
+    EXPECT_EQ(entries[0].payload, "a");
+    EXPECT_EQ(entries[1].payload, "b");
   }
   EXPECT_TRUE(log.audit().empty());
 }
@@ -94,11 +115,11 @@ TEST(ReplicatedLog, MinorityCatchesUpAfterHeal) {
   log.append(ProcessId(0), "b");
   log.append(ProcessId(1), "c");
   log.sync_primary();
-  EXPECT_EQ(log.replica(ProcessId(4)).size(), 1u);  // stale
+  EXPECT_EQ(log.entries(ProcessId(4)).size(), 1u);  // stale
   cluster.merge();
   cluster.settle();
   log.sync_primary();
-  EXPECT_EQ(log.replica(ProcessId(4)).size(), 3u);
+  EXPECT_EQ(log.entries(ProcessId(4)).size(), 3u);
   EXPECT_TRUE(log.audit().empty());
 }
 
@@ -124,9 +145,9 @@ TEST(ReplicatedLog, ConsistentUnderRepeatedChurn) {
   log.sync_primary();
   EXPECT_TRUE(log.audit().empty());
   // Every replica inside the final primary holds the identical log.
-  const auto& reference = log.replica(ProcessId(0)).entries();
+  const std::vector<LogEntry> reference = log.entries(ProcessId(0));
   for (std::uint32_t p = 1; p < 5; ++p) {
-    EXPECT_EQ(log.replica(ProcessId(p)).entries(), reference) << "p" << p;
+    EXPECT_EQ(log.entries(ProcessId(p)), reference) << "p" << p;
   }
   EXPECT_GT(log.accepted_appends(), 0u);
 }
@@ -175,11 +196,62 @@ TEST(ReplicatedLog, AuditChecksEachAppendAgainstItsOwnGroup) {
   cluster.settle();
   ReplicatedLog log(cluster);
   ASSERT_TRUE(log.append(ProcessId(3), "a").has_value());
-  const std::vector<LogDivergence> divergences = log.audit();
+  const std::vector<Divergence> divergences = log.audit();
   EXPECT_TRUE(divergences.empty()) << divergences.front().detail;
 }
 
-// ---- state transfer: linear merge vs the all-pairs reference ---------------
+// Two groups of three, one primary each, both in epoch 1: the two
+// sequencers mint the same position, and that is no conflict, because
+// the groups' orders are independent; the audit compares replicas only
+// within a group.
+TEST(ReplicatedLog, IndependentGroupsShareEpochNumbersWithoutConflict) {
+  ClusterOptions options = options_for(ProtocolKind::kOptimized);
+  options.n = 3;
+  Cluster cluster(options);
+  DvConfig second = cluster.config();
+  second.core = ProcessSet::of({3, 4, 5});
+  cluster.add_group(second);
+  cluster.partition({cluster.config(0).core, cluster.config(1).core});
+  cluster.settle();
+  ReplicatedLog log(cluster);
+  const auto a = log.append(ProcessId(0), "a");
+  const auto b = log.append(ProcessId(3), "b");
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(*a, (LogPosition{1, 0}));
+  EXPECT_EQ(*b, *a);
+  log.sync_primary();
+  const std::vector<LogEntry> left = log.entries(ProcessId(2));
+  const std::vector<LogEntry> right = log.entries(ProcessId(5));
+  ASSERT_EQ(left.size(), 1u);
+  ASSERT_EQ(right.size(), 1u);
+  EXPECT_EQ(left[0].payload, "a");
+  EXPECT_EQ(right[0].payload, "b");
+  const std::vector<Divergence> divergences = log.audit();
+  EXPECT_TRUE(divergences.empty())
+      << divergences.size() << " divergences; first: "
+      << divergences.front().detail;
+}
+
+// ---- state transfer: the store's merge vs the all-pairs reference ----------
+//
+// The log's state transfer is app::sync_states over the log's keys and
+// stamps; reference::all_pairs_sync is the log's own rule, each member
+// pulling every position it lacks from every other in turn.
+
+/// Stores `entry` in `state` under its position's key and stamp.
+void store_entry(KvState& state, const LogEntry& entry) {
+  state.own.emplace(position_key(entry.position),
+                    VersionedValue{entry.payload,
+                                   position_stamp(entry.position),
+                                   entry.epoch_members});
+}
+
+/// The store state holding `log`.
+KvState as_state(const std::vector<LogEntry>& log) {
+  KvState state;
+  for (const LogEntry& entry : log) store_entry(state, entry);
+  return state;
+}
 
 /// m random sorted logs over a small position space; payloads at one
 /// position may differ between members (pinning which member a missing
@@ -207,36 +279,95 @@ std::vector<std::vector<LogEntry>> random_logs(Rng& rng, std::size_t m) {
   return logs;
 }
 
+/// Appends new entries to most members, each to both the member's log and
+/// its state, at positions in epochs 5-8, which random_logs never mints;
+/// two members may hold one new position with different payloads.
+void append_fresh(Rng& rng, std::vector<std::vector<LogEntry>>& logs,
+                  std::vector<KvState>& states) {
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    if (rng.next_bool(0.3)) continue;
+    const auto count = rng.next_range(1, 6);
+    for (std::uint64_t c = 0; c < count; ++c) {
+      const LogEntry entry{
+          LogPosition{static_cast<SessionNumber>(5 + rng.next_below(4)),
+                      rng.next_below(4)},
+          "q" + std::to_string(rng.next_below(3)),
+          ProcessSet::of({static_cast<std::uint32_t>(rng.next_below(5))})};
+      const auto at = std::lower_bound(
+          logs[i].begin(), logs[i].end(), entry.position,
+          [](const LogEntry& e, const LogPosition& p) {
+            return e.position < p;
+          });
+      if (at != logs[i].end() && at->position == entry.position) continue;
+      logs[i].insert(at, entry);
+      store_entry(states[i], entry);
+    }
+  }
+}
+
 TEST(LogStateTransfer, LinearMergeMatchesAllPairsOnRandomMembers) {
+  // Round one merges fresh states; round two merges the snapshot round
+  // one left every member sharing, the entries members kept on ties,
+  // and new appends.
   constexpr std::size_t kSizes[] = {1, 2, 3, 17, 64};
   for (std::uint64_t seed = 0; seed < 250; ++seed) {
     Rng rng(seed);
     const std::size_t m = kSizes[seed % std::size(kSizes)];
     auto expected = random_logs(rng, m);
-    auto actual = expected;
-    reference::all_pairs_sync(reference::pointers(expected));
-    sync_logs(reference::pointers(actual));
-    for (std::size_t i = 0; i < m; ++i) {
-      EXPECT_EQ(actual[i], expected[i]) << "seed " << seed << " member " << i;
+    std::vector<KvState> actual;
+    for (const auto& log : expected) actual.push_back(as_state(log));
+    for (int round = 0; round < 2; ++round) {
+      if (round == 1) append_fresh(rng, expected, actual);
+      reference::all_pairs_sync(reference::pointers(expected));
+      sync_states(reference::pointers(actual));
+      for (std::size_t i = 0; i < m; ++i) {
+        EXPECT_EQ(log_entries(actual[i]), expected[i])
+            << "seed " << seed << " round " << round << " member " << i;
+      }
     }
   }
 }
 
 TEST(LogStateTransfer, MissingPositionsComeFromTheLowestIndexHolder) {
   const ProcessSet none;
-  std::vector<std::vector<LogEntry>> logs{
-      {},
-      {LogEntry{{1, 0}, "b", none}},
-      {LogEntry{{1, 0}, "c", none}, LogEntry{{1, 1}, "c", none}}};
-  sync_logs(reference::pointers(logs));
-  EXPECT_EQ(logs[0], (std::vector<LogEntry>{LogEntry{{1, 0}, "b", none},
-                                            LogEntry{{1, 1}, "c", none}}));
-  EXPECT_EQ(logs[1], logs[0]);
-  EXPECT_EQ(logs[2][0].payload, "c");  // a member keeps its own entries
-  EXPECT_EQ(logs[2][1].payload, "c");
+  std::vector<KvState> states{
+      as_state({}), as_state({LogEntry{{1, 0}, "b", none}}),
+      as_state({LogEntry{{1, 0}, "c", none}, LogEntry{{1, 1}, "c", none}})};
+  sync_states(reference::pointers(states));
+  EXPECT_EQ(log_entries(states[0]),
+            (std::vector<LogEntry>{LogEntry{{1, 0}, "b", none},
+                                   LogEntry{{1, 1}, "c", none}}));
+  EXPECT_EQ(log_entries(states[1]), log_entries(states[0]));
+  const std::vector<LogEntry> own = log_entries(states[2]);
+  EXPECT_EQ(own[0].payload, "c");  // a member keeps its own entries
+  EXPECT_EQ(own[1].payload, "c");
+}
+
+/// Checks one sync_primary against the all-pairs reference run within
+/// each live primary session; returns the number of sessions.
+std::size_t expect_sync_matches_all_pairs(Cluster& cluster,
+                                          ReplicatedLog& log) {
+  std::vector<std::vector<LogEntry>> expected;
+  for (const ProcessId p : cluster.all_processes()) {
+    expected.push_back(log.entries(p));
+  }
+  const std::map<Session, ProcessSet> sessions = cluster.live_primaries();
+  for (const auto& [session, members] : sessions) {
+    std::vector<std::vector<LogEntry>*> logs;
+    for (const ProcessId p : members) logs.push_back(&expected[p.value()]);
+    reference::all_pairs_sync(logs);
+  }
+  log.sync_primary();
+  for (const ProcessId p : cluster.all_processes()) {
+    EXPECT_EQ(log.entries(p), expected[p.value()]) << to_string(p);
+  }
+  return sessions.size();
 }
 
 TEST(LogStateTransfer, SplitBrainSyncMatchesAllPairsWithinEachSession) {
+  // Round one syncs within each of two live "primaries" (NaiveDynamic
+  // plus a dropped dv.info); round two, after the sides merge, syncs
+  // their snapshots and the new appends in one session.
   Cluster cluster(options_for(ProtocolKind::kNaiveDynamic));
   ReplicatedLog log(cluster);
   FaultInjector faults(cluster.sim().network());
@@ -250,26 +381,14 @@ TEST(LogStateTransfer, SplitBrainSyncMatchesAllPairsWithinEachSession) {
   for (std::uint32_t p = 0; p < 5; ++p) {
     log.append(ProcessId(p), "m" + std::to_string(p));
   }
+  EXPECT_EQ(expect_sync_matches_all_pairs(cluster, log), 2u);
 
-  std::vector<std::vector<LogEntry>> expected;
-  std::map<Session, std::vector<std::vector<LogEntry>*>> sessions;
-  expected.reserve(5);
+  cluster.merge();
+  cluster.settle();
   for (std::uint32_t p = 0; p < 5; ++p) {
-    expected.push_back(log.replica(ProcessId(p)).entries());
+    log.append(ProcessId(p), "n" + std::to_string(p));
   }
-  for (std::uint32_t p = 0; p < 5; ++p) {
-    const auto& primary = cluster.service(ProcessId(p)).primary();
-    if (primary) sessions[*primary].push_back(&expected[p]);
-  }
-  ASSERT_EQ(sessions.size(), 2u);
-  for (const auto& [session, members] : sessions) {
-    reference::all_pairs_sync(members);
-  }
-
-  log.sync_primary();
-  for (std::uint32_t p = 0; p < 5; ++p) {
-    EXPECT_EQ(log.replica(ProcessId(p)).entries(), expected[p]) << "p" << p;
-  }
+  EXPECT_EQ(expect_sync_matches_all_pairs(cluster, log), 1u);
 }
 
 }  // namespace

@@ -146,6 +146,21 @@ TEST(MetricsTest, MergedHistogramEqualsHistogramOfConcatenatedStreams) {
   EXPECT_EQ(merged.quantile(0.5), all.quantile(0.5));
 }
 
+// Exported histograms carry the explicit unit metadata (telemetry
+// schema v2): names ending in a unit suffix get a "unit" key.
+TEST(MetricsTest, ExportedHistogramsCarryUnitMetadata) {
+  obs::MetricsRegistry registry;
+  registry.histogram("rt.probe.handler_ns").observe(250);
+  registry.histogram("rt.probe.queue_depth").observe(3);
+  const JsonValue json = registry.to_json();
+  EXPECT_EQ(json.at("histograms").at("rt.probe.handler_ns").at("unit")
+                .as_string(),
+            "ns");
+  // No unit suffix -> no unit key.
+  EXPECT_EQ(json.at("histograms").at("rt.probe.queue_depth").find("unit"),
+            nullptr);
+}
+
 TEST(MetricsTest, InstrumentReferencesStayValidAcrossRegistrations) {
   obs::MetricsRegistry registry;
   obs::Counter& first = registry.counter("a");

@@ -314,40 +314,6 @@ TEST(RuntimeProbe, ChromeExportLabelsHandlerSlicesWithTheirProcess) {
                                                     "h:ctl p2", "h:msg"}));
 }
 
-TEST(RuntimeProbe, AggregatesPerLaneMetricsIntoHub) {
-  const RuntimeProbeDoc doc = sample_doc();
-  MetricsHub hub(doc.threads.size());
-  aggregate_probe_metrics(doc.threads, hub);
-  MetricsRegistry& lane0 = hub.group(0);
-  EXPECT_EQ(lane0.counter_value("rt.probe.handoffs"), 1u);
-  EXPECT_EQ(lane0.counter_value("rt.probe.push_failed"), 1u);
-  EXPECT_EQ(lane0.counter_value("rt.probe.parks"), 1u);
-  EXPECT_EQ(lane0.counter_value("rt.probe.wakeups"), 1u);
-  EXPECT_EQ(lane0.counter_value("rt.probe.handlers"), 1u);
-  EXPECT_EQ(lane0.counter_value("rt.probe.dropped"), 3u);
-  EXPECT_EQ(lane0.histogram("rt.probe.handler_ns").count(), 1u);
-  EXPECT_EQ(lane0.histogram("rt.probe.park_ns").count(), 1u);
-  MetricsRegistry& ctl = hub.group(1);
-  EXPECT_EQ(ctl.counter_value("rt.probe.control_push"), 1u);
-  // Rollup across lanes works unchanged on probe instruments.
-  EXPECT_EQ(hub.rollup().counter_value("rt.probe.handoffs"), 1u);
-}
-
-// Exported histograms carry the explicit unit metadata (telemetry
-// schema v2): names ending in a unit suffix get a "unit" key.
-TEST(RuntimeProbe, ExportedHistogramsCarryUnitMetadata) {
-  const RuntimeProbeDoc doc = sample_doc();
-  MetricsHub hub(doc.threads.size());
-  aggregate_probe_metrics(doc.threads, hub);
-  const JsonValue json = hub.group(0).to_json();
-  EXPECT_EQ(json.at("histograms").at("rt.probe.handler_ns").at("unit")
-                .as_string(),
-            "ns");
-  // No unit suffix -> no unit key.
-  EXPECT_EQ(json.at("histograms").at("rt.probe.queue_depth").find("unit"),
-            nullptr);
-}
-
 // ------------------------------------------------------------ integration
 
 TEST(RuntimeProbe, FleetWithoutProbesReturnsNoLogs) {
